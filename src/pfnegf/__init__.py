@@ -55,8 +55,6 @@ from .negf import (
     advanced_from_retarded,
     approx_split,
     compute_g0,
-    compute_gxi,
-    compute_sigma_tilde,
     convergence_study,
     irreducible_sigma,
     restrict_to_sample,

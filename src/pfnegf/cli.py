@@ -50,6 +50,10 @@ def run_command(args) -> int:
     try:
         config = load_config(args.config)
         overrides = _parse_tolerance_overrides(args.tolerance)
+        if args.steps is not None and args.steps < 2:
+            raise ConfigError("--steps must be an integer >= 2")
+        if args.budget is not None and args.budget <= 0:
+            raise ConfigError("--budget must be positive")
     except (ConfigError, ValueError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG

@@ -32,8 +32,3 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_nodes) * self.delta
 
-
-def sup_norm(values: np.ndarray) -> float:
-    """sup over nodes of the Euclidean norm per node, for (n_nodes, p) samples."""
-    values = np.asarray(values)
-    return float(np.max(np.linalg.norm(values, axis=-1)))

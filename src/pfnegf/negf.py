@@ -93,10 +93,11 @@ def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
 class KernelEngine:
     """Shared-state computation of every kernel for one model, state and grid.
 
-    The creation family and the dressed family are evolved once and reused by
-    the interacting kernel, the reducible self-energy and the consistency map;
-    derived objects (irreducible self-energy, algebraic Dyson solution) are
-    exact flat-algebra products.
+    The creation family and the dressed family are registered once; each of
+    the three grids (interacting kernel, reducible self-energy, consistency
+    map) is built on first use and evolves the families it pairs.  Derived
+    objects (irreducible self-energy, algebraic Dyson solution) are exact
+    flat-algebra products.
     """
 
     def __init__(
@@ -208,18 +209,6 @@ class KernelEngine:
             tolerances=tolerances,
             model_hash=model_hash,
         )
-
-
-def compute_gxi(model: Model, thermal: ThermalParams, grid: TimeGrid, **kwargs) -> VolterraOperator:
-    return KernelEngine(model, thermal, grid, **kwargs).gxi
-
-
-def compute_sigma_tilde(model: Model, thermal: ThermalParams, grid: TimeGrid, **kwargs) -> VolterraOperator:
-    return KernelEngine(model, thermal, grid, **kwargs).sigma_tilde
-
-
-def compute_f_map(model: Model, thermal: ThermalParams, grid: TimeGrid, **kwargs) -> VolterraOperator:
-    return KernelEngine(model, thermal, grid, **kwargs).f_map
 
 
 def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> VolterraOperator:

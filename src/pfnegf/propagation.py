@@ -10,11 +10,12 @@ of creation-type families ``A_m``, ``D_j`` and the anticommutator pairing
 
 the weights are ``p_alpha + p_gamma`` across adjacent sectors.
 
-Two storage strategies produce the grids: ``history`` keeps every evolved
-family member at every node (fast, memory O(N_t)); ``recompute`` re-evolves
-by column and needs O(1) memory in N_t at the price of O(N_t) extra
-evolution sweeps.  Both walk through identical floating-point operations,
-so their outputs agree bitwise; ``auto`` picks by a memory budget.
+One sweep builds every grid; the storage strategy only fixes how many
+nodes of the first family it holds at once.  ``history`` holds all of them
+(fast, memory O(N_t)); ``recompute`` holds one and re-evolves the second
+family for each, which needs O(1) memory in N_t at the price of O(N_t)
+extra evolution sweeps.  Every block is the same product either way, so
+their outputs agree bitwise; ``auto`` picks by a memory budget.
 """
 
 from __future__ import annotations
@@ -164,11 +165,13 @@ class HeisenbergFrame:
 
 
 class CorrelatorFactory:
-    """Evolves registered operator families once and pairs them into grids.
+    """Pairs registered operator families into two-time anticommutator grids.
 
     All registered families must be creation-type; the second member of a
     pairing enters through its adjoint (Heisenberg evolution commutes with
-    the adjoint), so a single evolved history serves both sides.
+    the adjoint), so every family is evolved the same way on either side.
+    Each grid re-evolves the two families it pairs; nothing is kept between
+    grids.
     """
 
     def __init__(
@@ -186,14 +189,11 @@ class CorrelatorFactory:
         self.requested_strategy = strategy
         self.budget = budget
         self._families: dict[str, list[list[np.ndarray]]] = {}
-        self._histories: dict[str, np.ndarray] = {}
         self._resolved: str | None = None
 
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
             raise ValueError(f"family {name!r} already registered")
-        if self._histories:
-            raise ValueError("register all families before assembling grids")
         self._families[name] = [self.frame.to_frame_creation(op) for op in ops]
         self._resolved = None
 
@@ -219,103 +219,43 @@ class CorrelatorFactory:
                 self._resolved = "history" if need <= self.budget else "recompute"
         return self._resolved
 
-    def _history(self, name: str) -> np.ndarray:
-        if name not in self._histories:
-            fam = self._families[name]
-            n = self.grid.n_nodes
-            flat = self.frame.creation_flat_size()
-            hist = np.empty((len(fam), n, flat), dtype=complex)
-            for idx, blocks in enumerate(fam):
-                cur = [b.copy() for b in blocks]
-                hist[idx, 0] = self.frame.flatten_creation(cur)
-                for k in range(1, n):
-                    cur = self.frame.step_creation(cur)
-                    hist[idx, k] = self.frame.flatten_creation(cur)
-            self._histories[name] = hist
-        return self._histories[name]
+    def _step(self, family: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
+        return [self.frame.step_creation(blocks) for blocks in family]
+
+    def _flat(self, family: list[list[np.ndarray]]) -> np.ndarray:
+        return np.stack([self.frame.flatten_creation(blocks) for blocks in family])
 
     def anticommutator_grid(self, name_a: str, name_d: str, full: bool = False) -> CorrelatorGrid:
-        """Grid of ``Tr(rho {A_m(t_l), D_j(t_k)^dagger})`` for two families."""
-        if self.strategy == "history":
-            values = self._grid_from_history(name_a, name_d, full)
-        else:
-            if full:
-                lower = self._grid_recompute(name_a, name_d)
-                upper = self._grid_recompute_upper(name_a, name_d)
-                values = lower
-                n = self.grid.n_nodes
-                iu = np.triu_indices(n, k=1)
-                values[:, :, iu[0], iu[1]] = upper[:, :, iu[0], iu[1]]
-            else:
-                values = self._grid_recompute(name_a, name_d)
-        return CorrelatorGrid(values, self.grid, full, name_a, name_d)
+        """Grid of ``Tr(rho {A_m(t_l), D_j(t_k)^dagger})`` for two families.
 
-    def _grid_from_history(self, name_a: str, name_d: str, full: bool) -> np.ndarray:
-        hist_a = self._history(name_a)
-        hist_d = self._history(name_d)
+        Family A is held, pair-weighted, for a chunk of nodes ``l`` (all of
+        them under ``history``, one under ``recompute``); family D streams
+        past it from the chunk's first node, or node 0 for the full grid.
+        """
         n = self.grid.n_nodes
-        n_a, n_d = hist_a.shape[0], hist_d.shape[0]
-        weighted_a = hist_a * self.frame._pair_weights_flat[None, None, :]
-        values = np.zeros((n_d, n_a, n, n), dtype=complex)
-        for k in range(n):
-            v = np.ascontiguousarray(np.conj(hist_d[:, k, :]))
-            stop = n if full else k + 1
-            for l in range(stop):
-                u = np.ascontiguousarray(weighted_a[:, l, :])
-                values[:, :, k, l] = v @ u.T
-        return values
-
-    def _grid_recompute(self, name_a: str, name_d: str) -> np.ndarray:
-        fam_a = self._families[name_a]
-        fam_d = self._families[name_d]
-        n = self.grid.n_nodes
-        n_a, n_d = len(fam_a), len(fam_d)
+        fam_a, fam_d = self._families[name_a], self._families[name_d]
+        chunk = n if self.strategy == "history" else 1
         w = self.frame._pair_weights_flat
-        values = np.zeros((n_d, n_a, n, n), dtype=complex)
-        cur_a = [[b.copy() for b in blocks] for blocks in fam_a]
-        cur_d = [[b.copy() for b in blocks] for blocks in fam_d]
-        for l in range(n):
-            if l:
-                cur_a = [self.frame.step_creation(b) for b in cur_a]
-                cur_d = [self.frame.step_creation(b) for b in cur_d]
-            u = np.ascontiguousarray(
-                np.stack([self.frame.flatten_creation(b) for b in cur_a]) * w[None, :]
-            )
-            inner = [[b.copy() for b in blocks] for blocks in cur_d]
-            for k in range(l, n):
-                if k > l:
-                    inner = [self.frame.step_creation(b) for b in inner]
-                v = np.ascontiguousarray(
-                    np.conj(np.stack([self.frame.flatten_creation(b) for b in inner]))
-                )
-                values[:, :, k, l] = v @ u.T
-        return values
-
-    def _grid_recompute_upper(self, name_a: str, name_d: str) -> np.ndarray:
-        # mirrored sweep for the acausal (l > k) part
-        fam_a = self._families[name_a]
-        fam_d = self._families[name_d]
-        n = self.grid.n_nodes
-        w = self.frame._pair_weights_flat
+        held = np.empty((chunk, len(fam_a), self.frame.creation_flat_size()), dtype=complex)
         values = np.zeros((len(fam_d), len(fam_a), n, n), dtype=complex)
-        cur_a = [[b.copy() for b in blocks] for blocks in fam_a]
-        cur_d = [[b.copy() for b in blocks] for blocks in fam_d]
-        for k in range(n):
-            if k:
-                cur_a = [self.frame.step_creation(b) for b in cur_a]
-                cur_d = [self.frame.step_creation(b) for b in cur_d]
-            v = np.ascontiguousarray(
-                np.conj(np.stack([self.frame.flatten_creation(b) for b in cur_d]))
-            )
-            inner = [[b.copy() for b in blocks] for blocks in cur_a]
-            for l in range(k, n):
-                if l > k:
-                    inner = [self.frame.step_creation(b) for b in inner]
-                u = np.ascontiguousarray(
-                    np.stack([self.frame.flatten_creation(b) for b in inner]) * w[None, :]
-                )
-                values[:, :, k, l] = v @ u.T
-        return values
+        cur_a, first_d = fam_a, fam_d
+        for first in range(0, n, chunk):
+            stop = first + chunk
+            for l in range(first, stop):
+                if l:
+                    cur_a = self._step(cur_a)
+                held[l - first] = self._flat(cur_a) * w
+            k0 = 0 if full else first
+            cur_d = fam_d if full else first_d
+            for k in range(k0, n):
+                if k > k0:
+                    cur_d = self._step(cur_d)
+                if k == stop:
+                    first_d = cur_d  # the next chunk streams D from here
+                v = np.conj(self._flat(cur_d))
+                for l in range(first, stop if full else min(stop, k + 1)):
+                    values[:, :, k, l] = v @ held[l - first].T
+        return CorrelatorGrid(values, self.grid, full, name_a, name_d)
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:
         """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators, streamed."""

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from conftest import dimer_config, run_cli, trimer_config
 from pfnegf.config import reference_config
 
@@ -88,6 +89,15 @@ class TestRun:
         cfg = write_config(tmp_path, cfg_data)
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--budget", "0")])
+    def test_bad_override_exit_code(self, tmp_path, flag, value):
+        # the same bounds the config file enforces: steps >= 2, budget > 0
+        cfg = write_config(tmp_path, dimer_config())
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), flag, value], tmp_path)
+        assert result.returncode == 2, result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "config"
 
     def test_memory_guard_exit_code(self, tmp_path):
         cfg_data = trimer_config()

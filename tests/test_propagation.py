@@ -10,6 +10,7 @@ from pfnegf.fock import (
     second_quantize,
 )
 from pfnegf.grid import TimeGrid
+from pfnegf.negf import KernelEngine
 from pfnegf.propagation import (
     CorrelatorFactory,
     heisenberg_series,
@@ -149,33 +150,31 @@ class TestTwoTimeKernel:
         # |<{A, B}>| <= 2 ||A|| ||B|| = 2 for normalized ladder vectors
         assert np.max(np.abs(trimer_engine.ladder_grid.values)) <= 2.0 + 1e-10
 
-    def test_storage_strategies_agree(self, trimer_run):
+    @pytest.mark.parametrize("full", [False, True], ids=["causal", "full"])
+    def test_storage_strategies_agree(self, trimer_run, full):
         model = trimer_run.model
         grid = TimeGrid(1.5, 10)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
         creation, annihilation = ladder_families(model)
         by_history = two_time_kernel(
-            rho, model.K_v, creation, annihilation, grid, strategy="history"
+            rho, model.K_v, creation, annihilation, grid, strategy="history", full=full
         )
         by_recompute = two_time_kernel(
-            rho, model.K_v, creation, annihilation, grid, strategy="recompute"
+            rho, model.K_v, creation, annihilation, grid, strategy="recompute", full=full
         )
-        assert np.max(np.abs(by_history.values - by_recompute.values)) <= 1e-12
-        # both paths walk identical floating-point sequences on this model
+        # both strategies form every block by the same product
         np.testing.assert_array_equal(by_history.values, by_recompute.values)
 
-    def test_full_grid_strategies_agree(self, trimer_run):
-        model = trimer_run.model
-        grid = TimeGrid(1.0, 6)
-        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
-        creation, annihilation = ladder_families(model)
-        by_history = two_time_kernel(
-            rho, model.K_v, creation, annihilation, grid, strategy="history", full=True
-        )
-        by_recompute = two_time_kernel(
-            rho, model.K_v, creation, annihilation, grid, strategy="recompute", full=True
-        )
-        assert np.max(np.abs(by_history.values - by_recompute.values)) <= 1e-12
+    def test_engine_grids_strategies_agree(self, trimer_run):
+        # the dressed and mixed pairings, not only the a/a ladder
+        grid = TimeGrid(1.5, 10)
+        engines = [
+            KernelEngine(trimer_run.model, trimer_run.thermal, grid, strategy=strategy)
+            for strategy in ("history", "recompute")
+        ]
+        for name in ("ladder_grid", "dressed_grid", "mixed_grid"):
+            history, recompute = (getattr(engine, name) for engine in engines)
+            np.testing.assert_array_equal(history.values, recompute.values)
 
     def test_auto_falls_back_on_small_budget(self, trimer_run):
         model = trimer_run.model
