@@ -202,14 +202,14 @@ class VolterraOperator:
         return VolterraOperator(self.grid, q, flat=flat, inst=inst, name=f"{self.name}|restricted")
 
     def volterra_constant(self) -> float:
-        """Discrete Volterra constant: max spectral norm over memory blocks."""
-        mem = self.memory_kernel()
-        n = self.grid.n_nodes
-        best = 0.0
-        for k in range(n):
-            for l in range(k + 1):
-                best = max(best, np.linalg.norm(mem[k, l], 2))
-        return float(best)
+        """Discrete Volterra constant: max spectral norm over memory blocks.
+
+        nan or inf for a non-finite kernel.
+        """
+        blocks = self.memory_kernel()[np.tril_indices(self.grid.n_nodes)]
+        if not np.isfinite(blocks).all():
+            return float(np.max(np.abs(blocks)))
+        return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
 
 def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
@@ -274,14 +274,20 @@ def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
 
 
 def operator_norm_bound(flat: np.ndarray, grid: TimeGrid, p: int) -> float:
-    """Upper bound on the induced sup-norm: max over rows of summed block norms."""
+    """Upper bound on the induced sup-norm: max over rows of summed block norms.
+
+    The block norms come from one batched SVD; each row is summed left to
+    right, as a per-block loop would.  nan or inf for a non-finite ``flat``.
+    """
+    if not np.isfinite(flat).all():
+        return float(np.max(np.abs(flat)))
     n = grid.n_nodes
     blocks = flat.reshape(n, p, n, p).transpose(0, 2, 1, 3)
-    best = 0.0
-    for k in range(n):
-        row = sum(np.linalg.norm(blocks[k, l], 2) for l in range(n))
-        best = max(best, row)
-    return float(best)
+    norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    rows = np.zeros(n)
+    for l in range(n):
+        rows += norms[:, l]
+    return float(np.max(rows))
 
 
 def flat_max_abs(flat: np.ndarray) -> float:
@@ -305,24 +311,24 @@ def dump_kernel(op: VolterraOperator, ordering, fh) -> None:
         "ordering": list(ordering),
     }
     fh.write(json.dumps(header) + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
+    # one time row at a time; repr of a Python float is the round-trip text
     mem = op.memory_kernel()
-    p = op.p
-    for k in range(op.grid.n_nodes):
-        for l in range(k + 1):
-            block = mem[k, l]
-            for i in range(p):
-                for j in range(p):
-                    v = block[i, j]
-                    writer.writerow([k, l, i, j, repr(float(v.real)), repr(float(v.imag))])
+    n, p = op.grid.n_nodes, op.p
+    tails = [f"{l},{i},{j}," for l in range(n) for i in range(p) for j in range(p)]
+    for k in range(n):
+        _write_entries(fh, f"{k},", tails, mem[k, : k + 1])
     if op.has_instantaneous():
-        inst = op.instantaneous()
-        for k in range(op.grid.n_nodes):
-            block = inst[k]
-            for i in range(p):
-                for j in range(p):
-                    v = block[i, j]
-                    writer.writerow([k, i, j, repr(float(v.real)), repr(float(v.imag))])
+        tails = [f"{i},{j}," for i in range(p) for j in range(p)]
+        for k, block in enumerate(op.instantaneous()):
+            _write_entries(fh, f"{k},", tails, block)
+
+
+def _write_entries(fh, head, tails, values) -> None:
+    """One line ``head tail re,im`` per entry of ``values``, in C order."""
+    fh.write("".join(
+        f"{head}{tail}{re!r},{im!r}\n"
+        for tail, re, im in zip(tails, values.real.ravel().tolist(), values.imag.ravel().tolist())
+    ))
 
 
 def dump_kernel_to_path(op: VolterraOperator, ordering, path) -> None:

@@ -15,8 +15,9 @@ from pfnegf.negf import (
     fit_convergence_order,
     irreducible_sigma,
     restrict_to_sample,
+    verify_dyson,
 )
-from pfnegf.volterra import flat_max_abs, identity_volterra
+from pfnegf.volterra import VolterraOperator, flat_max_abs, identity_volterra
 
 
 def noninteracting_reference():
@@ -146,6 +147,34 @@ class TestDysonIdentities:
         )
         for name, order in study["summary"]["fitted_orders"].items():
             assert order >= 1.8, name
+
+    def test_convergence_rows_equal_verify_residuals(self, trimer_run):
+        study = convergence_study(
+            trimer_run.model, trimer_run.thermal, trimer_run.horizon, [12, 24]
+        )
+        engine = KernelEngine(
+            trimer_run.model, trimer_run.thermal, TimeGrid(trimer_run.horizon, 12),
+            full_correlator=False,
+        )
+        report = engine.verify()
+        row = study["summary"]["rows"][0]
+        assert row["steps"] == 12
+        for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson"):
+            assert row[name] == report.residual(name), name
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_kernel_fails_its_checks(self, bad):
+        grid = TimeGrid(1.0, 10)
+        g0 = compute_g0(np.array([[0.2, 0.5], [0.5, -0.1]]), grid)
+        mem = g0.memory_kernel().copy()
+        mem[6, 2, 1, 0] = bad
+        gxi = VolterraOperator(grid, 2, mem=mem, name="Gxi")
+        sigma_tilde = g0.scale(0.1)
+        report = verify_dyson(g0, gxi, sigma_tilde, irreducible_sigma(g0, sigma_tilde), grid)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert {"reducible_dyson", "volterra_constant_gxi"} <= failed
+        assert not report.passed
 
     def test_sample_restricted_residual_tracks_full(self, ref_engine_25):
         report = ref_engine_25.verify()

@@ -1,8 +1,13 @@
+import csv
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pfnegf.grid import TimeGrid
 from pfnegf.volterra import (
@@ -39,6 +44,50 @@ def random_memory_operator(grid, p, seed=0):
         for l in range(k + 1):
             mem[k, l] = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     return VolterraOperator(grid, p, mem=mem, name="rand")
+
+
+def loop_norm_bound(flat, grid, p):
+    """Per-block reference for ``operator_norm_bound``."""
+    n = grid.n_nodes
+    blocks = flat.reshape(n, p, n, p).transpose(0, 2, 1, 3)
+    best = 0.0
+    for k in range(n):
+        best = max(best, sum(np.linalg.norm(blocks[k, l], 2) for l in range(n)))
+    return float(best)
+
+
+def loop_volterra_constant(op):
+    """Per-block reference for ``VolterraOperator.volterra_constant``."""
+    mem = op.memory_kernel()
+    best = 0.0
+    for k in range(op.grid.n_nodes):
+        for l in range(k + 1):
+            best = max(best, np.linalg.norm(mem[k, l], 2))
+    return float(best)
+
+
+def csv_writer_text(op, ordering):
+    """Reference kernel dump written through ``csv.writer``, entry by entry."""
+    buf = io.StringIO()
+    header = {"name": op.name, "p": op.p, "N_t": op.grid.steps, "T": op.grid.horizon,
+              "ordering": list(ordering)}
+    buf.write(json.dumps(header) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    mem, p = op.memory_kernel(), op.p
+    for k in range(op.grid.n_nodes):
+        for l in range(k + 1):
+            for i in range(p):
+                for j in range(p):
+                    v = mem[k, l, i, j]
+                    writer.writerow([k, l, i, j, repr(float(v.real)), repr(float(v.imag))])
+    if op.has_instantaneous():
+        inst = op.instantaneous()
+        for k in range(op.grid.n_nodes):
+            for i in range(p):
+                for j in range(p):
+                    v = inst[k, i, j]
+                    writer.writerow([k, i, j, repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue()
 
 
 class TestApply:
@@ -182,6 +231,44 @@ class TestNormAndConstants:
                 quadrature = float(w[k, : k + 1] @ norms[: k + 1])
                 assert np.linalg.norm(out[k]) <= c_a * quadrature + 1e-10
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_batched_norms_equal_loop_reference(self, p):
+        # causal flats: the acausal zero blocks enter every row sum
+        grid = TimeGrid(1.0, 12)
+        a = random_memory_operator(grid, p, seed=20 + p)
+        b = random_memory_operator(grid, p, seed=30 + p)
+        n = grid.n_nodes
+        rng = np.random.default_rng(40 + p)
+        inst = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
+        c = VolterraOperator(grid, p, inst=inst, flat=(a @ b).flat, name="c")
+        for op in (a, a @ b, c):
+            assert operator_norm_bound(op.flat, grid, p) == loop_norm_bound(op.flat, grid, p)
+            assert op.volterra_constant() == loop_volterra_constant(op)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_block_gives_non_finite_norms(self, bad):
+        grid = TimeGrid(1.0, 10)
+        n = grid.n_nodes
+        mem = np.zeros((n, n, 2, 2), dtype=complex)
+        mem[4, 1, 0, 1] = bad
+        op = VolterraOperator(grid, 2, mem=mem, name="bad")
+        assert not np.isfinite(operator_norm_bound(op.flat, grid, 2))
+        assert not np.isfinite(op.volterra_constant())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_batched_norm_bound_property(self, data):
+        steps = data.draw(st.integers(2, 5), label="steps")
+        p = data.draw(st.integers(1, 4), label="p")
+        grid = TimeGrid(1.0, steps)
+        size = grid.n_nodes * p
+        parts = data.draw(
+            arrays(np.float64, (2, size, size), elements=st.floats(-1e6, 1e6)), label="parts"
+        )
+        flat = parts[0] + 1j * parts[1]
+        assert operator_norm_bound(flat, grid, p) == loop_norm_bound(flat, grid, p)
+
 
 class TestRestriction:
     def test_restrict_identity(self):
@@ -220,3 +307,18 @@ class TestDumpFormat:
     def test_dump_deterministic(self):
         a = random_memory_operator(GRID, 2, seed=13)
         assert kernel_text(a, ["x", "y"]) == kernel_text(a, ["x", "y"])
+
+    def test_text_equals_csv_writer_reference(self):
+        grid = TimeGrid(1.0, 6)
+        n = grid.n_nodes
+        mem = np.zeros((n, n, 2, 2), dtype=complex)
+        for k in range(1, n):
+            for l in range(k + 1):
+                mem[k, l] = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+        mem[2, 1] = [[-0.0, 1e-05], [1e16, 5e-324]]
+        mem[3, 0] = [[complex(-0.0, -0.0), 0.0], [complex(1e-05, 5e-324), complex(1e16, -0.0)]]
+        inst = np.zeros((n, 2, 2), dtype=complex)
+        inst[1] = [[complex(-0.0, 1e16), 1e-05], [0.0, complex(5e-324, -1e-05)]]
+        inst[4, 0, 1] = 0.25 - 3.0j
+        a = VolterraOperator(grid, 2, inst=inst, mem=mem, name="special")
+        assert kernel_text(a, ["x", "y"]) == csv_writer_text(a, ["x", "y"])
