@@ -133,6 +133,7 @@ def _execute_tasks(config, out_dir) -> list:
                 config.steps_list,
                 strategy=config.strategy,
                 budget=budget,
+                engine=get_engine(),
             )
             _write_text(os.path.join(out_dir, "convergence.csv"), study["csv"])
             _write_text(

@@ -93,11 +93,13 @@ def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
 class KernelEngine:
     """Shared-state computation of every kernel for one model, state and grid.
 
-    The creation family and the dressed family are registered once; each of
-    the three grids (interacting kernel, reducible self-energy, consistency
-    map) is built on first use and evolves the families it pairs.  Derived
-    objects (irreducible self-energy, algebraic Dyson solution) are exact
-    flat-algebra products.
+    The creation family and the dressed family are registered once, in the
+    eigenbasis of ``K_v``; each of the three grids (interacting kernel,
+    reducible self-energy, consistency map) is built on first use, reaching
+    every node of the families it pairs by elementwise phase factors.  Under
+    ``recompute`` that costs O(N_t^2) phase products and no evolution
+    sweeps.  Derived objects (irreducible self-energy, algebraic Dyson
+    solution) are exact flat-algebra products.
     """
 
     def __init__(
@@ -196,6 +198,11 @@ class KernelEngine:
         op = self.g0 + self.g0 @ self.sigma_tilde @ self.g0
         op.name = "Galg"
         return op
+
+    @cached_property
+    def quadrature(self) -> dict:
+        """The three quadrature-limited residuals (see ``quadrature_residuals``)."""
+        return quadrature_residuals(self.g0, self.gxi, self.sigma_tilde, self.g_alg, self.f_map)
 
     def verify(self, tolerances: dict | None = None, model_hash: str = "") -> "DysonReport":
         return verify_dyson(
@@ -354,28 +361,33 @@ def convergence_study(
     steps_list,
     strategy: str = "auto",
     budget: int = DEFAULT_BUDGET_BYTES,
+    engine: KernelEngine | None = None,
 ) -> dict:
     """Quadrature-residual table over a family of grids plus fitted orders.
 
     The state is grid-independent and shared across the study; each grid gets
     its own kernel engine, which builds only what the three quadrature-limited
-    identities need (see ``quadrature_residuals``).  The exact-algebra checks
-    are grid-independent and belong to ``verify_dyson``.  Returns the CSV
-    text, the rows, and fitted orders for the three identities.
+    identities need (see ``quadrature_residuals``).  An ``engine`` already
+    built for the same model and state serves its own grid and lends its
+    state to the others; its causal blocks are the same products as a
+    causal-only engine's, so the table does not change.  The exact-algebra
+    checks are grid-independent and belong to ``verify_dyson``.  Returns the
+    CSV text, the rows, and fitted orders for the three identities.
     """
     steps_list = sorted(int(s) for s in steps_list)
-    rho = gibbs(model.K_0, thermal, model.N_total, label="pf")
+    rho = engine.rho if engine is not None else gibbs(model.K_0, thermal, model.N_total, label="pf")
     names = QUADRATURE_CHECKS
     rows = []
     for steps in steps_list:
-        engine = KernelEngine(
-            model, thermal, TimeGrid(horizon, steps),
-            strategy=strategy, budget=budget, rho=rho, full_correlator=False,
-        )
-        residuals = quadrature_residuals(
-            engine.g0, engine.gxi, engine.sigma_tilde, engine.g_alg, engine.f_map
-        )
-        rows.append({"steps": steps, "delta": engine.grid.delta} | residuals)
+        grid = TimeGrid(horizon, steps)
+        if engine is None or engine.grid != grid:
+            engine_at = KernelEngine(
+                model, thermal, grid,
+                strategy=strategy, budget=budget, rho=rho, full_correlator=False,
+            )
+        else:
+            engine_at = engine
+        rows.append({"steps": steps, "delta": grid.delta} | engine_at.quadrature)
     deltas = [row["delta"] for row in rows]
     fitted = {name: fit_convergence_order(deltas, [row[name] for row in rows]) for name in names}
     lines = ["steps,delta," + ",".join(names)]
@@ -449,7 +461,9 @@ def verify_dyson(
     Quadrature-limited identities are measured with the induced-norm bound of
     the discrete operator difference (max over row nodes of summed block
     spectral norms); exact-algebra identities with the max-abs entry of the
-    flat difference.
+    flat difference.  Given the ``engine`` that built the kernels, its cached
+    ``g_alg`` and quadrature residuals are used, so a convergence study on
+    the same engine does not compute them again.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -457,8 +471,11 @@ def verify_dyson(
     report = DysonReport(model_hash, grid.horizon, grid.steps)
     p = g0.p
 
-    g_alg = g0 + g0 @ sigma_tilde @ g0
-    quadrature = quadrature_residuals(g0, gxi, sigma_tilde, g_alg, f_map)
+    if engine is not None:
+        g_alg, quadrature = engine.g_alg, engine.quadrature
+    else:
+        g_alg = g0 + g0 @ sigma_tilde @ g0
+        quadrature = quadrature_residuals(g0, gxi, sigma_tilde, g_alg, f_map)
 
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
     report.add(

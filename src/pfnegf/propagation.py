@@ -1,21 +1,29 @@
 """Heisenberg evolution on the time grid and two-time anticommutator grids.
 
-Evolution is exact: one unitary step per particle-number sector from the
-eigendecomposition of the (number-conserving) generator, applied by
-conjugation.  Every correlator is assembled in the eigenbasis of the state,
-where the trace becomes a probability-weighted elementwise sum; for a pair
-of creation-type families ``A_m``, ``D_j`` and the anticommutator pairing
+Evolution is exact and diagonal.  Per particle-number sector the
+(number-conserving) generator is diagonalised, ``K_v[N] = Q_N diag(E_N)
+Q_N^dagger``; in this "K-frame" an operator block mapping sector ``N`` to
+sector ``N'`` evolves by elementwise phases,
+
+    X(t_k)_ab = X_ab exp(i t_k (E_a - E_b)),   a in N', b in N,
+
+so node ``k`` of any family is reached directly from ``k`` in O(size): no
+step products, and no roundoff that grows with ``k``.  For a pair of
+creation-type families ``A_m``, ``D_j`` the anticommutator pairing
 
     C[j, m, k, l] = Tr( rho { A_m(t_l), D_j(t_k)^dagger } )
 
-the weights are ``p_alpha + p_gamma`` across adjacent sectors.
+is the elementwise inner product of ``conj(D_j(t_k))`` with the held side
+``B_m(t_l) = rho[N+1] A_m(t_l) + A_m(t_l) rho[N]``, the state taken into
+the K-frame as well.
 
-One sweep builds every grid; the storage strategy only fixes how many
-nodes of the first family it holds at once.  ``history`` holds all of them
-(fast, memory O(N_t)); ``recompute`` holds one and re-evolves the second
-family for each, which needs O(1) memory in N_t at the price of O(N_t)
-extra evolution sweeps.  Every block is the same product either way, so
-their outputs agree bitwise; ``auto`` picks by a memory budget.
+One sweep builds every grid; the storage strategy only fixes how many held
+nodes ``B(t_l)`` it keeps at once.  ``history`` keeps all of them (memory
+O(N_t)); ``recompute`` keeps one and reaches every ``D(t_k)`` again by a
+phase multiply, which needs O(1) memory in N_t and costs O(N_t^2)
+elementwise phase products, with no evolution sweeps.  Every block is the
+same product either way, so their outputs agree bitwise; ``auto`` picks by
+a memory budget.
 """
 
 from __future__ import annotations
@@ -34,11 +42,15 @@ DEFAULT_BUDGET_BYTES = 4 * 1024**3
 UNITARITY_TOL = 1e-12
 
 
-def stepper(generator: ManyBodyOperator, delta: float) -> ManyBodyOperator:
-    """One-step unitary ``exp(-i delta K)`` per sector via eigendecomposition."""
+def _check_hermitian(generator: ManyBodyOperator) -> None:
     defect = generator.hermiticity_defect()
     if defect > 1e-12:
         raise ValueError(f"evolution generator is not Hermitian (defect {defect:.3e})")
+
+
+def stepper(generator: ManyBodyOperator, delta: float) -> ManyBodyOperator:
+    """One-step unitary ``exp(-i delta K)`` per sector via eigendecomposition."""
+    _check_hermitian(generator)
     blocks = []
     for block in generator.blocks:
         if block.shape[0] == 0:
@@ -94,74 +106,75 @@ class CorrelatorGrid:
         return prefactor * kernel
 
 
+def _flat_index(sector: list, s: int) -> tuple:
+    """Energy indices ``(a, b)`` of every entry of a flat displacement-``s`` operator."""
+    pairs = [np.meshgrid(sector[n + s], sector[n], indexing="ij") for n in range(len(sector) - s)]
+    return tuple(np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
+
+
 class HeisenbergFrame:
-    """Evolution and trace machinery in the eigenbasis of a density operator."""
+    """The generator's eigenbasis (K-frame) with the state expressed in it.
+
+    Operators live here as flat arrays: the K-frame blocks of every sector,
+    raveled and concatenated.  ``creation_index`` and ``diag_index`` hold
+    the energy indices ``(a, b)`` of every entry of a creation-type and of a
+    number-conserving flat.
+    """
 
     def __init__(self, rho: DensityOperator, generator: ManyBodyOperator, grid: TimeGrid):
-        self.rho = rho
+        _check_hermitian(generator)
         self.grid = grid
-        self.space = rho.space
-        u = stepper(generator, grid.delta)
+        energies, self.vecs = zip(*(np.linalg.eigh(block) for block in generator.blocks))
         self.unitarity_defect = max(
-            np.max(np.abs(np.conj(b.T) @ b - np.eye(b.shape[0]))) if b.size else 0.0
-            for b in u.blocks
+            np.max(np.abs(np.conj(q.T) @ q - np.eye(q.shape[0]))) for q in self.vecs
         )
         if self.unitarity_defect > UNITARITY_TOL:
-            raise RuntimeError(f"step unitary defect {self.unitarity_defect:.3e}")
-        self.u_tilde = tuple(
-            np.conj(v.T) @ block @ v for v, block in zip(rho.vecs, u.blocks)
+            raise RuntimeError(f"generator eigenbasis unitarity defect {self.unitarity_defect:.3e}")
+        self.rho_k = []
+        for q, v, p in zip(self.vecs, rho.vecs, rho.probs):
+            w = np.conj(q.T) @ v
+            self.rho_k.append((w * p) @ np.conj(w.T))
+        d = len(energies) - 1
+        self.energies = np.concatenate(energies)
+        bounds = np.cumsum([0] + [e.size for e in energies])
+        sector = [np.arange(bounds[n], bounds[n + 1]) for n in range(d + 1)]
+        self.creation_index = _flat_index(sector, 1)
+        self.diag_index = _flat_index(sector, 0)
+        # Tr(rho X) = sum over the flat of rho^T * X, for number-conserving X
+        self.rho_t_flat = np.concatenate([r.T.ravel() for r in self.rho_k])
+        self._creation_slices = []
+        offset = 0
+        for n in range(d):
+            shape = (sector[n + 1].size, sector[n].size)
+            self._creation_slices.append((slice(offset, offset + shape[0] * shape[1]), shape))
+            offset += shape[0] * shape[1]
+
+    def to_frame(self, op: ManyBodyOperator, s: int) -> np.ndarray:
+        """Flat K-frame blocks ``Q_{N+s}^dagger X_N Q_N`` of a displacement-``s`` operator."""
+        if op.displacement != s:
+            raise ValueError(f"expected a displacement {s:+d} operator, got {op.displacement:+d}")
+        q = self.vecs
+        return np.concatenate(
+            [(np.conj(q[n + s].T) @ op.blocks[n] @ q[n]).ravel() for n in range(len(q) - s)]
         )
-        d = self.space.num_orbitals
-        # weights p_alpha + p_gamma for adjacent-sector (creation-type) blocks
-        self._pair_weights_flat = np.concatenate(
-            [
-                np.add.outer(rho.probs[n + 1], rho.probs[n]).ravel()
-                for n in range(d)
-            ]
-        )
-        self._probs_flat = np.concatenate([p for p in rho.probs])
 
-    # creation-type families: list of per-sector blocks mapping N -> N+1
+    def phases(self, k: int, index: tuple) -> np.ndarray:
+        """Evolution factors ``exp(i t_k (E_a - E_b))`` of node ``k`` over a flat.
 
-    def to_frame_creation(self, op: ManyBodyOperator) -> list[np.ndarray]:
-        if op.displacement != +1:
-            raise ValueError("expected a creation-type (displacement +1) operator")
-        d = self.space.num_orbitals
-        return [
-            np.conj(self.rho.vecs[n + 1].T) @ op.blocks[n] @ self.rho.vecs[n]
-            for n in range(d)
-        ]
+        Formed as ``exp(i t_k E_a) conj(exp(i t_k E_b))``: one exponential
+        per many-body state rather than one per flat entry.
+        """
+        rows, cols = index
+        e = np.exp(1j * (k * self.grid.delta) * self.energies)
+        return e[rows] * np.conj(e[cols])
 
-    def step_creation(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        d = self.space.num_orbitals
-        return [
-            np.conj(self.u_tilde[n + 1].T) @ blocks[n] @ self.u_tilde[n]
-            for n in range(d)
-        ]
-
-    def flatten_creation(self, blocks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([b.ravel() for b in blocks])
-
-    def creation_flat_size(self) -> int:
-        d = self.space.num_orbitals
-        dims = self.space.sector_dims
-        return sum(dims[n + 1] * dims[n] for n in range(d))
-
-    # displacement-0 families, for instantaneous expectation series
-
-    def to_frame_diag(self, op: ManyBodyOperator) -> list[np.ndarray]:
-        if op.displacement != 0:
-            raise ValueError("expected a number-conserving operator")
-        return [
-            np.conj(v.T) @ block @ v for v, block in zip(self.rho.vecs, op.blocks)
-        ]
-
-    def step_diag(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        return [np.conj(u.T) @ b @ u for u, b in zip(self.u_tilde, blocks)]
-
-    def state_expectation(self, blocks: list[np.ndarray]) -> complex:
-        diag = np.concatenate([np.diagonal(b) for b in blocks])
-        return complex(np.dot(self._probs_flat, diag))
+    def anticommutator_side(self, flat: np.ndarray) -> np.ndarray:
+        """``rho[N+1] X + X rho[N]`` for each row of a stacked creation-type flat."""
+        out = np.empty_like(flat)
+        for n, (sl, shape) in enumerate(self._creation_slices):
+            x = flat[:, sl].reshape(len(flat), *shape)
+            out[:, sl] = (self.rho_k[n + 1] @ x + x @ self.rho_k[n]).reshape(len(flat), -1)
+        return out
 
 
 class CorrelatorFactory:
@@ -170,8 +183,9 @@ class CorrelatorFactory:
     All registered families must be creation-type; the second member of a
     pairing enters through its adjoint (Heisenberg evolution commutes with
     the adjoint), so every family is evolved the same way on either side.
-    Each grid re-evolves the two families it pairs; nothing is kept between
-    grids.
+    Each family is stored once, in the K-frame; every node of every grid is
+    that array times the node's phases.  ``recompute`` therefore costs
+    O(N_t^2) elementwise phase products per grid and no evolution sweeps.
     """
 
     def __init__(
@@ -188,17 +202,17 @@ class CorrelatorFactory:
         self.grid = grid
         self.requested_strategy = strategy
         self.budget = budget
-        self._families: dict[str, list[list[np.ndarray]]] = {}
+        self._families: dict[str, np.ndarray] = {}
         self._resolved: str | None = None
 
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
             raise ValueError(f"family {name!r} already registered")
-        self._families[name] = [self.frame.to_frame_creation(op) for op in ops]
+        self._families[name] = np.stack([self.frame.to_frame(op, +1) for op in ops])
         self._resolved = None
 
     def history_bytes(self) -> int:
-        flat = self.frame.creation_flat_size()
+        flat = self.frame.creation_index[0].size
         n_ops = sum(len(fam) for fam in self._families.values())
         return n_ops * self.grid.n_nodes * flat * 16
 
@@ -219,54 +233,37 @@ class CorrelatorFactory:
                 self._resolved = "history" if need <= self.budget else "recompute"
         return self._resolved
 
-    def _step(self, family: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-        return [self.frame.step_creation(blocks) for blocks in family]
-
-    def _flat(self, family: list[list[np.ndarray]]) -> np.ndarray:
-        return np.stack([self.frame.flatten_creation(blocks) for blocks in family])
-
     def anticommutator_grid(self, name_a: str, name_d: str, full: bool = False) -> CorrelatorGrid:
         """Grid of ``Tr(rho {A_m(t_l), D_j(t_k)^dagger})`` for two families.
 
-        Family A is held, pair-weighted, for a chunk of nodes ``l`` (all of
-        them under ``history``, one under ``recompute``); family D streams
-        past it from the chunk's first node, or node 0 for the full grid.
+        The held side ``B(t_l)`` of family A is kept for a chunk of nodes
+        ``l`` (all of them under ``history``, one under ``recompute``); each
+        node ``D(t_k)`` from the chunk's first node on, or from node 0 for
+        the full grid, is formed by its phases and paired with the chunk.
         """
         n = self.grid.n_nodes
+        frame, index = self.frame, self.frame.creation_index
         fam_a, fam_d = self._families[name_a], self._families[name_d]
         chunk = n if self.strategy == "history" else 1
-        w = self.frame._pair_weights_flat
-        held = np.empty((chunk, len(fam_a), self.frame.creation_flat_size()), dtype=complex)
+        held = np.empty((chunk,) + fam_a.shape, dtype=complex)
         values = np.zeros((len(fam_d), len(fam_a), n, n), dtype=complex)
-        cur_a, first_d = fam_a, fam_d
         for first in range(0, n, chunk):
             stop = first + chunk
             for l in range(first, stop):
-                if l:
-                    cur_a = self._step(cur_a)
-                held[l - first] = self._flat(cur_a) * w
-            k0 = 0 if full else first
-            cur_d = fam_d if full else first_d
-            for k in range(k0, n):
-                if k > k0:
-                    cur_d = self._step(cur_d)
-                if k == stop:
-                    first_d = cur_d  # the next chunk streams D from here
-                v = np.conj(self._flat(cur_d))
+                held[l - first] = frame.anticommutator_side(fam_a * frame.phases(l, index))
+            for k in range(0 if full else first, n):
+                v = np.conj(fam_d * frame.phases(k, index))
                 for l in range(first, stop if full else min(stop, k + 1)):
                     values[:, :, k, l] = v @ held[l - first].T
         return CorrelatorGrid(values, self.grid, full, name_a, name_d)
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:
-        """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators, streamed."""
-        n = self.grid.n_nodes
-        out = np.empty((len(ops), n), dtype=complex)
-        cur = [self.frame.to_frame_diag(op) for op in ops]
-        for k in range(n):
-            if k:
-                cur = [self.frame.step_diag(b) for b in cur]
-            for i, blocks in enumerate(cur):
-                out[i, k] = self.frame.state_expectation(blocks)
+        """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators."""
+        frame = self.frame
+        weighted = np.stack([frame.rho_t_flat * frame.to_frame(op, 0) for op in ops])
+        out = np.empty((len(ops), self.grid.n_nodes), dtype=complex)
+        for k in range(self.grid.n_nodes):
+            out[:, k] = weighted @ frame.phases(k, frame.diag_index)
         return out
 
 

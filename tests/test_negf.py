@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,22 @@ class TestDysonIdentities:
         assert row["steps"] == 12
         for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson"):
             assert row[name] == report.residual(name), name
+
+    @pytest.mark.parametrize("strategy", ["history", "recompute"])
+    def test_convergence_reuses_engine_bitwise(self, trimer_run, strategy):
+        # a full-grid engine at the finest steps, as the CLI's verify task
+        # builds it, serves that row and gives the same table byte for byte
+        args = (trimer_run.model, trimer_run.thermal, trimer_run.horizon, [12, 24])
+        engine = KernelEngine(
+            trimer_run.model, trimer_run.thermal, TimeGrid(trimer_run.horizon, 24),
+            strategy=strategy,
+        )
+        report = engine.verify()
+        fresh = convergence_study(*args, strategy=strategy)
+        reused = convergence_study(*args, strategy=strategy, engine=engine)
+        assert reused["csv"] == fresh["csv"]
+        assert json.dumps(reused["summary"]) == json.dumps(fresh["summary"])
+        assert reused["summary"]["rows"][1]["reducible_dyson"] == report.residual("reducible_dyson")
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

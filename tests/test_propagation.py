@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfnegf.config import parse_config
 from pfnegf.errors import MemoryBudgetError
 from pfnegf.fock import (
+    anticommutator,
     build_fock_space,
     identity_operator,
     ladder_op,
@@ -12,6 +15,7 @@ from pfnegf.fock import (
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import KernelEngine
 from pfnegf.propagation import (
+    UNITARITY_TOL,
     CorrelatorFactory,
     heisenberg_series,
     stepper,
@@ -110,6 +114,37 @@ def ladder_families(model):
     return creation, annihilation
 
 
+def stepped_grid(rho, generator, creation, annihilation, grid):
+    """Independent oracle: ``Tr(rho {A*_m(t_l), B_j(t_k)})`` from stepped series.
+
+    Every operator is evolved by repeated one-step conjugation in the
+    occupation basis and every anticommutator is traced through the state's
+    own eigendecomposition; nothing is shared with ``CorrelatorFactory``.
+    """
+    u = stepper(generator, grid.delta)
+    a_t = [heisenberg_series(op, u, grid) for op in creation]
+    b_t = [heisenberg_series(op, u, grid) for op in annihilation]
+    n = grid.n_nodes
+    out = np.empty((len(b_t), len(a_t), n, n), dtype=complex)
+    for j, b in enumerate(b_t):
+        for m, a in enumerate(a_t):
+            for k in range(n):
+                for l in range(n):
+                    out[j, m, k, l] = rho.expectation(anticommutator(a[l], b[k]))
+    return out
+
+
+def degenerate_trimer(trimer_dict):
+    """Noninteracting triangle: all three hoppings 0.8, so h_v has eigenvalues
+    (1.6, -0.8, -0.8) and K_v is degenerate in sectors 1 and 2."""
+    trimer_dict["sample"]["xi"] = 0.0
+    trimer_dict["sample"]["hoppings"] = [["s0", "s1", 0.8]]
+    g = [2**-0.5, 2**-0.5]
+    trimer_dict["leads"][0]["coupling"] = {"d": 0.8 * 2**0.5, "f": [1.0], "g": g}
+    trimer_dict["bias"] = [0.0]
+    return parse_config(trimer_dict)
+
+
 class TestTwoTimeKernel:
     def test_equal_time_car(self, trimer_run):
         model = trimer_run.model
@@ -134,6 +169,22 @@ class TestTwoTimeKernel:
             for l in range(k + 1):
                 prop = (v * np.exp(-1j * (grid.nodes[k] - grid.nodes[l]) * lam)[None, :]) @ np.conj(v.T)
                 np.testing.assert_allclose(c.values[:, :, k, l], prop, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["trimer", "degenerate"])
+    def test_full_grid_matches_stepped_oracle(self, trimer_dict, case):
+        run = parse_config(trimer_dict) if case == "trimer" else degenerate_trimer(trimer_dict)
+        model = run.model
+        if case == "degenerate":
+            energies = np.linalg.eigvalsh(model.K_v.blocks[1])
+            assert np.min(np.diff(energies)) <= 1e-12
+        grid = TimeGrid(3.0, 12)
+        rho = gibbs(model.K_0, run.thermal, model.N_total)
+        creation, annihilation = ladder_families(model)
+        c = two_time_kernel(rho, model.K_v, creation, annihilation, grid, full=True)
+        oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)
+        # the last node is where stepping has accumulated the most roundoff
+        np.testing.assert_allclose(c.values[:, :, -1, :], oracle[:, :, -1, :], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.values, oracle, rtol=0, atol=1e-12)
 
     def test_dressed_family_lead_entries_vanish(self, trimer_engine):
         values = trimer_engine.dressed_grid.values
@@ -193,6 +244,26 @@ class TestTwoTimeKernel:
         with pytest.raises(MemoryBudgetError):
             factory.anticommutator_grid("a", "a")
 
+    def test_non_hermitian_generator_rejected(self, trimer_run):
+        model = trimer_run.model
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        generator = model.K_v + model.N_total * 1e-9j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            CorrelatorFactory(rho, generator, TimeGrid(1.0, 4))
+
+    def test_eigenbasis_defect_rejected(self, trimer_run, monkeypatch):
+        model = trimer_run.model
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        eigh = np.linalg.eigh
+
+        def skewed_eigh(block):
+            lam, q = eigh(block)
+            return lam, q * (1.0 + 10 * UNITARITY_TOL)
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+        with pytest.raises(RuntimeError, match="unitarity defect"):
+            CorrelatorFactory(rho, model.K_v, TimeGrid(1.0, 4))
+
     def test_wrong_displacement_rejected(self, trimer_run):
         model = trimer_run.model
         grid = TimeGrid(1.0, 4)
@@ -219,3 +290,83 @@ class TestExpectationSeries:
         obs = model.contact_operator(0, 1)
         series = factory.expectation_series([obs])
         assert series[0, 0] == pytest.approx(rho.expectation(obs), abs=1e-13)
+
+    def test_matches_stepped_oracle(self, trimer_run):
+        model = trimer_run.model
+        grid = TimeGrid(3.0, 12)
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        ops = [model.contact_operator(j, m) for j in range(2) for m in range(2)]
+        series = CorrelatorFactory(rho, model.K_v, grid).expectation_series(ops)
+        u = stepper(model.K_v, grid.delta)
+        oracle = [[rho.expectation(x) for x in heisenberg_series(op, u, grid)] for op in ops]
+        np.testing.assert_allclose(series, oracle, rtol=0, atol=1e-12)
+
+
+def _unit_vector(draw, size):
+    """A random complex unit vector of length 1 or 2, as config [re, im] pairs."""
+    phase = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    if size == 2:
+        angle = draw(st.floats(0.0, np.pi / 2))
+        entries = [np.cos(angle), np.sin(angle) * phase]
+    else:
+        entries = [phase]
+    return [[float(np.real(z)), float(np.imag(z))] for z in entries]
+
+
+@st.composite
+def small_models(draw):
+    """1-2 sample sites and one lead of 1-2 sites, with random amplitudes."""
+    amplitude = st.floats(-1.5, 1.5)
+    n_sample, n_lead = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    sites = [f"s{i}" for i in range(n_sample)]
+    lead_sites = [f"l{i}" for i in range(n_lead)]
+
+    def edge(a, b):
+        return [a, b, [draw(amplitude), draw(amplitude)]]
+
+    return {
+        "sample": {
+            "sites": sites,
+            "hoppings": [edge("s0", "s1")] if n_sample == 2 else [],
+            "w": [["s0", "s1", draw(st.floats(0.0, 1.5))]] if n_sample == 2 else [],
+            "xi": draw(st.floats(-1.0, 1.0)),
+        },
+        "leads": [{
+            "sites": lead_sites,
+            "hoppings": [edge("l0", "l1")] if n_lead == 2 else [],
+            "coupling": {
+                "d": draw(st.floats(0.1, 1.0)),
+                "f": _unit_vector(draw, n_lead),
+                "g": _unit_vector(draw, n_sample),
+            },
+        }],
+        "bias": [draw(st.floats(-1.0, 1.0))],
+        "thermal": {"beta": draw(st.floats(0.2, 3.0)), "mu": draw(st.floats(-1.0, 1.0))},
+        "grid": {"T": draw(st.floats(0.5, 3.0)), "steps": draw(st.integers(2, 5))},
+    }
+
+
+class TestRandomModels:
+    @settings(max_examples=15, deadline=None)
+    @given(small_models())
+    def test_grids_on_random_models(self, cfg):
+        run = parse_config(cfg)
+        model, grid = run.model, run.grid()
+        rho = gibbs(model.K_0, run.thermal, model.N_total)
+        creation, annihilation = ladder_families(model)
+        grids = {}
+        for strategy in ("history", "recompute"):
+            factory = CorrelatorFactory(rho, model.K_v, grid, strategy=strategy)
+            factory.add_family("a", creation)
+            factory.add_family("b", list(model.dressed_creation_family))
+            grids[strategy] = [
+                factory.anticommutator_grid(name_a, name_d, full=full).values
+                for name_a, name_d, full in (("a", "a", True), ("a", "a", False), ("a", "b", False))
+            ]
+        for by_history, by_recompute in zip(grids["history"], grids["recompute"]):
+            np.testing.assert_array_equal(by_history, by_recompute)
+        ladder = grids["history"][0]
+        oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)
+        np.testing.assert_allclose(ladder, oracle, rtol=0, atol=1e-12)
+        for k in range(grid.n_nodes):
+            np.testing.assert_allclose(ladder[:, :, k, k], np.eye(model.num_sites), rtol=0, atol=1e-12)
