@@ -102,9 +102,14 @@ class Model:
     def dressed_creation_family(self) -> tuple:
         """``b*(e_j) = i xi [W, a*(e_j)]`` for every orbital.
 
-        Lead entries are exactly zero operators; keeping them in the family
-        makes the lead-support property of the self-energy an actual computed
-        outcome rather than an assumption.
+        Lead entries are exactly zero operators.  They stay in the family,
+        so every grid keeps one row per orbital, but the correlator sweep
+        leaves them out of its products: a zero operator times any finite
+        phases is exactly zero at every node, so its grid rows are exact
+        zeros whether or not they are multiplied out.  The lead-support check
+        therefore still computes its evidence from these operators
+        themselves (their largest entry, which must vanish) and from the
+        lead blocks of the assembled self-energies.
         """
         ops = []
         for j in range(self.geometry.num_sites):

@@ -96,9 +96,10 @@ class KernelEngine:
     The creation family and the dressed family are registered once, in the
     eigenbasis of ``K_v``; each of the three grids (interacting kernel,
     reducible self-energy, consistency map) is built on first use, reaching
-    every node of the families it pairs by elementwise phase factors.  Under
-    ``recompute`` that costs O(N_t^2) phase products and no evolution
-    sweeps.  Derived objects (irreducible self-energy, algebraic Dyson
+    every node of the families it pairs by elementwise phase factors and
+    pairing tiles of nodes in one GEMM each.  Under ``recompute`` that costs
+    O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES) memory in
+    N_t.  Derived objects (irreducible self-energy, algebraic Dyson
     solution) are exact flat-algebra products.
     """
 

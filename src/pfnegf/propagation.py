@@ -17,13 +17,13 @@ is the elementwise inner product of ``conj(D_j(t_k))`` with the held side
 ``B_m(t_l) = rho[N+1] A_m(t_l) + A_m(t_l) rho[N]``, the state taken into
 the K-frame as well.
 
-One sweep builds every grid; the storage strategy only fixes how many held
-nodes ``B(t_l)`` it keeps at once.  ``history`` keeps all of them (memory
-O(N_t)); ``recompute`` keeps one and reaches every ``D(t_k)`` again by a
-phase multiply, which needs O(1) memory in N_t and costs O(N_t^2)
-elementwise phase products, with no evolution sweeps.  Every block is the
-same product either way, so their outputs agree bitwise; ``auto`` picks by
-a memory budget.
+One sweep builds every grid, in tiles of ``TILE_NODES`` nodes: a held tile
+of ``B(t_l)`` meets a D tile of ``conj(D(t_k))`` in one GEMM, and family rows
+that are exact zero operators enter none.  ``history`` forms every held node
+up front (memory O(N_t)), ``recompute`` one tile at a time (O(TILE_NODES) in
+N_t).  Either way each D tile is reached again by phase multiplies, with no
+evolution sweeps, and the same GEMMs run on the same operands, so the outputs
+agree bitwise.  ``auto`` picks by a memory budget.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .grid import TimeGrid
 from .thermal import DensityOperator
 
 DEFAULT_BUDGET_BYTES = 4 * 1024**3
+
+TILE_NODES = 8  # nodes per GEMM tile on either side of a correlator grid
 
 UNITARITY_TOL = 1e-12
 
@@ -183,9 +185,9 @@ class CorrelatorFactory:
     All registered families must be creation-type; the second member of a
     pairing enters through its adjoint (Heisenberg evolution commutes with
     the adjoint), so every family is evolved the same way on either side.
-    Each family is stored once, in the K-frame; every node of every grid is
-    that array times the node's phases.  ``recompute`` therefore costs
-    O(N_t^2) elementwise phase products per grid and no evolution sweeps.
+    Each family is stored once, in the K-frame, as its nonzero rows; every
+    node is that array times its phases.  ``recompute`` holds one tile per
+    side and costs O(N_t^2) elementwise phase products, no evolution sweeps.
     """
 
     def __init__(
@@ -202,18 +204,21 @@ class CorrelatorFactory:
         self.grid = grid
         self.requested_strategy = strategy
         self.budget = budget
-        self._families: dict[str, np.ndarray] = {}
+        self._families: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         self._resolved: str | None = None
 
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
             raise ValueError(f"family {name!r} already registered")
-        self._families[name] = np.stack([self.frame.to_frame(op, +1) for op in ops])
+        flats = np.stack([self.frame.to_frame(op, +1) for op in ops])
+        # a zero operator's every node is exactly zero: only nonzero rows are kept
+        rows = np.flatnonzero(np.any(flats != 0, axis=1))
+        self._families[name] = (len(ops), rows, flats[rows])
         self._resolved = None
 
     def history_bytes(self) -> int:
         flat = self.frame.creation_index[0].size
-        n_ops = sum(len(fam) for fam in self._families.values())
+        n_ops = sum(count for count, _, _ in self._families.values())
         return n_ops * self.grid.n_nodes * flat * 16
 
     @property
@@ -236,25 +241,44 @@ class CorrelatorFactory:
     def anticommutator_grid(self, name_a: str, name_d: str, full: bool = False) -> CorrelatorGrid:
         """Grid of ``Tr(rho {A_m(t_l), D_j(t_k)^dagger})`` for two families.
 
-        The held side ``B(t_l)`` of family A is kept for a chunk of nodes
-        ``l`` (all of them under ``history``, one under ``recompute``); each
-        node ``D(t_k)`` from the chunk's first node on, or from node 0 for
-        the full grid, is formed by its phases and paired with the chunk.
+        Each held tile of ``B(t_l)`` meets every D tile from its own on, or
+        from node 0 for the full grid, in one GEMM over the nonzero family
+        rows; other rows and the acausal entries of a causal grid stay +0.0.
+        Under ``recompute`` a held and a D tile must fit the budget.
         """
-        n = self.grid.n_nodes
-        frame, index = self.frame, self.frame.creation_index
-        fam_a, fam_d = self._families[name_a], self._families[name_d]
-        chunk = n if self.strategy == "history" else 1
-        held = np.empty((chunk,) + fam_a.shape, dtype=complex)
-        values = np.zeros((len(fam_d), len(fam_a), n, n), dtype=complex)
-        for first in range(0, n, chunk):
-            stop = first + chunk
-            for l in range(first, stop):
+        n, frame, index = self.grid.n_nodes, self.frame, self.frame.creation_index
+        (n_a, rows_a, fam_a), (n_d, rows_d, fam_d) = self._families[name_a], self._families[name_d]
+        history, tile = self.strategy == "history", min(TILE_NODES, n)
+        kept, flat = n if history else tile, fam_a.shape[1]
+        need = 16 * (kept * fam_a.size + tile * fam_d.size)
+        if not history and need > self.budget:
+            raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
+        values = np.zeros((n_d, n_a, n, n), dtype=complex)
+        # a family without a nonzero row gives an all-zero grid and no GEMM
+        starts = range(0, n, TILE_NODES) if rows_a.size and rows_d.size else ()
+        tiles = [(t, min(t + TILE_NODES, n)) for t in starts]
+        # both sides share one buffer: freeing separate tile-sized buffers raised
+        # malloc's dynamic mmap threshold, and with it the peak RSS
+        work = np.empty(need // 16, dtype=complex)
+        held = work[: kept * fam_a.size].reshape((kept,) + fam_a.shape)
+        d_tile = work[kept * fam_a.size :].reshape((tile,) + fam_d.shape)
+        acausal = np.triu(np.ones((tile, tile), dtype=bool), 1)
+        for i, (l0, l1) in enumerate(tiles):
+            # held keeps nodes first:stop, all of them under history, tile i under recompute
+            first, stop = (0, n) if history else (l0, l1)
+            for l in range(first, stop) if l0 == first else ():
                 held[l - first] = frame.anticommutator_side(fam_a * frame.phases(l, index))
-            for k in range(0 if full else first, n):
-                v = np.conj(fam_d * frame.phases(k, index))
-                for l in range(first, stop if full else min(stop, k + 1)):
-                    values[:, :, k, l] = v @ held[l - first].T
+            b = held[l0 - first : l1 - first]
+            for k0, k1 in tiles if full else tiles[i:]:
+                d = d_tile[: k1 - k0]
+                for k in range(k0, k1):
+                    np.multiply(fam_d, frame.phases(k, index), out=d[k - k0])
+                np.conj(d, out=d)
+                block = d.reshape(-1, flat) @ b.reshape(-1, flat).T
+                block = block.reshape(k1 - k0, rows_d.size, l1 - l0, -1).transpose(1, 3, 0, 2)
+                if not full and k0 == l0:
+                    block[..., acausal[: k1 - k0, : k1 - k0]] = 0.0
+                values[rows_d[:, None], rows_a, k0:k1, l0:l1] = block
         return CorrelatorGrid(values, self.grid, full, name_a, name_d)
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:

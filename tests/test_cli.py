@@ -110,6 +110,18 @@ class TestRun:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "memory"
 
+    def test_recompute_memory_guard_exit_code(self, tmp_path):
+        # recompute holds one held tile and one D tile, and they must fit too
+        cfg_data = trimer_config()
+        cfg_data["tasks"] = ["gxi"]
+        cfg_data["strategy"] = "recompute"
+        cfg_data["budget"] = 100
+        cfg = write_config(tmp_path, cfg_data)
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 3
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "memory"
+
     def test_failed_check_exit_code(self, tmp_path):
         cfg_data = trimer_config()
         cfg_data["grid"]["steps"] = 12

@@ -15,6 +15,7 @@ from pfnegf.fock import (
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import KernelEngine
 from pfnegf.propagation import (
+    TILE_NODES,
     UNITARITY_TOL,
     CorrelatorFactory,
     heisenberg_series,
@@ -134,6 +135,28 @@ def stepped_grid(rho, generator, creation, annihilation, grid):
     return out
 
 
+def loop_reference_grid(frame, creation_a, creation_d, full):
+    """The per-(k, l) block loop the tiled sweep replaced: every family row,
+    zero or not, and one ``(p_d, flat) @ (flat, p_a)`` product per block."""
+    index = frame.creation_index
+    fam_a = np.stack([frame.to_frame(op, +1) for op in creation_a])
+    fam_d = np.stack([frame.to_frame(op, +1) for op in creation_d])
+    n = frame.grid.n_nodes
+    held = [frame.anticommutator_side(fam_a * frame.phases(l, index)) for l in range(n)]
+    values = np.zeros((len(fam_d), len(fam_a), n, n), dtype=complex)
+    for k in range(n):
+        v = np.conj(fam_d * frame.phases(k, index))
+        for l in range(n if full else k + 1):
+            values[:, :, k, l] = v @ held[l].T
+    return values
+
+
+def is_positive_zero(values):
+    """True when every real and imaginary part is bitwise ``+0.0``."""
+    parts = np.concatenate([np.ravel(values.real), np.ravel(values.imag)])
+    return not parts.any() and not np.signbit(parts).any()
+
+
 def degenerate_trimer(trimer_dict):
     """Noninteracting triangle: all three hoppings 0.8, so h_v has eigenvalues
     (1.6, -0.8, -0.8) and K_v is degenerate in sectors 1 and 2."""
@@ -244,6 +267,23 @@ class TestTwoTimeKernel:
         with pytest.raises(MemoryBudgetError):
             factory.anticommutator_grid("a", "a")
 
+    def test_recompute_raises_when_tiles_exceed_budget(self, trimer_run):
+        model = trimer_run.model
+        grid = TimeGrid(1.0, 6)
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        creation = [ladder_op(model.space, model.basis_vector(0), "create")]
+        flat = CorrelatorFactory(rho, model.K_v, grid).frame.creation_index[0].size
+        # one held tile plus one D tile of the single-row family
+        need = 2 * min(TILE_NODES, grid.n_nodes) * flat * 16
+        for budget in (need - 1, need):
+            factory = CorrelatorFactory(rho, model.K_v, grid, strategy="recompute", budget=budget)
+            factory.add_family("a", creation)
+            if budget < need:
+                with pytest.raises(MemoryBudgetError):
+                    factory.anticommutator_grid("a", "a")
+            else:
+                factory.anticommutator_grid("a", "a")
+
     def test_non_hermitian_generator_rejected(self, trimer_run):
         model = trimer_run.model
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
@@ -271,6 +311,37 @@ class TestTwoTimeKernel:
         creation, _ = ladder_families(model)
         with pytest.raises(ValueError, match="displacement"):
             two_time_kernel(rho, model.K_v, creation, creation, grid)
+
+
+class TestTiledSweep:
+    @pytest.mark.parametrize("full", [False, True], ids=["causal", "full"])
+    def test_tiles_match_loop_reference(self, trimer_run, full):
+        # two whole tiles and a three-node tail
+        model = trimer_run.model
+        grid = TimeGrid(3.0, 2 * TILE_NODES + 2)
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        families = {"a": list(model.creation_family), "b": list(model.dressed_creation_family)}
+        pairs = (("a", "a"), ("b", "b"), ("a", "b"))
+        grids = {}
+        for strategy in ("history", "recompute"):
+            factory = CorrelatorFactory(rho, model.K_v, grid, strategy=strategy)
+            for name, ops in families.items():
+                factory.add_family(name, ops)
+            grids[strategy] = [factory.anticommutator_grid(*pair, full=full).values for pair in pairs]
+        for (name_a, name_d), by_history, by_recompute in zip(pairs, *grids.values()):
+            np.testing.assert_array_equal(by_history, by_recompute)
+            reference = loop_reference_grid(factory.frame, families[name_a], families[name_d], full)
+            np.testing.assert_allclose(by_history, reference, rtol=0, atol=1e-14)
+            if not full:
+                above = np.triu_indices(grid.n_nodes, 1)
+                assert is_positive_zero(by_history[:, :, above[0], above[1]])
+        # the dressed family's lead rows are zero operators and enter no GEMM
+        ns = model.num_sample
+        assert ns < model.num_sites
+        for values in (*grids["history"][1:], *grids["recompute"][1:]):
+            assert is_positive_zero(values[ns:])
+        assert is_positive_zero(grids["history"][1][:, ns:])
+        assert np.abs(grids["history"][1][:ns, :ns]).max() > 0.0
 
 
 class TestExpectationSeries:
@@ -342,7 +413,8 @@ def small_models(draw):
         }],
         "bias": [draw(st.floats(-1.0, 1.0))],
         "thermal": {"beta": draw(st.floats(0.2, 3.0)), "mu": draw(st.floats(-1.0, 1.0))},
-        "grid": {"T": draw(st.floats(0.5, 3.0)), "steps": draw(st.integers(2, 5))},
+        # from inside the first tile to one node past the second tile edge
+        "grid": {"T": draw(st.floats(0.5, 3.0)), "steps": draw(st.integers(2, 2 * TILE_NODES + 1))},
     }
 
 
@@ -354,17 +426,21 @@ class TestRandomModels:
         model, grid = run.model, run.grid()
         rho = gibbs(model.K_0, run.thermal, model.N_total)
         creation, annihilation = ladder_families(model)
+        families = {"a": creation, "b": list(model.dressed_creation_family)}
+        pairs = (("a", "a", True), ("a", "a", False), ("a", "b", False), ("b", "b", False))
         grids = {}
         for strategy in ("history", "recompute"):
             factory = CorrelatorFactory(rho, model.K_v, grid, strategy=strategy)
-            factory.add_family("a", creation)
-            factory.add_family("b", list(model.dressed_creation_family))
+            for name, ops in families.items():
+                factory.add_family(name, ops)
             grids[strategy] = [
                 factory.anticommutator_grid(name_a, name_d, full=full).values
-                for name_a, name_d, full in (("a", "a", True), ("a", "a", False), ("a", "b", False))
+                for name_a, name_d, full in pairs
             ]
-        for by_history, by_recompute in zip(grids["history"], grids["recompute"]):
+        for (name_a, name_d, full), by_history, by_recompute in zip(pairs, *grids.values()):
             np.testing.assert_array_equal(by_history, by_recompute)
+            reference = loop_reference_grid(factory.frame, families[name_a], families[name_d], full)
+            np.testing.assert_allclose(by_history, reference, rtol=0, atol=1e-14)
         ladder = grids["history"][0]
         oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)
         np.testing.assert_allclose(ladder, oracle, rtol=0, atol=1e-12)
