@@ -5,10 +5,12 @@
     negf diff DUMP_A DUMP_B
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 configuration
-error, 3 memory-guard abort.  Failures emit a machine-readable JSON error
+error or malformed kernel dump, 3 memory-guard abort.  Failures emit a machine-readable JSON error
 record on stderr.  Artifacts are deterministic: rerunning the same
 configuration reproduces them byte for byte (fix the BLAS thread count with
-NEGF_NUM_THREADS when in doubt).
+NEGF_NUM_THREADS when in doubt).  ``--strategy`` and the config key
+``strategy`` are accepted for compatibility and select nothing: every
+correlator grid is built by the one tiled sweep.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ def run_command(args) -> int:
     config.tolerances.update(overrides)
     if args.budget is not None:
         config.budget = args.budget
-    if args.strategy is not None:
-        config.strategy = args.strategy
     if args.steps is not None:
         config.steps_list = [args.steps]
 
@@ -99,13 +99,7 @@ def _execute_tasks(config, out_dir) -> list:
     def get_engine():
         nonlocal engine
         if engine is None:
-            engine = KernelEngine(
-                config.model,
-                config.thermal,
-                config.grid(),
-                strategy=config.strategy,
-                budget=budget,
-            )
+            engine = KernelEngine(config.model, config.thermal, config.grid(), budget=budget)
         return engine
 
     for task in config.tasks:
@@ -131,7 +125,6 @@ def _execute_tasks(config, out_dir) -> list:
                 config.thermal,
                 config.horizon,
                 config.steps_list,
-                strategy=config.strategy,
                 budget=budget,
                 engine=get_engine(),
             )
@@ -159,8 +152,12 @@ def diff_command(args) -> int:
 
     from .volterra import load_kernel_from_path
 
-    header_a, mem_a, inst_a = load_kernel_from_path(args.dump_a)
-    header_b, mem_b, inst_b = load_kernel_from_path(args.dump_b)
+    try:
+        header_a, mem_a, inst_a = load_kernel_from_path(args.dump_a)
+        header_b, mem_b, inst_b = load_kernel_from_path(args.dump_b)
+    except ValueError as exc:
+        _error_record("malformed-dump", str(exc))
+        return EXIT_CONFIG
     for key in ("p", "N_t", "T", "ordering"):
         if header_a[key] != header_b[key]:
             _error_record(
@@ -190,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the JSON run configuration")
     run.add_argument("--out", default="negf_out", help="output directory for artifacts")
     run.add_argument("--steps", type=int, default=None, help="override the step count")
-    run.add_argument("--strategy", choices=("auto", "history", "recompute"), default=None)
+    run.add_argument(
+        "--strategy",
+        choices=("auto", "history", "recompute"),
+        help="accepted for compatibility; every grid uses the one tiled sweep",
+    )
     run.add_argument("--budget", type=int, default=None, help="memory budget in bytes")
     run.add_argument(
         "--tolerance", action="append", metavar="NAME=VAL", help="override a check tolerance"

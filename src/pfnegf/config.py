@@ -13,13 +13,15 @@ Schema (all complex scalars may be a number or a ``[re, im]`` pair)::
       "tasks":   ["g0" | "gxi" | "sigma" | "verify" | "converge" | "gamma-check", ...],
       "tolerances": {check_name: value, ...},        # optional
       "budget":   bytes,                              # optional
-      "strategy": "auto" | "history" | "recompute"    # optional
+      "strategy": "auto" | "history" | "recompute"    # optional, selects nothing
     }
 
 Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
-entries and every other task uses the largest.
+entries and every other task uses the largest.  ``strategy`` is validated
+and accepted for compatibility only: every correlator grid is built by the
+one tiled sweep, in O(TILE_NODES) memory in the step count.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ class RunConfig:
     tasks: list
     tolerances: dict = field(default_factory=dict)
     budget: int | None = None
-    strategy: str = "auto"
     model_hash: str = ""
 
     @property
@@ -201,7 +202,6 @@ def parse_config(data: dict) -> RunConfig:
         tasks=list(tasks),
         tolerances=tolerances,
         budget=budget,
-        strategy=strategy,
         model_hash=digest,
     )
 

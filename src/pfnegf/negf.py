@@ -97,10 +97,10 @@ class KernelEngine:
     eigenbasis of ``K_v``; each of the three grids (interacting kernel,
     reducible self-energy, consistency map) is built on first use, reaching
     every node of the families it pairs by elementwise phase factors and
-    pairing tiles of nodes in one GEMM each.  Under ``recompute`` that costs
-    O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES) memory in
-    N_t.  Derived objects (irreducible self-energy, algebraic Dyson
-    solution) are exact flat-algebra products.
+    pairing tiles of nodes in one GEMM each.  That costs O(N_t^2) phase
+    products, no evolution sweeps and O(TILE_NODES) memory in N_t.  Derived
+    objects (irreducible self-energy, algebraic Dyson solution) are exact
+    flat-algebra products.
     """
 
     def __init__(
@@ -108,7 +108,6 @@ class KernelEngine:
         model: Model,
         thermal: ThermalParams,
         grid: TimeGrid,
-        strategy: str = "auto",
         budget: int = DEFAULT_BUDGET_BYTES,
         rho: DensityOperator | None = None,
         full_correlator: bool = True,
@@ -117,7 +116,7 @@ class KernelEngine:
         self.grid = grid
         self.thermal = thermal
         self.rho = rho if rho is not None else gibbs(model.K_0, thermal, model.N_total, label="pf")
-        self.factory = CorrelatorFactory(self.rho, model.K_v, grid, strategy=strategy, budget=budget)
+        self.factory = CorrelatorFactory(self.rho, model.K_v, grid, budget=budget)
         self.factory.add_family("a", list(model.creation_family))
         self.factory.add_family("b", list(model.dressed_creation_family))
         self.full_correlator = full_correlator
@@ -360,7 +359,6 @@ def convergence_study(
     thermal: ThermalParams,
     horizon: float,
     steps_list,
-    strategy: str = "auto",
     budget: int = DEFAULT_BUDGET_BYTES,
     engine: KernelEngine | None = None,
 ) -> dict:
@@ -383,8 +381,7 @@ def convergence_study(
         grid = TimeGrid(horizon, steps)
         if engine is None or engine.grid != grid:
             engine_at = KernelEngine(
-                model, thermal, grid,
-                strategy=strategy, budget=budget, rho=rho, full_correlator=False,
+                model, thermal, grid, budget=budget, rho=rho, full_correlator=False
             )
         else:
             engine_at = engine

@@ -19,11 +19,9 @@ the K-frame as well.
 
 One sweep builds every grid, in tiles of ``TILE_NODES`` nodes: a held tile
 of ``B(t_l)`` meets a D tile of ``conj(D(t_k))`` in one GEMM, and family rows
-that are exact zero operators enter none.  ``history`` forms every held node
-up front (memory O(N_t)), ``recompute`` one tile at a time (O(TILE_NODES) in
-N_t).  Either way each D tile is reached again by phase multiplies, with no
-evolution sweeps, and the same GEMMs run on the same operands, so the outputs
-agree bitwise.  ``auto`` picks by a memory budget.
+that are exact zero operators enter none.  Both tiles are formed from the
+stored family by phase multiplies when they are needed, with no evolution
+sweeps, so a grid holds O(TILE_NODES) nodes of memory in N_t.
 """
 
 from __future__ import annotations
@@ -40,6 +38,13 @@ from .thermal import DensityOperator
 DEFAULT_BUDGET_BYTES = 4 * 1024**3
 
 TILE_NODES = 8  # nodes per GEMM tile on either side of a correlator grid
+
+# glibc raises its dynamic mmap threshold to the size of any freed mmapped chunk
+# up to 32 MiB; later multi-MB Volterra arrays would then come from the heap and
+# stay resident after free, raising the peak RSS.  A tile buffer requested just
+# above that cap is always mmapped and never moves the threshold, and only the
+# pages the tiles touch become resident.
+_TILE_BUFFER_FLOOR = 32 * 1024**2 + 4096
 
 UNITARITY_TOL = 1e-12
 
@@ -186,26 +191,24 @@ class CorrelatorFactory:
     pairing enters through its adjoint (Heisenberg evolution commutes with
     the adjoint), so every family is evolved the same way on either side.
     Each family is stored once, in the K-frame, as its nonzero rows; every
-    node is that array times its phases.  ``recompute`` holds one tile per
-    side and costs O(N_t^2) elementwise phase products, no evolution sweeps.
+    node is that array times its phases.  A grid holds one tile per side and
+    costs O(N_t^2) elementwise phase products, no evolution sweeps; the tiles
+    must fit ``budget``.
     """
+
+    strategy = "recompute"  # name of the one sweep; perfbench/tracer.py reads it
 
     def __init__(
         self,
         rho: DensityOperator,
         generator: ManyBodyOperator,
         grid: TimeGrid,
-        strategy: str = "auto",
         budget: int = DEFAULT_BUDGET_BYTES,
     ):
-        if strategy not in ("auto", "history", "recompute"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.frame = HeisenbergFrame(rho, generator, grid)
         self.grid = grid
-        self.requested_strategy = strategy
         self.budget = budget
         self._families: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._resolved: str | None = None
 
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
@@ -214,29 +217,6 @@ class CorrelatorFactory:
         # a zero operator's every node is exactly zero: only nonzero rows are kept
         rows = np.flatnonzero(np.any(flats != 0, axis=1))
         self._families[name] = (len(ops), rows, flats[rows])
-        self._resolved = None
-
-    def history_bytes(self) -> int:
-        flat = self.frame.creation_index[0].size
-        n_ops = sum(count for count, _, _ in self._families.values())
-        return n_ops * self.grid.n_nodes * flat * 16
-
-    @property
-    def strategy(self) -> str:
-        if self._resolved is None:
-            need = self.history_bytes()
-            if self.requested_strategy == "history":
-                if need > self.budget:
-                    raise MemoryBudgetError(
-                        f"family histories need {need} bytes (budget {self.budget}); "
-                        "use strategy='recompute' or raise the budget"
-                    )
-                self._resolved = "history"
-            elif self.requested_strategy == "recompute":
-                self._resolved = "recompute"
-            else:
-                self._resolved = "history" if need <= self.budget else "recompute"
-        return self._resolved
 
     def anticommutator_grid(self, name_a: str, name_d: str, full: bool = False) -> CorrelatorGrid:
         """Grid of ``Tr(rho {A_m(t_l), D_j(t_k)^dagger})`` for two families.
@@ -244,31 +224,27 @@ class CorrelatorFactory:
         Each held tile of ``B(t_l)`` meets every D tile from its own on, or
         from node 0 for the full grid, in one GEMM over the nonzero family
         rows; other rows and the acausal entries of a causal grid stay +0.0.
-        Under ``recompute`` a held and a D tile must fit the budget.
+        One held and one D tile must fit the budget.
         """
         n, frame, index = self.grid.n_nodes, self.frame, self.frame.creation_index
         (n_a, rows_a, fam_a), (n_d, rows_d, fam_d) = self._families[name_a], self._families[name_d]
-        history, tile = self.strategy == "history", min(TILE_NODES, n)
-        kept, flat = n if history else tile, fam_a.shape[1]
-        need = 16 * (kept * fam_a.size + tile * fam_d.size)
-        if not history and need > self.budget:
+        tile, flat = min(TILE_NODES, n), fam_a.shape[1]
+        held_size, need = tile * fam_a.size, 16 * tile * (fam_a.size + fam_d.size)
+        if need > self.budget:
             raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
         values = np.zeros((n_d, n_a, n, n), dtype=complex)
         # a family without a nonzero row gives an all-zero grid and no GEMM
         starts = range(0, n, TILE_NODES) if rows_a.size and rows_d.size else ()
         tiles = [(t, min(t + TILE_NODES, n)) for t in starts]
-        # both sides share one buffer: freeing separate tile-sized buffers raised
-        # malloc's dynamic mmap threshold, and with it the peak RSS
-        work = np.empty(need // 16, dtype=complex)
-        held = work[: kept * fam_a.size].reshape((kept,) + fam_a.shape)
-        d_tile = work[kept * fam_a.size :].reshape((tile,) + fam_d.shape)
+        # both sides share one buffer, see _TILE_BUFFER_FLOOR
+        work = np.empty(max(need, _TILE_BUFFER_FLOOR) // 16, dtype=complex)
+        held = work[:held_size].reshape((tile,) + fam_a.shape)
+        d_tile = work[held_size : need // 16].reshape((tile,) + fam_d.shape)
         acausal = np.triu(np.ones((tile, tile), dtype=bool), 1)
         for i, (l0, l1) in enumerate(tiles):
-            # held keeps nodes first:stop, all of them under history, tile i under recompute
-            first, stop = (0, n) if history else (l0, l1)
-            for l in range(first, stop) if l0 == first else ():
-                held[l - first] = frame.anticommutator_side(fam_a * frame.phases(l, index))
-            b = held[l0 - first : l1 - first]
+            b = held[: l1 - l0]
+            for l in range(l0, l1):
+                b[l - l0] = frame.anticommutator_side(fam_a * frame.phases(l, index))
             for k0, k1 in tiles if full else tiles[i:]:
                 d = d_tile[: k1 - k0]
                 for k in range(k0, k1):
@@ -297,7 +273,6 @@ def two_time_kernel(
     family_creation: list[ManyBodyOperator],
     family_annihilation: list[ManyBodyOperator],
     grid: TimeGrid,
-    strategy: str = "auto",
     budget: int = DEFAULT_BUDGET_BYTES,
     full: bool = False,
 ) -> CorrelatorGrid:
@@ -310,7 +285,7 @@ def two_time_kernel(
     for op in family_annihilation:
         if op.displacement != -1:
             raise ValueError("family_annihilation must hold displacement -1 operators")
-    factory = CorrelatorFactory(rho, generator, grid, strategy=strategy, budget=budget)
+    factory = CorrelatorFactory(rho, generator, grid, budget=budget)
     factory.add_family("a", family_creation)
     factory.add_family("d", [op.dagger() for op in family_annihilation])
     return factory.anticommutator_grid("a", "d", full=full)

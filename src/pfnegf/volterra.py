@@ -339,6 +339,8 @@ def dump_kernel_to_path(op: VolterraOperator, ordering, path) -> None:
 def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
     """Parse a kernel dump; returns (header, memory kernel, instantaneous part)."""
     header = json.loads(fh.readline())
+    if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
+        raise ValueError(f"malformed kernel header: {header!r}")
     p = int(header["p"])
     n = int(header["N_t"]) + 1
     mem = np.zeros((n, n, p, p), dtype=complex)
@@ -348,12 +350,16 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
             continue
         if len(row) == 6:
             k, l, i, j = (int(x) for x in row[:4])
-            mem[k, l, i, j] = complex(float(row[4]), float(row[5]))
+            target, index, fits = mem, (k, l, i, j), 0 <= l <= k < n
         elif len(row) == 5:
             k, i, j = (int(x) for x in row[:3])
-            inst[k, i, j] = complex(float(row[3]), float(row[4]))
+            target, index, fits = inst, (k, i, j), 0 <= k < n
         else:
+            fits = False
+        # a negative index would wrap; acausal or out-of-range rows do not fit the header
+        if not (fits and 0 <= i < p and 0 <= j < p):
             raise ValueError(f"malformed kernel row: {row!r}")
+        target[index] = complex(float(row[-2]), float(row[-1]))
     return header, mem, inst
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 from conftest import dimer_config, run_cli, trimer_config
-from pfnegf.config import reference_config
+from pfnegf.config import parse_config, reference_config
 
 THREAD_VARS = ("NEGF_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -89,6 +89,16 @@ class TestRun:
         cfg = write_config(tmp_path, cfg_data)
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2
+
+    def test_strategy_values_accepted_for_compatibility(self, tmp_path):
+        # the key selects nothing, but its three values still parse
+        for strategy in ("auto", "history", "recompute"):
+            parse_config(dimer_config() | {"strategy": strategy})
+        cfg = write_config(tmp_path, dimer_config() | {"strategy": "tiles"})
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 2
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "config"
 
     @pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--budget", "0")])
     def test_bad_override_exit_code(self, tmp_path, flag, value):
@@ -220,6 +230,26 @@ class TestDiff:
         result = run_cli(["diff", str(dumps[0]), str(dumps[1])], tmp_path)
         assert result.returncode == 0
         assert "overall max abs difference: 0.0" in result.stdout
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "-1,0,0,0,5.0,0.0",
+            "3,5,0,0,5.0,0.0",
+            "13,0,0,0,5.0,0.0",
+            "0,0,2,0,5.0,0.0",
+            "13,0,0,5.0,0.0",
+        ],
+        ids=["negative", "acausal", "node-range", "orbital-range", "instantaneous-range"],
+    )
+    def test_malformed_row_exit_code(self, tmp_path, row):
+        a = self.make_dump(tmp_path, "a")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(a.read_text() + row + "\n")
+        result = run_cli(["diff", str(a), str(bad)], tmp_path)
+        assert result.returncode == 2, result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "malformed-dump"
 
     def test_reports_block_differences(self, tmp_path):
         a = self.make_dump(tmp_path, "a")

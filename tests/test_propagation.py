@@ -224,49 +224,6 @@ class TestTwoTimeKernel:
         # |<{A, B}>| <= 2 ||A|| ||B|| = 2 for normalized ladder vectors
         assert np.max(np.abs(trimer_engine.ladder_grid.values)) <= 2.0 + 1e-10
 
-    @pytest.mark.parametrize("full", [False, True], ids=["causal", "full"])
-    def test_storage_strategies_agree(self, trimer_run, full):
-        model = trimer_run.model
-        grid = TimeGrid(1.5, 10)
-        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
-        creation, annihilation = ladder_families(model)
-        by_history = two_time_kernel(
-            rho, model.K_v, creation, annihilation, grid, strategy="history", full=full
-        )
-        by_recompute = two_time_kernel(
-            rho, model.K_v, creation, annihilation, grid, strategy="recompute", full=full
-        )
-        # both strategies form every block by the same product
-        np.testing.assert_array_equal(by_history.values, by_recompute.values)
-
-    def test_engine_grids_strategies_agree(self, trimer_run):
-        # the dressed and mixed pairings, not only the a/a ladder
-        grid = TimeGrid(1.5, 10)
-        engines = [
-            KernelEngine(trimer_run.model, trimer_run.thermal, grid, strategy=strategy)
-            for strategy in ("history", "recompute")
-        ]
-        for name in ("ladder_grid", "dressed_grid", "mixed_grid"):
-            history, recompute = (getattr(engine, name) for engine in engines)
-            np.testing.assert_array_equal(history.values, recompute.values)
-
-    def test_auto_falls_back_on_small_budget(self, trimer_run):
-        model = trimer_run.model
-        grid = TimeGrid(1.0, 6)
-        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
-        factory = CorrelatorFactory(rho, model.K_v, grid, strategy="auto", budget=1000)
-        factory.add_family("a", [ladder_op(model.space, model.basis_vector(0), "create")])
-        assert factory.strategy == "recompute"
-
-    def test_history_raises_on_small_budget(self, trimer_run):
-        model = trimer_run.model
-        grid = TimeGrid(1.0, 6)
-        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
-        factory = CorrelatorFactory(rho, model.K_v, grid, strategy="history", budget=1000)
-        factory.add_family("a", [ladder_op(model.space, model.basis_vector(0), "create")])
-        with pytest.raises(MemoryBudgetError):
-            factory.anticommutator_grid("a", "a")
-
     def test_recompute_raises_when_tiles_exceed_budget(self, trimer_run):
         model = trimer_run.model
         grid = TimeGrid(1.0, 6)
@@ -275,8 +232,8 @@ class TestTwoTimeKernel:
         flat = CorrelatorFactory(rho, model.K_v, grid).frame.creation_index[0].size
         # one held tile plus one D tile of the single-row family
         need = 2 * min(TILE_NODES, grid.n_nodes) * flat * 16
-        for budget in (need - 1, need):
-            factory = CorrelatorFactory(rho, model.K_v, grid, strategy="recompute", budget=budget)
+        for budget in (1000, need - 1, need):
+            factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
             factory.add_family("a", creation)
             if budget < need:
                 with pytest.raises(MemoryBudgetError):
@@ -322,26 +279,23 @@ class TestTiledSweep:
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
         families = {"a": list(model.creation_family), "b": list(model.dressed_creation_family)}
         pairs = (("a", "a"), ("b", "b"), ("a", "b"))
-        grids = {}
-        for strategy in ("history", "recompute"):
-            factory = CorrelatorFactory(rho, model.K_v, grid, strategy=strategy)
-            for name, ops in families.items():
-                factory.add_family(name, ops)
-            grids[strategy] = [factory.anticommutator_grid(*pair, full=full).values for pair in pairs]
-        for (name_a, name_d), by_history, by_recompute in zip(pairs, *grids.values()):
-            np.testing.assert_array_equal(by_history, by_recompute)
+        factory = CorrelatorFactory(rho, model.K_v, grid)
+        for name, ops in families.items():
+            factory.add_family(name, ops)
+        grids = [factory.anticommutator_grid(*pair, full=full).values for pair in pairs]
+        for (name_a, name_d), values in zip(pairs, grids):
             reference = loop_reference_grid(factory.frame, families[name_a], families[name_d], full)
-            np.testing.assert_allclose(by_history, reference, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
             if not full:
                 above = np.triu_indices(grid.n_nodes, 1)
-                assert is_positive_zero(by_history[:, :, above[0], above[1]])
+                assert is_positive_zero(values[:, :, above[0], above[1]])
         # the dressed family's lead rows are zero operators and enter no GEMM
         ns = model.num_sample
         assert ns < model.num_sites
-        for values in (*grids["history"][1:], *grids["recompute"][1:]):
+        for values in grids[1:]:
             assert is_positive_zero(values[ns:])
-        assert is_positive_zero(grids["history"][1][:, ns:])
-        assert np.abs(grids["history"][1][:ns, :ns]).max() > 0.0
+        assert is_positive_zero(grids[1][:, ns:])
+        assert np.abs(grids[1][:ns, :ns]).max() > 0.0
 
 
 class TestExpectationSeries:
@@ -428,21 +382,22 @@ class TestRandomModels:
         creation, annihilation = ladder_families(model)
         families = {"a": creation, "b": list(model.dressed_creation_family)}
         pairs = (("a", "a", True), ("a", "a", False), ("a", "b", False), ("b", "b", False))
-        grids = {}
-        for strategy in ("history", "recompute"):
-            factory = CorrelatorFactory(rho, model.K_v, grid, strategy=strategy)
-            for name, ops in families.items():
-                factory.add_family(name, ops)
-            grids[strategy] = [
-                factory.anticommutator_grid(name_a, name_d, full=full).values
-                for name_a, name_d, full in pairs
-            ]
-        for (name_a, name_d, full), by_history, by_recompute in zip(pairs, *grids.values()):
-            np.testing.assert_array_equal(by_history, by_recompute)
+        factory = CorrelatorFactory(rho, model.K_v, grid)
+        for name, ops in families.items():
+            factory.add_family(name, ops)
+        grids = [
+            factory.anticommutator_grid(name_a, name_d, full=full).values
+            for name_a, name_d, full in pairs
+        ]
+        for (name_a, name_d, full), values in zip(pairs, grids):
             reference = loop_reference_grid(factory.frame, families[name_a], families[name_d], full)
-            np.testing.assert_allclose(by_history, reference, rtol=0, atol=1e-14)
-        ladder = grids["history"][0]
+            np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
+        ladder = grids[0]
         oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)
         np.testing.assert_allclose(ladder, oracle, rtol=0, atol=1e-12)
         for k in range(grid.n_nodes):
             np.testing.assert_allclose(ladder[:, :, k, k], np.eye(model.num_sites), rtol=0, atol=1e-12)
+        # the exact-algebra Dyson identities hold whatever the kernels are
+        report = KernelEngine(model, run.thermal, grid, rho=rho).verify()
+        for name in ("irreducible_dyson", "resolvent_dyson", "sample_restricted_dyson"):
+            assert report.residual(name) <= 1e-11, name

@@ -304,6 +304,31 @@ class TestDumpFormat:
         np.testing.assert_array_equal(inst_back, inst)
         assert np.max(np.abs(mem)) == 0.0
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "-1,0,0,0,5.0,0.0",
+            "1,2,0,0,5.0,0.0",
+            "3,0,0,0,5.0,0.0",
+            "1,0,0,-1,5.0,0.0",
+            "1,0,2,0,5.0,0.0",
+            "-1,0,0,5.0,0.0",
+            "3,0,0,5.0,0.0",
+            "1,0,2,5.0,0.0",
+        ],
+    )
+    def test_rejects_rows_outside_the_header(self, row):
+        # a 2-step, p = 2 dump: nodes 0..2, memory rows need l <= k
+        header = json.dumps({"name": "x", "p": 2, "N_t": 2, "T": 1.0, "ordering": ["x", "y"]})
+        text = header + "\n2,1,1,0,1.0,0.0\n" + row + "\n"
+        with pytest.raises(ValueError, match="malformed kernel row"):
+            load_kernel(io.StringIO(text))
+
+    @pytest.mark.parametrize("header", ['{"p": 2}', "[2, 2]"])
+    def test_rejects_header_without_its_keys(self, header):
+        with pytest.raises(ValueError, match="malformed kernel header"):
+            load_kernel(io.StringIO(header + "\n0,0,0,0,1.0,0.0\n"))
+
     def test_dump_deterministic(self):
         a = random_memory_operator(GRID, 2, seed=13)
         assert kernel_text(a, ["x", "y"]) == kernel_text(a, ["x", "y"])
