@@ -164,13 +164,14 @@ class TestDysonIdentities:
         for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson"):
             assert row[name] == report.residual(name), name
 
-    def test_convergence_reuses_engine_bitwise(self, trimer_run):
+    @pytest.mark.parametrize("strategy", ["history", "recompute"])
+    def test_convergence_reuses_engine_bitwise(self, trimer_dict, strategy):
         # a full-grid engine at the finest steps, as the CLI's verify task
-        # builds it, serves that row and gives the same table byte for byte
-        args = (trimer_run.model, trimer_run.thermal, trimer_run.horizon, [12, 24])
-        engine = KernelEngine(
-            trimer_run.model, trimer_run.thermal, TimeGrid(trimer_run.horizon, 24)
-        )
+        # builds it, serves that row and gives the same table byte for byte;
+        # the strategy key is accepted for compatibility and selects nothing
+        run = parse_config(trimer_dict | {"strategy": strategy})
+        args = (run.model, run.thermal, run.horizon, [12, 24])
+        engine = KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 24))
         report = engine.verify()
         fresh = convergence_study(*args)
         reused = convergence_study(*args, engine=engine)

@@ -224,6 +224,16 @@ class TestTwoTimeKernel:
         # |<{A, B}>| <= 2 ||A|| ||B|| = 2 for normalized ladder vectors
         assert np.max(np.abs(trimer_engine.ladder_grid.values)) <= 2.0 + 1e-10
 
+    def test_history_raises_on_small_budget(self, trimer_run):
+        # a budget below any tile pair fails before the sweep starts
+        model = trimer_run.model
+        grid = TimeGrid(1.0, 6)
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        factory = CorrelatorFactory(rho, model.K_v, grid, budget=1000)
+        factory.add_family("a", [ladder_op(model.space, model.basis_vector(0), "create")])
+        with pytest.raises(MemoryBudgetError):
+            factory.anticommutator_grid("a", "a")
+
     def test_recompute_raises_when_tiles_exceed_budget(self, trimer_run):
         model = trimer_run.model
         grid = TimeGrid(1.0, 6)
@@ -232,7 +242,7 @@ class TestTwoTimeKernel:
         flat = CorrelatorFactory(rho, model.K_v, grid).frame.creation_index[0].size
         # one held tile plus one D tile of the single-row family
         need = 2 * min(TILE_NODES, grid.n_nodes) * flat * 16
-        for budget in (1000, need - 1, need):
+        for budget in (need - 1, need):
             factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
             factory.add_family("a", creation)
             if budget < need:
