@@ -32,7 +32,6 @@ from .fock import (
     ManyBodyOperator,
     anticommutator,
     build_b_ops,
-    build_fock_space,
     build_interaction,
     commutator,
     identity_operator,
@@ -52,12 +51,10 @@ from .model import Model
 from .negf import (
     DysonReport,
     KernelEngine,
-    advanced_from_retarded,
     approx_split,
     compute_g0,
     convergence_study,
     irreducible_sigma,
-    restrict_to_sample,
     verify_dyson,
 )
 from .propagation import (

@@ -1,16 +1,17 @@
 """Batch front end: run kernel computations and verification suites.
 
-    negf run CONFIG [--out DIR] [--steps N] [--strategy S]
-                    [--budget BYTES] [--tolerance NAME=VAL ...]
+    negf run CONFIG [--out DIR] [--steps N] [--budget BYTES]
+                    [--tolerance NAME=VAL ...]
     negf diff DUMP_A DUMP_B
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 configuration
-error or malformed kernel dump, 3 memory-guard abort.  Failures emit a machine-readable JSON error
-record on stderr.  Artifacts are deterministic: rerunning the same
+error, malformed or unreadable kernel dump, or an output directory that
+cannot be created, 3 memory-guard abort.  Failures emit a machine-readable
+JSON error record on stderr.  Artifacts are deterministic: rerunning the same
 configuration reproduces them byte for byte (fix the BLAS thread count with
-NEGF_NUM_THREADS when in doubt).  ``--strategy`` and the config key
-``strategy`` are accepted for compatibility and select nothing: every
-correlator grid is built by the one tiled sweep.
+NEGF_NUM_THREADS when in doubt).  The config key ``strategy`` is accepted for
+compatibility and selects nothing: every correlator grid is built by the one
+tiled sweep.
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ def run_command(args) -> int:
         config.steps_list = [args.steps]
 
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        _error_record("output", f"cannot create output directory: {exc}")
+        return EXIT_CONFIG
 
     try:
         failed = _execute_tasks(config, out_dir)
@@ -158,6 +163,9 @@ def diff_command(args) -> int:
     except ValueError as exc:
         _error_record("malformed-dump", str(exc))
         return EXIT_CONFIG
+    except OSError as exc:
+        _error_record("unreadable-dump", f"cannot read kernel dump: {exc}")
+        return EXIT_CONFIG
     for key in ("p", "N_t", "T", "ordering"):
         if header_a[key] != header_b[key]:
             _error_record(
@@ -187,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the JSON run configuration")
     run.add_argument("--out", default="negf_out", help="output directory for artifacts")
     run.add_argument("--steps", type=int, default=None, help="override the step count")
-    run.add_argument(
-        "--strategy",
-        choices=("auto", "history", "recompute"),
-        help="accepted for compatibility; every grid uses the one tiled sweep",
-    )
     run.add_argument("--budget", type=int, default=None, help="memory budget in bytes")
     run.add_argument(
         "--tolerance", action="append", metavar="NAME=VAL", help="override a check tolerance"

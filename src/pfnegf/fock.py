@@ -59,7 +59,6 @@ class FockSpace:
         for s in range(self.dim):
             popcount[s] = s.bit_count()
         self._popcount = popcount
-        self.sector_of = popcount
         self.sector_states = tuple(
             np.flatnonzero(popcount == n).astype(np.int64) for n in range(d + 1)
         )
@@ -210,11 +209,6 @@ class ManyBodyOperator:
                 blocks[n] = np.conj(source.T)
         return ManyBodyOperator(self.space, disp, tuple(blocks))
 
-    def trace(self) -> complex:
-        if self.displacement != 0:
-            return 0.0 + 0.0j
-        return complex(sum(np.trace(b) for b in self.blocks if b is not None))
-
     def max_abs(self) -> float:
         vals = [np.max(np.abs(b)) for b in self.blocks if b is not None and b.size]
         return float(max(vals)) if vals else 0.0
@@ -290,10 +284,6 @@ def commutator(a: ManyBodyOperator, b: ManyBodyOperator) -> ManyBodyOperator:
 
 def anticommutator(a: ManyBodyOperator, b: ManyBodyOperator) -> ManyBodyOperator:
     return a @ b + b @ a
-
-
-def build_fock_space(num_orbitals: int, cap: int = DEFAULT_ORBITAL_CAP, sign_order=None) -> FockSpace:
-    return FockSpace(num_orbitals, cap=cap, sign_order=sign_order)
 
 
 def ladder_op(fs: FockSpace, f, kind: str) -> ManyBodyOperator:

@@ -65,9 +65,6 @@ class Geometry:
             labels.extend(lead)
         return tuple(labels)
 
-    def site_index(self, label) -> int:
-        return self.site_labels.index(label)
-
     def lead_slice(self, nu: int) -> slice:
         start = self.num_sample + sum(len(self.leads[i]) for i in range(nu))
         return slice(start, start + len(self.leads[nu]))

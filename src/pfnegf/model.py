@@ -32,7 +32,6 @@ class Model:
     one_particle: OnePartHamiltonian
     interaction: TwoBodyPotential
     sign_order: tuple | None = None
-    orbital_cap: int = 14
 
     @property
     def geometry(self) -> Geometry:
@@ -40,7 +39,7 @@ class Model:
 
     @cached_property
     def space(self) -> FockSpace:
-        return FockSpace(self.geometry.num_sites, cap=self.orbital_cap, sign_order=self.sign_order)
+        return FockSpace(self.geometry.num_sites, sign_order=self.sign_order)
 
     @cached_property
     def h_biased(self) -> np.ndarray:

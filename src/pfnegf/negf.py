@@ -100,7 +100,9 @@ class KernelEngine:
     pairing tiles of nodes in one GEMM each.  That costs O(N_t^2) phase
     products, no evolution sweeps and O(TILE_NODES) memory in N_t.  Derived
     objects (irreducible self-energy, algebraic Dyson solution) are exact
-    flat-algebra products.
+    flat-algebra products.  The ladder grid is cached, since ``gxi`` and the
+    pairing check both read it; the dressed and mixed grids are read once,
+    by ``sigma_tilde`` and ``f_map``, and are not cached.
     """
 
     def __init__(
@@ -130,23 +132,14 @@ class KernelEngine:
         return self.factory.anticommutator_grid("a", "a", full=self.full_correlator)
 
     @cached_property
-    def dressed_grid(self) -> CorrelatorGrid:
-        return self.factory.anticommutator_grid("b", "b", full=False)
-
-    @cached_property
-    def mixed_grid(self) -> CorrelatorGrid:
-        return self.factory.anticommutator_grid("a", "b", full=False)
-
-    @cached_property
     def g0(self) -> VolterraOperator:
         return compute_g0(self.model.h_biased, self.grid)
 
     @cached_property
     def gxi(self) -> VolterraOperator:
-        op = VolterraOperator(
+        return VolterraOperator(
             self.grid, self.p, mem=self.ladder_grid.causal_kernel(-1j), name="Gxi"
         )
-        return op
 
     @cached_property
     def contact_expectations(self) -> tuple[np.ndarray, float]:
@@ -176,21 +169,19 @@ class KernelEngine:
 
     @cached_property
     def sigma_tilde(self) -> VolterraOperator:
-        mem = self.dressed_grid.causal_kernel(-1j)
+        mem = self.factory.anticommutator_grid("b", "b").causal_kernel(-1j)
         contact, _ = self.contact_expectations
         inst = (1j * contact).transpose(2, 0, 1).copy()
         return VolterraOperator(self.grid, self.p, mem=mem, inst=inst, name="SigmaTilde")
 
     @cached_property
     def f_map(self) -> VolterraOperator:
-        return VolterraOperator(
-            self.grid, self.p, mem=self.mixed_grid.causal_kernel(1.0), name="F"
-        )
+        mem = self.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
+        return VolterraOperator(self.grid, self.p, mem=mem, name="F")
 
     @cached_property
     def sigma(self) -> VolterraOperator:
-        op = irreducible_sigma(self.g0, self.sigma_tilde)
-        return op
+        return irreducible_sigma(self.g0, self.sigma_tilde)
 
     @cached_property
     def g_alg(self) -> VolterraOperator:
@@ -205,17 +196,7 @@ class KernelEngine:
         return quadrature_residuals(self.g0, self.gxi, self.sigma_tilde, self.g_alg, self.f_map)
 
     def verify(self, tolerances: dict | None = None, model_hash: str = "") -> "DysonReport":
-        return verify_dyson(
-            self.g0,
-            self.gxi,
-            self.sigma_tilde,
-            self.sigma,
-            self.grid,
-            f_map=self.f_map,
-            engine=self,
-            tolerances=tolerances,
-            model_hash=model_hash,
-        )
+        return verify_dyson(self, tolerances=tolerances, model_hash=model_hash)
 
 
 def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> VolterraOperator:
@@ -229,21 +210,6 @@ def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> Vo
     sigma = sigma_tilde + sigma_tilde @ resolvent
     sigma.name = "Sigma"
     return sigma
-
-
-def restrict_to_sample(op: VolterraOperator, num_sample: int) -> VolterraOperator:
-    return op.restrict(np.arange(num_sample))
-
-
-def advanced_from_retarded(retarded: VolterraOperator) -> np.ndarray:
-    """Advanced kernel ``adv[k, l] = -K_ret[l, k]`` on the acausal range l >= k."""
-    mem = retarded.memory_kernel()
-    n = retarded.grid.n_nodes
-    adv = np.zeros_like(mem)
-    for k in range(n):
-        for l in range(k, n):
-            adv[k, l] = -mem[l, k]
-    return adv
 
 
 def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> VolterraOperator:
@@ -405,13 +371,11 @@ def convergence_study(
 
 
 def _lead_support_defect(op: VolterraOperator, num_sample: int) -> float:
-    mem = op.memory_kernel()
-    inst = op.instantaneous()
+    # every geometry has a lead site, so the mask is never empty
     mask = np.ones((op.p, op.p), dtype=bool)
     mask[:num_sample, :num_sample] = False
-    worst = float(np.max(np.abs(mem[..., mask]))) if mask.any() else 0.0
-    worst = max(worst, float(np.max(np.abs(inst[:, mask]))) if mask.any() else 0.0)
-    return worst
+    worst = float(np.max(np.abs(op.memory_kernel()[..., mask])))
+    return max(worst, float(np.max(np.abs(op.instantaneous()[:, mask]))))
 
 
 def _pairing_defect(grid_values: np.ndarray) -> float:
@@ -424,56 +388,44 @@ def quadrature_residuals(
     gxi: VolterraOperator,
     sigma_tilde: VolterraOperator,
     g_alg: VolterraOperator,
-    f_map: VolterraOperator | None = None,
+    f_map: VolterraOperator,
 ) -> dict:
-    """Induced-norm residuals of the quadrature-limited identities.
+    """Induced-norm residuals of the three quadrature-limited identities.
 
-    ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``;
-    given ``F``, ``fmap_factorization`` and ``fmap_dyson`` are added as well.
+    ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``,
+    ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
+    ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``.
     """
     grid, p = g0.grid, g0.p
-    residuals = {"reducible_dyson": operator_norm_bound(gxi.flat - g_alg.flat, grid, p)}
-    if f_map is not None:
-        residuals["fmap_factorization"] = operator_norm_bound(
-            f_map.flat - (sigma_tilde @ g0).flat, grid, p
-        )
-        residuals["fmap_dyson"] = operator_norm_bound(
-            gxi.flat - g0.flat - (g0 @ f_map).flat, grid, p
-        )
-    return residuals
+    return {
+        "reducible_dyson": operator_norm_bound(gxi.flat - g_alg.flat, grid, p),
+        "fmap_factorization": operator_norm_bound(f_map.flat - (sigma_tilde @ g0).flat, grid, p),
+        "fmap_dyson": operator_norm_bound(gxi.flat - g0.flat - (g0 @ f_map).flat, grid, p),
+    }
 
 
 def verify_dyson(
-    g0: VolterraOperator,
-    gxi: VolterraOperator,
-    sigma_tilde: VolterraOperator,
-    sigma: VolterraOperator,
-    grid: TimeGrid,
-    f_map: VolterraOperator | None = None,
-    engine: KernelEngine | None = None,
+    engine: KernelEngine,
     tolerances: dict | None = None,
     model_hash: str = "",
 ) -> DysonReport:
-    """Measure every identity residual and grade it against its tolerance.
+    """Measure every identity residual on ``engine``'s kernels and grade it.
 
     Quadrature-limited identities are measured with the induced-norm bound of
     the discrete operator difference (max over row nodes of summed block
     spectral norms); exact-algebra identities with the max-abs entry of the
-    flat difference.  Given the ``engine`` that built the kernels, its cached
-    ``g_alg`` and quadrature residuals are used, so a convergence study on
-    the same engine does not compute them again.
+    flat difference.  Every operator, ``g_alg`` and the quadrature residuals
+    come from the engine's caches, so a convergence study on the same engine
+    does not compute them again.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
+    grid, model = engine.grid, engine.model
+    g0, gxi, sigma_tilde, sigma = engine.g0, engine.gxi, engine.sigma_tilde, engine.sigma
+    g_alg, quadrature = engine.g_alg, engine.quadrature
     report = DysonReport(model_hash, grid.horizon, grid.steps)
     p = g0.p
-
-    if engine is not None:
-        g_alg, quadrature = engine.g_alg, engine.quadrature
-    else:
-        g_alg = g0 + g0 @ sigma_tilde @ g0
-        quadrature = quadrature_residuals(g0, gxi, sigma_tilde, g_alg, f_map)
 
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
     report.add(
@@ -488,35 +440,32 @@ def verify_dyson(
         tol["resolvent_dyson"],
         "exact-algebra",
     )
-
     for name in ("fmap_factorization", "fmap_dyson"):
-        if name in quadrature:
-            report.add(name, quadrature[name], tol[name], "quadrature")
+        report.add(name, quadrature[name], tol[name], "quadrature")
 
-    num_sample = engine.model.num_sample if engine is not None else None
-    if num_sample is not None and num_sample < p:
-        support = max(
-            _lead_support_defect(sigma_tilde, num_sample),
-            _lead_support_defect(sigma, num_sample),
-            max(op.max_abs() for op in engine.model.dressed_creation_family[num_sample:]),
-            engine.contact_expectations[1],
-        )
-        report.add("lead_support", support, tol["lead_support"], "roundoff")
+    num_sample = model.num_sample
+    support = max(
+        _lead_support_defect(sigma_tilde, num_sample),
+        _lead_support_defect(sigma, num_sample),
+        max(op.max_abs() for op in model.dressed_creation_family[num_sample:]),
+        engine.contact_expectations[1],
+    )
+    report.add("lead_support", support, tol["lead_support"], "roundoff")
 
-        sub = np.arange(num_sample)
-        g_alg_s, g0_s, sigma_s = (x.restrict(sub) for x in (g_alg, g0, sigma))
-        report.add(
-            "sample_restricted_dyson",
-            flat_max_abs(g_alg_s.flat - g0_s.flat - (g0_s @ sigma_s @ g_alg_s).flat),
-            tol["sample_restricted_dyson"],
-            "exact-algebra",
-        )
+    sub = np.arange(num_sample)
+    g_alg_s, g0_s, sigma_s = (x.restrict(sub) for x in (g_alg, g0, sigma))
+    report.add(
+        "sample_restricted_dyson",
+        flat_max_abs(g_alg_s.flat - g0_s.flat - (g0_s @ sigma_s @ g_alg_s).flat),
+        tol["sample_restricted_dyson"],
+        "exact-algebra",
+    )
 
     nodes = np.arange(grid.n_nodes)
     equal_time = float(np.max(np.abs(gxi.memory_kernel()[nodes, nodes] + 1j * np.eye(p))))
     report.add("equal_time_normalization", equal_time, tol["equal_time_normalization"], "roundoff")
 
-    if engine is not None and engine.ladder_grid.full:
+    if engine.ladder_grid.full:
         report.add(
             "hermitian_pairing",
             _pairing_defect(engine.ladder_grid.values),

@@ -94,15 +94,12 @@ class CorrelatorGrid:
     """Two-time anticommutator values ``C[j, m, k, l]``.
 
     Retarded kernels only read the causal triangle ``l <= k``; when ``full``
-    is set the acausal part is populated as well (used by pairing checks and
-    the advanced kernel).
+    is set the acausal part is populated as well (used by the pairing check).
     """
 
     values: np.ndarray
     grid: TimeGrid
     full: bool
-    name_a: str = ""
-    name_d: str = ""
 
     def causal_kernel(self, prefactor=1.0) -> np.ndarray:
         """(n, n, p_d, p_a) kernel ``prefactor * C`` with the acausal part zeroed."""
@@ -255,7 +252,7 @@ class CorrelatorFactory:
                 if not full and k0 == l0:
                     block[..., acausal[: k1 - k0, : k1 - k0]] = 0.0
                 values[rows_d[:, None], rows_a, k0:k1, l0:l1] = block
-        return CorrelatorGrid(values, self.grid, full, name_a, name_d)
+        return CorrelatorGrid(values, self.grid, full)
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:
         """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators."""

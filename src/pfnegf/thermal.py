@@ -24,10 +24,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import FockSpace, ManyBodyOperator, commutator
+from .fock import FockSpace, ManyBodyOperator, commutator, identity_operator
 
 COMMUTATION_TOL = 1e-12
 STATE_TOL = 1e-12
+
+QUAD_NODES = 16  # Gauss-Legendre nodes per nested integral of the Picard series
+
+# gamma_check: random observables (plus N_total), their seed, pass thresholds
+GAMMA_CHECK_OBSERVABLES = 10
+GAMMA_CHECK_SEED = 7
+GAMMA_TOL = 1e-8
+EXPECTATION_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,6 @@ def picard_gamma(
     beta: float,
     max_order: int = 30,
     rtol: float = 1e-10,
-    quad_nodes: int = 16,
 ) -> tuple[ManyBodyOperator, PicardInfo]:
     """Dressing operator ``Gamma(beta)`` from the iterated-integral series.
 
@@ -206,11 +213,9 @@ def picard_gamma(
         raise ValueError("beta must be nonnegative")
     space = k_decoupled.space
     if beta == 0:
-        from .fock import identity_operator
-
         return identity_operator(space), PicardInfo(0, 0.0, True)
 
-    x, s_partial, s_end = _integration_matrices(beta, quad_nodes)
+    x, s_partial, s_end = _integration_matrices(beta, QUAD_NODES)
     blocks = []
     orders_used = 0
     worst_delta = 0.0
@@ -227,7 +232,7 @@ def picard_gamma(
         t_tilde = np.conj(v.T) @ t_block @ v
         gap = lam[:, None] - lam[None, :]
         generators = np.array([-np.exp(xj * gap) * t_tilde for xj in x])
-        terms = np.broadcast_to(np.eye(dim, dtype=complex), (quad_nodes, dim, dim)).copy()
+        terms = np.broadcast_to(np.eye(dim, dtype=complex), (QUAD_NODES, dim, dim)).copy()
         gamma = np.eye(dim, dtype=complex)
         order = 0
         delta = np.inf
@@ -281,14 +286,7 @@ def random_number_conserving_hermitian(space: FockSpace, rng) -> ManyBodyOperato
     return ManyBodyOperator(space, 0, tuple(blocks))
 
 
-def gamma_check(
-    model,
-    params: ThermalParams,
-    n_observables: int = 10,
-    seed: int = 7,
-    gamma_tol: float = 1e-8,
-    expectation_rtol: float = 1e-9,
-) -> dict:
+def gamma_check(model, params: ThermalParams) -> dict:
     """Cross-check the dressing operator and the dressed expectation formula.
 
     Compares the iterated-integral ``Gamma(beta)`` against the closed form in
@@ -302,23 +300,25 @@ def gamma_check(
 
     rho_pf = gibbs(model.K_0, params, model.N_total, label="pf")
     rho_d = gibbs(model.K_D, params, model.N_total, label="decoupled")
-    rng = np.random.default_rng(seed)
-    observables = [random_number_conserving_hermitian(model.space, rng) for _ in range(n_observables)]
+    rng = np.random.default_rng(GAMMA_CHECK_SEED)
+    observables = [
+        random_number_conserving_hermitian(model.space, rng) for _ in range(GAMMA_CHECK_OBSERVABLES)
+    ]
     observables.append(model.N_total)
     worst = 0.0
     for obs in observables:
         direct = rho_pf.expectation(obs)
         dressed = pf_expectation_via_gamma(rho_d, gamma_p, obs)
         worst = max(worst, abs(dressed - direct) / max(abs(direct), 1e-12))
-    passed = bool(spectral_error <= gamma_tol and worst <= expectation_rtol and info.converged)
+    passed = bool(spectral_error <= GAMMA_TOL and worst <= EXPECTATION_RTOL and info.converged)
     return {
         "gamma_spectral_error": float(spectral_error),
-        "gamma_tolerance": gamma_tol,
+        "gamma_tolerance": GAMMA_TOL,
         "picard_orders": info.orders_used,
         "picard_final_delta": info.final_delta,
         "picard_converged": info.converged,
         "expectation_max_rel_error": float(worst),
-        "expectation_rtol": expectation_rtol,
+        "expectation_rtol": EXPECTATION_RTOL,
         "n_observables": len(observables),
         "pass": passed,
     }

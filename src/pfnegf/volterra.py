@@ -21,7 +21,6 @@ independently computed kernels.
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 import numpy as np
@@ -130,18 +129,7 @@ class VolterraOperator:
         mem[0, 0] = 0.0
         return mem
 
-    def causality_defect(self) -> float:
-        """Max acausal weight of the flat matrix; 0 for a sound operator."""
-        return _strict_upper_max(self.flat_blocks())
-
-    # -- action and algebra --------------------------------------------
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        psi = np.asarray(psi, dtype=complex)
-        n, p = self.grid.n_nodes, self.p
-        if psi.shape != (n, p):
-            raise ValueError(f"grid function has shape {psi.shape}, expected {(n, p)}")
-        return (self.flat @ psi.reshape(n * p)).reshape(n, p)
+    # -- algebra -------------------------------------------------------
 
     def _require_compatible(self, other: "VolterraOperator"):
         if self.grid != other.grid or self.p != other.p:
@@ -366,9 +354,3 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
 def load_kernel_from_path(path) -> tuple[dict, np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         return load_kernel(fh)
-
-
-def kernel_text(op: VolterraOperator, ordering) -> str:
-    buf = io.StringIO()
-    dump_kernel(op, ordering, buf)
-    return buf.getvalue()

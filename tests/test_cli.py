@@ -120,6 +120,17 @@ class TestRun:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "memory"
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+    def test_unusable_out_path_exit_code(self, tmp_path, out):
+        # --out naming an existing file (or a path under one) is a usage error
+        (tmp_path / "taken").write_text("not a directory\n")
+        cfg = write_config(tmp_path, dimer_config())
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / out)], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "output"
+
     def test_recompute_memory_guard_exit_code(self, tmp_path):
         # recompute holds one held tile and one D tile, and they must fit too
         cfg_data = trimer_config()
@@ -250,6 +261,17 @@ class TestDiff:
         assert result.returncode == 2, result.stderr
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "malformed-dump"
+
+    @pytest.mark.parametrize("which", ["missing", "directory"])
+    def test_unreadable_dump_exit_code(self, tmp_path, which):
+        a = self.make_dump(tmp_path, "a")
+        other = tmp_path / "nope.csv" if which == "missing" else tmp_path / "a"
+        for pair in ([str(other), str(a)], [str(a), str(other)]):
+            result = run_cli(["diff", *pair], tmp_path)
+            assert result.returncode == 2, result.stderr
+            assert "Traceback" not in result.stderr
+            record = json.loads(result.stderr.strip().splitlines()[-1])
+            assert record["error"]["type"] == "unreadable-dump"
 
     def test_reports_block_differences(self, tmp_path):
         a = self.make_dump(tmp_path, "a")

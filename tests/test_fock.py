@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pfnegf.fock import (
+    FockSpace,
     anticommutator,
     build_b_ops,
-    build_fock_space,
     build_interaction,
     commutator,
     from_full,
@@ -30,34 +30,34 @@ def random_hermitian(d):
 
 class TestFockSpace:
     def test_sector_sizes_d2(self):
-        fs = build_fock_space(2)
+        fs = FockSpace(2)
         assert fs.dim == 4
         assert fs.sector_dims == (1, 2, 1)
 
     def test_sector_sizes_d6(self):
-        fs = build_fock_space(6)
+        fs = FockSpace(6)
         assert fs.dim == 64
         assert fs.sector_dims[3] == 20
         assert sum(fs.sector_dims) == 64
 
     def test_cap_guard(self):
         with pytest.raises(ValueError, match="cap"):
-            build_fock_space(20)
+            FockSpace(20)
 
     def test_basis_ordering_deterministic(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         # within each sector, states ascend by bitstring value
         for states in fs.sector_states:
             assert np.all(np.diff(states) > 0) or len(states) <= 1
 
     def test_sector_sizes_binomial(self):
-        fs = build_fock_space(5)
+        fs = FockSpace(5)
         assert fs.sector_dims == tuple(comb(5, n) for n in range(6))
 
 
 class TestLadderOperators:
     def test_car_suite(self):
-        fs = build_fock_space(5)
+        fs = FockSpace(5)
         ident = identity_operator(fs)
         worst_mixed = worst_pair = 0.0
         for _ in range(20):
@@ -74,7 +74,7 @@ class TestLadderOperators:
         assert worst_pair <= 1e-12
 
     def test_antilinearity(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         f = random_vector(3)
         scaled = ladder_op(fs, 1j * f, "annihilate")
         direct = np.conj(1j) * ladder_op(fs, f, "annihilate")
@@ -84,27 +84,27 @@ class TestLadderOperators:
         assert (scaled_star - 1j * ladder_op(fs, f, "create")).max_abs() <= 1e-14
 
     def test_operator_norm_bound(self):
-        fs = build_fock_space(4)
+        fs = FockSpace(4)
         for _ in range(5):
             f = random_vector(4)
             for kind in ("create", "annihilate"):
                 assert ladder_op(fs, f, kind).norm2() <= np.linalg.norm(f) + 1e-12
 
     def test_dimension_mismatch(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         with pytest.raises(ValueError):
             ladder_op(fs, np.ones(4), "create")
 
 
 class TestSecondQuantization:
     def test_identity_gives_number_operator(self):
-        fs = build_fock_space(4)
+        fs = FockSpace(4)
         n_op = second_quantize(fs, np.eye(4))
         for n, block in enumerate(n_op.blocks):
             np.testing.assert_allclose(block, n * np.eye(fs.sector_dims[n]), atol=0)
 
     def test_ladder_commutators(self):
-        fs = build_fock_space(4)
+        fs = FockSpace(4)
         h = random_hermitian(4)
         big_h = second_quantize(fs, h)
         f = random_vector(4)
@@ -119,13 +119,13 @@ class TestSecondQuantization:
         assert defect <= 1e-12
 
     def test_hermitian_and_number_conserving(self):
-        fs = build_fock_space(4)
+        fs = FockSpace(4)
         op = second_quantize(fs, random_hermitian(4))
         assert op.displacement == 0
         assert op.hermiticity_defect() <= 1e-12
 
     def test_non_hermitian_rejected(self):
-        fs = build_fock_space(2)
+        fs = FockSpace(2)
         with pytest.raises(ValueError, match="Hermitian"):
             second_quantize(fs, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -134,7 +134,7 @@ class TestInteraction:
     def test_pair_eigenvalue(self):
         # oracle: (1/2) sum_xy w n_x n_y evaluated per occupation bitstring by hand
         u = 1.7
-        fs = build_fock_space(2)
+        fs = FockSpace(2)
         w = np.array([[0.0, u], [u, 0.0]])
         op = build_interaction(fs, w)
         full = op.to_full()
@@ -146,12 +146,12 @@ class TestInteraction:
         assert np.max(np.abs(full - np.diag(np.diag(full)))) == 0.0
 
     def test_zero_potential(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         assert build_interaction(fs, np.zeros((3, 3))).max_abs() == 0.0
 
     def test_commutes_with_disjoint_number(self):
         # sample orbitals {0, 1}, "lead" orbitals {2, 3}
-        fs = build_fock_space(4)
+        fs = FockSpace(4)
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w_op = build_interaction(fs, w)
@@ -163,7 +163,7 @@ class TestInteraction:
 
 class TestDressedLadder:
     def setup_method(self):
-        self.fs = build_fock_space(4)
+        self.fs = FockSpace(4)
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 2.3
         self.w = w
@@ -208,7 +208,7 @@ class TestDressedLadder:
 
 class TestOperatorAlgebra:
     def test_full_round_trip(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         op = ladder_op(fs, random_vector(3), "create")
         back = from_full(fs, op.to_full(), +1)
         for a, b in zip(op.blocks, back.blocks):
@@ -218,12 +218,12 @@ class TestOperatorAlgebra:
                 np.testing.assert_array_equal(a, b)
 
     def test_from_full_leak_guard(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         with pytest.raises(ValueError, match="outside displacement"):
             from_full(fs, np.ones((8, 8)), 0)
 
     def test_matmul_displacement(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         a = ladder_op(fs, random_vector(3), "annihilate")
         c = ladder_op(fs, random_vector(3), "create")
         assert (c @ a).displacement == 0
@@ -231,7 +231,7 @@ class TestOperatorAlgebra:
         assert a.dagger().displacement == +1
 
     def test_sign_order_invariance_of_car(self):
-        fs_rev = build_fock_space(4, sign_order=[3, 2, 1, 0])
+        fs_rev = FockSpace(4, sign_order=[3, 2, 1, 0])
         ident = identity_operator(fs_rev)
         f, g = random_vector(4), random_vector(4)
         mixed = anticommutator(

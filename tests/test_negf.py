@@ -9,14 +9,12 @@ from pfnegf.model import Model
 from pfnegf.negf import (
     DysonReport,
     KernelEngine,
-    advanced_from_retarded,
     approx_split,
     compute_g0,
     convergence_study,
     dyson_solution,
     fit_convergence_order,
     irreducible_sigma,
-    restrict_to_sample,
     verify_dyson,
 )
 from pfnegf.volterra import VolterraOperator, flat_max_abs, identity_volterra
@@ -47,14 +45,14 @@ class TestFreeKernel:
         tau = 0.7
         grid = TimeGrid(3.0, 30)
         g0 = compute_g0(run.model.h_biased, grid)
-        mem = restrict_to_sample(g0, 1).memory_kernel()
+        mem = g0.restrict(np.arange(1)).memory_kernel()
         for k in range(grid.n_nodes):
             assert mem[k, 0, 0, 0] == pytest.approx(-1j * np.cos(tau * grid.nodes[k]), abs=1e-12)
 
     def test_restriction_matches_full(self, reference_run):
         grid = TimeGrid(2.0, 10)
         g0 = compute_g0(reference_run.model.h_biased, grid)
-        sub = restrict_to_sample(g0, 2)
+        sub = g0.restrict(np.arange(2))
         np.testing.assert_array_equal(sub.memory_kernel(), g0.memory_kernel()[:, :, :2, :2])
 
     def test_volterra_constant_is_unitary_bound(self, reference_run):
@@ -181,14 +179,14 @@ class TestDysonIdentities:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_kernel_fails_its_checks(self, bad):
+    def test_non_finite_kernel_fails_its_checks(self, trimer_run, bad):
         grid = TimeGrid(1.0, 10)
-        g0 = compute_g0(np.array([[0.2, 0.5], [0.5, -0.1]]), grid)
-        mem = g0.memory_kernel().copy()
+        engine = KernelEngine(trimer_run.model, trimer_run.thermal, grid)
+        mem = engine.g0.memory_kernel().copy()
         mem[6, 2, 1, 0] = bad
-        gxi = VolterraOperator(grid, 2, mem=mem, name="Gxi")
-        sigma_tilde = g0.scale(0.1)
-        report = verify_dyson(g0, gxi, sigma_tilde, irreducible_sigma(g0, sigma_tilde), grid)
+        # set before first use: every check then reads this kernel
+        engine.gxi = VolterraOperator(grid, engine.p, mem=mem, name="Gxi")
+        report = verify_dyson(engine)
         failed = {c.name for c in report.checks if not c.passed}
         assert {"reducible_dyson", "volterra_constant_gxi"} <= failed
         assert not report.passed
@@ -209,36 +207,6 @@ class TestDysonIdentities:
         deltas = [0.1, 0.05, 0.025]
         residuals = [d**2 for d in deltas]
         assert fit_convergence_order(deltas, residuals) == pytest.approx(2.0, abs=1e-12)
-
-
-class TestAdvancedKernel:
-    def test_equal_time_sign_flip(self, ref_engine_25):
-        adv = advanced_from_retarded(ref_engine_25.gxi)
-        for k in range(ref_engine_25.grid.n_nodes):
-            np.testing.assert_allclose(adv[k, k], 1j * np.eye(6), atol=1e-10)
-
-    def test_noninteracting_oracle(self, ref_engine_xi0):
-        adv = advanced_from_retarded(ref_engine_xi0.g0)
-        h = ref_engine_xi0.model.h_biased
-        lam, v = np.linalg.eigh(h)
-        grid = ref_engine_xi0.grid
-        for k in range(0, grid.n_nodes, 7):
-            for l in range(k, grid.n_nodes, 5):
-                phase = np.exp(1j * (grid.nodes[k] - grid.nodes[l]) * lam)
-                oracle = 1j * (v * phase[None, :]) @ np.conj(v.T)
-                np.testing.assert_allclose(adv[k, l], oracle, atol=1e-12)
-
-    def test_pairing_consistency(self, ref_engine_25):
-        # the pairing property of the correlator grid fixes the advanced
-        # kernel as the blockwise adjoint of the acausally-extended kernel
-        adv = advanced_from_retarded(ref_engine_25.gxi)
-        extended = -1j * ref_engine_25.ladder_grid.values.transpose(2, 3, 0, 1)
-        grid = ref_engine_25.grid
-        worst = 0.0
-        for k in range(grid.n_nodes):
-            for l in range(k, grid.n_nodes):
-                worst = max(worst, np.max(np.abs(adv[k, l] - np.conj(extended[k, l].T))))
-        assert worst <= 1e-10
 
 
 class TestApproxSplit:

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from pfnegf.config import parse_config
 from pfnegf.errors import MemoryBudgetError
 from pfnegf.fock import (
+    FockSpace,
     anticommutator,
-    build_fock_space,
     identity_operator,
     ladder_op,
     second_quantize,
 )
 from pfnegf.grid import TimeGrid
-from pfnegf.negf import KernelEngine
+from pfnegf.negf import KernelEngine, compute_g0
 from pfnegf.propagation import (
     TILE_NODES,
     UNITARITY_TOL,
@@ -53,7 +53,7 @@ class TestStepper:
     def test_single_orbital_phase(self):
         # closed form on one orbital: tau^t(a) = exp(-i eps t) a
         eps, t = 0.9, 0.7
-        fs = build_fock_space(1)
+        fs = FockSpace(1)
         k = second_quantize(fs, np.array([[eps]]))
         u = stepper(k, t)
         a = ladder_op(fs, np.array([1.0]), "annihilate")
@@ -210,7 +210,7 @@ class TestTwoTimeKernel:
         np.testing.assert_allclose(c.values, oracle, rtol=0, atol=1e-12)
 
     def test_dressed_family_lead_entries_vanish(self, trimer_engine):
-        values = trimer_engine.dressed_grid.values
+        values = trimer_engine.factory.anticommutator_grid("b", "b").values
         ns = trimer_engine.model.num_sample
         assert np.max(np.abs(values[ns:, :, :, :])) == 0.0
         assert np.max(np.abs(values[:, ns:, :, :])) == 0.0
@@ -349,8 +349,8 @@ def _unit_vector(draw, size):
 
 
 @st.composite
-def small_models(draw):
-    """1-2 sample sites and one lead of 1-2 sites, with random amplitudes."""
+def small_models(draw, xi=st.floats(-1.0, 1.0)):
+    """1-2 sample sites, one lead of 1-2 sites and maybe a second 1-site lead (d <= 5)."""
     amplitude = st.floats(-1.5, 1.5)
     n_sample, n_lead = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     sites = [f"s{i}" for i in range(n_sample)]
@@ -359,23 +359,29 @@ def small_models(draw):
     def edge(a, b):
         return [a, b, [draw(amplitude), draw(amplitude)]]
 
+    def coupling(n_sites):
+        return {
+            "d": draw(st.floats(0.1, 1.0)),
+            "f": _unit_vector(draw, n_sites),
+            "g": _unit_vector(draw, n_sample),
+        }
+
+    leads = [{
+        "sites": lead_sites,
+        "hoppings": [edge("l0", "l1")] if n_lead == 2 else [],
+        "coupling": coupling(n_lead),
+    }]
+    if draw(st.booleans()):
+        leads.append({"sites": ["r0"], "hoppings": [], "coupling": coupling(1)})
     return {
         "sample": {
             "sites": sites,
             "hoppings": [edge("s0", "s1")] if n_sample == 2 else [],
             "w": [["s0", "s1", draw(st.floats(0.0, 1.5))]] if n_sample == 2 else [],
-            "xi": draw(st.floats(-1.0, 1.0)),
+            "xi": draw(xi),
         },
-        "leads": [{
-            "sites": lead_sites,
-            "hoppings": [edge("l0", "l1")] if n_lead == 2 else [],
-            "coupling": {
-                "d": draw(st.floats(0.1, 1.0)),
-                "f": _unit_vector(draw, n_lead),
-                "g": _unit_vector(draw, n_sample),
-            },
-        }],
-        "bias": [draw(st.floats(-1.0, 1.0))],
+        "leads": leads,
+        "bias": [draw(st.floats(-1.0, 1.0)) for _ in leads],
         "thermal": {"beta": draw(st.floats(0.2, 3.0)), "mu": draw(st.floats(-1.0, 1.0))},
         # from inside the first tile to one node past the second tile edge
         "grid": {"T": draw(st.floats(0.5, 3.0)), "steps": draw(st.integers(2, 2 * TILE_NODES + 1))},
@@ -411,3 +417,15 @@ class TestRandomModels:
         report = KernelEngine(model, run.thermal, grid, rho=rho).verify()
         for name in ("irreducible_dyson", "resolvent_dyson", "sample_restricted_dyson"):
             assert report.residual(name) <= 1e-11, name
+        assert report.residual("lead_support") <= 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_models(xi=st.just(0.0)))
+    def test_free_limit_on_random_models(self, cfg):
+        # without interaction the many-body kernel is the one-particle G0
+        run = parse_config(cfg)
+        engine = KernelEngine(run.model, run.thermal, run.grid(), full_correlator=False)
+        g0 = compute_g0(run.model.h_biased, run.grid())
+        np.testing.assert_allclose(
+            engine.gxi.memory_kernel(), g0.memory_kernel(), rtol=0, atol=1e-10
+        )

@@ -3,7 +3,7 @@ import pytest
 
 from pfnegf.config import parse_config
 from pfnegf.fock import (
-    build_fock_space,
+    FockSpace,
     commutator,
     identity_operator,
     ladder_op,
@@ -26,7 +26,7 @@ RNG = np.random.default_rng(11)
 
 class TestGibbs:
     def test_maximally_mixed(self):
-        fs = build_fock_space(3)
+        fs = FockSpace(3)
         rho = gibbs(zero_operator(fs, 0), ThermalParams(beta=2.0), second_quantize(fs, np.eye(3)))
         full = rho.op.to_full()
         np.testing.assert_allclose(full, np.eye(8) / 8.0, atol=1e-15)
@@ -34,7 +34,7 @@ class TestGibbs:
     def test_two_level_occupation(self):
         # closed form for one orbital: <a*a> = 1 / (1 + exp(beta (eps - mu)))
         eps, beta, mu = 0.8, 1.7, 0.2
-        fs = build_fock_space(1, cap=14)
+        fs = FockSpace(1, cap=14)
         k = second_quantize(fs, np.array([[eps]]))
         n = second_quantize(fs, np.eye(1))
         rho = gibbs(k, ThermalParams(beta=beta, mu=mu), n)
@@ -43,7 +43,7 @@ class TestGibbs:
 
     def test_invariance_under_shift(self):
         # a large beta must not overflow thanks to the spectral shift
-        fs = build_fock_space(2)
+        fs = FockSpace(2)
         k = second_quantize(fs, np.diag([5.0, -5.0]))
         rho = gibbs(k, ThermalParams(beta=200.0), second_quantize(fs, np.eye(2)))
         assert np.isfinite(rho.op.to_full()).all()
@@ -55,7 +55,7 @@ class TestGibbs:
         assert commutator(reference_rho.op, weight).max_abs() <= 1e-12
 
     def test_rejects_non_hermitian(self):
-        fs = build_fock_space(2)
+        fs = FockSpace(2)
         bad = ladder_op(fs, np.array([1.0, 0.0]), "create") @ ladder_op(
             fs, np.array([0.0, 1.0]), "annihilate"
         )
@@ -89,7 +89,7 @@ class TestDecoupledState:
         from pfnegf.fock import build_interaction
 
         model = trimer_run.model
-        sample_fs = build_fock_space(model.num_sample)
+        sample_fs = FockSpace(model.num_sample)
         k_s = second_quantize(sample_fs, model.one_particle.h_sample) + (
             model.interaction.strength
             * build_interaction(sample_fs, model.interaction.matrix)
@@ -105,7 +105,7 @@ class TestDecoupledState:
         params = ThermalParams(beta=1.3, mu=0.1)
         h_lead = np.array([[0.0, 1.0], [1.0, 0.0]])
         eigvec = np.array([1.0, 1.0]) / np.sqrt(2.0)  # eigenvalue +1
-        sample_fs = build_fock_space(1)
+        sample_fs = FockSpace(1)
         rho_s = gibbs(
             second_quantize(sample_fs, np.array([[0.4]])),
             params,
@@ -123,7 +123,7 @@ class TestDecoupledState:
         model = run.model
         rho_d = gibbs(model.K_D, run.thermal, model.N_total, label="decoupled")
 
-        sample_fs = build_fock_space(model.num_sample)
+        sample_fs = FockSpace(model.num_sample)
         from pfnegf.fock import build_interaction
 
         k_s = second_quantize(sample_fs, model.one_particle.h_sample) + (
@@ -150,7 +150,7 @@ class TestDecoupledState:
         assert abs(direct - factorized) <= 1e-10
 
     def test_bad_lead_factor_shape(self, trimer_run):
-        sample_fs = build_fock_space(2)
+        sample_fs = FockSpace(2)
         rho_s = gibbs(
             zero_operator(sample_fs, 0),
             trimer_run.thermal,

@@ -15,7 +15,6 @@ from pfnegf.volterra import (
     dump_kernel,
     identity_volterra,
     invert_id_plus,
-    kernel_text,
     load_kernel,
     neumann_inverse,
     operator_norm_bound,
@@ -66,6 +65,23 @@ def loop_volterra_constant(op):
     return float(best)
 
 
+def apply(op, psi):
+    """Action of ``op`` on a grid function: its flat matrix, trapezoid weights included."""
+    return (op.flat @ psi.ravel()).reshape(psi.shape)
+
+
+def kernel_text(op, ordering):
+    buf = io.StringIO()
+    dump_kernel(op, ordering, buf)
+    return buf.getvalue()
+
+
+def assert_causal(op):
+    """The strict-upper (acausal) blocks of the flat matrix are exactly zero."""
+    blocks = op.flat_blocks()
+    assert np.all(blocks[np.triu_indices(op.grid.n_nodes, k=1)] == 0.0)
+
+
 def csv_writer_text(op, ordering):
     """Reference kernel dump written through ``csv.writer``, entry by entry."""
     buf = io.StringIO()
@@ -91,30 +107,20 @@ def csv_writer_text(op, ordering):
 
 
 class TestApply:
-    def test_identity(self):
-        op = identity_volterra(GRID, 3)
-        psi = RNG.standard_normal((GRID.n_nodes, 3))
-        np.testing.assert_array_equal(op.apply(psi), psi.astype(complex))
-
     def test_constant_kernel_on_constant_function(self):
         # trapezoid integrates constants exactly: (A psi)(t_k) = t_k * c
         op = scalar_memory(GRID, lambda t, s: 1.0)
         c = 2.5
         psi = np.full((GRID.n_nodes, 1), c)
-        out = op.apply(psi)
+        out = apply(op, psi)
         np.testing.assert_allclose(out[:, 0].real, GRID.nodes * c, atol=1e-14)
 
     def test_linear_function_exact(self):
         # trapezoid integrates linear integrands exactly: int_0^t s ds = t^2/2
         op = scalar_memory(GRID, lambda t, s: 1.0)
         psi = GRID.nodes[:, None].astype(complex)
-        out = op.apply(psi)
+        out = apply(op, psi)
         np.testing.assert_allclose(out[:, 0].real, GRID.nodes**2 / 2.0, atol=1e-13)
-
-    def test_grid_mismatch(self):
-        op = identity_volterra(GRID, 2)
-        with pytest.raises(ValueError, match="shape"):
-            op.apply(np.zeros((GRID.n_nodes, 3)))
 
 
 class TestCompose:
@@ -152,7 +158,7 @@ class TestCompose:
     def test_causality_preserved(self):
         a = random_memory_operator(GRID, 2, seed=5)
         b = random_memory_operator(GRID, 2, seed=6)
-        assert (a @ b).causality_defect() == 0.0
+        assert_causal(a @ b)
 
 
 class TestInversion:
@@ -171,7 +177,7 @@ class TestInversion:
 
     def test_inverse_is_causal(self):
         a = random_memory_operator(GRID, 2, seed=8)
-        assert invert_id_plus(a).causality_defect() == 0.0
+        assert_causal(invert_id_plus(a))
 
     def test_neumann_agrees_within_factorial_bound(self):
         a = random_memory_operator(GRID, 2, seed=9).scale(0.05)
@@ -225,7 +231,7 @@ class TestNormAndConstants:
         for trial in range(10):
             rng = np.random.default_rng(100 + trial)
             psi = rng.standard_normal((GRID.n_nodes, 3)) + 1j * rng.standard_normal((GRID.n_nodes, 3))
-            out = a.apply(psi)
+            out = apply(a, psi)
             norms = np.linalg.norm(psi, axis=1)
             for k in range(GRID.n_nodes):
                 quadrature = float(w[k, : k + 1] @ norms[: k + 1])
