@@ -77,8 +77,8 @@ from .thermal import (
 from .volterra import (
     VolterraOperator,
     identity_volterra,
-    invert_id_plus,
     neumann_inverse,
+    solve_id_plus,
 )
 
 __version__ = "0.1.0"

@@ -4,14 +4,14 @@
                     [--tolerance NAME=VAL ...]
     negf diff DUMP_A DUMP_B
 
-Exit status: 0 all enabled checks passed, 1 a check failed, 2 configuration
-error, malformed or unreadable kernel dump, or an output directory that
-cannot be created, 3 memory-guard abort.  Failures emit a machine-readable
-JSON error record on stderr.  Artifacts are deterministic: rerunning the same
-configuration reproduces them byte for byte (fix the BLAS thread count with
-NEGF_NUM_THREADS when in doubt).  The config key ``strategy`` is accepted for
-compatibility and selects nothing: every correlator grid is built by the one
-tiled sweep.
+Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
+configuration error, malformed or unreadable kernel dump, or an artifact
+that cannot be written, 3 memory-guard abort.  Failures emit a
+machine-readable JSON error record on stderr.  Artifacts are deterministic:
+rerunning the same configuration reproduces them byte for byte (fix the BLAS
+thread count with NEGF_NUM_THREADS when in doubt).  The config key
+``strategy`` is accepted for compatibility and selects nothing: every
+correlator grid is built by the one tiled sweep.
 """
 
 from __future__ import annotations
@@ -67,20 +67,17 @@ def run_command(args) -> int:
     if args.steps is not None:
         config.steps_list = [args.steps]
 
-    out_dir = args.out
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        _error_record("output", f"cannot create output directory: {exc}")
-        return EXIT_CONFIG
-
-    try:
-        failed = _execute_tasks(config, out_dir)
+        os.makedirs(args.out, exist_ok=True)
+        failed = _execute_tasks(config, args.out)
     except MemoryBudgetError as exc:
         _error_record("memory", str(exc))
         return EXIT_MEMORY
     except ConfigError as exc:
         _error_record("config", str(exc))
+        return EXIT_CONFIG
+    except OSError as exc:
+        _error_record("output", f"cannot write output: {exc}")
         return EXIT_CONFIG
 
     if failed:
@@ -187,8 +184,16 @@ def diff_command(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave a JSON error record, like every other failure."""
+
+    def error(self, message):
+        _error_record("usage", f"{self.prog}: {message}")
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="negf", description=__doc__)
+    parser = _Parser(prog="negf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the tasks listed in a configuration")

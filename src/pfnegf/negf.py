@@ -39,13 +39,7 @@ from .propagation import (
     CorrelatorGrid,
 )
 from .thermal import DensityOperator, ThermalParams, gibbs
-from .volterra import (
-    VolterraOperator,
-    block_lower_solve,
-    flat_max_abs,
-    invert_id_plus,
-    operator_norm_bound,
-)
+from .volterra import VolterraOperator, solve_id_plus
 
 # Exact-algebra identities are roundoff-limited; quadrature-limited residuals
 # get absolute defaults calibrated to the desk-scale reference grid and are
@@ -202,23 +196,23 @@ class KernelEngine:
 def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> VolterraOperator:
     """Proper self-energy ``Sigma = Sigma~ (Id + G0 Sigma~)^{-1}``.
 
-    ``G0 Sigma~`` is memory-only (the free kernel has no instantaneous part),
-    so the inverse exists by forward substitution; the instantaneous part of
+    Computed as ``(Id + Sigma~ G0)^{-1} Sigma~`` by the push-through identity
+    ``Sigma~ (Id + G0 Sigma~)^{-1} = (Id + Sigma~ G0)^{-1} Sigma~``, which holds
+    exactly in any matrix algebra: one compose and one causal solve.
+    ``Sigma~ G0`` is memory-only (the free kernel has no instantaneous part),
+    so the solve exists by forward substitution and the instantaneous part of
     the result equals that of ``Sigma~`` identically.
     """
-    resolvent = invert_id_plus(g0 @ sigma_tilde)
-    sigma = sigma_tilde + sigma_tilde @ resolvent
+    sigma = solve_id_plus(sigma_tilde @ g0, sigma_tilde)
     sigma.name = "Sigma"
     return sigma
 
 
 def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> VolterraOperator:
     """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra."""
-    n, p = g0.grid.n_nodes, g0.p
-    eye = np.eye(n * p, dtype=complex)
-    m = eye - (g0 @ sigma).flat
-    flat = block_lower_solve(m, g0.flat, g0.grid, p)
-    return VolterraOperator(g0.grid, p, flat=flat, inst=None, name="Gdyson")
+    g = solve_id_plus(-(g0 @ sigma), g0)
+    g.name = "Gdyson"
+    return g
 
 
 def approx_split(
@@ -235,9 +229,7 @@ def approx_split(
     """
     g_app = dyson_solution(g0, sigma_app)
     correction = sigma - sigma_app
-    residual = flat_max_abs(
-        g_reference.flat - g_app.flat - (g_app @ correction @ g_reference).flat
-    )
+    residual = (g_reference - g_app - g_app @ correction @ g_reference).max_abs()
     return g_app, residual
 
 
@@ -396,11 +388,10 @@ def quadrature_residuals(
     ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
     ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``.
     """
-    grid, p = g0.grid, g0.p
     return {
-        "reducible_dyson": operator_norm_bound(gxi.flat - g_alg.flat, grid, p),
-        "fmap_factorization": operator_norm_bound(f_map.flat - (sigma_tilde @ g0).flat, grid, p),
-        "fmap_dyson": operator_norm_bound(gxi.flat - g0.flat - (g0 @ f_map).flat, grid, p),
+        "reducible_dyson": (gxi - g_alg).norm_bound(),
+        "fmap_factorization": (f_map - sigma_tilde @ g0).norm_bound(),
+        "fmap_dyson": (gxi - g0 - g0 @ f_map).norm_bound(),
     }
 
 
@@ -412,9 +403,9 @@ def verify_dyson(
     """Measure every identity residual on ``engine``'s kernels and grade it.
 
     Quadrature-limited identities are measured with the induced-norm bound of
-    the discrete operator difference (max over row nodes of summed block
-    spectral norms); exact-algebra identities with the max-abs entry of the
-    flat difference.  Every operator, ``g_alg`` and the quadrature residuals
+    the discrete operator difference (``norm_bound``: max over row nodes of
+    summed block spectral norms); exact-algebra identities with its max-abs
+    entry (``max_abs``).  Every operator, ``g_alg`` and the quadrature residuals
     come from the engine's caches, so a convergence study on the same engine
     does not compute them again.
     """
@@ -430,13 +421,13 @@ def verify_dyson(
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
     report.add(
         "irreducible_dyson",
-        flat_max_abs(g_alg.flat - g0.flat - (g0 @ sigma @ g_alg).flat),
+        (g_alg - g0 - g0 @ sigma @ g_alg).max_abs(),
         tol["irreducible_dyson"],
         "exact-algebra",
     )
     report.add(
         "resolvent_dyson",
-        flat_max_abs(dyson_solution(g0, sigma).flat - g_alg.flat),
+        (dyson_solution(g0, sigma) - g_alg).max_abs(),
         tol["resolvent_dyson"],
         "exact-algebra",
     )
@@ -456,7 +447,7 @@ def verify_dyson(
     g_alg_s, g0_s, sigma_s = (x.restrict(sub) for x in (g_alg, g0, sigma))
     report.add(
         "sample_restricted_dyson",
-        flat_max_abs(g_alg_s.flat - g0_s.flat - (g0_s @ sigma_s @ g_alg_s).flat),
+        (g_alg_s - g0_s - g0_s @ sigma_s @ g_alg_s).max_abs(),
         tol["sample_restricted_dyson"],
         "exact-algebra",
     )
@@ -476,14 +467,9 @@ def verify_dyson(
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")
 
-    zero = VolterraOperator(grid, p, mem=np.zeros_like(sigma_tilde.memory_kernel()), name="0")
+    zero = VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)), name="0")
     half = sigma.scale(0.5)
-    inst_only = VolterraOperator(
-        grid, p,
-        inst=sigma.instantaneous().copy(),
-        mem=np.zeros((grid.n_nodes, grid.n_nodes, p, p), dtype=complex),
-        name="Sigma_inst",
-    )
+    inst_only = VolterraOperator(grid, p, inst=sigma.instantaneous().copy(), name="Sigma_inst")
     for name, sigma_app in (
         ("approx_split_zero", zero),
         ("approx_split_half", half),

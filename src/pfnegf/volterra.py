@@ -10,12 +10,14 @@ instantaneous part and the memory kernel.
 
 The algebra itself is *defined* on the flattened block-lower-triangular
 matrices with blocks ``m_k delta_{kl} + delta w_{kl} K[k, l]``: composition
-is the exact matrix product and inversion of ``Id + A`` is exact block
-forward substitution.  The kernel pair is a view, reconstructed from the
-flat matrix when an operator was produced algebraically.  This makes every
-operator identity of the continuum theory hold exactly in the discrete
-algebra, so identity residuals isolate the quadrature error of
-independently computed kernels.
+is the exact matrix product, and the one causal solve, ``X`` with
+``(Id + A) X = B``, is exact block forward substitution.  Sums, scalings,
+orbital restriction and residual norms are operator methods as well, so the
+flat layout is private to this module.  The kernel pair is a view,
+reconstructed from the flat matrix when an operator was produced
+algebraically.  This makes every operator identity of the continuum theory
+hold exactly in the discrete algebra, so identity residuals isolate the
+quadrature error of independently computed kernels.
 """
 
 from __future__ import annotations
@@ -157,9 +159,6 @@ class VolterraOperator:
         inst = None
         if self._inst is not None or other._inst is not None:
             inst = self.instantaneous() + sign * other.instantaneous()
-        if self._mem is not None and other._mem is not None and self._flat is None and other._flat is None:
-            return VolterraOperator(self.grid, self.p, inst=inst, mem=self._mem + sign * other._mem,
-                                    name=f"({self.name}{'+' if sign > 0 else '-'}{other.name})")
         return VolterraOperator(self.grid, self.p, flat=self.flat + sign * other.flat, inst=inst,
                                 name=f"({self.name}{'+' if sign > 0 else '-'}{other.name})")
 
@@ -169,11 +168,12 @@ class VolterraOperator:
     def __sub__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self._combine(other, -1.0)
 
+    def __neg__(self) -> "VolterraOperator":
+        return self.scale(-1.0)
+
     def scale(self, scalar) -> "VolterraOperator":
         scalar = complex(scalar)
         inst = None if self._inst is None else scalar * self._inst
-        if self._mem is not None and self._flat is None:
-            return VolterraOperator(self.grid, self.p, inst=inst, mem=scalar * self._mem, name=self.name)
         return VolterraOperator(self.grid, self.p, flat=scalar * self.flat, inst=inst, name=self.name)
 
     def restrict(self, indices) -> "VolterraOperator":
@@ -181,13 +181,21 @@ class VolterraOperator:
         indices = np.asarray(indices, dtype=int)
         sub = indices[:, None], indices[None, :]
         inst = None if self._inst is None else self._inst[:, sub[0], sub[1]]
-        if self._mem is not None and self._flat is None:
+        if self._mem is not None:
             return VolterraOperator(self.grid, len(indices), inst=inst,
                                     mem=self._mem[:, :, sub[0], sub[1]], name=f"{self.name}|restricted")
         blocks = self.flat_blocks()[:, :, sub[0], sub[1]]
         n, q = self.grid.n_nodes, len(indices)
         flat = blocks.transpose(0, 2, 1, 3).reshape(n * q, n * q)
         return VolterraOperator(self.grid, q, flat=flat, inst=inst, name=f"{self.name}|restricted")
+
+    def max_abs(self) -> float:
+        """Largest entry magnitude of the flat matrix (exact-algebra residuals)."""
+        return float(np.max(np.abs(self.flat)))
+
+    def norm_bound(self) -> float:
+        """Induced sup-norm bound of the operator (see ``operator_norm_bound``)."""
+        return operator_norm_bound(self.flat, self.grid, self.p)
 
     def volterra_constant(self) -> float:
         """Discrete Volterra constant: max spectral norm over memory blocks.
@@ -202,7 +210,7 @@ class VolterraOperator:
 
 def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
     inst = np.broadcast_to(np.eye(p, dtype=complex), (grid.n_nodes, p, p)).copy()
-    return VolterraOperator(grid, p, inst=inst, mem=np.zeros((grid.n_nodes, grid.n_nodes, p, p), dtype=complex), name="Id")
+    return VolterraOperator(grid, p, inst=inst, name="Id")
 
 
 def _strict_upper_max(blocks: np.ndarray) -> float:
@@ -232,18 +240,21 @@ def block_lower_solve(flat: np.ndarray, rhs: np.ndarray, grid: TimeGrid, p: int)
     return x
 
 
-def invert_id_plus(a: VolterraOperator) -> VolterraOperator:
-    """R with ``(Id + A)(Id + R) = Id`` exactly in the discrete algebra."""
+def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
+    """X with ``(Id + A) X = B`` exactly in the discrete algebra.
+
+    One block forward substitution; the instantaneous part is
+    ``(I + m_A)^{-1} m_B`` node by node.
+    """
+    a._require_compatible(b)
     n, p = a.grid.n_nodes, a.p
-    eye = np.eye(n * p, dtype=complex)
-    m = eye + a.flat
-    x = block_lower_solve(m, eye, a.grid, p)
-    inst = None
-    if a._inst is not None:
-        inst = np.empty_like(a._inst)
-        for k in range(n):
-            inst[k] = np.linalg.inv(np.eye(p) + a._inst[k]) - np.eye(p)
-    return VolterraOperator(a.grid, p, flat=x - eye, inst=inst, name=f"inv(Id+{a.name})-Id")
+    m = a.flat.copy()
+    m[np.diag_indices(n * p)] += 1.0
+    flat = block_lower_solve(m, b.flat, a.grid, p)
+    inst = b._inst
+    if inst is not None and a._inst is not None:
+        inst = np.linalg.solve(np.eye(p) + a._inst, inst)
+    return VolterraOperator(a.grid, p, flat=flat, inst=inst, name=f"solve(Id+{a.name},{b.name})")
 
 
 def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
@@ -276,10 +287,6 @@ def operator_norm_bound(flat: np.ndarray, grid: TimeGrid, p: int) -> float:
     for l in range(n):
         rows += norms[:, l]
     return float(np.max(rows))
-
-
-def flat_max_abs(flat: np.ndarray) -> float:
-    return float(np.max(np.abs(flat))) if flat.size else 0.0
 
 
 # -- kernel dump format ------------------------------------------------

@@ -131,6 +131,27 @@ class TestRun:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "output"
 
+    def test_unwritable_artifact_exit_code(self, tmp_path):
+        # a directory where the g0 dump should go
+        (tmp_path / "out" / "g0.kernel.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, dimer_config())
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "output"
+
+    @pytest.mark.parametrize(
+        "extra", [["--strategy", "auto"], ["--steps", "abc"]], ids=["unknown-flag", "bad-int"]
+    )
+    def test_usage_error_exit_code(self, tmp_path, extra):
+        cfg = write_config(tmp_path, dimer_config())
+        result = run_cli(["run", str(cfg), *extra], tmp_path)
+        assert result.returncode == 2, result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "usage"
+        assert run_cli(["run", "-h"], tmp_path).returncode == 0
+
     def test_recompute_memory_guard_exit_code(self, tmp_path):
         # recompute holds one held tile and one D tile, and they must fit too
         cfg_data = trimer_config()

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pfnegf.grid import TimeGrid
+from pfnegf.negf import compute_g0
 from pfnegf.volterra import (
     VolterraOperator,
     dump_kernel,
     identity_volterra,
-    invert_id_plus,
     load_kernel,
     neumann_inverse,
     operator_norm_bound,
+    solve_id_plus,
     trapezoid_weights,
 )
 
@@ -63,6 +64,12 @@ def loop_volterra_constant(op):
         for l in range(k + 1):
             best = max(best, np.linalg.norm(mem[k, l], 2))
     return float(best)
+
+
+def resolvent(a):
+    """R with ``(Id + A)(Id + R) = Id``, from the one causal solve."""
+    ident = identity_volterra(a.grid, a.p)
+    return solve_id_plus(a, ident) - ident
 
 
 def apply(op, psi):
@@ -164,29 +171,26 @@ class TestCompose:
 class TestInversion:
     def test_zero_operator(self):
         zero = VolterraOperator(GRID, 2, mem=np.zeros((GRID.n_nodes, GRID.n_nodes, 2, 2)), name="0")
-        r = invert_id_plus(zero)
-        assert np.max(np.abs(r.flat)) == 0.0
+        assert resolvent(zero).max_abs() == 0.0
 
     def test_inverse_residual(self):
         a = random_memory_operator(GRID, 3, seed=7)
-        r = invert_id_plus(a)
-        n = GRID.n_nodes * 3
-        eye = np.eye(n)
-        residual = np.max(np.abs((eye + a.flat) @ (eye + r.flat) - eye))
-        assert residual <= 1e-12
+        r = resolvent(a)
+        ident = identity_volterra(GRID, 3)
+        assert ((ident + a) @ (ident + r) - ident).max_abs() <= 1e-12
 
     def test_inverse_is_causal(self):
         a = random_memory_operator(GRID, 2, seed=8)
-        assert_causal(invert_id_plus(a))
+        assert_causal(resolvent(a))
 
     def test_neumann_agrees_within_factorial_bound(self):
         a = random_memory_operator(GRID, 2, seed=9).scale(0.05)
-        r_exact = invert_id_plus(a)
+        r_exact = resolvent(a)
         c_a = a.volterra_constant()
         horizon = GRID.horizon
         for order in (4, 8, 12):
             r_series = neumann_inverse(a, order)
-            diff = operator_norm_bound(r_series.flat - r_exact.flat, GRID, 2)
+            diff = (r_series - r_exact).norm_bound()
             bound = (c_a * horizon) ** (order + 1) / math.factorial(order)
             assert diff <= bound + 1e-12
 
@@ -198,8 +202,7 @@ class TestInversion:
         for steps in (20, 40):
             grid = TimeGrid(2.0, steps)
             a = scalar_memory(grid, lambda t, s: -lam)
-            r = invert_id_plus(a)
-            mem = r.memory_kernel()
+            mem = resolvent(a).memory_kernel()
             worst = 0.0
             t = grid.nodes
             for k in range(3, grid.n_nodes):
@@ -216,7 +219,46 @@ class TestInversion:
         inst[3, 0, 0] = -1.0  # makes Id + m singular at node 3
         a = VolterraOperator(GRID, 1, inst=inst, mem=np.zeros((n, n, 1, 1)), name="bad")
         with pytest.raises(np.linalg.LinAlgError, match="node 3"):
-            invert_id_plus(a)
+            solve_id_plus(a, identity_volterra(GRID, 1))
+
+    def test_instantaneous_parts_on_both_sides(self):
+        # (Id + A) X = B with m_X = (I + m_A)^{-1} m_B node by node
+        p, n = 2, GRID.n_nodes
+        rng = np.random.default_rng(16)
+        inst_a = 0.3 * (rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p)))
+        inst_b = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
+        mem_a = random_memory_operator(GRID, p, seed=17).scale(0.1)
+        mem_b = random_memory_operator(GRID, p, seed=18)
+        a = mem_a + VolterraOperator(GRID, p, inst=inst_a)
+        b = mem_b + VolterraOperator(GRID, p, inst=inst_b)
+        x = solve_id_plus(a, b)
+        ident = identity_volterra(GRID, p)
+        assert ((ident + a) @ x - b).max_abs() <= 1e-12
+        expected = np.linalg.solve(np.eye(p) + inst_a, inst_b)
+        np.testing.assert_allclose(x.instantaneous(), expected, rtol=0, atol=1e-12)
+        # m_B itself when A has no instantaneous part, none when B has none
+        np.testing.assert_array_equal(solve_id_plus(mem_a, b).instantaneous(), inst_b)
+        assert not solve_id_plus(a, mem_b).has_instantaneous()
+
+
+class TestCacheState:
+    OPERATIONS = {
+        "restrict": lambda a, b: a.restrict([0, 1]).memory_kernel(),
+        "sum": lambda a, b: (a + b).flat,
+        "scale": lambda a, b: a.scale(0.3 - 0.7j).flat,
+    }
+
+    @pytest.mark.parametrize("operation", list(OPERATIONS))
+    def test_results_do_not_depend_on_a_flat_read(self, operation):
+        h = np.array([[0.4, 1.0, 0.0], [1.0, -0.2, 0.6], [0.0, 0.6, 0.1]])
+
+        def operands():
+            return compute_g0(h, GRID), random_memory_operator(GRID, 3, seed=14)
+
+        fresh = self.OPERATIONS[operation](*operands())
+        a, b = operands()
+        a.flat, b.flat  # fill the flat caches first
+        np.testing.assert_array_equal(self.OPERATIONS[operation](a, b), fresh)
 
 
 class TestNormAndConstants:
