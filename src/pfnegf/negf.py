@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import MemoryBudgetError
 from .grid import TimeGrid
 from .model import Model
 from .propagation import (
@@ -39,7 +40,7 @@ from .propagation import (
     CorrelatorGrid,
 )
 from .thermal import DensityOperator, ThermalParams, gibbs
-from .volterra import VolterraOperator, solve_id_plus
+from .volterra import VolterraOperator, packed_size, solve_id_plus
 
 # Exact-algebra identities are roundoff-limited; quadrature-limited residuals
 # get absolute defaults calibrated to the desk-scale reference grid and are
@@ -62,6 +63,12 @@ DEFAULT_TOLERANCES = {
 }
 
 QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
+
+# Packed Volterra operators' worth of memory that ``verify`` holds at once.
+# tracemalloc on the lead3-verify benchmark config (d = 8, 101 nodes, seed 0)
+# measured a peak of 11.5 beyond its four kernel-built operators; at most 18
+# operators were live, with 15.2 packed buffers between them.
+ALGEBRA_OPERATORS = 16
 
 
 def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
@@ -94,9 +101,11 @@ class KernelEngine:
     pairing tiles of nodes in one GEMM each.  That costs O(N_t^2) phase
     products, no evolution sweeps and O(TILE_NODES) memory in N_t.  Derived
     objects (irreducible self-energy, algebraic Dyson solution) are exact
-    flat-algebra products.  The ladder grid is cached, since ``gxi`` and the
-    pairing check both read it; the dressed and mixed grids are read once,
-    by ``sigma_tilde`` and ``f_map``, and are not cached.
+    products of the packed causal algebra.  The ladder grid is cached, since
+    ``gxi`` and the pairing check both read it; the dressed and mixed grids
+    are read once, by ``sigma_tilde`` and ``f_map``, and are not cached.
+    ``budget`` covers the correlator tiles and ``ALGEBRA_OPERATORS`` packed
+    operators; an engine that cannot fit them is refused at construction.
     """
 
     def __init__(
@@ -108,6 +117,12 @@ class KernelEngine:
         rho: DensityOperator | None = None,
         full_correlator: bool = True,
     ):
+        need = ALGEBRA_OPERATORS * 16 * packed_size(grid.n_nodes, model.num_sites)  # complex128
+        if need > budget:
+            raise MemoryBudgetError(
+                f"the Volterra algebra needs {need} bytes (budget {budget}); "
+                "reduce the step count or the orbital count"
+            )
         self.model = model
         self.grid = grid
         self.thermal = thermal

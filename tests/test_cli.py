@@ -4,6 +4,8 @@ import os
 import pytest
 from conftest import dimer_config, run_cli, trimer_config
 from pfnegf.config import parse_config, reference_config
+from pfnegf.propagation import CorrelatorFactory
+from pfnegf.thermal import gibbs
 
 THREAD_VARS = ("NEGF_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -119,6 +121,26 @@ class TestRun:
         assert result.returncode == 3
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "memory"
+
+    def test_algebra_memory_guard_exit_code(self, tmp_path):
+        # the correlator tiles fit this budget; the Volterra algebra of verify does not
+        cfg_data = trimer_config()
+        cfg_data["grid"]["steps"] = 60
+        cfg_data["tolerances"] = {"reducible_dyson": 5e-3, "fmap_dyson": 5e-3}
+        budget = 1_000_000
+        run = parse_config(cfg_data)
+        rho = gibbs(run.model.K_0, run.thermal, run.model.N_total)
+        factory = CorrelatorFactory(rho, run.model.K_v, run.grid(), budget=budget)
+        factory.add_family("b", list(run.model.dressed_creation_family))
+        factory.anticommutator_grid("b", "b")
+        cfg = write_config(tmp_path, cfg_data)
+        result = run_cli(
+            ["run", str(cfg), "--out", str(tmp_path / "out"), "--budget", str(budget)], tmp_path
+        )
+        assert result.returncode == 3, result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "memory"
+        assert "Volterra algebra" in record["error"]["message"]
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
     def test_unusable_out_path_exit_code(self, tmp_path, out):

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import compute_g0
 from pfnegf.volterra import (
+    TILE_NODES,
     VolterraOperator,
     dump_kernel,
     identity_volterra,
@@ -49,7 +50,7 @@ def random_memory_operator(grid, p, seed=0):
 def loop_norm_bound(flat, grid, p):
     """Per-block reference for ``operator_norm_bound``."""
     n = grid.n_nodes
-    blocks = flat.reshape(n, p, n, p).transpose(0, 2, 1, 3)
+    blocks = dense_blocks(flat, grid, p)
     best = 0.0
     for k in range(n):
         best = max(best, sum(np.linalg.norm(blocks[k, l], 2) for l in range(n)))
@@ -83,9 +84,15 @@ def kernel_text(op, ordering):
     return buf.getvalue()
 
 
+def dense_blocks(flat, grid, p):
+    """(n, n, p, p) block view of a dense ``(n p, n p)`` matrix."""
+    n = grid.n_nodes
+    return flat.reshape(n, p, n, p).transpose(0, 2, 1, 3)
+
+
 def assert_causal(op):
-    """The strict-upper (acausal) blocks of the flat matrix are exactly zero."""
-    blocks = op.flat_blocks()
+    """The strict-upper (acausal) blocks of the expanded matrix are exactly zero."""
+    blocks = dense_blocks(op.flat, op.grid, op.p)
     assert np.all(blocks[np.triu_indices(op.grid.n_nodes, k=1)] == 0.0)
 
 
@@ -137,9 +144,16 @@ class TestCompose:
         np.testing.assert_array_equal(left.flat, b.flat)
 
     def test_flatten_homomorphism(self):
-        a = random_memory_operator(GRID, 2, seed=1)
-        b = random_memory_operator(GRID, 2, seed=2)
-        np.testing.assert_array_equal((a @ b).flat, a.flat @ b.flat)
+        # the product of the expansions; bitwise when the grid fits in one tile
+        for steps in (TILE_NODES - 1, GRID.steps):
+            grid = TimeGrid(GRID.horizon, steps)
+            a = random_memory_operator(grid, 2, seed=1)
+            b = random_memory_operator(grid, 2, seed=2)
+            dense = a.flat @ b.flat
+            if grid.n_nodes <= TILE_NODES:
+                np.testing.assert_array_equal((a @ b).flat, dense)
+            else:
+                assert np.max(np.abs((a @ b).flat - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_constant_kernels_compose_to_lag(self):
         # iterated integral of two unit kernels: int_{t'}^{t} ds = t - t'.
@@ -281,16 +295,16 @@ class TestNormAndConstants:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_batched_norms_equal_loop_reference(self, p):
-        # causal flats: the acausal zero blocks enter every row sum
-        grid = TimeGrid(1.0, 12)
+        # the loop reference also sums the acausal zero blocks of every row
+        grid = TimeGrid(1.0, TILE_NODES + 4)
         a = random_memory_operator(grid, p, seed=20 + p)
         b = random_memory_operator(grid, p, seed=30 + p)
         n = grid.n_nodes
         rng = np.random.default_rng(40 + p)
         inst = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
-        c = VolterraOperator(grid, p, inst=inst, flat=(a @ b).flat, name="c")
+        c = a @ b + VolterraOperator(grid, p, inst=inst, name="c")
         for op in (a, a @ b, c):
-            assert operator_norm_bound(op.flat, grid, p) == loop_norm_bound(op.flat, grid, p)
+            assert operator_norm_bound(op) == loop_norm_bound(op.flat, grid, p)
             assert op.volterra_constant() == loop_volterra_constant(op)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -301,21 +315,25 @@ class TestNormAndConstants:
         mem = np.zeros((n, n, 2, 2), dtype=complex)
         mem[4, 1, 0, 1] = bad
         op = VolterraOperator(grid, 2, mem=mem, name="bad")
-        assert not np.isfinite(operator_norm_bound(op.flat, grid, 2))
+        assert not np.isfinite(operator_norm_bound(op))
         assert not np.isfinite(op.volterra_constant())
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_batched_norm_bound_property(self, data):
+        # drawn causal operators: a kernel pair, and its sum with a product
         steps = data.draw(st.integers(2, 5), label="steps")
         p = data.draw(st.integers(1, 4), label="p")
         grid = TimeGrid(1.0, steps)
-        size = grid.n_nodes * p
-        parts = data.draw(
-            arrays(np.float64, (2, size, size), elements=st.floats(-1e6, 1e6)), label="parts"
-        )
-        flat = parts[0] + 1j * parts[1]
-        assert operator_norm_bound(flat, grid, p) == loop_norm_bound(flat, grid, p)
+        n = grid.n_nodes
+        elements = st.floats(-1e6, 1e6)
+        mem = data.draw(arrays(np.float64, (2, n, n, p, p), elements=elements), label="mem")
+        inst = data.draw(arrays(np.float64, (2, n, p, p), elements=elements), label="inst")
+        mem = mem[0] + 1j * mem[1]
+        mem[np.triu_indices(n, k=1)] = 0.0
+        op = VolterraOperator(grid, p, inst=inst[0] + 1j * inst[1], mem=mem, name="drawn")
+        for x in (op, op + op @ op):
+            assert operator_norm_bound(x) == loop_norm_bound(x.flat, grid, p)
 
 
 class TestRestriction:
@@ -395,3 +413,121 @@ class TestDumpFormat:
         inst[4, 0, 1] = 0.25 - 3.0j
         a = VolterraOperator(grid, 2, inst=inst, mem=mem, name="special")
         assert kernel_text(a, ["x", "y"]) == csv_writer_text(a, ["x", "y"])
+
+
+class TestConstruction:
+    def test_no_dense_matrix_input(self):
+        # a dense matrix could carry acausal weight that the kernel view hides
+        n = GRID.n_nodes
+        flat = np.zeros((n, n), dtype=complex)
+        flat[0, 2] = 1.0
+        with pytest.raises(TypeError):
+            VolterraOperator(GRID, 1, flat=flat)
+
+    def test_acausal_kernel_rejected(self):
+        n = GRID.n_nodes
+        mem = np.zeros((n, n, 1, 1), dtype=complex)
+        mem[0, 2] = 1.0
+        with pytest.raises(ValueError, match="acausal weight"):
+            VolterraOperator(GRID, 1, mem=mem)
+
+
+# n = 3 (the smallest grid), one tile, one past it, and two tiles plus three nodes
+ORACLE_STEPS = (2, TILE_NODES - 1, TILE_NODES, 2 * TILE_NODES + 2)
+
+
+def dense_flat(grid, p, inst, mem):
+    """The matrix of a kernel pair, assembled by numpy alone."""
+    n = grid.n_nodes
+    blocks = mem * (trapezoid_weights(n) * grid.delta)[:, :, None, None]
+    if inst is not None:
+        blocks[np.arange(n), np.arange(n)] += inst
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+def dense_kernel(flat, inst, grid, p):
+    """Kernel view of a dense matrix: subtract ``inst``, divide by the weights."""
+    n = grid.n_nodes
+    blocks = dense_blocks(flat, grid, p).copy()
+    blocks[np.arange(n), np.arange(n)] -= inst
+    w = trapezoid_weights(n) * grid.delta
+    w[w == 0.0] = 1.0
+    mem = blocks / w[:, :, None, None]
+    mem[np.triu_indices(n, k=1)] = 0.0
+    mem[0, 0] = 0.0
+    return mem
+
+
+def dense_restrict(flat, grid, p, indices):
+    n, q = grid.n_nodes, len(indices)
+    blocks = dense_blocks(flat, grid, p)[:, :, indices][:, :, :, indices]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * q, n * q)
+
+
+def relative_error(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two drawn operators on one grid, with their kernel pairs and dense matrices."""
+    steps = draw(st.sampled_from(ORACLE_STEPS), label="steps")
+    p = draw(st.integers(1, 4), label="p")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = TimeGrid(1.0, steps)
+    n = grid.n_nodes
+    out = []
+    for scale in (0.3, 1.0):  # A small enough for a well-conditioned Id + A
+        mem = scale * (rng.standard_normal((n, n, p, p)) + 1j * rng.standard_normal((n, n, p, p)))
+        mem[np.triu_indices(n, k=1)] = 0.0
+        inst = None
+        if draw(st.booleans(), label="instantaneous"):
+            inst = scale * (rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p)))
+        op = VolterraOperator(grid, p, inst=inst, mem=mem, name="drawn")
+        out.append((op, inst, mem, dense_flat(grid, p, inst, mem)))
+    return grid, p, out[0], out[1]
+
+
+class TestPackedAgainstDenseOracle:
+    """Packed algebra against numpy on the dense matrices of the kernel pairs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(operator_pairs())
+    def test_compose(self, pair):
+        grid, p, (a, _, _, da), (b, _, _, db) = pair
+        product, expected = (a @ b).flat, da @ db
+        if grid.n_nodes <= TILE_NODES:
+            np.testing.assert_array_equal(product, expected)
+        else:
+            assert relative_error(product, expected) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(operator_pairs())
+    def test_solve_id_plus(self, pair):
+        grid, p, (a, _, _, da), (b, _, _, db) = pair
+        expected = np.linalg.solve(np.eye(len(da)) + da, db)
+        assert relative_error(solve_id_plus(a, b).flat, expected) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(operator_pairs(), st.data())
+    def test_linear_operations_bitwise(self, pair, data):
+        grid, p, (a, inst_a, mem_a, da), (b, inst_b, _, db) = pair
+        s = complex(data.draw(st.floats(-2, 2), label="re"), data.draw(st.floats(-2, 2), label="im"))
+        np.testing.assert_array_equal((a + b).flat, da + db)
+        np.testing.assert_array_equal((a - b).flat, da - db)
+        np.testing.assert_array_equal(a.scale(s).flat, s * da)
+        np.testing.assert_array_equal(a.memory_kernel(), mem_a)
+        total = a + b
+        inst_total = a.instantaneous() + b.instantaneous()
+        np.testing.assert_array_equal(total.memory_kernel(), dense_kernel(da + db, inst_total, grid, p))
+        for op, dense in ((a, da), (total, da + db)):
+            assert op.max_abs() == np.max(np.abs(dense))
+            assert op.norm_bound() == loop_norm_bound(dense, grid, p)
+        indices = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+        np.testing.assert_array_equal(a.restrict(indices).flat, dense_restrict(da, grid, p, indices))
+        np.testing.assert_array_equal(
+            a.restrict(indices).memory_kernel(), mem_a[:, :, indices][:, :, :, indices]
+        )
+        np.testing.assert_array_equal(
+            total.restrict(indices).flat, dense_restrict(da + db, grid, p, indices)
+        )
