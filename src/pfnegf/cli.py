@@ -6,12 +6,12 @@
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
 configuration error, malformed or unreadable kernel dump, or an artifact
-that cannot be written, 3 memory-guard abort.  Failures emit a
-machine-readable JSON error record on stderr.  Artifacts are deterministic:
-rerunning the same configuration reproduces them byte for byte (fix the BLAS
-thread count with NEGF_NUM_THREADS when in doubt).  The config key
-``strategy`` is accepted for compatibility and selects nothing: every
-correlator grid is built by the one tiled sweep.
+that cannot be written, 3 memory-guard abort.  A tolerance name, from the
+config or from ``--tolerance``, must name a check of ``verify`` or be
+``convergence_min_order``.  Failures emit a machine-readable JSON error
+record on stderr.  Artifacts are deterministic: rerunning the same
+configuration reproduces them byte for byte (fix the BLAS thread count with
+NEGF_NUM_THREADS when in doubt).
 """
 
 from __future__ import annotations
@@ -49,10 +49,15 @@ def _write_text(path, text) -> None:
 def run_command(args) -> int:
     from .config import load_config
     from .errors import ConfigError, MemoryBudgetError
+    from .negf import DEFAULT_TOLERANCES
 
     try:
         config = load_config(args.config)
-        overrides = _parse_tolerance_overrides(args.tolerance)
+        config.tolerances.update(_parse_tolerance_overrides(args.tolerance))
+        known = set(DEFAULT_TOLERANCES) | {"convergence_min_order"}
+        unknown = sorted(set(config.tolerances) - known)
+        if unknown:
+            raise ConfigError(f"unknown tolerance name(s): {', '.join(unknown)}")
         if args.steps is not None and args.steps < 2:
             raise ConfigError("--steps must be an integer >= 2")
         if args.budget is not None and args.budget <= 0:
@@ -61,7 +66,6 @@ def run_command(args) -> int:
         _error_record("config", str(exc))
         return EXIT_CONFIG
 
-    config.tolerances.update(overrides)
     if args.budget is not None:
         config.budget = args.budget
     if args.steps is not None:
@@ -88,12 +92,10 @@ def run_command(args) -> int:
 
 def _execute_tasks(config, out_dir) -> list:
     from .errors import ConfigError
-    from .negf import KernelEngine, compute_g0, convergence_study
-    from .propagation import DEFAULT_BUDGET_BYTES
+    from .negf import KernelEngine, compute_g0, convergence_study, verify_dyson
     from .thermal import gamma_check
     from .volterra import dump_kernel_to_path
 
-    budget = config.budget if config.budget is not None else DEFAULT_BUDGET_BYTES
     ordering = config.model.geometry.site_labels
     failed = []
     engine = None
@@ -101,7 +103,7 @@ def _execute_tasks(config, out_dir) -> list:
     def get_engine():
         nonlocal engine
         if engine is None:
-            engine = KernelEngine(config.model, config.thermal, config.grid(), budget=budget)
+            engine = KernelEngine(config.model, config.thermal, config.grid(), budget=config.budget)
         return engine
 
     for task in config.tasks:
@@ -115,21 +117,16 @@ def _execute_tasks(config, out_dir) -> list:
             dump_kernel_to_path(eng.sigma_tilde, ordering, os.path.join(out_dir, "sigma_tilde.kernel.csv"))
             dump_kernel_to_path(eng.sigma, ordering, os.path.join(out_dir, "sigma.kernel.csv"))
         elif task == "verify":
-            report = get_engine().verify(tolerances=config.tolerances, model_hash=config.model_hash)
+            report = verify_dyson(
+                get_engine(), tolerances=config.tolerances, model_hash=config.model_hash
+            )
             _write_text(os.path.join(out_dir, "dyson_report.json"), report.to_json() + "\n")
             if not report.passed:
                 failed.extend(c.name for c in report.checks if not c.passed)
         elif task == "converge":
             if len(config.steps_list) < 2:
                 raise ConfigError("converge task needs at least two step counts in grid.steps")
-            study = convergence_study(
-                config.model,
-                config.thermal,
-                config.horizon,
-                config.steps_list,
-                budget=budget,
-                engine=get_engine(),
-            )
+            study = convergence_study(get_engine(), config.steps_list)
             _write_text(os.path.join(out_dir, "convergence.csv"), study["csv"])
             _write_text(
                 os.path.join(out_dir, "convergence.json"),

@@ -12,23 +12,21 @@ Schema (all complex scalars may be a number or a ``[re, im]`` pair)::
       "grid":    {"T": number, "steps": int or [int, ...]},
       "tasks":   ["g0" | "gxi" | "sigma" | "verify" | "converge" | "gamma-check", ...],
       "tolerances": {check_name: value, ...},        # optional
-      "budget":   bytes,                              # optional
-      "strategy": "auto" | "history" | "recompute"    # optional, selects nothing
+      "budget":   bytes                               # optional, default 4 GiB
     }
 
 Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
-entries and every other task uses the largest.  ``strategy`` is validated
-and accepted for compatibility only: every correlator grid is built by the
-one tiled sweep, in O(TILE_NODES) memory in the step count.
+entries and every other task uses the largest.  Keys outside the schema
+are ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +34,7 @@ from .errors import ConfigError
 from .grid import TimeGrid
 from .lattice import LeadCoupling, TwoBodyPotential, build_geometry, build_hamiltonians
 from .model import Model
+from .propagation import DEFAULT_BUDGET_BYTES
 from .thermal import ThermalParams
 
 KNOWN_TASKS = ("g0", "gxi", "sigma", "verify", "converge", "gamma-check")
@@ -87,16 +86,16 @@ class RunConfig:
     horizon: float
     steps_list: list
     tasks: list
-    tolerances: dict = field(default_factory=dict)
-    budget: int | None = None
-    model_hash: str = ""
+    tolerances: dict
+    budget: int
+    model_hash: str
 
     @property
     def steps(self) -> int:
         return max(self.steps_list)
 
-    def grid(self, steps: int | None = None) -> TimeGrid:
-        return TimeGrid(self.horizon, self.steps if steps is None else steps)
+    def grid(self) -> TimeGrid:
+        return TimeGrid(self.horizon, self.steps)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -175,14 +174,9 @@ def parse_config(data: dict) -> RunConfig:
     tolerances = {str(k): float(v) for k, v in tolerances.items()}
 
     budget = data.get("budget")
-    if budget is not None:
-        budget = int(budget)
-        if budget <= 0:
-            raise ConfigError("budget must be positive")
-
-    strategy = data.get("strategy", "auto")
-    if strategy not in ("auto", "history", "recompute"):
-        raise ConfigError(f"unknown strategy {strategy!r}")
+    budget = DEFAULT_BUDGET_BYTES if budget is None else int(budget)
+    if budget <= 0:
+        raise ConfigError("budget must be positive")
 
     hashed = {
         "sample": sample,

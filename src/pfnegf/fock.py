@@ -34,23 +34,21 @@ class FockSpace:
     ----------
     num_orbitals : int
         Number of one-particle orbitals ``d``; the many-body dimension is
-        ``2**d``.
-    cap : int
-        Guard against accidental exponential blow-up; raising the cap is a
-        deliberate act of the caller.
+        ``2**d``.  At most ``DEFAULT_ORBITAL_CAP``, a guard against
+        accidental exponential blow-up.
     sign_order : sequence of int, optional
         Permutation of ``range(d)`` giving the position of each orbital in
         the Jordan-Wigner string.  Defaults to the orbital index itself.
     """
 
-    def __init__(self, num_orbitals: int, cap: int = DEFAULT_ORBITAL_CAP, sign_order=None):
+    def __init__(self, num_orbitals: int, sign_order=None):
         d = int(num_orbitals)
         if d < 1:
             raise ValueError("need at least one orbital")
-        if d > cap:
+        if d > DEFAULT_ORBITAL_CAP:
             raise ValueError(
-                f"{d} orbitals exceed the cap of {cap}: the {2**d}-state basis "
-                "would not fit the intended desk scale"
+                f"{d} orbitals exceed the cap of {DEFAULT_ORBITAL_CAP}: the {2**d}-state "
+                "basis would not fit the intended desk scale"
             )
         self.num_orbitals = d
         self.dim = 1 << d
@@ -254,7 +252,7 @@ def identity_operator(fs: FockSpace) -> ManyBodyOperator:
     return ManyBodyOperator(fs, 0, blocks)
 
 
-def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int, leak_tol: float = 0.0) -> ManyBodyOperator:
+def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int) -> ManyBodyOperator:
     """Slice a full matrix into sector blocks, checking off-block leakage."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (fs.dim, fs.dim):
@@ -273,7 +271,7 @@ def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int, leak_tol: fl
         blocks.append(block)
         recon[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
     leak = np.max(np.abs(matrix - recon)) if matrix.size else 0.0
-    if leak > leak_tol:
+    if leak > 0.0:
         raise ValueError(f"matrix has weight {leak:.3e} outside displacement {displacement}")
     return ManyBodyOperator(fs, displacement, tuple(blocks))
 

@@ -126,6 +126,7 @@ class KernelEngine:
         self.model = model
         self.grid = grid
         self.thermal = thermal
+        self.budget = budget
         self.rho = rho if rho is not None else gibbs(model.K_0, thermal, model.N_total, label="pf")
         self.factory = CorrelatorFactory(self.rho, model.K_v, grid, budget=budget)
         self.factory.add_family("a", list(model.creation_family))
@@ -203,9 +204,6 @@ class KernelEngine:
     def quadrature(self) -> dict:
         """The three quadrature-limited residuals (see ``quadrature_residuals``)."""
         return quadrature_residuals(self.g0, self.gxi, self.sigma_tilde, self.g_alg, self.f_map)
-
-    def verify(self, tolerances: dict | None = None, model_hash: str = "") -> "DysonReport":
-        return verify_dyson(self, tolerances=tolerances, model_hash=model_hash)
 
 
 def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> VolterraOperator:
@@ -327,37 +325,33 @@ def fit_convergence_order(deltas, residuals) -> float:
     return float(slope)
 
 
-def convergence_study(
-    model: Model,
-    thermal: ThermalParams,
-    horizon: float,
-    steps_list,
-    budget: int = DEFAULT_BUDGET_BYTES,
-    engine: KernelEngine | None = None,
-) -> dict:
+def convergence_study(engine: KernelEngine, steps_list) -> dict:
     """Quadrature-residual table over a family of grids plus fitted orders.
 
-    The state is grid-independent and shared across the study; each grid gets
-    its own kernel engine, which builds only what the three quadrature-limited
-    identities need (see ``quadrature_residuals``).  An ``engine`` already
-    built for the same model and state serves its own grid and lends its
-    state to the others; its causal blocks are the same products as a
-    causal-only engine's, so the table does not change.  The exact-algebra
-    checks are grid-independent and belong to ``verify_dyson``.  Returns the
-    CSV text, the rows, and fitted orders for the three identities.
+    ``engine`` serves its own grid.  Every other grid gets a kernel engine of
+    the same model, state, horizon and budget, which builds only what the
+    three quadrature-limited identities need (see ``quadrature_residuals``).
+    A full-grid engine's causal blocks are the same products as a causal-only
+    engine's, so the table does not depend on which one is passed.  The
+    exact-algebra checks are grid-independent and belong to ``verify_dyson``.
+    Returns the CSV text, the rows, and fitted orders for the three
+    identities.
     """
     steps_list = sorted(int(s) for s in steps_list)
-    rho = engine.rho if engine is not None else gibbs(model.K_0, thermal, model.N_total, label="pf")
     names = QUADRATURE_CHECKS
     rows = []
     for steps in steps_list:
-        grid = TimeGrid(horizon, steps)
-        if engine is None or engine.grid != grid:
+        grid = TimeGrid(engine.grid.horizon, steps)
+        engine_at = engine
+        if engine.grid != grid:
             engine_at = KernelEngine(
-                model, thermal, grid, budget=budget, rho=rho, full_correlator=False
+                engine.model,
+                engine.thermal,
+                grid,
+                budget=engine.budget,
+                rho=engine.rho,
+                full_correlator=False,
             )
-        else:
-            engine_at = engine
         rows.append({"steps": steps, "delta": grid.delta} | engine_at.quadrature)
     deltas = [row["delta"] for row in rows]
     fitted = {name: fit_convergence_order(deltas, [row[name] for row in rows]) for name in names}

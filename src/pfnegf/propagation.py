@@ -101,7 +101,7 @@ class CorrelatorGrid:
     grid: TimeGrid
     full: bool
 
-    def causal_kernel(self, prefactor=1.0) -> np.ndarray:
+    def causal_kernel(self, prefactor) -> np.ndarray:
         """(n, n, p_d, p_a) kernel ``prefactor * C`` with the acausal part zeroed."""
         n = self.grid.n_nodes
         kernel = self.values.transpose(2, 3, 0, 1).copy()
@@ -270,7 +270,6 @@ def two_time_kernel(
     family_creation: list[ManyBodyOperator],
     family_annihilation: list[ManyBodyOperator],
     grid: TimeGrid,
-    budget: int = DEFAULT_BUDGET_BYTES,
     full: bool = False,
 ) -> CorrelatorGrid:
     """Anticommutator grid ``C[j, m, k, l] = Tr(rho {A*_m(t_l), B_j(t_k)})``.
@@ -282,7 +281,7 @@ def two_time_kernel(
     for op in family_annihilation:
         if op.displacement != -1:
             raise ValueError("family_annihilation must hold displacement -1 operators")
-    factory = CorrelatorFactory(rho, generator, grid, budget=budget)
+    factory = CorrelatorFactory(rho, generator, grid)
     factory.add_family("a", family_creation)
     factory.add_family("d", [op.dagger() for op in family_annihilation])
     return factory.anticommutator_grid("a", "d", full=full)

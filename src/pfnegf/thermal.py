@@ -169,27 +169,12 @@ def _integration_matrices(beta: float, nodes: int):
     ``beta``.  Built through the Legendre expansion of the Lagrange basis, so
     all entries are exact for polynomials up to that degree.
     """
-    xi, wq = np.polynomial.legendre.leggauss(nodes)
+    leg = np.polynomial.legendre
+    xi, wq = leg.leggauss(nodes)
     x = 0.5 * beta * (xi + 1.0)
-    # c[j, n]: Legendre coefficients of the Lagrange polynomial through node j
-    n_arr = np.arange(nodes)
-    pvals = np.empty((nodes, nodes))  # pvals[n, q] = P_n(xi_q)
-    for n in n_arr:
-        coeff = np.zeros(nodes)
-        coeff[n] = 1.0
-        pvals[n] = np.polynomial.legendre.legval(xi, coeff)
-    c = (wq[:, None] * pvals.T) * ((2 * n_arr + 1) / 2.0)[None, :]
-    # antiderivatives: int_{-1}^{t} P_n = (P_{n+1}(t) - P_{n-1}(t)) / (2n+1), P_0 case separate
-    pv_ext = np.empty((nodes + 1, nodes))  # P_n(xi_i) for n = 0..nodes
-    for n in range(nodes + 1):
-        coeff = np.zeros(nodes + 1)
-        coeff[n] = 1.0
-        pv_ext[n] = np.polynomial.legendre.legval(xi, coeff)
-    anti = np.empty((nodes, nodes))  # anti[n, i] = int_{-1}^{xi_i} P_n
-    anti[0] = xi + 1.0
-    for n in range(1, nodes):
-        anti[n] = (pv_ext[n + 1] - pv_ext[n - 1]) / (2 * n + 1)
-    s_partial = 0.5 * beta * (c @ anti).T
+    # c[n, j]: Legendre coefficients of the Lagrange polynomial through node j
+    c = leg.legvander(xi, nodes - 1).T * wq * (np.arange(nodes) + 0.5)[:, None]
+    s_partial = 0.5 * beta * leg.legval(xi, leg.legint(c, lbnd=-1)).T
     s_end = 0.5 * beta * wq
     return x, s_partial, s_end
 

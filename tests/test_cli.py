@@ -92,15 +92,25 @@ class TestRun:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2
 
-    def test_strategy_values_accepted_for_compatibility(self, tmp_path):
-        # the key selects nothing, but its three values still parse
-        for strategy in ("auto", "history", "recompute"):
-            parse_config(dimer_config() | {"strategy": strategy})
-        cfg = write_config(tmp_path, dimer_config() | {"strategy": "tiles"})
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
-        assert result.returncode == 2
+    @pytest.mark.parametrize(
+        "tolerances, extra, name",
+        [
+            ({"reducible_dysn": 1e-30}, [], "reducible_dysn"),
+            ({}, ["--tolerance", "irreducible_dysn=1e-40"], "irreducible_dysn"),
+        ],
+        ids=["config", "flag"],
+    )
+    def test_unknown_tolerance_name_exit_code(self, tmp_path, tolerances, extra, name):
+        # a misspelled check name would otherwise leave its default in force
+        cfg_data = trimer_config() | {"tolerances": tolerances}
+        cfg_data["grid"]["steps"] = 12
+        cfg = write_config(tmp_path, cfg_data)
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), *extra], tmp_path)
+        assert result.returncode == 2, result.stderr
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "config"
+        assert name in record["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--budget", "0")])
     def test_bad_override_exit_code(self, tmp_path, flag, value):
@@ -244,46 +254,35 @@ class TestRun:
             assert tree1[name] == tree2[name], f"artifact {name} depends on how the thread count is set"
 
 
-class TestDiff:
-    def make_dump(self, tmp_path, out_name, steps=12):
-        cfg_data = dimer_config()
-        cfg_data["grid"]["steps"] = steps
-        cfg = write_config(tmp_path, cfg_data, name=f"{out_name}.json")
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / out_name)], tmp_path)
-        assert result.returncode == 0, result.stderr
-        return tmp_path / out_name / "g0.kernel.csv"
+def make_dump(root, out_name, steps=12):
+    cfg_data = dimer_config()
+    cfg_data["grid"]["steps"] = steps
+    cfg = write_config(root, cfg_data, name=f"{out_name}.json")
+    result = run_cli(["run", str(cfg), "--out", str(root / out_name)], root)
+    assert result.returncode == 0, result.stderr
+    return root / out_name / "g0.kernel.csv"
 
-    def test_identical_dumps(self, tmp_path):
-        a = self.make_dump(tmp_path, "a")
-        b = self.make_dump(tmp_path, "b")
+
+class TestDiff:
+    @pytest.fixture(scope="class")
+    def dumps(self, tmp_path_factory):
+        """Two 12-step dimer ``g0`` dumps from separate runs; tests only read them."""
+        root = tmp_path_factory.mktemp("dumps")
+        return make_dump(root, "a"), make_dump(root, "b")
+
+    def test_identical_dumps(self, tmp_path, dumps):
+        a, b = dumps
         result = run_cli(["diff", str(a), str(b)], tmp_path)
         assert result.returncode == 0
         assert "overall max abs difference: 0.0" in result.stdout
 
-    def test_grid_mismatch(self, tmp_path):
-        a = self.make_dump(tmp_path, "a", steps=12)
-        b = self.make_dump(tmp_path, "b", steps=24)
+    def test_grid_mismatch(self, tmp_path, dumps):
+        a = dumps[0]
+        b = make_dump(tmp_path, "b", steps=24)
         result = run_cli(["diff", str(a), str(b)], tmp_path)
         assert result.returncode == 2
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "header-mismatch"
-
-    def test_storage_strategies_cross_diff(self, tmp_path):
-        # same math through two code paths: the dumps must agree exactly
-        dumps = []
-        for strategy in ("history", "recompute"):
-            cfg_data = trimer_config()
-            cfg_data["tasks"] = ["gxi"]
-            cfg_data["grid"]["steps"] = 12
-            cfg_data["strategy"] = strategy
-            cfg = write_config(tmp_path, cfg_data, name=f"{strategy}.json")
-            out = tmp_path / strategy
-            result = run_cli(["run", str(cfg), "--out", str(out)], tmp_path)
-            assert result.returncode == 0, result.stderr
-            dumps.append(out / "gxi.kernel.csv")
-        result = run_cli(["diff", str(dumps[0]), str(dumps[1])], tmp_path)
-        assert result.returncode == 0
-        assert "overall max abs difference: 0.0" in result.stdout
 
     @pytest.mark.parametrize(
         "row",
@@ -296,8 +295,8 @@ class TestDiff:
         ],
         ids=["negative", "acausal", "node-range", "orbital-range", "instantaneous-range"],
     )
-    def test_malformed_row_exit_code(self, tmp_path, row):
-        a = self.make_dump(tmp_path, "a")
+    def test_malformed_row_exit_code(self, tmp_path, dumps, row):
+        a = dumps[0]
         bad = tmp_path / "bad.csv"
         bad.write_text(a.read_text() + row + "\n")
         result = run_cli(["diff", str(a), str(bad)], tmp_path)
@@ -306,9 +305,9 @@ class TestDiff:
         assert record["error"]["type"] == "malformed-dump"
 
     @pytest.mark.parametrize("which", ["missing", "directory"])
-    def test_unreadable_dump_exit_code(self, tmp_path, which):
-        a = self.make_dump(tmp_path, "a")
-        other = tmp_path / "nope.csv" if which == "missing" else tmp_path / "a"
+    def test_unreadable_dump_exit_code(self, tmp_path, dumps, which):
+        a = dumps[0]
+        other = tmp_path / "nope.csv" if which == "missing" else a.parent
         for pair in ([str(other), str(a)], [str(a), str(other)]):
             result = run_cli(["diff", *pair], tmp_path)
             assert result.returncode == 2, result.stderr
@@ -316,9 +315,9 @@ class TestDiff:
             record = json.loads(result.stderr.strip().splitlines()[-1])
             assert record["error"]["type"] == "unreadable-dump"
 
-    def test_reports_block_differences(self, tmp_path):
-        a = self.make_dump(tmp_path, "a")
-        text = (tmp_path / "a" / "g0.kernel.csv").read_text().splitlines()
+    def test_reports_block_differences(self, tmp_path, dumps):
+        a = dumps[0]
+        text = a.read_text().splitlines()
         header, first, rest = text[0], text[1], text[2:]
         fields = first.split(",")
         fields[4] = repr(float(fields[4]) + 0.5)

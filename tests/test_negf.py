@@ -131,48 +131,44 @@ class TestDysonIdentities:
 
     def test_exact_identities_grid_independent(self, ref_engine_25, ref_engine_50):
         for engine in (ref_engine_25, ref_engine_50):
-            report = engine.verify()
+            report = verify_dyson(engine)
             assert report.residual("irreducible_dyson") <= 1e-11
             assert report.residual("resolvent_dyson") <= 1e-11
 
     def test_noninteracting_all_checks_pass(self, ref_engine_xi0):
-        report = ref_engine_xi0.verify()
+        report = verify_dyson(ref_engine_xi0)
         assert report.passed
         for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson"):
             assert report.residual(name) <= 1e-9
 
-    def test_quadrature_convergence_order(self, trimer_run):
-        study = convergence_study(
-            trimer_run.model, trimer_run.thermal, trimer_run.horizon, [16, 32, 64]
-        )
+    def test_quadrature_convergence_order(self, trimer_engine):
+        study = convergence_study(trimer_engine, [16, 32, 64])
         for name, order in study["summary"]["fitted_orders"].items():
             assert order >= 1.8, name
 
-    def test_convergence_rows_equal_verify_residuals(self, trimer_run):
-        study = convergence_study(
-            trimer_run.model, trimer_run.thermal, trimer_run.horizon, [12, 24]
-        )
+    def test_convergence_rows_equal_verify_residuals(self, trimer_run, trimer_engine):
+        study = convergence_study(trimer_engine, [12, 24])
         engine = KernelEngine(
             trimer_run.model, trimer_run.thermal, TimeGrid(trimer_run.horizon, 12),
             full_correlator=False,
         )
-        report = engine.verify()
+        report = verify_dyson(engine)
         row = study["summary"]["rows"][0]
         assert row["steps"] == 12
         for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson"):
             assert row[name] == report.residual(name), name
 
-    @pytest.mark.parametrize("strategy", ["history", "recompute"])
-    def test_convergence_reuses_engine_bitwise(self, trimer_dict, strategy):
+    def test_convergence_reuses_engine_bitwise(self, trimer_run):
         # a full-grid engine at the finest steps, as the CLI's verify task
-        # builds it, serves that row and gives the same table byte for byte;
-        # the strategy key is accepted for compatibility and selects nothing
-        run = parse_config(trimer_dict | {"strategy": strategy})
-        args = (run.model, run.thermal, run.horizon, [12, 24])
-        engine = KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 24))
-        report = engine.verify()
-        fresh = convergence_study(*args)
-        reused = convergence_study(*args, engine=engine)
+        # builds it, serves that row and gives the table of a causal-only
+        # engine byte for byte
+        run = trimer_run
+        grid = TimeGrid(run.horizon, 24)
+        engine = KernelEngine(run.model, run.thermal, grid)
+        report = verify_dyson(engine)
+        causal = KernelEngine(run.model, run.thermal, grid, full_correlator=False)
+        fresh = convergence_study(causal, [12, 24])
+        reused = convergence_study(engine, [12, 24])
         assert reused["csv"] == fresh["csv"]
         assert json.dumps(reused["summary"]) == json.dumps(fresh["summary"])
         assert reused["summary"]["rows"][1]["reducible_dyson"] == report.residual("reducible_dyson")
@@ -192,13 +188,13 @@ class TestDysonIdentities:
         assert not report.passed
 
     def test_sample_restricted_residual_tracks_full(self, ref_engine_25):
-        report = ref_engine_25.verify()
+        report = verify_dyson(ref_engine_25)
         assert report.residual("sample_restricted_dyson") <= (
             report.residual("irreducible_dyson") + 1e-12
         )
 
     def test_report_round_trip(self, ref_engine_25):
-        report = ref_engine_25.verify(model_hash="cafe")
+        report = verify_dyson(ref_engine_25, model_hash="cafe")
         clone = DysonReport.from_json(report.to_json())
         assert clone == report
         assert clone.to_json() == report.to_json()

@@ -13,7 +13,7 @@ from pfnegf.fock import (
     second_quantize,
 )
 from pfnegf.grid import TimeGrid
-from pfnegf.negf import KernelEngine, compute_g0
+from pfnegf.negf import KernelEngine, compute_g0, verify_dyson
 from pfnegf.propagation import (
     TILE_NODES,
     UNITARITY_TOL,
@@ -414,7 +414,7 @@ class TestRandomModels:
         for k in range(grid.n_nodes):
             np.testing.assert_allclose(ladder[:, :, k, k], np.eye(model.num_sites), rtol=0, atol=1e-12)
         # the exact-algebra Dyson identities hold whatever the kernels are
-        report = KernelEngine(model, run.thermal, grid, rho=rho).verify()
+        report = verify_dyson(KernelEngine(model, run.thermal, grid, rho=rho))
         for name in ("irreducible_dyson", "resolvent_dyson", "sample_restricted_dyson"):
             assert report.residual(name) <= 1e-11, name
         assert report.residual("lead_support") <= 1e-12

@@ -34,7 +34,7 @@ class TestGibbs:
     def test_two_level_occupation(self):
         # closed form for one orbital: <a*a> = 1 / (1 + exp(beta (eps - mu)))
         eps, beta, mu = 0.8, 1.7, 0.2
-        fs = FockSpace(1, cap=14)
+        fs = FockSpace(1)
         k = second_quantize(fs, np.array([[eps]]))
         n = second_quantize(fs, np.eye(1))
         rho = gibbs(k, ThermalParams(beta=beta, mu=mu), n)
