@@ -158,11 +158,13 @@ class TestDysonIdentities:
         for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson"):
             assert row[name] == report.residual(name), name
 
-    def test_convergence_reuses_engine_bitwise(self, trimer_run):
+    @pytest.mark.parametrize("strategy", ["history", "recompute"])
+    def test_convergence_reuses_engine_bitwise(self, trimer_dict, strategy):
         # a full-grid engine at the finest steps, as the CLI's verify task
         # builds it, serves that row and gives the table of a causal-only
-        # engine byte for byte
-        run = trimer_run
+        # engine byte for byte; configs that still carry the retired
+        # strategy key parse and run unchanged
+        run = parse_config(trimer_dict | {"strategy": strategy})
         grid = TimeGrid(run.horizon, 24)
         engine = KernelEngine(run.model, run.thermal, grid)
         report = verify_dyson(engine)
