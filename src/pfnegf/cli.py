@@ -8,8 +8,10 @@ Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
 configuration error, malformed or unreadable kernel dump, or an artifact
 that cannot be written, 3 memory-guard abort.  A tolerance name, from the
 config or from ``--tolerance``, must name a check of ``verify`` or be
-``convergence_min_order``.  Failures emit a machine-readable JSON error
-record on stderr.  Artifacts are deterministic: rerunning the same
+``convergence_min_order``, and its value must not be NaN.  Configuration
+errors, ``converge`` with fewer than two step counts among them, exit
+before any task runs.  Failures emit a machine-readable JSON error record
+on stderr.  Artifacts are deterministic: rerunning the same
 configuration reproduces them byte for byte (fix the BLAS thread count with
 NEGF_NUM_THREADS when in doubt).
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,18 +61,22 @@ def run_command(args) -> int:
         unknown = sorted(set(config.tolerances) - known)
         if unknown:
             raise ConfigError(f"unknown tolerance name(s): {', '.join(unknown)}")
+        nan = sorted(name for name, value in config.tolerances.items() if math.isnan(value))
+        if nan:
+            raise ConfigError(f"NaN tolerance(s): {', '.join(nan)}")
         if args.steps is not None and args.steps < 2:
             raise ConfigError("--steps must be an integer >= 2")
         if args.budget is not None and args.budget <= 0:
             raise ConfigError("--budget must be positive")
+        if args.budget is not None:
+            config.budget = args.budget
+        if args.steps is not None:
+            config.steps_list = [args.steps]
+        if "converge" in config.tasks and len(config.steps_list) < 2:
+            raise ConfigError("converge task needs at least two step counts in grid.steps")
     except (ConfigError, ValueError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG
-
-    if args.budget is not None:
-        config.budget = args.budget
-    if args.steps is not None:
-        config.steps_list = [args.steps]
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -77,9 +84,6 @@ def run_command(args) -> int:
     except MemoryBudgetError as exc:
         _error_record("memory", str(exc))
         return EXIT_MEMORY
-    except ConfigError as exc:
-        _error_record("config", str(exc))
-        return EXIT_CONFIG
     except OSError as exc:
         _error_record("output", f"cannot write output: {exc}")
         return EXIT_CONFIG
@@ -91,7 +95,6 @@ def run_command(args) -> int:
 
 
 def _execute_tasks(config, out_dir) -> list:
-    from .errors import ConfigError
     from .negf import KernelEngine, compute_g0, convergence_study, verify_dyson
     from .thermal import gamma_check
     from .volterra import dump_kernel_to_path
@@ -109,13 +112,15 @@ def _execute_tasks(config, out_dir) -> list:
     for task in config.tasks:
         if task == "g0":
             g0 = compute_g0(config.model.h_biased, config.grid())
-            dump_kernel_to_path(g0, ordering, os.path.join(out_dir, "g0.kernel.csv"))
+            dump_kernel_to_path(g0, ordering, os.path.join(out_dir, "g0.kernel.csv"), "G0")
         elif task == "gxi":
-            dump_kernel_to_path(get_engine().gxi, ordering, os.path.join(out_dir, "gxi.kernel.csv"))
+            path = os.path.join(out_dir, "gxi.kernel.csv")
+            dump_kernel_to_path(get_engine().gxi, ordering, path, "Gxi")
         elif task == "sigma":
             eng = get_engine()
-            dump_kernel_to_path(eng.sigma_tilde, ordering, os.path.join(out_dir, "sigma_tilde.kernel.csv"))
-            dump_kernel_to_path(eng.sigma, ordering, os.path.join(out_dir, "sigma.kernel.csv"))
+            path = os.path.join(out_dir, "sigma_tilde.kernel.csv")
+            dump_kernel_to_path(eng.sigma_tilde, ordering, path, "SigmaTilde")
+            dump_kernel_to_path(eng.sigma, ordering, os.path.join(out_dir, "sigma.kernel.csv"), "Sigma")
         elif task == "verify":
             report = verify_dyson(
                 get_engine(), tolerances=config.tolerances, model_hash=config.model_hash
@@ -124,8 +129,6 @@ def _execute_tasks(config, out_dir) -> list:
             if not report.passed:
                 failed.extend(c.name for c in report.checks if not c.passed)
         elif task == "converge":
-            if len(config.steps_list) < 2:
-                raise ConfigError("converge task needs at least two step counts in grid.steps")
             study = convergence_study(get_engine(), config.steps_list)
             _write_text(os.path.join(out_dir, "convergence.csv"), study["csv"])
             _write_text(

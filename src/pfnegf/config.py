@@ -54,6 +54,14 @@ def _as_complex_vector(values, context: str) -> np.ndarray:
     return np.array([_as_complex(v, context) for v in values], dtype=complex)
 
 
+def _whole(value, context: str) -> int:
+    """A JSON number with an integer value; booleans and fractions are refused."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{context} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _edges(raw, context: str):
     edges = []
     for entry in raw:
@@ -128,7 +136,7 @@ def parse_config(data: dict) -> RunConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"lead {nu}: missing coupling entry {exc.args[0]!r}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"lead {nu}: {exc}") from None
         couplings.append(coupling)
 
@@ -144,7 +152,7 @@ def parse_config(data: dict) -> RunConfig:
             matrix=_pair_matrix(sample["sites"], sample.get("w", []), "sample w"),
             strength=float(sample.get("xi", 0.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
     try:
@@ -155,14 +163,20 @@ def parse_config(data: dict) -> RunConfig:
     try:
         horizon = float(grid_raw["T"])
         steps_raw = grid_raw["steps"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed grid section: {exc}") from None
-    steps_list = [int(s) for s in (steps_raw if isinstance(steps_raw, list) else [steps_raw])]
-    if not steps_list or any(s < 2 for s in steps_list):
-        raise ConfigError("grid.steps must hold integers >= 2")
+    steps_raw = steps_raw if isinstance(steps_raw, list) else [steps_raw]
+    steps_list = [_whole(s, "grid.steps") for s in steps_raw]
+    if not steps_list:
+        raise ConfigError("grid.steps must hold at least one step count")
+    try:
+        for steps in steps_list:
+            TimeGrid(horizon, steps)
+    except ValueError as exc:
+        raise ConfigError(f"malformed grid section: {exc}") from None
 
     tasks = data.get("tasks", ["verify"])
-    if not tasks:
+    if not isinstance(tasks, list) or not tasks:
         raise ConfigError("tasks must be a nonempty list")
     for task in tasks:
         if task not in KNOWN_TASKS:
@@ -171,10 +185,13 @@ def parse_config(data: dict) -> RunConfig:
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object of name -> value")
-    tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    try:
+        tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed tolerance value: {exc}") from None
 
     budget = data.get("budget")
-    budget = DEFAULT_BUDGET_BYTES if budget is None else int(budget)
+    budget = DEFAULT_BUDGET_BYTES if budget is None else _whole(budget, "budget")
     if budget <= 0:
         raise ConfigError("budget must be positive")
 

@@ -99,10 +99,6 @@ class FockSpace:
             self._occupation_cache[n] = bits.astype(np.float64)
         return self._occupation_cache[n]
 
-    def _jw_signs(self, states: np.ndarray, orbital: int) -> np.ndarray:
-        mask = self._sign_masks[orbital]
-        return 1.0 - 2.0 * (self._popcount[states & mask] & 1)
-
     def creation_blocks(self, orbital: int) -> tuple:
         """Sector blocks of ``a*_orbital``; entry ``N`` maps sector N to N+1."""
         if orbital not in self._creation_cache:
@@ -118,7 +114,8 @@ class FockSpace:
                 s = src[free]
                 t = s | bit
                 block = np.zeros((self.sector_dims[n + 1], self.sector_dims[n]), dtype=complex)
-                block[self.pos_in_sector[t], self.pos_in_sector[s]] = self._jw_signs(s, orbital)
+                signs = 1.0 - 2.0 * (self._popcount[s & self._sign_masks[orbital]] & 1)
+                block[self.pos_in_sector[t], self.pos_in_sector[s]] = signs
                 blocks.append(block)
             self._creation_cache[orbital] = tuple(blocks)
         return self._creation_cache[orbital]
@@ -321,30 +318,13 @@ def second_quantize(fs: FockSpace, h) -> ManyBodyOperator:
     if np.max(np.abs(h - np.conj(h.T))) > HERMITICITY_TOL:
         raise ValueError("one-particle matrix must be Hermitian")
     diag = np.real(np.diag(h))
+    hops = [(j, k) for j, k in zip(*np.nonzero(h)) if j != k]
     blocks = []
     for n in range(d + 1):
-        states = fs.sector_states[n]
-        block = np.zeros((fs.sector_dims[n], fs.sector_dims[n]), dtype=complex)
-        occ = fs.occupations(n)
-        block[np.arange(len(states)), np.arange(len(states))] = occ @ diag
-        for j in range(d):
-            for k in range(d):
-                if j == k or h[j, k] == 0:
-                    continue
-                bit_j, bit_k = 1 << j, 1 << k
-                sel = ((states & bit_k) != 0) & ((states & bit_j) == 0)
-                if not np.any(sel):
-                    continue
-                s = states[sel]
-                sign_k = fs._jw_signs(s, k)
-                s1 = s & ~bit_k
-                sign_j = fs._jw_signs(s1, j)
-                t = s1 | bit_j
-                np.add.at(
-                    block,
-                    (fs.pos_in_sector[t], fs.pos_in_sector[s]),
-                    h[j, k] * sign_k * sign_j,
-                )
+        block = np.diag(fs.occupations(n) @ diag).astype(complex)
+        # a*_j a_k passes through sector n - 1, which sector 0 lacks
+        for j, k in hops if n else ():
+            block += h[j, k] * (fs.creation_blocks(j)[n - 1] @ fs.creation_blocks(k)[n - 1].T)
         blocks.append(block)
     return ManyBodyOperator(fs, 0, tuple(blocks))
 

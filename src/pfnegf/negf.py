@@ -79,16 +79,14 @@ def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
     p = h.shape[0]
     lam, v = np.linalg.eigh(h)
     n = grid.n_nodes
-    # kernel depends on k - l only; build one propagator per lag
-    lags = np.empty((n, p, p), dtype=complex)
-    lags[0] = np.eye(p)
+    # kernel depends on k - l only: one block per lag, and a zero block at
+    # index n for every acausal l > k
+    lags = np.zeros((n + 1, p, p), dtype=complex)
+    lags[0] = -1j * np.eye(p, dtype=complex)
     for m in range(1, n):
-        lags[m] = (v * np.exp(-1j * m * grid.delta * lam)[None, :]) @ np.conj(v.T)
-    mem = np.zeros((n, n, p, p), dtype=complex)
-    for k in range(n):
-        for l in range(k + 1):
-            mem[k, l] = -1j * lags[k - l]
-    return VolterraOperator(grid, p, mem=mem, name="G0")
+        lags[m] = -1j * ((v * np.exp(-1j * m * grid.delta * lam)[None, :]) @ np.conj(v.T))
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    return VolterraOperator(grid, p, mem=lags[np.where(lag >= 0, lag, n)])
 
 
 class KernelEngine:
@@ -147,9 +145,7 @@ class KernelEngine:
 
     @cached_property
     def gxi(self) -> VolterraOperator:
-        return VolterraOperator(
-            self.grid, self.p, mem=self.ladder_grid.causal_kernel(-1j), name="Gxi"
-        )
+        return VolterraOperator(self.grid, self.p, mem=self.ladder_grid.causal_kernel(-1j))
 
     @cached_property
     def contact_expectations(self) -> tuple[np.ndarray, float]:
@@ -182,12 +178,12 @@ class KernelEngine:
         mem = self.factory.anticommutator_grid("b", "b").causal_kernel(-1j)
         contact, _ = self.contact_expectations
         inst = (1j * contact).transpose(2, 0, 1).copy()
-        return VolterraOperator(self.grid, self.p, mem=mem, inst=inst, name="SigmaTilde")
+        return VolterraOperator(self.grid, self.p, mem=mem, inst=inst)
 
     @cached_property
     def f_map(self) -> VolterraOperator:
         mem = self.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
-        return VolterraOperator(self.grid, self.p, mem=mem, name="F")
+        return VolterraOperator(self.grid, self.p, mem=mem)
 
     @cached_property
     def sigma(self) -> VolterraOperator:
@@ -196,14 +192,22 @@ class KernelEngine:
     @cached_property
     def g_alg(self) -> VolterraOperator:
         """Discrete-algebra Dyson solution ``G0 + G0 Sigma~ G0``."""
-        op = self.g0 + self.g0 @ self.sigma_tilde @ self.g0
-        op.name = "Galg"
-        return op
+        return self.g0 + self.g0 @ self.sigma_tilde @ self.g0
 
     @cached_property
     def quadrature(self) -> dict:
-        """The three quadrature-limited residuals (see ``quadrature_residuals``)."""
-        return quadrature_residuals(self.g0, self.gxi, self.sigma_tilde, self.g_alg, self.f_map)
+        """Induced-norm residuals of the three quadrature-limited identities.
+
+        ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``,
+        ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
+        ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``.
+        """
+        g0, gxi, g_alg, f_map = self.g0, self.gxi, self.g_alg, self.f_map
+        return {
+            "reducible_dyson": (gxi - g_alg).norm_bound(),
+            "fmap_factorization": (f_map - self.sigma_tilde @ g0).norm_bound(),
+            "fmap_dyson": (gxi - g0 - g0 @ f_map).norm_bound(),
+        }
 
 
 def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> VolterraOperator:
@@ -216,16 +220,12 @@ def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> Vo
     so the solve exists by forward substitution and the instantaneous part of
     the result equals that of ``Sigma~`` identically.
     """
-    sigma = solve_id_plus(sigma_tilde @ g0, sigma_tilde)
-    sigma.name = "Sigma"
-    return sigma
+    return solve_id_plus(sigma_tilde @ g0, sigma_tilde)
 
 
 def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> VolterraOperator:
     """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra."""
-    g = solve_id_plus(-(g0 @ sigma), g0)
-    g.name = "Gdyson"
-    return g
+    return solve_id_plus(-(g0 @ sigma), g0)
 
 
 def approx_split(
@@ -302,20 +302,6 @@ class DysonReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DysonReport":
-        report = cls(data["model_hash"], data["grid"]["T"], data["grid"]["steps"])
-        for entry in data["checks"]:
-            report.add(entry["check_name"], entry["residual"], entry["tolerance"], entry["kind"])
-        return report
-
-    @classmethod
-    def from_json(cls, text: str) -> "DysonReport":
-        return cls.from_dict(json.loads(text))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DysonReport) and self.to_dict() == other.to_dict()
-
 
 def fit_convergence_order(deltas, residuals) -> float:
     """Least-squares slope of log(residual) against log(delta)."""
@@ -330,7 +316,7 @@ def convergence_study(engine: KernelEngine, steps_list) -> dict:
 
     ``engine`` serves its own grid.  Every other grid gets a kernel engine of
     the same model, state, horizon and budget, which builds only what the
-    three quadrature-limited identities need (see ``quadrature_residuals``).
+    three quadrature-limited identities need (``KernelEngine.quadrature``).
     A full-grid engine's causal blocks are the same products as a causal-only
     engine's, so the table does not depend on which one is passed.  The
     exact-algebra checks are grid-independent and belong to ``verify_dyson``.
@@ -382,26 +368,6 @@ def _lead_support_defect(op: VolterraOperator, num_sample: int) -> float:
 def _pairing_defect(grid_values: np.ndarray) -> float:
     mirrored = np.conj(grid_values.transpose(1, 0, 3, 2))
     return float(np.max(np.abs(grid_values - mirrored)))
-
-
-def quadrature_residuals(
-    g0: VolterraOperator,
-    gxi: VolterraOperator,
-    sigma_tilde: VolterraOperator,
-    g_alg: VolterraOperator,
-    f_map: VolterraOperator,
-) -> dict:
-    """Induced-norm residuals of the three quadrature-limited identities.
-
-    ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``,
-    ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
-    ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``.
-    """
-    return {
-        "reducible_dyson": (gxi - g_alg).norm_bound(),
-        "fmap_factorization": (f_map - sigma_tilde @ g0).norm_bound(),
-        "fmap_dyson": (gxi - g0 - g0 @ f_map).norm_bound(),
-    }
 
 
 def verify_dyson(
@@ -476,9 +442,9 @@ def verify_dyson(
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")
 
-    zero = VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)), name="0")
+    zero = VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))
     half = sigma.scale(0.5)
-    inst_only = VolterraOperator(grid, p, inst=sigma.instantaneous().copy(), name="Sigma_inst")
+    inst_only = VolterraOperator(grid, p, inst=sigma.instantaneous().copy())
     for name, sigma_app in (
         ("approx_split_zero", zero),
         ("approx_split_half", half),

@@ -116,24 +116,37 @@ def _flat_index(sector: list, s: int) -> tuple:
     return tuple(np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
 
 
-class HeisenbergFrame:
-    """The generator's eigenbasis (K-frame) with the state expressed in it.
+class CorrelatorFactory:
+    """Pairs registered operator families into two-time anticommutator grids.
 
-    Operators live here as flat arrays: the K-frame blocks of every sector,
-    raveled and concatenated.  ``creation_index`` and ``diag_index`` hold
-    the energy indices ``(a, b)`` of every entry of a creation-type and of a
-    number-conserving flat.
+    The state and every family live in the generator's eigenbasis, the
+    K-frame, as flat arrays: the K-frame blocks of every sector, raveled and
+    concatenated.  ``creation_index`` and ``diag_index`` hold the energy
+    indices ``(a, b)`` of every entry of a creation-type and of a
+    number-conserving flat.  All registered families must be creation-type;
+    the second member of a pairing enters through its adjoint (Heisenberg
+    evolution commutes with the adjoint), so every family is evolved the
+    same way on either side.  Each family is stored once, as its nonzero
+    rows; every node is that array times its phases.  A grid holds one tile
+    per side and costs O(N_t^2) elementwise phase products, no evolution
+    sweeps; the tiles must fit ``budget``.
     """
 
-    def __init__(self, rho: DensityOperator, generator: ManyBodyOperator, grid: TimeGrid):
+    strategy = "recompute"  # name of the one sweep; perfbench/tracer.py reads it
+
+    def __init__(
+        self,
+        rho: DensityOperator,
+        generator: ManyBodyOperator,
+        grid: TimeGrid,
+        budget: int = DEFAULT_BUDGET_BYTES,
+    ):
         _check_hermitian(generator)
-        self.grid = grid
+        self.grid, self.budget = grid, budget
         energies, self.vecs = zip(*(np.linalg.eigh(block) for block in generator.blocks))
-        self.unitarity_defect = max(
-            np.max(np.abs(np.conj(q.T) @ q - np.eye(q.shape[0]))) for q in self.vecs
-        )
-        if self.unitarity_defect > UNITARITY_TOL:
-            raise RuntimeError(f"generator eigenbasis unitarity defect {self.unitarity_defect:.3e}")
+        defect = max(np.max(np.abs(np.conj(q.T) @ q - np.eye(q.shape[0]))) for q in self.vecs)
+        if defect > UNITARITY_TOL:
+            raise RuntimeError(f"generator eigenbasis unitarity defect {defect:.3e}")
         self.rho_k = []
         for q, v, p in zip(self.vecs, rho.vecs, rho.probs):
             w = np.conj(q.T) @ v
@@ -152,6 +165,7 @@ class HeisenbergFrame:
             shape = (sector[n + 1].size, sector[n].size)
             self._creation_slices.append((slice(offset, offset + shape[0] * shape[1]), shape))
             offset += shape[0] * shape[1]
+        self._families: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
     def to_frame(self, op: ManyBodyOperator, s: int) -> np.ndarray:
         """Flat K-frame blocks ``Q_{N+s}^dagger X_N Q_N`` of a displacement-``s`` operator."""
@@ -181,36 +195,10 @@ class HeisenbergFrame:
         return out
 
 
-class CorrelatorFactory:
-    """Pairs registered operator families into two-time anticommutator grids.
-
-    All registered families must be creation-type; the second member of a
-    pairing enters through its adjoint (Heisenberg evolution commutes with
-    the adjoint), so every family is evolved the same way on either side.
-    Each family is stored once, in the K-frame, as its nonzero rows; every
-    node is that array times its phases.  A grid holds one tile per side and
-    costs O(N_t^2) elementwise phase products, no evolution sweeps; the tiles
-    must fit ``budget``.
-    """
-
-    strategy = "recompute"  # name of the one sweep; perfbench/tracer.py reads it
-
-    def __init__(
-        self,
-        rho: DensityOperator,
-        generator: ManyBodyOperator,
-        grid: TimeGrid,
-        budget: int = DEFAULT_BUDGET_BYTES,
-    ):
-        self.frame = HeisenbergFrame(rho, generator, grid)
-        self.grid = grid
-        self.budget = budget
-        self._families: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
             raise ValueError(f"family {name!r} already registered")
-        flats = np.stack([self.frame.to_frame(op, +1) for op in ops])
+        flats = np.stack([self.to_frame(op, +1) for op in ops])
         # a zero operator's every node is exactly zero: only nonzero rows are kept
         rows = np.flatnonzero(np.any(flats != 0, axis=1))
         self._families[name] = (len(ops), rows, flats[rows])
@@ -223,7 +211,7 @@ class CorrelatorFactory:
         rows; other rows and the acausal entries of a causal grid stay +0.0.
         One held and one D tile must fit the budget.
         """
-        n, frame, index = self.grid.n_nodes, self.frame, self.frame.creation_index
+        n, index = self.grid.n_nodes, self.creation_index
         (n_a, rows_a, fam_a), (n_d, rows_d, fam_d) = self._families[name_a], self._families[name_d]
         tile, flat = min(TILE_NODES, n), fam_a.shape[1]
         held_size, need = tile * fam_a.size, 16 * tile * (fam_a.size + fam_d.size)
@@ -241,11 +229,11 @@ class CorrelatorFactory:
         for i, (l0, l1) in enumerate(tiles):
             b = held[: l1 - l0]
             for l in range(l0, l1):
-                b[l - l0] = frame.anticommutator_side(fam_a * frame.phases(l, index))
+                b[l - l0] = self.anticommutator_side(fam_a * self.phases(l, index))
             for k0, k1 in tiles if full else tiles[i:]:
                 d = d_tile[: k1 - k0]
                 for k in range(k0, k1):
-                    np.multiply(fam_d, frame.phases(k, index), out=d[k - k0])
+                    np.multiply(fam_d, self.phases(k, index), out=d[k - k0])
                 np.conj(d, out=d)
                 block = d.reshape(-1, flat) @ b.reshape(-1, flat).T
                 block = block.reshape(k1 - k0, rows_d.size, l1 - l0, -1).transpose(1, 3, 0, 2)
@@ -256,11 +244,10 @@ class CorrelatorFactory:
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:
         """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators."""
-        frame = self.frame
-        weighted = np.stack([frame.rho_t_flat * frame.to_frame(op, 0) for op in ops])
+        weighted = np.stack([self.rho_t_flat * self.to_frame(op, 0) for op in ops])
         out = np.empty((len(ops), self.grid.n_nodes), dtype=complex)
         for k in range(self.grid.n_nodes):
-            out[:, k] = weighted @ frame.phases(k, frame.diag_index)
+            out[:, k] = weighted @ self.phases(k, self.diag_index)
         return out
 
 

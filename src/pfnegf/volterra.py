@@ -89,7 +89,7 @@ class VolterraOperator:
     way the algebra reads the packed matrix (``panels``).
     """
 
-    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, name: str = ""):
+    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None):
         n = grid.n_nodes
         if inst is None and mem is None:
             raise ValueError("operator needs an instantaneous part or a kernel")
@@ -111,17 +111,17 @@ class VolterraOperator:
         else:
             panels = np.zeros(packed_size(n, p), dtype=complex)
             _add_diagonal(panels, inst, n, p)
-        self._set(grid, p, inst, name, kernel, panels)
+        self._set(grid, p, inst, kernel, panels)
 
-    def _set(self, grid, p, inst, name, kernel, panels) -> None:
+    def _set(self, grid, p, inst, kernel, panels) -> None:
         # exactly one of kernel (packed memory kernel) and panels (packed matrix)
-        self.grid, self.p, self.name = grid, int(p), name
+        self.grid, self.p = grid, int(p)
         self._inst, self._kernel, self._panels = inst, kernel, panels
 
     @classmethod
-    def _packed(cls, grid, p, inst, name, kernel, panels) -> "VolterraOperator":
+    def _packed(cls, grid, p, inst, kernel, panels) -> "VolterraOperator":
         op = cls.__new__(cls)
-        op._set(grid, p, inst, name, kernel, panels)
+        op._set(grid, p, inst, kernel, panels)
         return op
 
     # -- views ---------------------------------------------------------
@@ -215,9 +215,7 @@ class VolterraOperator:
             np.matmul(a[i][:, k0 * p :], b[i], out=c[i])
             for m, (m0, m1) in enumerate(tiles[:i]):
                 c[i][:, : m1 * p] += a[i][:, m0 * p : m1 * p] @ b[m]
-        return VolterraOperator._packed(
-            self.grid, p, inst, f"({self.name}*{other.name})", None, out
-        )
+        return VolterraOperator._packed(self.grid, p, inst, None, out)
 
     def __matmul__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self.compose(other)
@@ -228,10 +226,8 @@ class VolterraOperator:
         if self._inst is not None or other._inst is not None:
             inst = self.instantaneous() + sign * other.instantaneous()
         combine = np.add if sign > 0 else np.subtract
-        return VolterraOperator._packed(
-            self.grid, self.p, inst, f"({self.name}{'+' if sign > 0 else '-'}{other.name})",
-            None, combine(self.panels(), other.panels()),
-        )
+        panels = combine(self.panels(), other.panels())
+        return VolterraOperator._packed(self.grid, self.p, inst, None, panels)
 
     def __add__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self._combine(other, +1.0)
@@ -246,7 +242,7 @@ class VolterraOperator:
         scalar = complex(scalar)
         inst = None if self._inst is None else scalar * self._inst
         panels = scalar * self.panels()
-        return VolterraOperator._packed(self.grid, self.p, inst, self.name, None, panels)
+        return VolterraOperator._packed(self.grid, self.p, inst, None, panels)
 
     def restrict(self, indices) -> "VolterraOperator":
         """Keep the given orbital indices (e.g. the sample block)."""
@@ -258,8 +254,7 @@ class VolterraOperator:
         for src, dst in zip(_slabs(source, n, self.p), _slabs(out, n, q)):
             _blocks(dst, q)[...] = _blocks(src, self.p)[:, :, indices][:, :, :, indices]
         kernel, panels = (out, None) if self._kernel is not None else (None, out)
-        name = f"{self.name}|restricted"
-        return VolterraOperator._packed(self.grid, q, inst, name, kernel, panels)
+        return VolterraOperator._packed(self.grid, q, inst, kernel, panels)
 
     def max_abs(self) -> float:
         """Largest entry magnitude of the matrix (exact-algebra residuals)."""
@@ -283,7 +278,7 @@ class VolterraOperator:
 
 def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
     inst = np.broadcast_to(np.eye(p, dtype=complex), (grid.n_nodes, p, p)).copy()
-    return VolterraOperator(grid, p, inst=inst, name="Id")
+    return VolterraOperator(grid, p, inst=inst)
 
 
 def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, p: int) -> None:
@@ -353,7 +348,7 @@ def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
     inst = b._inst
     if inst is not None and a._inst is not None:
         inst = np.linalg.solve(np.eye(a.p) + a._inst, inst)
-    return VolterraOperator._packed(a.grid, a.p, inst, f"solve(Id+{a.name},{b.name})", None, panels)
+    return VolterraOperator._packed(a.grid, a.p, inst, None, panels)
 
 
 def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
@@ -367,7 +362,7 @@ def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
     for _ in range(2, order + 1):
         power = -(power @ a)
         acc = acc + power
-    return VolterraOperator._packed(a.grid, a.p, None, f"neumann({a.name})", None, acc.panels())
+    return VolterraOperator._packed(a.grid, a.p, None, None, acc.panels())
 
 
 def operator_norm_bound(op: VolterraOperator) -> float:
@@ -396,11 +391,13 @@ def operator_norm_bound(op: VolterraOperator) -> float:
 #   {"name":..., "p":..., "N_t":..., "T":..., "ordering": [...]}
 # followed by CSV rows; memory-kernel entries carry six fields
 # (k, l, i, j, re, im), instantaneous entries five (k, i, j, re, im).
+# Operators carry no name: the header's ``name`` is the caller's label.
 
 
-def dump_kernel(op: VolterraOperator, ordering, fh) -> None:
+def dump_kernel(op: VolterraOperator, ordering, fh, name: str) -> None:
+    """Write ``op`` to ``fh`` under the header label ``name``."""
     header = {
-        "name": op.name,
+        "name": name,
         "p": op.p,
         "N_t": op.grid.steps,
         "T": op.grid.horizon,
@@ -428,9 +425,9 @@ def _write_entries(fh, head, tails, values) -> None:
     ))
 
 
-def dump_kernel_to_path(op: VolterraOperator, ordering, path) -> None:
+def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        dump_kernel(op, ordering, fh)
+        dump_kernel(op, ordering, fh, name)
 
 
 def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:

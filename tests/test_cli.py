@@ -3,7 +3,9 @@ import os
 
 import pytest
 from conftest import dimer_config, run_cli, trimer_config
+from pfnegf.cli import main
 from pfnegf.config import parse_config, reference_config
+from pfnegf.errors import ConfigError
 from pfnegf.propagation import CorrelatorFactory
 from pfnegf.thermal import gibbs
 
@@ -122,15 +124,17 @@ class TestRun:
         assert record["error"]["type"] == "config"
 
     def test_memory_guard_exit_code(self, tmp_path):
-        cfg_data = trimer_config()
-        cfg_data["tasks"] = ["gxi"]
-        cfg_data["strategy"] = "history"
-        cfg_data["budget"] = 100
+        # the Volterra algebra of 3 nodes fits this budget; one held and one
+        # D tile of the ladder grid do not
+        cfg_data = reference_config() | {"tasks": ["gxi"], "budget": 200_000}
+        cfg_data["grid"]["steps"] = 2
         cfg = write_config(tmp_path, cfg_data)
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
-        assert result.returncode == 3
+        assert result.returncode == 3, result.stderr
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "memory"
+        assert "one held and one D tile need" in record["error"]["message"]
+        assert not (tmp_path / "out" / "gxi.kernel.csv").exists()
 
     def test_algebra_memory_guard_exit_code(self, tmp_path):
         # the correlator tiles fit this budget; the Volterra algebra of verify does not
@@ -183,18 +187,6 @@ class TestRun:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "usage"
         assert run_cli(["run", "-h"], tmp_path).returncode == 0
-
-    def test_recompute_memory_guard_exit_code(self, tmp_path):
-        # recompute holds one held tile and one D tile, and they must fit too
-        cfg_data = trimer_config()
-        cfg_data["tasks"] = ["gxi"]
-        cfg_data["strategy"] = "recompute"
-        cfg_data["budget"] = 100
-        cfg = write_config(tmp_path, cfg_data)
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
-        assert result.returncode == 3
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "memory"
 
     def test_failed_check_exit_code(self, tmp_path):
         cfg_data = trimer_config()
@@ -252,6 +244,71 @@ class TestRun:
         assert tree1.keys() == tree2.keys()
         for name in tree1:
             assert tree1[name] == tree2[name], f"artifact {name} depends on how the thread count is set"
+
+
+def reference_at_12_steps(**changes):
+    cfg = reference_config()
+    cfg["grid"]["steps"] = 12
+    for path, value in changes.items():
+        *outer, key = path.split(".")
+        target = cfg
+        for part in outer:
+            target = target[int(part) if part.isdigit() else part]
+        target[key] = value
+    return cfg
+
+
+class TestMalformedConfig:
+    """A value of the wrong type or range is a configuration error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("tolerances", {"lead_support": None}),
+            ("tolerances", {"lead_support": [1e-12]}),
+            ("budget", [1]),
+            ("budget", 1.5),
+            ("budget", True),
+            ("grid.steps", None),
+            ("grid.steps", [[12]]),
+            ("grid.steps", 12.9),
+            ("grid.T", 0),
+            ("grid.T", -1),
+            ("sample.xi", None),
+            ("sample.xi", [0.5]),
+            ("sample.hoppings", None),
+            ("leads.0.coupling.d", None),
+            ("leads.0.coupling.d", [0.5]),
+            ("tasks", 5),
+        ],
+    )
+    def test_parse_rejects(self, path, value):
+        with pytest.raises(ConfigError):
+            parse_config(reference_at_12_steps(**{path: value}))
+
+    @pytest.mark.parametrize(
+        "cfg_data, extra",
+        [
+            (reference_at_12_steps(tolerances={"lead_support": "nan"}), []),
+            (reference_at_12_steps(), ["--tolerance", "lead_support=nan"]),
+            (reference_at_12_steps(tasks=["g0", "converge"]), ["--steps", "12"]),
+        ],
+        ids=["nan-config", "nan-flag", "converge-one-step-count"],
+    )
+    def test_run_rejects_before_any_task(self, tmp_path, capsys, cfg_data, extra):
+        cfg = write_config(tmp_path, cfg_data)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["type"] == "config"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_horizon_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, reference_at_12_steps(**{"grid.T": 0}))
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "config"
 
 
 def make_dump(root, out_name, steps=12):

@@ -135,17 +135,17 @@ def stepped_grid(rho, generator, creation, annihilation, grid):
     return out
 
 
-def loop_reference_grid(frame, creation_a, creation_d, full):
+def loop_reference_grid(factory, creation_a, creation_d, full):
     """The per-(k, l) block loop the tiled sweep replaced: every family row,
     zero or not, and one ``(p_d, flat) @ (flat, p_a)`` product per block."""
-    index = frame.creation_index
-    fam_a = np.stack([frame.to_frame(op, +1) for op in creation_a])
-    fam_d = np.stack([frame.to_frame(op, +1) for op in creation_d])
-    n = frame.grid.n_nodes
-    held = [frame.anticommutator_side(fam_a * frame.phases(l, index)) for l in range(n)]
+    index = factory.creation_index
+    fam_a = np.stack([factory.to_frame(op, +1) for op in creation_a])
+    fam_d = np.stack([factory.to_frame(op, +1) for op in creation_d])
+    n = factory.grid.n_nodes
+    held = [factory.anticommutator_side(fam_a * factory.phases(l, index)) for l in range(n)]
     values = np.zeros((len(fam_d), len(fam_a), n, n), dtype=complex)
     for k in range(n):
-        v = np.conj(fam_d * frame.phases(k, index))
+        v = np.conj(fam_d * factory.phases(k, index))
         for l in range(n if full else k + 1):
             values[:, :, k, l] = v @ held[l].T
     return values
@@ -239,7 +239,7 @@ class TestTwoTimeKernel:
         grid = TimeGrid(1.0, 6)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
         creation = [ladder_op(model.space, model.basis_vector(0), "create")]
-        flat = CorrelatorFactory(rho, model.K_v, grid).frame.creation_index[0].size
+        flat = CorrelatorFactory(rho, model.K_v, grid).creation_index[0].size
         # one held tile plus one D tile of the single-row family
         need = 2 * min(TILE_NODES, grid.n_nodes) * flat * 16
         for budget in (need - 1, need):
@@ -294,7 +294,7 @@ class TestTiledSweep:
             factory.add_family(name, ops)
         grids = [factory.anticommutator_grid(*pair, full=full).values for pair in pairs]
         for (name_a, name_d), values in zip(pairs, grids):
-            reference = loop_reference_grid(factory.frame, families[name_a], families[name_d], full)
+            reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
             np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
             if not full:
                 above = np.triu_indices(grid.n_nodes, 1)
@@ -406,7 +406,7 @@ class TestRandomModels:
             for name_a, name_d, full in pairs
         ]
         for (name_a, name_d, full), values in zip(pairs, grids):
-            reference = loop_reference_grid(factory.frame, families[name_a], families[name_d], full)
+            reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
             np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
         ladder = grids[0]
         oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)

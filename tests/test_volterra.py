@@ -34,7 +34,7 @@ def scalar_memory(grid, fn):
     for k in range(n):
         for l in range(k + 1):
             mem[k, l, 0, 0] = fn(t[k], t[l])
-    return VolterraOperator(grid, 1, mem=mem, name="scalar")
+    return VolterraOperator(grid, 1, mem=mem)
 
 
 def random_memory_operator(grid, p, seed=0):
@@ -44,7 +44,7 @@ def random_memory_operator(grid, p, seed=0):
     for k in range(n):
         for l in range(k + 1):
             mem[k, l] = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-    return VolterraOperator(grid, p, mem=mem, name="rand")
+    return VolterraOperator(grid, p, mem=mem)
 
 
 def loop_norm_bound(flat, grid, p):
@@ -80,7 +80,7 @@ def apply(op, psi):
 
 def kernel_text(op, ordering):
     buf = io.StringIO()
-    dump_kernel(op, ordering, buf)
+    dump_kernel(op, ordering, buf, "K")
     return buf.getvalue()
 
 
@@ -99,7 +99,7 @@ def assert_causal(op):
 def csv_writer_text(op, ordering):
     """Reference kernel dump written through ``csv.writer``, entry by entry."""
     buf = io.StringIO()
-    header = {"name": op.name, "p": op.p, "N_t": op.grid.steps, "T": op.grid.horizon,
+    header = {"name": "K", "p": op.p, "N_t": op.grid.steps, "T": op.grid.horizon,
               "ordering": list(ordering)}
     buf.write(json.dumps(header) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -184,7 +184,7 @@ class TestCompose:
 
 class TestInversion:
     def test_zero_operator(self):
-        zero = VolterraOperator(GRID, 2, mem=np.zeros((GRID.n_nodes, GRID.n_nodes, 2, 2)), name="0")
+        zero = VolterraOperator(GRID, 2, mem=np.zeros((GRID.n_nodes, GRID.n_nodes, 2, 2)))
         assert resolvent(zero).max_abs() == 0.0
 
     def test_inverse_residual(self):
@@ -231,7 +231,7 @@ class TestInversion:
         n = GRID.n_nodes
         inst = np.zeros((n, 1, 1), dtype=complex)
         inst[3, 0, 0] = -1.0  # makes Id + m singular at node 3
-        a = VolterraOperator(GRID, 1, inst=inst, mem=np.zeros((n, n, 1, 1)), name="bad")
+        a = VolterraOperator(GRID, 1, inst=inst, mem=np.zeros((n, n, 1, 1)))
         with pytest.raises(np.linalg.LinAlgError, match="node 3"):
             solve_id_plus(a, identity_volterra(GRID, 1))
 
@@ -277,7 +277,7 @@ class TestCacheState:
 
 class TestNormAndConstants:
     def test_zero_kernel_constant(self):
-        zero = VolterraOperator(GRID, 2, mem=np.zeros((GRID.n_nodes, GRID.n_nodes, 2, 2)), name="0")
+        zero = VolterraOperator(GRID, 2, mem=np.zeros((GRID.n_nodes, GRID.n_nodes, 2, 2)))
         assert zero.volterra_constant() == 0.0
 
     def test_norm_bound_property(self):
@@ -302,7 +302,7 @@ class TestNormAndConstants:
         n = grid.n_nodes
         rng = np.random.default_rng(40 + p)
         inst = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
-        c = a @ b + VolterraOperator(grid, p, inst=inst, name="c")
+        c = a @ b + VolterraOperator(grid, p, inst=inst)
         for op in (a, a @ b, c):
             assert operator_norm_bound(op) == loop_norm_bound(op.flat, grid, p)
             assert op.volterra_constant() == loop_volterra_constant(op)
@@ -314,7 +314,7 @@ class TestNormAndConstants:
         n = grid.n_nodes
         mem = np.zeros((n, n, 2, 2), dtype=complex)
         mem[4, 1, 0, 1] = bad
-        op = VolterraOperator(grid, 2, mem=mem, name="bad")
+        op = VolterraOperator(grid, 2, mem=mem)
         assert not np.isfinite(operator_norm_bound(op))
         assert not np.isfinite(op.volterra_constant())
 
@@ -331,7 +331,7 @@ class TestNormAndConstants:
         inst = data.draw(arrays(np.float64, (2, n, p, p), elements=elements), label="inst")
         mem = mem[0] + 1j * mem[1]
         mem[np.triu_indices(n, k=1)] = 0.0
-        op = VolterraOperator(grid, p, inst=inst[0] + 1j * inst[1], mem=mem, name="drawn")
+        op = VolterraOperator(grid, p, inst=inst[0] + 1j * inst[1], mem=mem)
         for x in (op, op + op @ op):
             assert operator_norm_bound(x) == loop_norm_bound(x.flat, grid, p)
 
@@ -362,11 +362,12 @@ class TestDumpFormat:
     def test_round_trip_with_instantaneous_part(self):
         n = GRID.n_nodes
         inst = RNG.standard_normal((n, 2, 2)) + 1j * RNG.standard_normal((n, 2, 2))
-        a = VolterraOperator(GRID, 2, inst=inst, mem=np.zeros((n, n, 2, 2)), name="withinst")
+        a = VolterraOperator(GRID, 2, inst=inst, mem=np.zeros((n, n, 2, 2)))
         buf = io.StringIO()
-        dump_kernel(a, ["x", "y"], buf)
+        dump_kernel(a, ["x", "y"], buf, "withinst")
         buf.seek(0)
-        _, mem, inst_back = load_kernel(buf)
+        header, mem, inst_back = load_kernel(buf)
+        assert header["name"] == "withinst"
         np.testing.assert_array_equal(inst_back, inst)
         assert np.max(np.abs(mem)) == 0.0
 
@@ -411,7 +412,7 @@ class TestDumpFormat:
         inst = np.zeros((n, 2, 2), dtype=complex)
         inst[1] = [[complex(-0.0, 1e16), 1e-05], [0.0, complex(5e-324, -1e-05)]]
         inst[4, 0, 1] = 0.25 - 3.0j
-        a = VolterraOperator(grid, 2, inst=inst, mem=mem, name="special")
+        a = VolterraOperator(grid, 2, inst=inst, mem=mem)
         assert kernel_text(a, ["x", "y"]) == csv_writer_text(a, ["x", "y"])
 
 
@@ -483,7 +484,7 @@ def operator_pairs(draw):
         inst = None
         if draw(st.booleans(), label="instantaneous"):
             inst = scale * (rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p)))
-        op = VolterraOperator(grid, p, inst=inst, mem=mem, name="drawn")
+        op = VolterraOperator(grid, p, inst=inst, mem=mem)
         out.append((op, inst, mem, dense_flat(grid, p, inst, mem)))
     return grid, p, out[0], out[1]
 
