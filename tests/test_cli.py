@@ -124,8 +124,21 @@ class TestRun:
         assert record["error"]["type"] == "config"
 
     def test_memory_guard_exit_code(self, tmp_path):
-        # the Volterra algebra of 3 nodes fits this budget; one held and one
-        # D tile of the ladder grid do not
+        # a budget nothing fits aborts at the first guard, before any artifact
+        cfg_data = trimer_config()
+        cfg_data["tasks"] = ["gxi"]
+        cfg_data["budget"] = 100
+        cfg = write_config(tmp_path, cfg_data)
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 3, result.stderr
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "memory"
+        assert not (tmp_path / "out" / "gxi.kernel.csv").exists()
+
+    def test_recompute_memory_guard_exit_code(self, tmp_path):
+        # the recompute sweep holds one held tile and one D tile, and they must
+        # fit too: the Volterra algebra of 3 nodes fits this budget, the tiles
+        # of the ladder grid do not
         cfg_data = reference_config() | {"tasks": ["gxi"], "budget": 200_000}
         cfg_data["grid"]["steps"] = 2
         cfg = write_config(tmp_path, cfg_data)
