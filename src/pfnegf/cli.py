@@ -6,21 +6,20 @@
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
 configuration error, malformed or unreadable kernel dump, or an artifact
-that cannot be written, 3 memory-guard abort.  A tolerance name, from the
-config or from ``--tolerance``, must name a check of ``verify`` or be
-``convergence_min_order``, and its value must not be NaN.  Configuration
-errors, ``converge`` with fewer than two step counts among them, exit
-before any task runs.  Failures emit a machine-readable JSON error record
-on stderr.  Artifacts are deterministic: rerunning the same
-configuration reproduces them byte for byte (fix the BLAS thread count with
-NEGF_NUM_THREADS when in doubt).
+that cannot be written, 3 memory-guard abort.  ``--steps``, ``--budget``
+and ``--tolerance`` replace ``grid.steps``, ``budget`` and tolerance values
+of the configuration and are checked by the same rules (``pfnegf.config``).
+Configuration errors exit before any task runs.  Failures emit a
+machine-readable JSON error record on stderr.  Artifacts are deterministic:
+rerunning the same configuration reproduces them byte for byte (fix the BLAS
+thread count with NEGF_NUM_THREADS when in doubt).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -52,28 +51,15 @@ def _write_text(path, text) -> None:
 def run_command(args) -> int:
     from .config import load_config
     from .errors import ConfigError, MemoryBudgetError
-    from .negf import DEFAULT_TOLERANCES
 
     try:
         config = load_config(args.config)
-        config.tolerances.update(_parse_tolerance_overrides(args.tolerance))
-        known = set(DEFAULT_TOLERANCES) | {"convergence_min_order"}
-        unknown = sorted(set(config.tolerances) - known)
-        if unknown:
-            raise ConfigError(f"unknown tolerance name(s): {', '.join(unknown)}")
-        nan = sorted(name for name, value in config.tolerances.items() if math.isnan(value))
-        if nan:
-            raise ConfigError(f"NaN tolerance(s): {', '.join(nan)}")
-        if args.steps is not None and args.steps < 2:
-            raise ConfigError("--steps must be an integer >= 2")
-        if args.budget is not None and args.budget <= 0:
-            raise ConfigError("--budget must be positive")
-        if args.budget is not None:
-            config.budget = args.budget
+        overrides = {"tolerances": config.tolerances | _parse_tolerance_overrides(args.tolerance)}
         if args.steps is not None:
-            config.steps_list = [args.steps]
-        if "converge" in config.tasks and len(config.steps_list) < 2:
-            raise ConfigError("converge task needs at least two step counts in grid.steps")
+            overrides["steps_list"] = [args.steps]
+        if args.budget is not None:
+            overrides["budget"] = args.budget
+        config = dataclasses.replace(config, **overrides)  # RunConfig checks the overrides
     except (ConfigError, ValueError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG

@@ -15,17 +15,21 @@ Schema (all complex scalars may be a number or a ``[re, im]`` pair)::
       "budget":   bytes                               # optional, default 4 GiB
     }
 
+Every number is a finite JSON number; strings, null, booleans, NaN and
+Infinity are errors whose message names the key, e.g. ``sample.w[0]``.
 Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
-entries and every other task uses the largest.  Keys outside the schema
-are ignored.
+entries (at least two) and every other task uses the largest.  Tolerance
+names are checks of ``verify`` or ``convergence_min_order``.  Keys outside
+the schema are ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,61 +38,77 @@ from .errors import ConfigError
 from .grid import TimeGrid
 from .lattice import LeadCoupling, TwoBodyPotential, build_geometry, build_hamiltonians
 from .model import Model
+from .negf import DEFAULT_TOLERANCES
 from .propagation import DEFAULT_BUDGET_BYTES
 from .thermal import ThermalParams
 
 KNOWN_TASKS = ("g0", "gxi", "sigma", "verify", "converge", "gamma-check")
 
 
+def _number(value, context: str) -> float:
+    """A finite JSON number; booleans, null, strings, lists, NaN and ±inf are refused."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, context: str) -> int:
+    if not _number(value, context).is_integer():
+        raise ConfigError(f"{context}: expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _as_complex(value, context: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{context}: expected a number or [re, im] pair, got {value!r}")
+        return complex(_number(value[0], context), _number(value[1], context))
+    return complex(_number(value, context))
 
 
 def _as_complex_vector(values, context: str) -> np.ndarray:
     if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{context}: expected a list of components")
-    return np.array([_as_complex(v, context) for v in values], dtype=complex)
+        raise ConfigError(f"{context}: expected a list of components, got {values!r}")
+    return np.array([_as_complex(v, f"{context}[{i}]") for i, v in enumerate(values)], dtype=complex)
 
 
-def _whole(value, context: str) -> int:
-    """A JSON number with an integer value; booleans and fractions are refused."""
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(f"{context} must be a whole number, got {value!r}")
-    return int(value)
+def _entries(raw, context: str):
+    """``[site_a, site_b, value]`` entries with the value's key path."""
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{context}: expected a list of [site_a, site_b, value] entries")
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ConfigError(f"{context}[{k}]: expected [site_a, site_b, value], got {entry!r}")
+        yield entry[0], entry[1], entry[2], f"{context}[{k}]"
 
 
 def _edges(raw, context: str):
-    edges = []
-    for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"{context}: expected [site_a, site_b, amplitude] entries")
-        edges.append((entry[0], entry[1], _as_complex(entry[2], context)))
-    return edges
+    return [(a, b, _as_complex(amp, path)) for a, b, amp, path in _entries(raw, context)]
 
 
 def _pair_matrix(sites, raw, context: str) -> np.ndarray:
     index = {label: i for i, label in enumerate(sites)}
     w = np.zeros((len(sites), len(sites)))
-    for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"{context}: expected [site_a, site_b, value] entries")
-        a, b, val = entry
+    for a, b, val, path in _entries(raw, context):
         if a not in index or b not in index:
-            raise ConfigError(f"{context}: pair ({a!r}, {b!r}) references an unknown sample site")
+            raise ConfigError(f"{path}: pair ({a!r}, {b!r}) references an unknown sample site")
         if a == b:
-            raise ConfigError(f"{context}: diagonal pair weight at {a!r} is not allowed")
-        w[index[a], index[b]] = float(val)
-        w[index[b], index[a]] = float(val)
+            raise ConfigError(f"{path}: diagonal pair weight at {a!r} is not allowed")
+        w[index[a], index[b]] = w[index[b], index[a]] = _number(val, path)
     return w
+
+
+def _section(data: dict, key: str, kind):
+    if key not in data:
+        raise ConfigError(f"missing configuration section {key!r}")
+    if not isinstance(data[key], kind):
+        raise ConfigError(f"{key}: expected a JSON {'object' if kind is dict else 'list'}, got {data[key]!r}")
+    return data[key]
 
 
 @dataclass
 class RunConfig:
+    """Checked run settings; ``dataclasses.replace`` checks the new values too."""
+
     model: Model
     thermal: ThermalParams
     horizon: float
@@ -97,6 +117,37 @@ class RunConfig:
     tolerances: dict
     budget: int
     model_hash: str
+
+    def __post_init__(self):
+        self.horizon = _number(self.horizon, "grid.T")
+        if not isinstance(self.steps_list, list) or not self.steps_list:
+            raise ConfigError("grid.steps must hold at least one step count")
+        self.steps_list = [_whole(s, "grid.steps") for s in self.steps_list]
+        try:
+            for steps in self.steps_list:
+                TimeGrid(self.horizon, steps)
+        except ValueError as exc:
+            raise ConfigError(f"malformed grid section: {exc}") from None
+
+        if not isinstance(self.tasks, list) or not self.tasks:
+            raise ConfigError("tasks must be a nonempty list")
+        for task in self.tasks:
+            if task not in KNOWN_TASKS:
+                raise ConfigError(f"unknown task {task!r}; known tasks: {', '.join(KNOWN_TASKS)}")
+        self.tasks = list(self.tasks)
+        if "converge" in self.tasks and len(self.steps_list) < 2:
+            raise ConfigError("converge task needs at least two step counts in grid.steps")
+
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object of name -> value")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES) - {"convergence_min_order"})
+        if unknown:
+            raise ConfigError(f"unknown tolerance name(s): {', '.join(unknown)}")
+        self.tolerances = {k: _number(v, f"tolerances.{k}") for k, v in self.tolerances.items()}
+
+        self.budget = _whole(self.budget, "budget")
+        if self.budget <= 0:
+            raise ConfigError(f"budget: must be positive, got {self.budget}")
 
     @property
     def steps(self) -> int:
@@ -109,13 +160,10 @@ class RunConfig:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    try:
-        sample = data["sample"]
-        leads = data["leads"]
-        thermal_raw = data["thermal"]
-        grid_raw = data["grid"]
-    except KeyError as exc:
-        raise ConfigError(f"missing configuration section {exc.args[0]!r}") from None
+    sample = _section(data, "sample", dict)
+    leads = _section(data, "leads", (list, tuple))
+    thermal_raw = _section(data, "thermal", dict)
+    grid_raw = _section(data, "grid", dict)
 
     try:
         geometry = build_geometry(sample["sites"], [lead["sites"] for lead in leads])
@@ -125,95 +173,52 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     bias = data.get("bias", [0.0] * geometry.num_leads)
+    if not isinstance(bias, (list, tuple)):
+        raise ConfigError(f"bias: expected a list of one value per lead, got {bias!r}")
     couplings = []
     for nu, lead in enumerate(leads):
+        context = f"leads[{nu}].coupling"
+        raw = lead.get("coupling")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{context}: expected an object with d, f and g, got {raw!r}")
+        strength = _number(raw.get("d"), f"{context}.d")
+        f, g = (_as_complex_vector(raw.get(key), f"{context}.{key}") for key in "fg")
         try:
-            raw = lead["coupling"]
-            coupling = LeadCoupling(
-                strength=float(raw["d"]),
-                lead_vector=_as_complex_vector(raw["f"], f"lead {nu} coupling f"),
-                sample_vector=_as_complex_vector(raw["g"], f"lead {nu} coupling g"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"lead {nu}: missing coupling entry {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"lead {nu}: {exc}") from None
-        couplings.append(coupling)
+            couplings.append(LeadCoupling(strength=strength, lead_vector=f, sample_vector=g))
+        except ValueError as exc:
+            raise ConfigError(f"{context}: {exc}") from None
 
     try:
         one_particle = build_hamiltonians(
             geometry,
-            _edges(sample.get("hoppings", []), "sample hoppings"),
-            [_edges(lead.get("hoppings", []), f"lead {nu} hoppings") for nu, lead in enumerate(leads)],
+            _edges(sample.get("hoppings", []), "sample.hoppings"),
+            [_edges(lead.get("hoppings", []), f"leads[{nu}].hoppings") for nu, lead in enumerate(leads)],
             couplings,
-            bias,
+            [_number(v, f"bias[{nu}]") for nu, v in enumerate(bias)],
         )
         interaction = TwoBodyPotential(
-            matrix=_pair_matrix(sample["sites"], sample.get("w", []), "sample w"),
-            strength=float(sample.get("xi", 0.0)),
+            matrix=_pair_matrix(sample["sites"], sample.get("w", []), "sample.w"),
+            strength=_number(sample.get("xi", 0.0), "sample.xi"),
+        )
+        thermal = ThermalParams(
+            beta=_number(thermal_raw.get("beta"), "thermal.beta"),
+            mu=_number(thermal_raw.get("mu", 0.0), "thermal.mu"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    try:
-        thermal = ThermalParams(beta=float(thermal_raw["beta"]), mu=float(thermal_raw.get("mu", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed thermal section: {exc}") from None
-
-    try:
-        horizon = float(grid_raw["T"])
-        steps_raw = grid_raw["steps"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed grid section: {exc}") from None
-    steps_raw = steps_raw if isinstance(steps_raw, list) else [steps_raw]
-    steps_list = [_whole(s, "grid.steps") for s in steps_raw]
-    if not steps_list:
-        raise ConfigError("grid.steps must hold at least one step count")
-    try:
-        for steps in steps_list:
-            TimeGrid(horizon, steps)
-    except ValueError as exc:
-        raise ConfigError(f"malformed grid section: {exc}") from None
-
-    tasks = data.get("tasks", ["verify"])
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("tasks must be a nonempty list")
-    for task in tasks:
-        if task not in KNOWN_TASKS:
-            raise ConfigError(f"unknown task {task!r}; known tasks: {', '.join(KNOWN_TASKS)}")
-
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object of name -> value")
-    try:
-        tolerances = {str(k): float(v) for k, v in tolerances.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed tolerance value: {exc}") from None
-
+    steps = grid_raw.get("steps")
     budget = data.get("budget")
-    budget = DEFAULT_BUDGET_BYTES if budget is None else _whole(budget, "budget")
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
-
-    hashed = {
-        "sample": sample,
-        "leads": leads,
-        "bias": list(bias),
-        "thermal": thermal_raw,
-        "grid": grid_raw,
-    }
-    digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
-
-    model = Model(one_particle=one_particle, interaction=interaction)
+    hashed = {"sample": sample, "leads": leads, "bias": list(bias), "thermal": thermal_raw, "grid": grid_raw}
     return RunConfig(
-        model=model,
+        model=Model(one_particle=one_particle, interaction=interaction),
         thermal=thermal,
-        horizon=horizon,
-        steps_list=steps_list,
-        tasks=list(tasks),
-        tolerances=tolerances,
-        budget=budget,
-        model_hash=digest,
+        horizon=grid_raw.get("T"),
+        steps_list=steps if isinstance(steps, list) else [steps],
+        tasks=data.get("tasks", ["verify"]),
+        tolerances=data.get("tolerances", {}),
+        budget=DEFAULT_BUDGET_BYTES if budget is None else budget,
+        model_hash=hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
     )
 
 

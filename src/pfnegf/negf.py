@@ -65,9 +65,10 @@ DEFAULT_TOLERANCES = {
 QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 
 # Packed Volterra operators' worth of memory that ``verify`` holds at once.
-# tracemalloc on the lead3-verify benchmark config (d = 8, 101 nodes, seed 0)
-# measured a peak of 11.5 beyond its four kernel-built operators; at most 18
-# operators were live, with 15.2 packed buffers between them.
+# tracemalloc on the lead3-verify benchmark config (d = 8, 101 nodes, seed 0),
+# with g0, gxi and sigma_tilde built first, measured a peak of 10.0 beyond
+# them, the build of f_map included; at most 14 operators were live, with
+# 11.2 packed buffers between them.
 ALGEBRA_OPERATORS = 16
 
 
@@ -101,9 +102,11 @@ class KernelEngine:
     objects (irreducible self-energy, algebraic Dyson solution) are exact
     products of the packed causal algebra.  The ladder grid is cached, since
     ``gxi`` and the pairing check both read it; the dressed and mixed grids
-    are read once, by ``sigma_tilde`` and ``f_map``, and are not cached.
-    ``budget`` covers the correlator tiles and ``ALGEBRA_OPERATORS`` packed
-    operators; an engine that cannot fit them is refused at construction.
+    are read once, by ``sigma_tilde`` and ``f_map``, and are not cached;
+    nor is ``f_map``, whose one reader, the cached ``quadrature``, drops it
+    once the residuals are measured.  ``budget`` covers the correlator tiles
+    and ``ALGEBRA_OPERATORS`` packed operators; an engine that cannot fit
+    them is refused at construction.
     """
 
     def __init__(
@@ -180,7 +183,7 @@ class KernelEngine:
         inst = (1j * contact).transpose(2, 0, 1).copy()
         return VolterraOperator(self.grid, self.p, mem=mem, inst=inst)
 
-    @cached_property
+    @property
     def f_map(self) -> VolterraOperator:
         mem = self.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
         return VolterraOperator(self.grid, self.p, mem=mem)
@@ -442,15 +445,13 @@ def verify_dyson(
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")
 
-    zero = VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))
-    half = sigma.scale(0.5)
-    inst_only = VolterraOperator(grid, p, inst=sigma.instantaneous().copy())
+    # each approximating self-energy is built for its own check and freed after it
     for name, sigma_app in (
-        ("approx_split_zero", zero),
-        ("approx_split_half", half),
-        ("approx_split_instantaneous", inst_only),
+        ("approx_split_zero", lambda: VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))),
+        ("approx_split_half", lambda: sigma.scale(0.5)),
+        ("approx_split_instantaneous", lambda: VolterraOperator(grid, p, inst=sigma.instantaneous().copy())),
     ):
-        _, residual = approx_split(sigma, sigma_app, g0, g_alg)
+        residual = approx_split(sigma, sigma_app(), g0, g_alg)[1]
         report.add(name, residual, tol[name], "exact-algebra")
 
     return report

@@ -435,6 +435,11 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
     header = json.loads(fh.readline())
     if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
         raise ValueError(f"malformed kernel header: {header!r}")
+    for key, least in (("p", 1), ("N_t", 2)):
+        value = header[key]
+        whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not whole or value < least:
+            raise ValueError(f"malformed kernel header: {key} must be a whole number >= {least}, got {value!r}")
     p = int(header["p"])
     n = int(header["N_t"]) + 1
     mem = np.zeros((n, n, p, p), dtype=complex)

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import math
 import os
+import re
 
 import pytest
 from conftest import dimer_config, run_cli, trimer_config
@@ -16,6 +19,11 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def last_error(capsys) -> dict:
+    """The JSON error record of an in-process ``main`` call."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
 
 def read_tree(root):
@@ -79,20 +87,17 @@ class TestRun:
         assert (tmp_path / "out" / "sigma_tilde.kernel.csv").exists()
         assert (tmp_path / "out" / "sigma.kernel.csv").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
-        assert result.returncode == 2
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "config"
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert last_error(capsys)["type"] == "config"
 
     def test_unknown_task_exit_code(self, tmp_path):
         cfg_data = dimer_config()
         cfg_data["tasks"] = ["frobnicate"]
         cfg = write_config(tmp_path, cfg_data)
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
-        assert result.returncode == 2
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize(
         "tolerances, extra, name",
@@ -102,26 +107,23 @@ class TestRun:
         ],
         ids=["config", "flag"],
     )
-    def test_unknown_tolerance_name_exit_code(self, tmp_path, tolerances, extra, name):
+    def test_unknown_tolerance_name_exit_code(self, tmp_path, capsys, tolerances, extra, name):
         # a misspelled check name would otherwise leave its default in force
         cfg_data = trimer_config() | {"tolerances": tolerances}
         cfg_data["grid"]["steps"] = 12
         cfg = write_config(tmp_path, cfg_data)
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), *extra], tmp_path)
-        assert result.returncode == 2, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "config"
-        assert name in record["error"]["message"]
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+        record = last_error(capsys)
+        assert record["type"] == "config"
+        assert name in record["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--budget", "0")])
-    def test_bad_override_exit_code(self, tmp_path, flag, value):
+    def test_bad_override_exit_code(self, tmp_path, capsys, flag, value):
         # the same bounds the config file enforces: steps >= 2, budget > 0
         cfg = write_config(tmp_path, dimer_config())
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), flag, value], tmp_path)
-        assert result.returncode == 2, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "config"
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), flag, value]) == 2
+        assert last_error(capsys)["type"] == "config"
 
     def test_memory_guard_exit_code(self, tmp_path):
         # a budget nothing fits aborts at the first guard, before any artifact
@@ -193,13 +195,15 @@ class TestRun:
     @pytest.mark.parametrize(
         "extra", [["--strategy", "auto"], ["--steps", "abc"]], ids=["unknown-flag", "bad-int"]
     )
-    def test_usage_error_exit_code(self, tmp_path, extra):
+    def test_usage_error_exit_code(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, dimer_config())
-        result = run_cli(["run", str(cfg), *extra], tmp_path)
-        assert result.returncode == 2, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "usage"
-        assert run_cli(["run", "-h"], tmp_path).returncode == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(cfg), *extra])
+        assert exit_info.value.code == 2
+        assert last_error(capsys)["type"] == "usage"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "-h"])
+        assert exit_info.value.code == 0
 
     def test_failed_check_exit_code(self, tmp_path):
         cfg_data = trimer_config()
@@ -267,7 +271,7 @@ def reference_at_12_steps(**changes):
         target = cfg
         for part in outer:
             target = target[int(part) if part.isdigit() else part]
-        target[key] = value
+        target[int(key) if key.isdigit() else key] = value
     return cfg
 
 
@@ -293,11 +297,42 @@ class TestMalformedConfig:
             ("leads.0.coupling.d", None),
             ("leads.0.coupling.d", [0.5]),
             ("tasks", 5),
+            # every number is a finite JSON number, in every section
+            ("sample.xi", math.nan),
+            ("sample.xi", math.inf),
+            ("leads.0.coupling.d", math.nan),
+            ("leads.0.coupling.d", math.inf),
+            ("sample.hoppings.0.2", math.nan),
+            ("leads.1.hoppings.0.2", -math.inf),
+            ("sample.w.0.2", math.nan),
+            ("sample.w.0.2", math.inf),
+            ("sample.xi", "0.5"),
+            ("thermal.mu", "0"),
+            ("grid.T", "4"),
+            ("bias", [None, 0.0]),
+            ("sample.w.0.2", [1.0, 0.5]),
+            ("grid", [4.0, 12]),
+            ("tolerances", {"lead_support": math.inf}),
+            # rules of RunConfig itself, not only of the command line
+            ("tolerances", {"reducible_dysn": 1e-3}),
+            ("tolerances", {"lead_support": math.nan}),
+            ("tasks", ["verify", "converge"]),
         ],
     )
     def test_parse_rejects(self, path, value):
         with pytest.raises(ConfigError):
             parse_config(reference_at_12_steps(**{path: value}))
+
+    @pytest.mark.parametrize("path, key", [("sample.xi", "sample.xi"), ("sample.w.0.2", "sample.w[0]")])
+    def test_message_names_the_key(self, path, key):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: expected a finite number, got nan")):
+            parse_config(reference_at_12_steps(**{path: math.nan}))
+
+    def test_overrides_are_checked(self):
+        config = parse_config(reference_at_12_steps())
+        for change in ({"steps_list": [1]}, {"budget": 0}, {"tolerances": {"lead_support": math.nan}}):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(config, **change)
 
     @pytest.mark.parametrize(
         "cfg_data, extra",
@@ -373,6 +408,14 @@ class TestDiff:
         assert result.returncode == 2, result.stderr
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "malformed-dump"
+
+    def test_malformed_header_exit_code(self, tmp_path, capsys, dumps):
+        a = dumps[0]
+        header, rest = a.read_text().split("\n", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(json.dumps(json.loads(header) | {"p": None}) + "\n" + rest)
+        assert main(["diff", str(a), str(bad)]) == 2
+        assert last_error(capsys)["type"] == "malformed-dump"
 
     @pytest.mark.parametrize("which", ["missing", "directory"])
     def test_unreadable_dump_exit_code(self, tmp_path, dumps, which):

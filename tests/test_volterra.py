@@ -391,7 +391,15 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match="malformed kernel row"):
             load_kernel(io.StringIO(text))
 
-    @pytest.mark.parametrize("header", ['{"p": 2}', "[2, 2]"])
+    @pytest.mark.parametrize(
+        "header",
+        ['{"p": 2}', "[2, 2]"]
+        # p a whole number >= 1, N_t a whole number >= 2, neither a bool
+        + [
+            json.dumps({"p": 2, "N_t": 2, "T": 1.0, "ordering": ["x", "y"]} | shape)
+            for shape in ({"p": None}, {"p": 1.7}, {"p": True}, {"p": 0}, {"N_t": 1}, {"N_t": "2"})
+        ],
+    )
     def test_rejects_header_without_its_keys(self, header):
         with pytest.raises(ValueError, match="malformed kernel header"):
             load_kernel(io.StringIO(header + "\n0,0,0,0,1.0,0.0\n"))
