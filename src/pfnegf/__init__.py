@@ -62,7 +62,6 @@ from .propagation import (
     CorrelatorGrid,
     heisenberg_series,
     stepper,
-    two_time_kernel,
 )
 from .thermal import (
     DensityOperator,

@@ -17,6 +17,9 @@ Schema (all complex scalars may be a number or a ``[re, im]`` pair)::
 
 Every number is a finite JSON number; strings, null, booleans, NaN and
 Infinity are errors whose message names the key, e.g. ``sample.w[0]``.
+Site labels are JSON strings or numbers and every lead is an object; a
+label of another type is reported with its key as well, e.g.
+``leads[0].sites[1]`` or ``sample.hoppings[0]``.
 Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
@@ -71,14 +74,29 @@ def _as_complex_vector(values, context: str) -> np.ndarray:
     return np.array([_as_complex(v, f"{context}[{i}]") for i, v in enumerate(values)], dtype=complex)
 
 
+def _label(value, context: str):
+    """A site label: a JSON string or number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{context}: a site label must be a string or a number, got {value!r}")
+    return value
+
+
+def _sites(section: dict, context: str) -> list:
+    raw = section.get("sites")
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{context}.sites: expected a list of site labels, got {raw!r}")
+    return [_label(label, f"{context}.sites[{i}]") for i, label in enumerate(raw)]
+
+
 def _entries(raw, context: str):
     """``[site_a, site_b, value]`` entries with the value's key path."""
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"{context}: expected a list of [site_a, site_b, value] entries")
     for k, entry in enumerate(raw):
+        path = f"{context}[{k}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"{context}[{k}]: expected [site_a, site_b, value], got {entry!r}")
-        yield entry[0], entry[1], entry[2], f"{context}[{k}]"
+            raise ConfigError(f"{path}: expected [site_a, site_b, value], got {entry!r}")
+        yield _label(entry[0], path), _label(entry[1], path), entry[2], path
 
 
 def _edges(raw, context: str):
@@ -165,10 +183,13 @@ def parse_config(data: dict) -> RunConfig:
     thermal_raw = _section(data, "thermal", dict)
     grid_raw = _section(data, "grid", dict)
 
+    for nu, lead in enumerate(leads):
+        if not isinstance(lead, dict):
+            raise ConfigError(f"leads[{nu}]: expected a JSON object, got {lead!r}")
     try:
-        geometry = build_geometry(sample["sites"], [lead["sites"] for lead in leads])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed geometry section: {exc}") from None
+        geometry = build_geometry(
+            _sites(sample, "sample"), [_sites(lead, f"leads[{nu}]") for nu, lead in enumerate(leads)]
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -197,7 +218,7 @@ def parse_config(data: dict) -> RunConfig:
             [_number(v, f"bias[{nu}]") for nu, v in enumerate(bias)],
         )
         interaction = TwoBodyPotential(
-            matrix=_pair_matrix(sample["sites"], sample.get("w", []), "sample.w"),
+            matrix=_pair_matrix(geometry.sample_sites, sample.get("w", []), "sample.w"),
             strength=_number(sample.get("xi", 0.0), "sample.xi"),
         )
         thermal = ThermalParams(

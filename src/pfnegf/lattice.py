@@ -37,11 +37,8 @@ class Geometry:
         for idx, lead in enumerate(self.leads):
             if len(lead) < 1:
                 raise ValueError(f"lead {idx} is empty")
-        labels = list(self.sample_sites)
-        for lead in self.leads:
-            labels.extend(lead)
         seen = set()
-        for label in labels:
+        for label in self.site_labels:
             if label in seen:
                 raise ValueError(f"duplicate site label {label!r}")
             seen.add(label)

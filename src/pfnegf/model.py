@@ -68,7 +68,7 @@ class Model:
 
     @cached_property
     def K_v(self) -> ManyBodyOperator:
-        op = self.H + self.interaction.strength * self.W
+        op = self.K_0
         for nu, v in enumerate(self.one_particle.bias):
             if v != 0.0:
                 op = op + float(v) * self.N_lead(nu)

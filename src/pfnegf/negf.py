@@ -39,7 +39,7 @@ from .propagation import (
     CorrelatorFactory,
     CorrelatorGrid,
 )
-from .thermal import DensityOperator, ThermalParams, gibbs
+from .thermal import ThermalParams, gibbs
 from .volterra import VolterraOperator, packed_size, solve_id_plus
 
 # Exact-algebra identities are roundoff-limited; quadrature-limited residuals
@@ -91,22 +91,24 @@ def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
 
 
 class KernelEngine:
-    """Shared-state computation of every kernel for one model, state and grid.
+    """Shared-state computation of every kernel for one model and grid.
 
-    The creation family and the dressed family are registered once, in the
-    eigenbasis of ``K_v``; each of the three grids (interacting kernel,
-    reducible self-energy, consistency map) is built on first use, reaching
-    every node of the families it pairs by elementwise phase factors and
-    pairing tiles of nodes in one GEMM each.  That costs O(N_t^2) phase
-    products, no evolution sweeps and O(TILE_NODES) memory in N_t.  Derived
-    objects (irreducible self-energy, algebraic Dyson solution) are exact
-    products of the packed causal algebra.  The ladder grid is cached, since
-    ``gxi`` and the pairing check both read it; the dressed and mixed grids
-    are read once, by ``sigma_tilde`` and ``f_map``, and are not cached;
-    nor is ``f_map``, whose one reader, the cached ``quadrature``, drops it
-    once the residuals are measured.  ``budget`` covers the correlator tiles
-    and ``ALGEBRA_OPERATORS`` packed operators; an engine that cannot fit
-    them is refused at construction.
+    The state is the partition-free one, the Gibbs state of the coupled and
+    unbiased ``K_0`` at ``thermal``.  The creation family and the dressed
+    family are registered once, in the eigenbasis of ``K_v``; each of the
+    three grids (interacting kernel, reducible self-energy, consistency map)
+    is built on first use, reaching every node of the families it pairs by
+    elementwise phase factors and pairing tiles of nodes in one GEMM each.
+    That costs O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES)
+    memory in N_t.  Derived objects (irreducible self-energy, algebraic Dyson
+    solution) are exact products of the packed causal algebra.  The ladder
+    grid is full, both triangles, and cached, since ``gxi`` and the pairing
+    check both read it; the dressed and mixed grids are read once, by
+    ``sigma_tilde`` and ``f_map``, and are not cached; nor is ``f_map``, whose
+    one reader, the cached ``quadrature``, drops it once the residuals are
+    measured.  ``budget`` covers the correlator tiles and
+    ``ALGEBRA_OPERATORS`` packed operators; an engine that cannot fit them is
+    refused at construction.
     """
 
     def __init__(
@@ -115,8 +117,6 @@ class KernelEngine:
         thermal: ThermalParams,
         grid: TimeGrid,
         budget: int = DEFAULT_BUDGET_BYTES,
-        rho: DensityOperator | None = None,
-        full_correlator: bool = True,
     ):
         need = ALGEBRA_OPERATORS * 16 * packed_size(grid.n_nodes, model.num_sites)  # complex128
         if need > budget:
@@ -128,11 +128,10 @@ class KernelEngine:
         self.grid = grid
         self.thermal = thermal
         self.budget = budget
-        self.rho = rho if rho is not None else gibbs(model.K_0, thermal, model.N_total, label="pf")
-        self.factory = CorrelatorFactory(self.rho, model.K_v, grid, budget=budget)
+        rho = gibbs(model.K_0, thermal, model.N_total, label="pf")
+        self.factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
         self.factory.add_family("a", list(model.creation_family))
         self.factory.add_family("b", list(model.dressed_creation_family))
-        self.full_correlator = full_correlator
 
     @property
     def p(self) -> int:
@@ -140,7 +139,7 @@ class KernelEngine:
 
     @cached_property
     def ladder_grid(self) -> CorrelatorGrid:
-        return self.factory.anticommutator_grid("a", "a", full=self.full_correlator)
+        return self.factory.anticommutator_grid("a", "a", full=True)
 
     @cached_property
     def g0(self) -> VolterraOperator:
@@ -317,11 +316,10 @@ def fit_convergence_order(deltas, residuals) -> float:
 def convergence_study(engine: KernelEngine, steps_list) -> dict:
     """Quadrature-residual table over a family of grids plus fitted orders.
 
-    ``engine`` serves its own grid.  Every other grid gets a kernel engine of
-    the same model, state, horizon and budget, which builds only what the
-    three quadrature-limited identities need (``KernelEngine.quadrature``).
-    A full-grid engine's causal blocks are the same products as a causal-only
-    engine's, so the table does not depend on which one is passed.  The
+    ``engine`` serves its own grid, from its caches when ``verify_dyson`` has
+    filled them.  Every other grid gets a kernel engine of the same model,
+    thermal parameters, horizon and budget, which builds only what the three
+    quadrature-limited identities need (``KernelEngine.quadrature``).  The
     exact-algebra checks are grid-independent and belong to ``verify_dyson``.
     Returns the CSV text, the rows, and fitted orders for the three
     identities.
@@ -333,14 +331,7 @@ def convergence_study(engine: KernelEngine, steps_list) -> dict:
         grid = TimeGrid(engine.grid.horizon, steps)
         engine_at = engine
         if engine.grid != grid:
-            engine_at = KernelEngine(
-                engine.model,
-                engine.thermal,
-                grid,
-                budget=engine.budget,
-                rho=engine.rho,
-                full_correlator=False,
-            )
+            engine_at = KernelEngine(engine.model, engine.thermal, grid, budget=engine.budget)
         rows.append({"steps": steps, "delta": grid.delta} | engine_at.quadrature)
     deltas = [row["delta"] for row in rows]
     fitted = {name: fit_convergence_order(deltas, [row[name] for row in rows]) for name in names}
@@ -434,13 +425,8 @@ def verify_dyson(
     equal_time = float(np.max(np.abs(gxi.memory_kernel()[nodes, nodes] + 1j * np.eye(p))))
     report.add("equal_time_normalization", equal_time, tol["equal_time_normalization"], "roundoff")
 
-    if engine.ladder_grid.full:
-        report.add(
-            "hermitian_pairing",
-            _pairing_defect(engine.ladder_grid.values),
-            tol["hermitian_pairing"],
-            "roundoff",
-        )
+    pairing = _pairing_defect(engine.ladder_grid.values)
+    report.add("hermitian_pairing", pairing, tol["hermitian_pairing"], "roundoff")
 
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")

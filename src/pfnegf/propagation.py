@@ -60,28 +60,19 @@ def stepper(generator: ManyBodyOperator, delta: float) -> ManyBodyOperator:
     _check_hermitian(generator)
     blocks = []
     for block in generator.blocks:
-        if block.shape[0] == 0:
-            blocks.append(np.zeros((0, 0), dtype=complex))
-            continue
         lam, v = np.linalg.eigh(block)
         blocks.append((v * np.exp(-1j * delta * lam)[None, :]) @ np.conj(v.T))
     return ManyBodyOperator(generator.space, 0, tuple(blocks))
 
 
 def heisenberg_series(
-    x: ManyBodyOperator,
-    u: ManyBodyOperator,
-    grid: TimeGrid,
-    budget: int = DEFAULT_BUDGET_BYTES,
+    x: ManyBodyOperator, u: ManyBodyOperator, grid: TimeGrid
 ) -> list[ManyBodyOperator]:
-    """Evolved copies ``x(t_k) = (U^dagger)^k x U^k`` for every node, incrementally."""
-    per_op = sum(b.size * 16 for b in x.blocks if b is not None)
-    need = per_op * grid.n_nodes
-    if need > budget:
-        raise MemoryBudgetError(
-            f"storing {grid.n_nodes} evolved operators needs {need} bytes "
-            f"(budget {budget}); reduce the step count or the orbital count"
-        )
+    """Evolved copies ``x(t_k) = (U^dagger)^k x U^k`` for every node, incrementally.
+
+    The step-product oracle of the diagonal evolution; it holds all N_t + 1
+    operators at once.
+    """
     u_dag = u.dagger()
     series = [x]
     for _ in range(grid.steps):
@@ -93,21 +84,18 @@ def heisenberg_series(
 class CorrelatorGrid:
     """Two-time anticommutator values ``C[j, m, k, l]``.
 
-    Retarded kernels only read the causal triangle ``l <= k``; when ``full``
-    is set the acausal part is populated as well (used by the pairing check).
+    Retarded kernels only read the causal triangle ``l <= k``; a full grid
+    holds the acausal part as well (read by the pairing check).
     """
 
     values: np.ndarray
-    grid: TimeGrid
-    full: bool
 
     def causal_kernel(self, prefactor) -> np.ndarray:
         """(n, n, p_d, p_a) kernel ``prefactor * C`` with the acausal part zeroed."""
-        n = self.grid.n_nodes
         kernel = self.values.transpose(2, 3, 0, 1).copy()
-        iu = np.triu_indices(n, k=1)
-        kernel[iu] = 0.0
-        return prefactor * kernel
+        kernel[np.triu_indices(self.values.shape[2], k=1)] = 0.0
+        kernel *= prefactor
+        return kernel
 
 
 def _flat_index(sector: list, s: int) -> tuple:
@@ -194,7 +182,6 @@ class CorrelatorFactory:
             out[:, sl] = (self.rho_k[n + 1] @ x + x @ self.rho_k[n]).reshape(len(flat), -1)
         return out
 
-
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
             raise ValueError(f"family {name!r} already registered")
@@ -240,7 +227,7 @@ class CorrelatorFactory:
                 if not full and k0 == l0:
                     block[..., acausal[: k1 - k0, : k1 - k0]] = 0.0
                 values[rows_d[:, None], rows_a, k0:k1, l0:l1] = block
-        return CorrelatorGrid(values, self.grid, full)
+        return CorrelatorGrid(values)
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:
         """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators."""
@@ -249,26 +236,3 @@ class CorrelatorFactory:
         for k in range(self.grid.n_nodes):
             out[:, k] = weighted @ self.phases(k, self.diag_index)
         return out
-
-
-def two_time_kernel(
-    rho: DensityOperator,
-    generator: ManyBodyOperator,
-    family_creation: list[ManyBodyOperator],
-    family_annihilation: list[ManyBodyOperator],
-    grid: TimeGrid,
-    full: bool = False,
-) -> CorrelatorGrid:
-    """Anticommutator grid ``C[j, m, k, l] = Tr(rho {A*_m(t_l), B_j(t_k)})``.
-
-    ``family_creation`` holds the ``A*_m`` (displacement +1),
-    ``family_annihilation`` the ``B_j`` (displacement -1); the latter are
-    evolved through their adjoints.
-    """
-    for op in family_annihilation:
-        if op.displacement != -1:
-            raise ValueError("family_annihilation must hold displacement -1 operators")
-    factory = CorrelatorFactory(rho, generator, grid)
-    factory.add_family("a", family_creation)
-    factory.add_family("d", [op.dagger() for op in family_annihilation])
-    return factory.anticommutator_grid("a", "d", full=full)

@@ -207,9 +207,6 @@ def picard_gamma(
     converged = True
     for k_block, t_block in zip(k_decoupled.blocks, h_tunneling.blocks):
         dim = k_block.shape[0]
-        if dim == 0:
-            blocks.append(np.zeros((0, 0), dtype=complex))
-            continue
         if not np.any(t_block):
             blocks.append(np.eye(dim, dtype=complex))
             continue
@@ -242,9 +239,6 @@ def gamma_closed_form(k_decoupled: ManyBodyOperator, k_coupled: ManyBodyOperator
     """Reference ``exp(beta K_D) exp(-beta K_0)`` via sector eigendecompositions."""
     blocks = []
     for kd_block, k0_block in zip(k_decoupled.blocks, k_coupled.blocks):
-        if kd_block.shape[0] == 0:
-            blocks.append(np.zeros((0, 0), dtype=complex))
-            continue
         lam_d, v_d = np.linalg.eigh(kd_block)
         lam_0, v_0 = np.linalg.eigh(k0_block)
         shift = 0.5 * (lam_d.max() + lam_0.min())

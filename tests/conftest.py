@@ -78,25 +78,23 @@ def reference_rho(reference_run):
     return gibbs(model.K_0, reference_run.thermal, model.N_total, label="pf")
 
 
-def _engine(run, rho, steps):
-    return KernelEngine(
-        run.model, run.thermal, TimeGrid(run.horizon, steps), rho=rho, full_correlator=True
-    )
+def _engine(run, steps):
+    return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, steps))
 
 
 @pytest.fixture(scope="session")
-def ref_engine_25(reference_run, reference_rho):
-    return _engine(reference_run, reference_rho, 25)
+def ref_engine_25(reference_run):
+    return _engine(reference_run, 25)
 
 
 @pytest.fixture(scope="session")
-def ref_engine_50(reference_run, reference_rho):
-    return _engine(reference_run, reference_rho, 50)
+def ref_engine_50(reference_run):
+    return _engine(reference_run, 50)
 
 
 @pytest.fixture(scope="session")
-def ref_engine_100(reference_run, reference_rho):
-    return _engine(reference_run, reference_rho, 100)
+def ref_engine_100(reference_run):
+    return _engine(reference_run, 100)
 
 
 @pytest.fixture(scope="session")

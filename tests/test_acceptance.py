@@ -17,7 +17,6 @@ from pfnegf.config import parse_config, reference_config
 from pfnegf.fock import anticommutator, identity_operator, ladder_op
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import KernelEngine, verify_dyson
-from pfnegf.propagation import two_time_kernel
 from pfnegf.thermal import (
     gamma_closed_form,
     gibbs,
@@ -184,17 +183,13 @@ class TestAcceptance:
         identical = trees[0] == trees[1]
         record("criterion-12a bit-identical reruns", float(not identical), 0.0, identical)
 
-    def test_criterion_12b_storage_strategies(self, reference_rho):
-        # configs that still carry the retired strategy key give identical grids
-        grids = []
-        for strategy in ("history", "recompute"):
-            run = parse_config(reference_config() | {"strategy": strategy})
-            creation = list(run.model.creation_family)
-            annihilation = [op.dagger() for op in creation]
-            grid = TimeGrid(run.horizon, 25)
-            grids.append(
-                two_time_kernel(reference_rho, run.model.K_v, creation, annihilation, grid).values
-            )
-        np.testing.assert_array_equal(*grids)
-        diff = float(np.max(np.abs(grids[0] - grids[1])))
-        record("criterion-12b storage strategies agree", diff, 0.0, diff == 0.0)
+    def test_criterion_12b_storage_strategies(self):
+        # the retired strategy key selects nothing: the Dyson report of a
+        # config that carries it is byte-equal to that of one without it
+        reports = []
+        for extra in ({}, {"strategy": "history"}, {"strategy": "recompute"}):
+            run = parse_config(reference_config() | extra)
+            engine = KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 25))
+            reports.append(verify_dyson(engine, run.tolerances, run.model_hash).to_json())
+        differing = sum(report != reports[0] for report in reports[1:])
+        record("criterion-12b storage strategies agree", float(differing), 0.0, differing == 0)

@@ -323,10 +323,33 @@ class TestMalformedConfig:
         with pytest.raises(ConfigError):
             parse_config(reference_at_12_steps(**{path: value}))
 
-    @pytest.mark.parametrize("path, key", [("sample.xi", "sample.xi"), ("sample.w.0.2", "sample.w[0]")])
-    def test_message_names_the_key(self, path, key):
-        with pytest.raises(ConfigError, match=re.escape(f"{key}: expected a finite number, got nan")):
-            parse_config(reference_at_12_steps(**{path: math.nan}))
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            pytest.param("sample.xi", math.nan, "sample.xi: expected a finite number, got nan",
+                         id="sample.xi-sample.xi"),
+            pytest.param("sample.w.0.2", math.nan, "sample.w[0]: expected a finite number, got nan",
+                         id="sample.w.0.2-sample.w[0]"),
+            # a site label is a JSON string or number, and a lead is an object
+            pytest.param("sample.hoppings.0.0", [1], "sample.hoppings[0]: a site label must be",
+                         id="sample.hoppings.0.0-sample.hoppings[0]"),
+            pytest.param("sample.w.0.0", [1], "sample.w[0]: a site label must be",
+                         id="sample.w.0.0-sample.w[0]"),
+            pytest.param("leads.1.hoppings.0.1", None, "leads[1].hoppings[0]: a site label must be",
+                         id="leads.1.hoppings.0.1-leads[1].hoppings[0]"),
+            pytest.param("sample.sites.0", ["s0"], "sample.sites[0]: a site label must be",
+                         id="sample.sites.0-sample.sites[0]"),
+            pytest.param("leads.0.sites.1", True, "leads[0].sites[1]: a site label must be",
+                         id="leads.0.sites.1-leads[0].sites[1]"),
+            pytest.param("sample.sites", "s0", "sample.sites: expected a list of site labels",
+                         id="sample.sites-sample.sites"),
+            pytest.param("leads.0", ["x"], "leads[0]: expected a JSON object",
+                         id="leads.0-leads[0]"),
+        ],
+    )
+    def test_message_names_the_key(self, path, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(reference_at_12_steps(**{path: value}))
 
     def test_overrides_are_checked(self):
         config = parse_config(reference_at_12_steps())

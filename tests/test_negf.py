@@ -7,6 +7,7 @@ from pfnegf.config import parse_config, reference_config
 from pfnegf.grid import TimeGrid
 from pfnegf.model import Model
 from pfnegf.negf import (
+    DEFAULT_TOLERANCES,
     KernelEngine,
     approx_split,
     compute_g0,
@@ -128,6 +129,13 @@ class TestDysonIdentities:
         residual_resolvent = (dyson_solution(g0, sigma) - g_alg).max_abs()
         assert residual_resolvent <= 1e-11
 
+    def test_report_carries_every_check(self, ref_engine_25, ref_engine_xi0):
+        # no check is conditional: every report lists each tolerance name once
+        for engine in (ref_engine_25, ref_engine_xi0):
+            names = [c.name for c in verify_dyson(engine).checks]
+            assert len(names) == len(DEFAULT_TOLERANCES) == 14
+            assert set(names) == set(DEFAULT_TOLERANCES)
+
     def test_exact_identities_grid_independent(self, ref_engine_25, ref_engine_50):
         for engine in (ref_engine_25, ref_engine_50):
             report = verify_dyson(engine)
@@ -147,10 +155,7 @@ class TestDysonIdentities:
 
     def test_convergence_rows_equal_verify_residuals(self, trimer_run, trimer_engine):
         study = convergence_study(trimer_engine, [12, 24])
-        engine = KernelEngine(
-            trimer_run.model, trimer_run.thermal, TimeGrid(trimer_run.horizon, 12),
-            full_correlator=False,
-        )
+        engine = KernelEngine(trimer_run.model, trimer_run.thermal, TimeGrid(trimer_run.horizon, 12))
         report = verify_dyson(engine)
         row = study["summary"]["rows"][0]
         assert row["steps"] == 12
@@ -159,20 +164,22 @@ class TestDysonIdentities:
 
     @pytest.mark.parametrize("strategy", ["history", "recompute"])
     def test_convergence_reuses_engine_bitwise(self, trimer_dict, strategy):
-        # a full-grid engine at the finest steps, as the CLI's verify task
-        # builds it, serves that row and gives the table of a causal-only
-        # engine byte for byte; configs that still carry the retired
+        # an engine at the finest steps, verified first as the CLI's verify
+        # task does, serves that row from its caches and gives the table of a
+        # fresh engine byte for byte; configs that still carry the retired
         # strategy key parse and run unchanged
         run = parse_config(trimer_dict | {"strategy": strategy})
         grid = TimeGrid(run.horizon, 24)
         engine = KernelEngine(run.model, run.thermal, grid)
         report = verify_dyson(engine)
-        causal = KernelEngine(run.model, run.thermal, grid, full_correlator=False)
-        fresh = convergence_study(causal, [12, 24])
+        fresh = convergence_study(KernelEngine(run.model, run.thermal, grid), [12, 24])
         reused = convergence_study(engine, [12, 24])
         assert reused["csv"] == fresh["csv"]
         assert json.dumps(reused["summary"]) == json.dumps(fresh["summary"])
         assert reused["summary"]["rows"][1]["reducible_dyson"] == report.residual("reducible_dyson")
+        # the full ladder grid's causal blocks are the same products as a causal grid's
+        causal = engine.factory.anticommutator_grid("a", "a")
+        assert engine.ladder_grid.causal_kernel(-1j).tobytes() == causal.causal_kernel(-1j).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -20,7 +20,6 @@ from pfnegf.propagation import (
     CorrelatorFactory,
     heisenberg_series,
     stepper,
-    two_time_kernel,
 )
 from pfnegf.thermal import gibbs
 
@@ -98,13 +97,6 @@ class TestHeisenbergSeries:
         for op in series:
             assert op.norm2() == pytest.approx(base, abs=1e-10)
 
-    def test_memory_guard(self, trimer_run):
-        model = trimer_run.model
-        grid = TimeGrid(1.0, 500)
-        u = stepper(model.K_v, grid.delta)
-        with pytest.raises(MemoryBudgetError):
-            heisenberg_series(model.K_v, u, grid, budget=1000)
-
 
 def ladder_families(model):
     creation = [
@@ -113,6 +105,14 @@ def ladder_families(model):
     ]
     annihilation = [op.dagger() for op in creation]
     return creation, annihilation
+
+
+def ladder_grid(rho, model, grid, full=False):
+    """``Tr(rho {a*(e_m)(t_l), a(e_j)(t_k)})`` from the factory, the creation
+    family on both sides (the second through its adjoint)."""
+    factory = CorrelatorFactory(rho, model.K_v, grid)
+    factory.add_family("a", ladder_families(model)[0])
+    return factory.anticommutator_grid("a", "a", full=full).values
 
 
 def stepped_grid(rho, generator, creation, annihilation, grid):
@@ -173,10 +173,9 @@ class TestTwoTimeKernel:
         model = trimer_run.model
         grid = TimeGrid(1.0, 4)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
-        creation, annihilation = ladder_families(model)
-        c = two_time_kernel(rho, model.K_v, creation, annihilation, grid)
+        c = ladder_grid(rho, model, grid)
         for k in range(grid.n_nodes):
-            np.testing.assert_allclose(c.values[:, :, k, k], np.eye(3), atol=1e-13)
+            np.testing.assert_allclose(c[:, :, k, k], np.eye(3), atol=1e-13)
 
     def test_noninteracting_oracle(self, trimer_dict):
         # one-particle matrix-exponential oracle for the full grid
@@ -185,13 +184,12 @@ class TestTwoTimeKernel:
         model = run.model
         grid = TimeGrid(2.0, 10)
         rho = gibbs(model.K_0, run.thermal, model.N_total)
-        creation, annihilation = ladder_families(model)
-        c = two_time_kernel(rho, model.K_v, creation, annihilation, grid)
+        c = ladder_grid(rho, model, grid)
         lam, v = np.linalg.eigh(model.h_biased)
         for k in range(grid.n_nodes):
             for l in range(k + 1):
                 prop = (v * np.exp(-1j * (grid.nodes[k] - grid.nodes[l]) * lam)[None, :]) @ np.conj(v.T)
-                np.testing.assert_allclose(c.values[:, :, k, l], prop, atol=1e-10)
+                np.testing.assert_allclose(c[:, :, k, l], prop, atol=1e-10)
 
     @pytest.mark.parametrize("case", ["trimer", "degenerate"])
     def test_full_grid_matches_stepped_oracle(self, trimer_dict, case):
@@ -202,12 +200,11 @@ class TestTwoTimeKernel:
             assert np.min(np.diff(energies)) <= 1e-12
         grid = TimeGrid(3.0, 12)
         rho = gibbs(model.K_0, run.thermal, model.N_total)
-        creation, annihilation = ladder_families(model)
-        c = two_time_kernel(rho, model.K_v, creation, annihilation, grid, full=True)
-        oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)
+        c = ladder_grid(rho, model, grid, full=True)
+        oracle = stepped_grid(rho, model.K_v, *ladder_families(model), grid)
         # the last node is where stepping has accumulated the most roundoff
-        np.testing.assert_allclose(c.values[:, :, -1, :], oracle[:, :, -1, :], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c.values, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c[:, :, -1, :], oracle[:, :, -1, :], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c, oracle, rtol=0, atol=1e-12)
 
     def test_dressed_family_lead_entries_vanish(self, trimer_engine):
         values = trimer_engine.factory.anticommutator_grid("b", "b").values
@@ -275,9 +272,10 @@ class TestTwoTimeKernel:
         model = trimer_run.model
         grid = TimeGrid(1.0, 4)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
-        creation, _ = ladder_families(model)
-        with pytest.raises(ValueError, match="displacement"):
-            two_time_kernel(rho, model.K_v, creation, creation, grid)
+        factory = CorrelatorFactory(rho, model.K_v, grid)
+        _, annihilation = ladder_families(model)
+        with pytest.raises(ValueError, match="expected a displacement \\+1 operator"):
+            factory.add_family("a", annihilation)
 
 
 class TestTiledSweep:
@@ -414,7 +412,7 @@ class TestRandomModels:
         for k in range(grid.n_nodes):
             np.testing.assert_allclose(ladder[:, :, k, k], np.eye(model.num_sites), rtol=0, atol=1e-12)
         # the exact-algebra Dyson identities hold whatever the kernels are
-        report = verify_dyson(KernelEngine(model, run.thermal, grid, rho=rho))
+        report = verify_dyson(KernelEngine(model, run.thermal, grid))
         for name in ("irreducible_dyson", "resolvent_dyson", "sample_restricted_dyson"):
             assert report.residual(name) <= 1e-11, name
         assert report.residual("lead_support") <= 1e-12
@@ -424,7 +422,7 @@ class TestRandomModels:
     def test_free_limit_on_random_models(self, cfg):
         # without interaction the many-body kernel is the one-particle G0
         run = parse_config(cfg)
-        engine = KernelEngine(run.model, run.thermal, run.grid(), full_correlator=False)
+        engine = KernelEngine(run.model, run.thermal, run.grid())
         g0 = compute_g0(run.model.h_biased, run.grid())
         np.testing.assert_allclose(
             engine.gxi.memory_kernel(), g0.memory_kernel(), rtol=0, atol=1e-10
