@@ -48,6 +48,12 @@ def _write_text(path, text) -> None:
         fh.write(text)
 
 
+def _write_json(path, data) -> None:
+    """Indented JSON of ``data``; a number that is not finite is written as null."""
+    data = json.loads(json.dumps(data), parse_constant=lambda _: None)  # NaN, Infinity
+    _write_text(path, json.dumps(data, indent=2) + "\n")
+
+
 def run_command(args) -> int:
     from .config import load_config
     from .errors import ConfigError, MemoryBudgetError
@@ -111,25 +117,20 @@ def _execute_tasks(config, out_dir) -> list:
             report = verify_dyson(
                 get_engine(), tolerances=config.tolerances, model_hash=config.model_hash
             )
-            _write_text(os.path.join(out_dir, "dyson_report.json"), report.to_json() + "\n")
+            _write_json(os.path.join(out_dir, "dyson_report.json"), report.to_dict())
             if not report.passed:
                 failed.extend(c.name for c in report.checks if not c.passed)
         elif task == "converge":
             study = convergence_study(get_engine(), config.steps_list)
             _write_text(os.path.join(out_dir, "convergence.csv"), study["csv"])
-            _write_text(
-                os.path.join(out_dir, "convergence.json"),
-                json.dumps(study["summary"], indent=2) + "\n",
-            )
+            _write_json(os.path.join(out_dir, "convergence.json"), study["summary"])
             min_order = config.tolerances.get("convergence_min_order", 1.8)
             for name, order in study["summary"]["fitted_orders"].items():
-                if order < min_order:
+                if not order >= min_order:  # a nan order fails as well
                     failed.append(f"convergence_order_{name}")
         elif task == "gamma-check":
             summary = gamma_check(config.model, config.thermal)
-            _write_text(
-                os.path.join(out_dir, "gamma_report.json"), json.dumps(summary, indent=2) + "\n"
-            )
+            _write_json(os.path.join(out_dir, "gamma_report.json"), summary)
             if not summary["pass"]:
                 failed.append("gamma_check")
     return failed

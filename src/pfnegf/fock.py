@@ -209,9 +209,13 @@ class ManyBodyOperator:
         return float(max(vals)) if vals else 0.0
 
     def norm2(self) -> float:
-        """Spectral norm; exact because blocks occupy disjoint row/col spaces."""
-        vals = [np.linalg.norm(b, 2) for b in self.blocks if b is not None and min(b.shape)]
-        return float(max(vals)) if vals else 0.0
+        """Spectral norm; exact because blocks occupy disjoint row/col spaces.
+
+        nan or inf for a non-finite operator.
+        """
+        blocks = [b for b in self.blocks if b is not None and min(b.shape)]
+        vals = [np.linalg.norm(b, 2) if np.isfinite(b).all() else np.max(np.abs(b)) for b in blocks]
+        return float(np.max(vals)) if vals else 0.0
 
     def hermiticity_defect(self) -> float:
         if self.displacement != 0:

@@ -34,11 +34,7 @@ import numpy as np
 from .errors import MemoryBudgetError
 from .grid import TimeGrid
 from .model import Model
-from .propagation import (
-    DEFAULT_BUDGET_BYTES,
-    CorrelatorFactory,
-    CorrelatorGrid,
-)
+from .propagation import DEFAULT_BUDGET_BYTES, CorrelatorFactory
 from .thermal import ThermalParams, gibbs
 from .volterra import VolterraOperator, packed_size, solve_id_plus
 
@@ -65,10 +61,10 @@ DEFAULT_TOLERANCES = {
 QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 
 # Packed Volterra operators' worth of memory that ``verify`` holds at once.
-# tracemalloc on the lead3-verify benchmark config (d = 8, 101 nodes, seed 0),
-# with g0, gxi and sigma_tilde built first, measured a peak of 10.0 beyond
-# them, the build of f_map included; at most 14 operators were live, with
-# 11.2 packed buffers between them.
+# tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6) benchmark
+# configs, 101 nodes, seed 0, with g0, gxi and sigma_tilde built first,
+# measured a peak of 8.5 and 8.7 beyond them, the build of f_map included; at
+# most 14 operators were live, with 11.3 packed buffers between them.
 ALGEBRA_OPERATORS = 16
 
 
@@ -101,14 +97,14 @@ class KernelEngine:
     elementwise phase factors and pairing tiles of nodes in one GEMM each.
     That costs O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES)
     memory in N_t.  Derived objects (irreducible self-energy, algebraic Dyson
-    solution) are exact products of the packed causal algebra.  The ladder
-    grid is full, both triangles, and cached, since ``gxi`` and the pairing
-    check both read it; the dressed and mixed grids are read once, by
-    ``sigma_tilde`` and ``f_map``, and are not cached; nor is ``f_map``, whose
-    one reader, the cached ``quadrature``, drops it once the residuals are
-    measured.  ``budget`` covers the correlator tiles and
-    ``ALGEBRA_OPERATORS`` packed operators; an engine that cannot fit them is
-    refused at construction.
+    solution) are exact products of the packed causal algebra.  No grid is
+    cached: each is handed to its packed operator in place.  The full ladder
+    grid, both triangles, gives the pairing defect and then the kernel of
+    ``gxi``; the dressed and mixed grids are read once, by ``sigma_tilde`` and
+    ``f_map``.  Nor is ``f_map`` cached: its one reader, the cached
+    ``quadrature``, drops it once the residuals are measured.  ``budget``
+    covers the correlator tiles and ``ALGEBRA_OPERATORS`` packed operators;
+    an engine that cannot fit them is refused at construction.
     """
 
     def __init__(
@@ -138,8 +134,11 @@ class KernelEngine:
         return self.model.num_sites
 
     @cached_property
-    def ladder_grid(self) -> CorrelatorGrid:
-        return self.factory.anticommutator_grid("a", "a", full=True)
+    def _ladder(self) -> tuple[VolterraOperator, float]:
+        """``gxi`` and the pairing defect of the full ladder grid it is built from."""
+        grid = self.factory.anticommutator_grid("a", "a", full=True)
+        defect = grid.pairing_defect()  # before causal_kernel zeroes the acausal half
+        return VolterraOperator(self.grid, self.p, mem=grid.causal_kernel(-1j)), defect
 
     @cached_property
     def g0(self) -> VolterraOperator:
@@ -147,7 +146,11 @@ class KernelEngine:
 
     @cached_property
     def gxi(self) -> VolterraOperator:
-        return VolterraOperator(self.grid, self.p, mem=self.ladder_grid.causal_kernel(-1j))
+        return self._ladder[0]
+
+    @property
+    def pairing_defect(self) -> float:
+        return self._ladder[1]
 
     @cached_property
     def contact_expectations(self) -> tuple[np.ndarray, float]:
@@ -306,9 +309,14 @@ class DysonReport:
 
 
 def fit_convergence_order(deltas, residuals) -> float:
-    """Least-squares slope of log(residual) against log(delta)."""
+    """Least-squares slope of log(residual) against log(delta).
+
+    nan unless every residual is positive and finite.
+    """
     deltas = np.asarray(deltas, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
+    if not np.all((residuals > 0) & np.isfinite(residuals)):
+        return float("nan")
     slope = np.polyfit(np.log(deltas), np.log(residuals), 1)[0]
     return float(slope)
 
@@ -322,7 +330,8 @@ def convergence_study(engine: KernelEngine, steps_list) -> dict:
     quadrature-limited identities need (``KernelEngine.quadrature``).  The
     exact-algebra checks are grid-independent and belong to ``verify_dyson``.
     Returns the CSV text, the rows, and fitted orders for the three
-    identities.
+    identities.  A zero residual gives a nan or inf Richardson ratio and a nan
+    order.
     """
     steps_list = sorted(int(s) for s in steps_list)
     names = QUADRATURE_CHECKS
@@ -340,14 +349,12 @@ def convergence_study(engine: KernelEngine, steps_list) -> dict:
         lines.append(
             f"{row['steps']},{row['delta']!r}," + ",".join(repr(row[name]) for name in names)
         )
-    summary = {
-        "rows": rows,
-        "fitted_orders": fitted,
-        "richardson_ratios": {
-            name: [rows[i][name] / rows[i + 1][name] for i in range(len(rows) - 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = {
+            name: [float(np.divide(rows[i][name], rows[i + 1][name])) for i in range(len(rows) - 1)]
             for name in names
-        },
-    }
+        }
+    summary = {"rows": rows, "fitted_orders": fitted, "richardson_ratios": ratios}
     return {"csv": "\n".join(lines) + "\n", "summary": summary}
 
 
@@ -355,13 +362,8 @@ def _lead_support_defect(op: VolterraOperator, num_sample: int) -> float:
     # every geometry has a lead site, so the mask is never empty
     mask = np.ones((op.p, op.p), dtype=bool)
     mask[:num_sample, :num_sample] = False
-    worst = float(np.max(np.abs(op.memory_kernel()[..., mask])))
+    worst = float(np.max([np.max(np.abs(blocks[..., mask])) for _, _, blocks in op.kernel_tiles()]))
     return max(worst, float(np.max(np.abs(op.instantaneous()[:, mask]))))
-
-
-def _pairing_defect(grid_values: np.ndarray) -> float:
-    mirrored = np.conj(grid_values.transpose(1, 0, 3, 2))
-    return float(np.max(np.abs(grid_values - mirrored)))
 
 
 def verify_dyson(
@@ -421,12 +423,12 @@ def verify_dyson(
         "exact-algebra",
     )
 
-    nodes = np.arange(grid.n_nodes)
-    equal_time = float(np.max(np.abs(gxi.memory_kernel()[nodes, nodes] + 1j * np.eye(p))))
+    equal_time = float(np.max([
+        np.max(np.abs(blocks[np.arange(k1 - k0), np.arange(k0, k1)] + 1j * np.eye(p)))
+        for k0, k1, blocks in gxi.kernel_tiles()
+    ]))
     report.add("equal_time_normalization", equal_time, tol["equal_time_normalization"], "roundoff")
-
-    pairing = _pairing_defect(engine.ladder_grid.values)
-    report.add("hermitian_pairing", pairing, tol["hermitian_pairing"], "roundoff")
+    report.add("hermitian_pairing", engine.pairing_defect, tol["hermitian_pairing"], "roundoff")
 
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")

@@ -21,7 +21,9 @@ One sweep builds every grid, in tiles of ``TILE_NODES`` nodes: a held tile
 of ``B(t_l)`` meets a D tile of ``conj(D(t_k))`` in one GEMM, and family rows
 that are exact zero operators enter none.  Both tiles are formed from the
 stored family by phase multiplies when they are needed, with no evolution
-sweeps, so a grid holds O(TILE_NODES) nodes of memory in N_t.
+sweeps, so a sweep holds O(TILE_NODES) nodes of memory in N_t beyond its
+grid.  A retarded kernel is a view of its grid (``causal_kernel``), so the
+packed operator is filled from the one dense array the sweep wrote.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ from .thermal import DensityOperator
 DEFAULT_BUDGET_BYTES = 4 * 1024**3
 
 TILE_NODES = 8  # nodes per GEMM tile on either side of a correlator grid
-
-# glibc raises its dynamic mmap threshold to the size of any freed mmapped chunk
-# up to 32 MiB; later multi-MB Volterra arrays would then come from the heap and
-# stay resident after free, raising the peak RSS.  A tile buffer requested just
-# above that cap is always mmapped and never moves the threshold, and only the
-# pages the tiles touch become resident.
-_TILE_BUFFER_FLOOR = 32 * 1024**2 + 4096
 
 UNITARITY_TOL = 1e-12
 
@@ -85,16 +80,22 @@ class CorrelatorGrid:
     """Two-time anticommutator values ``C[j, m, k, l]``.
 
     Retarded kernels only read the causal triangle ``l <= k``; a full grid
-    holds the acausal part as well (read by the pairing check).
+    holds the acausal part as well, for ``pairing_defect``.  A grid is handed
+    to its kernel in place: ``causal_kernel`` overwrites ``values``.
     """
 
     values: np.ndarray
 
+    def pairing_defect(self) -> float:
+        """Max-abs defect of ``C[j, m, k, l] = conj(C[m, j, l, k])`` (full grid)."""
+        mirrored = np.conj(self.values.transpose(1, 0, 3, 2))
+        return float(np.max(np.abs(self.values - mirrored)))
+
     def causal_kernel(self, prefactor) -> np.ndarray:
-        """(n, n, p_d, p_a) kernel ``prefactor * C`` with the acausal part zeroed."""
-        kernel = self.values.transpose(2, 3, 0, 1).copy()
-        kernel[np.triu_indices(self.values.shape[2], k=1)] = 0.0
-        kernel *= prefactor
+        """(n, n, p_d, p_a) view of ``prefactor * C``, acausal part zeroed; overwrites ``values``."""
+        kernel = self.values.transpose(2, 3, 0, 1)
+        kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0  # zeroed first: 0.0 * prefactor
+        self.values *= prefactor
         return kernel
 
 
@@ -208,8 +209,7 @@ class CorrelatorFactory:
         # a family without a nonzero row gives an all-zero grid and no GEMM
         starts = range(0, n, TILE_NODES) if rows_a.size and rows_d.size else ()
         tiles = [(t, min(t + TILE_NODES, n)) for t in starts]
-        # both sides share one buffer, see _TILE_BUFFER_FLOOR
-        work = np.empty(max(need, _TILE_BUFFER_FLOOR) // 16, dtype=complex)
+        work = np.empty(need // 16, dtype=complex)  # both sides share one buffer
         held = work[:held_size].reshape((tile,) + fam_a.shape)
         d_tile = work[held_size : need // 16].reshape((tile,) + fam_d.shape)
         acausal = np.triu(np.ones((tile, tile), dtype=bool), 1)

@@ -192,7 +192,8 @@ def picard_gamma(
     Hamiltonian, where the generator is an elementwise-exponential dressing
     of the tunneling block.  The series is norm convergent at finite
     dimension; ``converged`` is False if it has not settled below ``rtol``
-    within ``max_order`` terms.
+    within ``max_order`` terms, or if a term is not finite (the exponential
+    dressing overflows at large ``beta``): the sum then stops before it.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -222,11 +223,15 @@ def picard_gamma(
             integrand = generators @ terms
             terms = np.einsum("ij,jab->iab", s_partial, integrand)
             increment = np.einsum("j,jab->ab", s_end, integrand)
-            gamma = gamma + increment
+            total = gamma + increment
+            if not np.isfinite(total).all():
+                delta = np.inf  # the series overflowed: keep the last finite partial sum
+                break
+            gamma = total
             delta = np.linalg.norm(increment, 2) / max(np.linalg.norm(gamma, 2), 1.0)
             if delta <= rtol:
                 break
-        if delta > rtol:
+        if not delta <= rtol:
             converged = False
         worst_delta = max(worst_delta, delta)
         orders_used = max(orders_used, order)
@@ -265,13 +270,15 @@ def random_number_conserving_hermitian(space: FockSpace, rng) -> ManyBodyOperato
     return ManyBodyOperator(space, 0, tuple(blocks))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow at large beta fails the check
 def gamma_check(model, params: ThermalParams) -> dict:
     """Cross-check the dressing operator and the dressed expectation formula.
 
     Compares the iterated-integral ``Gamma(beta)`` against the closed form in
     spectral norm, then checks that dressed decoupled expectations reproduce
     direct coupled-state traces on a battery of random Hermitian observables
-    (plus the total number operator).  Returns a JSON-ready summary.
+    (plus the total number operator).  Returns a JSON-ready summary; a
+    non-finite error, or a Picard series that did not converge, fails it.
     """
     gamma_p, info = picard_gamma(model.K_D, model.H_T, params.beta)
     closed = gamma_closed_form(model.K_D, model.K_0, params.beta)
@@ -284,11 +291,12 @@ def gamma_check(model, params: ThermalParams) -> dict:
         random_number_conserving_hermitian(model.space, rng) for _ in range(GAMMA_CHECK_OBSERVABLES)
     ]
     observables.append(model.N_total)
-    worst = 0.0
+    errors = []
     for obs in observables:
         direct = rho_pf.expectation(obs)
         dressed = pf_expectation_via_gamma(rho_d, gamma_p, obs)
-        worst = max(worst, abs(dressed - direct) / max(abs(direct), 1e-12))
+        errors.append(abs(dressed - direct) / max(abs(direct), 1e-12))
+    worst = np.max(errors)  # nan if any error is; a non-finite error fails below
     passed = bool(spectral_error <= GAMMA_TOL and worst <= EXPECTATION_RTOL and info.converged)
     return {
         "gamma_spectral_error": float(spectral_error),

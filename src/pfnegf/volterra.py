@@ -24,8 +24,10 @@ Compose and solve run on these slabs, one GEMM per pair of tile rows, and
 never touch the acausal triangle.  A kernel-built operator keeps its kernel
 in the same packed layout and weighs it when the algebra reads it, so its
 kernel view and dump are the exact input; for an algebraically produced
-operator the kernel is derived from the packed matrix.  ``flat`` expands the
-dense matrix on demand; the algebra never reads it.
+operator the kernel is derived from the packed matrix.  The constructor
+checks causality tile row by tile row as it packs.  ``kernel_tiles`` is the
+one kernel reader; ``memory_kernel`` and ``flat`` expand the dense kernel and
+matrix on demand, and no program path reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 
 from .grid import TimeGrid
 
-CAUSALITY_TOL = 0.0
 # Nodes per tile row of the packed layout.  Medians at 101 nodes, one BLAS
 # thread (2-vCPU Xeon KVM guest), compose / solve in ms: 16 nodes 10.4 / 13.6
 # at p = 6 and 20.9 / 25.4 at p = 8; 8 nodes 12.2 / 14.2 and 24.3 / 22.9.
@@ -99,15 +100,17 @@ class VolterraOperator:
                 raise ValueError(f"instantaneous part has shape {inst.shape}, expected {(n, p, p)}")
         kernel = panels = None
         if mem is not None:
-            mem = np.asarray(mem, dtype=complex)
+            mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
             if mem.shape != (n, n, p, p):
                 raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, p, p)}")
-            upper = _strict_upper_max(mem)
-            if upper > CAUSALITY_TOL:
-                raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
             kernel = np.empty(packed_size(n, p), dtype=complex)
             for (k0, k1), slab in zip(_tiles(n), _slabs(kernel, n, p)):
-                _blocks(slab, p)[...] = mem[k0:k1, :k1]
+                rows = mem[k0:k1]
+                # the acausal blocks l > k of the tile row must be exactly zero, not nan
+                upper = np.max(np.abs(rows[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
+                if upper != 0.0:
+                    raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
+                _blocks(slab, p)[...] = rows[:, :k1]
         else:
             panels = np.zeros(packed_size(n, p), dtype=complex)
             _add_diagonal(panels, inst, n, p)
@@ -158,8 +161,8 @@ class VolterraOperator:
     def has_instantaneous(self) -> bool:
         return self._inst is not None and bool(np.any(self._inst))
 
-    def _kernel_tiles(self):
-        """``(k0, k1, K[k0:k1, :k1])`` for every tile row; acausal blocks are zero."""
+    def kernel_tiles(self):
+        """``(k0, k1, K[k0:k1, :k1])`` for every tile row, acausal blocks zero: the kernel reader."""
         n, p = self.grid.n_nodes, self.p
         if self._kernel is not None:
             for (k0, k1), slab in zip(_tiles(n), _slabs(self._kernel, n, p)):
@@ -187,7 +190,7 @@ class VolterraOperator:
         """
         n, p = self.grid.n_nodes, self.p
         mem = np.zeros((n, n, p, p), dtype=complex)
-        for k0, k1, blocks in self._kernel_tiles():
+        for k0, k1, blocks in self.kernel_tiles():
             mem[k0:k1, :k1] = blocks
         return mem
 
@@ -269,11 +272,12 @@ class VolterraOperator:
 
         nan or inf for a non-finite kernel.
         """
-        p = self.p
-        blocks = np.concatenate([b.reshape(-1, p, p) for _, _, b in self._kernel_tiles()])
-        if not np.isfinite(blocks).all():
-            return float(np.max(np.abs(blocks)))
-        return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+        # per tile row; a non-finite one gives its largest magnitude, inf or nan
+        tops = [
+            np.linalg.svd(b, compute_uv=False)[..., 0].max() if np.isfinite(b).all() else np.abs(b).max()
+            for _, _, b in self.kernel_tiles()
+        ]
+        return float(np.max(tops))
 
 
 def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
@@ -286,13 +290,6 @@ def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, p: int) -> None:
     for (k0, k1), slab in zip(_tiles(n), _slabs(panels, n, p)):
         rows = np.arange(k1 - k0)
         _blocks(slab, p)[rows, rows + k0] += inst[k0:k1]
-
-
-def _strict_upper_max(blocks: np.ndarray) -> float:
-    n = blocks.shape[0]
-    iu = np.triu_indices(n, k=1)
-    vals = blocks[iu]
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
@@ -408,7 +405,7 @@ def dump_kernel(op: VolterraOperator, ordering, fh, name: str) -> None:
     # float is the round-trip text
     n, p = op.grid.n_nodes, op.p
     tails = [f"{l},{i},{j}," for l in range(n) for i in range(p) for j in range(p)]
-    for k0, k1, blocks in op._kernel_tiles():
+    for k0, k1, blocks in op.kernel_tiles():
         for k in range(k0, k1):
             _write_entries(fh, f"{k},", tails, blocks[k - k0, : k + 1])
     if op.has_instantaneous():

@@ -275,6 +275,38 @@ def reference_at_12_steps(**changes):
     return cfg
 
 
+class TestNonFiniteResults:
+    """A zero residual or an overflow fails its check, exit 1, with strict JSON."""
+
+    def test_zero_residual_converge(self, tmp_path, capsys):
+        # at xi = 0 the F map and Sigma~ G0 are both exactly zero on every grid
+        cfg_data = reference_at_12_steps(**{"sample.xi": 0, "grid.steps": [12, 24], "tasks": ["converge"]})
+        cfg = write_config(tmp_path, cfg_data)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        record = last_error(capsys)
+        assert record["type"] == "check"
+        assert "convergence_order_fmap_factorization" in record["message"]
+        text = (tmp_path / "out" / "convergence.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        summary = json.loads(text)
+        assert summary["rows"][0]["fmap_factorization"] == 0.0
+        assert summary["fitted_orders"]["fmap_factorization"] is None
+        assert summary["richardson_ratios"]["fmap_factorization"] == [None]
+
+    @pytest.mark.parametrize("beta", [60.0, 400.0])
+    def test_gamma_check_overflow(self, tmp_path, capsys, beta):
+        cfg_data = reference_at_12_steps(**{"thermal.beta": beta, "tasks": ["gamma-check"]})
+        cfg = write_config(tmp_path, cfg_data)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        record = last_error(capsys)
+        assert record == {"type": "check", "message": "failed checks: gamma_check"}
+        text = (tmp_path / "out" / "gamma_report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        report = json.loads(text)
+        assert report["pass"] is False and report["picard_converged"] is False
+        assert report["picard_final_delta"] is None
+
+
 class TestMalformedConfig:
     """A value of the wrong type or range is a configuration error, exit 2."""
 

@@ -17,6 +17,7 @@ from pfnegf.negf import (
     irreducible_sigma,
     verify_dyson,
 )
+from pfnegf.propagation import CorrelatorGrid
 from pfnegf.volterra import VolterraOperator, identity_volterra
 
 
@@ -30,6 +31,45 @@ def noninteracting_reference():
 def ref_engine_xi0():
     run = noninteracting_reference()
     return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 40))
+
+
+def copied_kernel(values, prefactor):
+    """A causal kernel as a transposed copy of its grid, acausal part zeroed, then scaled."""
+    kernel = values.transpose(2, 3, 0, 1).copy()
+    kernel[np.triu_indices(values.shape[2], k=1)] = 0.0
+    kernel *= prefactor
+    return kernel
+
+
+class TestKernelsFromGrids:
+    @pytest.mark.parametrize("engine_name", ["trimer_engine", "ref_engine_25"])
+    def test_operators_equal_the_copy_path(self, request, engine_name):
+        # each grid is handed to its packed operator in place, byte for byte
+        # what packing a contiguous copy of the causal kernel gives
+        engine = request.getfixturevalue(engine_name)
+        factory, grid, p = engine.factory, engine.grid, engine.p
+        contact, _ = engine.contact_expectations
+        copied = {
+            "gxi": VolterraOperator(
+                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "a", full=True).values, -1j)
+            ),
+            "sigma_tilde": VolterraOperator(
+                grid,
+                p,
+                mem=copied_kernel(factory.anticommutator_grid("b", "b").values, -1j),
+                inst=(1j * contact).transpose(2, 0, 1).copy(),
+            ),
+            "f_map": VolterraOperator(
+                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "b").values, 1.0)
+            ),
+        }
+        for name, expected in copied.items():
+            op = getattr(engine, name)
+            assert op.panels().tobytes() == expected.panels().tobytes(), name
+            assert op.memory_kernel().tobytes() == expected.memory_kernel().tobytes(), name
+            assert op.instantaneous().tobytes() == expected.instantaneous().tobytes(), name
+        # the engine keeps operators, never a grid
+        assert not any(isinstance(value, CorrelatorGrid) for value in vars(engine).values())
 
 
 class TestFreeKernel:
@@ -178,8 +218,9 @@ class TestDysonIdentities:
         assert json.dumps(reused["summary"]) == json.dumps(fresh["summary"])
         assert reused["summary"]["rows"][1]["reducible_dyson"] == report.residual("reducible_dyson")
         # the full ladder grid's causal blocks are the same products as a causal grid's
+        full = engine.factory.anticommutator_grid("a", "a", full=True)
         causal = engine.factory.anticommutator_grid("a", "a")
-        assert engine.ladder_grid.causal_kernel(-1j).tobytes() == causal.causal_kernel(-1j).tobytes()
+        assert full.causal_kernel(-1j).tobytes() == causal.causal_kernel(-1j).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -205,6 +246,14 @@ class TestDysonIdentities:
         deltas = [0.1, 0.05, 0.025]
         residuals = [d**2 for d in deltas]
         assert fit_convergence_order(deltas, residuals) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "residuals", [[0.0, 0.0], [1e-3, 0.0], [np.nan, 1e-3], [1e-3, np.inf], [-1e-3, 1e-4]]
+    )
+    def test_fit_convergence_order_is_nan_without_a_log(self, residuals):
+        # a residual with no finite logarithm gives a nan order, without a warning
+        assert np.isnan(fit_convergence_order([0.1, 0.05], residuals))
 
 
 class TestApproxSplit:

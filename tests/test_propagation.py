@@ -18,6 +18,7 @@ from pfnegf.propagation import (
     TILE_NODES,
     UNITARITY_TOL,
     CorrelatorFactory,
+    CorrelatorGrid,
     heisenberg_series,
     stepper,
 )
@@ -213,13 +214,14 @@ class TestTwoTimeKernel:
         assert np.max(np.abs(values[:, ns:, :, :])) == 0.0
 
     def test_hermitian_pairing(self, trimer_engine):
-        values = trimer_engine.ladder_grid.values
+        values = trimer_engine.factory.anticommutator_grid("a", "a", full=True).values
         mirrored = np.conj(values.transpose(1, 0, 3, 2))
         assert np.max(np.abs(values - mirrored)) <= 1e-10
 
     def test_anticommutator_bound(self, trimer_engine):
         # |<{A, B}>| <= 2 ||A|| ||B|| = 2 for normalized ladder vectors
-        assert np.max(np.abs(trimer_engine.ladder_grid.values)) <= 2.0 + 1e-10
+        values = trimer_engine.factory.anticommutator_grid("a", "a", full=True).values
+        assert np.max(np.abs(values)) <= 2.0 + 1e-10
 
     def test_history_raises_on_small_budget(self, trimer_run):
         # a budget below any tile pair fails before the sweep starts
@@ -304,6 +306,31 @@ class TestTiledSweep:
             assert is_positive_zero(values[ns:])
         assert is_positive_zero(grids[1][:, ns:])
         assert np.abs(grids[1][:ns, :ns]).max() > 0.0
+
+
+class TestCorrelatorGrid:
+    def test_pairing_defect_equals_dense_formula(self, trimer_engine):
+        def dense(values):
+            return float(np.max(np.abs(values - np.conj(values.transpose(1, 0, 3, 2)))))
+
+        ladder = trimer_engine.factory.anticommutator_grid("a", "a", full=True)
+        assert ladder.pairing_defect() == dense(ladder.values)
+        assert trimer_engine.pairing_defect == dense(ladder.values)
+        values = RNG.standard_normal((3, 3, 5, 5)) + 1j * RNG.standard_normal((3, 3, 5, 5))
+        assert CorrelatorGrid(values).pairing_defect() == dense(values) > 0.0
+
+    @pytest.mark.parametrize("prefactor", [-1j, 1.0])
+    def test_causal_kernel_is_a_view_of_the_grid(self, trimer_engine, prefactor):
+        grid = trimer_engine.factory.anticommutator_grid("a", "b", full=True)
+        n = grid.values.shape[2]
+        expected = grid.values.transpose(2, 3, 0, 1).copy()
+        expected[np.triu_indices(n, k=1)] = 0.0
+        expected *= prefactor
+        kernel = grid.causal_kernel(prefactor)
+        assert np.shares_memory(kernel, grid.values)
+        assert kernel.tobytes() == expected.tobytes()
+        above = np.triu_indices(n, 1)
+        assert not grid.values[:, :, above[0], above[1]].any()
 
 
 class TestExpectationSeries:

@@ -204,6 +204,16 @@ class TestDressingOperator:
         _, info = picard_gamma(model.K_D, model.H_T, trimer_run.thermal.beta, max_order=1, rtol=1e-14)
         assert not info.converged
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflow_stops_the_series_unconverged(self, reference_run):
+        # exp(x gap) overflows at beta = 60: the sum stops before the first
+        # non-finite term and keeps a finite partial sum
+        model = reference_run.model
+        gamma, info = picard_gamma(model.K_D, model.H_T, 60.0)
+        assert not info.converged
+        assert info.final_delta == np.inf
+        assert all(np.isfinite(block).all() for block in gamma.blocks)
+
 
 class TestDressedExpectations:
     def test_identity_normalization(self, reference_run):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import compute_g0
+from pfnegf.propagation import CorrelatorGrid
 from pfnegf.volterra import (
     TILE_NODES,
     VolterraOperator,
@@ -275,7 +276,37 @@ class TestCacheState:
         np.testing.assert_array_equal(self.OPERATIONS[operation](a, b), fresh)
 
 
+def concatenated_volterra_constant(op):
+    """``volterra_constant`` as one SVD over all kernel blocks, concatenated."""
+    p = op.p
+    blocks = np.concatenate([b.reshape(-1, p, p) for _, _, b in op.kernel_tiles()])
+    if not np.isfinite(blocks).all():
+        return float(np.max(np.abs(blocks)))
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+
+
 class TestNormAndConstants:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spots",
+        [
+            {},
+            {(3, 1): np.inf},
+            {(TILE_NODES + 2, 4): np.nan},
+            {(2, 0): np.inf, (2 * TILE_NODES + 1, 7): np.nan},
+            {(2 * TILE_NODES + 1, 2 * TILE_NODES): complex(np.inf, np.nan)},
+        ],
+        ids=["finite", "inf", "nan", "inf-and-nan", "inf-nan-entry"],
+    )
+    def test_constant_equals_concatenated_svd(self, spots):
+        grid = TimeGrid(1.0, 2 * TILE_NODES + 2)
+        mem = random_memory_operator(grid, 2, seed=50).memory_kernel()
+        for (k, l), bad in spots.items():
+            mem[k, l, 0, 1] = bad
+        a = VolterraOperator(grid, 2, mem=mem)
+        for op in (a, a.restrict([1]), a @ random_memory_operator(grid, 2, seed=51)):
+            assert repr(op.volterra_constant()) == repr(concatenated_volterra_constant(op))
+
     def test_zero_kernel_constant(self):
         zero = VolterraOperator(GRID, 2, mem=np.zeros((GRID.n_nodes, GRID.n_nodes, 2, 2)))
         assert zero.volterra_constant() == 0.0
@@ -439,6 +470,42 @@ class TestConstruction:
         mem[0, 2] = 1.0
         with pytest.raises(ValueError, match="acausal weight"):
             VolterraOperator(GRID, 1, mem=mem)
+
+    # (nodes, k, l) of the one acausal entry: T nodes are one tile row, T + 1
+    # put the last node in a tile row of its own, 2 T + 3 make three tile rows
+    T = TILE_NODES
+    ACAUSAL_SPOTS = {
+        "diagonal-tile-T": (T, 3, 4),
+        "diagonal-tile-T+1": (T + 1, T - 2, T - 1),
+        "diagonal-tile-2T+3": (2 * T + 3, T + 4, T + 11),
+        "right-of-row-T+1": (T + 1, T - 1, T),
+        "right-of-row-2T+3-first": (2 * T + 3, 0, 2 * T + 2),
+        "right-of-row-2T+3-middle": (2 * T + 3, 2 * T - 1, 2 * T),
+        "last-row-T": (T, 0, T - 1),
+        "last-row-2T+3": (2 * T + 3, 2 * T, 2 * T + 2),
+    }
+
+    @pytest.mark.parametrize("n, k, l", ACAUSAL_SPOTS.values(), ids=ACAUSAL_SPOTS.keys())
+    def test_acausal_weight_found_in_every_tile_spot(self, n, k, l):
+        grid = TimeGrid(1.0, n - 1)
+        mem = random_memory_operator(grid, 2, seed=n).memory_kernel()
+        VolterraOperator(grid, 2, mem=mem)  # the causal part alone is accepted
+        for bad in (1e-300j, np.nan):  # the tolerance is exactly zero
+            mem[k, l, 1, 0] = bad
+            with pytest.raises(ValueError, match="acausal weight"):
+                VolterraOperator(grid, 2, mem=mem)
+
+    def test_strided_kernel_packs_like_its_copy(self):
+        # the transposed view causal_kernel hands over, against its contiguous copy
+        n, p = 2 * TILE_NODES + 3, 3
+        grid = TimeGrid(1.0, n - 1)
+        values = RNG.standard_normal((p, p, n, n)) + 1j * RNG.standard_normal((p, p, n, n))
+        view = CorrelatorGrid(values).causal_kernel(-1j)
+        assert np.shares_memory(view, values) and not view.flags.c_contiguous
+        packed = VolterraOperator(grid, p, mem=view)
+        copied = VolterraOperator(grid, p, mem=np.ascontiguousarray(view))
+        assert packed.panels().tobytes() == copied.panels().tobytes()
+        assert packed.memory_kernel().tobytes() == copied.memory_kernel().tobytes()
 
 
 # n = 3 (the smallest grid), one tile, one past it, and two tiles plus three nodes
