@@ -206,7 +206,7 @@ class ManyBodyOperator:
 
     def max_abs(self) -> float:
         vals = [np.max(np.abs(b)) for b in self.blocks if b is not None and b.size]
-        return float(max(vals)) if vals else 0.0
+        return float(np.max(vals)) if vals else 0.0
 
     def norm2(self) -> float:
         """Spectral norm; exact because blocks occupy disjoint row/col spaces.
@@ -221,7 +221,7 @@ class ManyBodyOperator:
         if self.displacement != 0:
             raise ValueError("hermiticity is only meaningful at displacement 0")
         vals = [np.max(np.abs(b - np.conj(b.T))) for b in self.blocks if b is not None and b.size]
-        return float(max(vals)) if vals else 0.0
+        return float(np.max(vals)) if vals else 0.0
 
     def to_full(self) -> np.ndarray:
         fs = self.space

@@ -91,20 +91,21 @@ class KernelEngine:
 
     The state is the partition-free one, the Gibbs state of the coupled and
     unbiased ``K_0`` at ``thermal``.  The creation family and the dressed
-    family are registered once, in the eigenbasis of ``K_v``; each of the
-    three grids (interacting kernel, reducible self-energy, consistency map)
-    is built on first use, reaching every node of the families it pairs by
-    elementwise phase factors and pairing tiles of nodes in one GEMM each.
-    That costs O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES)
-    memory in N_t.  Derived objects (irreducible self-energy, algebraic Dyson
-    solution) are exact products of the packed causal algebra.  No grid is
-    cached: each is handed to its packed operator in place.  The full ladder
-    grid, both triangles, gives the pairing defect and then the kernel of
-    ``gxi``; the dressed and mixed grids are read once, by ``sigma_tilde`` and
-    ``f_map``.  Nor is ``f_map`` cached: its one reader, the cached
-    ``quadrature``, drops it once the residuals are measured.  ``budget``
-    covers the correlator tiles and ``ALGEBRA_OPERATORS`` packed operators;
-    an engine that cannot fit them is refused at construction.
+    family are registered once, in the eigenbasis of ``K_v``.  The three grids
+    (interacting kernel, reducible self-energy, consistency map) come from one
+    sweep, on first use of any of them: it reaches every node of the two
+    families by elementwise phase factors, forms each held and D tile once for
+    all three grids and pairs tiles of nodes in one GEMM per grid.  That costs
+    O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES) memory in
+    N_t.  Derived objects (irreducible self-energy, algebraic Dyson solution)
+    are exact products of the packed causal algebra.  No grid is cached: the
+    full ladder grid, both triangles, gives the pairing defect and then the
+    kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the mixed grid
+    gives ``F``, whose two quadrature residuals are measured at once, and
+    ``F`` is dropped.  ``f_map`` builds ``F`` again from a one-pair sweep.
+    ``budget`` covers ``ALGEBRA_OPERATORS`` packed operators, checked at
+    construction, and the held and D tiles of both families, checked before
+    the sweep starts.
     """
 
     def __init__(
@@ -134,11 +135,36 @@ class KernelEngine:
         return self.model.num_sites
 
     @cached_property
-    def _ladder(self) -> tuple[VolterraOperator, float]:
-        """``gxi`` and the pairing defect of the full ladder grid it is built from."""
-        grid = self.factory.anticommutator_grid("a", "a", full=True)
-        defect = grid.pairing_defect()  # before causal_kernel zeroes the acausal half
-        return VolterraOperator(self.grid, self.p, mem=grid.causal_kernel(-1j)), defect
+    def _sweep(self) -> dict:
+        """Everything read off the one sweep of the ladder, dressed and mixed grids.
+
+        The full ladder grid gives its pairing defect and then ``gxi``, and is
+        freed; the dressed grid, with the contact part, gives ``sigma_tilde``;
+        the mixed grid gives ``F``, whose two residuals are measured here, and
+        ``F`` is dropped.  Each companion grid is embedded only when it is
+        packed, one at a time.
+        """
+        ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
+        dressed, mixed = ladder.companions
+        defect = ladder.pairing_defect()  # before causal_kernel zeroes the acausal half
+        gxi = VolterraOperator(self.grid, self.p, mem=ladder.causal_kernel(-1j))
+        del ladder
+        contact, _ = self.contact_expectations
+        inst = (1j * contact).transpose(2, 0, 1).copy()
+        sigma_tilde = VolterraOperator(
+            self.grid, self.p, mem=dressed.embed().causal_kernel(-1j), inst=inst
+        )
+        del dressed
+        f_map = VolterraOperator(self.grid, self.p, mem=mixed.embed().causal_kernel(1.0))
+        del mixed
+        g0 = self.g0
+        return {
+            "gxi": gxi,
+            "pairing_defect": defect,
+            "sigma_tilde": sigma_tilde,
+            "fmap_factorization": (f_map - sigma_tilde @ g0).norm_bound(),
+            "fmap_dyson": (gxi - g0 - g0 @ f_map).norm_bound(),
+        }
 
     @cached_property
     def g0(self) -> VolterraOperator:
@@ -146,11 +172,11 @@ class KernelEngine:
 
     @cached_property
     def gxi(self) -> VolterraOperator:
-        return self._ladder[0]
+        return self._sweep["gxi"]
 
     @property
     def pairing_defect(self) -> float:
-        return self._ladder[1]
+        return self._sweep["pairing_defect"]
 
     @cached_property
     def contact_expectations(self) -> tuple[np.ndarray, float]:
@@ -165,28 +191,27 @@ class KernelEngine:
         values = np.zeros((d, d, grid.n_nodes), dtype=complex)
         sample_ops = []
         sample_pairs = []
-        lead_defect = 0.0
+        lead_defects = []
         for j in range(d):
             for m in range(d):
                 if j < ns and m < ns:
                     sample_pairs.append((j, m))
                     sample_ops.append(model.contact_operator(j, m))
                 else:
-                    lead_defect = max(lead_defect, model.contact_operator(j, m).max_abs())
+                    lead_defects.append(model.contact_operator(j, m).max_abs())
         series = self.factory.expectation_series(sample_ops)
         for (j, m), row in zip(sample_pairs, series):
             values[j, m] = row
-        return values, lead_defect
+        # every geometry has a lead site, so some pair touches a lead
+        return values, float(np.max(lead_defects))
 
     @cached_property
     def sigma_tilde(self) -> VolterraOperator:
-        mem = self.factory.anticommutator_grid("b", "b").causal_kernel(-1j)
-        contact, _ = self.contact_expectations
-        inst = (1j * contact).transpose(2, 0, 1).copy()
-        return VolterraOperator(self.grid, self.p, mem=mem, inst=inst)
+        return self._sweep["sigma_tilde"]
 
     @property
     def f_map(self) -> VolterraOperator:
+        """``F`` from a one-pair sweep of its own; ``quadrature`` reads the sweep's residuals."""
         mem = self.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
         return VolterraOperator(self.grid, self.p, mem=mem)
 
@@ -205,13 +230,13 @@ class KernelEngine:
 
         ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``,
         ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
-        ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``.
+        ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``; the two ``F``
+        residuals were measured by the sweep.
         """
-        g0, gxi, g_alg, f_map = self.g0, self.gxi, self.g_alg, self.f_map
         return {
-            "reducible_dyson": (gxi - g_alg).norm_bound(),
-            "fmap_factorization": (f_map - self.sigma_tilde @ g0).norm_bound(),
-            "fmap_dyson": (gxi - g0 - g0 @ f_map).norm_bound(),
+            "reducible_dyson": (self.gxi - self.g_alg).norm_bound(),
+            "fmap_factorization": self._sweep["fmap_factorization"],
+            "fmap_dyson": self._sweep["fmap_dyson"],
         }
 
 
@@ -363,7 +388,7 @@ def _lead_support_defect(op: VolterraOperator, num_sample: int) -> float:
     mask = np.ones((op.p, op.p), dtype=bool)
     mask[:num_sample, :num_sample] = False
     worst = float(np.max([np.max(np.abs(blocks[..., mask])) for _, _, blocks in op.kernel_tiles()]))
-    return max(worst, float(np.max(np.abs(op.instantaneous()[:, mask]))))
+    return float(np.max([worst, np.max(np.abs(op.instantaneous()[:, mask]))]))
 
 
 def verify_dyson(
@@ -406,12 +431,12 @@ def verify_dyson(
         report.add(name, quadrature[name], tol[name], "quadrature")
 
     num_sample = model.num_sample
-    support = max(
+    support = np.max([
         _lead_support_defect(sigma_tilde, num_sample),
         _lead_support_defect(sigma, num_sample),
-        max(op.max_abs() for op in model.dressed_creation_family[num_sample:]),
+        *(op.max_abs() for op in model.dressed_creation_family[num_sample:]),
         engine.contact_expectations[1],
-    )
+    ])
     report.add("lead_support", support, tol["lead_support"], "roundoff")
 
     sub = np.arange(num_sample)

@@ -103,11 +103,11 @@ def gibbs(kernel: ManyBodyOperator, params: ThermalParams, number_op: ManyBodyOp
     if kernel.displacement != 0 or number_op.displacement != 0:
         raise ValueError("Gibbs weight requires number-conserving operators")
     defect = kernel.hermiticity_defect()
-    if defect > COMMUTATION_TOL:
+    if not defect <= COMMUTATION_TOL:  # a nan defect fails too
         raise ValueError(f"Gibbs kernel is not Hermitian (defect {defect:.3e})")
     comm = commutator(kernel, number_op).max_abs()
     scale = max(kernel.max_abs(), 1.0)
-    if comm > COMMUTATION_TOL * scale:
+    if not comm <= COMMUTATION_TOL * scale:
         raise ValueError("Gibbs kernel must commute with the number operator")
 
     eigvals, eigvecs = [], []

@@ -483,6 +483,18 @@ class TestDiff:
             record = json.loads(result.stderr.strip().splitlines()[-1])
             assert record["error"]["type"] == "unreadable-dump"
 
+    def test_nan_entry_shows_in_the_overall_difference(self, tmp_path, capsys, dumps):
+        a = dumps[0]
+        header, first, *rest = a.read_text().splitlines()
+        fields = first.split(",")
+        fields[4] = "nan"
+        mutated = tmp_path / "nan.csv"
+        mutated.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        assert main(["diff", str(a), str(mutated)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.endswith(",nan,0.0") for line in lines[1:-1])
+        assert lines[-1] == "# overall max abs difference: nan"
+
     def test_reports_block_differences(self, tmp_path, dumps):
         a = dumps[0]
         text = a.read_text().splitlines()

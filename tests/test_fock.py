@@ -5,6 +5,7 @@ import pytest
 
 from pfnegf.fock import (
     FockSpace,
+    ManyBodyOperator,
     anticommutator,
     build_b_ops,
     build_interaction,
@@ -238,3 +239,24 @@ class TestOperatorAlgebra:
             ladder_op(fs_rev, f, "annihilate"), ladder_op(fs_rev, g, "create")
         ) - complex(np.vdot(f, g)) * ident
         assert mixed.max_abs() <= 1e-12
+
+
+def with_nan_in_last_block(op):
+    """``op`` with one entry of its last nonempty block set to nan."""
+    blocks = list(op.blocks)
+    last = max(n for n, b in enumerate(blocks) if b is not None and b.size)
+    blocks[last] = blocks[last].astype(complex)
+    blocks[last].flat[0] = np.nan
+    return ManyBodyOperator(op.space, op.displacement, tuple(blocks))
+
+
+class TestNonFiniteReductions:
+    # Python's max keeps a finite first argument over a later nan
+    def test_max_abs_sees_a_nan_in_a_later_block(self):
+        op = with_nan_in_last_block(second_quantize(FockSpace(3), random_hermitian(3)))
+        assert np.isfinite(op.blocks[1]).all()
+        assert np.isnan(op.max_abs())
+
+    def test_hermiticity_defect_sees_a_nan_in_a_later_block(self):
+        op = with_nan_in_last_block(second_quantize(FockSpace(3), random_hermitian(3)))
+        assert np.isnan(op.hermiticity_defect())

@@ -236,6 +236,37 @@ class TestDysonIdentities:
         assert {"reducible_dyson", "volterra_constant_gxi"} <= failed
         assert not report.passed
 
+    def test_contact_lead_defect_sees_a_nan(self, trimer_dict, monkeypatch):
+        run = parse_config(trimer_dict)
+        model, contact = run.model, run.model.contact_operator
+        ns = model.num_sample
+
+        def nan_on_leads(j, m):
+            return contact(j, m) * np.nan if max(j, m) >= ns else contact(j, m)
+
+        monkeypatch.setattr(model, "contact_operator", nan_on_leads)
+        engine = KernelEngine(model, run.thermal, TimeGrid(1.0, 4))
+        assert np.isnan(engine.contact_expectations[1])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("part", ["kernel", "instantaneous"])
+    def test_lead_support_sees_a_nan_in_sigma(self, trimer_run, part):
+        grid = TimeGrid(1.0, 10)
+        engine = KernelEngine(trimer_run.model, trimer_run.thermal, grid)
+        p, n = engine.p, grid.n_nodes
+        # a nan in a lead block of Sigma, the second of the four support terms
+        if part == "kernel":
+            mem = np.zeros((n, n, p, p), dtype=complex)
+            mem[6, 2, p - 1, 0] = np.nan
+            engine.sigma = VolterraOperator(grid, p, mem=mem)
+        else:
+            inst = np.zeros((n, p, p), dtype=complex)
+            inst[6, p - 1, 0] = np.nan
+            engine.sigma = VolterraOperator(grid, p, inst=inst)
+        report = verify_dyson(engine)
+        assert np.isnan(report.residual("lead_support"))
+        assert not report.passed
+
     def test_sample_restricted_residual_tracks_full(self, ref_engine_25):
         report = verify_dyson(ref_engine_25)
         assert report.residual("sample_restricted_dyson") <= (

@@ -158,6 +158,29 @@ def is_positive_zero(values):
     return not parts.any() and not np.signbit(parts).any()
 
 
+COMPANIONS = [("b", "b"), ("a", "b")]
+
+
+def assert_shared_sweep_matches_one_pair_grids(factory):
+    """Every grid of a shared sweep is bitwise its one-pair grid, and each
+    companion holds exactly its nonzero D rows."""
+    for name_a, name_d, full, companions in (
+        ("a", "a", True, COMPANIONS),
+        ("a", "a", False, COMPANIONS),
+        ("b", "b", False, [("a", "a"), ("a", "b")]),
+    ):
+        joint = factory.anticommutator_grid(name_a, name_d, full, companions)
+        alone = factory.anticommutator_grid(name_a, name_d, full=full)
+        assert joint.values.tobytes() == alone.values.tobytes()
+        assert len(joint.companions) == len(companions)
+        for (a, d), companion in zip(companions, joint.companions):
+            embedded = companion.embed().values
+            assert embedded.tobytes() == factory.anticommutator_grid(a, d).values.tobytes(), (a, d)
+            nonzero = np.flatnonzero(np.any(embedded != 0, axis=(1, 2, 3)))
+            assert set(nonzero) <= set(companion.rows)
+            assert companion.values.shape[0] == companion.rows.size
+
+
 def degenerate_trimer(trimer_dict):
     """Noninteracting triangle: all three hoppings 0.8, so h_v has eigenvalues
     (1.6, -0.8, -0.8) and K_v is degenerate in sectors 1 and 2."""
@@ -245,10 +268,25 @@ class TestTwoTimeKernel:
             factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
             factory.add_family("a", creation)
             if budget < need:
-                with pytest.raises(MemoryBudgetError):
+                with pytest.raises(MemoryBudgetError, match="^one held and one D tile need"):
                     factory.anticommutator_grid("a", "a")
             else:
                 factory.anticommutator_grid("a", "a")
+        # a shared sweep holds one held and one D tile of every family it pairs
+        dressed = list(model.dressed_creation_family)
+        rows_b = sum(op.max_abs() > 0.0 for op in dressed)
+        assert rows_b == model.num_sample
+        joint_need = 2 * min(TILE_NODES, grid.n_nodes) * (1 + rows_b) * flat * 16
+        for budget in (joint_need - 1, joint_need):
+            factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
+            factory.add_family("a", creation)
+            factory.add_family("b", dressed)
+            factory.anticommutator_grid("a", "a", True)  # one pair alone fits either budget
+            if budget < joint_need:
+                with pytest.raises(MemoryBudgetError, match="^one held and one D tile need"):
+                    factory.anticommutator_grid("a", "a", True, COMPANIONS)
+            else:
+                factory.anticommutator_grid("a", "a", True, COMPANIONS)
 
     def test_non_hermitian_generator_rejected(self, trimer_run):
         model = trimer_run.model
@@ -268,6 +306,29 @@ class TestTwoTimeKernel:
 
         monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
         with pytest.raises(RuntimeError, match="unitarity defect"):
+            CorrelatorFactory(rho, model.K_v, TimeGrid(1.0, 4))
+
+    def test_nan_generator_rejected(self, trimer_run):
+        model = trimer_run.model
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        generator = model.K_v + model.N_total * np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            CorrelatorFactory(rho, generator, TimeGrid(1.0, 4))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            stepper(generator, 0.1)
+
+    def test_eigenbasis_nan_in_a_later_sector_rejected(self, trimer_run, monkeypatch):
+        model = trimer_run.model
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        eigh, calls = np.linalg.eigh, []
+
+        def nan_in_last_sector(block):
+            lam, q = eigh(block)
+            calls.append(block)
+            return lam, q * np.nan if len(calls) == len(model.K_v.blocks) else q
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_in_last_sector)
+        with pytest.raises(RuntimeError, match="unitarity defect nan"):
             CorrelatorFactory(rho, model.K_v, TimeGrid(1.0, 4))
 
     def test_wrong_displacement_rejected(self, trimer_run):
@@ -307,6 +368,21 @@ class TestTiledSweep:
         assert is_positive_zero(grids[1][:, ns:])
         assert np.abs(grids[1][:ns, :ns]).max() > 0.0
 
+    @pytest.mark.parametrize("xi", [0.7, 0.0])
+    def test_shared_sweep_equals_one_pair_grids(self, trimer_dict, xi):
+        # two whole tiles and a three-node tail; at xi = 0 the dressed family
+        # has no nonzero row, so only the ladder pair runs GEMMs
+        trimer_dict["sample"]["xi"] = xi
+        run = parse_config(trimer_dict)
+        model = run.model
+        rho = gibbs(model.K_0, run.thermal, model.N_total)
+        factory = CorrelatorFactory(rho, model.K_v, TimeGrid(3.0, 2 * TILE_NODES + 2))
+        factory.add_family("a", list(model.creation_family))
+        factory.add_family("b", list(model.dressed_creation_family))
+        assert_shared_sweep_matches_one_pair_grids(factory)
+        dressed = factory.anticommutator_grid("a", "a", True, COMPANIONS).companions[0]
+        assert dressed.rows.size == (model.num_sample if xi else 0)
+
 
 class TestCorrelatorGrid:
     def test_pairing_defect_equals_dense_formula(self, trimer_engine):
@@ -318,6 +394,10 @@ class TestCorrelatorGrid:
         assert trimer_engine.pairing_defect == dense(ladder.values)
         values = RNG.standard_normal((3, 3, 5, 5)) + 1j * RNG.standard_normal((3, 3, 5, 5))
         assert CorrelatorGrid(values).pairing_defect() == dense(values) > 0.0
+        # a nan in a later first index is not dropped by the row-wise maximum
+        values[2, 1, 3, 0] = complex(np.nan, 0.0)
+        assert np.isnan(dense(values))
+        assert np.isnan(CorrelatorGrid(values).pairing_defect())
 
     @pytest.mark.parametrize("prefactor", [-1j, 1.0])
     def test_causal_kernel_is_a_view_of_the_grid(self, trimer_engine, prefactor):
@@ -433,6 +513,7 @@ class TestRandomModels:
         for (name_a, name_d, full), values in zip(pairs, grids):
             reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
             np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
+        assert_shared_sweep_matches_one_pair_grids(factory)
         ladder = grids[0]
         oracle = stepped_grid(rho, model.K_v, creation, annihilation, grid)
         np.testing.assert_allclose(ladder, oracle, rtol=0, atol=1e-12)
@@ -450,6 +531,8 @@ class TestRandomModels:
         # without interaction the many-body kernel is the one-particle G0
         run = parse_config(cfg)
         engine = KernelEngine(run.model, run.thermal, run.grid())
+        # the dressed family is all zero operators: its companions run no GEMM
+        assert_shared_sweep_matches_one_pair_grids(engine.factory)
         g0 = compute_g0(run.model.h_biased, run.grid())
         np.testing.assert_allclose(
             engine.gxi.memory_kernel(), g0.memory_kernel(), rtol=0, atol=1e-10

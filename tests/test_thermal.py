@@ -62,6 +62,19 @@ class TestGibbs:
         with pytest.raises(ValueError, match="Hermitian"):
             gibbs(bad, ThermalParams(beta=1.0), second_quantize(fs, np.eye(2)))
 
+    def test_rejects_a_nan_kernel(self):
+        fs = FockSpace(2)
+        n = second_quantize(fs, np.eye(2))
+        k = second_quantize(fs, np.diag([0.5, -0.3])) + n * np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gibbs(k, ThermalParams(beta=1.0), n)
+
+    def test_rejects_a_nan_number_operator(self):
+        fs = FockSpace(2)
+        k = second_quantize(fs, np.diag([0.5, -0.3]))
+        with pytest.raises(ValueError, match="commute"):
+            gibbs(k, ThermalParams(beta=1.0), second_quantize(fs, np.eye(2)) * np.nan)
+
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             ThermalParams(beta=0.0)
