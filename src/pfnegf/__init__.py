@@ -31,7 +31,6 @@ from .fock import (
     FockSpace,
     ManyBodyOperator,
     anticommutator,
-    build_b_ops,
     build_interaction,
     commutator,
     identity_operator,
@@ -57,27 +56,16 @@ from .negf import (
     irreducible_sigma,
     verify_dyson,
 )
-from .propagation import (
-    CorrelatorFactory,
-    CorrelatorGrid,
-    heisenberg_series,
-    stepper,
-)
+from .propagation import CorrelatorFactory, CorrelatorGrid
 from .thermal import (
     DensityOperator,
     ThermalParams,
-    factorized_expectation,
     gamma_check,
     gamma_closed_form,
     gibbs,
     pf_expectation_via_gamma,
     picard_gamma,
 )
-from .volterra import (
-    VolterraOperator,
-    identity_volterra,
-    neumann_inverse,
-    solve_id_plus,
-)
+from .volterra import VolterraOperator, solve_id_plus
 
 __version__ = "0.1.0"

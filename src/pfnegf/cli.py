@@ -6,7 +6,8 @@
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
 configuration error, malformed or unreadable kernel dump, or an artifact
-that cannot be written, 3 memory-guard abort.  ``--steps``, ``--budget``
+that cannot be written, 3 memory-guard abort (also for a kernel dump whose
+header implies arrays beyond the default budget).  ``--steps``, ``--budget``
 and ``--tolerance`` replace ``grid.steps``, ``budget`` and tolerance values
 of the configuration and are checked by the same rules (``pfnegf.config``).
 Configuration errors exit before any task runs.  Failures emit a
@@ -139,11 +140,15 @@ def _execute_tasks(config, out_dir) -> list:
 def diff_command(args) -> int:
     import numpy as np
 
+    from .errors import MemoryBudgetError
     from .volterra import load_kernel_from_path
 
     try:
         header_a, mem_a, inst_a = load_kernel_from_path(args.dump_a)
         header_b, mem_b, inst_b = load_kernel_from_path(args.dump_b)
+    except MemoryBudgetError as exc:
+        _error_record("memory", str(exc))
+        return EXIT_MEMORY
     except ValueError as exc:
         _error_record("malformed-dump", str(exc))
         return EXIT_CONFIG

@@ -126,9 +126,7 @@ class ManyBodyOperator:
     """Dense sector-blocked operator on a :class:`FockSpace`.
 
     ``blocks[N]`` maps sector ``N`` to sector ``N + displacement`` and is
-    ``None`` exactly when the target sector does not exist.  The full
-    ``2^d x 2^d`` matrix is available through :meth:`to_full`; both forms
-    agree by construction.
+    ``None`` exactly when the target sector does not exist.
     """
 
     space: FockSpace
@@ -223,58 +221,9 @@ class ManyBodyOperator:
         vals = [np.max(np.abs(b - np.conj(b.T))) for b in self.blocks if b is not None and b.size]
         return float(np.max(vals)) if vals else 0.0
 
-    def to_full(self) -> np.ndarray:
-        fs = self.space
-        full = np.zeros((fs.dim, fs.dim), dtype=complex)
-        for n, block in enumerate(self.blocks):
-            if block is None:
-                continue
-            target = n + self.displacement
-            r0 = fs.sector_offsets[target]
-            c0 = fs.sector_offsets[n]
-            full[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-        return full
-
-
-def zero_operator(fs: FockSpace, displacement: int = 0) -> ManyBodyOperator:
-    d = fs.num_orbitals
-    blocks = []
-    for n in range(d + 1):
-        target = n + displacement
-        if 0 <= target <= d:
-            blocks.append(np.zeros((fs.sector_dim(target), fs.sector_dim(n)), dtype=complex))
-        else:
-            blocks.append(None)
-    return ManyBodyOperator(fs, displacement, tuple(blocks))
-
-
 def identity_operator(fs: FockSpace) -> ManyBodyOperator:
     blocks = tuple(np.eye(dim, dtype=complex) for dim in fs.sector_dims)
     return ManyBodyOperator(fs, 0, blocks)
-
-
-def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int) -> ManyBodyOperator:
-    """Slice a full matrix into sector blocks, checking off-block leakage."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (fs.dim, fs.dim):
-        raise ValueError("matrix does not match the Fock-space dimension")
-    d = fs.num_orbitals
-    blocks = []
-    recon = np.zeros_like(matrix)
-    for n in range(d + 1):
-        target = n + displacement
-        if not 0 <= target <= d:
-            blocks.append(None)
-            continue
-        r0 = fs.sector_offsets[target]
-        c0 = fs.sector_offsets[n]
-        block = matrix[r0 : r0 + fs.sector_dim(target), c0 : c0 + fs.sector_dim(n)].copy()
-        blocks.append(block)
-        recon[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-    leak = np.max(np.abs(matrix - recon)) if matrix.size else 0.0
-    if leak > 0.0:
-        raise ValueError(f"matrix has weight {leak:.3e} outside displacement {displacement}")
-    return ManyBodyOperator(fs, displacement, tuple(blocks))
 
 
 def commutator(a: ManyBodyOperator, b: ManyBodyOperator) -> ManyBodyOperator:
@@ -319,7 +268,7 @@ def second_quantize(fs: FockSpace, h) -> ManyBodyOperator:
     d = fs.num_orbitals
     if h.shape != (d, d):
         raise ValueError(f"one-particle matrix has shape {h.shape}, expected ({d}, {d})")
-    if np.max(np.abs(h - np.conj(h.T))) > HERMITICITY_TOL:
+    if not np.max(np.abs(h - np.conj(h.T))) <= HERMITICITY_TOL:  # a nan matrix fails too
         raise ValueError("one-particle matrix must be Hermitian")
     diag = np.real(np.diag(h))
     hops = [(j, k) for j, k in zip(*np.nonzero(h)) if j != k]
@@ -344,9 +293,9 @@ def build_interaction(fs: FockSpace, w) -> ManyBodyOperator:
     d = fs.num_orbitals
     if w.shape != (d, d):
         raise ValueError(f"pair potential has shape {w.shape}, expected ({d}, {d})")
-    if np.max(np.abs(w - w.T)) > HERMITICITY_TOL:
+    if not np.max(np.abs(w - w.T)) <= HERMITICITY_TOL:  # a nan matrix fails too
         raise ValueError("pair potential must be symmetric")
-    if np.max(np.abs(np.diag(w))) > HERMITICITY_TOL:
+    if not np.max(np.abs(np.diag(w))) <= HERMITICITY_TOL:
         raise ValueError("pair potential must have zero diagonal")
     blocks = []
     for n in range(d + 1):
@@ -356,15 +305,12 @@ def build_interaction(fs: FockSpace, w) -> ManyBodyOperator:
     return ManyBodyOperator(fs, 0, tuple(blocks))
 
 
-def build_b_ops(fs: FockSpace, w_op: ManyBodyOperator, xi: float, f) -> tuple[ManyBodyOperator, ManyBodyOperator]:
-    """Interaction-dressed ladder pair ``b(f) = i xi [W, a(f)]`` and its partner.
+def dressed_creation(fs: FockSpace, w_op: ManyBodyOperator, xi: float, f) -> ManyBodyOperator:
+    """Interaction-dressed creator ``b*(f) = i xi [W, a*(f)]``.
 
-    Both vanish identically when ``f`` is supported outside the interaction
-    (the pair potential commutes with any operator supported there) and when
+    Its adjoint is the dressed annihilator ``b(f) = i xi [W, a(f)]``.  Both
+    vanish identically when ``f`` is supported outside the interaction (the
+    pair potential commutes with any operator supported there) and when
     ``xi == 0``.
     """
-    annihilator = ladder_op(fs, f, "annihilate")
-    creator = ladder_op(fs, f, "create")
-    b = (1j * xi) * commutator(w_op, annihilator)
-    b_star = (1j * xi) * commutator(w_op, creator)
-    return b, b_star
+    return (1j * xi) * commutator(w_op, ladder_op(fs, f, "create"))

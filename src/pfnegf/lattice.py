@@ -91,7 +91,7 @@ class LeadCoupling:
         for name, vec in (("lead_vector", self.lead_vector), ("sample_vector", self.sample_vector)):
             if vec.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
-            if abs(np.linalg.norm(vec) - 1.0) > UNIT_NORM_TOL:
+            if not abs(np.linalg.norm(vec) - 1.0) <= UNIT_NORM_TOL:  # a nan vector fails too
                 raise ValueError(f"{name} must have unit norm within {UNIT_NORM_TOL}")
 
 
@@ -107,9 +107,9 @@ class TwoBodyPotential:
         object.__setattr__(self, "matrix", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("pair potential must be a square matrix")
-        if np.max(np.abs(w - w.T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(w - w.T)) <= HERMITICITY_TOL:  # a nan matrix fails too
             raise ValueError("pair potential must be symmetric")
-        if w.size and np.max(np.abs(np.diag(w))) > HERMITICITY_TOL:
+        if w.size and not np.max(np.abs(np.diag(w))) <= HERMITICITY_TOL:
             raise ValueError("pair potential must have zero diagonal")
 
     def embedded(self, geometry: Geometry) -> np.ndarray:
@@ -246,6 +246,6 @@ def build_hamiltonians(
 
     for name, matrix in (("h_D", h_d), ("h_T", h_t)):
         defect = np.max(np.abs(matrix - np.conj(matrix.T)))
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:  # a nan matrix fails too
             raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
     return OnePartHamiltonian(geometry, h_d, h_t, bias)

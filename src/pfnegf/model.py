@@ -19,8 +19,8 @@ from .fock import (
     FockSpace,
     ManyBodyOperator,
     anticommutator,
-    build_b_ops,
     build_interaction,
+    dressed_creation,
     ladder_op,
     second_quantize,
 )
@@ -110,13 +110,10 @@ class Model:
         themselves (their largest entry, which must vanish) and from the
         lead blocks of the assembled self-energies.
         """
-        ops = []
-        for j in range(self.geometry.num_sites):
-            _, b_star = build_b_ops(
-                self.space, self.W, self.interaction.strength, self.basis_vector(j)
-            )
-            ops.append(b_star)
-        return tuple(ops)
+        return tuple(
+            dressed_creation(self.space, self.W, self.interaction.strength, self.basis_vector(j))
+            for j in range(self.geometry.num_sites)
+        )
 
     def dressed_annihilation(self, j: int) -> ManyBodyOperator:
         return self.dressed_creation_family[j].dagger()

@@ -63,7 +63,7 @@ QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 # Packed Volterra operators' worth of memory that ``verify`` holds at once.
 # tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6) benchmark
 # configs, 101 nodes, seed 0, with g0, gxi and sigma_tilde built first,
-# measured a peak of 8.5 and 8.7 beyond them, the build of f_map included; at
+# measured a peak of 8.5 and 8.7 beyond them, the build of F included; at
 # most 14 operators were live, with 11.3 packed buffers between them.
 ALGEBRA_OPERATORS = 16
 
@@ -71,7 +71,7 @@ ALGEBRA_OPERATORS = 16
 def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
     """Free retarded kernel ``K[k, l] = -i exp(-i (t_k - t_l) h_v)``."""
     h = np.asarray(h_biased, dtype=complex)
-    if np.max(np.abs(h - np.conj(h.T))) > 1e-12:
+    if not np.max(np.abs(h - np.conj(h.T))) <= 1e-12:  # a nan matrix fails too
         raise ValueError("one-particle Hamiltonian must be Hermitian")
     p = h.shape[0]
     lam, v = np.linalg.eigh(h)
@@ -102,7 +102,7 @@ class KernelEngine:
     full ladder grid, both triangles, gives the pairing defect and then the
     kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the mixed grid
     gives ``F``, whose two quadrature residuals are measured at once, and
-    ``F`` is dropped.  ``f_map`` builds ``F`` again from a one-pair sweep.
+    ``F`` is dropped.
     ``budget`` covers ``ALGEBRA_OPERATORS`` packed operators, checked at
     construction, and the held and D tiles of both families, checked before
     the sweep starts.
@@ -208,12 +208,6 @@ class KernelEngine:
     @cached_property
     def sigma_tilde(self) -> VolterraOperator:
         return self._sweep["sigma_tilde"]
-
-    @property
-    def f_map(self) -> VolterraOperator:
-        """``F`` from a one-pair sweep of its own; ``quadrature`` reads the sweep's residuals."""
-        mem = self.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
-        return VolterraOperator(self.grid, self.p, mem=mem)
 
     @cached_property
     def sigma(self) -> VolterraOperator:

@@ -54,31 +54,6 @@ def _check_hermitian(generator: ManyBodyOperator) -> None:
         raise ValueError(f"evolution generator is not Hermitian (defect {defect:.3e})")
 
 
-def stepper(generator: ManyBodyOperator, delta: float) -> ManyBodyOperator:
-    """One-step unitary ``exp(-i delta K)`` per sector via eigendecomposition."""
-    _check_hermitian(generator)
-    blocks = []
-    for block in generator.blocks:
-        lam, v = np.linalg.eigh(block)
-        blocks.append((v * np.exp(-1j * delta * lam)[None, :]) @ np.conj(v.T))
-    return ManyBodyOperator(generator.space, 0, tuple(blocks))
-
-
-def heisenberg_series(
-    x: ManyBodyOperator, u: ManyBodyOperator, grid: TimeGrid
-) -> list[ManyBodyOperator]:
-    """Evolved copies ``x(t_k) = (U^dagger)^k x U^k`` for every node, incrementally.
-
-    The step-product oracle of the diagonal evolution; it holds all N_t + 1
-    operators at once.
-    """
-    u_dag = u.dagger()
-    series = [x]
-    for _ in range(grid.steps):
-        series.append(u_dag @ series[-1] @ u)
-    return series
-
-
 @dataclass
 class CorrelatorGrid:
     """Two-time anticommutator values ``C[j, m, k, l]``.

@@ -20,7 +20,6 @@ the closed form is kept as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,13 +71,6 @@ class DensityOperator:
         if low < -STATE_TOL:
             raise ValueError(f"density operator has negative weight {low:.3e}")
 
-    @cached_property
-    def op(self) -> ManyBodyOperator:
-        blocks = tuple(
-            (v * p[None, :]) @ np.conj(v.T) for p, v in zip(self.probs, self.vecs)
-        )
-        return ManyBodyOperator(self.space, 0, blocks)
-
     def expectation(self, observable: ManyBodyOperator) -> complex:
         """Trace against the state, as a probability-weighted eigenvector sum."""
         if observable.space is not self.space:
@@ -121,35 +113,6 @@ def gibbs(kernel: ManyBodyOperator, params: ThermalParams, number_op: ManyBodyOp
     z = sum(w.sum() for w in weights)
     probs = [w / z for w in weights]
     return DensityOperator(kernel.space, probs, eigvecs, label=label)
-
-
-def fermi_matrix_element(h_lead: np.ndarray, params: ThermalParams, bra, ket) -> complex:
-    """Matrix element ``<bra| (Id + exp(beta(h - mu)))^{-1} |ket>``."""
-    h_lead = np.asarray(h_lead, dtype=complex)
-    lam, v = np.linalg.eigh(h_lead)
-    occ = 1.0 / (1.0 + np.exp(params.beta * (lam - params.mu)))
-    bra = np.asarray(bra, dtype=complex)
-    ket = np.asarray(ket, dtype=complex)
-    return complex(np.conj(bra) @ (v * occ[None, :]) @ np.conj(v.T) @ ket)
-
-
-def factorized_expectation(rho_sample: DensityOperator, sample_observable: ManyBodyOperator, lead_factors, params: ThermalParams) -> complex:
-    """Expectation of ``O_S * prod_nu a*(f~_nu) a(f_nu)`` in the decoupled state.
-
-    The sample factor is traced against the interacting sample Gibbs state;
-    every lead factor reduces to a Fermi-Dirac matrix element of its own
-    one-particle Hamiltonian.  ``lead_factors`` is a list of
-    ``(h_lead, f_tilde, f)`` triples with vectors in the lead's own basis.
-    """
-    value = rho_sample.expectation(sample_observable)
-    for h_lead, f_tilde, f in lead_factors:
-        h_lead = np.asarray(h_lead, dtype=complex)
-        f_tilde = np.asarray(f_tilde, dtype=complex)
-        f = np.asarray(f, dtype=complex)
-        if f_tilde.shape != (h_lead.shape[0],) or f.shape != (h_lead.shape[0],):
-            raise ValueError("lead factor vectors must live on the lead's orbitals")
-        value *= fermi_matrix_element(h_lead, params, f, f_tilde)
-    return complex(value)
 
 
 @dataclass(frozen=True)

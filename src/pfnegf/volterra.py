@@ -26,8 +26,8 @@ in the same packed layout and weighs it when the algebra reads it, so its
 kernel view and dump are the exact input; for an algebraically produced
 operator the kernel is derived from the packed matrix.  The constructor
 checks causality tile row by tile row as it packs.  ``kernel_tiles`` is the
-one kernel reader; ``memory_kernel`` and ``flat`` expand the dense kernel and
-matrix on demand, and no program path reads them.
+one kernel reader; ``flat`` expands the dense matrix on demand, and no
+program path reads it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ import json
 
 import numpy as np
 
+from .errors import MemoryBudgetError
 from .grid import TimeGrid
+from .propagation import DEFAULT_BUDGET_BYTES
 
 # Nodes per tile row of the packed layout.  Medians at 101 nodes, one BLAS
 # thread (2-vCPU Xeon KVM guest), compose / solve in ms: 16 nodes 10.4 / 13.6
@@ -181,19 +183,6 @@ class VolterraOperator:
                 blocks[0, 0] = 0.0
             yield k0, k1, blocks
 
-    def memory_kernel(self) -> np.ndarray:
-        """Dense ``(n, n, p, p)`` kernel view; exact for kernel-built operators.
-
-        For algebraically produced operators the diagonal-in-time blocks pick
-        up the O(delta) self-interaction of the trapezoid rule; that is a
-        faithful property of the discrete composition, not an error.
-        """
-        n, p = self.grid.n_nodes, self.p
-        mem = np.zeros((n, n, p, p), dtype=complex)
-        for k0, k1, blocks in self.kernel_tiles():
-            mem[k0:k1, :k1] = blocks
-        return mem
-
     # -- algebra -------------------------------------------------------
 
     def _require_compatible(self, other: "VolterraOperator"):
@@ -280,11 +269,6 @@ class VolterraOperator:
         return float(np.max(tops))
 
 
-def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
-    inst = np.broadcast_to(np.eye(p, dtype=complex), (grid.n_nodes, p, p)).copy()
-    return VolterraOperator(grid, p, inst=inst)
-
-
 def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, p: int) -> None:
     """Add ``inst[k]`` to the diagonal block of every node of a packed matrix."""
     for (k0, k1), slab in zip(_tiles(n), _slabs(panels, n, p)):
@@ -346,20 +330,6 @@ def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
     if inst is not None and a._inst is not None:
         inst = np.linalg.solve(np.eye(a.p) + a._inst, inst)
     return VolterraOperator._packed(a.grid, a.p, inst, None, panels)
-
-
-def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
-    """Truncated Neumann series ``sum_{n>=1} (-A)^n``; cross-check for the solver.
-
-    The remainder after ``order`` terms is bounded by
-    ``(C_A T)^{order+1} / order!`` in operator norm, with ``C_A`` the discrete
-    Volterra constant.
-    """
-    acc = power = -a
-    for _ in range(2, order + 1):
-        power = -(power @ a)
-        acc = acc + power
-    return VolterraOperator._packed(a.grid, a.p, None, None, acc.panels())
 
 
 def operator_norm_bound(op: VolterraOperator) -> float:
@@ -428,7 +398,11 @@ def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None
 
 
 def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Parse a kernel dump; returns (header, memory kernel, instantaneous part)."""
+    """Parse a kernel dump; returns (header, memory kernel, instantaneous part).
+
+    Raises ``MemoryBudgetError`` before allocating when the arrays the header
+    implies exceed ``DEFAULT_BUDGET_BYTES``.
+    """
     header = json.loads(fh.readline())
     if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
         raise ValueError(f"malformed kernel header: {header!r}")
@@ -439,6 +413,12 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
             raise ValueError(f"malformed kernel header: {key} must be a whole number >= {least}, got {value!r}")
     p = int(header["p"])
     n = int(header["N_t"]) + 1
+    need = 16 * (n * n + n) * p * p  # complex128 kernel and instantaneous part
+    if need > DEFAULT_BUDGET_BYTES:
+        raise MemoryBudgetError(
+            f"the kernel dump header (p = {p}, N_t = {n - 1}) needs {need} bytes "
+            f"(budget {DEFAULT_BUDGET_BYTES})"
+        )
     mem = np.zeros((n, n, p, p), dtype=complex)
     inst = np.zeros((n, p, p), dtype=complex)
     for row in csv.reader(fh):

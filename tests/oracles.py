@@ -1,0 +1,186 @@
+"""Reference forms the tests compare the package against.
+
+None of these runs in a ``negf`` task.  Each is an independent, slower or
+denser way to reach what the package computes: step products of the
+evolution, the Neumann series of the causal solve, dense Fock matrices, the
+decoupled factorized expectation, the dressed annihilator straight from its
+formula and ``F`` from a one-pair sweep.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pfnegf.fock import FockSpace, ManyBodyOperator, commutator, ladder_op
+from pfnegf.grid import TimeGrid
+from pfnegf.propagation import _check_hermitian
+from pfnegf.thermal import DensityOperator, ThermalParams
+from pfnegf.volterra import VolterraOperator
+
+# -- Fock space ----------------------------------------------------------
+
+
+def to_full(op: ManyBodyOperator) -> np.ndarray:
+    fs = op.space
+    full = np.zeros((fs.dim, fs.dim), dtype=complex)
+    for n, block in enumerate(op.blocks):
+        if block is None:
+            continue
+        target = n + op.displacement
+        r0 = fs.sector_offsets[target]
+        c0 = fs.sector_offsets[n]
+        full[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+    return full
+
+
+def zero_operator(fs: FockSpace, displacement: int = 0) -> ManyBodyOperator:
+    d = fs.num_orbitals
+    blocks = []
+    for n in range(d + 1):
+        target = n + displacement
+        if 0 <= target <= d:
+            blocks.append(np.zeros((fs.sector_dim(target), fs.sector_dim(n)), dtype=complex))
+        else:
+            blocks.append(None)
+    return ManyBodyOperator(fs, displacement, tuple(blocks))
+
+
+def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int) -> ManyBodyOperator:
+    """Slice a full matrix into sector blocks, checking off-block leakage."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (fs.dim, fs.dim):
+        raise ValueError("matrix does not match the Fock-space dimension")
+    d = fs.num_orbitals
+    blocks = []
+    recon = np.zeros_like(matrix)
+    for n in range(d + 1):
+        target = n + displacement
+        if not 0 <= target <= d:
+            blocks.append(None)
+            continue
+        r0 = fs.sector_offsets[target]
+        c0 = fs.sector_offsets[n]
+        block = matrix[r0 : r0 + fs.sector_dim(target), c0 : c0 + fs.sector_dim(n)].copy()
+        blocks.append(block)
+        recon[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+    leak = np.max(np.abs(matrix - recon)) if matrix.size else 0.0
+    if leak > 0.0:
+        raise ValueError(f"matrix has weight {leak:.3e} outside displacement {displacement}")
+    return ManyBodyOperator(fs, displacement, tuple(blocks))
+
+
+def dressed_annihilator(fs: FockSpace, w_op: ManyBodyOperator, xi: float, f) -> ManyBodyOperator:
+    """``b(f) = i xi [W, a(f)]``, formed from its own formula."""
+    return (1j * xi) * commutator(w_op, ladder_op(fs, f, "annihilate"))
+
+
+# -- thermal states ------------------------------------------------------
+
+
+def density_operator(rho: DensityOperator) -> ManyBodyOperator:
+    blocks = tuple(
+        (v * p[None, :]) @ np.conj(v.T) for p, v in zip(rho.probs, rho.vecs)
+    )
+    return ManyBodyOperator(rho.space, 0, blocks)
+
+
+def fermi_matrix_element(h_lead: np.ndarray, params: ThermalParams, bra, ket) -> complex:
+    """Matrix element ``<bra| (Id + exp(beta(h - mu)))^{-1} |ket>``."""
+    h_lead = np.asarray(h_lead, dtype=complex)
+    lam, v = np.linalg.eigh(h_lead)
+    occ = 1.0 / (1.0 + np.exp(params.beta * (lam - params.mu)))
+    bra = np.asarray(bra, dtype=complex)
+    ket = np.asarray(ket, dtype=complex)
+    return complex(np.conj(bra) @ (v * occ[None, :]) @ np.conj(v.T) @ ket)
+
+
+def factorized_expectation(rho_sample: DensityOperator, sample_observable: ManyBodyOperator, lead_factors, params: ThermalParams) -> complex:
+    """Expectation of ``O_S * prod_nu a*(f~_nu) a(f_nu)`` in the decoupled state.
+
+    The sample factor is traced against the interacting sample Gibbs state;
+    every lead factor reduces to a Fermi-Dirac matrix element of its own
+    one-particle Hamiltonian.  ``lead_factors`` is a list of
+    ``(h_lead, f_tilde, f)`` triples with vectors in the lead's own basis.
+    """
+    value = rho_sample.expectation(sample_observable)
+    for h_lead, f_tilde, f in lead_factors:
+        h_lead = np.asarray(h_lead, dtype=complex)
+        f_tilde = np.asarray(f_tilde, dtype=complex)
+        f = np.asarray(f, dtype=complex)
+        if f_tilde.shape != (h_lead.shape[0],) or f.shape != (h_lead.shape[0],):
+            raise ValueError("lead factor vectors must live on the lead's orbitals")
+        value *= fermi_matrix_element(h_lead, params, f, f_tilde)
+    return complex(value)
+
+
+# -- evolution -----------------------------------------------------------
+
+
+def stepper(generator: ManyBodyOperator, delta: float) -> ManyBodyOperator:
+    """One-step unitary ``exp(-i delta K)`` per sector via eigendecomposition."""
+    _check_hermitian(generator)
+    blocks = []
+    for block in generator.blocks:
+        lam, v = np.linalg.eigh(block)
+        blocks.append((v * np.exp(-1j * delta * lam)[None, :]) @ np.conj(v.T))
+    return ManyBodyOperator(generator.space, 0, tuple(blocks))
+
+
+def heisenberg_series(
+    x: ManyBodyOperator, u: ManyBodyOperator, grid: TimeGrid
+) -> list[ManyBodyOperator]:
+    """Evolved copies ``x(t_k) = (U^dagger)^k x U^k`` for every node, incrementally.
+
+    The step-product oracle of the diagonal evolution; it holds all N_t + 1
+    operators at once.
+    """
+    u_dag = u.dagger()
+    series = [x]
+    for _ in range(grid.steps):
+        series.append(u_dag @ series[-1] @ u)
+    return series
+
+
+# -- Volterra algebra ----------------------------------------------------
+
+
+def memory_kernel(op: VolterraOperator) -> np.ndarray:
+    """Dense ``(n, n, p, p)`` kernel view; exact for kernel-built operators.
+
+    For algebraically produced operators the diagonal-in-time blocks pick
+    up the O(delta) self-interaction of the trapezoid rule; that is a
+    faithful property of the discrete composition, not an error.
+    """
+    n, p = op.grid.n_nodes, op.p
+    mem = np.zeros((n, n, p, p), dtype=complex)
+    for k0, k1, blocks in op.kernel_tiles():
+        mem[k0:k1, :k1] = blocks
+    return mem
+
+
+def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
+    inst = np.broadcast_to(np.eye(p, dtype=complex), (grid.n_nodes, p, p)).copy()
+    return VolterraOperator(grid, p, inst=inst)
+
+
+def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
+    """Truncated Neumann series ``sum_{n>=1} (-A)^n``; cross-check for the solver.
+
+    The remainder after ``order`` terms is bounded by
+    ``(C_A T)^{order+1} / order!`` in operator norm, with ``C_A`` the discrete
+    Volterra constant.
+    """
+    acc = power = -a
+    for _ in range(2, order + 1):
+        power = -(power @ a)
+        acc = acc + power
+    return VolterraOperator._packed(a.grid, a.p, None, None, acc.panels())
+
+
+# -- kernels -------------------------------------------------------------
+
+
+def f_map(engine) -> VolterraOperator:
+    """``F`` of a kernel engine, from a one-pair sweep of its own."""
+    mem = engine.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
+    return VolterraOperator(engine.grid, engine.p, mem=mem)

@@ -472,6 +472,16 @@ class TestDiff:
         assert main(["diff", str(a), str(bad)]) == 2
         assert last_error(capsys)["type"] == "malformed-dump"
 
+    def test_oversized_header_exit_code(self, tmp_path, capsys, dumps):
+        # p = 300, N_t = 2000 implies 5.24 TiB of arrays: refused before any allocation
+        header = json.loads(dumps[0].read_text().split("\n", 1)[0])
+        big = tmp_path / "big.csv"
+        big.write_text(json.dumps(header | {"p": 300, "N_t": 2000}) + "\n")
+        assert main(["diff", str(dumps[0]), str(big)]) == 3
+        error = last_error(capsys)
+        assert error["type"] == "memory"
+        assert "p = 300, N_t = 2000" in error["message"]
+
     @pytest.mark.parametrize("which", ["missing", "directory"])
     def test_unreadable_dump_exit_code(self, tmp_path, dumps, which):
         a = dumps[0]

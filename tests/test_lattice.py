@@ -127,6 +127,28 @@ class TestHamiltonians:
             LeadCoupling(0.5, [1.0, 1.0], [1.0])
 
 
+def nan_hopping_hamiltonians():
+    g = build_geometry(["s0", "s1"], [["l0"]])
+    couplings = [LeadCoupling(0.1, [1.0], [1.0, 0.0])]
+    return build_hamiltonians(g, [("s0", "s1", np.nan)], [[]], couplings, [0.0])
+
+
+# a nan on the diagonal already fails the symmetry guard: nan - nan is nan
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TwoBodyPotential(np.array([[0.0, np.nan], [np.nan, 0.0]]), 1.0), "symmetric"),
+        (lambda: TwoBodyPotential(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0), "symmetric"),
+        (lambda: LeadCoupling(0.5, [np.nan], [1.0]), "unit norm"),
+        (nan_hopping_hamiltonians, "h_D is not Hermitian"),
+    ],
+    ids=["pair-offdiagonal", "pair-diagonal", "coupling-vector", "hopping"],
+)
+def test_nan_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestTwoBodyPotential:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
