@@ -23,7 +23,7 @@ label of another type is reported with its key as well, e.g.
 Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
-entries (at least two) and every other task uses the largest.  Tolerance
+entries (at least two, none repeated) and every other task uses the largest.  Tolerance
 names are checks of ``verify`` or ``convergence_min_order``.  Keys outside
 the schema are ignored.
 """
@@ -141,6 +141,8 @@ class RunConfig:
         if not isinstance(self.steps_list, list) or not self.steps_list:
             raise ConfigError("grid.steps must hold at least one step count")
         self.steps_list = [_whole(s, "grid.steps") for s in self.steps_list]
+        if len(set(self.steps_list)) < len(self.steps_list):
+            raise ConfigError(f"grid.steps: each step count may appear once, got {self.steps_list}")
         try:
             for steps in self.steps_list:
                 TimeGrid(self.horizon, steps)

@@ -63,8 +63,8 @@ QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 # Packed Volterra operators' worth of memory that ``verify`` holds at once.
 # tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6) benchmark
 # configs, 101 nodes, seed 0, with g0, gxi and sigma_tilde built first,
-# measured a peak of 8.5 and 8.7 beyond them, the build of F included; at
-# most 14 operators were live, with 11.3 packed buffers between them.
+# measured a peak of 6.6 and 6.8 beyond them, the build of F included; at
+# most 13 operators were live, with 9.8 packed buffers between them.
 ALGEBRA_OPERATORS = 16
 
 
@@ -102,7 +102,8 @@ class KernelEngine:
     full ladder grid, both triangles, gives the pairing defect and then the
     kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the mixed grid
     gives ``F``, whose two quadrature residuals are measured at once, and
-    ``F`` is dropped.
+    ``F`` is dropped.  The product ``Sigma~ G0`` of the ``F`` residual is
+    kept until ``sigma`` takes it.
     ``budget`` covers ``ALGEBRA_OPERATORS`` packed operators, checked at
     construction, and the held and D tiles of both families, checked before
     the sweep starts.
@@ -141,7 +142,8 @@ class KernelEngine:
         The full ladder grid gives its pairing defect and then ``gxi``, and is
         freed; the dressed grid, with the contact part, gives ``sigma_tilde``;
         the mixed grid gives ``F``, whose two residuals are measured here, and
-        ``F`` is dropped.  Each companion grid is embedded only when it is
+        ``F`` is dropped; ``Sigma~ G0``, formed for one of them, is kept for
+        ``sigma``.  Each companion grid is embedded only when it is
         packed, one at a time.
         """
         ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
@@ -158,12 +160,15 @@ class KernelEngine:
         f_map = VolterraOperator(self.grid, self.p, mem=mixed.embed().causal_kernel(1.0))
         del mixed
         g0 = self.g0
+        fmap_dyson = (gxi - g0 - g0 @ f_map).norm_bound()
+        sigma_tilde_g0 = sigma_tilde @ g0
         return {
             "gxi": gxi,
             "pairing_defect": defect,
             "sigma_tilde": sigma_tilde,
-            "fmap_factorization": (f_map - sigma_tilde @ g0).norm_bound(),
-            "fmap_dyson": (gxi - g0 - g0 @ f_map).norm_bound(),
+            "sigma_tilde_g0": sigma_tilde_g0,  # until ``sigma`` takes it
+            "fmap_factorization": (f_map - sigma_tilde_g0).norm_bound(),
+            "fmap_dyson": fmap_dyson,
         }
 
     @cached_property
@@ -211,7 +216,7 @@ class KernelEngine:
 
     @cached_property
     def sigma(self) -> VolterraOperator:
-        return irreducible_sigma(self.g0, self.sigma_tilde)
+        return irreducible_sigma(self.g0, self.sigma_tilde, self._sweep.pop("sigma_tilde_g0", None))
 
     @cached_property
     def g_alg(self) -> VolterraOperator:
@@ -234,7 +239,9 @@ class KernelEngine:
         }
 
 
-def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> VolterraOperator:
+def irreducible_sigma(
+    g0: VolterraOperator, sigma_tilde: VolterraOperator, sigma_tilde_g0: VolterraOperator | None = None
+) -> VolterraOperator:
     """Proper self-energy ``Sigma = Sigma~ (Id + G0 Sigma~)^{-1}``.
 
     Computed as ``(Id + Sigma~ G0)^{-1} Sigma~`` by the push-through identity
@@ -242,14 +249,24 @@ def irreducible_sigma(g0: VolterraOperator, sigma_tilde: VolterraOperator) -> Vo
     exactly in any matrix algebra: one compose and one causal solve.
     ``Sigma~ G0`` is memory-only (the free kernel has no instantaneous part),
     so the solve exists by forward substitution and the instantaneous part of
-    the result equals that of ``Sigma~`` identically.
+    the result equals that of ``Sigma~`` identically.  A caller that holds
+    the product ``Sigma~ G0`` passes it as ``sigma_tilde_g0``.
     """
-    return solve_id_plus(sigma_tilde @ g0, sigma_tilde)
+    if sigma_tilde_g0 is None:
+        sigma_tilde_g0 = sigma_tilde @ g0
+    return solve_id_plus(sigma_tilde_g0, sigma_tilde)
 
 
-def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> VolterraOperator:
-    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra."""
-    return solve_id_plus(-(g0 @ sigma), g0)
+def dyson_solution(
+    g0: VolterraOperator, sigma: VolterraOperator, g0_sigma: VolterraOperator | None = None
+) -> VolterraOperator:
+    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra.
+
+    A caller that holds the product ``G0 Sigma`` passes it as ``g0_sigma``.
+    """
+    if g0_sigma is None:
+        g0_sigma = g0 @ sigma
+    return solve_id_plus(-g0_sigma, g0)
 
 
 def approx_split(
@@ -257,16 +274,27 @@ def approx_split(
     sigma_app: VolterraOperator,
     g0: VolterraOperator,
     g_reference: VolterraOperator,
+    chain: VolterraOperator | None = None,
 ) -> tuple[VolterraOperator, float]:
     """Approximate-propagator splitting around an approximating self-energy.
 
     Returns ``G_app = (Id - G0 Sigma_app)^{-1} G0`` and the max-abs residual
     of ``G_ref = G_app + G_app (Sigma - Sigma_app) G_ref``, which is an exact
     discrete-algebra identity whenever ``G_ref`` solves the full equation.
+    A caller that holds the product ``G_app (Sigma - Sigma_app) G_ref``
+    passes it as ``chain``: for ``Sigma_app = 0``, ``G_app`` is ``G0`` and
+    the product is ``(G0 Sigma) G_ref``, bit for bit.
     """
     g_app = dyson_solution(g0, sigma_app)
-    correction = sigma - sigma_app
-    residual = (g_reference - g_app - g_app @ correction @ g_reference).max_abs()
+    if chain is None:
+        # each operand goes as soon as it is read for the last time: the
+        # splits of ``verify`` hold the most operators at once
+        correction = sigma - sigma_app
+        del sigma_app
+        chain = g_app @ correction
+        del correction
+        chain = chain @ g_reference
+    residual = (g_reference - g_app - chain).max_abs()
     return g_app, residual
 
 
@@ -408,19 +436,21 @@ def verify_dyson(
     report = DysonReport(model_hash, grid.horizon, grid.steps)
     p = g0.p
 
+    # G0 Sigma is formed once for resolvent_dyson and (G0 Sigma) G_alg, and
+    # that product once for irreducible_dyson and the zero split, whose G_app
+    # is G0; both are freed before the other two splits
+    g0_sigma = g0 @ sigma
+    resolvent = (dyson_solution(g0, sigma, g0_sigma) - g_alg).max_abs()
+    chain = g0_sigma @ g_alg
+    del g0_sigma
+    irreducible = (g_alg - g0 - chain).max_abs()
+    zero = VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))
+    split_zero = approx_split(sigma, zero, g0, g_alg, chain)[1]
+    del chain
+
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
-    report.add(
-        "irreducible_dyson",
-        (g_alg - g0 - g0 @ sigma @ g_alg).max_abs(),
-        tol["irreducible_dyson"],
-        "exact-algebra",
-    )
-    report.add(
-        "resolvent_dyson",
-        (dyson_solution(g0, sigma) - g_alg).max_abs(),
-        tol["resolvent_dyson"],
-        "exact-algebra",
-    )
+    report.add("irreducible_dyson", irreducible, tol["irreducible_dyson"], "exact-algebra")
+    report.add("resolvent_dyson", resolvent, tol["resolvent_dyson"], "exact-algebra")
     for name in ("fmap_factorization", "fmap_dyson"):
         report.add(name, quadrature[name], tol[name], "quadrature")
 
@@ -452,9 +482,9 @@ def verify_dyson(
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")
 
+    report.add("approx_split_zero", split_zero, tol["approx_split_zero"], "exact-algebra")
     # each approximating self-energy is built for its own check and freed after it
     for name, sigma_app in (
-        ("approx_split_zero", lambda: VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))),
         ("approx_split_half", lambda: sigma.scale(0.5)),
         ("approx_split_instantaneous", lambda: VolterraOperator(grid, p, inst=sigma.instantaneous().copy())),
     ):

@@ -24,10 +24,12 @@ Compose and solve run on these slabs, one GEMM per pair of tile rows, and
 never touch the acausal triangle.  A kernel-built operator keeps its kernel
 in the same packed layout and weighs it when the algebra reads it, so its
 kernel view and dump are the exact input; for an algebraically produced
-operator the kernel is derived from the packed matrix.  The constructor
-checks causality tile row by tile row as it packs.  ``kernel_tiles`` is the
-one kernel reader; ``flat`` expands the dense matrix on demand, and no
-program path reads it.
+operator the kernel is derived from the packed matrix.  An operator built
+from an instantaneous part alone keeps no packed buffer, and compose takes
+it as a block-diagonal right operand; a solve against an all-zero ``A`` is
+a copy.  The constructor checks causality tile row by tile row as it packs.
+``kernel_tiles`` is the one kernel reader; ``flat`` expands the dense
+matrix on demand, and no program path reads it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from .propagation import DEFAULT_BUDGET_BYTES
 # at p = 6 and 20.9 / 25.4 at p = 8; 8 nodes 12.2 / 14.2 and 24.3 / 22.9.
 # 16 nodes store 6.0 MB per operator at p = 8, 8 nodes 5.6 MB (dense 10.4 MB).
 TILE_NODES = 16
+
+# Relative slack under which a row's Frobenius sum rules it out of the norm
+# bound.  Frobenius and spectral norms of a rank-1 block agree exactly, and
+# their computed values can differ by an ulp.
+NORM_PRUNE_MARGIN = 1e-10
 
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
@@ -87,7 +94,8 @@ def _blocks(slab: np.ndarray, p: int) -> np.ndarray:
 class VolterraOperator:
     """Causal operator with an optional instantaneous part and memory kernel.
 
-    Built from the kernel pair; operators produced by the algebra hold the
+    Built from the kernel pair, or from an instantaneous part alone, which is
+    all such an operator holds; operators produced by the algebra hold the
     packed matrix instead, and their kernel pair is a derived view.  Either
     way the algebra reads the packed matrix (``panels``).
     """
@@ -100,7 +108,7 @@ class VolterraOperator:
             inst = np.asarray(inst, dtype=complex)
             if inst.shape != (n, p, p):
                 raise ValueError(f"instantaneous part has shape {inst.shape}, expected {(n, p, p)}")
-        kernel = panels = None
+        kernel = None
         if mem is not None:
             mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
             if mem.shape != (n, n, p, p):
@@ -113,13 +121,11 @@ class VolterraOperator:
                 if upper != 0.0:
                     raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
                 _blocks(slab, p)[...] = rows[:, :k1]
-        else:
-            panels = np.zeros(packed_size(n, p), dtype=complex)
-            _add_diagonal(panels, inst, n, p)
-        self._set(grid, p, inst, kernel, panels)
+        self._set(grid, p, inst, kernel, None)
 
     def _set(self, grid, p, inst, kernel, panels) -> None:
-        # exactly one of kernel (packed memory kernel) and panels (packed matrix)
+        # at most one of kernel (packed memory kernel) and panels (packed
+        # matrix); neither for an instantaneous-only operator
         self.grid, self.p = grid, int(p)
         self._inst, self._kernel, self._panels = inst, kernel, panels
 
@@ -132,18 +138,30 @@ class VolterraOperator:
     # -- views ---------------------------------------------------------
 
     def panels(self) -> np.ndarray:
-        """The packed matrix; weighed afresh from the kernel of a kernel-built operator."""
+        """The packed matrix; built afresh on each read unless the operator holds it.
+
+        A kernel-built operator weighs its kernel, an instantaneous-only one
+        places its part on the diagonal blocks of a zero matrix.
+        """
         if self._panels is not None:
             return self._panels
         n, p = self.grid.n_nodes, self.p
-        w = trapezoid_weights(n) * self.grid.delta
-        out = np.empty_like(self._kernel)
-        for (k0, k1), src, dst in zip(_tiles(n), _slabs(self._kernel, n, p), _slabs(out, n, p)):
-            shape = (k1 - k0, p, k1, p)
-            np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
+        if self._kernel is None:
+            out = np.zeros(packed_size(n, p), dtype=complex)
+        else:
+            w = trapezoid_weights(n) * self.grid.delta
+            out = np.empty_like(self._kernel)
+            for (k0, k1), src, dst in zip(_tiles(n), _slabs(self._kernel, n, p), _slabs(out, n, p)):
+                shape = (k1 - k0, p, k1, p)
+                np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
         if self._inst is not None:
             _add_diagonal(out, self._inst, n, p)
         return out
+
+    def _writable_panels(self) -> np.ndarray:
+        """The packed matrix as an array the caller may overwrite."""
+        out = self.panels()
+        return out.copy() if out is self._panels else out
 
     @property
     def flat(self) -> np.ndarray:
@@ -172,7 +190,7 @@ class VolterraOperator:
             return
         w = trapezoid_weights(n) * self.grid.delta
         w[w == 0.0] = 1.0  # vacuous slots (node 0 and the acausal range) hold zero blocks
-        for (k0, k1), slab in zip(_tiles(n), _slabs(self._panels, n, p)):
+        for (k0, k1), slab in zip(_tiles(n), _slabs(self.panels(), n, p)):
             blocks = _blocks(slab, p).copy()
             rows = np.arange(k1 - k0)
             if self._inst is not None:
@@ -193,7 +211,12 @@ class VolterraOperator:
         """Operator product self after other; exact in the block algebra.
 
         Tile row ``I`` of the product is ``sum_{M<=I} A_I[:, M] @ B_M``, with
-        ``B_M`` the slab of tile row ``M``: the causal triangle only.
+        ``B_M`` the slab of tile row ``M``: the causal triangle only.  An
+        instantaneous-only ``other`` is block diagonal: columns ``M`` of tile
+        row ``I`` are ``A_I[:, M] @ D_M``, with ``D_M`` the diagonal tile of
+        ``B``, one GEMM per pair of tiles with the general rule's inner
+        length, and the same bits.  One p x p product per block is cheaper
+        still, but it rounds differently in the last bit for most p.
         """
         self._require_compatible(other)
         n, p = self.grid.n_nodes, self.p
@@ -201,8 +224,17 @@ class VolterraOperator:
         if self._inst is not None and other._inst is not None:
             inst = np.einsum("kab,kbc->kac", self._inst, other._inst)
         out = np.empty(packed_size(n, p), dtype=complex)
-        a, b, c = (_slabs(x, n, p) for x in (self.panels(), other.panels(), out))
+        a, c = _slabs(self.panels(), n, p), _slabs(out, n, p)
         tiles = _tiles(n)
+        if other._kernel is None and other._panels is None:
+            for m, (m0, m1) in enumerate(tiles):
+                diag = np.zeros(((m1 - m0) * p,) * 2, dtype=complex)
+                rows = np.arange(m1 - m0)
+                _blocks(diag, p)[rows, rows] += other._inst[m0:m1]
+                for i in range(m, len(tiles)):
+                    np.matmul(a[i][:, m0 * p : m1 * p], diag, out=c[i][:, m0 * p : m1 * p])
+            return VolterraOperator._packed(self.grid, p, inst, None, out)
+        b = _slabs(other.panels(), n, p)
         for i, (k0, _) in enumerate(tiles):
             np.matmul(a[i][:, k0 * p :], b[i], out=c[i])
             for m, (m0, m1) in enumerate(tiles[:i]):
@@ -242,6 +274,8 @@ class VolterraOperator:
         n, q = self.grid.n_nodes, len(indices)
         inst = None if self._inst is None else self._inst[:, indices[:, None], indices[None, :]]
         source = self._kernel if self._kernel is not None else self._panels
+        if source is None:
+            return VolterraOperator._packed(self.grid, q, inst, None, None)
         out = np.empty(packed_size(n, q), dtype=complex)
         for src, dst in zip(_slabs(source, n, self.p), _slabs(out, n, q)):
             _blocks(dst, q)[...] = _blocks(src, self.p)[:, :, indices][:, :, :, indices]
@@ -259,13 +293,24 @@ class VolterraOperator:
     def volterra_constant(self) -> float:
         """Discrete Volterra constant: max spectral norm over memory blocks.
 
-        nan or inf for a non-finite kernel.
+        A causal block with the bits of the block one node up and one node
+        left, at the same lag, repeats it and is skipped: a Toeplitz kernel
+        such as ``G0`` keeps one block per lag.  Each tile row takes one
+        batched SVD over the blocks it keeps.  nan or inf for a non-finite
+        kernel.
         """
-        # per tile row; a non-finite one gives its largest magnitude, inf or nan
-        tops = [
-            np.linalg.svd(b, compute_uv=False)[..., 0].max() if np.isfinite(b).all() else np.abs(b).max()
-            for _, _, b in self.kernel_tiles()
-        ]
+        tops, above = [], None  # the bits of the node row above the tile row
+        for k0, k1, tile in self.kernel_tiles():
+            bits = np.ascontiguousarray(tile).view(np.int64)
+            repeat = np.zeros(tile.shape[:2], dtype=bool)
+            repeat[1:, 1:] = (bits[1:, 1:] == bits[:-1, :-1]).all(axis=(2, 3))
+            if above is not None:
+                repeat[0, 1 : k0 + 1] = (bits[0, 1 : k0 + 1] == above).all(axis=(1, 2))
+            above = bits[-1]
+            causal = np.arange(k1) <= np.arange(k0, k1)[:, None]
+            b = tile[causal & ~repeat]
+            # a non-finite tile row gives its largest magnitude, inf or nan
+            tops.append(np.linalg.svd(b, compute_uv=False)[:, 0].max() if np.isfinite(b).all() else np.abs(b).max())
         return float(np.max(tops))
 
 
@@ -283,7 +328,8 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
     tile of ``Id + A`` is then inverted node by node, by forward substitution
     on the tile's identity, and applied in one GEMM.  ``B`` is causal, so
     nothing right of the tile is touched.  Raises with the offending node
-    index if a diagonal block of ``Id + A`` is singular.
+    index if a diagonal block of ``Id + A`` is singular.  ``solve_id_plus``
+    does not call it for an all-zero ``A``, for which ``X = B``.
     """
     n, p = a.grid.n_nodes, a.p
     tiles = _tiles(n)
@@ -300,9 +346,7 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"singular diagonal block at node {k}") from exc
         raise
-    out = b.panels()
-    if out is b._panels:
-        out = out.copy()
+    out = b._writable_panels()
     x_slabs = _slabs(out, n, p)
     for i, (k0, k1) in enumerate(tiles):
         m, x = m_slabs[i], x_slabs[i]
@@ -321,11 +365,12 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
 def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
     """X with ``(Id + A) X = B`` exactly in the discrete algebra.
 
-    One block forward substitution; the instantaneous part is
+    One block forward substitution, skipped when the matrix of ``A`` is all
+    zero (``X = B``; a nan entry is not zero); the instantaneous part is
     ``(I + m_A)^{-1} m_B`` node by node.
     """
     a._require_compatible(b)
-    panels = block_lower_solve(a, b)
+    panels = block_lower_solve(a, b) if np.any(a.panels()) else b._writable_panels()
     inst = b._inst
     if inst is not None and a._inst is not None:
         inst = np.linalg.solve(np.eye(a.p) + a._inst, inst)
@@ -335,21 +380,36 @@ def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
 def operator_norm_bound(op: VolterraOperator) -> float:
     """Upper bound on the induced sup-norm: max over rows of summed block norms.
 
-    The norms of the causal blocks come from one batched SVD per tile row;
-    each row is summed left to right, as a per-block loop would.  nan or inf
-    for a non-finite operator.
+    A block's Frobenius norm bounds its spectral norm from above, so a row's
+    Frobenius sum bounds its spectral sum.  The spectral sum of the row with
+    the largest Frobenius sum is a first best, and only rows whose Frobenius
+    sum reaches it, less a relative ``NORM_PRUNE_MARGIN`` for roundoff, can
+    hold the maximum.  The blocks are divided by the largest entry first: no
+    square overflows, and one that underflows is far below the margin.  The
+    causal blocks of the remaining rows take one batched SVD, and each row is
+    summed left to right, as a per-block loop would.  nan or inf for a
+    non-finite operator.
     """
     panels, n, p = op.panels(), op.grid.n_nodes, op.p
     if not np.isfinite(panels).all():
         return float(np.max(np.abs(panels)))
-    best = 0.0
-    for (k0, k1), slab in zip(_tiles(n), _slabs(panels, n, p)):
-        norms = np.linalg.svd(_blocks(slab, p), compute_uv=False)[..., 0]
-        rows = np.zeros(k1 - k0)
-        for l in range(k1):
-            rows += norms[:, l]
-        best = max(best, float(np.max(rows)))
-    return best
+    scale = np.max(np.abs(panels))
+    if scale == 0.0:
+        return 0.0
+    slabs = _slabs(panels, n, p)
+    frobenius = np.concatenate([np.linalg.norm(_blocks(s, p) / scale, axis=(2, 3)).sum(axis=1) for s in slabs])
+
+    def spectral_sums(rows) -> np.ndarray:
+        blocks = [_blocks(slabs[k // TILE_NODES], p)[k % TILE_NODES, : k + 1] for k in rows]
+        norms = np.linalg.svd(np.concatenate(blocks), compute_uv=False)[:, 0]
+        table = np.zeros((len(rows), rows[-1] + 1))
+        table[np.repeat(np.arange(len(rows)), rows + 1), np.concatenate([np.arange(k + 1) for k in rows])] = norms
+        return np.cumsum(table, axis=1)[:, -1]
+
+    top = np.argmax(frobenius)
+    first = spectral_sums(np.array([top]))[0]
+    rows = np.flatnonzero(frobenius >= first / scale * (1.0 - NORM_PRUNE_MARGIN))
+    return float(np.max(spectral_sums(np.union1d(rows, [top]))))
 
 
 # -- kernel dump format ------------------------------------------------

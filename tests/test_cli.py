@@ -349,6 +349,9 @@ class TestMalformedConfig:
             ("tolerances", {"reducible_dysn": 1e-3}),
             ("tolerances", {"lead_support": math.nan}),
             ("tasks", ["verify", "converge"]),
+            # a repeated step count would give converge fewer distinct grids
+            ("grid.steps", [20, 20]),
+            ("grid.steps", [20, 20, 40]),
         ],
     )
     def test_parse_rejects(self, path, value):
@@ -377,6 +380,8 @@ class TestMalformedConfig:
                          id="sample.sites-sample.sites"),
             pytest.param("leads.0", ["x"], "leads[0]: expected a JSON object",
                          id="leads.0-leads[0]"),
+            pytest.param("grid.steps", [20, 40, 20], "grid.steps: each step count may appear once",
+                         id="grid.steps-repeated"),
         ],
     )
     def test_message_names_the_key(self, path, value, message):
@@ -385,7 +390,12 @@ class TestMalformedConfig:
 
     def test_overrides_are_checked(self):
         config = parse_config(reference_at_12_steps())
-        for change in ({"steps_list": [1]}, {"budget": 0}, {"tolerances": {"lead_support": math.nan}}):
+        for change in (
+            {"steps_list": [1]},
+            {"steps_list": [12, 12]},
+            {"budget": 0},
+            {"tolerances": {"lead_support": math.nan}},
+        ):
             with pytest.raises(ConfigError):
                 dataclasses.replace(config, **change)
 
@@ -395,8 +405,9 @@ class TestMalformedConfig:
             (reference_at_12_steps(tolerances={"lead_support": "nan"}), []),
             (reference_at_12_steps(), ["--tolerance", "lead_support=nan"]),
             (reference_at_12_steps(tasks=["g0", "converge"]), ["--steps", "12"]),
+            (reference_at_12_steps(**{"grid.steps": [20, 20], "tasks": ["g0", "converge"]}), []),
         ],
-        ids=["nan-config", "nan-flag", "converge-one-step-count"],
+        ids=["nan-config", "nan-flag", "converge-one-step-count", "converge-repeated-step-count"],
     )
     def test_run_rejects_before_any_task(self, tmp_path, capsys, cfg_data, extra):
         cfg = write_config(tmp_path, cfg_data)

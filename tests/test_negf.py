@@ -306,6 +306,42 @@ class TestDysonIdentities:
         assert np.isnan(fit_convergence_order([0.1, 0.05], residuals))
 
 
+class TestSharedProducts:
+    """Products that two checks share are formed once and give the fresh residuals."""
+
+    def test_compose_count(self, reference_run, monkeypatch):
+        calls = []
+        compose = VolterraOperator.compose
+
+        def counted(self, other):
+            calls.append(1)
+            return compose(self, other)
+
+        monkeypatch.setattr(VolterraOperator, "compose", counted)
+        engine = KernelEngine(reference_run.model, reference_run.thermal, TimeGrid(reference_run.horizon, 25))
+        verify_dyson(engine)
+        assert len(calls) <= 17
+
+    def test_residuals_equal_fresh_expressions(self, ref_engine_25):
+        engine = ref_engine_25
+        report = verify_dyson(engine)
+        g0, sigma, g_alg = engine.g0, engine.sigma, engine.g_alg
+        grid, p = engine.grid, engine.p
+        assert sigma.panels().tobytes() == irreducible_sigma(g0, engine.sigma_tilde).panels().tobytes()
+        fresh = {
+            "irreducible_dyson": (g_alg - g0 - g0 @ sigma @ g_alg).max_abs(),
+            "resolvent_dyson": (dyson_solution(g0, sigma) - g_alg).max_abs(),
+        }
+        for name, sigma_app in (
+            ("approx_split_zero", VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))),
+            ("approx_split_half", sigma.scale(0.5)),
+            ("approx_split_instantaneous", VolterraOperator(grid, p, inst=sigma.instantaneous().copy())),
+        ):
+            fresh[name] = approx_split(sigma, sigma_app, g0, g_alg)[1]
+        for name, residual in fresh.items():
+            assert report.residual(name) == residual, name
+
+
 class TestApproxSplit:
     def test_exact_self_energy_reproduces_solution(self, ref_engine_25):
         g_app, residual = approx_split(

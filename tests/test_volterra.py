@@ -15,6 +15,7 @@ from pfnegf.propagation import CorrelatorGrid
 from pfnegf.volterra import (
     TILE_NODES,
     VolterraOperator,
+    block_lower_solve,
     dump_kernel,
     load_kernel,
     operator_norm_bound,
@@ -607,3 +608,265 @@ class TestPackedAgainstDenseOracle:
         np.testing.assert_array_equal(
             total.restrict(indices).flat, dense_restrict(da + db, grid, p, indices)
         )
+
+
+def count_svd_blocks(monkeypatch) -> list:
+    """Record how many blocks each ``np.linalg.svd`` call is given."""
+    counted, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return counted
+
+
+# three tile rows, the last one partial
+THREE_TILES = TimeGrid(1.0, 2 * TILE_NODES + 5)
+
+
+def dominant_tail(mem, rows, factor=8.0):
+    """Scale the given kernel rows by a power of two, so they hold the largest row sums."""
+    mem[rows] *= factor
+    return mem
+
+
+def tied_rows_kernel(grid, p, seed):
+    """Random kernel whose last two rows have bitwise equal, dominant block-norm sums.
+
+    Row ``n - 2`` repeats row ``n - 1`` block by block; its diagonal block,
+    which carries half the trapezoid weight, is doubled, and the last
+    diagonal block of row ``n - 1`` is zero.
+    """
+    n = grid.n_nodes
+    mem = memory_kernel(random_memory_operator(grid, p, seed)).copy()
+    mem[n - 2, : n - 2] = mem[n - 1, : n - 2]
+    mem[n - 2, n - 2] = 2.0 * mem[n - 1, n - 2]
+    mem[n - 1, n - 1] = 0.0
+    return dominant_tail(mem, slice(n - 2, n))
+
+
+def rank_one_kernel(grid, p, seed):
+    """Random causal kernel of rank-1 blocks: Frobenius and spectral norms agree."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_nodes
+    u = rng.standard_normal((n, n, p, 1)) + 1j * rng.standard_normal((n, n, p, 1))
+    v = rng.standard_normal((n, n, 1, p)) + 1j * rng.standard_normal((n, n, 1, p))
+    mem = u @ v
+    mem[np.triu_indices(n, k=1)] = 0.0
+    return dominant_tail(mem, slice(n - 3, n))
+
+
+def permuted_rows_kernel(grid, seed):
+    """p = 1 kernel whose last four rows permute one set of values.
+
+    Their exact row sums are equal; the computed ones, summed left to right,
+    differ in the last bits, which a pruning margin must allow for.
+    """
+    rng = np.random.default_rng(seed)
+    n = grid.n_nodes
+    mem = memory_kernel(random_memory_operator(grid, 1, seed)).copy()
+    values = rng.standard_normal(n - 5) + 1j * rng.standard_normal(n - 5)
+    ends = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    for k in range(n - 4, n):
+        interior = np.concatenate([values, np.zeros(k - 1 - len(values))])
+        mem[k, 1:k, 0, 0] = rng.permutation(interior)
+        mem[k, 0, 0, 0], mem[k, k, 0, 0] = ends
+    return dominant_tail(mem, slice(n - 4, n))
+
+
+class TestPrunedNormBound:
+    """``operator_norm_bound`` takes SVDs only of rows that can hold the maximum."""
+
+    KERNELS = {
+        "random-p3": lambda grid: memory_kernel(random_memory_operator(grid, 3, seed=60)),
+        "tied-rows-p2": lambda grid: tied_rows_kernel(grid, 2, seed=61),
+        "tied-rows-p1": lambda grid: tied_rows_kernel(grid, 1, seed=62),
+        "rank-one-p3": lambda grid: rank_one_kernel(grid, 3, seed=63),
+        "rank-one-p1": lambda grid: rank_one_kernel(grid, 1, seed=64),
+        "permuted-rows-p1": lambda grid: permuted_rows_kernel(grid, seed=65),
+    }
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_equals_loop_reference_and_skips_rows(self, monkeypatch, kernel):
+        grid = THREE_TILES
+        mem = self.KERNELS[kernel](grid)
+        n, p = grid.n_nodes, mem.shape[-1]
+        rng = np.random.default_rng(66)
+        inst = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
+        for op in (VolterraOperator(grid, p, mem=mem), VolterraOperator(grid, p, mem=mem, inst=inst)):
+            expected = loop_norm_bound(op.flat, grid, p)
+            counted = count_svd_blocks(monkeypatch)
+            assert operator_norm_bound(op) == expected
+            assert sum(counted) < n * (n + 1) // 2  # some rows took no SVD
+            monkeypatch.undo()
+
+    def test_tied_rows_both_reach_the_bound(self):
+        # the two tied rows give the same sum, which is the bound
+        grid, p = THREE_TILES, 2
+        n = grid.n_nodes
+        op = VolterraOperator(grid, p, mem=tied_rows_kernel(grid, p, seed=61))
+        blocks = dense_blocks(op.flat, grid, p)
+        sums = [sum(np.linalg.norm(blocks[k, l], 2) for l in range(n)) for k in (n - 2, n - 1)]
+        assert sums[0] == sums[1] == operator_norm_bound(op)
+
+    def test_tiny_and_huge_entries(self):
+        # squares of the entries would under- or overflow without the scaling
+        grid = THREE_TILES
+        mem = memory_kernel(random_memory_operator(grid, 2, seed=67))
+        for scale in (1e-200, 1e200):
+            op = VolterraOperator(grid, 2, mem=mem * scale)
+            assert operator_norm_bound(op) == loop_norm_bound(op.flat, grid, 2)
+
+    def test_row_of_underflowing_squares_is_kept(self):
+        # row n - 1 holds the largest sum in entries whose squares underflow
+        # to zero, row 1 one entry whose square does not
+        n = THREE_TILES.n_nodes
+        grid = TimeGrid(float(n - 1), n - 1)  # unit step: trapezoid weights 1 and 1/2
+        mem = np.zeros((n, n, 2, 2), dtype=complex)
+        mem[1, 0, 0, 0] = 6e-162
+        mem[n - 1, 1 : n - 1] = 1e-162
+        op = VolterraOperator(grid, 2, mem=mem)
+        expected = loop_norm_bound(op.flat, grid, 2)
+        assert expected > 1e-161
+        assert operator_norm_bound(op) == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spots, expected",
+        [
+            ({(TILE_NODES + 3, 2): np.inf}, np.inf),
+            ({(2 * TILE_NODES + 1, 7): np.nan}, np.nan),
+            ({(3, 1): np.inf, (2 * TILE_NODES + 4, 2 * TILE_NODES + 4): np.nan}, np.nan),
+        ],
+        ids=["inf", "nan", "inf-and-nan"],
+    )
+    def test_non_finite_entries(self, spots, expected):
+        # an inf entry gives inf, a nan anywhere gives nan
+        grid = THREE_TILES
+        mem = memory_kernel(random_memory_operator(grid, 2, seed=68))
+        for (k, l), bad in spots.items():
+            mem[k, l, 1, 0] = bad
+        assert repr(operator_norm_bound(VolterraOperator(grid, 2, mem=mem))) == repr(expected)
+
+
+@st.composite
+def operand_draws(draw):
+    """A drawn kernel pair, an instantaneous part and a right operand, on a grid that may cross tiles."""
+    steps = draw(st.sampled_from(ORACLE_STEPS), label="steps")
+    p = draw(st.integers(1, 6), label="p")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = TimeGrid(1.0, steps)
+    n = grid.n_nodes
+
+    def kernel():
+        mem = rng.standard_normal((n, n, p, p)) + 1j * rng.standard_normal((n, n, p, p))
+        mem[np.triu_indices(n, k=1)] = 0.0
+        return mem
+
+    def inst():
+        return rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
+
+    a_inst = inst() if draw(st.booleans(), label="a instantaneous") else None
+    a = VolterraOperator(grid, p, inst=a_inst, mem=kernel())
+    b_inst = inst() if draw(st.booleans(), label="b instantaneous") else None
+    b = VolterraOperator(grid, p, inst=b_inst, mem=kernel())
+    m = np.zeros((n, p, p), dtype=complex) if draw(st.booleans(), label="zero part") else inst()
+    return grid, p, a, b, m
+
+
+class TestOperandRules:
+    """The cheap operand rules of compose and solve against the general algorithm."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_draws())
+    def test_instantaneous_only_product_equals_tiled_gemm(self, draw):
+        grid, p, a, _, m = draw
+        n = grid.n_nodes
+        fast = a @ VolterraOperator(grid, p, inst=m)
+        # a zero kernel with the same part: the packed matrix is read, every tile pair multiplied
+        tiled = a @ VolterraOperator(grid, p, inst=m, mem=np.zeros((n, n, p, p)))
+        np.testing.assert_array_equal(fast.panels(), tiled.panels())
+        np.testing.assert_array_equal(fast.instantaneous(), tiled.instantaneous())
+        np.testing.assert_array_equal(memory_kernel(fast), memory_kernel(tiled))
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_draws())
+    def test_zero_solve_equals_forward_substitution(self, draw):
+        grid, p, _, b, _ = draw
+        n = grid.n_nodes
+        for zero in (
+            VolterraOperator(grid, p, inst=np.zeros((n, p, p))),
+            VolterraOperator(grid, p, mem=np.zeros((n, n, p, p))),
+            -(b @ VolterraOperator(grid, p, inst=np.zeros((n, p, p)))),
+        ):
+            x = solve_id_plus(zero, b)
+            np.testing.assert_array_equal(x.panels(), block_lower_solve(zero, b))
+            np.testing.assert_array_equal(x.instantaneous(), b.instantaneous())
+        # an operator that holds its matrix lends it to no result
+        held = b.scale(1.0)
+        assert not np.shares_memory(solve_id_plus(zero, held).panels(), held.panels())
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["kernel", "instantaneous"])
+    def test_non_finite_operand_gives_non_finite_result(self, bad, where):
+        grid, p = THREE_TILES, 2
+        n = grid.n_nodes
+        mem = memory_kernel(random_memory_operator(grid, p, seed=70))
+        inst = np.ones((n, p, p), dtype=complex)
+        spot = (TILE_NODES + 3, 0, 1) if where == "instantaneous" else (TILE_NODES + 3, 4, 0, 1)
+        (inst if where == "instantaneous" else mem)[spot] = bad
+        a = VolterraOperator(grid, p, mem=mem)
+        right = VolterraOperator(grid, p, inst=inst)
+        assert not np.isfinite((a @ right).panels()).all()
+        # the zero solve passes a non-finite B through; an A that is zero but
+        # for one non-finite entry is not zero
+        zero = VolterraOperator(grid, p, inst=np.zeros((n, p, p)))
+        b = VolterraOperator(grid, p, mem=mem, inst=inst)
+        assert not np.isfinite(solve_id_plus(zero, b).panels()).all()
+        almost_zero = np.zeros((n, n, p, p), dtype=complex)
+        almost_zero[TILE_NODES + 3, 4, 0, 1] = bad
+        finite = random_memory_operator(grid, p, seed=71)
+        assert not np.isfinite(solve_id_plus(VolterraOperator(grid, p, mem=almost_zero), finite).panels()).all()
+
+
+def toeplitz_kernel(grid, p, seed):
+    """Causal kernel with one random block per lag: every block repeats along its diagonal."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_nodes
+    lags = rng.standard_normal((n + 1, p, p)) + 1j * rng.standard_normal((n + 1, p, p))
+    lags[n] = 0.0
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    return lags[np.where(lag >= 0, lag, n)]
+
+
+class TestDistinctBlockConstant:
+    """``volterra_constant`` skips the blocks that repeat the one up and left of them."""
+
+    def test_g0_takes_one_svd_per_lag(self, monkeypatch):
+        grid = THREE_TILES
+        h = np.array([[0.4, 1.0, 0.0], [1.0, -0.2, 0.6], [0.0, 0.6, 0.1]])
+        g0 = compute_g0(h, grid)
+        expected = loop_volterra_constant(g0)
+        counted = count_svd_blocks(monkeypatch)
+        assert g0.volterra_constant() == expected
+        assert sum(counted) == grid.n_nodes
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
+    def test_repeated_blocks(self, bad):
+        grid, p = THREE_TILES, 2
+        mem = toeplitz_kernel(grid, p, seed=71)
+        if bad is not None:
+            mem[TILE_NODES + 3, 5, 0, 1] = bad  # one copy of the lag-(TILE_NODES - 2) block
+        a = VolterraOperator(grid, p, mem=mem)
+        for op in (a, a.restrict([1]), a @ random_memory_operator(grid, p, seed=72)):
+            if bad is None:
+                assert op.volterra_constant() == loop_volterra_constant(op)
+            else:
+                # the per-block loop raises on a nan block; one SVD over every block does not
+                assert repr(op.volterra_constant()) == repr(concatenated_volterra_constant(op))
+        if bad is not None:
+            assert repr(a.volterra_constant()) == repr(bad)
