@@ -63,8 +63,8 @@ QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 # Packed Volterra operators' worth of memory that ``verify`` holds at once.
 # tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6) benchmark
 # configs, 101 nodes, seed 0, with g0, gxi and sigma_tilde built first,
-# measured a peak of 6.6 and 6.8 beyond them, the build of F included; at
-# most 13 operators were live, with 9.8 packed buffers between them.
+# measured a peak of 6.5 and 6.7 beyond them, the build of F included; at
+# most 12 operators were live, with 9.8 packed buffers between them.
 ALGEBRA_OPERATORS = 16
 
 
@@ -103,7 +103,7 @@ class KernelEngine:
     kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the mixed grid
     gives ``F``, whose two quadrature residuals are measured at once, and
     ``F`` is dropped.  The product ``Sigma~ G0`` of the ``F`` residual is
-    kept until ``sigma`` takes it.
+    kept until ``sigma`` or ``quadrature``, whichever comes first, takes it.
     ``budget`` covers ``ALGEBRA_OPERATORS`` packed operators, checked at
     construction, and the held and D tiles of both families, checked before
     the sweep starts.
@@ -143,8 +143,8 @@ class KernelEngine:
         freed; the dressed grid, with the contact part, gives ``sigma_tilde``;
         the mixed grid gives ``F``, whose two residuals are measured here, and
         ``F`` is dropped; ``Sigma~ G0``, formed for one of them, is kept for
-        ``sigma``.  Each companion grid is embedded only when it is
-        packed, one at a time.
+        ``sigma`` until ``quadrature`` is read.  Each companion grid is
+        embedded only when it is packed, one at a time.
         """
         ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
         dressed, mixed = ladder.companions
@@ -166,7 +166,7 @@ class KernelEngine:
             "gxi": gxi,
             "pairing_defect": defect,
             "sigma_tilde": sigma_tilde,
-            "sigma_tilde_g0": sigma_tilde_g0,  # until ``sigma`` takes it
+            "sigma_tilde_g0": sigma_tilde_g0,  # until ``sigma`` or ``quadrature`` takes it
             "fmap_factorization": (f_map - sigma_tilde_g0).norm_bound(),
             "fmap_dyson": fmap_dyson,
         }
@@ -230,8 +230,10 @@ class KernelEngine:
         ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``,
         ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
         ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``; the two ``F``
-        residuals were measured by the sweep.
+        residuals were measured by the sweep.  An engine that has not built
+        ``sigma`` yet drops ``Sigma~ G0`` here; ``sigma`` forms it again.
         """
+        self._sweep.pop("sigma_tilde_g0", None)
         return {
             "reducible_dyson": (self.gxi - self.g_alg).norm_bound(),
             "fmap_factorization": self._sweep["fmap_factorization"],
@@ -274,26 +276,21 @@ def approx_split(
     sigma_app: VolterraOperator,
     g0: VolterraOperator,
     g_reference: VolterraOperator,
-    chain: VolterraOperator | None = None,
 ) -> tuple[VolterraOperator, float]:
     """Approximate-propagator splitting around an approximating self-energy.
 
     Returns ``G_app = (Id - G0 Sigma_app)^{-1} G0`` and the max-abs residual
     of ``G_ref = G_app + G_app (Sigma - Sigma_app) G_ref``, which is an exact
     discrete-algebra identity whenever ``G_ref`` solves the full equation.
-    A caller that holds the product ``G_app (Sigma - Sigma_app) G_ref``
-    passes it as ``chain``: for ``Sigma_app = 0``, ``G_app`` is ``G0`` and
-    the product is ``(G0 Sigma) G_ref``, bit for bit.
     """
     g_app = dyson_solution(g0, sigma_app)
-    if chain is None:
-        # each operand goes as soon as it is read for the last time: the
-        # splits of ``verify`` hold the most operators at once
-        correction = sigma - sigma_app
-        del sigma_app
-        chain = g_app @ correction
-        del correction
-        chain = chain @ g_reference
+    # each operand goes as soon as it is read for the last time: the splits
+    # of ``verify`` hold the most operators at once
+    correction = sigma - sigma_app
+    del sigma_app
+    chain = g_app @ correction
+    del correction
+    chain = chain @ g_reference
     residual = (g_reference - g_app - chain).max_abs()
     return g_app, residual
 
@@ -436,17 +433,12 @@ def verify_dyson(
     report = DysonReport(model_hash, grid.horizon, grid.steps)
     p = g0.p
 
-    # G0 Sigma is formed once for resolvent_dyson and (G0 Sigma) G_alg, and
-    # that product once for irreducible_dyson and the zero split, whose G_app
-    # is G0; both are freed before the other two splits
+    # G0 Sigma is formed once for resolvent_dyson and irreducible_dyson, and
+    # freed before the approximate splits
     g0_sigma = g0 @ sigma
     resolvent = (dyson_solution(g0, sigma, g0_sigma) - g_alg).max_abs()
-    chain = g0_sigma @ g_alg
+    irreducible = (g_alg - g0 - g0_sigma @ g_alg).max_abs()
     del g0_sigma
-    irreducible = (g_alg - g0 - chain).max_abs()
-    zero = VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))
-    split_zero = approx_split(sigma, zero, g0, g_alg, chain)[1]
-    del chain
 
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
     report.add("irreducible_dyson", irreducible, tol["irreducible_dyson"], "exact-algebra")
@@ -482,7 +474,8 @@ def verify_dyson(
     report.add("volterra_constant_g0", g0.volterra_constant(), tol["volterra_constant_g0"], "bound")
     report.add("volterra_constant_gxi", gxi.volterra_constant(), tol["volterra_constant_gxi"], "bound")
 
-    report.add("approx_split_zero", split_zero, tol["approx_split_zero"], "exact-algebra")
+    # with Sigma_app = 0, G_app is G0 and the split residual is irreducible_dyson's
+    report.add("approx_split_zero", irreducible, tol["approx_split_zero"], "exact-algebra")
     # each approximating self-energy is built for its own check and freed after it
     for name, sigma_app in (
         ("approx_split_half", lambda: sigma.scale(0.5)),

@@ -26,10 +26,10 @@ in the same packed layout and weighs it when the algebra reads it, so its
 kernel view and dump are the exact input; for an algebraically produced
 operator the kernel is derived from the packed matrix.  An operator built
 from an instantaneous part alone keeps no packed buffer, and compose takes
-it as a block-diagonal right operand; a solve against an all-zero ``A`` is
-a copy.  The constructor checks causality tile row by tile row as it packs.
-``kernel_tiles`` is the one kernel reader; ``flat`` expands the dense
-matrix on demand, and no program path reads it.
+it as a block-diagonal right operand.  The constructor checks causality
+tile row by tile row as it packs.  ``kernel_tiles`` is the one kernel
+reader; ``flat`` expands the dense matrix on demand, and no program path
+reads it.
 """
 
 from __future__ import annotations
@@ -157,11 +157,6 @@ class VolterraOperator:
         if self._inst is not None:
             _add_diagonal(out, self._inst, n, p)
         return out
-
-    def _writable_panels(self) -> np.ndarray:
-        """The packed matrix as an array the caller may overwrite."""
-        out = self.panels()
-        return out.copy() if out is self._panels else out
 
     @property
     def flat(self) -> np.ndarray:
@@ -328,8 +323,7 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
     tile of ``Id + A`` is then inverted node by node, by forward substitution
     on the tile's identity, and applied in one GEMM.  ``B`` is causal, so
     nothing right of the tile is touched.  Raises with the offending node
-    index if a diagonal block of ``Id + A`` is singular.  ``solve_id_plus``
-    does not call it for an all-zero ``A``, for which ``X = B``.
+    index if a diagonal block of ``Id + A`` is singular.
     """
     n, p = a.grid.n_nodes, a.p
     tiles = _tiles(n)
@@ -346,7 +340,9 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"singular diagonal block at node {k}") from exc
         raise
-    out = b._writable_panels()
+    out = b.panels()
+    if out is b._panels:
+        out = out.copy()
     x_slabs = _slabs(out, n, p)
     for i, (k0, k1) in enumerate(tiles):
         m, x = m_slabs[i], x_slabs[i]
@@ -365,12 +361,11 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
 def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
     """X with ``(Id + A) X = B`` exactly in the discrete algebra.
 
-    One block forward substitution, skipped when the matrix of ``A`` is all
-    zero (``X = B``; a nan entry is not zero); the instantaneous part is
+    One block forward substitution; the instantaneous part is
     ``(I + m_A)^{-1} m_B`` node by node.
     """
     a._require_compatible(b)
-    panels = block_lower_solve(a, b) if np.any(a.panels()) else b._writable_panels()
+    panels = block_lower_solve(a, b)
     inst = b._inst
     if inst is not None and a._inst is not None:
         inst = np.linalg.solve(np.eye(a.p) + a._inst, inst)
@@ -386,9 +381,9 @@ def operator_norm_bound(op: VolterraOperator) -> float:
     sum reaches it, less a relative ``NORM_PRUNE_MARGIN`` for roundoff, can
     hold the maximum.  The blocks are divided by the largest entry first: no
     square overflows, and one that underflows is far below the margin.  The
-    causal blocks of the remaining rows take one batched SVD, and each row is
-    summed left to right, as a per-block loop would.  nan or inf for a
-    non-finite operator.
+    other remaining rows take one batched SVD per tile row, over the causal
+    width of the last of them, and each row is summed left to right, as a
+    per-block loop would.  nan or inf for a non-finite operator.
     """
     panels, n, p = op.panels(), op.grid.n_nodes, op.p
     if not np.isfinite(panels).all():
@@ -400,16 +395,22 @@ def operator_norm_bound(op: VolterraOperator) -> float:
     frobenius = np.concatenate([np.linalg.norm(_blocks(s, p) / scale, axis=(2, 3)).sum(axis=1) for s in slabs])
 
     def spectral_sums(rows) -> np.ndarray:
-        blocks = [_blocks(slabs[k // TILE_NODES], p)[k % TILE_NODES, : k + 1] for k in rows]
-        norms = np.linalg.svd(np.concatenate(blocks), compute_uv=False)[:, 0]
-        table = np.zeros((len(rows), rows[-1] + 1))
-        table[np.repeat(np.arange(len(rows)), rows + 1), np.concatenate([np.arange(k + 1) for k in rows])] = norms
-        return np.cumsum(table, axis=1)[:, -1]
+        # the blocks right of a row's diagonal, up to the width, are zero
+        sums = []
+        for tile in np.unique(rows // TILE_NODES):
+            local = rows[rows // TILE_NODES == tile] % TILE_NODES
+            width = tile * TILE_NODES + local[-1] + 1
+            norms = np.linalg.svd(_blocks(slabs[tile], p)[local, :width], compute_uv=False)[..., 0]
+            sums.append(np.cumsum(norms, axis=1)[:, -1])
+        return np.concatenate(sums)
 
     top = np.argmax(frobenius)
-    first = spectral_sums(np.array([top]))[0]
-    rows = np.flatnonzero(frobenius >= first / scale * (1.0 - NORM_PRUNE_MARGIN))
-    return float(np.max(spectral_sums(np.union1d(rows, [top]))))
+    best = spectral_sums(np.array([top]))[0]
+    rows = np.flatnonzero(frobenius >= best / scale * (1.0 - NORM_PRUNE_MARGIN))
+    rows = rows[rows != top]
+    if rows.size:
+        best = max(best, np.max(spectral_sums(rows)))
+    return float(best)
 
 
 # -- kernel dump format ------------------------------------------------

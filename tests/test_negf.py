@@ -322,6 +322,14 @@ class TestSharedProducts:
         verify_dyson(engine)
         assert len(calls) <= 17
 
+    def test_quadrature_first_drops_the_kept_product(self, reference_run, ref_engine_25):
+        # an engine that reads quadrature before sigma frees Sigma~ G0 there,
+        # and sigma forms it again with the same bits
+        engine = KernelEngine(reference_run.model, reference_run.thermal, TimeGrid(reference_run.horizon, 25))
+        engine.quadrature
+        assert "sigma_tilde_g0" not in engine._sweep
+        assert engine.sigma.panels().tobytes() == ref_engine_25.sigma.panels().tobytes()
+
     def test_residuals_equal_fresh_expressions(self, ref_engine_25):
         engine = ref_engine_25
         report = verify_dyson(engine)
