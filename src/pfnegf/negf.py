@@ -62,9 +62,11 @@ QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 
 # Packed Volterra operators' worth of memory that ``verify`` holds at once.
 # tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6) benchmark
-# configs, 101 nodes, seed 0, with g0, gxi and sigma_tilde built first,
-# measured a peak of 6.5 and 6.7 beyond them, the build of F included; at
-# most 12 operators were live, with 9.8 packed buffers between them.
+# configs, 101 nodes, seed 0, traced from before the engine is built,
+# measured a peak of 11.2 and 10.2 packed buffers, everything the sweep
+# leaves included; the instantaneous split, whose Sigma_app holds its packed
+# matrix, reaches that peak and does not pass it.  At most 12 operators
+# were live.
 ALGEBRA_OPERATORS = 16
 
 

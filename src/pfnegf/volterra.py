@@ -21,15 +21,14 @@ Only the causal triangle is stored.  The nodes are cut into tiles of
 the tile, so a diagonal tile keeps its few upper zeros.  The slabs of one
 operator lie in tile order in one buffer, about half the dense ``(n p)^2``.
 Compose and solve run on these slabs, one GEMM per pair of tile rows, and
-never touch the acausal triangle.  A kernel-built operator keeps its kernel
-in the same packed layout and weighs it when the algebra reads it, so its
-kernel view and dump are the exact input; for an algebraically produced
-operator the kernel is derived from the packed matrix.  An operator built
-from an instantaneous part alone keeps no packed buffer, and compose takes
-it as a block-diagonal right operand.  The constructor checks causality
-tile row by tile row as it packs.  ``kernel_tiles`` is the one kernel
-reader; ``flat`` expands the dense matrix on demand, and no program path
-reads it.
+never touch the acausal triangle.  An operator holds one of two forms.  A
+kernel-built operator keeps its kernel in the same packed layout and weighs
+it when the algebra reads it, so its kernel view and dump are the exact
+input.  Every other operator, one built from an instantaneous part alone
+included, holds the packed matrix, and its kernel is derived from it.  The
+constructor checks causality tile row by tile row as it packs.
+``kernel_tiles`` is the one kernel reader; ``flat`` expands the dense matrix
+on demand, and no program path reads it.
 """
 
 from __future__ import annotations
@@ -94,10 +93,10 @@ def _blocks(slab: np.ndarray, p: int) -> np.ndarray:
 class VolterraOperator:
     """Causal operator with an optional instantaneous part and memory kernel.
 
-    Built from the kernel pair, or from an instantaneous part alone, which is
-    all such an operator holds; operators produced by the algebra hold the
-    packed matrix instead, and their kernel pair is a derived view.  Either
-    way the algebra reads the packed matrix (``panels``).
+    Built from the kernel pair, it holds the packed kernel; built from an
+    instantaneous part alone, or produced by the algebra, it holds the packed
+    matrix, and its kernel pair is a derived view.  Either way the algebra
+    reads the packed matrix (``panels``).
     """
 
     def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None):
@@ -108,24 +107,26 @@ class VolterraOperator:
             inst = np.asarray(inst, dtype=complex)
             if inst.shape != (n, p, p):
                 raise ValueError(f"instantaneous part has shape {inst.shape}, expected {(n, p, p)}")
-        kernel = None
-        if mem is not None:
-            mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
-            if mem.shape != (n, n, p, p):
-                raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, p, p)}")
-            kernel = np.empty(packed_size(n, p), dtype=complex)
-            for (k0, k1), slab in zip(_tiles(n), _slabs(kernel, n, p)):
-                rows = mem[k0:k1]
-                # the acausal blocks l > k of the tile row must be exactly zero, not nan
-                upper = np.max(np.abs(rows[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
-                if upper != 0.0:
-                    raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
-                _blocks(slab, p)[...] = rows[:, :k1]
+        if mem is None:
+            panels = np.zeros(packed_size(n, p), dtype=complex)
+            _add_diagonal(panels, inst, n, p)
+            self._set(grid, p, inst, None, panels)
+            return
+        mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
+        if mem.shape != (n, n, p, p):
+            raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, p, p)}")
+        kernel = np.empty(packed_size(n, p), dtype=complex)
+        for (k0, k1), slab in zip(_tiles(n), _slabs(kernel, n, p)):
+            rows = mem[k0:k1]
+            # the acausal blocks l > k of the tile row must be exactly zero, not nan
+            upper = np.max(np.abs(rows[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
+            if upper != 0.0:
+                raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
+            _blocks(slab, p)[...] = rows[:, :k1]
         self._set(grid, p, inst, kernel, None)
 
     def _set(self, grid, p, inst, kernel, panels) -> None:
-        # at most one of kernel (packed memory kernel) and panels (packed
-        # matrix); neither for an instantaneous-only operator
+        # exactly one of kernel (packed memory kernel) and panels (packed matrix)
         self.grid, self.p = grid, int(p)
         self._inst, self._kernel, self._panels = inst, kernel, panels
 
@@ -138,22 +139,15 @@ class VolterraOperator:
     # -- views ---------------------------------------------------------
 
     def panels(self) -> np.ndarray:
-        """The packed matrix; built afresh on each read unless the operator holds it.
-
-        A kernel-built operator weighs its kernel, an instantaneous-only one
-        places its part on the diagonal blocks of a zero matrix.
-        """
+        """The packed matrix; a kernel-built operator weighs its kernel afresh on each read."""
         if self._panels is not None:
             return self._panels
         n, p = self.grid.n_nodes, self.p
-        if self._kernel is None:
-            out = np.zeros(packed_size(n, p), dtype=complex)
-        else:
-            w = trapezoid_weights(n) * self.grid.delta
-            out = np.empty_like(self._kernel)
-            for (k0, k1), src, dst in zip(_tiles(n), _slabs(self._kernel, n, p), _slabs(out, n, p)):
-                shape = (k1 - k0, p, k1, p)
-                np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
+        w = trapezoid_weights(n) * self.grid.delta
+        out = np.empty_like(self._kernel)
+        for (k0, k1), src, dst in zip(_tiles(n), _slabs(self._kernel, n, p), _slabs(out, n, p)):
+            shape = (k1 - k0, p, k1, p)
+            np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
         if self._inst is not None:
             _add_diagonal(out, self._inst, n, p)
         return out
@@ -206,12 +200,7 @@ class VolterraOperator:
         """Operator product self after other; exact in the block algebra.
 
         Tile row ``I`` of the product is ``sum_{M<=I} A_I[:, M] @ B_M``, with
-        ``B_M`` the slab of tile row ``M``: the causal triangle only.  An
-        instantaneous-only ``other`` is block diagonal: columns ``M`` of tile
-        row ``I`` are ``A_I[:, M] @ D_M``, with ``D_M`` the diagonal tile of
-        ``B``, one GEMM per pair of tiles with the general rule's inner
-        length, and the same bits.  One p x p product per block is cheaper
-        still, but it rounds differently in the last bit for most p.
+        ``B_M`` the slab of tile row ``M``: the causal triangle only.
         """
         self._require_compatible(other)
         n, p = self.grid.n_nodes, self.p
@@ -219,17 +208,8 @@ class VolterraOperator:
         if self._inst is not None and other._inst is not None:
             inst = np.einsum("kab,kbc->kac", self._inst, other._inst)
         out = np.empty(packed_size(n, p), dtype=complex)
-        a, c = _slabs(self.panels(), n, p), _slabs(out, n, p)
+        a, b, c = _slabs(self.panels(), n, p), _slabs(other.panels(), n, p), _slabs(out, n, p)
         tiles = _tiles(n)
-        if other._kernel is None and other._panels is None:
-            for m, (m0, m1) in enumerate(tiles):
-                diag = np.zeros(((m1 - m0) * p,) * 2, dtype=complex)
-                rows = np.arange(m1 - m0)
-                _blocks(diag, p)[rows, rows] += other._inst[m0:m1]
-                for i in range(m, len(tiles)):
-                    np.matmul(a[i][:, m0 * p : m1 * p], diag, out=c[i][:, m0 * p : m1 * p])
-            return VolterraOperator._packed(self.grid, p, inst, None, out)
-        b = _slabs(other.panels(), n, p)
         for i, (k0, _) in enumerate(tiles):
             np.matmul(a[i][:, k0 * p :], b[i], out=c[i])
             for m, (m0, m1) in enumerate(tiles[:i]):
@@ -269,8 +249,6 @@ class VolterraOperator:
         n, q = self.grid.n_nodes, len(indices)
         inst = None if self._inst is None else self._inst[:, indices[:, None], indices[None, :]]
         source = self._kernel if self._kernel is not None else self._panels
-        if source is None:
-            return VolterraOperator._packed(self.grid, q, inst, None, None)
         out = np.empty(packed_size(n, q), dtype=complex)
         for src, dst in zip(_slabs(source, n, self.p), _slabs(out, n, q)):
             _blocks(dst, q)[...] = _blocks(src, self.p)[:, :, indices][:, :, :, indices]
@@ -379,11 +357,13 @@ def operator_norm_bound(op: VolterraOperator) -> float:
     Frobenius sum bounds its spectral sum.  The spectral sum of the row with
     the largest Frobenius sum is a first best, and only rows whose Frobenius
     sum reaches it, less a relative ``NORM_PRUNE_MARGIN`` for roundoff, can
-    hold the maximum.  The blocks are divided by the largest entry first: no
-    square overflows, and one that underflows is far below the margin.  The
-    other remaining rows take one batched SVD per tile row, over the causal
-    width of the last of them, and each row is summed left to right, as a
-    per-block loop would.  nan or inf for a non-finite operator.
+    hold the maximum.  The real and imaginary parts are divided by the
+    largest entry magnitude first, as reals: a complex division takes the
+    reciprocal, which overflows for a subnormal one.  No square overflows,
+    and one that underflows is far below the margin.  The other remaining
+    rows take one batched SVD per tile row, over the causal width of the
+    last of them, and each row is summed left to right, as a per-block loop
+    would.  nan or inf for a non-finite operator.
     """
     panels, n, p = op.panels(), op.grid.n_nodes, op.p
     if not np.isfinite(panels).all():
@@ -392,7 +372,9 @@ def operator_norm_bound(op: VolterraOperator) -> float:
     if scale == 0.0:
         return 0.0
     slabs = _slabs(panels, n, p)
-    frobenius = np.concatenate([np.linalg.norm(_blocks(s, p) / scale, axis=(2, 3)).sum(axis=1) for s in slabs])
+    frobenius = np.concatenate([
+        np.linalg.norm(_blocks((s.view(float) / scale).view(complex), p), axis=(2, 3)).sum(axis=1) for s in slabs
+    ])
 
     def spectral_sums(rows) -> np.ndarray:
         # the blocks right of a row's diagonal, up to the width, are zero

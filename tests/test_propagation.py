@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfnegf.config import parse_config
@@ -493,9 +493,29 @@ def small_models(draw, xi=st.floats(-1.0, 1.0)):
     }
 
 
+# a draw whose F residual has a subnormal largest entry: its norm bound read 0.0
+SUBNORMAL_RESIDUAL_MODEL = {
+    "sample": {
+        "sites": ["s0", "s1"],
+        "hoppings": [["s0", "s1", [0.5, -0.25]]],
+        "w": [["s0", "s1", 2.871393014033211e-100]],
+        "xi": 3.4426291299431166e-197,
+    },
+    "leads": [{
+        "sites": ["l0"],
+        "hoppings": [],
+        "coupling": {"d": 0.4, "f": [[1.0, 0.0]], "g": [[1.0, 0.0], [0.0, 0.0]]},
+    }],
+    "bias": [0.0],
+    "thermal": {"beta": 1.0, "mu": 0.0},
+    "grid": {"T": 1.0, "steps": 2},
+}
+
+
 class TestRandomModels:
     @settings(max_examples=15, deadline=None)
     @given(small_models())
+    @example(SUBNORMAL_RESIDUAL_MODEL)
     def test_grids_on_random_models(self, cfg):
         run = parse_config(cfg)
         model, grid = run.model, run.grid()

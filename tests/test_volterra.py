@@ -711,10 +711,11 @@ class TestPrunedNormBound:
         assert sums[0] == sums[1] == operator_norm_bound(op)
 
     def test_tiny_and_huge_entries(self):
-        # squares of the entries would under- or overflow without the scaling
+        # squares of the entries would under- or overflow without the scaling,
+        # and the reciprocal of a subnormal largest entry overflows
         grid = THREE_TILES
         mem = memory_kernel(random_memory_operator(grid, 2, seed=67))
-        for scale in (1e-200, 1e200):
+        for scale in (1e-200, 1e200, 1e-300, 1e-310, 1e-320):
             op = VolterraOperator(grid, 2, mem=mem * scale)
             assert operator_norm_bound(op) == loop_norm_bound(op.flat, grid, 2)
 
@@ -776,7 +777,7 @@ def operand_draws(draw):
 
 
 class TestOperandRules:
-    """The instantaneous-only rule of compose against the general algorithm, and zero solves."""
+    """An instantaneous-only operator against one with a zero kernel, and zero solves."""
 
     @settings(max_examples=30, deadline=None)
     @given(operand_draws())
@@ -830,6 +831,21 @@ class TestOperandRules:
         almost_zero[TILE_NODES + 3, 4, 0, 1] = bad
         finite = random_memory_operator(grid, p, seed=71)
         assert not np.isfinite(solve_id_plus(VolterraOperator(grid, p, mem=almost_zero), finite).panels()).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_draws(), st.data())
+    def test_instantaneous_only_restrict_and_dump_equal_zero_kernel_form(self, draw, data):
+        grid, p, _, _, m = draw
+        n = grid.n_nodes
+        alone = VolterraOperator(grid, p, inst=m)
+        zero_kernel = VolterraOperator(grid, p, inst=m, mem=np.zeros((n, n, p, p)))
+        indices = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+        sub, expected = alone.restrict(indices), zero_kernel.restrict(indices)
+        assert sub.panels().tobytes() == expected.panels().tobytes()
+        assert memory_kernel(sub).tobytes() == memory_kernel(expected).tobytes()
+        np.testing.assert_array_equal(sub.instantaneous(), expected.instantaneous())
+        ordering = [f"o{i}" for i in range(p)]
+        assert kernel_text(alone, ordering) == kernel_text(zero_kernel, ordering)
 
 
 def toeplitz_kernel(grid, p, seed):
