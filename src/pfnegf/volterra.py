@@ -29,6 +29,12 @@ included, holds the packed matrix, and its kernel is derived from it.  The
 constructor checks causality tile row by tile row as it packs.
 ``kernel_tiles`` is the one kernel reader; ``flat`` expands the dense matrix
 on demand, and no program path reads it.
+
+The text dump writes each float part as its ``repr``.  A part whose bits
+equal those of the same part one node up and one node left, at the same lag,
+reuses that entry's text; ``volterra_constant`` skips repeated blocks by the
+same rule.  So ``G0``, Toeplitz in time, formats only its ``l = 0`` column,
+and so does a block that is zero at every node.
 """
 
 from __future__ import annotations
@@ -401,7 +407,9 @@ def operator_norm_bound(op: VolterraOperator) -> float:
 #   {"name":..., "p":..., "N_t":..., "T":..., "ordering": [...]}
 # followed by CSV rows; memory-kernel entries carry six fields
 # (k, l, i, j, re, im), instantaneous entries five (k, i, j, re, im).
-# Operators carry no name: the header's ``name`` is the caller's label.
+# Every causal memory entry appears once; the instantaneous entries appear
+# all once, or not at all when the part is zero.  Operators carry no name:
+# the header's ``name`` is the caller's label.
 
 
 def dump_kernel(op: VolterraOperator, ordering, fh, name: str) -> None:
@@ -415,24 +423,52 @@ def dump_kernel(op: VolterraOperator, ordering, fh, name: str) -> None:
     }
     fh.write(json.dumps(header) + "\n")
     # one time row at a time, read from the packed kernel; repr of a Python
-    # float is the round-trip text
+    # float is the round-trip text.  A part with the bits of the same part one
+    # node up and one node left, at the same lag, takes that entry's text:
+    # bits, so that -0.0 and 0.0 stay apart.  Only the row above is held.
     n, p = op.grid.n_nodes, op.p
     tails = [f"{l},{i},{j}," for l in range(n) for i in range(p) for j in range(p)]
+    above = [None, None]  # the node row above: (bits, texts) of the real and imaginary parts
     for k0, k1, blocks in op.kernel_tiles():
         for k in range(k0, k1):
-            _write_entries(fh, f"{k},", tails, blocks[k - k0, : k + 1])
+            _write_entries(fh, f"{k},", tails, blocks[k - k0, : k + 1], above, p * p)
     if op.has_instantaneous():
-        tails = [f"{i},{j}," for i in range(p) for j in range(p)]
+        tails, above = [f"{i},{j}," for i in range(p) for j in range(p)], [None, None]
         for k, block in enumerate(op.instantaneous()):
-            _write_entries(fh, f"{k},", tails, block)
+            _write_entries(fh, f"{k},", tails, block, above, 0)
 
 
-def _write_entries(fh, head, tails, values) -> None:
-    """One line ``head tail re,im`` per entry of ``values``, in C order."""
-    fh.write("".join(
-        f"{head}{tail}{re!r},{im!r}\n"
-        for tail, re, im in zip(tails, values.real.ravel().tolist(), values.imag.ravel().tolist())
-    ))
+def _write_entries(fh, head, tails, values, above, shift) -> None:
+    """One line ``head tail re,im`` per entry of ``values``, in C order.
+
+    ``above`` holds the bits and texts of the node row above; entry
+    ``e + shift`` of this row lines up with entry ``e`` there, and ``above``
+    is replaced by this row.  The row is joined from its pieces, with no
+    string per line.
+    """
+    values = values.reshape(-1)
+    re = _part_texts(values.real, above, 0, shift)
+    im = _part_texts(values.imag, above, 1, shift)
+    m = len(re)
+    pieces = [head, None, None, ",", None, "\n"] * m
+    pieces[1::6], pieces[2::6], pieces[4::6] = tails[:m], re, im
+    fh.write("".join(pieces))
+
+
+def _part_texts(part, above, which, shift) -> list:
+    """repr of every float of ``part``, reusing the row above's text where the bits match."""
+    bits = part.view(np.int64)
+    texts = np.empty(part.size, dtype=object)
+    fresh = np.ones(part.size, dtype=bool)
+    if above[which] is not None:
+        np.not_equal(bits[shift:], above[which][0], out=fresh[shift:])
+        same = np.flatnonzero(~fresh[shift:])
+        texts[same + shift] = above[which][1][same]
+        above[which] = None  # the texts not reused die before this row's are made
+    index = np.flatnonzero(fresh)
+    texts[index] = np.fromiter(map(repr, part[index].tolist()), dtype=object, count=index.size)
+    above[which] = (bits, texts)
+    return texts.tolist()
 
 
 def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None:
@@ -443,8 +479,12 @@ def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None
 def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
     """Parse a kernel dump; returns (header, memory kernel, instantaneous part).
 
-    Raises ``MemoryBudgetError`` before allocating when the arrays the header
-    implies exceed ``DEFAULT_BUDGET_BYTES``.
+    Every causal memory entry ``(k, l, i, j)``, ``l <= k``, must appear exactly
+    once, and the instantaneous entries all once or not at all (the writer
+    leaves out an instantaneous part that is zero); a truncated dump, or one
+    with a repeated or missing row, raises ``ValueError``.  Raises
+    ``MemoryBudgetError`` before allocating when the arrays the header implies
+    exceed ``DEFAULT_BUDGET_BYTES``.
     """
     header = json.loads(fh.readline())
     if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
@@ -456,7 +496,7 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
             raise ValueError(f"malformed kernel header: {key} must be a whole number >= {least}, got {value!r}")
     p = int(header["p"])
     n = int(header["N_t"]) + 1
-    need = 16 * (n * n + n) * p * p  # complex128 kernel and instantaneous part
+    need = 17 * (n * n + n) * p * p  # complex128 kernel and instantaneous part, and their seen masks
     if need > DEFAULT_BUDGET_BYTES:
         raise MemoryBudgetError(
             f"the kernel dump header (p = {p}, N_t = {n - 1}) needs {need} bytes "
@@ -464,21 +504,36 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
         )
     mem = np.zeros((n, n, p, p), dtype=complex)
     inst = np.zeros((n, p, p), dtype=complex)
+    seen_mem, seen_inst = np.zeros(mem.shape, dtype=bool), np.zeros(inst.shape, dtype=bool)
     for row in csv.reader(fh):
         if not row:
             continue
         if len(row) == 6:
             k, l, i, j = (int(x) for x in row[:4])
-            target, index, fits = mem, (k, l, i, j), 0 <= l <= k < n
+            target, seen, index, fits = mem, seen_mem, (k, l, i, j), 0 <= l <= k < n
         elif len(row) == 5:
             k, i, j = (int(x) for x in row[:3])
-            target, index, fits = inst, (k, i, j), 0 <= k < n
+            target, seen, index, fits = inst, seen_inst, (k, i, j), 0 <= k < n
         else:
             fits = False
         # a negative index would wrap; acausal or out-of-range rows do not fit the header
         if not (fits and 0 <= i < p and 0 <= j < p):
             raise ValueError(f"malformed kernel row: {row!r}")
+        if seen[index]:
+            raise ValueError(f"malformed kernel dump: entry {index} appears twice, again in row {row!r}")
+        seen[index] = True
         target[index] = complex(float(row[-2]), float(row[-1]))
+    missing = np.logical_not(seen_mem, out=seen_mem)  # in place: no second mask
+    missing &= (np.arange(n)[:, None] >= np.arange(n))[:, :, None, None]
+    if missing.any():
+        first = tuple(int(x) for x in np.unravel_index(np.argmax(missing), missing.shape))
+        raise ValueError(
+            f"malformed kernel dump: {np.count_nonzero(missing)} causal memory entries missing, "
+            f"the first (k, l, i, j) = {first}"
+        )
+    count = int(np.count_nonzero(seen_inst))
+    if count not in (0, seen_inst.size):
+        raise ValueError(f"malformed kernel dump: {count} of {seen_inst.size} instantaneous entries present")
     return header, mem, inst
 
 

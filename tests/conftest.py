@@ -115,3 +115,32 @@ def dimer_dict():
 @pytest.fixture()
 def trimer_dict():
     return copy.deepcopy(trimer_config())
+
+
+DUMP_DAMAGES = ("truncated", "repeated-row", "missing-row", "partial-instantaneous")
+
+
+def damage_dump(text, damage):
+    """A kernel dump broken in one way ``load_kernel`` must refuse.
+
+    ``truncated`` keeps the first third of the lines, ``repeated-row`` repeats
+    a memory row with a new value, ``missing-row`` drops one, and
+    ``partial-instantaneous`` drops one instantaneous row or, in a dump
+    without them, adds one.
+    """
+    header, *rows = text.splitlines()
+    memory = [r for r in rows if r.count(",") == 5]
+    instantaneous = [r for r in rows if r.count(",") == 4]
+    if damage == "truncated":
+        rows = rows[: len(rows) // 3]
+    elif damage == "repeated-row":
+        fields = memory[1].split(",")
+        fields[4] = repr(float(fields[4]) + 0.5)
+        rows = memory + [",".join(fields)] + instantaneous
+    elif damage == "missing-row":
+        rows = memory[: len(memory) // 2] + memory[len(memory) // 2 + 1 :] + instantaneous
+    elif damage == "partial-instantaneous":
+        rows = memory + (instantaneous[1:] if instantaneous else ["0,0,0,1.0,0.0"])
+    else:
+        raise ValueError(damage)
+    return "\n".join([header, *rows]) + "\n"

@@ -5,7 +5,7 @@ import os
 import re
 
 import pytest
-from conftest import dimer_config, run_cli, trimer_config
+from conftest import DUMP_DAMAGES, damage_dump, dimer_config, run_cli, trimer_config
 from pfnegf.cli import main
 from pfnegf.config import parse_config, reference_config
 from pfnegf.errors import ConfigError
@@ -474,6 +474,18 @@ class TestDiff:
         assert result.returncode == 2, result.stderr
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "malformed-dump"
+
+    @pytest.mark.parametrize("damage", DUMP_DAMAGES)
+    def test_incomplete_or_repeated_dump_exit_code(self, tmp_path, capsys, dumps, damage):
+        # every row is in range; a dump read as zero-padded or overwritten would exit 0
+        a = dumps[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(damage_dump(a.read_text(), damage))
+        for pair in ([a, bad], [bad, a]):
+            assert main(["diff", *map(str, pair)]) == 2
+            error = last_error(capsys)
+            assert error["type"] == "malformed-dump"
+            assert "malformed kernel dump" in error["message"]
 
     def test_malformed_header_exit_code(self, tmp_path, capsys, dumps):
         a = dumps[0]

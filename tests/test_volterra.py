@@ -22,6 +22,7 @@ from pfnegf.volterra import (
     trapezoid_weights,
 )
 
+from conftest import DUMP_DAMAGES, damage_dump
 from oracles import identity_volterra, memory_kernel, neumann_inverse
 
 RNG = np.random.default_rng(5)
@@ -453,6 +454,123 @@ class TestDumpFormat:
         inst[4, 0, 1] = 0.25 - 3.0j
         a = VolterraOperator(grid, 2, inst=inst, mem=mem)
         assert kernel_text(a, ["x", "y"]) == csv_writer_text(a, ["x", "y"])
+
+    @pytest.mark.parametrize("damage", DUMP_DAMAGES)
+    def test_rejects_incomplete_or_repeated_dumps(self, damage):
+        # a multi-tile kernel with an instantaneous part; each damage leaves
+        # every row in range, so only the completeness rules can catch it
+        grid, p = THREE_TILES, 2
+        n = grid.n_nodes
+        inst = RNG.standard_normal((n, p, p)) + 1j * RNG.standard_normal((n, p, p))
+        a = VolterraOperator(grid, p, inst=inst, mem=memory_kernel(random_memory_operator(grid, p, seed=14)))
+        text = kernel_text(a, ["x", "y"])
+        load_kernel(io.StringIO(text))
+        with pytest.raises(ValueError, match="malformed kernel dump"):
+            load_kernel(io.StringIO(damage_dump(text, damage)))
+
+    def test_multi_tile_g0_round_trip(self):
+        h = np.array([[0.4, 1.0, 0.0], [1.0, -0.2, 0.6], [0.0, 0.6, 0.1]])
+        g0 = compute_g0(h, THREE_TILES)
+        header, mem, inst = load_kernel(io.StringIO(kernel_text(g0, ["a", "b", "c"])))
+        assert header["N_t"] == THREE_TILES.steps
+        assert mem.tobytes() == memory_kernel(g0).tobytes()
+        assert inst.tobytes() == g0.instantaneous().tobytes()
+
+
+# float64 parts whose text or bits a dump must keep apart: both zeros, nan
+# payloads and signs, both infinities, subnormals, and a few ordinary values
+DUMP_PARTS = np.concatenate([
+    np.array(
+        [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF8000000000123,
+         0x7FF0000000000000, 0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF],
+        dtype=np.uint64,
+    ).view(float),
+    [1.0, -2.5, 0.1, 1e16],
+])
+
+
+@st.composite
+def repeating_operators(draw):
+    """Kernel-built operators on more than one tile row whose entries repeat up and left.
+
+    ``toeplitz`` repeats every entry, ``partial`` overwrites some real and
+    some imaginary parts of a Toeplitz kernel, and ``random`` draws each
+    entry.  The instantaneous part, if any, is one block at every node, and
+    ``partial`` overwrites some of its parts too.  Parts come from
+    ``DUMP_PARTS``, so equal bits, and equal values with different bits, meet
+    along the diagonals.
+    """
+    steps = draw(st.integers(TILE_NODES, 2 * TILE_NODES + 2), label="steps")
+    p = draw(st.integers(1, 3), label="p")
+    kind = draw(st.sampled_from(["toeplitz", "partial", "random"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = TimeGrid(1.0, steps)
+    n = grid.n_nodes
+
+    def parts(shape):
+        # set part by part: ``re + 1j * im`` turns an infinite part into nan
+        out = np.empty(shape, dtype=complex)
+        out.real, out.imag = rng.choice(DUMP_PARTS, size=shape), rng.choice(DUMP_PARTS, size=shape)
+        return out
+
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    lags = np.concatenate([parts((n, p, p)), np.zeros((1, p, p))])
+    mem = parts((n, n, p, p)) if kind == "random" else lags[np.where(lag >= 0, lag, n)]
+    inst = np.broadcast_to(parts((p, p)), (n, p, p)).copy()
+    if kind == "partial":
+        for part in (mem.real, mem.imag, inst.real, inst.imag):
+            hit = rng.random(part.shape) < 0.1
+            part[hit] = rng.choice(DUMP_PARTS, size=np.count_nonzero(hit))
+    mem[lag < 0] = 0.0
+    if not draw(st.booleans(), label="instantaneous"):
+        inst = None
+    return VolterraOperator(grid, p, inst=inst, mem=mem)
+
+
+class TestDumpRepeats:
+    """The dump reuses the text of the part one node up and left only when the bits match."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeating_operators())
+    def test_text_equals_csv_writer_reference(self, op):
+        ordering = [f"o{i}" for i in range(op.p)]
+        assert kernel_text(op, ordering) == csv_writer_text(op, ordering)
+
+    @pytest.mark.parametrize("above, below", [(-0.0, 0.0), (0.0, -0.0)], ids=["minus-above", "plus-above"])
+    def test_signed_zeros_keep_their_text(self, above, below):
+        # the pairs straddle the first tile edge and sit on the instantaneous rows
+        grid = TimeGrid(1.0, TILE_NODES + 2)
+        n, k = grid.n_nodes, TILE_NODES
+        mem = np.zeros((n, n, 1, 1), dtype=complex)
+        mem[k - 1, 2], mem[k, 3] = complex(above, below), complex(below, above)
+        mem[k - 1, 3], mem[k, 4] = complex(1.5, above), complex(1.5, below)
+        inst = np.zeros((n, 1, 1), dtype=complex)
+        inst[0] = 1.0
+        inst[k - 1], inst[k] = complex(above, 2.0), complex(below, 2.0)
+        op = VolterraOperator(grid, 1, inst=inst, mem=mem)
+        text = kernel_text(op, ["x"])
+        assert text == csv_writer_text(op, ["x"])
+        lines = set(text.splitlines())
+        assert {f"{k},3,0,0,{below!r},{above!r}", f"{k},4,0,0,1.5,{below!r}", f"{k},0,0,{below!r},2.0"} <= lines
+
+    def test_nan_inf_and_subnormal_entries(self):
+        grid = TimeGrid(1.0, TILE_NODES + 2)
+        n, k = grid.n_nodes, TILE_NODES
+        nan_a, nan_b, minus_nan = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000],
+                                           dtype=np.uint64).view(float)
+        mem = np.zeros((n, n, 1, 1), dtype=complex)
+        # one node up and left of each other: different nan payloads and signs,
+        # equal nan bits, opposite infinities, opposite and equal subnormals
+        for l, (up, down) in enumerate([(nan_a, nan_b), (nan_b, minus_nan), (nan_a, nan_a),
+                                        (np.inf, -np.inf), (5e-324, -5e-324), (1e-310, 1e-310)]):
+            mem[k - 1, 2 * l], mem[k, 2 * l + 1] = complex(up, down), complex(down, up)
+        op = VolterraOperator(grid, 1, mem=mem)
+        text = kernel_text(op, ["x"])
+        assert text == csv_writer_text(op, ["x"])
+        _, back, _ = load_kernel(io.StringIO(text))
+        finite_or_inf = ~np.isnan(mem)
+        assert back[finite_or_inf].tobytes() == mem[finite_or_inf].tobytes()
+        assert np.isnan(back).sum() == np.isnan(mem).sum()
 
 
 class TestConstruction:
