@@ -99,8 +99,10 @@ class KernelEngine:
     families by elementwise phase factors, forms each held and D tile once for
     all three grids and pairs tiles of nodes in one GEMM per grid.  That costs
     O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES) memory in
-    N_t.  Derived objects (irreducible self-energy, algebraic Dyson solution)
-    are exact products of the packed causal algebra.  No grid is cached: the
+    N_t.  Each grid holds only the nonzero rows of its D family (the dressed
+    family vanishes on the leads), and each kernel is packed from those rows.
+    Derived objects (irreducible self-energy, algebraic Dyson solution) are
+    exact products of the packed causal algebra.  No grid is cached: the
     full ladder grid, both triangles, gives the pairing defect and then the
     kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the mixed grid
     gives ``F``, whose two quadrature residuals are measured at once, and
@@ -145,21 +147,23 @@ class KernelEngine:
         freed; the dressed grid, with the contact part, gives ``sigma_tilde``;
         the mixed grid gives ``F``, whose two residuals are measured here, and
         ``F`` is dropped; ``Sigma~ G0``, formed for one of them, is kept for
-        ``sigma`` until ``quadrature`` is read.  Each companion grid is
-        embedded only when it is packed, one at a time.
+        ``sigma`` until ``quadrature`` is read.  Each grid holds the nonzero
+        rows of its D family, and its operator is packed from those rows.
         """
+
+        def packed(corr, scale, inst=None) -> VolterraOperator:
+            mem = corr.causal_kernel()
+            return VolterraOperator(self.grid, self.p, inst=inst, mem=mem, rows=corr.rows, scale=scale)
+
         ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
         dressed, mixed = ladder.companions
         defect = ladder.pairing_defect()  # before causal_kernel zeroes the acausal half
-        gxi = VolterraOperator(self.grid, self.p, mem=ladder.causal_kernel(-1j))
+        gxi = packed(ladder, -1j)
         del ladder
         contact, _ = self.contact_expectations
-        inst = (1j * contact).transpose(2, 0, 1).copy()
-        sigma_tilde = VolterraOperator(
-            self.grid, self.p, mem=dressed.embed().causal_kernel(-1j), inst=inst
-        )
+        sigma_tilde = packed(dressed, -1j, inst=(1j * contact).transpose(2, 0, 1).copy())
         del dressed
-        f_map = VolterraOperator(self.grid, self.p, mem=mixed.embed().causal_kernel(1.0))
+        f_map = packed(mixed, 1.0)  # not bitwise a no-op: it turns some signed zeros
         del mixed
         g0 = self.g0
         fmap_dyson = (gxi - g0 - g0 @ f_map).norm_bound()

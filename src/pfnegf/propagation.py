@@ -25,9 +25,9 @@ family rows that are exact zero operators enter none.  All tiles are formed
 from the stored family by phase multiplies when they are needed, with no
 evolution sweeps, so a sweep holds O(TILE_NODES) nodes of memory in N_t
 beyond its grids; the held and D tiles of every family must fit the budget
-together.  A companion grid is kept over its nonzero D rows only until it is
-embedded.  A retarded kernel is a view of its grid (``causal_kernel``), so
-the packed operator is filled from the one dense array the sweep wrote.
+together.  Every grid is kept over the nonzero rows of its D family.  A
+retarded kernel is a view of its grid (``causal_kernel``), and the packed
+operator is filled from those rows, the others zero.
 """
 
 from __future__ import annotations
@@ -56,47 +56,38 @@ def _check_hermitian(generator: ManyBodyOperator) -> None:
 
 @dataclass
 class CorrelatorGrid:
-    """Two-time anticommutator values ``C[j, m, k, l]``.
+    """Two-time anticommutator values ``C[j, m, k, l]`` over the nonzero D rows.
 
-    Retarded kernels only read the causal triangle ``l <= k``; a full grid
-    holds the acausal part as well, for ``pairing_defect``.  A grid is handed
-    to its kernel in place: ``causal_kernel`` overwrites ``values``.  The
-    causal grids of the companion pairs of its sweep are in ``companions``.
+    ``values[i]`` is row ``rows[i]`` of the D family; every other D row is a
+    zero operator, so its entries are zero.  Retarded kernels only read the
+    causal triangle ``l <= k``; a full grid holds the acausal part as well,
+    for ``pairing_defect``.  A grid is handed to its kernel in place:
+    ``causal_kernel`` overwrites ``values``.  The causal grids of the
+    companion pairs of its sweep are in ``companions``.
     """
 
     values: np.ndarray
+    rows: np.ndarray
     companions: list = field(default_factory=list)
 
     def pairing_defect(self) -> float:
-        """Max-abs defect of ``C[j, m, k, l] = conj(C[m, j, l, k])`` (full grid).
+        """Max-abs defect of ``C[j, m, k, l] = conj(C[m, j, l, k])``.
 
-        One first index at a time, so the temporaries are 1/p of the grid.
+        Meaningful only on a full grid, square and holding every row; raises
+        ``ValueError`` on any other.  One first index at a time, so the
+        temporaries are 1/p of the grid.
         """
         v = self.values
+        if not np.array_equal(self.rows, np.arange(v.shape[1])):
+            raise ValueError(f"the pairing defect needs all {v.shape[1]} rows; the grid holds {self.rows.size}")
         rows = [np.max(np.abs(v[j] - np.conj(v[:, j].transpose(0, 2, 1)))) for j in range(len(v))]
         return float(np.max(rows))
 
-    def causal_kernel(self, prefactor) -> np.ndarray:
-        """(n, n, p_d, p_a) view of ``prefactor * C``, acausal part zeroed; overwrites ``values``."""
+    def causal_kernel(self) -> np.ndarray:
+        """(n, n, rows, p_a) view of ``C``, acausal part zeroed; overwrites ``values``."""
         kernel = self.values.transpose(2, 3, 0, 1)
-        kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0  # zeroed first: 0.0 * prefactor
-        self.values *= prefactor
+        kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
         return kernel
-
-
-@dataclass
-class CompanionGrid:
-    """A causal grid kept over its nonzero D rows: ``values[i]`` is row ``rows[i]`` of ``n_d``."""
-
-    n_d: int
-    rows: np.ndarray
-    values: np.ndarray
-
-    def embed(self) -> CorrelatorGrid:
-        """The full grid; the other rows are +0.0."""
-        values = np.zeros((self.n_d,) + self.values.shape[1:], dtype=complex)
-        values[self.rows] = self.values
-        return CorrelatorGrid(values)
 
 
 def _flat_index(sector: list, s: int) -> tuple:
@@ -197,14 +188,14 @@ class CorrelatorFactory:
         """Grid of ``Tr(rho {A_m(t_l), D_j(t_k)^dagger})`` for two families.
 
         Each ``(name_a, name_d)`` pair in ``companions`` gets its causal grid
-        from the same sweep, as a ``CompanionGrid`` in ``.companions``.  Per
-        held tile row the held tile of every held family is formed once; the
-        D tile of every D family is formed once per D tile that a pair reads:
-        every one for a full grid, from the held tile's own on for a causal
-        one.  Each pair meets its two tiles in one GEMM over the nonzero family
-        rows; other rows and the acausal entries of a causal grid stay +0.0.
-        One held and one D tile of every family paired must fit the budget
-        together.
+        from the same sweep, in ``.companions``.  Every grid holds the nonzero
+        rows of its D family.  Per held tile row the held tile of every held
+        family is formed once; the D tile of every D family is formed once per
+        D tile that a pair reads: every one for a full grid, from the held
+        tile's own on for a causal one.  Each pair meets its two tiles in one
+        GEMM over the nonzero family rows; the zero A rows and the acausal
+        entries of a causal grid stay +0.0.  One held and one D tile of every
+        family paired must fit the budget together.
         """
         n, index, families = self.grid.n_nodes, self.creation_index, self._families
         flat = index[0].size
@@ -222,20 +213,13 @@ class CorrelatorFactory:
             side[name] = work[offset : offset + tile * fam.size].reshape((tile,) + fam.shape)
             offset += tile * fam.size
         conj_d = {name: np.conj(families[name][2]) for name in d_names}
-        grids, live = [], []  # live: (a, d, full, grid values, grid rows) of pairs that run GEMMs
+        grids, live = [], []  # live: (a, d, full, grid values) of pairs that run GEMMs
         for a, d, is_full in pairs:
-            (n_a, rows_a, _), (n_d, rows_d, _) = families[a], families[d]
-            if grids:  # a companion holds its nonzero D rows only
-                values = np.zeros((rows_d.size, n_a, n, n), dtype=complex)
-                grids.append(CompanionGrid(n_d, rows_d, values))
-                target = (values, slice(None))
-            else:
-                values = np.zeros((n_d, n_a, n, n), dtype=complex)
-                grids.append(CorrelatorGrid(values))
-                target = (values, rows_d[:, None])
+            (n_a, rows_a, _), rows_d = families[a], families[d][1]
+            grids.append(CorrelatorGrid(np.zeros((rows_d.size, n_a, n, n), dtype=complex), rows_d))
             # a family without a nonzero row gives an all-zero grid and no GEMM
             if rows_a.size and rows_d.size:
-                live.append((a, d, is_full) + target)
+                live.append((a, d, is_full, grids[-1].values))
         held_live = list(dict.fromkeys(a for a, *_ in live))
         tiles = [(t, min(t + TILE_NODES, n)) for t in range(0, n, TILE_NODES)]
         acausal = np.triu(np.ones((tile, tile), dtype=bool), 1)
@@ -254,14 +238,14 @@ class CorrelatorFactory:
                     conj_phases = np.conj(self.phases(k, index))
                     for name in dict.fromkeys(d for _, d, *_ in reading):
                         np.multiply(conj_d[name], conj_phases, out=d_tiles[name][k - k0])
-                for a, d, is_full, values, rows in reading:
+                for a, d, is_full, values in reading:
                     rows_a, rows_d = families[a][1], families[d][1]
                     dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
                     block = dt.reshape(-1, flat) @ b.reshape(-1, flat).T
                     block = block.reshape(k1 - k0, rows_d.size, l1 - l0, -1).transpose(1, 3, 0, 2)
                     if not is_full and k0 == l0:
                         block[..., acausal[: k1 - k0, : k1 - k0]] = 0.0
-                    values[rows, rows_a, k0:k1, l0:l1] = block
+                    values[:, rows_a, k0:k1, l0:l1] = block
         grids[0].companions = grids[1:]
         return grids[0]
 

@@ -22,11 +22,12 @@ the tile, so a diagonal tile keeps its few upper zeros.  The slabs of one
 operator lie in tile order in one buffer, about half the dense ``(n p)^2``.
 Compose and solve run on these slabs, one GEMM per pair of tile rows, and
 never touch the acausal triangle.  An operator holds one of two forms.  A
-kernel-built operator keeps its kernel in the same packed layout and weighs
-it when the algebra reads it, so its kernel view and dump are the exact
-input.  Every other operator, one built from an instantaneous part alone
-included, holds the packed matrix, and its kernel is derived from it.  The
-constructor checks causality tile row by tile row as it packs.
+kernel-built operator keeps its kernel, times an optional scale, in the same
+packed layout and weighs it when the algebra reads it, so its kernel view
+and dump are the exact input.  Every other operator, one built from an
+instantaneous part alone included, holds the packed matrix, and its kernel
+is derived from it.  The constructor checks causality tile row by tile row
+as it packs.
 ``kernel_tiles`` is the one kernel reader; ``flat`` expands the dense matrix
 on demand, and no program path reads it.
 
@@ -102,10 +103,13 @@ class VolterraOperator:
     Built from the kernel pair, it holds the packed kernel; built from an
     instantaneous part alone, or produced by the algebra, it holds the packed
     matrix, and its kernel pair is a derived view.  Either way the algebra
-    reads the packed matrix (``panels``).
+    reads the packed matrix (``panels``).  ``mem[k, l, i]`` is kernel row
+    ``rows[i]``, increasing (default: every row), and the rows not given are
+    zero.  ``scale``, if given, multiplies the packed kernel once, so a zero
+    row holds the bits of ``+0.0 * scale``; ``scale=1.0`` turns some -0.0.
     """
 
-    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None):
+    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, rows=None, scale=None):
         n = grid.n_nodes
         if inst is None and mem is None:
             raise ValueError("operator needs an instantaneous part or a kernel")
@@ -119,16 +123,20 @@ class VolterraOperator:
             self._set(grid, p, inst, None, panels)
             return
         mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
-        if mem.shape != (n, n, p, p):
-            raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, p, p)}")
-        kernel = np.empty(packed_size(n, p), dtype=complex)
+        rows = np.arange(p) if rows is None else np.asarray(rows, dtype=int)
+        shape = (n, n, rows.size, p)
+        if mem.shape != shape:
+            raise ValueError(f"memory kernel has shape {mem.shape}, expected {shape}")
+        kernel = np.zeros(packed_size(n, p), dtype=complex)
         for (k0, k1), slab in zip(_tiles(n), _slabs(kernel, n, p)):
-            rows = mem[k0:k1]
+            given = mem[k0:k1]
             # the acausal blocks l > k of the tile row must be exactly zero, not nan
-            upper = np.max(np.abs(rows[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
+            upper = np.max(np.abs(given[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
             if upper != 0.0:
                 raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
-            _blocks(slab, p)[...] = rows[:, :k1]
+            _blocks(slab, p)[:, :, rows] = given[:, :k1]
+        if scale is not None:
+            kernel *= scale
         self._set(grid, p, inst, kernel, None)
 
     def _set(self, grid, p, inst, kernel, panels) -> None:
@@ -174,7 +182,9 @@ class VolterraOperator:
         return self._inst
 
     def has_instantaneous(self) -> bool:
-        return self._inst is not None and bool(np.any(self._inst))
+        # the bits less the sign: -0.0 is zero, and a signalling nan does not warn
+        parts = () if self._inst is None else (self._inst.real, self._inst.imag)
+        return any(np.any(part.view(np.int64) << 1) for part in parts)
 
     def kernel_tiles(self):
         """``(k0, k1, K[k0:k1, :k1])`` for every tile row, acausal blocks zero: the kernel reader."""

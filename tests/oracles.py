@@ -4,7 +4,8 @@ None of these runs in a ``negf`` task.  Each is an independent, slower or
 denser way to reach what the package computes: step products of the
 evolution, the Neumann series of the causal solve, dense Fock matrices, the
 decoupled factorized expectation, the dressed annihilator straight from its
-formula and ``F`` from a one-pair sweep.
+formula, ``F`` from a one-pair sweep and kernels packed from zero-filled dense
+grids.
 """
 
 from __future__ import annotations
@@ -180,7 +181,34 @@ def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
 # -- kernels -------------------------------------------------------------
 
 
+def full_rows(corr, n_d: int) -> np.ndarray:
+    """A correlator grid's values over all ``n_d`` D rows; the rows it does not hold are +0.0."""
+    values = np.zeros((n_d,) + corr.values.shape[1:], dtype=complex)
+    values[corr.rows] = corr.values
+    return values
+
+
+def embedded_operator(corr, grid: TimeGrid, p: int, prefactor, inst=None) -> VolterraOperator:
+    """The operator of a correlator grid by way of the dense grid; ``corr`` is left as it is.
+
+    The held rows are zero-filled to all ``p`` rows, the acausal half of the
+    grid is zeroed, the whole grid is multiplied by ``prefactor`` and its
+    transposed view is packed.  Packing the held rows and scaling the packed
+    kernel must give the same bits.
+    """
+    values = full_rows(corr, p)
+    kernel = values.transpose(2, 3, 0, 1)
+    kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
+    values *= prefactor
+    return VolterraOperator(grid, p, mem=kernel, inst=inst)
+
+
+def packed_kernel_bytes(op: VolterraOperator) -> bytes:
+    """Every block the kernel reader yields, the acausal ones of diagonal tiles included."""
+    return b"".join(np.ascontiguousarray(blocks).tobytes() for _, _, blocks in op.kernel_tiles())
+
+
 def f_map(engine) -> VolterraOperator:
     """``F`` of a kernel engine, from a one-pair sweep of its own."""
-    mem = engine.factory.anticommutator_grid("a", "b").causal_kernel(1.0)
-    return VolterraOperator(engine.grid, engine.p, mem=mem)
+    corr = engine.factory.anticommutator_grid("a", "b")
+    return VolterraOperator(engine.grid, engine.p, mem=corr.causal_kernel(), rows=corr.rows, scale=1.0)

@@ -36,6 +36,19 @@ def read_tree(root):
 
 
 class TestRun:
+    @pytest.fixture(scope="class")
+    def trimer_12(self, tmp_path_factory):
+        """One run of the 12-step trimer with g0, gxi, sigma and verify: its
+        directory, config path and result; tests only read it."""
+        root = tmp_path_factory.mktemp("trimer_12")
+        cfg_data = trimer_config()
+        cfg_data["tasks"] = ["g0", "gxi", "sigma", "verify"]
+        cfg_data["grid"]["steps"] = 12
+        # determinism is the point here, not quadrature accuracy
+        cfg_data["tolerances"] = {name: 0.1 for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson")}
+        cfg = write_config(root, cfg_data)
+        return root, cfg, run_cli(["run", str(cfg), "--out", str(root / "out1")], root)
+
     def test_g0_task(self, tmp_path):
         cfg = write_config(tmp_path, dimer_config())
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
@@ -77,15 +90,11 @@ class TestRun:
             assert order >= 1.8
         assert (tmp_path / "out" / "convergence.csv").exists()
 
-    def test_sigma_task_writes_both_kernels(self, tmp_path):
-        cfg_data = trimer_config()
-        cfg_data["tasks"] = ["sigma"]
-        cfg_data["grid"]["steps"] = 12
-        cfg = write_config(tmp_path, cfg_data)
-        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    def test_sigma_task_writes_both_kernels(self, trimer_12):
+        root, _, result = trimer_12
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "out" / "sigma_tilde.kernel.csv").exists()
-        assert (tmp_path / "out" / "sigma.kernel.csv").exists()
+        assert (root / "out1" / "sigma_tilde.kernel.csv").exists()
+        assert (root / "out1" / "sigma.kernel.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -224,17 +233,12 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "dyson_report.json").read_text())
         assert report["pass"] is False
 
-    def test_reruns_bit_identical(self, tmp_path):
-        cfg_data = trimer_config()
-        cfg_data["tasks"] = ["g0", "gxi", "sigma", "verify"]
-        cfg_data["grid"]["steps"] = 12
-        # determinism is the point here, not quadrature accuracy
-        cfg_data["tolerances"] = {name: 0.1 for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson")}
-        cfg = write_config(tmp_path, cfg_data)
-        for out in ("out1", "out2"):
-            result = run_cli(["run", str(cfg), "--out", str(tmp_path / out)], tmp_path)
-            assert result.returncode == 0, result.stderr
-        tree1 = read_tree(tmp_path / "out1")
+    def test_reruns_bit_identical(self, tmp_path, trimer_12):
+        root, cfg, first = trimer_12
+        assert first.returncode == 0, first.stderr
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out2")], tmp_path)
+        assert result.returncode == 0, result.stderr
+        tree1 = read_tree(root / "out1")
         tree2 = read_tree(tmp_path / "out2")
         assert tree1.keys() == tree2.keys()
         for name in tree1:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -18,9 +19,9 @@ from pfnegf.negf import (
     verify_dyson,
 )
 from pfnegf.propagation import CorrelatorGrid
-from pfnegf.volterra import VolterraOperator
+from pfnegf.volterra import VolterraOperator, dump_kernel
 
-from oracles import f_map, identity_volterra, memory_kernel
+from oracles import embedded_operator, f_map, full_rows, identity_volterra, memory_kernel, packed_kernel_bytes
 
 
 def noninteracting_reference():
@@ -35,10 +36,24 @@ def ref_engine_xi0():
     return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 40))
 
 
-def copied_kernel(values, prefactor):
-    """A causal kernel as a transposed copy of its grid, acausal part zeroed, then scaled."""
-    kernel = values.transpose(2, 3, 0, 1).copy()
-    kernel[np.triu_indices(values.shape[2], k=1)] = 0.0
+@pytest.fixture(scope="module")
+def lead3_engine_25():
+    """The reference model with one more site at the far end of each lead (p = 8)."""
+    cfg = reference_config()
+    for lead in cfg["leads"]:
+        sites, new = lead["sites"], lead["sites"][-1][:-1] + str(len(lead["sites"]))
+        lead["hoppings"].append([sites[-1], new, 1.0])
+        lead["coupling"]["f"].append(0.0)
+        sites.append(new)
+    run = parse_config(cfg)
+    assert run.model.num_sites == 8
+    return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 25))
+
+
+def copied_kernel(corr, p, prefactor):
+    """A causal kernel as a transposed copy of its grid over all ``p`` rows, acausal part zeroed, then scaled."""
+    kernel = full_rows(corr, p).transpose(2, 3, 0, 1).copy()
+    kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
     kernel *= prefactor
     return kernel
 
@@ -53,16 +68,16 @@ class TestKernelsFromGrids:
         contact, _ = engine.contact_expectations
         copied = {
             "gxi": VolterraOperator(
-                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "a", full=True).values, -1j)
+                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "a", full=True), p, -1j)
             ),
             "sigma_tilde": VolterraOperator(
                 grid,
                 p,
-                mem=copied_kernel(factory.anticommutator_grid("b", "b").values, -1j),
+                mem=copied_kernel(factory.anticommutator_grid("b", "b"), p, -1j),
                 inst=(1j * contact).transpose(2, 0, 1).copy(),
             ),
             "f_map": VolterraOperator(
-                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "b").values, 1.0)
+                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "b"), p, 1.0)
             ),
         }
         built = {"gxi": engine.gxi, "sigma_tilde": engine.sigma_tilde, "f_map": f_map(engine)}
@@ -133,6 +148,26 @@ class TestSelfEnergy:
         assert np.max(np.abs(sigma_tilde.instantaneous())) == 0.0
         assert np.max(np.abs(memory_kernel(f_map(ref_engine_xi0)))) == 0.0
 
+    def test_noninteracting_kernel_is_signed_zero(self, ref_engine_xi0):
+        # the dressed grid holds no row, so every packed entry is +0.0 * -1j,
+        # bit for bit what the zero-filled dense route packs
+        engine = ref_engine_xi0
+        dressed = engine.factory.anticommutator_grid("b", "b")
+        assert dressed.rows.size == 0
+        sigma_tilde = engine.sigma_tilde
+        oracle = embedded_operator(dressed, engine.grid, engine.p, -1j, inst=sigma_tilde.instantaneous())
+        packed = np.frombuffer(packed_kernel_bytes(sigma_tilde), dtype=complex)
+        assert packed.size and not packed.any()
+        assert not np.signbit(packed.real).any() and np.signbit(packed.imag).all()
+        assert packed_kernel_bytes(sigma_tilde) == packed_kernel_bytes(oracle)
+        assert sigma_tilde.panels().tobytes() == oracle.panels().tobytes()
+        texts = []
+        for op in (sigma_tilde, oracle):
+            texts.append(io.StringIO())
+            dump_kernel(op, [f"o{i}" for i in range(engine.p)], texts[-1], "sigma_tilde")
+        assert texts[0].getvalue() == texts[1].getvalue()
+        assert "\n0,0,0,0,0.0,-0.0\n" in texts[0].getvalue()
+
     def test_lead_support_exact(self, ref_engine_25):
         ns = ref_engine_25.model.num_sample
         for op in (ref_engine_25.sigma_tilde,):
@@ -142,13 +177,16 @@ class TestSelfEnergy:
             assert np.max(np.abs(inst[:, ns:, :])) == 0.0
             assert np.max(np.abs(inst[:, :, ns:])) == 0.0
 
-    def test_irreducible_support(self, ref_engine_25):
-        ns = ref_engine_25.model.num_sample
-        sigma = ref_engine_25.sigma
-        mask = np.ones((6, 6), dtype=bool)
-        mask[:ns, :ns] = False
-        assert np.max(np.abs(memory_kernel(sigma)[..., mask])) <= 1e-12
-        assert np.max(np.abs(sigma.instantaneous()[:, mask])) <= 1e-12
+    def test_irreducible_support(self, ref_engine_25, lead3_engine_25):
+        # the lead blocks of Sigma come out of the full p x p forward
+        # substitution exactly zero, kernel and instantaneous part alike
+        for engine in (ref_engine_25, lead3_engine_25):
+            ns, p = engine.model.num_sample, engine.p
+            sigma = engine.sigma
+            mask = np.ones((p, p), dtype=bool)
+            mask[:ns, :ns] = False
+            assert np.max(np.abs(memory_kernel(sigma)[..., mask])) == 0.0, p
+            assert np.max(np.abs(sigma.instantaneous()[:, mask])) == 0.0, p
 
     def test_instantaneous_part_inherited(self, ref_engine_25):
         np.testing.assert_array_equal(
@@ -239,7 +277,7 @@ class TestDysonIdentities:
         # the full ladder grid's causal blocks are the same products as a causal grid's
         full = engine.factory.anticommutator_grid("a", "a", full=True)
         causal = engine.factory.anticommutator_grid("a", "a")
-        assert full.causal_kernel(-1j).tobytes() == causal.causal_kernel(-1j).tobytes()
+        assert full.causal_kernel().tobytes() == causal.causal_kernel().tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -21,8 +21,17 @@ from pfnegf.propagation import (
     CorrelatorGrid,
 )
 from pfnegf.thermal import gibbs
+from pfnegf.volterra import VolterraOperator
 
-from oracles import heisenberg_series, memory_kernel, stepper, to_full
+from oracles import (
+    embedded_operator,
+    full_rows,
+    heisenberg_series,
+    memory_kernel,
+    packed_kernel_bytes,
+    stepper,
+    to_full,
+)
 
 RNG = np.random.default_rng(3)
 
@@ -162,8 +171,8 @@ COMPANIONS = [("b", "b"), ("a", "b")]
 
 
 def assert_shared_sweep_matches_one_pair_grids(factory):
-    """Every grid of a shared sweep is bitwise its one-pair grid, and each
-    companion holds exactly its nonzero D rows."""
+    """Every grid of a shared sweep is bitwise its one-pair grid and holds
+    the same D rows, increasing, one value row each."""
     for name_a, name_d, full, companions in (
         ("a", "a", True, COMPANIONS),
         ("a", "a", False, COMPANIONS),
@@ -171,14 +180,15 @@ def assert_shared_sweep_matches_one_pair_grids(factory):
     ):
         joint = factory.anticommutator_grid(name_a, name_d, full, companions)
         alone = factory.anticommutator_grid(name_a, name_d, full=full)
-        assert joint.values.tobytes() == alone.values.tobytes()
         assert len(joint.companions) == len(companions)
-        for (a, d), companion in zip(companions, joint.companions):
-            embedded = companion.embed().values
-            assert embedded.tobytes() == factory.anticommutator_grid(a, d).values.tobytes(), (a, d)
-            nonzero = np.flatnonzero(np.any(embedded != 0, axis=(1, 2, 3)))
-            assert set(nonzero) <= set(companion.rows)
-            assert companion.values.shape[0] == companion.rows.size
+        pairs = [(joint, alone)] + [
+            (companion, factory.anticommutator_grid(a, d)) for (a, d), companion in zip(companions, joint.companions)
+        ]
+        for grid, one_pair in pairs:
+            assert grid.values.tobytes() == one_pair.values.tobytes()
+            assert grid.rows.tolist() == one_pair.rows.tolist()
+            assert grid.values.shape[0] == grid.rows.size
+            assert np.all(np.diff(grid.rows) > 0)
 
 
 def degenerate_trimer(trimer_dict):
@@ -231,8 +241,10 @@ class TestTwoTimeKernel:
         np.testing.assert_allclose(c, oracle, rtol=0, atol=1e-12)
 
     def test_dressed_family_lead_entries_vanish(self, trimer_engine):
-        values = trimer_engine.factory.anticommutator_grid("b", "b").values
+        grid = trimer_engine.factory.anticommutator_grid("b", "b")
         ns = trimer_engine.model.num_sample
+        assert grid.rows.tolist() == list(range(ns))
+        values = full_rows(grid, trimer_engine.p)
         assert np.max(np.abs(values[ns:, :, :, :])) == 0.0
         assert np.max(np.abs(values[:, ns:, :, :])) == 0.0
 
@@ -353,19 +365,20 @@ class TestTiledSweep:
         factory = CorrelatorFactory(rho, model.K_v, grid)
         for name, ops in families.items():
             factory.add_family(name, ops)
-        grids = [factory.anticommutator_grid(*pair, full=full).values for pair in pairs]
+        corrs = [factory.anticommutator_grid(*pair, full=full) for pair in pairs]
+        grids = [full_rows(corr, model.num_sites) for corr in corrs]
         for (name_a, name_d), values in zip(pairs, grids):
             reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
             np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
             if not full:
                 above = np.triu_indices(grid.n_nodes, 1)
                 assert is_positive_zero(values[:, :, above[0], above[1]])
-        # the dressed family's lead rows are zero operators and enter no GEMM
+        # the dressed family's lead rows are zero operators: no grid holds them
         ns = model.num_sample
         assert ns < model.num_sites
-        for values in grids[1:]:
-            assert is_positive_zero(values[ns:])
-        assert is_positive_zero(grids[1][:, ns:])
+        for corr in corrs[1:]:
+            assert corr.rows.tolist() == list(range(ns))
+        assert is_positive_zero(corrs[1].values[:, ns:])
         assert np.abs(grids[1][:ns, :ns]).max() > 0.0
 
     @pytest.mark.parametrize("xi", [0.7, 0.0])
@@ -393,24 +406,38 @@ class TestCorrelatorGrid:
         assert ladder.pairing_defect() == dense(ladder.values)
         assert trimer_engine.pairing_defect == dense(ladder.values)
         values = RNG.standard_normal((3, 3, 5, 5)) + 1j * RNG.standard_normal((3, 3, 5, 5))
-        assert CorrelatorGrid(values).pairing_defect() == dense(values) > 0.0
+        assert CorrelatorGrid(values, np.arange(3)).pairing_defect() == dense(values) > 0.0
         # a nan in a later first index is not dropped by the row-wise maximum
         values[2, 1, 3, 0] = complex(np.nan, 0.0)
         assert np.isnan(dense(values))
-        assert np.isnan(CorrelatorGrid(values).pairing_defect())
+        assert np.isnan(CorrelatorGrid(values, np.arange(3)).pairing_defect())
+
+    def test_pairing_defect_needs_every_row(self, trimer_engine):
+        # a grid that holds some of its D rows, or none, has no pairing defect
+        values = RNG.standard_normal((3, 3, 5, 5)) + 1j * RNG.standard_normal((3, 3, 5, 5))
+        dressed = trimer_engine.factory.anticommutator_grid("b", "b", full=True)
+        assert dressed.rows.size < trimer_engine.p
+        for grid in (CorrelatorGrid(values[:2], np.array([0, 2])), CorrelatorGrid(values[:0], np.arange(0)), dressed):
+            with pytest.raises(ValueError, match="pairing defect needs all 3 rows"):
+                grid.pairing_defect()
 
     @pytest.mark.parametrize("prefactor", [-1j, 1.0])
     def test_causal_kernel_is_a_view_of_the_grid(self, trimer_engine, prefactor):
         grid = trimer_engine.factory.anticommutator_grid("a", "b", full=True)
-        n = grid.values.shape[2]
+        n, p = grid.values.shape[2], trimer_engine.p
+        assert grid.rows.size < p
+        oracle = embedded_operator(grid, trimer_engine.grid, p, prefactor)
         expected = grid.values.transpose(2, 3, 0, 1).copy()
         expected[np.triu_indices(n, k=1)] = 0.0
-        expected *= prefactor
-        kernel = grid.causal_kernel(prefactor)
+        kernel = grid.causal_kernel()
         assert np.shares_memory(kernel, grid.values)
         assert kernel.tobytes() == expected.tobytes()
         above = np.triu_indices(n, 1)
         assert not grid.values[:, :, above[0], above[1]].any()
+        # packed from its rows and scaled once: the bits of the dense route
+        op = VolterraOperator(trimer_engine.grid, p, mem=kernel, rows=grid.rows, scale=prefactor)
+        assert packed_kernel_bytes(op) == packed_kernel_bytes(oracle)
+        assert op.panels().tobytes() == oracle.panels().tobytes()
 
 
 class TestExpectationSeries:
@@ -527,7 +554,7 @@ class TestRandomModels:
         for name, ops in families.items():
             factory.add_family(name, ops)
         grids = [
-            factory.anticommutator_grid(name_a, name_d, full=full).values
+            full_rows(factory.anticommutator_grid(name_a, name_d, full=full), model.num_sites)
             for name_a, name_d, full in pairs
         ]
         for (name_a, name_d, full), values in zip(pairs, grids):

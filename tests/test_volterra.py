@@ -23,7 +23,7 @@ from pfnegf.volterra import (
 )
 
 from conftest import DUMP_DAMAGES, damage_dump
-from oracles import identity_volterra, memory_kernel, neumann_inverse
+from oracles import embedded_operator, identity_volterra, memory_kernel, neumann_inverse, packed_kernel_bytes
 
 RNG = np.random.default_rng(5)
 GRID = TimeGrid(2.0, 20)
@@ -477,16 +477,19 @@ class TestDumpFormat:
         assert inst.tobytes() == g0.instantaneous().tobytes()
 
 
-# float64 parts whose text or bits a dump must keep apart: both zeros, nan
-# payloads and signs, both infinities, subnormals, and a few ordinary values
+# float64 parts whose text or bits a dump must keep apart: both zeros, quiet
+# and signalling nan payloads and signs, both infinities, subnormals, and a
+# few ordinary values
 DUMP_PARTS = np.concatenate([
     np.array(
         [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF8000000000123,
-         0x7FF0000000000000, 0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF],
+         0x7FF0000000000001, 0xFFF0000000000123, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+         0x800FFFFFFFFFFFFF],
         dtype=np.uint64,
     ).view(float),
     [1.0, -2.5, 0.1, 1e16],
 ])
+SIGNALLING_NAN = 0x7FF0000000000001
 
 
 @st.composite
@@ -573,6 +576,91 @@ class TestDumpRepeats:
         assert np.isnan(back).sum() == np.isnan(mem).sum()
 
 
+class TestInstantaneousBits:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_signalling_nan_dumps_without_a_warning(self):
+        grid = TimeGrid(1.0, 4)
+        n = grid.n_nodes
+        inst = np.zeros((n, 1, 1), dtype=complex)
+        inst.real.view(np.uint64)[2, 0, 0] = SIGNALLING_NAN
+        op = VolterraOperator(grid, 1, inst=inst, mem=np.zeros((n, n, 1, 1), dtype=complex))
+        assert op.instantaneous().real.view(np.uint64)[2, 0, 0] == SIGNALLING_NAN
+        assert op.has_instantaneous()
+        text = kernel_text(op, ["x"])
+        assert text == csv_writer_text(op, ["x"])
+        assert "\n2,0,0,nan,0.0\n" in text
+
+    def test_negative_zeros_are_zero(self):
+        # the sign bit alone is no entry; the least subnormal is
+        grid = TimeGrid(1.0, 4)
+        n = grid.n_nodes
+        for tiny, expected in ((-0.0, False), (5e-324, True)):
+            inst = np.full((n, 1, 1), complex(-0.0, -0.0))
+            inst.imag[1, 0, 0] = tiny
+            op = VolterraOperator(grid, 1, inst=inst, mem=np.zeros((n, n, 1, 1), dtype=complex))
+            assert op.has_instantaneous() is expected
+
+
+FINITE_PARTS = DUMP_PARTS[np.isfinite(DUMP_PARTS)]
+
+
+@st.composite
+def held_row_grids(draw):
+    """A full correlator grid over drawn increasing D rows: none, one, all or some.
+
+    Its parts come from the finite ``DUMP_PARTS``, signed zeros and
+    subnormals included; the acausal half is not zero.
+    """
+    p = draw(st.integers(1, 3), label="p")
+    kind = draw(st.sampled_from(["none", "one", "all", "some"]), label="kind")
+    if kind == "one":
+        rows = [draw(st.integers(0, p - 1), label="row")]
+    elif kind == "some":
+        rows = sorted(draw(st.sets(st.integers(0, p - 1)), label="rows"))
+    else:
+        rows = list(range(p)) if kind == "all" else []
+    grid = TimeGrid(1.0, draw(st.sampled_from([2, TILE_NODES, TILE_NODES + 2]), label="steps"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = np.empty((len(rows), p, grid.n_nodes, grid.n_nodes), dtype=complex)
+    values.real, values.imag = rng.choice(FINITE_PARTS, size=values.shape), rng.choice(FINITE_PARTS, size=values.shape)
+    return grid, p, CorrelatorGrid(values, np.array(rows, dtype=int))
+
+
+class TestHeldRowPacking:
+    """A kernel packed from its held rows and scaled once has the bits of the dense route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(held_row_grids(), st.sampled_from([-1j, 1.0]))
+    def test_equals_the_zero_filled_dense_route(self, drawn, prefactor):
+        grid, p, corr = drawn
+        oracle = embedded_operator(corr, grid, p, prefactor)
+        op = VolterraOperator(grid, p, mem=corr.causal_kernel(), rows=corr.rows, scale=prefactor)
+        assert packed_kernel_bytes(op) == packed_kernel_bytes(oracle)
+        assert op.panels().tobytes() == oracle.panels().tobytes()
+        ordering = [f"o{i}" for i in range(p)]
+        assert kernel_text(op, ordering) == kernel_text(oracle, ordering)
+
+    def test_rows_not_given_carry_the_scaled_zero(self):
+        # +0.0 * -1j is 0.0 - 0.0j, and +0.0 * 1.0 stays +0.0
+        grid, p = TimeGrid(1.0, 3), 3
+        n = grid.n_nodes
+        mem = np.zeros((n, n, 1, p), dtype=complex)
+        mem[np.tril_indices(n)] = 1.0
+        for scale, imag_sign in ((-1j, True), (1.0, False)):
+            kernel = memory_kernel(VolterraOperator(grid, p, mem=mem, rows=[1], scale=scale))
+            zero_rows = kernel[:, :, [0, 2]]
+            assert not zero_rows.any() and not np.signbit(zero_rows.real).any()
+            assert (np.signbit(zero_rows.imag) == imag_sign).all()
+            assert (kernel[np.tril_indices(n)][:, 1] == scale).all()
+
+    def test_row_count_must_match(self):
+        n = GRID.n_nodes
+        with pytest.raises(ValueError, match="memory kernel has shape"):
+            VolterraOperator(GRID, 2, mem=np.zeros((n, n, 1, 2), dtype=complex))
+        with pytest.raises(ValueError, match="memory kernel has shape"):
+            VolterraOperator(GRID, 2, mem=np.zeros((n, n, 2, 2), dtype=complex), rows=[1])
+
+
 class TestConstruction:
     def test_no_dense_matrix_input(self):
         # a dense matrix could carry acausal weight that the kernel view hides
@@ -618,10 +706,10 @@ class TestConstruction:
         n, p = 2 * TILE_NODES + 3, 3
         grid = TimeGrid(1.0, n - 1)
         values = RNG.standard_normal((p, p, n, n)) + 1j * RNG.standard_normal((p, p, n, n))
-        view = CorrelatorGrid(values).causal_kernel(-1j)
+        view = CorrelatorGrid(values, np.arange(p)).causal_kernel()
         assert np.shares_memory(view, values) and not view.flags.c_contiguous
-        packed = VolterraOperator(grid, p, mem=view)
-        copied = VolterraOperator(grid, p, mem=np.ascontiguousarray(view))
+        packed = VolterraOperator(grid, p, mem=view, scale=-1j)
+        copied = VolterraOperator(grid, p, mem=np.ascontiguousarray(view), scale=-1j)
         assert packed.panels().tobytes() == copied.panels().tobytes()
         assert memory_kernel(packed).tobytes() == memory_kernel(copied).tobytes()
 
