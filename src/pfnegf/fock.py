@@ -10,6 +10,10 @@ dense complex block per source sector:
 * a creation operator maps sector ``N`` to ``N + 1`` (displacement +1),
 * an annihilation operator maps ``N`` to ``N - 1`` (displacement -1).
 
+A slot whose target sector does not exist (sector ``d + 1`` for a creator,
+``-1`` for an annihilator) is an array with zero rows, so every slot obeys
+one shape rule and the algebra needs no special case for it.
+
 Ladder matrices carry Jordan-Wigner signs along a configurable orbital
 order.  Physical expectation values never depend on that order; keeping it
 configurable lets tests verify exactly this invariance.
@@ -106,14 +110,11 @@ class FockSpace:
             bit = 1 << orbital
             blocks = []
             for n in range(d + 1):
-                if n == d:
-                    blocks.append(None)
-                    continue
                 src = self.sector_states[n]
                 free = (src & bit) == 0
                 s = src[free]
                 t = s | bit
-                block = np.zeros((self.sector_dims[n + 1], self.sector_dims[n]), dtype=complex)
+                block = np.zeros((self.sector_dim(n + 1), self.sector_dims[n]), dtype=complex)
                 signs = 1.0 - 2.0 * (self._popcount[s & self._sign_masks[orbital]] & 1)
                 block[self.pos_in_sector[t], self.pos_in_sector[s]] = signs
                 blocks.append(block)
@@ -125,8 +126,9 @@ class FockSpace:
 class ManyBodyOperator:
     """Dense sector-blocked operator on a :class:`FockSpace`.
 
-    ``blocks[N]`` maps sector ``N`` to sector ``N + displacement`` and is
-    ``None`` exactly when the target sector does not exist.
+    ``blocks[N]`` maps sector ``N`` to sector ``N + displacement``.  Every
+    slot is an array of shape ``(sector_dim(N + displacement), sector_dim(N))``;
+    a target sector that does not exist gives zero rows.
     """
 
     space: FockSpace
@@ -138,14 +140,10 @@ class ManyBodyOperator:
         if len(self.blocks) != d + 1:
             raise ValueError("expected one block slot per source sector")
         for n, block in enumerate(self.blocks):
-            target = n + self.displacement
-            if block is None:
-                if 0 <= target <= d:
-                    raise ValueError(f"missing block for sector {n}")
-                continue
-            expected = (self.space.sector_dim(target), self.space.sector_dim(n))
-            if block.shape != expected:
-                raise ValueError(f"block {n} has shape {block.shape}, expected {expected}")
+            expected = (self.space.sector_dim(n + self.displacement), self.space.sector_dim(n))
+            if not (isinstance(block, np.ndarray) and block.shape == expected):
+                shape = getattr(block, "shape", type(block).__name__)
+                raise ValueError(f"block {n} is {shape}, expected an array of shape {expected}")
 
     def _require_same_space(self, other: "ManyBodyOperator"):
         if self.space is not other.space:
@@ -155,9 +153,7 @@ class ManyBodyOperator:
         self._require_same_space(other)
         if self.displacement != other.displacement:
             raise ValueError("cannot add operators with different sector displacement")
-        blocks = tuple(
-            None if a is None else a + b for a, b in zip(self.blocks, other.blocks)
-        )
+        blocks = tuple(a + b for a, b in zip(self.blocks, other.blocks))
         return ManyBodyOperator(self.space, self.displacement, blocks)
 
     def __sub__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
@@ -165,45 +161,36 @@ class ManyBodyOperator:
 
     def __mul__(self, scalar) -> "ManyBodyOperator":
         scalar = complex(scalar)
-        blocks = tuple(None if b is None else scalar * b for b in self.blocks)
+        blocks = tuple(scalar * b for b in self.blocks)
         return ManyBodyOperator(self.space, self.displacement, blocks)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
         self._require_same_space(other)
-        d = self.space.num_orbitals
         disp = self.displacement + other.displacement
         blocks = []
-        for n in range(d + 1):
-            target = n + disp
-            if not 0 <= target <= d:
-                blocks.append(None)
-                continue
+        for n, right in enumerate(other.blocks):
             mid = n + other.displacement
-            right = other.blocks[n]
-            left = self.blocks[mid] if 0 <= mid <= d else None
-            if right is None or left is None:
-                blocks.append(
-                    np.zeros((self.space.sector_dim(target), self.space.sector_dim(n)), dtype=complex)
-                )
-            else:
-                blocks.append(left @ right)
+            if 0 <= mid <= self.space.num_orbitals:
+                left = self.blocks[mid]
+            else:  # no middle sector: right has zero rows, and the product is +0.0
+                left = np.zeros((self.space.sector_dim(n + disp), 0), dtype=complex)
+            blocks.append(left @ right)
         return ManyBodyOperator(self.space, disp, tuple(blocks))
 
     def dagger(self) -> "ManyBodyOperator":
         d = self.space.num_orbitals
         disp = -self.displacement
-        blocks = [None] * (d + 1)
-        for n in range(d + 1):
-            target = n + disp
-            if 0 <= target <= d:
-                source = self.blocks[target]
-                blocks[n] = np.conj(source.T)
-        return ManyBodyOperator(self.space, disp, tuple(blocks))
+        blocks = tuple(
+            np.conj(self.blocks[n + disp].T) if 0 <= n + disp <= d
+            else np.zeros((0, self.space.sector_dims[n]), dtype=complex)
+            for n in range(d + 1)
+        )
+        return ManyBodyOperator(self.space, disp, blocks)
 
     def max_abs(self) -> float:
-        vals = [np.max(np.abs(b)) for b in self.blocks if b is not None and b.size]
+        vals = [np.max(np.abs(b)) for b in self.blocks if b.size]
         return float(np.max(vals)) if vals else 0.0
 
     def norm2(self) -> float:
@@ -211,14 +198,14 @@ class ManyBodyOperator:
 
         nan or inf for a non-finite operator.
         """
-        blocks = [b for b in self.blocks if b is not None and min(b.shape)]
+        blocks = [b for b in self.blocks if min(b.shape)]
         vals = [np.linalg.norm(b, 2) if np.isfinite(b).all() else np.max(np.abs(b)) for b in blocks]
         return float(np.max(vals)) if vals else 0.0
 
     def hermiticity_defect(self) -> float:
         if self.displacement != 0:
             raise ValueError("hermiticity is only meaningful at displacement 0")
-        vals = [np.max(np.abs(b - np.conj(b.T))) for b in self.blocks if b is not None and b.size]
+        vals = [np.max(np.abs(b - np.conj(b.T))) for b in self.blocks if b.size]
         return float(np.max(vals)) if vals else 0.0
 
 def identity_operator(fs: FockSpace) -> ManyBodyOperator:
@@ -248,9 +235,6 @@ def ladder_op(fs: FockSpace, f, kind: str) -> ManyBodyOperator:
     d = fs.num_orbitals
     blocks = []
     for n in range(d + 1):
-        if n == d:
-            blocks.append(None)
-            continue
         acc = np.zeros((fs.sector_dim(n + 1), fs.sector_dim(n)), dtype=complex)
         for j in range(d):
             if f[j] != 0:

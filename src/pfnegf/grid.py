@@ -17,6 +17,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
 

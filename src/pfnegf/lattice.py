@@ -187,7 +187,7 @@ def _hopping_matrix(labels, edges, context: str) -> np.ndarray:
         seen.add(key)
         amp = complex(amp)
         if i == j:
-            if abs(amp.imag) > HERMITICITY_TOL:
+            if not abs(amp.imag) <= HERMITICITY_TOL:  # a nan part fails too
                 raise ValueError(f"{context}: on-site energy at {a!r} must be real")
             h[i, i] = amp.real
         else:

@@ -65,10 +65,10 @@ class DensityOperator:
         self.vecs = tuple(np.asarray(v, dtype=complex) for v in vecs)
         self.label = label
         total = sum(p.sum() for p in self.probs)
-        if abs(total - 1.0) > STATE_TOL:
+        if not abs(total - 1.0) <= STATE_TOL:  # a nan weight fails too
             raise ValueError(f"density operator trace {total!r} deviates from 1")
         low = min((p.min() for p in self.probs if p.size), default=0.0)
-        if low < -STATE_TOL:
+        if not low >= -STATE_TOL:
             raise ValueError(f"density operator has negative weight {low:.3e}")
 
     def expectation(self, observable: ManyBodyOperator) -> complex:
@@ -79,7 +79,7 @@ class DensityOperator:
             return 0.0 + 0.0j
         total = 0.0 + 0.0j
         for p, v, block in zip(self.probs, self.vecs, observable.blocks):
-            if block is None or not p.size:
+            if not p.size:
                 continue
             diag = np.einsum("ai,ab,bi->i", np.conj(v), block, v)
             total += np.dot(p, diag)

@@ -25,7 +25,7 @@ def to_full(op: ManyBodyOperator) -> np.ndarray:
     fs = op.space
     full = np.zeros((fs.dim, fs.dim), dtype=complex)
     for n, block in enumerate(op.blocks):
-        if block is None:
+        if not block.shape[0]:  # no target sector
             continue
         target = n + op.displacement
         r0 = fs.sector_offsets[target]
@@ -35,15 +35,11 @@ def to_full(op: ManyBodyOperator) -> np.ndarray:
 
 
 def zero_operator(fs: FockSpace, displacement: int = 0) -> ManyBodyOperator:
-    d = fs.num_orbitals
-    blocks = []
-    for n in range(d + 1):
-        target = n + displacement
-        if 0 <= target <= d:
-            blocks.append(np.zeros((fs.sector_dim(target), fs.sector_dim(n)), dtype=complex))
-        else:
-            blocks.append(None)
-    return ManyBodyOperator(fs, displacement, tuple(blocks))
+    blocks = tuple(
+        np.zeros((fs.sector_dim(n + displacement), fs.sector_dim(n)), dtype=complex)
+        for n in range(fs.num_orbitals + 1)
+    )
+    return ManyBodyOperator(fs, displacement, blocks)
 
 
 def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int) -> ManyBodyOperator:
@@ -57,7 +53,7 @@ def from_full(fs: FockSpace, matrix: np.ndarray, displacement: int) -> ManyBodyO
     for n in range(d + 1):
         target = n + displacement
         if not 0 <= target <= d:
-            blocks.append(None)
+            blocks.append(np.zeros((0, fs.sector_dim(n)), dtype=complex))
             continue
         r0 = fs.sector_offsets[target]
         c0 = fs.sector_offsets[n]

@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfnegf.fock import (
     FockSpace,
@@ -231,10 +233,8 @@ class TestOperatorAlgebra:
         op = ladder_op(fs, random_vector(3), "create")
         back = from_full(fs, to_full(op), +1)
         for a, b in zip(op.blocks, back.blocks):
-            if a is None:
-                assert b is None
-            else:
-                np.testing.assert_array_equal(a, b)
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
 
     def test_from_full_leak_guard(self):
         fs = FockSpace(3)
@@ -259,10 +259,52 @@ class TestOperatorAlgebra:
         assert mixed.max_abs() <= 1e-12
 
 
+def assert_shape_rule(op):
+    """Every slot is an array mapping sector N to N + displacement; an absent target has zero rows."""
+    fs = op.space
+    assert len(op.blocks) == fs.num_orbitals + 1
+    for n, block in enumerate(op.blocks):
+        assert isinstance(block, np.ndarray)
+        assert block.shape == (fs.sector_dim(n + op.displacement), fs.sector_dim(n))
+
+
+class TestShapeRule:
+    # identity @ factor gives displacements +-1, a second factor gives -2, 0 and +2
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.sampled_from(["create", "annihilate"]), min_size=1, max_size=2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_slot_is_an_array_of_the_shape_rule(self, d, kinds, seed):
+        fs = FockSpace(d)
+        rng = np.random.default_rng(seed)
+        product = identity_operator(fs)
+        for kind in kinds:
+            factor = ladder_op(fs, rng.standard_normal(d) + 1j * rng.standard_normal(d), kind)
+            assert_shape_rule(factor)
+            dense = to_full(product) @ to_full(factor)
+            product = product @ factor
+            assert_shape_rule(product)
+            np.testing.assert_allclose(to_full(product), dense, rtol=0, atol=1e-12)
+        assert product.displacement == sum(+1 if kind == "create" else -1 for kind in kinds)
+        for derived in (product.dagger(), product + product, product - product, 2.5j * product, product * 0.5):
+            assert_shape_rule(derived)
+        np.testing.assert_array_equal(to_full(product.dagger()), np.conj(to_full(product).T))
+
+    @pytest.mark.parametrize("slot", [None, np.zeros((1, 1), dtype=complex)], ids=["none", "wrong-shape"])
+    def test_constructor_refuses_a_slot_off_the_shape_rule(self, slot):
+        fs = FockSpace(2)
+        blocks = list(ladder_op(fs, np.ones(2), "create").blocks)
+        blocks[2] = slot  # the top slot has no target sector: its shape is (0, 1)
+        with pytest.raises(ValueError, match="block 2 .* expected an array of shape \\(0, 1\\)"):
+            ManyBodyOperator(fs, +1, tuple(blocks))
+
+
 def with_nan_in_last_block(op):
     """``op`` with one entry of its last nonempty block set to nan."""
     blocks = list(op.blocks)
-    last = max(n for n, b in enumerate(blocks) if b is not None and b.size)
+    last = max(n for n, b in enumerate(blocks) if b.size)
     blocks[last] = blocks[last].astype(complex)
     blocks[last].flat[0] = np.nan
     return ManyBodyOperator(op.space, op.displacement, tuple(blocks))

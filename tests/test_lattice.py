@@ -133,6 +133,13 @@ def nan_hopping_hamiltonians():
     return build_hamiltonians(g, [("s0", "s1", np.nan)], [[]], couplings, [0.0])
 
 
+def nan_onsite_hamiltonians():
+    # a nan imaginary part would otherwise be dropped, leaving a clean real entry
+    g = build_geometry(["s0", "s1"], [["l0"]])
+    couplings = [LeadCoupling(0.1, [1.0], [1.0, 0.0])]
+    return build_hamiltonians(g, [("s0", "s0", complex(1.0, np.nan))], [[]], couplings, [0.0])
+
+
 # a nan on the diagonal already fails the symmetry guard: nan - nan is nan
 @pytest.mark.parametrize(
     "build, message",
@@ -141,8 +148,9 @@ def nan_hopping_hamiltonians():
         (lambda: TwoBodyPotential(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0), "symmetric"),
         (lambda: LeadCoupling(0.5, [np.nan], [1.0]), "unit norm"),
         (nan_hopping_hamiltonians, "h_D is not Hermitian"),
+        (nan_onsite_hamiltonians, "on-site energy at 's0' must be real"),
     ],
-    ids=["pair-offdiagonal", "pair-diagonal", "coupling-vector", "hopping"],
+    ids=["pair-offdiagonal", "pair-diagonal", "coupling-vector", "hopping", "onsite-imaginary"],
 )
 def test_nan_input_rejected(build, message):
     with pytest.raises(ValueError, match=message):

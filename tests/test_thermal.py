@@ -10,6 +10,7 @@ from pfnegf.fock import (
     second_quantize,
 )
 from pfnegf.thermal import (
+    DensityOperator,
     ThermalParams,
     gamma_closed_form,
     gibbs,
@@ -79,6 +80,14 @@ class TestGibbs:
         k = second_quantize(fs, np.diag([0.5, -0.3]))
         with pytest.raises(ValueError, match="commute"):
             gibbs(k, ThermalParams(beta=1.0), second_quantize(fs, np.eye(2)) * np.nan)
+
+    # nan passes a "> tol" comparison: the trace and weight checks must read "not <= tol"
+    @pytest.mark.parametrize(
+        "probs", [([np.nan], [np.nan]), ([0.5], [np.nan])], ids=["all-nan", "one-nan"]
+    )
+    def test_density_operator_rejects_a_nan_weight(self, probs):
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(FockSpace(1), [np.array(p) for p in probs], [np.eye(1)] * 2)
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,19 @@ def csv_writer_text(op, ordering):
     return buf.getvalue()
 
 
+# a float step count once gave a float n_nodes, and compute_g0 then died with a TypeError
+@pytest.mark.parametrize("steps", [2.5, math.nan, 3.0, True], ids=["fraction", "nan", "whole-float", "bool"])
+def test_time_grid_refuses_a_non_integer_step_count(steps):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        TimeGrid(1.0, steps)
+
+
+def test_time_grid_accepts_a_numpy_integer_step_count():
+    grid = TimeGrid(1.0, np.int64(4))
+    assert grid.n_nodes == 5
+    assert compute_g0(np.eye(2), grid).grid.n_nodes == 5
+
+
 class TestApply:
     def test_constant_kernel_on_constant_function(self):
         # trapezoid integrates constants exactly: (A psi)(t_k) = t_k * c
