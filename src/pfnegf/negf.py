@@ -60,13 +60,12 @@ DEFAULT_TOLERANCES = {
 
 QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 
-# Packed Volterra operators' worth of memory that ``verify`` holds at once.
-# tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6) benchmark
-# configs, 101 nodes, seed 0, traced from before the engine is built,
-# measured a peak of 11.2 and 10.2 packed buffers, everything the sweep
-# leaves included; the instantaneous split, whose Sigma_app holds its packed
-# matrix, reaches that peak and does not pass it.  At most 12 operators
-# were live.
+# Full-p packed Volterra operators' worth of memory that ``verify`` holds at
+# once.  tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6)
+# benchmark configs, 101 nodes, seed 0, traced from before the engine is
+# built, measured a peak of 10.7 and 7.9 full-p packed buffers, everything
+# the sweep leaves included.  At most 14 operators were live, several of
+# them held on the sample block only.
 ALGEBRA_OPERATORS = 16
 
 
@@ -99,18 +98,20 @@ class KernelEngine:
     families by elementwise phase factors, forms each held and D tile once for
     all three grids and pairs tiles of nodes in one GEMM per grid.  That costs
     O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES) memory in
-    N_t.  Each grid holds only the nonzero rows of its D family (the dressed
-    family vanishes on the leads), and each kernel is packed from those rows.
-    Derived objects (irreducible self-energy, algebraic Dyson solution) are
-    exact products of the packed causal algebra.  No grid is cached: the
-    full ladder grid, both triangles, gives the pairing defect and then the
-    kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the mixed grid
-    gives ``F``, whose two quadrature residuals are measured at once, and
-    ``F`` is dropped.  The product ``Sigma~ G0`` of the ``F`` residual is
-    kept until ``sigma`` or ``quadrature``, whichever comes first, takes it.
-    ``budget`` covers ``ALGEBRA_OPERATORS`` packed operators, checked at
-    construction, and the held and D tiles of both families, checked before
-    the sweep starts.
+    N_t.  Each grid holds only the nonzero rows of its two families (the
+    dressed family vanishes on the leads), and each kernel is packed with
+    those rows as its orbital support: ``Sigma~`` holds sample x sample, ``F``
+    sample x all, and ``Gxi`` and ``G0`` every orbital.  Derived objects
+    (irreducible self-energy, algebraic Dyson solution) are exact products of
+    the packed causal algebra, which carries the support along.  No grid is
+    cached: the full ladder grid, both triangles, gives the pairing defect and
+    then the kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the
+    mixed grid gives ``F``, whose two quadrature residuals are measured at
+    once, and ``F`` is dropped.  The product ``Sigma~ G0`` of the ``F``
+    residual is kept until ``sigma`` or ``quadrature``, whichever comes first,
+    takes it.  ``budget`` covers ``ALGEBRA_OPERATORS`` full-p packed
+    operators, checked at construction, and the held and D tiles of both
+    families, checked before the sweep starts.
     """
 
     def __init__(
@@ -148,12 +149,12 @@ class KernelEngine:
         the mixed grid gives ``F``, whose two residuals are measured here, and
         ``F`` is dropped; ``Sigma~ G0``, formed for one of them, is kept for
         ``sigma`` until ``quadrature`` is read.  Each grid holds the nonzero
-        rows of its D family, and its operator is packed from those rows.
+        rows of its two families, and its operator is packed over those rows.
         """
 
         def packed(corr, scale, inst=None) -> VolterraOperator:
             mem = corr.causal_kernel()
-            return VolterraOperator(self.grid, self.p, inst=inst, mem=mem, rows=corr.rows, scale=scale)
+            return VolterraOperator(self.grid, self.p, inst=inst, mem=mem, rows=corr.rows, cols=corr.cols, scale=scale)
 
         ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
         dressed, mixed = ladder.companions
@@ -485,7 +486,9 @@ def verify_dyson(
     # each approximating self-energy is built for its own check and freed after it
     for name, sigma_app in (
         ("approx_split_half", lambda: sigma.scale(0.5)),
-        ("approx_split_instantaneous", lambda: VolterraOperator(grid, p, inst=sigma.instantaneous().copy())),
+        ("approx_split_instantaneous", lambda: VolterraOperator(
+            grid, p, inst=sigma.instantaneous().copy(), rows=sigma.rows, cols=sigma.cols
+        )),
     ):
         residual = approx_split(sigma, sigma_app(), g0, g_alg)[1]
         report.add(name, residual, tol[name], "exact-algebra")

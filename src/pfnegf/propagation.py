@@ -25,9 +25,10 @@ family rows that are exact zero operators enter none.  All tiles are formed
 from the stored family by phase multiplies when they are needed, with no
 evolution sweeps, so a sweep holds O(TILE_NODES) nodes of memory in N_t
 beyond its grids; the held and D tiles of every family must fit the budget
-together.  Every grid is kept over the nonzero rows of its D family.  A
-retarded kernel is a view of its grid (``causal_kernel``), and the packed
-operator is filled from those rows, the others zero.
+together.  Every grid is kept over the nonzero rows of its D family and of
+its held family, and every other entry is zero.  A retarded kernel is a view
+of its grid (``causal_kernel``), and the packed operator takes both row sets
+as its orbital support.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ def _check_hermitian(generator: ManyBodyOperator) -> None:
 
 @dataclass
 class CorrelatorGrid:
-    """Two-time anticommutator values ``C[j, m, k, l]`` over the nonzero D rows.
+    """Two-time anticommutator values ``C[j, m, k, l]`` over the nonzero family rows.
 
-    ``values[i]`` is row ``rows[i]`` of the D family; every other D row is a
+    ``values[i, a]`` is row ``rows[i]`` of the D family against row
+    ``cols[a]`` of the held family; every other row of either family is a
     zero operator, so its entries are zero.  Retarded kernels only read the
     causal triangle ``l <= k``; a full grid holds the acausal part as well,
     for ``pairing_defect``.  A grid is handed to its kernel in place:
@@ -68,23 +70,25 @@ class CorrelatorGrid:
 
     values: np.ndarray
     rows: np.ndarray
+    cols: np.ndarray
     companions: list = field(default_factory=list)
 
     def pairing_defect(self) -> float:
         """Max-abs defect of ``C[j, m, k, l] = conj(C[m, j, l, k])``.
 
-        Meaningful only on a full grid, square and holding every row; raises
+        Meaningful only on a full grid whose rows and columns are the same
+        orbitals (the entries of the others are zero on both sides); raises
         ``ValueError`` on any other.  One first index at a time, so the
         temporaries are 1/p of the grid.
         """
         v = self.values
-        if not np.array_equal(self.rows, np.arange(v.shape[1])):
-            raise ValueError(f"the pairing defect needs all {v.shape[1]} rows; the grid holds {self.rows.size}")
+        if not np.array_equal(self.rows, self.cols):
+            raise ValueError(f"the pairing defect needs a square grid, not rows {self.rows} and columns {self.cols}")
         rows = [np.max(np.abs(v[j] - np.conj(v[:, j].transpose(0, 2, 1)))) for j in range(len(v))]
         return float(np.max(rows))
 
     def causal_kernel(self) -> np.ndarray:
-        """(n, n, rows, p_a) view of ``C``, acausal part zeroed; overwrites ``values``."""
+        """(n, n, rows, cols) view of ``C``, acausal part zeroed; overwrites ``values``."""
         kernel = self.values.transpose(2, 3, 0, 1)
         kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
         return kernel
@@ -145,7 +149,7 @@ class CorrelatorFactory:
             shape = (sector[n + 1].size, sector[n].size)
             self._creation_slices.append((slice(offset, offset + shape[0] * shape[1]), shape))
             offset += shape[0] * shape[1]
-        self._families: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._families: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def to_frame(self, op: ManyBodyOperator, s: int) -> np.ndarray:
         """Flat K-frame blocks ``Q_{N+s}^dagger X_N Q_N`` of a displacement-``s`` operator."""
@@ -180,7 +184,7 @@ class CorrelatorFactory:
         flats = np.stack([self.to_frame(op, +1) for op in ops])
         # a zero operator's every node is exactly zero: only nonzero rows are kept
         rows = np.flatnonzero(np.any(flats != 0, axis=1))
-        self._families[name] = (len(ops), rows, flats[rows])
+        self._families[name] = (rows, flats[rows])
 
     def anticommutator_grid(
         self, name_a: str, name_d: str, full: bool = False, companions=()
@@ -189,13 +193,13 @@ class CorrelatorFactory:
 
         Each ``(name_a, name_d)`` pair in ``companions`` gets its causal grid
         from the same sweep, in ``.companions``.  Every grid holds the nonzero
-        rows of its D family.  Per held tile row the held tile of every held
-        family is formed once; the D tile of every D family is formed once per
-        D tile that a pair reads: every one for a full grid, from the held
-        tile's own on for a causal one.  Each pair meets its two tiles in one
-        GEMM over the nonzero family rows; the zero A rows and the acausal
-        entries of a causal grid stay +0.0.  One held and one D tile of every
-        family paired must fit the budget together.
+        rows of its D family against those of its held family.  Per held tile
+        row the held tile of every held family is formed once; the D tile of
+        every D family is formed once per D tile that a pair reads: every one
+        for a full grid, from the held tile's own on for a causal one.  Each
+        pair meets its two tiles in one GEMM over the nonzero family rows; the
+        acausal entries of a causal grid stay +0.0.  One held and one D tile of
+        every family paired must fit the budget together.
         """
         n, index, families = self.grid.n_nodes, self.creation_index, self._families
         flat = index[0].size
@@ -203,20 +207,20 @@ class CorrelatorFactory:
         held_names = list(dict.fromkeys(a for a, _, _ in pairs))
         d_names = list(dict.fromkeys(d for _, d, _ in pairs))
         tile = min(TILE_NODES, n)
-        need = 16 * tile * sum(families[name][2].size for name in held_names + d_names)
+        need = 16 * tile * sum(families[name][1].size for name in held_names + d_names)
         if need > self.budget:
             raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
         work = np.empty(need // 16, dtype=complex)  # every tile shares one buffer
         held, d_tiles, offset = {}, {}, 0
         for side, name in [(held, a) for a in held_names] + [(d_tiles, d) for d in d_names]:
-            fam = families[name][2]
+            fam = families[name][1]
             side[name] = work[offset : offset + tile * fam.size].reshape((tile,) + fam.shape)
             offset += tile * fam.size
-        conj_d = {name: np.conj(families[name][2]) for name in d_names}
+        conj_d = {name: np.conj(families[name][1]) for name in d_names}
         grids, live = [], []  # live: (a, d, full, grid values) of pairs that run GEMMs
         for a, d, is_full in pairs:
-            (n_a, rows_a, _), rows_d = families[a], families[d][1]
-            grids.append(CorrelatorGrid(np.zeros((rows_d.size, n_a, n, n), dtype=complex), rows_d))
+            rows_a, rows_d = families[a][0], families[d][0]
+            grids.append(CorrelatorGrid(np.zeros((rows_d.size, rows_a.size, n, n), dtype=complex), rows_d, rows_a))
             # a family without a nonzero row gives an all-zero grid and no GEMM
             if rows_a.size and rows_d.size:
                 live.append((a, d, is_full, grids[-1].values))
@@ -227,7 +231,7 @@ class CorrelatorFactory:
             for l in range(l0, l1):
                 phases = self.phases(l, index)
                 for name in held_live:
-                    held[name][l - l0] = self.anticommutator_side(families[name][2] * phases)
+                    held[name][l - l0] = self.anticommutator_side(families[name][1] * phases)
             for j, (k0, k1) in enumerate(tiles):
                 # a full pair reads every D tile, a causal one those from its held tile on
                 reading = [pair for pair in live if pair[2] or j >= i]
@@ -239,13 +243,12 @@ class CorrelatorFactory:
                     for name in dict.fromkeys(d for _, d, *_ in reading):
                         np.multiply(conj_d[name], conj_phases, out=d_tiles[name][k - k0])
                 for a, d, is_full, values in reading:
-                    rows_a, rows_d = families[a][1], families[d][1]
                     dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
                     block = dt.reshape(-1, flat) @ b.reshape(-1, flat).T
-                    block = block.reshape(k1 - k0, rows_d.size, l1 - l0, -1).transpose(1, 3, 0, 2)
+                    block = block.reshape(k1 - k0, len(values), l1 - l0, -1).transpose(1, 3, 0, 2)
                     if not is_full and k0 == l0:
                         block[..., acausal[: k1 - k0, : k1 - k0]] = 0.0
-                    values[:, rows_a, k0:k1, l0:l1] = block
+                    values[:, :, k0:k1, l0:l1] = block
         grids[0].companions = grids[1:]
         return grids[0]
 

@@ -55,8 +55,9 @@ class DensityOperator:
     """Positive unit-trace operator stored through its sector eigendecomposition.
 
     ``probs[N]`` and ``vecs[N]`` hold the eigenvalues and eigenvectors of the
-    block on sector ``N``; the eigenbasis is reused heavily when two-time
-    correlators are assembled.
+    block on sector ``N``, with shapes ``(sector_dim(N),)`` and
+    ``(sector_dim(N), sector_dim(N))``, for every sector of ``space``; the
+    eigenbasis is reused heavily when two-time correlators are assembled.
     """
 
     def __init__(self, space: FockSpace, probs, vecs, label: str = ""):
@@ -64,10 +65,13 @@ class DensityOperator:
         self.probs = tuple(np.asarray(p, dtype=float) for p in probs)
         self.vecs = tuple(np.asarray(v, dtype=complex) for v in vecs)
         self.label = label
+        dims = [space.sector_dim(n) for n in range(space.num_orbitals + 1)]
+        if [np.shape(x) for x in self.probs + self.vecs] != [(d,) for d in dims] + [(d, d) for d in dims]:
+            raise ValueError(f"the weight and eigenvector blocks do not fit sector dimensions {dims}")
         total = sum(p.sum() for p in self.probs)
         if not abs(total - 1.0) <= STATE_TOL:  # a nan weight fails too
             raise ValueError(f"density operator trace {total!r} deviates from 1")
-        low = min((p.min() for p in self.probs if p.size), default=0.0)
+        low = min(p.min() for p in self.probs)  # every sector holds a state
         if not low >= -STATE_TOL:
             raise ValueError(f"density operator has negative weight {low:.3e}")
 
@@ -79,8 +83,6 @@ class DensityOperator:
             return 0.0 + 0.0j
         total = 0.0 + 0.0j
         for p, v, block in zip(self.probs, self.vecs, observable.blocks):
-            if not p.size:
-                continue
             diag = np.einsum("ai,ab,bi->i", np.conj(v), block, v)
             total += np.dot(p, diag)
         return complex(total)

@@ -15,21 +15,23 @@ exact block forward substitution.  This makes every operator identity of the
 continuum theory hold exactly in the discrete algebra, so identity residuals
 isolate the quadrature error of independently computed kernels.
 
-Only the causal triangle is stored.  The nodes are cut into tiles of
+An operator's blocks are zero outside its orbital support, a row set and a
+column set (every orbital by default), and only the ``(rows, cols)`` part of
+the causal triangle is stored.  The nodes are cut into tiles of
 ``TILE_NODES``; tile row ``I`` (nodes ``k0..k1-1``) is one C-contiguous
-``((k1 - k0) p, k1 p)`` slab holding those rows of the matrix up to the end of
+``((k1 - k0) r, k1 c)`` slab holding those rows of the matrix up to the end of
 the tile, so a diagonal tile keeps its few upper zeros.  The slabs of one
-operator lie in tile order in one buffer, about half the dense ``(n p)^2``.
-Compose and solve run on these slabs, one GEMM per pair of tile rows, and
-never touch the acausal triangle.  An operator holds one of two forms.  A
-kernel-built operator keeps its kernel, times an optional scale, in the same
-packed layout and weighs it when the algebra reads it, so its kernel view
-and dump are the exact input.  Every other operator, one built from an
-instantaneous part alone included, holds the packed matrix, and its kernel
-is derived from it.  The constructor checks causality tile row by tile row
-as it packs.
-``kernel_tiles`` is the one kernel reader; ``flat`` expands the dense matrix
-on demand, and no program path reads it.
+operator lie in tile order in one buffer.  Compose and solve run on these
+slabs, one GEMM per pair of tile rows, at the supported sizes, so a
+self-energy on the sample is multiplied at the sample's size.  An operator
+holds one of two forms.  A kernel-built operator keeps its kernel, times an
+optional scale, in the same packed layout and weighs it when the algebra
+reads it, so its kernel view and dump are the exact input.  Every other
+operator, one built from an instantaneous part alone included, holds the
+packed matrix, and its kernel is derived from it.  The constructor checks
+causality tile row by tile row as it packs.  The instantaneous part, the
+one kernel reader ``kernel_tiles`` and ``flat``, the dense matrix that no
+program path reads, keep every orbital.
 
 The text dump writes each float part as its ``repr``.  A part whose bits
 equal those of the same part one node up and one node left, at the same lag,
@@ -76,25 +78,32 @@ def _tiles(n_nodes: int) -> list:
     return [(k0, min(k0 + TILE_NODES, n_nodes)) for k0 in range(0, n_nodes, TILE_NODES)]
 
 
-def packed_size(n_nodes: int, p: int) -> int:
-    """Complex entries of one packed operator."""
-    return p * p * sum((k1 - k0) * k1 for k0, k1 in _tiles(n_nodes))
+def packed_size(n_nodes: int, rows: int, cols: int | None = None) -> int:
+    """Complex entries of one packed operator over ``rows`` x ``cols`` orbitals (default square)."""
+    return rows * (rows if cols is None else cols) * sum((k1 - k0) * k1 for k0, k1 in _tiles(n_nodes))
 
 
-def _slabs(buf: np.ndarray, n_nodes: int, p: int) -> list:
-    """The tile-row slabs of a packed buffer, as 2-D views in tile order."""
-    slabs, start = [], 0
+def _slabs(buf: np.ndarray, n_nodes: int, r: int, c: int) -> list:
+    """``(k0, k1, slab, blocks)`` of every tile row over ``r x c`` orbitals: 2-D and ``(k1 - k0, k1, r, c)`` views."""
+    out, start = [], 0
     for k0, k1 in _tiles(n_nodes):
-        size = (k1 - k0) * p * k1 * p
-        slabs.append(buf[start : start + size].reshape((k1 - k0) * p, k1 * p))
+        size = (k1 - k0) * r * k1 * c
+        slab = buf[start : start + size].reshape((k1 - k0) * r, k1 * c)
+        out.append((k0, k1, slab, slab.reshape(k1 - k0, r, k1, c).transpose(0, 2, 1, 3)))
         start += size
-    return slabs
+    return out
 
 
-def _blocks(slab: np.ndarray, p: int) -> np.ndarray:
-    """``(k1 - k0, k1, p, p)`` block view of a tile-row slab."""
-    rows, cols = slab.shape
-    return slab.reshape(rows // p, p, cols // p, p).transpose(0, 2, 1, 3)
+def _support(indices, p: int) -> np.ndarray:
+    indices = np.arange(p) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
+    if not np.array_equal(indices, np.unique(indices[(indices >= 0) & (indices < p)])):
+        raise ValueError(f"a support must be increasing orbital indices below {p}, got {indices.tolist()}")
+    return indices
+
+
+def _nonzero(a: np.ndarray) -> bool:
+    # the bits less the sign: -0.0 is zero, and a signalling nan does not warn
+    return any(np.any(part.view(np.int64) << 1) for part in (a.real, a.imag))
 
 
 class VolterraOperator:
@@ -103,67 +112,90 @@ class VolterraOperator:
     Built from the kernel pair, it holds the packed kernel; built from an
     instantaneous part alone, or produced by the algebra, it holds the packed
     matrix, and its kernel pair is a derived view.  Either way the algebra
-    reads the packed matrix (``panels``).  ``mem[k, l, i]`` is kernel row
-    ``rows[i]``, increasing (default: every row), and the rows not given are
-    zero.  ``scale``, if given, multiplies the packed kernel once, so a zero
-    row holds the bits of ``+0.0 * scale``; ``scale=1.0`` turns some -0.0.
+    reads the packed matrix (``panels``).  ``rows`` and ``cols``, increasing
+    (default: every orbital), are the support: ``mem[k, l, i, j]`` is kernel
+    entry ``(rows[i], cols[j])``, every other entry is zero, and an
+    instantaneous part that is not zero outside the support is refused.
+    ``scale``, if given, multiplies the packed kernel once, so an entry
+    outside the support reads the bits of ``+0.0 * scale``; ``scale=1.0``
+    turns some -0.0.
     """
 
-    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, rows=None, scale=None):
+    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, rows=None, cols=None, scale=None):
         n = grid.n_nodes
         if inst is None and mem is None:
             raise ValueError("operator needs an instantaneous part or a kernel")
+        rows, cols = _support(rows, p), _support(cols, p)
+        r, c = rows.size, cols.size
         if inst is not None:
             inst = np.asarray(inst, dtype=complex)
             if inst.shape != (n, p, p):
                 raise ValueError(f"instantaneous part has shape {inst.shape}, expected {(n, p, p)}")
+            outside = np.ones((p, p), dtype=bool)
+            outside[rows[:, None], cols] = False
+            if _nonzero(inst[:, outside]):
+                raise ValueError("instantaneous part is not zero outside the support")
         if mem is None:
-            panels = np.zeros(packed_size(n, p), dtype=complex)
-            _add_diagonal(panels, inst, n, p)
-            self._set(grid, p, inst, None, panels)
+            panels = np.zeros(packed_size(n, r, c), dtype=complex)
+            _add_diagonal(panels, inst, n, rows, cols)
+            self._set(grid, p, rows, cols, inst, None, panels)
             return
         mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
-        rows = np.arange(p) if rows is None else np.asarray(rows, dtype=int)
-        shape = (n, n, rows.size, p)
-        if mem.shape != shape:
-            raise ValueError(f"memory kernel has shape {mem.shape}, expected {shape}")
-        kernel = np.zeros(packed_size(n, p), dtype=complex)
-        for (k0, k1), slab in zip(_tiles(n), _slabs(kernel, n, p)):
+        if mem.shape != (n, n, r, c):
+            raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, r, c)}")
+        kernel = np.empty(packed_size(n, r, c), dtype=complex)
+        for k0, k1, _, blocks in _slabs(kernel, n, r, c):
             given = mem[k0:k1]
             # the acausal blocks l > k of the tile row must be exactly zero, not nan
             upper = np.max(np.abs(given[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
             if upper != 0.0:
                 raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
-            _blocks(slab, p)[:, :, rows] = given[:, :k1]
+            blocks[...] = given[:, :k1]
         if scale is not None:
             kernel *= scale
-        self._set(grid, p, inst, kernel, None)
+        zero = (np.zeros(1, dtype=complex) * (1.0 if scale is None else scale))[0]
+        self._set(grid, p, rows, cols, inst, kernel, None, zero)
 
-    def _set(self, grid, p, inst, kernel, panels) -> None:
-        # exactly one of kernel (packed memory kernel) and panels (packed matrix)
-        self.grid, self.p = grid, int(p)
-        self._inst, self._kernel, self._panels = inst, kernel, panels
+    def _set(self, grid, p, rows, cols, inst, kernel, panels, zero=0j) -> None:
+        # exactly one of kernel (packed memory kernel) and panels (packed matrix);
+        # zero is the kernel's entry outside the support
+        self.grid, self.p, self.rows, self.cols = grid, int(p), rows, cols
+        self._inst, self._kernel, self._panels, self._zero = inst, kernel, panels, zero
 
     @classmethod
-    def _packed(cls, grid, p, inst, kernel, panels) -> "VolterraOperator":
+    def _packed(cls, grid, p, rows, cols, inst, kernel, panels, zero=0j) -> "VolterraOperator":
         op = cls.__new__(cls)
-        op._set(grid, p, inst, kernel, panels)
+        op._set(grid, p, rows, cols, inst, kernel, panels, zero)
         return op
 
     # -- views ---------------------------------------------------------
 
     def panels(self) -> np.ndarray:
-        """The packed matrix; a kernel-built operator weighs its kernel afresh on each read."""
+        """The packed matrix over the support; a kernel-built operator weighs its kernel afresh on each read."""
         if self._panels is not None:
             return self._panels
-        n, p = self.grid.n_nodes, self.p
+        n, r, c = self.grid.n_nodes, self.rows.size, self.cols.size
         w = trapezoid_weights(n) * self.grid.delta
         out = np.empty_like(self._kernel)
-        for (k0, k1), src, dst in zip(_tiles(n), _slabs(self._kernel, n, p), _slabs(out, n, p)):
-            shape = (k1 - k0, p, k1, p)
+        for (k0, k1, src, _), (_, _, dst, _) in zip(_slabs(self._kernel, n, r, c), _slabs(out, n, r, c)):
+            shape = (k1 - k0, r, k1, c)
             np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
         if self._inst is not None:
-            _add_diagonal(out, self._inst, n, p)
+            _add_diagonal(out, self._inst, n, self.rows, self.cols)
+        return out
+
+    def _on(self, rows, cols) -> np.ndarray:
+        """The packed matrix over the support ``(rows, cols)``: entries this operator does not hold are +0.0."""
+        panels = self.panels()
+        if np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols):
+            return panels
+        n, r, c = self.grid.n_nodes, rows.size, cols.size
+        keep = np.intersect1d(self.rows, rows), np.intersect1d(self.cols, cols)
+        sr, sc = (np.searchsorted(held, k) for held, k in zip((self.rows, self.cols), keep))
+        dr, dc = (np.searchsorted(held, k) for held, k in zip((rows, cols), keep))
+        out = np.zeros(packed_size(n, r, c), dtype=complex)
+        for (*_, a), (*_, b) in zip(_slabs(panels, n, self.rows.size, self.cols.size), _slabs(out, n, r, c)):
+            b[:, :, dr[:, None], dc] = a[:, :, sr[:, None], sc]
         return out
 
     @property
@@ -171,7 +203,7 @@ class VolterraOperator:
         """Dense ``(n p, n p)`` expansion of the packed matrix, built on each read."""
         n, p = self.grid.n_nodes, self.p
         flat = np.zeros((n * p, n * p), dtype=complex)
-        for (k0, k1), slab in zip(_tiles(n), _slabs(self.panels(), n, p)):
+        for k0, k1, slab, _ in _slabs(self._on(*(np.arange(p),) * 2), n, p, p):
             flat[k0 * p : k1 * p, : k1 * p] = slab
         return flat
 
@@ -182,29 +214,35 @@ class VolterraOperator:
         return self._inst
 
     def has_instantaneous(self) -> bool:
-        # the bits less the sign: -0.0 is zero, and a signalling nan does not warn
-        parts = () if self._inst is None else (self._inst.real, self._inst.imag)
-        return any(np.any(part.view(np.int64) << 1) for part in parts)
+        return self._inst is not None and _nonzero(self._inst)
 
     def kernel_tiles(self):
-        """``(k0, k1, K[k0:k1, :k1])`` for every tile row, acausal blocks zero: the kernel reader."""
-        n, p = self.grid.n_nodes, self.p
+        """``(k0, k1, K[k0:k1, :k1])`` for every tile row in ``p x p`` blocks, acausal ones zero: the kernel reader."""
+        n, p, rows, cols, r, c = self.grid.n_nodes, self.p, self.rows, self.cols, self.rows.size, self.cols.size
+
+        def full(blocks, zero):  # the blocks over every orbital
+            if r == c == p:
+                return blocks
+            out = np.full(blocks.shape[:2] + (p, p), zero, dtype=complex)
+            out[:, :, rows[:, None], cols] = blocks
+            return out
+
         if self._kernel is not None:
-            for (k0, k1), slab in zip(_tiles(n), _slabs(self._kernel, n, p)):
-                yield k0, k1, _blocks(slab, p)
+            for k0, k1, _, blocks in _slabs(self._kernel, n, r, c):
+                yield k0, k1, full(blocks, self._zero)
             return
         w = trapezoid_weights(n) * self.grid.delta
         w[w == 0.0] = 1.0  # vacuous slots (node 0 and the acausal range) hold zero blocks
-        for (k0, k1), slab in zip(_tiles(n), _slabs(self.panels(), n, p)):
-            blocks = _blocks(slab, p).copy()
-            rows = np.arange(k1 - k0)
+        for k0, k1, _, blocks in _slabs(self.panels(), n, r, c):
+            blocks = blocks.copy()
+            nodes = np.arange(k1 - k0)
             if self._inst is not None:
-                blocks[rows, rows + k0] -= self._inst[k0:k1]
+                blocks[nodes, nodes + k0] -= self._inst[k0:k1, rows[:, None], cols]
             blocks = blocks / w[k0:k1, :k1, None, None]
-            blocks[np.arange(k1)[None, :] > rows[:, None] + k0] = 0.0
+            blocks[np.arange(k1)[None, :] > nodes[:, None] + k0] = 0.0
             if k0 == 0:
                 blocks[0, 0] = 0.0
-            yield k0, k1, blocks
+            yield k0, k1, full(blocks, 0j)
 
     # -- algebra -------------------------------------------------------
 
@@ -215,22 +253,24 @@ class VolterraOperator:
     def compose(self, other: "VolterraOperator") -> "VolterraOperator":
         """Operator product self after other; exact in the block algebra.
 
-        Tile row ``I`` of the product is ``sum_{M<=I} A_I[:, M] @ B_M``, with
-        ``B_M`` the slab of tile row ``M``: the causal triangle only.
+        The product holds ``(self.rows, other.cols)`` and contracts over the
+        inner set alone: the columns of ``self`` that are rows of ``other``.
+        Tile row ``I`` is ``sum_{M<=I} A_I[:, M] @ B_M``, with ``B_M`` the slab
+        of tile row ``M``: the causal triangle only.
         """
         self._require_compatible(other)
-        n, p = self.grid.n_nodes, self.p
+        rows, inner, cols = self.rows, np.intersect1d(self.cols, other.rows), other.cols
+        n, r, s, c = self.grid.n_nodes, rows.size, inner.size, cols.size
         inst = None
         if self._inst is not None and other._inst is not None:
             inst = np.einsum("kab,kbc->kac", self._inst, other._inst)
-        out = np.empty(packed_size(n, p), dtype=complex)
-        a, b, c = _slabs(self.panels(), n, p), _slabs(other.panels(), n, p), _slabs(out, n, p)
-        tiles = _tiles(n)
-        for i, (k0, _) in enumerate(tiles):
-            np.matmul(a[i][:, k0 * p :], b[i], out=c[i])
-            for m, (m0, m1) in enumerate(tiles[:i]):
-                c[i][:, : m1 * p] += a[i][:, m0 * p : m1 * p] @ b[m]
-        return VolterraOperator._packed(self.grid, p, inst, None, out)
+        out = np.empty(packed_size(n, r, c), dtype=complex)
+        a, b = _slabs(self._on(rows, inner), n, r, s), _slabs(other._on(inner, cols), n, s, c)
+        for i, ((k0, _, slab, _), (_, _, left, _)) in enumerate(zip(_slabs(out, n, r, c), a)):
+            np.matmul(left[:, k0 * s :], b[i][2], out=slab)
+            for m0, m1, right, _ in b[:i]:
+                slab[:, : m1 * c] += left[:, m0 * s : m1 * s] @ right
+        return VolterraOperator._packed(self.grid, self.p, rows, cols, inst, None, out)
 
     def __matmul__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self.compose(other)
@@ -240,9 +280,10 @@ class VolterraOperator:
         inst = None
         if self._inst is not None or other._inst is not None:
             inst = self.instantaneous() + sign * other.instantaneous()
+        rows, cols = np.union1d(self.rows, other.rows), np.union1d(self.cols, other.cols)
         combine = np.add if sign > 0 else np.subtract
-        panels = combine(self.panels(), other.panels())
-        return VolterraOperator._packed(self.grid, self.p, inst, None, panels)
+        panels = combine(self._on(rows, cols), other._on(rows, cols))
+        return VolterraOperator._packed(self.grid, self.p, rows, cols, inst, None, panels)
 
     def __add__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self._combine(other, +1.0)
@@ -257,23 +298,26 @@ class VolterraOperator:
         scalar = complex(scalar)
         inst = None if self._inst is None else scalar * self._inst
         panels = scalar * self.panels()
-        return VolterraOperator._packed(self.grid, self.p, inst, None, panels)
+        return VolterraOperator._packed(self.grid, self.p, self.rows, self.cols, inst, None, panels)
 
     def restrict(self, indices) -> "VolterraOperator":
-        """Keep the given orbital indices (e.g. the sample block)."""
+        """Keep the given orbital indices (e.g. the sample block), read from the stored sub-blocks."""
         indices = np.asarray(indices, dtype=int)
         n, q = self.grid.n_nodes, len(indices)
         inst = None if self._inst is None else self._inst[:, indices[:, None], indices[None, :]]
+        rows, cols = (np.flatnonzero(np.isin(indices, s)) for s in (self.rows, self.cols))
+        src_rows, src_cols = np.searchsorted(self.rows, indices[rows]), np.searchsorted(self.cols, indices[cols])
         source = self._kernel if self._kernel is not None else self._panels
-        out = np.empty(packed_size(n, q), dtype=complex)
-        for src, dst in zip(_slabs(source, n, self.p), _slabs(out, n, q)):
-            _blocks(dst, q)[...] = _blocks(src, self.p)[:, :, indices][:, :, :, indices]
+        out = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
+        src, dst = _slabs(source, n, self.rows.size, self.cols.size), _slabs(out, n, rows.size, cols.size)
+        for (*_, a), (*_, b) in zip(src, dst):
+            b[...] = a[:, :, src_rows[:, None], src_cols]
         kernel, panels = (out, None) if self._kernel is not None else (None, out)
-        return VolterraOperator._packed(self.grid, q, inst, kernel, panels)
+        return VolterraOperator._packed(self.grid, q, rows, cols, inst, kernel, panels, self._zero)
 
     def max_abs(self) -> float:
         """Largest entry magnitude of the matrix (exact-algebra residuals)."""
-        return float(np.max(np.abs(self.panels())))
+        return float(np.max(np.abs(self.panels()), initial=0.0))
 
     def norm_bound(self) -> float:
         """Induced sup-norm bound of the operator (see ``operator_norm_bound``)."""
@@ -303,28 +347,26 @@ class VolterraOperator:
         return float(np.max(tops))
 
 
-def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, p: int) -> None:
-    """Add ``inst[k]`` to the diagonal block of every node of a packed matrix."""
-    for (k0, k1), slab in zip(_tiles(n), _slabs(panels, n, p)):
-        rows = np.arange(k1 - k0)
-        _blocks(slab, p)[rows, rows + k0] += inst[k0:k1]
+def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, rows, cols) -> None:
+    """Add the ``(rows, cols)`` block of ``inst[k]`` to the diagonal block of every node of a packed matrix."""
+    inst = inst[:, rows[:, None], cols]
+    for k0, k1, _, blocks in _slabs(panels, n, rows.size, cols.size):
+        nodes = np.arange(k1 - k0)
+        blocks[nodes, nodes + k0] += inst[k0:k1]
 
 
-def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
-    """Packed ``X`` with ``(Id + A) X = B``, by block forward substitution.
+def block_lower_solve(m: np.ndarray, x: np.ndarray, n: int, r: int, c: int) -> np.ndarray:
+    """Packed ``X`` with ``(Id + A) X = B`` in place of ``B``, by block forward substitution.
 
-    Each tile row takes one GEMM per solved tile row above it.  Its diagonal
-    tile of ``Id + A`` is then inverted node by node, by forward substitution
-    on the tile's identity, and applied in one GEMM.  ``B`` is causal, so
-    nothing right of the tile is touched.  Raises with the offending node
-    index if a diagonal block of ``Id + A`` is singular.
+    ``m`` packs ``A`` over ``r x r`` orbitals and ``x`` packs ``B`` over
+    ``r x c``.  Each tile row takes one GEMM per solved tile row above it.
+    Its diagonal tile of ``Id + A`` is then inverted node by node, by forward
+    substitution on the tile's identity, and applied in one GEMM.  ``B`` is
+    causal, so nothing right of the tile is touched.  Raises with the
+    offending node index if a diagonal block of ``Id + A`` is singular.
     """
-    n, p = a.grid.n_nodes, a.p
-    tiles = _tiles(n)
-    m_slabs = _slabs(a.panels(), n, p)
-    diag = np.concatenate([
-        _blocks(m, p)[np.arange(k1 - k0), np.arange(k0, k1)] for (k0, k1), m in zip(tiles, m_slabs)
-    ]) + np.eye(p)
+    m_slabs, x_slabs = _slabs(m, n, r, r), _slabs(x, n, r, c)
+    diag = np.concatenate([blocks[np.arange(k1 - k0), np.arange(k0, k1)] for k0, k1, _, blocks in m_slabs]) + np.eye(r)
     try:
         inv = np.linalg.inv(diag)
     except np.linalg.LinAlgError:
@@ -334,36 +376,43 @@ def block_lower_solve(a: VolterraOperator, b: VolterraOperator) -> np.ndarray:
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"singular diagonal block at node {k}") from exc
         raise
-    out = b.panels()
-    if out is b._panels:
-        out = out.copy()
-    x_slabs = _slabs(out, n, p)
-    for i, (k0, k1) in enumerate(tiles):
-        m, x = m_slabs[i], x_slabs[i]
-        for j, (j0, j1) in enumerate(tiles[:i]):
-            x[:, : j1 * p] -= m[:, j0 * p : j1 * p] @ x_slabs[j]
-        y = np.zeros(((k1 - k0) * p,) * 2, dtype=complex)
+    for (k0, k1, a, _), (_, _, b, _) in zip(m_slabs, x_slabs):
+        for j0, j1, solved, _ in x_slabs[: k0 // TILE_NODES]:
+            b[:, : j1 * c] -= a[:, j0 * r : j1 * r] @ solved
+        y = np.zeros(((k1 - k0) * r,) * 2, dtype=complex)
         for k in range(k0, k1):
-            r = (k - k0) * p
-            y[r : r + p, r : r + p] = inv[k]
-            if r:
-                y[r : r + p, :r] = -inv[k] @ (m[r : r + p, k0 * p : k * p] @ y[:r, :r])
-        x[...] = y @ x
-    return out
+            i = (k - k0) * r
+            y[i : i + r, i : i + r] = inv[k]
+            if i:
+                y[i : i + r, :i] = -inv[k] @ (a[i : i + r, k0 * r : k * r] @ y[:i, :i])
+        b[...] = y @ b
+    return x
 
 
 def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
     """X with ``(Id + A) X = B`` exactly in the discrete algebra.
 
-    One block forward substitution; the instantaneous part is
-    ``(I + m_A)^{-1} m_B`` node by node.
+    The solve runs on a supported set ``S``, with ``A`` read on ``S x S``.
+    ``S`` is the rows ``R`` that ``A`` and ``B`` hold, and then ``X`` holds
+    ``R`` alone: the proper self-energy's solve.  When ``A`` holds fewer
+    columns, ``S`` is those, and ``X = B - A X_S``: the Dyson solution's.
+    With every orbital in both, this is one block forward substitution at
+    ``p``.  The instantaneous part is ``(I + m_A)^{-1} m_B`` node by node;
+    without an ``m_A`` it is ``m_B``, which ``B - A X_S`` keeps.
     """
     a._require_compatible(b)
-    panels = block_lower_solve(a, b)
+    rows = np.union1d(a.rows, b.rows)
+    s = a.cols if a.cols.size < rows.size else rows
+    x = b._on(s, b.cols)
+    if x is b._panels:
+        x = x.copy()
+    block_lower_solve(a._on(s, s), x, a.grid.n_nodes, s.size, b.cols.size)
     inst = b._inst
     if inst is not None and a._inst is not None:
-        inst = np.linalg.solve(np.eye(a.p) + a._inst, inst)
-    return VolterraOperator._packed(a.grid, a.p, inst, None, panels)
+        inst = np.zeros_like(inst)
+        inst[:, s] = np.linalg.solve(np.eye(s.size) + a._inst[:, s[:, None], s], b._inst[:, s])
+    x = VolterraOperator._packed(a.grid, a.p, s, b.cols, inst, None, x)
+    return x if s is rows else b - a @ x
 
 
 def operator_norm_bound(op: VolterraOperator) -> float:
@@ -379,17 +428,18 @@ def operator_norm_bound(op: VolterraOperator) -> float:
     and one that underflows is far below the margin.  The other remaining
     rows take one batched SVD per tile row, over the causal width of the
     last of them, and each row is summed left to right, as a per-block loop
-    would.  nan or inf for a non-finite operator.
+    would.  Blocks are read over the support; the rest are zero.  nan or inf
+    for a non-finite operator.
     """
-    panels, n, p = op.panels(), op.grid.n_nodes, op.p
+    panels, n, r, c = op.panels(), op.grid.n_nodes, op.rows.size, op.cols.size
     if not np.isfinite(panels).all():
         return float(np.max(np.abs(panels)))
-    scale = np.max(np.abs(panels))
+    scale = np.max(np.abs(panels), initial=0.0)
     if scale == 0.0:
         return 0.0
-    slabs = _slabs(panels, n, p)
+    blocks = [b for *_, b in _slabs(panels, n, r, c)]
     frobenius = np.concatenate([
-        np.linalg.norm(_blocks((s.view(float) / scale).view(complex), p), axis=(2, 3)).sum(axis=1) for s in slabs
+        np.linalg.norm((b.view(float) / scale).view(complex), axis=(2, 3)).sum(axis=1) for b in blocks
     ])
 
     def spectral_sums(rows) -> np.ndarray:
@@ -398,7 +448,7 @@ def operator_norm_bound(op: VolterraOperator) -> float:
         for tile in np.unique(rows // TILE_NODES):
             local = rows[rows // TILE_NODES == tile] % TILE_NODES
             width = tile * TILE_NODES + local[-1] + 1
-            norms = np.linalg.svd(_blocks(slabs[tile], p)[local, :width], compute_uv=False)[..., 0]
+            norms = np.linalg.svd(blocks[tile][local, :width], compute_uv=False)[..., 0]
             sums.append(np.cumsum(norms, axis=1)[:, -1])
         return np.concatenate(sums)
 

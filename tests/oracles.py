@@ -4,8 +4,8 @@ None of these runs in a ``negf`` task.  Each is an independent, slower or
 denser way to reach what the package computes: step products of the
 evolution, the Neumann series of the causal solve, dense Fock matrices, the
 decoupled factorized expectation, the dressed annihilator straight from its
-formula, ``F`` from a one-pair sweep and kernels packed from zero-filled dense
-grids.
+formula, ``F`` from a one-pair sweep, kernels packed from zero-filled dense
+grids and the full p x p forward substitution of the causal solve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pfnegf.fock import FockSpace, ManyBodyOperator, commutator, ladder_op
 from pfnegf.grid import TimeGrid
 from pfnegf.propagation import _check_hermitian
 from pfnegf.thermal import DensityOperator, ThermalParams
-from pfnegf.volterra import VolterraOperator
+from pfnegf.volterra import VolterraOperator, trapezoid_weights
 
 # -- Fock space ----------------------------------------------------------
 
@@ -155,6 +155,48 @@ def memory_kernel(op: VolterraOperator) -> np.ndarray:
     return mem
 
 
+def dense_blocks(flat, grid, p):
+    """(n, n, p, p) block view of a dense ``(n p, n p)`` matrix."""
+    n = grid.n_nodes
+    return flat.reshape(n, p, n, p).transpose(0, 2, 1, 3)
+
+
+def dense_kernel(flat, inst, grid, p):
+    """Kernel view of a dense matrix: subtract ``inst``, divide by the weights."""
+    n = grid.n_nodes
+    blocks = dense_blocks(flat, grid, p).copy()
+    blocks[np.arange(n), np.arange(n)] -= inst
+    w = trapezoid_weights(n) * grid.delta
+    w[w == 0.0] = 1.0
+    mem = blocks / w[:, :, None, None]
+    mem[np.triu_indices(n, k=1)] = 0.0
+    mem[0, 0] = 0.0
+    return mem
+
+
+def dense_matrix(op: VolterraOperator) -> np.ndarray:
+    """The ``(n p, n p)`` matrix of an operator, assembled by numpy from its kernel view and part."""
+    n, p = op.grid.n_nodes, op.p
+    blocks = memory_kernel(op) * (trapezoid_weights(n) * op.grid.delta)[:, :, None, None]
+    blocks[np.arange(n), np.arange(n)] += op.instantaneous()
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+def full_forward_substitution(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """X with ``(Id + A) X = B`` for dense block-lower-triangular matrices, node by node over all ``p`` orbitals.
+
+    The full p x p route the irreducible self-energy took before the algebra
+    carried orbital supports: each node row subtracts the solved rows before
+    it and applies the inverse of its diagonal block of ``Id + A``.
+    """
+    x = b.copy()
+    for k in range(len(a) // p):
+        node = slice(k * p, (k + 1) * p)
+        x[node] -= a[node, : k * p] @ x[: k * p]
+        x[node] = np.linalg.inv(np.eye(p) + a[node, node]) @ x[node]
+    return x
+
+
 def identity_volterra(grid: TimeGrid, p: int) -> VolterraOperator:
     inst = np.broadcast_to(np.eye(p, dtype=complex), (grid.n_nodes, p, p)).copy()
     return VolterraOperator(grid, p, inst=inst)
@@ -171,28 +213,29 @@ def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
     for _ in range(2, order + 1):
         power = -(power @ a)
         acc = acc + power
-    return VolterraOperator._packed(a.grid, a.p, None, None, acc.panels())
+    return VolterraOperator._packed(a.grid, a.p, acc.rows, acc.cols, None, None, acc.panels())
 
 
 # -- kernels -------------------------------------------------------------
 
 
-def full_rows(corr, n_d: int) -> np.ndarray:
-    """A correlator grid's values over all ``n_d`` D rows; the rows it does not hold are +0.0."""
-    values = np.zeros((n_d,) + corr.values.shape[1:], dtype=complex)
-    values[corr.rows] = corr.values
+def full_grid(corr, p: int) -> np.ndarray:
+    """A correlator grid's values over all ``p`` rows of both families; the entries it does not hold are +0.0."""
+    values = np.zeros((p, p) + corr.values.shape[2:], dtype=complex)
+    values[corr.rows[:, None], corr.cols] = corr.values
     return values
 
 
 def embedded_operator(corr, grid: TimeGrid, p: int, prefactor, inst=None) -> VolterraOperator:
     """The operator of a correlator grid by way of the dense grid; ``corr`` is left as it is.
 
-    The held rows are zero-filled to all ``p`` rows, the acausal half of the
-    grid is zeroed, the whole grid is multiplied by ``prefactor`` and its
-    transposed view is packed.  Packing the held rows and scaling the packed
-    kernel must give the same bits.
+    The held rows and columns are zero-filled to all ``p`` orbitals, the
+    acausal half of the grid is zeroed, the whole grid is multiplied by
+    ``prefactor`` and its transposed view is packed over every orbital.
+    Packing the held sub-blocks and scaling the packed kernel must give the
+    same bits.
     """
-    values = full_rows(corr, p)
+    values = full_grid(corr, p)
     kernel = values.transpose(2, 3, 0, 1)
     kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
     values *= prefactor
@@ -207,4 +250,4 @@ def packed_kernel_bytes(op: VolterraOperator) -> bytes:
 def f_map(engine) -> VolterraOperator:
     """``F`` of a kernel engine, from a one-pair sweep of its own."""
     corr = engine.factory.anticommutator_grid("a", "b")
-    return VolterraOperator(engine.grid, engine.p, mem=corr.causal_kernel(), rows=corr.rows, scale=1.0)
+    return VolterraOperator(engine.grid, engine.p, mem=corr.causal_kernel(), rows=corr.rows, cols=corr.cols, scale=1.0)

@@ -21,7 +21,17 @@ from pfnegf.negf import (
 from pfnegf.propagation import CorrelatorGrid
 from pfnegf.volterra import VolterraOperator, dump_kernel
 
-from oracles import embedded_operator, f_map, full_rows, identity_volterra, memory_kernel, packed_kernel_bytes
+from oracles import (
+    dense_kernel,
+    dense_matrix,
+    embedded_operator,
+    f_map,
+    full_forward_substitution,
+    full_grid,
+    identity_volterra,
+    memory_kernel,
+    packed_kernel_bytes,
+)
 
 
 def noninteracting_reference():
@@ -52,7 +62,7 @@ def lead3_engine_25():
 
 def copied_kernel(corr, p, prefactor):
     """A causal kernel as a transposed copy of its grid over all ``p`` rows, acausal part zeroed, then scaled."""
-    kernel = full_rows(corr, p).transpose(2, 3, 0, 1).copy()
+    kernel = full_grid(corr, p).transpose(2, 3, 0, 1).copy()
     kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
     kernel *= prefactor
     return kernel
@@ -83,7 +93,7 @@ class TestKernelsFromGrids:
         built = {"gxi": engine.gxi, "sigma_tilde": engine.sigma_tilde, "f_map": f_map(engine)}
         for name, expected in copied.items():
             op = built[name]
-            assert op.panels().tobytes() == expected.panels().tobytes(), name
+            assert op.flat.tobytes() == expected.flat.tobytes(), name
             assert memory_kernel(op).tobytes() == memory_kernel(expected).tobytes(), name
             assert op.instantaneous().tobytes() == expected.instantaneous().tobytes(), name
         # the engine keeps operators, never a grid
@@ -160,7 +170,7 @@ class TestSelfEnergy:
         assert packed.size and not packed.any()
         assert not np.signbit(packed.real).any() and np.signbit(packed.imag).all()
         assert packed_kernel_bytes(sigma_tilde) == packed_kernel_bytes(oracle)
-        assert sigma_tilde.panels().tobytes() == oracle.panels().tobytes()
+        assert sigma_tilde.flat.tobytes() == oracle.flat.tobytes()
         texts = []
         for op in (sigma_tilde, oracle):
             texts.append(io.StringIO())
@@ -179,14 +189,25 @@ class TestSelfEnergy:
 
     def test_irreducible_support(self, ref_engine_25, lead3_engine_25):
         # the lead blocks of Sigma come out of the full p x p forward
-        # substitution exactly zero, kernel and instantaneous part alike
+        # substitution exactly zero, kernel and instantaneous part alike;
+        # the engine's Sigma, held on its support, agrees with that route
         for engine in (ref_engine_25, lead3_engine_25):
-            ns, p = engine.model.num_sample, engine.p
-            sigma = engine.sigma
+            ns, p, grid = engine.model.num_sample, engine.p, engine.grid
+            g0, sigma_tilde = dense_matrix(engine.g0), dense_matrix(engine.sigma_tilde)
+            full = full_forward_substitution(sigma_tilde @ g0, sigma_tilde, p)
+            inst = engine.sigma_tilde.instantaneous()  # Sigma~ G0 has no instantaneous part
+            kernel = dense_kernel(full, inst, grid, p)
             mask = np.ones((p, p), dtype=bool)
             mask[:ns, :ns] = False
+            assert np.max(np.abs(kernel[..., mask])) == 0.0, p
+            assert np.max(np.abs(inst[:, mask])) == 0.0, p
+            sigma = engine.sigma
+            assert sigma.rows.tolist() == sigma.cols.tolist() == list(range(ns))
+            sample = np.ix_(sigma.rows, sigma.cols)
+            held = memory_kernel(sigma)[:, :, sample[0], sample[1]]
+            assert np.max(np.abs(held - kernel[:, :, sample[0], sample[1]])) <= 1e-13 * np.max(np.abs(held))
+            np.testing.assert_array_equal(sigma.instantaneous(), inst)
             assert np.max(np.abs(memory_kernel(sigma)[..., mask])) == 0.0, p
-            assert np.max(np.abs(sigma.instantaneous()[:, mask])) == 0.0, p
 
     def test_instantaneous_part_inherited(self, ref_engine_25):
         np.testing.assert_array_equal(
@@ -381,7 +402,10 @@ class TestSharedProducts:
         for name, sigma_app in (
             ("approx_split_zero", VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))),
             ("approx_split_half", sigma.scale(0.5)),
-            ("approx_split_instantaneous", VolterraOperator(grid, p, inst=sigma.instantaneous().copy())),
+            (
+                "approx_split_instantaneous",
+                VolterraOperator(grid, p, inst=sigma.instantaneous().copy(), rows=sigma.rows, cols=sigma.cols),
+            ),
         ):
             fresh[name] = approx_split(sigma, sigma_app, g0, g_alg)[1]
         for name, residual in fresh.items():

@@ -25,7 +25,7 @@ from pfnegf.volterra import VolterraOperator
 
 from oracles import (
     embedded_operator,
-    full_rows,
+    full_grid,
     heisenberg_series,
     memory_kernel,
     packed_kernel_bytes,
@@ -172,7 +172,7 @@ COMPANIONS = [("b", "b"), ("a", "b")]
 
 def assert_shared_sweep_matches_one_pair_grids(factory):
     """Every grid of a shared sweep is bitwise its one-pair grid and holds
-    the same D rows, increasing, one value row each."""
+    the same D rows and held rows, increasing, one value row and column each."""
     for name_a, name_d, full, companions in (
         ("a", "a", True, COMPANIONS),
         ("a", "a", False, COMPANIONS),
@@ -187,8 +187,9 @@ def assert_shared_sweep_matches_one_pair_grids(factory):
         for grid, one_pair in pairs:
             assert grid.values.tobytes() == one_pair.values.tobytes()
             assert grid.rows.tolist() == one_pair.rows.tolist()
-            assert grid.values.shape[0] == grid.rows.size
-            assert np.all(np.diff(grid.rows) > 0)
+            assert grid.cols.tolist() == one_pair.cols.tolist()
+            assert grid.values.shape[:2] == (grid.rows.size, grid.cols.size)
+            assert np.all(np.diff(grid.rows) > 0) and np.all(np.diff(grid.cols) > 0)
 
 
 def degenerate_trimer(trimer_dict):
@@ -244,7 +245,7 @@ class TestTwoTimeKernel:
         grid = trimer_engine.factory.anticommutator_grid("b", "b")
         ns = trimer_engine.model.num_sample
         assert grid.rows.tolist() == list(range(ns))
-        values = full_rows(grid, trimer_engine.p)
+        values = full_grid(grid, trimer_engine.p)
         assert np.max(np.abs(values[ns:, :, :, :])) == 0.0
         assert np.max(np.abs(values[:, ns:, :, :])) == 0.0
 
@@ -366,7 +367,7 @@ class TestTiledSweep:
         for name, ops in families.items():
             factory.add_family(name, ops)
         corrs = [factory.anticommutator_grid(*pair, full=full) for pair in pairs]
-        grids = [full_rows(corr, model.num_sites) for corr in corrs]
+        grids = [full_grid(corr, model.num_sites) for corr in corrs]
         for (name_a, name_d), values in zip(pairs, grids):
             reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
             np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
@@ -378,7 +379,10 @@ class TestTiledSweep:
         assert ns < model.num_sites
         for corr in corrs[1:]:
             assert corr.rows.tolist() == list(range(ns))
-        assert is_positive_zero(corrs[1].values[:, ns:])
+        # nor a column of a grid whose held family is the dressed one
+        assert corrs[1].cols.tolist() == list(range(ns)) and corrs[2].cols.tolist() == list(range(model.num_sites))
+        assert corrs[1].values.shape[:2] == (ns, ns)
+        assert is_positive_zero(grids[1][:, ns:]) and is_positive_zero(grids[1][ns:])
         assert np.abs(grids[1][:ns, :ns]).max() > 0.0
 
     @pytest.mark.parametrize("xi", [0.7, 0.0])
@@ -406,20 +410,27 @@ class TestCorrelatorGrid:
         assert ladder.pairing_defect() == dense(ladder.values)
         assert trimer_engine.pairing_defect == dense(ladder.values)
         values = RNG.standard_normal((3, 3, 5, 5)) + 1j * RNG.standard_normal((3, 3, 5, 5))
-        assert CorrelatorGrid(values, np.arange(3)).pairing_defect() == dense(values) > 0.0
+        every = np.arange(3)
+        assert CorrelatorGrid(values, every, every).pairing_defect() == dense(values) > 0.0
         # a nan in a later first index is not dropped by the row-wise maximum
         values[2, 1, 3, 0] = complex(np.nan, 0.0)
         assert np.isnan(dense(values))
-        assert np.isnan(CorrelatorGrid(values, np.arange(3)).pairing_defect())
+        assert np.isnan(CorrelatorGrid(values, every, every).pairing_defect())
 
-    def test_pairing_defect_needs_every_row(self, trimer_engine):
-        # a grid that holds some of its D rows, or none, has no pairing defect
+    def test_pairing_defect_needs_a_square_grid(self, trimer_engine):
+        # a grid whose rows and columns differ has no pairing defect; one over
+        # the same rows and columns has that of its zero-filled dense grid
         values = RNG.standard_normal((3, 3, 5, 5)) + 1j * RNG.standard_normal((3, 3, 5, 5))
-        dressed = trimer_engine.factory.anticommutator_grid("b", "b", full=True)
-        assert dressed.rows.size < trimer_engine.p
-        for grid in (CorrelatorGrid(values[:2], np.array([0, 2])), CorrelatorGrid(values[:0], np.arange(0)), dressed):
-            with pytest.raises(ValueError, match="pairing defect needs all 3 rows"):
+        every, p = np.arange(3), trimer_engine.p
+        mixed = trimer_engine.factory.anticommutator_grid("a", "b", full=True)
+        assert mixed.rows.size < mixed.cols.size == p
+        for grid in (CorrelatorGrid(values[:2], np.array([0, 2]), every), CorrelatorGrid(values[:0], every[:0], every), mixed):
+            with pytest.raises(ValueError, match="pairing defect needs a square grid"):
                 grid.pairing_defect()
+        dressed = trimer_engine.factory.anticommutator_grid("b", "b", full=True)
+        assert dressed.rows.tolist() == dressed.cols.tolist() == list(range(trimer_engine.model.num_sample))
+        full = full_grid(dressed, p)
+        assert dressed.pairing_defect() == float(np.max(np.abs(full - np.conj(full.transpose(1, 0, 3, 2)))))
 
     @pytest.mark.parametrize("prefactor", [-1j, 1.0])
     def test_causal_kernel_is_a_view_of_the_grid(self, trimer_engine, prefactor):
@@ -437,7 +448,7 @@ class TestCorrelatorGrid:
         # packed from its rows and scaled once: the bits of the dense route
         op = VolterraOperator(trimer_engine.grid, p, mem=kernel, rows=grid.rows, scale=prefactor)
         assert packed_kernel_bytes(op) == packed_kernel_bytes(oracle)
-        assert op.panels().tobytes() == oracle.panels().tobytes()
+        assert op.flat.tobytes() == oracle.flat.tobytes()
 
 
 class TestExpectationSeries:
@@ -554,7 +565,7 @@ class TestRandomModels:
         for name, ops in families.items():
             factory.add_family(name, ops)
         grids = [
-            full_rows(factory.anticommutator_grid(name_a, name_d, full=full), model.num_sites)
+            full_grid(factory.anticommutator_grid(name_a, name_d, full=full), model.num_sites)
             for name_a, name_d, full in pairs
         ]
         for (name_a, name_d, full), values in zip(pairs, grids):

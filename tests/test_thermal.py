@@ -89,6 +89,26 @@ class TestGibbs:
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(FockSpace(1), [np.array(p) for p in probs], [np.eye(1)] * 2)
 
+    # three sectors on a two-sector space were once accepted, and the identity read 0.75
+    @pytest.mark.parametrize(
+        "probs, vecs",
+        [
+            ([[0.5], [0.25], [0.25]], [np.eye(1)] * 3),
+            ([[0.5], [0.5]], [np.eye(1)] * 3),
+            ([[1.0]], [np.eye(1)]),
+            ([[0.5], [0.5]], [np.eye(2), np.eye(1)]),
+            ([[0.5, 0.0], [0.5]], [np.eye(1)] * 2),
+            ([[[0.5]], [0.5]], [np.eye(1)] * 2),
+        ],
+        ids=["extra-sector", "extra-vectors", "missing-sector", "vector-shape", "weight-count", "weight-shape"],
+    )
+    def test_density_operator_refuses_blocks_that_do_not_fit_the_sectors(self, probs, vecs):
+        fs = FockSpace(1)
+        with pytest.raises(ValueError, match="do not fit sector dimensions"):
+            DensityOperator(fs, [np.array(p) for p in probs], vecs)
+        rho = DensityOperator(fs, [np.array([0.5]), np.array([0.5])], [np.eye(1)] * 2)
+        assert rho.expectation(identity_operator(fs)) == 1.0
+
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             ThermalParams(beta=0.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pfnegf import volterra
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import compute_g0
 from pfnegf.propagation import CorrelatorGrid
@@ -23,7 +24,15 @@ from pfnegf.volterra import (
 )
 
 from conftest import DUMP_DAMAGES, damage_dump
-from oracles import embedded_operator, identity_volterra, memory_kernel, neumann_inverse, packed_kernel_bytes
+from oracles import (
+    dense_blocks,
+    dense_kernel,
+    embedded_operator,
+    identity_volterra,
+    memory_kernel,
+    neumann_inverse,
+    packed_kernel_bytes,
+)
 
 RNG = np.random.default_rng(5)
 GRID = TimeGrid(2.0, 20)
@@ -84,12 +93,6 @@ def kernel_text(op, ordering):
     buf = io.StringIO()
     dump_kernel(op, ordering, buf, "K")
     return buf.getvalue()
-
-
-def dense_blocks(flat, grid, p):
-    """(n, n, p, p) block view of a dense ``(n p, n p)`` matrix."""
-    n = grid.n_nodes
-    return flat.reshape(n, p, n, p).transpose(0, 2, 1, 3)
 
 
 def assert_causal(op):
@@ -617,26 +620,30 @@ class TestInstantaneousBits:
 FINITE_PARTS = DUMP_PARTS[np.isfinite(DUMP_PARTS)]
 
 
+def drawn_support(draw, p, label):
+    """Increasing orbital indices below ``p``: none, one, all or some."""
+    kind = draw(st.sampled_from(["none", "one", "all", "some"]), label=f"{label} kind")
+    if kind == "one":
+        return np.array([draw(st.integers(0, p - 1), label=label)])
+    if kind == "some":
+        return np.array(sorted(draw(st.sets(st.integers(0, p - 1)), label=label)), dtype=int)
+    return np.arange(p if kind == "all" else 0)
+
+
 @st.composite
 def held_row_grids(draw):
-    """A full correlator grid over drawn increasing D rows: none, one, all or some.
+    """A full correlator grid over drawn increasing D rows and held rows.
 
     Its parts come from the finite ``DUMP_PARTS``, signed zeros and
     subnormals included; the acausal half is not zero.
     """
     p = draw(st.integers(1, 3), label="p")
-    kind = draw(st.sampled_from(["none", "one", "all", "some"]), label="kind")
-    if kind == "one":
-        rows = [draw(st.integers(0, p - 1), label="row")]
-    elif kind == "some":
-        rows = sorted(draw(st.sets(st.integers(0, p - 1)), label="rows"))
-    else:
-        rows = list(range(p)) if kind == "all" else []
+    rows, cols = drawn_support(draw, p, "rows"), drawn_support(draw, p, "cols")
     grid = TimeGrid(1.0, draw(st.sampled_from([2, TILE_NODES, TILE_NODES + 2]), label="steps"))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    values = np.empty((len(rows), p, grid.n_nodes, grid.n_nodes), dtype=complex)
+    values = np.empty((rows.size, cols.size, grid.n_nodes, grid.n_nodes), dtype=complex)
     values.real, values.imag = rng.choice(FINITE_PARTS, size=values.shape), rng.choice(FINITE_PARTS, size=values.shape)
-    return grid, p, CorrelatorGrid(values, np.array(rows, dtype=int))
+    return grid, p, CorrelatorGrid(values, rows, cols)
 
 
 class TestHeldRowPacking:
@@ -647,9 +654,9 @@ class TestHeldRowPacking:
     def test_equals_the_zero_filled_dense_route(self, drawn, prefactor):
         grid, p, corr = drawn
         oracle = embedded_operator(corr, grid, p, prefactor)
-        op = VolterraOperator(grid, p, mem=corr.causal_kernel(), rows=corr.rows, scale=prefactor)
+        op = VolterraOperator(grid, p, mem=corr.causal_kernel(), rows=corr.rows, cols=corr.cols, scale=prefactor)
         assert packed_kernel_bytes(op) == packed_kernel_bytes(oracle)
-        assert op.panels().tobytes() == oracle.panels().tobytes()
+        assert op.flat.tobytes() == oracle.flat.tobytes()
         ordering = [f"o{i}" for i in range(p)]
         assert kernel_text(op, ordering) == kernel_text(oracle, ordering)
 
@@ -719,7 +726,7 @@ class TestConstruction:
         n, p = 2 * TILE_NODES + 3, 3
         grid = TimeGrid(1.0, n - 1)
         values = RNG.standard_normal((p, p, n, n)) + 1j * RNG.standard_normal((p, p, n, n))
-        view = CorrelatorGrid(values, np.arange(p)).causal_kernel()
+        view = CorrelatorGrid(values, np.arange(p), np.arange(p)).causal_kernel()
         assert np.shares_memory(view, values) and not view.flags.c_contiguous
         packed = VolterraOperator(grid, p, mem=view, scale=-1j)
         copied = VolterraOperator(grid, p, mem=np.ascontiguousarray(view), scale=-1j)
@@ -738,19 +745,6 @@ def dense_flat(grid, p, inst, mem):
     if inst is not None:
         blocks[np.arange(n), np.arange(n)] += inst
     return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
-
-
-def dense_kernel(flat, inst, grid, p):
-    """Kernel view of a dense matrix: subtract ``inst``, divide by the weights."""
-    n = grid.n_nodes
-    blocks = dense_blocks(flat, grid, p).copy()
-    blocks[np.arange(n), np.arange(n)] -= inst
-    w = trapezoid_weights(n) * grid.delta
-    w[w == 0.0] = 1.0
-    mem = blocks / w[:, :, None, None]
-    mem[np.triu_indices(n, k=1)] = 0.0
-    mem[0, 0] = 0.0
-    return mem
 
 
 def dense_restrict(flat, grid, p, indices):
@@ -1105,3 +1099,220 @@ class TestDistinctBlockConstant:
                 assert repr(op.volterra_constant()) == repr(concatenated_volterra_constant(op))
         if bad is not None:
             assert repr(a.volterra_constant()) == repr(bad)
+
+
+@st.composite
+def supported_pairs(draw):
+    """Two operators on drawn orbital supports, each with its full ``p x p`` twin and dense matrix.
+
+    Each support is none, one, some or every orbital, rows and columns drawn
+    apart.  The twin is built over every orbital from the zero-filled kernel
+    and part, with the same scale: the full algebra the supported one must
+    agree with.
+    """
+    steps = draw(st.sampled_from(ORACLE_STEPS), label="steps")
+    p = draw(st.integers(1, 4), label="p")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = TimeGrid(1.0, steps)
+    n = grid.n_nodes
+    out = []
+    for name, size in (("a", 0.3), ("b", 1.0)):  # A small enough for a well-conditioned Id + A
+        rows, cols = drawn_support(draw, p, f"{name} rows"), drawn_support(draw, p, f"{name} cols")
+        block = np.ix_(rows, cols)
+        mem = np.zeros((n, n, p, p), dtype=complex)
+        mem[:, :, rows[:, None], cols] = size * (
+            rng.standard_normal((n, n, rows.size, cols.size)) + 1j * rng.standard_normal((n, n, rows.size, cols.size))
+        )
+        mem[np.triu_indices(n, k=1)] = 0.0
+        inst = None
+        if draw(st.booleans(), label=f"{name} instantaneous"):
+            inst = np.zeros((n, p, p), dtype=complex)
+            inst[:, block[0], block[1]] = size * (
+                rng.standard_normal((n, rows.size, cols.size)) + 1j * rng.standard_normal((n, rows.size, cols.size))
+            )
+        scale = draw(st.sampled_from([None, -1j, 1.0]), label=f"{name} scale")
+        op = VolterraOperator(grid, p, inst=inst, mem=mem[:, :, block[0], block[1]], rows=rows, cols=cols, scale=scale)
+        twin = VolterraOperator(grid, p, inst=inst, mem=mem, scale=scale)
+        out.append((op, twin, dense_flat(grid, p, inst, mem if scale is None else mem * scale)))
+    return grid, p, out[0], out[1]
+
+
+def assert_close(actual, expected, rtol=1e-13):
+    """Agreement within ``rtol`` of the largest expected entry; exact zeros where nothing is expected."""
+    top = np.max(np.abs(expected), initial=0.0)
+    if top == 0.0:
+        assert not np.any(actual)
+    else:
+        assert np.max(np.abs(actual - expected)) <= rtol * top
+
+
+def solve_sizes(monkeypatch) -> list:
+    """Record the orbital count ``r`` of every ``block_lower_solve``."""
+    sizes, solve = [], volterra.block_lower_solve
+
+    def spy(m, x, n, r, c):
+        sizes.append(r)
+        return solve(m, x, n, r, c)
+
+    monkeypatch.setattr(volterra, "block_lower_solve", spy)
+    return sizes
+
+
+class TestSupportAgainstFullAlgebra:
+    """Operators held on their orbital support against the full p x p algebra.
+
+    Where the supported route does the same arithmetic (copies, sums,
+    scaling, the kernel view and the dump) the results are equal, bit for bit
+    where the full route stores no zero of its own sign; where BLAS sums a
+    shorter inner length (products, solves and SVDs) they agree within 1e-13
+    of the largest entry.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(supported_pairs())
+    def test_views_and_dump(self, pair):
+        grid, p, (a, twin, da), _ = pair
+        assert a.flat.tobytes() == twin.flat.tobytes() == da.tobytes()
+        assert packed_kernel_bytes(a) == packed_kernel_bytes(twin)
+        assert a.has_instantaneous() == twin.has_instantaneous()
+        np.testing.assert_array_equal(a.instantaneous(), twin.instantaneous())
+        ordering = [f"o{i}" for i in range(p)]
+        assert kernel_text(a, ordering) == kernel_text(twin, ordering)
+        assert a.max_abs() == twin.max_abs()
+        assert repr(a.volterra_constant()) == repr(twin.volterra_constant())
+        assert_close(np.array(a.norm_bound()), np.array(loop_norm_bound(da, grid, p)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(supported_pairs(), st.data())
+    def test_linear_operations_and_restrict(self, pair, data):
+        grid, p, (a, twin_a, da), (b, twin_b, db) = pair
+        for op, dense, rows, cols in (
+            (a + b, da + db, np.union1d(a.rows, b.rows), np.union1d(a.cols, b.cols)),
+            (a - b, da - db, np.union1d(a.rows, b.rows), np.union1d(a.cols, b.cols)),
+        ):
+            assert op.rows.tolist() == rows.tolist() and op.cols.tolist() == cols.tolist()
+            assert op.flat.tobytes() == dense.tobytes()
+        total = a + b
+        assert packed_kernel_bytes(total) == packed_kernel_bytes(twin_a + twin_b)
+        assert kernel_text(a - b, ["x"] * p) == kernel_text(twin_a - twin_b, ["x"] * p)
+        s = complex(data.draw(st.floats(-2, 2), label="re"), data.draw(st.floats(-2, 2), label="im"))
+        # an entry outside the support is +0.0 after scaling; the full route has s * 0.0
+        np.testing.assert_array_equal(a.scale(s).flat, s * da)
+        np.testing.assert_array_equal(memory_kernel(a.scale(s)), memory_kernel(twin_a.scale(s)))
+        indices = data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True), label="indices")
+        for op, twin, dense in ((a, twin_a, da), (total, twin_a + twin_b, da + db)):
+            sub = op.restrict(indices)
+            assert sub.flat.tobytes() == dense_restrict(dense, grid, p, indices).tobytes()
+            assert packed_kernel_bytes(sub) == packed_kernel_bytes(twin.restrict(indices))
+            np.testing.assert_array_equal(sub.instantaneous(), twin.restrict(indices).instantaneous())
+
+    @settings(max_examples=30, deadline=None)
+    @given(supported_pairs())
+    def test_compose(self, pair):
+        grid, p, (a, twin_a, da), (b, twin_b, db) = pair
+        product = a @ b
+        assert product.rows.tolist() == a.rows.tolist() and product.cols.tolist() == b.cols.tolist()
+        assert_close(product.flat, da @ db)
+        assert_close(product.flat, (twin_a @ twin_b).flat)
+        np.testing.assert_array_equal(product.instantaneous(), (twin_a @ twin_b).instantaneous())
+        assert_close(np.array(product.norm_bound()), np.array(loop_norm_bound(da @ db, grid, p)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(supported_pairs())
+    def test_solve_id_plus(self, pair):
+        grid, p, (a, twin_a, da), (b, twin_b, db) = pair
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            sizes = solve_sizes(monkeypatch)
+            x = solve_id_plus(a, b)
+        held = np.union1d(a.rows, b.rows)
+        # the solve runs on the rows A and B hold, or on A's columns when they are fewer
+        assert sizes == [min(held.size, a.cols.size)]
+        if a.cols.size >= held.size:
+            assert x.rows.tolist() == held.tolist()
+        assert_close(x.flat, np.linalg.solve(np.eye(len(da)) + da, db))
+        assert_close(x.flat, solve_id_plus(twin_a, twin_b).flat)
+        assert_close(x.instantaneous(), solve_id_plus(twin_a, twin_b).instantaneous())
+
+
+class TestSupportReductions:
+    """The two solve reductions and the inner set of a product, on fixed supports."""
+
+    GRID = TimeGrid(1.0, TILE_NODES + 4)
+
+    def operator(self, rows, cols, seed, size=1.0, inst=False, p=4):
+        rng = np.random.default_rng(seed)
+        n, rows, cols = self.GRID.n_nodes, np.array(rows, dtype=int), np.array(cols, dtype=int)
+        mem = size * (rng.standard_normal((n, n, rows.size, cols.size)) + 1j * rng.standard_normal((n, n, rows.size, cols.size)))
+        mem[np.triu_indices(n, k=1)] = 0.0
+        part = None
+        if inst:
+            part = np.zeros((n, p, p), dtype=complex)
+            part[:, rows[:, None], cols] = size * rng.standard_normal((n, rows.size, cols.size))
+        return VolterraOperator(self.GRID, p, inst=part, mem=mem, rows=rows, cols=cols)
+
+    @pytest.mark.parametrize("inst", [False, True], ids=["memory-only", "instantaneous"])
+    @pytest.mark.parametrize(
+        "a_support, b_support, size, support",
+        [
+            (([0, 1], [0, 1, 2, 3]), ([0, 1], [0, 1]), 2, ([0, 1], [0, 1])),  # the proper self-energy's solve
+            (([0, 1, 2, 3], [0, 1]), ([0, 1, 2, 3], [0, 1, 2, 3]), 2, ([0, 1, 2, 3], [0, 1, 2, 3])),  # the Dyson solution's
+            (([1], [2]), ([3], [0, 2]), 1, ([1, 3], [0, 2])),  # A's one column is not a row of B
+            (([], []), ([1, 2], [3]), 0, ([1, 2], [3])),  # an empty A returns B
+        ],
+        ids=["rows", "columns", "disjoint", "empty"],
+    )
+    def test_solve_runs_on_the_supported_set(self, monkeypatch, inst, a_support, b_support, size, support):
+        a = self.operator(*a_support, seed=80, size=0.3, inst=inst)
+        b = self.operator(*b_support, seed=81, inst=inst)
+        sizes = solve_sizes(monkeypatch)
+        x = solve_id_plus(a, b)
+        assert sizes == [size]
+        assert (x.rows.tolist(), x.cols.tolist()) == support
+        expected = np.linalg.solve(np.eye(len(a.flat)) + a.flat, b.flat)
+        assert_close(x.flat, expected)
+        expected_inst = np.linalg.solve(np.eye(4) + a.instantaneous(), b.instantaneous())
+        assert_close(x.instantaneous(), expected_inst)
+        # the kernel view outside the support reads +0.0
+        outside = np.ones((4, 4), dtype=bool)
+        outside[np.ix_(*support)] = False
+        kernel = memory_kernel(x)[..., outside]
+        assert not kernel.any() and not np.signbit(kernel.real).any() and not np.signbit(kernel.imag).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_product_contracts_over_the_inner_set_alone(self):
+        # A's column 0 is not a row of B: its inf meets no entry of B and stays out of the product
+        a = self.operator([0, 2], [0, 1], seed=82)
+        b = self.operator([1, 3], [2], seed=83)
+        mem = memory_kernel(a)[:, :, [0, 2]][:, :, :, [0, 1]].copy()
+        finite = (a @ b).flat
+        mem[5, 2, 1, 0] = np.inf
+        a_inf = VolterraOperator(self.GRID, 4, mem=mem, rows=[0, 2], cols=[0, 1])
+        product = a_inf @ b
+        assert (product.rows.tolist(), product.cols.tolist()) == ([0, 2], [2])
+        assert product.flat.tobytes() == finite.tobytes()
+
+    def test_kernel_built_zero_reads_the_scaled_zero(self):
+        # the dump of an operator held on a sub-block keeps the full route's signed zeros
+        n = self.GRID.n_nodes
+        mem = np.ones((n, n, 1, 2), dtype=complex)
+        mem[np.triu_indices(n, k=1)] = 0.0
+        for scale, text in ((-1j, "0.0,-0.0"), (1.0, "0.0,0.0"), (None, "0.0,0.0")):
+            op = VolterraOperator(self.GRID, 3, mem=mem, rows=[1], cols=[0, 2], scale=scale)
+            full = np.zeros((n, n, 3, 3), dtype=complex)
+            full[:, :, 1, [0, 2]] = mem[:, :, 0]
+            twin = VolterraOperator(self.GRID, 3, mem=full, scale=scale)
+            assert kernel_text(op, "abc") == kernel_text(twin, "abc")
+            assert f"\n0,0,0,1,{text}\n" in kernel_text(op, "abc")
+
+    def test_support_rules(self):
+        n = self.GRID.n_nodes
+        mem = np.zeros((n, n, 1, 1), dtype=complex)
+        for rows in ([1, 0], [0, 0], [-1], [4]):
+            with pytest.raises(ValueError, match="support must be increasing"):
+                VolterraOperator(self.GRID, 4, mem=mem if len(rows) == 1 else np.zeros((n, n, 2, 1)), rows=rows, cols=[0])
+        inst = np.zeros((n, 4, 4), dtype=complex)
+        inst[3, 2, 1] = 1e-300
+        with pytest.raises(ValueError, match="not zero outside the support"):
+            VolterraOperator(self.GRID, 4, inst=inst, rows=[1], cols=[1, 2])
+        inst[3, 2, 1] = -0.0  # a signed zero is zero
+        VolterraOperator(self.GRID, 4, inst=inst, rows=[1], cols=[1, 2])
