@@ -95,23 +95,24 @@ class KernelEngine:
     family are registered once, in the eigenbasis of ``K_v``.  The three grids
     (interacting kernel, reducible self-energy, consistency map) come from one
     sweep, on first use of any of them: it reaches every node of the two
-    families by elementwise phase factors, forms each held and D tile once for
-    all three grids and pairs tiles of nodes in one GEMM per grid.  That costs
-    O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES) memory in
-    N_t.  Each grid holds only the nonzero rows of its two families (the
-    dressed family vanishes on the leads), and each kernel is packed with
-    those rows as its orbital support: ``Sigma~`` holds sample x sample, ``F``
-    sample x all, and ``Gxi`` and ``G0`` every orbital.  Derived objects
-    (irreducible self-energy, algebraic Dyson solution) are exact products of
-    the packed causal algebra, which carries the support along.  No grid is
-    cached: the full ladder grid, both triangles, gives the pairing defect and
-    then the kernel of ``gxi``; the dressed grid gives ``sigma_tilde``; the
-    mixed grid gives ``F``, whose two quadrature residuals are measured at
-    once, and ``F`` is dropped.  The product ``Sigma~ G0`` of the ``F``
-    residual is kept until ``sigma`` or ``quadrature``, whichever comes first,
-    takes it.  ``budget`` covers ``ALGEBRA_OPERATORS`` full-p packed
-    operators, checked at construction, and the held and D tiles of both
-    families, checked before the sweep starts.
+    families by elementwise phase factors and, particle-number sector by
+    sector, forms each held and D tile once for all three grids and pairs
+    tiles of nodes in one GEMM per grid.  That costs O(N_t^2) phase products,
+    no evolution sweeps and O(TILE_NODES) memory in N_t.  Each grid holds only
+    the nonzero rows of its two families (the dressed family vanishes on the
+    leads), and each kernel is packed with those rows as its orbital support:
+    ``Sigma~`` holds sample x sample, ``F`` sample x all, and ``Gxi`` and
+    ``G0`` every orbital.  Derived objects (irreducible self-energy, algebraic
+    Dyson solution) are exact products of the packed causal algebra, which
+    carries the support along.  No grid is cached: the full ladder grid, both
+    triangles, gives the pairing defect and then the kernel of ``gxi``; the
+    dressed grid gives ``sigma_tilde``; the mixed grid gives ``F``, whose two
+    quadrature residuals are measured at once, and ``F`` is dropped.  The
+    product ``Sigma~ G0`` of the ``F`` residual is kept until ``sigma`` or
+    ``quadrature``, whichever comes first, takes it.  ``budget`` covers
+    ``ALGEBRA_OPERATORS`` full-p packed operators, checked at construction,
+    and the held and D tiles of both families, checked before the sweep
+    starts.
     """
 
     def __init__(

@@ -15,20 +15,24 @@ creation-type families ``A_m``, ``D_j`` the anticommutator pairing
 
 is the elementwise inner product of ``conj(D_j(t_k))`` with the held side
 ``B_m(t_l) = rho[N+1] A_m(t_l) + A_m(t_l) rho[N]``, the state taken into
-the K-frame as well.
+the K-frame as well.  The state and the evolution both conserve particle
+number, so the pairing is a sum of independent ``N -> N+1`` sector terms.
 
 One sweep builds a grid and any causal companions that share its families,
-in tiles of ``TILE_NODES`` nodes: per tile row the held tile of ``B(t_l)`` of
-every held family is formed once, and the D tile of ``conj(D(t_k))`` of every
-D family once per tile that a pair reads; each pair of tiles is one GEMM, and
-family rows that are exact zero operators enter none.  All tiles are formed
-from the stored family by phase multiplies when they are needed, with no
-evolution sweeps, so a sweep holds O(TILE_NODES) nodes of memory in N_t
-beyond its grids; the held and D tiles of every family must fit the budget
-together.  Every grid is kept over the nonzero rows of its D family and of
-its held family, and every other entry is zero.  A retarded kernel is a view
-of its grid (``causal_kernel``), and the packed operator takes both row sets
-as its orbital support.
+sector by sector, in tiles of ``sector_tile`` nodes: as many as fit the
+memory of ``TILE_NODES`` nodes of the whole flat, so a small sector takes
+larger tiles.  Per tile row the held tile of ``B(t_l)`` of every held family
+is formed once on the sector's block, and the D tile of ``conj(D(t_k))`` of
+every D family once per tile that a pair reads; each pair of tiles is one
+GEMM, added into the grid, and family rows that are exact zero operators
+enter none.  Tiles are formed from the stored family by phase multiplies,
+with no evolution sweeps, and every sector's tiles share one buffer, so a
+sweep holds O(TILE_NODES) nodes of memory in N_t beyond its grids; the held
+and D tiles of every family must fit the budget together.  Every grid is kept
+over the nonzero rows of its D family and of its held family, and every
+other entry is zero.  A retarded kernel is a view of its grid
+(``causal_kernel``), and the packed operator takes both row sets as its
+orbital support.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from .thermal import DensityOperator
 
 DEFAULT_BUDGET_BYTES = 4 * 1024**3
 
-TILE_NODES = 8  # nodes per GEMM tile on either side of a correlator grid
+TILE_NODES = 8  # nodes per GEMM tile of the whole creation-type flat
+
+SECTOR_TILE_CAP = 32  # most nodes per GEMM tile of one sector
 
 UNITARITY_TOL = 1e-12
 
@@ -55,15 +61,23 @@ def _check_hermitian(generator: ManyBodyOperator) -> None:
         raise ValueError(f"evolution generator is not Hermitian (defect {defect:.3e})")
 
 
+def sector_tile(n_nodes: int, flat: int, size: int) -> int:
+    """Nodes per tile of a ``size``-entry sector of a ``flat``-entry creation flat: as many as
+    ``TILE_NODES`` nodes of the flat hold, at most ``SECTOR_TILE_CAP`` and ``n_nodes``.  It reads
+    the sector alone, not the families paired, so companions do not move a grid's bits."""
+    return min(n_nodes, SECTOR_TILE_CAP, min(TILE_NODES, n_nodes) * flat // size)
+
+
 @dataclass
 class CorrelatorGrid:
     """Two-time anticommutator values ``C[j, m, k, l]`` over the nonzero family rows.
 
     ``values[i, a]`` is row ``rows[i]`` of the D family against row
     ``cols[a]`` of the held family; every other row of either family is a
-    zero operator, so its entries are zero.  Retarded kernels only read the
-    causal triangle ``l <= k``; a full grid holds the acausal part as well,
-    for ``pairing_defect``.  A grid is handed to its kernel in place:
+    zero operator, so its entries are zero.  A swept grid's ``values`` is a
+    view of a node-major ``(k, j, l, m)`` buffer.  Retarded kernels only read
+    the causal triangle ``l <= k``; a full grid holds the acausal part as
+    well, for ``pairing_defect``.  A grid is handed to its kernel in place:
     ``causal_kernel`` overwrites ``values``.  The causal grids of the
     companion pairs of its sweep are in ``companions``.
     """
@@ -94,26 +108,19 @@ class CorrelatorGrid:
         return kernel
 
 
-def _flat_index(sector: list, s: int) -> tuple:
-    """Energy indices ``(a, b)`` of every entry of a flat displacement-``s`` operator."""
-    pairs = [np.meshgrid(sector[n + s], sector[n], indexing="ij") for n in range(len(sector) - s)]
-    return tuple(np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
-
-
 class CorrelatorFactory:
     """Pairs registered operator families into two-time anticommutator grids.
 
     The state and every family live in the generator's eigenbasis, the
     K-frame, as flat arrays: the K-frame blocks of every sector, raveled and
-    concatenated.  ``creation_index`` and ``diag_index`` hold the energy
-    indices ``(a, b)`` of every entry of a creation-type and of a
-    number-conserving flat.  All registered families must be creation-type;
-    the second member of a pairing enters through its adjoint (Heisenberg
-    evolution commutes with the adjoint), so every family is evolved the
-    same way on either side.  Each family is stored once, as its nonzero
-    rows; every node is that array times its phases.  A grid holds one tile
-    per side and costs O(N_t^2) elementwise phase products, no evolution
-    sweeps; the tiles must fit ``budget``.
+    concatenated; a node's phases on an ``N -> N+s`` block are the outer
+    product of ``exp(i t_k E)`` on sector ``N+s`` and its conjugate on ``N``.
+    Families must be creation-type: the second member of a pairing enters
+    through its adjoint, which Heisenberg evolution commutes with, so every
+    family evolves the same way on either side.  Each family is stored once,
+    as its nonzero rows; a node is that array times its phases.  A grid is
+    summed over the creation sectors, holds one tile per side and costs
+    O(N_t^2) phase products, no evolution sweeps; the tiles must fit ``budget``.
     """
 
     strategy = "recompute"  # name of the one sweep; perfbench/tracer.py reads it
@@ -135,20 +142,13 @@ class CorrelatorFactory:
         for q, v, p in zip(self.vecs, rho.vecs, rho.probs):
             w = np.conj(q.T) @ v
             self.rho_k.append((w * p) @ np.conj(w.T))
-        d = len(energies) - 1
-        self.energies = np.concatenate(energies)
-        bounds = np.cumsum([0] + [e.size for e in energies])
-        sector = [np.arange(bounds[n], bounds[n + 1]) for n in range(d + 1)]
-        self.creation_index = _flat_index(sector, 1)
-        self.diag_index = _flat_index(sector, 0)
+        self.energies, dims = np.concatenate(energies), [e.size for e in energies]
+        self._offsets = np.cumsum([0] + dims)  # of every sector in ``energies``
         # Tr(rho X) = sum over the flat of rho^T * X, for number-conserving X
         self.rho_t_flat = np.concatenate([r.T.ravel() for r in self.rho_k])
-        self._creation_slices = []
-        offset = 0
-        for n in range(d):
-            shape = (sector[n + 1].size, sector[n].size)
-            self._creation_slices.append((slice(offset, offset + shape[0] * shape[1]), shape))
-            offset += shape[0] * shape[1]
+        # (slice of the creation flat, block shape) of every N -> N+1
+        cuts = np.cumsum([0] + [hi * lo for lo, hi in zip(dims, dims[1:])])
+        self._sectors = [(slice(cuts[n], cuts[n + 1]), (dims[n + 1], dims[n])) for n in range(len(dims) - 1)]
         self._families: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def to_frame(self, op: ManyBodyOperator, s: int) -> np.ndarray:
@@ -159,24 +159,6 @@ class CorrelatorFactory:
         return np.concatenate(
             [(np.conj(q[n + s].T) @ op.blocks[n] @ q[n]).ravel() for n in range(len(q) - s)]
         )
-
-    def phases(self, k: int, index: tuple) -> np.ndarray:
-        """Evolution factors ``exp(i t_k (E_a - E_b))`` of node ``k`` over a flat.
-
-        Formed as ``exp(i t_k E_a) conj(exp(i t_k E_b))``: one exponential
-        per many-body state rather than one per flat entry.
-        """
-        rows, cols = index
-        e = np.exp(1j * (k * self.grid.delta) * self.energies)
-        return e[rows] * np.conj(e[cols])
-
-    def anticommutator_side(self, flat: np.ndarray) -> np.ndarray:
-        """``rho[N+1] X + X rho[N]`` for each row of a stacked creation-type flat."""
-        out = np.empty_like(flat)
-        for n, (sl, shape) in enumerate(self._creation_slices):
-            x = flat[:, sl].reshape(len(flat), *shape)
-            out[:, sl] = (self.rho_k[n + 1] @ x + x @ self.rho_k[n]).reshape(len(flat), -1)
-        return out
 
     def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
         if name in self._families:
@@ -193,62 +175,77 @@ class CorrelatorFactory:
 
         Each ``(name_a, name_d)`` pair in ``companions`` gets its causal grid
         from the same sweep, in ``.companions``.  Every grid holds the nonzero
-        rows of its D family against those of its held family.  Per held tile
-        row the held tile of every held family is formed once; the D tile of
-        every D family is formed once per D tile that a pair reads: every one
-        for a full grid, from the held tile's own on for a causal one.  Each
-        pair meets its two tiles in one GEMM over the nonzero family rows; the
-        acausal entries of a causal grid stay +0.0.  One held and one D tile of
-        every family paired must fit the budget together.
+        rows of its D family against those of its held family.  The sweep runs
+        over the creation sectors ``N -> N+1`` in turn, each in tiles of
+        ``sector_tile`` nodes.  Per held tile row the held tile
+        ``rho[N+1] x + x rho[N]`` of every held family is formed once on the
+        sector's block; the D tile of every D family is formed once per D tile
+        that a pair reads: every one for a full grid, from the held tile's own
+        on for a causal one.  Each pair meets its two tiles in one GEMM over
+        the sector's entries, added into the grid; the acausal entries of a
+        causal grid stay +0.0.  One held and one D tile of ``TILE_NODES``
+        nodes of the whole flat, for every family paired, must fit the budget
+        together; every sector's tiles share that one buffer.
         """
-        n, index, families = self.grid.n_nodes, self.creation_index, self._families
-        flat = index[0].size
+        n, families = self.grid.n_nodes, self._families
         pairs = [(name_a, name_d, full)] + [(a, d, False) for a, d in companions]
-        held_names = list(dict.fromkeys(a for a, _, _ in pairs))
-        d_names = list(dict.fromkeys(d for _, d, _ in pairs))
-        tile = min(TILE_NODES, n)
-        need = 16 * tile * sum(families[name][1].size for name in held_names + d_names)
+        tile, flat = min(TILE_NODES, n), families[name_a][1].shape[1]
+        need = 16 * tile * sum(families[name][1].size for side in list(zip(*pairs))[:2] for name in dict.fromkeys(side))
         if need > self.budget:
             raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
-        work = np.empty(need // 16, dtype=complex)  # every tile shares one buffer
-        held, d_tiles, offset = {}, {}, 0
-        for side, name in [(held, a) for a in held_names] + [(d_tiles, d) for d in d_names]:
-            fam = families[name][1]
-            side[name] = work[offset : offset + tile * fam.size].reshape((tile,) + fam.shape)
-            offset += tile * fam.size
-        conj_d = {name: np.conj(families[name][1]) for name in d_names}
-        grids, live = [], []  # live: (a, d, full, grid values) of pairs that run GEMMs
+        work = np.empty(need // 16, dtype=complex)  # every sector's tiles share one buffer
+        grids, live = [], []  # live: (a, d, full, node-major 2-D grid) of pairs that run GEMMs
         for a, d, is_full in pairs:
             rows_a, rows_d = families[a][0], families[d][0]
-            grids.append(CorrelatorGrid(np.zeros((rows_d.size, rows_a.size, n, n), dtype=complex), rows_d, rows_a))
+            # node-major (k, j, l, m): a tile pair's GEMM block is a 2-D slice of it
+            nodes = np.zeros((n, rows_d.size, n, rows_a.size), dtype=complex)
+            grids.append(CorrelatorGrid(nodes.transpose(1, 3, 0, 2), rows_d, rows_a))
             # a family without a nonzero row gives an all-zero grid and no GEMM
             if rows_a.size and rows_d.size:
-                live.append((a, d, is_full, grids[-1].values))
+                live.append((a, d, is_full, nodes.reshape(n * rows_d.size, n * rows_a.size)))
         held_live = list(dict.fromkeys(a for a, *_ in live))
-        tiles = [(t, min(t + TILE_NODES, n)) for t in range(0, n, TILE_NODES)]
-        acausal = np.triu(np.ones((tile, tile), dtype=bool), 1)
-        for i, (l0, l1) in enumerate(tiles):
-            for l in range(l0, l1):
-                phases = self.phases(l, index)
-                for name in held_live:
-                    held[name][l - l0] = self.anticommutator_side(families[name][1] * phases)
-            for j, (k0, k1) in enumerate(tiles):
-                # a full pair reads every D tile, a causal one those from its held tile on
-                reading = [pair for pair in live if pair[2] or j >= i]
-                if not reading:
-                    continue
-                for k in range(k0, k1):
-                    # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
-                    conj_phases = np.conj(self.phases(k, index))
-                    for name in dict.fromkeys(d for _, d, *_ in reading):
-                        np.multiply(conj_d[name], conj_phases, out=d_tiles[name][k - k0])
-                for a, d, is_full, values in reading:
-                    dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
-                    block = dt.reshape(-1, flat) @ b.reshape(-1, flat).T
-                    block = block.reshape(k1 - k0, len(values), l1 - l0, -1).transpose(1, 3, 0, 2)
-                    if not is_full and k0 == l0:
-                        block[..., acausal[: k1 - k0, : k1 - k0]] = 0.0
-                    values[:, :, k0:k1, l0:l1] = block
+        d_live = list(dict.fromkeys(d for _, d, *_ in live))
+        # one buffer for the sweep's GEMM blocks, the size of the largest (out.size is n^2 rd ra)
+        widest = max([sector_tile(n, flat, sl.stop - sl.start) for sl, _ in self._sectors], default=0)
+        scratch = np.empty(widest**2 * max([out.size // n**2 for *_, out in live], default=0), dtype=complex)
+        for s, (sl, shape) in enumerate(self._sectors):
+            size = shape[0] * shape[1]
+            nodes_s, rho_lo, rho_hi = sector_tile(n, flat, size), self.rho_k[s], self.rho_k[s + 1]
+            held, d_tiles, offset = {}, {}, 0
+            for side, name in [(held, a) for a in held_live] + [(d_tiles, d) for d in d_live]:
+                count = families[name][1].shape[0]
+                side[name] = work[offset : offset + nodes_s * count * size].reshape(nodes_s, count, size)
+                offset += nodes_s * count * size
+            conj_d = {name: np.conj(families[name][1][:, sl]) for name in d_live}
+            energies = self.energies[self._offsets[s] : self._offsets[s + 2]]  # one exponential per state
+            exps = np.stack([np.exp(1j * (k * self.grid.delta) * energies) for k in range(n)])
+            lower, upper = exps[:, : shape[1]], exps[:, shape[1] :]
+            tiles = [(t, min(t + nodes_s, n)) for t in range(0, n, nodes_s)]
+            for i, (l0, l1) in enumerate(tiles):
+                for l in range(l0, l1):
+                    phases = np.multiply.outer(upper[l], np.conj(lower[l])).ravel()
+                    for name in held_live:
+                        x = (families[name][1][:, sl] * phases).reshape(-1, *shape)
+                        np.add(rho_hi @ x, x @ rho_lo, out=held[name][l - l0].reshape(x.shape))
+                for j, (k0, k1) in enumerate(tiles):
+                    # a full pair reads every D tile, a causal one those from its held tile on
+                    reading = [pair for pair in live if pair[2] or j >= i]
+                    if not reading:
+                        continue
+                    for k in range(k0, k1):
+                        # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
+                        conj_phases = np.multiply.outer(np.conj(upper[k]), lower[k]).ravel()
+                        for name in dict.fromkeys(d for _, d, *_ in reading):
+                            np.multiply(conj_d[name], conj_phases, out=d_tiles[name][k - k0])
+                    for a, d, _, out in reading:
+                        dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
+                        block = out[k0 * dt.shape[1] : k1 * dt.shape[1], l0 * b.shape[1] : l1 * b.shape[1]]
+                        gemm = scratch[: block.size].reshape(block.shape)
+                        np.matmul(dt.reshape(-1, size), b.reshape(-1, size).T, out=gemm)
+                        block += gemm
+        above = np.triu_indices(n, 1)
+        for grid in grids[int(full) :]:  # a causal grid's diagonal tiles reached past its triangle
+            grid.values[:, :, above[0], above[1]] = 0.0
         grids[0].companions = grids[1:]
         return grids[0]
 
@@ -257,5 +254,7 @@ class CorrelatorFactory:
         weighted = np.stack([self.rho_t_flat * self.to_frame(op, 0) for op in ops])
         out = np.empty((len(ops), self.grid.n_nodes), dtype=complex)
         for k in range(self.grid.n_nodes):
-            out[:, k] = weighted @ self.phases(k, self.diag_index)
+            # contiguous products, so every entry rounds alike (numpy's outer product of a 1-state sector does not)
+            exps = np.split(np.exp(1j * (k * self.grid.delta) * self.energies), self._offsets[1:-1])
+            out[:, k] = weighted @ np.concatenate([np.repeat(e, e.size) * np.tile(np.conj(e), e.size) for e in exps])
         return out

@@ -172,30 +172,28 @@ class VolterraOperator:
 
     def panels(self) -> np.ndarray:
         """The packed matrix over the support; a kernel-built operator weighs its kernel afresh on each read."""
-        if self._panels is not None:
-            return self._panels
-        n, r, c = self.grid.n_nodes, self.rows.size, self.cols.size
-        w = trapezoid_weights(n) * self.grid.delta
-        out = np.empty_like(self._kernel)
-        for (k0, k1, src, _), (_, _, dst, _) in zip(_slabs(self._kernel, n, r, c), _slabs(out, n, r, c)):
-            shape = (k1 - k0, r, k1, c)
-            np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
-        if self._inst is not None:
-            _add_diagonal(out, self._inst, n, self.rows, self.cols)
-        return out
+        return self._on(self.rows, self.cols)
 
     def _on(self, rows, cols) -> np.ndarray:
-        """The packed matrix over the support ``(rows, cols)``: entries this operator does not hold are +0.0."""
-        panels = self.panels()
-        if np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols):
-            return panels
+        """The packed matrix over ``(rows, cols)``, entries it does not hold +0.0; a kernel is weighed on that block alone."""
+        same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
+        if same and self._panels is not None:
+            return self._panels
         n, r, c = self.grid.n_nodes, rows.size, cols.size
         keep = np.intersect1d(self.rows, rows), np.intersect1d(self.cols, cols)
         sr, sc = (np.searchsorted(held, k) for held, k in zip((self.rows, self.cols), keep))
         dr, dc = (np.searchsorted(held, k) for held, k in zip((rows, cols), keep))
-        out = np.zeros(packed_size(n, r, c), dtype=complex)
-        for (*_, a), (*_, b) in zip(_slabs(panels, n, self.rows.size, self.cols.size), _slabs(out, n, r, c)):
-            b[:, :, dr[:, None], dc] = a[:, :, sr[:, None], sc]
+        source, w = (self._panels, None) if self._kernel is None else (self._kernel, trapezoid_weights(n) * self.grid.delta)
+        out = (np.empty if same else np.zeros)(packed_size(n, r, c), dtype=complex)
+        for (k0, k1, src, a), (_, _, dst, b) in zip(_slabs(source, n, self.rows.size, self.cols.size), _slabs(out, n, r, c)):
+            if same:  # a kernel-built operator read whole, weighed slab by slab
+                shape = (k1 - k0, r, k1, c)
+                np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
+            else:
+                part = a[:, :, sr[:, None], sc]
+                b[:, :, dr[:, None], dc] = part if w is None else part * w[k0:k1, :k1, None, None]
+        if w is not None and self._inst is not None:
+            _add_diagonal(out, self._inst, n, rows, cols)
         return out
 
     @property

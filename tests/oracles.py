@@ -4,7 +4,8 @@ None of these runs in a ``negf`` task.  Each is an independent, slower or
 denser way to reach what the package computes: step products of the
 evolution, the Neumann series of the causal solve, dense Fock matrices, the
 decoupled factorized expectation, the dressed annihilator straight from its
-formula, ``F`` from a one-pair sweep, kernels packed from zero-filled dense
+formula, the gathered phases and held side of the whole creation flat, ``F``
+from a one-pair sweep, kernels packed from zero-filled dense
 grids and the full p x p forward substitution of the causal solve.
 """
 
@@ -214,6 +215,36 @@ def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
         power = -(power @ a)
         acc = acc + power
     return VolterraOperator._packed(a.grid, a.p, acc.rows, acc.cols, None, None, acc.panels())
+
+
+# -- correlator sweep ----------------------------------------------------
+
+
+def flat_index(factory, s: int) -> tuple:
+    """Energy indices ``(a, b)`` of every entry of a flat displacement-``s`` operator."""
+    bounds = np.cumsum([0] + [q.shape[0] for q in factory.vecs])
+    sector = [np.arange(bounds[n], bounds[n + 1]) for n in range(len(bounds) - 1)]
+    pairs = [np.meshgrid(sector[n + s], sector[n], indexing="ij") for n in range(len(sector) - s)]
+    return tuple(np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
+
+
+def node_phases(factory, k: int, index: tuple) -> np.ndarray:
+    """Evolution factors ``exp(i t_k (E_a - E_b))`` of node ``k``, gathered entry by entry over a flat."""
+    rows, cols = index
+    e = np.exp(1j * (k * factory.grid.delta) * factory.energies)
+    return e[rows] * np.conj(e[cols])
+
+
+def anticommutator_side(factory, flat: np.ndarray) -> np.ndarray:
+    """``rho[N+1] X + X rho[N]`` for each row of a stacked creation-type flat."""
+    rho, out, offset = factory.rho_k, np.empty_like(flat), 0
+    for n in range(len(rho) - 1):
+        shape = (rho[n + 1].shape[0], rho[n].shape[0])
+        sl = slice(offset, offset + shape[0] * shape[1])
+        x = flat[:, sl].reshape(len(flat), *shape)
+        out[:, sl] = (rho[n + 1] @ x + x @ rho[n]).reshape(len(flat), -1)
+        offset = sl.stop
+    return out
 
 
 # -- kernels -------------------------------------------------------------

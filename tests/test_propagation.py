@@ -15,19 +15,24 @@ from pfnegf.fock import (
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import KernelEngine, compute_g0, verify_dyson
 from pfnegf.propagation import (
+    SECTOR_TILE_CAP,
     TILE_NODES,
     UNITARITY_TOL,
     CorrelatorFactory,
     CorrelatorGrid,
+    sector_tile,
 )
 from pfnegf.thermal import gibbs
 from pfnegf.volterra import VolterraOperator
 
 from oracles import (
+    anticommutator_side,
     embedded_operator,
+    flat_index,
     full_grid,
     heisenberg_series,
     memory_kernel,
+    node_phases,
     packed_kernel_bytes,
     stepper,
     to_full,
@@ -148,14 +153,14 @@ def stepped_grid(rho, generator, creation, annihilation, grid):
 def loop_reference_grid(factory, creation_a, creation_d, full):
     """The per-(k, l) block loop the tiled sweep replaced: every family row,
     zero or not, and one ``(p_d, flat) @ (flat, p_a)`` product per block."""
-    index = factory.creation_index
+    index = flat_index(factory, 1)
     fam_a = np.stack([factory.to_frame(op, +1) for op in creation_a])
     fam_d = np.stack([factory.to_frame(op, +1) for op in creation_d])
     n = factory.grid.n_nodes
-    held = [factory.anticommutator_side(fam_a * factory.phases(l, index)) for l in range(n)]
+    held = [anticommutator_side(factory, fam_a * node_phases(factory, l, index)) for l in range(n)]
     values = np.zeros((len(fam_d), len(fam_a), n, n), dtype=complex)
     for k in range(n):
-        v = np.conj(fam_d * factory.phases(k, index))
+        v = np.conj(fam_d * node_phases(factory, k, index))
         for l in range(n if full else k + 1):
             values[:, :, k, l] = v @ held[l].T
     return values
@@ -168,6 +173,25 @@ def is_positive_zero(values):
 
 
 COMPANIONS = [("b", "b"), ("a", "b")]
+
+
+def tile_edge_steps(space):
+    """Step counts whose grids put the sector tiles' edges where they can go wrong.
+
+    At both, the largest creation sector is cut into two whole tiles and a
+    ragged tail.  The smallest sector's tile spans every node of the first
+    grid and stops at ``SECTOR_TILE_CAP`` nodes in the second, ahead of a tail.
+    """
+    dims = space.sector_dims
+    sizes = [hi * lo for lo, hi in zip(dims, dims[1:])]
+    flat, large, small = sum(sizes), max(sizes), min(sizes)
+    tile = sector_tile(10**6, flat, large)  # the largest sector's tile once n >= TILE_NODES
+    counts = [2 * tile + 3, SECTOR_TILE_CAP + 3]
+    for n in counts:
+        assert sector_tile(n, flat, large) == tile and n // tile >= 2 and n % tile
+    assert sector_tile(counts[0], flat, small) == counts[0] <= SECTOR_TILE_CAP
+    assert sector_tile(counts[1], flat, small) == SECTOR_TILE_CAP < counts[1]
+    return [n - 1 for n in counts]
 
 
 def assert_shared_sweep_matches_one_pair_grids(factory):
@@ -274,7 +298,7 @@ class TestTwoTimeKernel:
         grid = TimeGrid(1.0, 6)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
         creation = [ladder_op(model.space, model.basis_vector(0), "create")]
-        flat = CorrelatorFactory(rho, model.K_v, grid).creation_index[0].size
+        flat = flat_index(CorrelatorFactory(rho, model.K_v, grid), 1)[0].size
         # one held tile plus one D tile of the single-row family
         need = 2 * min(TILE_NODES, grid.n_nodes) * flat * 16
         for budget in (need - 1, need):
@@ -357,48 +381,48 @@ class TestTwoTimeKernel:
 class TestTiledSweep:
     @pytest.mark.parametrize("full", [False, True], ids=["causal", "full"])
     def test_tiles_match_loop_reference(self, trimer_run, full):
-        # two whole tiles and a three-node tail
         model = trimer_run.model
-        grid = TimeGrid(3.0, 2 * TILE_NODES + 2)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
         families = {"a": list(model.creation_family), "b": list(model.dressed_creation_family)}
         pairs = (("a", "a"), ("b", "b"), ("a", "b"))
-        factory = CorrelatorFactory(rho, model.K_v, grid)
-        for name, ops in families.items():
-            factory.add_family(name, ops)
-        corrs = [factory.anticommutator_grid(*pair, full=full) for pair in pairs]
-        grids = [full_grid(corr, model.num_sites) for corr in corrs]
-        for (name_a, name_d), values in zip(pairs, grids):
-            reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
-            np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
-            if not full:
-                above = np.triu_indices(grid.n_nodes, 1)
-                assert is_positive_zero(values[:, :, above[0], above[1]])
-        # the dressed family's lead rows are zero operators: no grid holds them
         ns = model.num_sample
         assert ns < model.num_sites
-        for corr in corrs[1:]:
-            assert corr.rows.tolist() == list(range(ns))
-        # nor a column of a grid whose held family is the dressed one
-        assert corrs[1].cols.tolist() == list(range(ns)) and corrs[2].cols.tolist() == list(range(model.num_sites))
-        assert corrs[1].values.shape[:2] == (ns, ns)
-        assert is_positive_zero(grids[1][:, ns:]) and is_positive_zero(grids[1][ns:])
-        assert np.abs(grids[1][:ns, :ns]).max() > 0.0
+        for steps in tile_edge_steps(model.space):
+            grid = TimeGrid(3.0, steps)
+            factory = CorrelatorFactory(rho, model.K_v, grid)
+            for name, ops in families.items():
+                factory.add_family(name, ops)
+            corrs = [factory.anticommutator_grid(*pair, full=full) for pair in pairs]
+            grids = [full_grid(corr, model.num_sites) for corr in corrs]
+            for (name_a, name_d), values in zip(pairs, grids):
+                reference = loop_reference_grid(factory, families[name_a], families[name_d], full)
+                np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
+                if not full:
+                    above = np.triu_indices(grid.n_nodes, 1)
+                    assert is_positive_zero(values[:, :, above[0], above[1]])
+            # the dressed family's lead rows are zero operators: no grid holds them
+            for corr in corrs[1:]:
+                assert corr.rows.tolist() == list(range(ns))
+            # nor a column of a grid whose held family is the dressed one
+            assert corrs[1].cols.tolist() == list(range(ns)) and corrs[2].cols.tolist() == list(range(model.num_sites))
+            assert corrs[1].values.shape[:2] == (ns, ns)
+            assert is_positive_zero(grids[1][:, ns:]) and is_positive_zero(grids[1][ns:])
+            assert np.abs(grids[1][:ns, :ns]).max() > 0.0
 
     @pytest.mark.parametrize("xi", [0.7, 0.0])
     def test_shared_sweep_equals_one_pair_grids(self, trimer_dict, xi):
-        # two whole tiles and a three-node tail; at xi = 0 the dressed family
-        # has no nonzero row, so only the ladder pair runs GEMMs
+        # at xi = 0 the dressed family has no nonzero row, so only the ladder pair runs GEMMs
         trimer_dict["sample"]["xi"] = xi
         run = parse_config(trimer_dict)
         model = run.model
         rho = gibbs(model.K_0, run.thermal, model.N_total)
-        factory = CorrelatorFactory(rho, model.K_v, TimeGrid(3.0, 2 * TILE_NODES + 2))
-        factory.add_family("a", list(model.creation_family))
-        factory.add_family("b", list(model.dressed_creation_family))
-        assert_shared_sweep_matches_one_pair_grids(factory)
-        dressed = factory.anticommutator_grid("a", "a", True, COMPANIONS).companions[0]
-        assert dressed.rows.size == (model.num_sample if xi else 0)
+        for steps in tile_edge_steps(model.space):
+            factory = CorrelatorFactory(rho, model.K_v, TimeGrid(3.0, steps))
+            factory.add_family("a", list(model.creation_family))
+            factory.add_family("b", list(model.dressed_creation_family))
+            assert_shared_sweep_matches_one_pair_grids(factory)
+            dressed = factory.anticommutator_grid("a", "a", True, COMPANIONS).companions[0]
+            assert dressed.rows.size == (model.num_sample if xi else 0)
 
 
 class TestCorrelatorGrid:

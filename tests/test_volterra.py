@@ -1234,6 +1234,44 @@ class TestSupportAgainstFullAlgebra:
         assert_close(x.instantaneous(), solve_id_plus(twin_a, twin_b).instantaneous())
 
 
+def weighed_then_selected(op, rows, cols) -> np.ndarray:
+    """A sub-block read the long way: the whole packed matrix, then the requested entries copied into zeros."""
+    n, whole = op.grid.n_nodes, op.panels()
+    out = np.zeros(volterra.packed_size(n, rows.size, cols.size), dtype=complex)
+    tiles = zip(volterra._slabs(whole, n, op.rows.size, op.cols.size), volterra._slabs(out, n, rows.size, cols.size))
+    for (*_, held), (*_, picked) in tiles:
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                if row in op.rows and col in op.cols:
+                    picked[:, :, i, j] = held[:, :, op.rows.tolist().index(row), op.cols.tolist().index(col)]
+    return out
+
+
+class TestSubBlockReads:
+    """A kernel-built operator weighs only the sub-block a product or solve reads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(supported_pairs(), st.data())
+    def test_equals_weighing_the_whole_kernel(self, pair, data):
+        # kernel-built operators with and without an instantaneous part and a scale, and a product
+        _, p, (a, *_), (b, *_) = pair
+        for op in (a, b, a @ b):
+            rows, cols = (
+                np.array(sorted(data.draw(st.sets(st.integers(0, p - 1)), label=f"read {side}")), dtype=int)
+                for side in ("rows", "cols")
+            )
+            assert op._on(rows, cols).tobytes() == weighed_then_selected(op, rows, cols).tobytes()
+
+    def test_g0_sample_rows(self):
+        # G0 is read on the sample's rows or columns in most products of ``verify``
+        grid, p = TimeGrid(2.0, 2 * TILE_NODES + 3), 4
+        h = RNG.standard_normal((p, p)) + 1j * RNG.standard_normal((p, p))
+        g0 = compute_g0(h + np.conj(h.T), grid)
+        every, sample = np.arange(p), np.array([0, 1])
+        for rows, cols in ((sample, every), (every, sample), (sample, sample), (every, every)):
+            assert g0._on(rows, cols).tobytes() == weighed_then_selected(g0, rows, cols).tobytes()
+
+
 class TestSupportReductions:
     """The two solve reductions and the inner set of a product, on fixed supports."""
 
