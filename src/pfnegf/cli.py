@@ -6,10 +6,11 @@
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
 configuration error, malformed or unreadable kernel dump, or an artifact
-that cannot be written, 3 memory-guard abort (also for a kernel dump whose
-header implies arrays beyond the default budget).  ``--steps``, ``--budget``
-and ``--tolerance`` replace ``grid.steps``, ``budget`` and tolerance values
-of the configuration and are checked by the same rules (``pfnegf.config``).
+that cannot be written, 3 memory-guard abort (also for two kernel dumps
+whose headers imply arrays beyond the default budget together).
+``--steps``, ``--budget`` and ``--tolerance`` replace ``grid.steps``,
+``budget`` and tolerance values of the configuration and are checked by the
+same rules (``pfnegf.config``).
 Configuration errors exit before any task runs.  Failures emit a
 machine-readable JSON error record on stderr.  Artifacts are deterministic:
 rerunning the same configuration reproduces them byte for byte (fix the BLAS
@@ -104,8 +105,10 @@ def _execute_tasks(config, out_dir) -> list:
 
     for task in config.tasks:
         if task == "g0":
+            # not kept: a G0 held through the other tasks raises the run's peak
             g0 = compute_g0(config.model.h_biased, config.grid())
             dump_kernel_to_path(g0, ordering, os.path.join(out_dir, "g0.kernel.csv"), "G0")
+            del g0
         elif task == "gxi":
             path = os.path.join(out_dir, "gxi.kernel.csv")
             dump_kernel_to_path(get_engine().gxi, ordering, path, "Gxi")
@@ -141,11 +144,11 @@ def diff_command(args) -> int:
     import numpy as np
 
     from .errors import MemoryBudgetError
-    from .volterra import load_kernel_from_path
+    from .volterra import load_kernels
 
     try:
-        header_a, mem_a, inst_a = load_kernel_from_path(args.dump_a)
-        header_b, mem_b, inst_b = load_kernel_from_path(args.dump_b)
+        with open(args.dump_a, encoding="utf-8") as fh_a, open(args.dump_b, encoding="utf-8") as fh_b:
+            (header_a, mem_a, inst_a), (header_b, mem_b, inst_b) = load_kernels(fh_a, fh_b)
     except MemoryBudgetError as exc:
         _error_record("memory", str(exc))
         return EXIT_MEMORY

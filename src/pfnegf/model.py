@@ -102,13 +102,12 @@ class Model:
         """``b*(e_j) = i xi [W, a*(e_j)]`` for every orbital.
 
         Lead entries are exactly zero operators.  They stay in the family,
-        so every grid keeps one row per orbital, but the correlator sweep
-        leaves them out of its products: a zero operator times any finite
-        phases is exactly zero at every node, so its grid rows are exact
-        zeros whether or not they are multiplied out.  The lead-support check
-        therefore still computes its evidence from these operators
-        themselves (their largest entry, which must vanish) and from the
-        lead blocks of the assembled self-energies.
+        so it has one entry per orbital, but the correlator sweep leaves them
+        out: a zero operator times any finite phases is exactly zero at every
+        node, so a grid holds only the nonzero rows and its other entries are
+        zero.  The lead-support check therefore still computes its evidence
+        from these operators themselves (their largest entry, which must
+        vanish) and from the lead blocks of the assembled self-energies.
         """
         return tuple(
             dressed_creation(self.space, self.W, self.interaction.strength, self.basis_vector(j))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -88,31 +87,31 @@ def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
 
 
 class KernelEngine:
-    """Shared-state computation of every kernel for one model and grid.
+    """Every kernel and residual of one model and grid, computed at construction.
 
     The state is the partition-free one, the Gibbs state of the coupled and
     unbiased ``K_0`` at ``thermal``.  The creation family and the dressed
     family are registered once, in the eigenbasis of ``K_v``.  The three grids
     (interacting kernel, reducible self-energy, consistency map) come from one
-    sweep, on first use of any of them: it reaches every node of the two
-    families by elementwise phase factors and, particle-number sector by
-    sector, forms each held and D tile once for all three grids and pairs
-    tiles of nodes in one GEMM per grid.  That costs O(N_t^2) phase products,
-    no evolution sweeps and O(TILE_NODES) memory in N_t.  Each grid holds only
-    the nonzero rows of its two families (the dressed family vanishes on the
-    leads), and each kernel is packed with those rows as its orbital support:
-    ``Sigma~`` holds sample x sample, ``F`` sample x all, and ``Gxi`` and
-    ``G0`` every orbital.  Derived objects (irreducible self-energy, algebraic
-    Dyson solution) are exact products of the packed causal algebra, which
-    carries the support along.  No grid is cached: the full ladder grid, both
-    triangles, gives the pairing defect and then the kernel of ``gxi``; the
-    dressed grid gives ``sigma_tilde``; the mixed grid gives ``F``, whose two
-    quadrature residuals are measured at once, and ``F`` is dropped.  The
-    product ``Sigma~ G0`` of the ``F`` residual is kept until ``sigma`` or
-    ``quadrature``, whichever comes first, takes it.  ``budget`` covers
-    ``ALGEBRA_OPERATORS`` full-p packed operators, checked at construction,
-    and the held and D tiles of both families, checked before the sweep
-    starts.
+    sweep: it reaches every node of the two families by elementwise phase
+    factors and, particle-number sector by sector, forms each held and D tile
+    once for all three grids and pairs tiles of nodes in one GEMM per grid.
+    That costs O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES)
+    memory in N_t.  Each grid holds only the nonzero rows of its two families
+    (the dressed family vanishes on the leads), and each kernel is packed with
+    those rows as its orbital support: ``Sigma~`` holds sample x sample, ``F``
+    sample x all, and ``Gxi`` and ``G0`` every orbital.  Derived objects
+    (irreducible self-energy, algebraic Dyson solution) are exact products of
+    the packed causal algebra, which carries the support along.
+
+    The constructor runs the whole chain in one order, which sets both the
+    bits and the memory peak, and drops each temporary after its last read:
+    the full ladder grid (both triangles) gives ``pairing_defect`` and then
+    ``gxi``; ``F`` gives its two quadrature residuals; ``Sigma~ G0``, formed
+    for one of them, gives ``sigma``.  No grid is kept.  ``budget`` covers
+    ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and the held
+    and D tiles of both families, checked before the sweep starts; either
+    raises ``MemoryBudgetError`` from the constructor.
     """
 
     def __init__(
@@ -128,125 +127,68 @@ class KernelEngine:
                 f"the Volterra algebra needs {need} bytes (budget {budget}); "
                 "reduce the step count or the orbital count"
             )
-        self.model = model
-        self.grid = grid
-        self.thermal = thermal
-        self.budget = budget
+        self.model, self.grid, self.thermal, self.budget = model, grid, thermal, budget
+        self.p = p = model.num_sites
         rho = gibbs(model.K_0, thermal, model.N_total, label="pf")
         self.factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
         self.factory.add_family("a", list(model.creation_family))
         self.factory.add_family("b", list(model.dressed_creation_family))
 
-    @property
-    def p(self) -> int:
-        return self.model.num_sites
-
-    @cached_property
-    def _sweep(self) -> dict:
-        """Everything read off the one sweep of the ladder, dressed and mixed grids.
-
-        The full ladder grid gives its pairing defect and then ``gxi``, and is
-        freed; the dressed grid, with the contact part, gives ``sigma_tilde``;
-        the mixed grid gives ``F``, whose two residuals are measured here, and
-        ``F`` is dropped; ``Sigma~ G0``, formed for one of them, is kept for
-        ``sigma`` until ``quadrature`` is read.  Each grid holds the nonzero
-        rows of its two families, and its operator is packed over those rows.
-        """
-
         def packed(corr, scale, inst=None) -> VolterraOperator:
             mem = corr.causal_kernel()
-            return VolterraOperator(self.grid, self.p, inst=inst, mem=mem, rows=corr.rows, cols=corr.cols, scale=scale)
+            return VolterraOperator(grid, p, inst=inst, mem=mem, rows=corr.rows, cols=corr.cols, scale=scale)
 
+        self.g0 = g0 = compute_g0(model.h_biased, grid)
         ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
         dressed, mixed = ladder.companions
-        defect = ladder.pairing_defect()  # before causal_kernel zeroes the acausal half
-        gxi = packed(ladder, -1j)
+        self.pairing_defect = ladder.pairing_defect()  # before causal_kernel zeroes the acausal half
+        self.gxi = gxi = packed(ladder, -1j)
         del ladder
-        contact, _ = self.contact_expectations
-        sigma_tilde = packed(dressed, -1j, inst=(1j * contact).transpose(2, 0, 1).copy())
+        self.contact_expectations = _contact_expectations(model, self.factory)
+        contact = self.contact_expectations[0]
+        self.sigma_tilde = sigma_tilde = packed(dressed, -1j, inst=(1j * contact).transpose(2, 0, 1).copy())
         del dressed
         f_map = packed(mixed, 1.0)  # not bitwise a no-op: it turns some signed zeros
         del mixed
-        g0 = self.g0
         fmap_dyson = (gxi - g0 - g0 @ f_map).norm_bound()
         sigma_tilde_g0 = sigma_tilde @ g0
-        return {
-            "gxi": gxi,
-            "pairing_defect": defect,
-            "sigma_tilde": sigma_tilde,
-            "sigma_tilde_g0": sigma_tilde_g0,  # until ``sigma`` or ``quadrature`` takes it
-            "fmap_factorization": (f_map - sigma_tilde_g0).norm_bound(),
+        fmap_factorization = (f_map - sigma_tilde_g0).norm_bound()
+        del f_map
+        self.sigma = irreducible_sigma(g0, sigma_tilde, sigma_tilde_g0)
+        del sigma_tilde_g0
+        self.g_alg = g0 + g0 @ sigma_tilde @ g0  # the discrete-algebra Dyson solution
+        # induced-norm residuals of the three quadrature-limited identities
+        self.quadrature = {
+            "reducible_dyson": (gxi - self.g_alg).norm_bound(),
+            "fmap_factorization": fmap_factorization,
             "fmap_dyson": fmap_dyson,
         }
 
-    @cached_property
-    def g0(self) -> VolterraOperator:
-        return compute_g0(self.model.h_biased, self.grid)
 
-    @cached_property
-    def gxi(self) -> VolterraOperator:
-        return self._sweep["gxi"]
+def _contact_expectations(model: Model, factory: CorrelatorFactory) -> tuple[np.ndarray, float]:
+    """Instantaneous entries ``<{a*(e_m), b(e_j)}(t_k)>`` plus support defect.
 
-    @property
-    def pairing_defect(self) -> float:
-        return self._sweep["pairing_defect"]
-
-    @cached_property
-    def contact_expectations(self) -> tuple[np.ndarray, float]:
-        """Instantaneous entries ``<{a*(e_m), b(e_j)}(t_k)>`` plus support defect.
-
-        Only sample-sample pairs are evolved; for pairs touching a lead the
-        equal-time anticommutator is built once and its (exactly vanishing)
-        magnitude is recorded as part of the lead-support evidence.
-        """
-        model, grid = self.model, self.grid
-        d, ns = model.num_sites, model.num_sample
-        values = np.zeros((d, d, grid.n_nodes), dtype=complex)
-        sample_ops = []
-        sample_pairs = []
-        lead_defects = []
-        for j in range(d):
-            for m in range(d):
-                if j < ns and m < ns:
-                    sample_pairs.append((j, m))
-                    sample_ops.append(model.contact_operator(j, m))
-                else:
-                    lead_defects.append(model.contact_operator(j, m).max_abs())
-        series = self.factory.expectation_series(sample_ops)
-        for (j, m), row in zip(sample_pairs, series):
-            values[j, m] = row
-        # every geometry has a lead site, so some pair touches a lead
-        return values, float(np.max(lead_defects))
-
-    @cached_property
-    def sigma_tilde(self) -> VolterraOperator:
-        return self._sweep["sigma_tilde"]
-
-    @cached_property
-    def sigma(self) -> VolterraOperator:
-        return irreducible_sigma(self.g0, self.sigma_tilde, self._sweep.pop("sigma_tilde_g0", None))
-
-    @cached_property
-    def g_alg(self) -> VolterraOperator:
-        """Discrete-algebra Dyson solution ``G0 + G0 Sigma~ G0``."""
-        return self.g0 + self.g0 @ self.sigma_tilde @ self.g0
-
-    @cached_property
-    def quadrature(self) -> dict:
-        """Induced-norm residuals of the three quadrature-limited identities.
-
-        ``reducible_dyson`` compares ``Gxi`` with ``g_alg = G0 + G0 Sigma~ G0``,
-        ``fmap_factorization`` compares ``F`` with ``Sigma~ G0`` and
-        ``fmap_dyson`` compares ``Gxi`` with ``G0 + G0 F``; the two ``F``
-        residuals were measured by the sweep.  An engine that has not built
-        ``sigma`` yet drops ``Sigma~ G0`` here; ``sigma`` forms it again.
-        """
-        self._sweep.pop("sigma_tilde_g0", None)
-        return {
-            "reducible_dyson": (self.gxi - self.g_alg).norm_bound(),
-            "fmap_factorization": self._sweep["fmap_factorization"],
-            "fmap_dyson": self._sweep["fmap_dyson"],
-        }
+    Only sample-sample pairs are evolved; for pairs touching a lead the
+    equal-time anticommutator is built once and its (exactly vanishing)
+    magnitude is recorded as part of the lead-support evidence.
+    """
+    d, ns = model.num_sites, model.num_sample
+    values = np.zeros((d, d, factory.grid.n_nodes), dtype=complex)
+    sample_ops = []
+    sample_pairs = []
+    lead_defects = []
+    for j in range(d):
+        for m in range(d):
+            if j < ns and m < ns:
+                sample_pairs.append((j, m))
+                sample_ops.append(model.contact_operator(j, m))
+            else:
+                lead_defects.append(model.contact_operator(j, m).max_abs())
+    series = factory.expectation_series(sample_ops)
+    for (j, m), row in zip(sample_pairs, series):
+        values[j, m] = row
+    # every geometry has a lead site, so some pair touches a lead
+    return values, float(np.max(lead_defects))
 
 
 def irreducible_sigma(
@@ -376,11 +318,11 @@ def fit_convergence_order(deltas, residuals) -> float:
 def convergence_study(engine: KernelEngine, steps_list) -> dict:
     """Quadrature-residual table over a family of grids plus fitted orders.
 
-    ``engine`` serves its own grid, from its caches when ``verify_dyson`` has
-    filled them.  Every other grid gets a kernel engine of the same model,
-    thermal parameters, horizon and budget, which builds only what the three
-    quadrature-limited identities need (``KernelEngine.quadrature``).  The
-    exact-algebra checks are grid-independent and belong to ``verify_dyson``.
+    ``engine`` serves its own grid with the residuals it already holds
+    (``KernelEngine.quadrature``).  Every other grid gets a kernel engine of
+    the same model, thermal parameters, horizon and budget, of which only
+    those residuals are read.  The exact-algebra checks are grid-independent
+    and belong to ``verify_dyson``.
     Returns the CSV text, the rows, and fitted orders for the three
     identities.  A zero residual gives a nan or inf Richardson ratio and a nan
     order.
@@ -429,8 +371,8 @@ def verify_dyson(
     the discrete operator difference (``norm_bound``: max over row nodes of
     summed block spectral norms); exact-algebra identities with its max-abs
     entry (``max_abs``).  Every operator, ``g_alg`` and the quadrature residuals
-    come from the engine's caches, so a convergence study on the same engine
-    does not compute them again.
+    are the ones the engine built, which a convergence study on the same
+    engine reads as well.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:

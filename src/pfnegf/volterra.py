@@ -299,8 +299,13 @@ class VolterraOperator:
         return VolterraOperator._packed(self.grid, self.p, self.rows, self.cols, inst, None, panels)
 
     def restrict(self, indices) -> "VolterraOperator":
-        """Keep the given orbital indices (e.g. the sample block), read from the stored sub-blocks."""
+        """Keep the given orbital indices (e.g. the sample block), read from the stored sub-blocks.
+
+        The indices are distinct orbitals in ``[0, p)``, in any order; others raise ``ValueError``.
+        """
         indices = np.asarray(indices, dtype=int)
+        if np.any((indices < 0) | (indices >= self.p)) or np.unique(indices).size != indices.size:
+            raise ValueError(f"restrict needs distinct orbitals in [0, {self.p}), got {indices.tolist()}")
         n, q = self.grid.n_nodes, len(indices)
         inst = None if self._inst is None else self._inst[:, indices[:, None], indices[None, :]]
         rows, cols = (np.flatnonzero(np.isin(indices, s)) for s in (self.rows, self.cols))
@@ -535,31 +540,40 @@ def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None
 
 
 def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Parse a kernel dump; returns (header, memory kernel, instantaneous part).
+    """Parse a kernel dump; returns (header, memory kernel, instantaneous part)."""
+    return load_kernels(fh)[0]
 
-    Every causal memory entry ``(k, l, i, j)``, ``l <= k``, must appear exactly
-    once, and the instantaneous entries all once or not at all (the writer
-    leaves out an instantaneous part that is zero); a truncated dump, or one
-    with a repeated or missing row, raises ``ValueError``.  Raises
-    ``MemoryBudgetError`` before allocating when the arrays the header implies
-    exceed ``DEFAULT_BUDGET_BYTES``.
+
+def load_kernels(*fhs) -> list:
+    """Parse kernel dumps; returns (header, memory kernel, instantaneous part) of each.
+
+    Every header is read and checked first, and ``MemoryBudgetError`` is
+    raised before any array is allocated when the arrays the headers imply
+    exceed ``DEFAULT_BUDGET_BYTES`` together.  Every causal memory entry
+    ``(k, l, i, j)``, ``l <= k``, must appear exactly once, and the
+    instantaneous entries all once or not at all (the writer leaves out an
+    instantaneous part that is zero); a truncated dump, or one with a
+    repeated or missing row, raises ``ValueError``.
     """
-    header = json.loads(fh.readline())
-    if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
-        raise ValueError(f"malformed kernel header: {header!r}")
-    for key, least in (("p", 1), ("N_t", 2)):
-        value = header[key]
-        whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        if isinstance(value, bool) or not whole or value < least:
-            raise ValueError(f"malformed kernel header: {key} must be a whole number >= {least}, got {value!r}")
-    p = int(header["p"])
-    n = int(header["N_t"]) + 1
-    need = 17 * (n * n + n) * p * p  # complex128 kernel and instantaneous part, and their seen masks
+    headers = []
+    for fh in fhs:
+        header = json.loads(fh.readline())
+        if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
+            raise ValueError(f"malformed kernel header: {header!r}")
+        for key, least in (("p", 1), ("N_t", 2)):
+            value = header[key]
+            whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+            if isinstance(value, bool) or not whole or value < least:
+                raise ValueError(f"malformed kernel header: {key} must be a whole number >= {least}, got {value!r}")
+        headers.append((header, int(header["p"]), int(header["N_t"]) + 1))
+    need = sum(17 * (n * n + n) * p * p for _, p, n in headers)  # complex128 arrays and their seen masks
     if need > DEFAULT_BUDGET_BYTES:
-        raise MemoryBudgetError(
-            f"the kernel dump header (p = {p}, N_t = {n - 1}) needs {need} bytes "
-            f"(budget {DEFAULT_BUDGET_BYTES})"
-        )
+        shapes = " and ".join(f"p = {p}, N_t = {n - 1}" for _, p, n in headers)
+        raise MemoryBudgetError(f"the kernel dump headers ({shapes}) need {need} bytes (budget {DEFAULT_BUDGET_BYTES})")
+    return [_kernel_rows(fh, *shape) for fh, shape in zip(fhs, headers)]
+
+
+def _kernel_rows(fh, header: dict, p: int, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
     mem = np.zeros((n, n, p, p), dtype=complex)
     inst = np.zeros((n, p, p), dtype=complex)
     seen_mem, seen_inst = np.zeros(mem.shape, dtype=bool), np.zeros(inst.shape, dtype=bool)
@@ -593,8 +607,3 @@ def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
     if count not in (0, seen_inst.size):
         raise ValueError(f"malformed kernel dump: {count} of {seen_inst.size} instantaneous entries present")
     return header, mem, inst
-
-
-def load_kernel_from_path(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_kernel(fh)

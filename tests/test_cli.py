@@ -509,6 +509,20 @@ class TestDiff:
         assert error["type"] == "memory"
         assert "p = 300, N_t = 2000" in error["message"]
 
+    def test_pair_over_budget_together_exit_code(self, tmp_path, dumps):
+        # each header implies 2.19 GB of arrays, within the 4 GiB budget on its
+        # own; the pair is refused before either dump is allocated
+        header = json.loads(dumps[0].read_text().split("\n", 1)[0]) | {"p": 100, "N_t": 112}
+        pair = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        for path in pair:
+            path.write_text(json.dumps(header) + "\n")
+        result = run_cli(["diff", *map(str, pair)], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+        assert error["type"] == "memory"
+        assert error["message"].count("p = 100, N_t = 112") == 2
+
     @pytest.mark.parametrize("which", ["missing", "directory"])
     def test_unreadable_dump_exit_code(self, tmp_path, dumps, which):
         a = dumps[0]

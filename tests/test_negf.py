@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pfnegf.config import parse_config, reference_config
+from pfnegf.errors import MemoryBudgetError
 from pfnegf.grid import TimeGrid
 from pfnegf.model import Model
 from pfnegf.negf import (
@@ -18,7 +19,7 @@ from pfnegf.negf import (
     irreducible_sigma,
     verify_dyson,
 )
-from pfnegf.propagation import CorrelatorGrid
+from pfnegf.propagation import CorrelatorFactory, CorrelatorGrid
 from pfnegf.volterra import VolterraOperator, dump_kernel
 
 from oracles import (
@@ -98,6 +99,19 @@ class TestKernelsFromGrids:
             assert op.instantaneous().tobytes() == expected.instantaneous().tobytes(), name
         # the engine keeps operators, never a grid
         assert not any(isinstance(value, CorrelatorGrid) for value in vars(engine).values())
+
+
+class TestConstruction:
+    def test_every_kernel_and_residual_is_built_at_construction(self, trimer_engine):
+        names = {"g0", "contact_expectations", "pairing_defect", "gxi", "sigma_tilde", "sigma", "g_alg", "quadrature"}
+        assert names <= vars(trimer_engine).keys()
+
+    def test_tile_budget_is_checked_at_construction(self, reference_run):
+        # the geometry of the CLI's recompute memory-guard test: the Volterra
+        # algebra of 3 nodes fits 200 kB, the tiles of the ladder grid do not
+        grid = TimeGrid(reference_run.horizon, 2)
+        with pytest.raises(MemoryBudgetError, match="^one held and one D tile need"):
+            KernelEngine(reference_run.model, reference_run.thermal, grid, budget=200_000)
 
 
 class TestFreeKernel:
@@ -283,8 +297,8 @@ class TestDysonIdentities:
     @pytest.mark.parametrize("strategy", ["history", "recompute"])
     def test_convergence_reuses_engine_bitwise(self, trimer_dict, strategy):
         # an engine at the finest steps, verified first as the CLI's verify
-        # task does, serves that row from its caches and gives the table of a
-        # fresh engine byte for byte; configs that still carry the retired
+        # task does, serves that row with the residuals it holds and gives the
+        # table of a fresh engine byte for byte; configs that still carry the retired
         # strategy key parse and run unchanged
         run = parse_config(trimer_dict | {"strategy": strategy})
         grid = TimeGrid(run.horizon, 24)
@@ -302,16 +316,23 @@ class TestDysonIdentities:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_kernel_fails_its_checks(self, trimer_run, bad):
-        grid = TimeGrid(1.0, 10)
-        engine = KernelEngine(trimer_run.model, trimer_run.thermal, grid)
-        mem = memory_kernel(engine.g0).copy()
-        mem[6, 2, 1, 0] = bad
-        # set before first use: every check then reads this kernel
-        engine.gxi = VolterraOperator(grid, engine.p, mem=mem)
+    def test_non_finite_kernel_fails_its_checks(self, trimer_run, bad, monkeypatch):
+        # one causal off-diagonal entry of the ladder grid, poisoned before the
+        # engine packs it into Gxi, makes the residuals that weigh Gxi's
+        # memory kernel non-finite
+        sweep = CorrelatorFactory.anticommutator_grid
+
+        def poisoned(factory, *args, **kwargs):
+            grid = sweep(factory, *args, **kwargs)
+            grid.values[1, 0, 6, 2] = bad  # j, m, k, l with l < k
+            return grid
+
+        monkeypatch.setattr(CorrelatorFactory, "anticommutator_grid", poisoned)
+        engine = KernelEngine(trimer_run.model, trimer_run.thermal, TimeGrid(1.0, 10))
+        assert not np.isfinite(memory_kernel(engine.gxi)[6, 2, 1, 0])
         report = verify_dyson(engine)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert {"reducible_dyson", "volterra_constant_gxi"} <= failed
+        for name in ("reducible_dyson", "fmap_dyson", "volterra_constant_gxi"):
+            assert not np.isfinite(report.residual(name)), name
         assert not report.passed
 
     def test_contact_lead_defect_sees_a_nan(self, trimer_dict, monkeypatch):
@@ -380,14 +401,6 @@ class TestSharedProducts:
         engine = KernelEngine(reference_run.model, reference_run.thermal, TimeGrid(reference_run.horizon, 25))
         verify_dyson(engine)
         assert len(calls) <= 17
-
-    def test_quadrature_first_drops_the_kept_product(self, reference_run, ref_engine_25):
-        # an engine that reads quadrature before sigma frees Sigma~ G0 there,
-        # and sigma forms it again with the same bits
-        engine = KernelEngine(reference_run.model, reference_run.thermal, TimeGrid(reference_run.horizon, 25))
-        engine.quadrature
-        assert "sigma_tilde_g0" not in engine._sweep
-        assert engine.sigma.panels().tobytes() == ref_engine_25.sigma.panels().tobytes()
 
     def test_residuals_equal_fresh_expressions(self, ref_engine_25):
         engine = ref_engine_25

@@ -395,6 +395,17 @@ class TestRestriction:
         sub = a.restrict([0, 1])
         np.testing.assert_array_equal(memory_kernel(sub), memory_kernel(a)[:, :, :2, :2])
 
+    @pytest.mark.parametrize("instantaneous", [False, True])
+    @pytest.mark.parametrize("indices", [[-1], [3], [0, 0], [2, 1, 2]])
+    def test_restrict_refuses_orbitals_outside_or_repeated(self, indices, instantaneous):
+        # a negative index would wrap to the last orbital, one past the end
+        # would be dropped or raise IndexError, and a repeat would duplicate
+        a = random_memory_operator(GRID, 3, seed=12)
+        if instantaneous:
+            a = a + VolterraOperator(GRID, 3, inst=np.ones((GRID.n_nodes, 3, 3), dtype=complex))
+        with pytest.raises(ValueError, match=r"distinct orbitals in \[0, 3\)"):
+            a.restrict(indices)
+
 
 class TestDumpFormat:
     def test_round_trip(self):
