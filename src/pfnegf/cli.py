@@ -5,9 +5,11 @@
     negf diff DUMP_A DUMP_B
 
 Exit status: 0 all enabled checks passed, 1 a check failed, 2 usage or
-configuration error, malformed or unreadable kernel dump, or an artifact
-that cannot be written, 3 memory-guard abort (also for two kernel dumps
-whose headers imply arrays beyond the default budget together).
+configuration error, malformed or unreadable kernel dump, two dumps whose
+headers disagree on the grid or the ordering (found before either body is
+read), or an artifact that cannot be written, 3 memory-guard abort (also for
+two kernel dumps whose headers imply arrays beyond the default budget
+together).
 ``--steps``, ``--budget`` and ``--tolerance`` replace ``grid.steps``,
 ``budget`` and tolerance values of the configuration and are checked by the
 same rules (``pfnegf.config``).
@@ -143,28 +145,25 @@ def _execute_tasks(config, out_dir) -> list:
 def diff_command(args) -> int:
     import numpy as np
 
-    from .errors import MemoryBudgetError
+    from .errors import HeaderMismatchError, MemoryBudgetError
     from .volterra import load_kernels
 
     try:
         with open(args.dump_a, encoding="utf-8") as fh_a, open(args.dump_b, encoding="utf-8") as fh_b:
-            (header_a, mem_a, inst_a), (header_b, mem_b, inst_b) = load_kernels(fh_a, fh_b)
+            agree = ("p", "N_t", "T", "ordering")
+            (header_a, mem_a, inst_a), (_, mem_b, inst_b) = load_kernels(fh_a, fh_b, agree=agree)
     except MemoryBudgetError as exc:
         _error_record("memory", str(exc))
         return EXIT_MEMORY
+    except HeaderMismatchError as exc:
+        _error_record("header-mismatch", str(exc))
+        return EXIT_CONFIG
     except ValueError as exc:
         _error_record("malformed-dump", str(exc))
         return EXIT_CONFIG
     except OSError as exc:
         _error_record("unreadable-dump", f"cannot read kernel dump: {exc}")
         return EXIT_CONFIG
-    for key in ("p", "N_t", "T", "ordering"):
-        if header_a[key] != header_b[key]:
-            _error_record(
-                "header-mismatch",
-                f"dumps disagree on {key!r}: {header_a[key]!r} vs {header_b[key]!r}",
-            )
-            return EXIT_CONFIG
 
     p = int(header_a["p"])
     print("i,j,max_abs_memory_diff,max_abs_instantaneous_diff")

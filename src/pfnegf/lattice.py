@@ -145,15 +145,6 @@ class OnePartHamiltonian:
             profile[self.geometry.lead_slice(nu)] = v
         return profile
 
-    @property
-    def h_sample(self) -> np.ndarray:
-        s = self.geometry.sample_slice
-        return self.h_decoupled[s, s]
-
-    def h_lead(self, nu: int) -> np.ndarray:
-        s = self.geometry.lead_slice(nu)
-        return self.h_decoupled[s, s]
-
     def lead_projector(self, nu: int) -> np.ndarray:
         p = np.zeros((self.geometry.num_sites, self.geometry.num_sites))
         s = self.geometry.lead_slice(nu)

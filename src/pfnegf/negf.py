@@ -25,7 +25,6 @@ measures all of it and reports residual-vs-tolerance verdicts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .grid import TimeGrid
 from .model import Model
 from .propagation import DEFAULT_BUDGET_BYTES, CorrelatorFactory
 from .thermal import ThermalParams, gibbs
-from .volterra import VolterraOperator, packed_size, solve_id_plus
+from .volterra import Product, Sum, VolterraOperator, packed_size, solve_id_plus, solve_id_plus_sum
 
 # Exact-algebra identities are roundoff-limited; quadrature-limited residuals
 # get absolute defaults calibrated to the desk-scale reference grid and are
@@ -62,9 +61,10 @@ QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 # Full-p packed Volterra operators' worth of memory that ``verify`` holds at
 # once.  tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6)
 # benchmark configs, 101 nodes, seed 0, traced from before the engine is
-# built, measured a peak of 10.7 and 7.9 full-p packed buffers, everything
-# the sweep leaves included.  At most 14 operators were live, several of
-# them held on the sample block only.
+# built, measured a peak of 10.1 and 5.0 full-p packed buffers in the engine
+# (the sweep's, set while Gxi is packed) and 6.0 and 5.3 in ``verify``,
+# everything the engine keeps included.  The residuals are reduced tile row
+# by tile row, so a tile row's few slabs are all they add.
 ALGEBRA_OPERATORS = 16
 
 
@@ -108,7 +108,10 @@ class KernelEngine:
     bits and the memory peak, and drops each temporary after its last read:
     the full ladder grid (both triangles) gives ``pairing_defect`` and then
     ``gxi``; ``F`` gives its two quadrature residuals; ``Sigma~ G0``, formed
-    for one of them, gives ``sigma``.  No grid is kept.  ``budget`` covers
+    for one of them, gives ``sigma``.  No grid is kept.  Each quadrature
+    residual is reduced one tile row at a time (``volterra.Sum``), so no
+    difference and no product ``G0 F`` is formed whole, and ``g_alg`` is
+    written slab by slab into its own buffer.  ``budget`` covers
     ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and the held
     and D tiles of both families, checked before the sweep starts; either
     raises ``MemoryBudgetError`` from the constructor.
@@ -150,16 +153,17 @@ class KernelEngine:
         del dressed
         f_map = packed(mixed, 1.0)  # not bitwise a no-op: it turns some signed zeros
         del mixed
-        fmap_dyson = (gxi - g0 - g0 @ f_map).norm_bound()
+        fmap_dyson = (Sum(gxi) - g0 - Product(g0, f_map)).norm_bound()
         sigma_tilde_g0 = sigma_tilde @ g0
-        fmap_factorization = (f_map - sigma_tilde_g0).norm_bound()
+        fmap_factorization = (Sum(f_map) - sigma_tilde_g0).norm_bound()
         del f_map
         self.sigma = irreducible_sigma(g0, sigma_tilde, sigma_tilde_g0)
         del sigma_tilde_g0
-        self.g_alg = g0 + g0 @ sigma_tilde @ g0  # the discrete-algebra Dyson solution
+        # the discrete-algebra Dyson solution, g0 + (g0 Sigma~) g0
+        self.g_alg = (Sum(g0) + Product(g0 @ sigma_tilde, g0)).evaluate()
         # induced-norm residuals of the three quadrature-limited identities
         self.quadrature = {
-            "reducible_dyson": (gxi - self.g_alg).norm_bound(),
+            "reducible_dyson": (Sum(gxi) - self.g_alg).norm_bound(),
             "fmap_factorization": fmap_factorization,
             "fmap_dyson": fmap_dyson,
         }
@@ -209,16 +213,9 @@ def irreducible_sigma(
     return solve_id_plus(sigma_tilde_g0, sigma_tilde)
 
 
-def dyson_solution(
-    g0: VolterraOperator, sigma: VolterraOperator, g0_sigma: VolterraOperator | None = None
-) -> VolterraOperator:
-    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra.
-
-    A caller that holds the product ``G0 Sigma`` passes it as ``g0_sigma``.
-    """
-    if g0_sigma is None:
-        g0_sigma = g0 @ sigma
-    return solve_id_plus(-g0_sigma, g0)
+def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> VolterraOperator:
+    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra."""
+    return solve_id_plus(-(g0 @ sigma), g0)
 
 
 def approx_split(
@@ -226,23 +223,21 @@ def approx_split(
     sigma_app: VolterraOperator,
     g0: VolterraOperator,
     g_reference: VolterraOperator,
-) -> tuple[VolterraOperator, float]:
+) -> tuple[Sum, float]:
     """Approximate-propagator splitting around an approximating self-energy.
 
-    Returns ``G_app = (Id - G0 Sigma_app)^{-1} G0`` and the max-abs residual
-    of ``G_ref = G_app + G_app (Sigma - Sigma_app) G_ref``, which is an exact
+    Returns ``G_app = (Id - G0 Sigma_app)^{-1} G0``, as a ``Sum`` that is
+    never formed whole, and the max-abs residual of
+    ``G_ref = G_app + G_app (Sigma - Sigma_app) G_ref``, which is an exact
     discrete-algebra identity whenever ``G_ref`` solves the full equation.
+    The residual is reduced tile row by tile row, and each tile row of
+    ``G_app`` is formed where it is read.
     """
-    g_app = dyson_solution(g0, sigma_app)
-    # each operand goes as soon as it is read for the last time: the splits
-    # of ``verify`` hold the most operators at once
+    g_app = solve_id_plus_sum(-(g0 @ sigma_app), g0)  # dyson_solution(g0, sigma_app)
     correction = sigma - sigma_app
-    del sigma_app
-    chain = g_app @ correction
-    del correction
-    chain = chain @ g_reference
-    residual = (g_reference - g_app - chain).max_abs()
-    return g_app, residual
+    del sigma_app  # not read again
+    chain = Product(Product(g_app, correction), g_reference)
+    return g_app, (Sum(g_reference) - g_app - chain).max_abs()
 
 
 @dataclass(frozen=True)
@@ -297,9 +292,6 @@ class DysonReport:
             "checks": [c.to_dict() for c in self.checks],
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def fit_convergence_order(deltas, residuals) -> float:
@@ -372,7 +364,12 @@ def verify_dyson(
     summed block spectral norms); exact-algebra identities with its max-abs
     entry (``max_abs``).  Every operator, ``g_alg`` and the quadrature residuals
     are the ones the engine built, which a convergence study on the same
-    engine reads as well.
+    engine reads as well.  Each exact-algebra residual is a ``volterra.Sum``
+    reduced one tile row at a time, in the association and order of the
+    expression formed whole: the Dyson solution, the differences, the
+    product with ``g_alg`` and each approximate split's ``G_app`` are never
+    formed whole.  Only ``G0 Sigma``, shared by two checks, and the
+    sample-size operators are.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -384,10 +381,11 @@ def verify_dyson(
     p = g0.p
 
     # G0 Sigma is formed once for resolvent_dyson and irreducible_dyson, and
-    # freed before the approximate splits
+    # freed before the approximate splits; dyson_solution's sum is reduced
+    # without being formed
     g0_sigma = g0 @ sigma
-    resolvent = (dyson_solution(g0, sigma, g0_sigma) - g_alg).max_abs()
-    irreducible = (g_alg - g0 - g0_sigma @ g_alg).max_abs()
+    resolvent = (solve_id_plus_sum(-g0_sigma, g0) - g_alg).max_abs()
+    irreducible = (Sum(g_alg) - g0 - Product(g0_sigma, g_alg)).max_abs()
     del g0_sigma
 
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
@@ -409,10 +407,11 @@ def verify_dyson(
     g_alg_s, g0_s, sigma_s = (x.restrict(sub) for x in (g_alg, g0, sigma))
     report.add(
         "sample_restricted_dyson",
-        (g_alg_s - g0_s - g0_s @ sigma_s @ g_alg_s).max_abs(),
+        (Sum(g_alg_s) - g0_s - Product(g0_s @ sigma_s, g_alg_s)).max_abs(),
         tol["sample_restricted_dyson"],
         "exact-algebra",
     )
+    del g_alg_s, g0_s, sigma_s
 
     equal_time = float(np.max([
         np.max(np.abs(blocks[np.arange(k1 - k0), np.arange(k0, k1)] + 1j * np.eye(p)))

@@ -23,8 +23,20 @@ the causal triangle is stored.  The nodes are cut into tiles of
 the tile, so a diagonal tile keeps its few upper zeros.  The slabs of one
 operator lie in tile order in one buffer.  Compose and solve run on these
 slabs, one GEMM per pair of tile rows, at the supported sizes, so a
-self-energy on the sample is multiplied at the sample's size.  An operator
-holds one of two forms.  A kernel-built operator keeps its kernel, times an
+self-energy on the sample is multiplied at the sample's size.
+
+Sums and products are evaluated one tile row at a time.  A ``Sum`` of
+operators, ``Product`` terms and other sums forms its tile row ``I`` from
+tile row ``I`` of each term, and a product's tile row ``I`` needs tile row
+``I`` of its left factor and the slabs ``0..I`` of its right one, each read
+when it is needed.  So ``+``, ``-`` and ``@`` write their result slab by slab
+into its one buffer, and a residual such as
+``(Sum(a) - b - Product(c, d)).max_abs()`` or ``norm_bound()`` is reduced row
+by row, with no term, product or partial sum formed whole.  Every entry is
+computed as when the expression is formed whole, in the same order, so both
+give the same bits.
+
+An operator holds one of two forms.  A kernel-built operator keeps its kernel, times an
 optional scale, in the same packed layout and weighs it when the algebra
 reads it, so its kernel view and dump are the exact input.  Every other
 operator, one built from an instantaneous part alone included, holds the
@@ -44,10 +56,11 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MemoryBudgetError
+from .errors import HeaderMismatchError, MemoryBudgetError
 from .grid import TimeGrid
 from .propagation import DEFAULT_BUDGET_BYTES
 
@@ -65,11 +78,9 @@ NORM_PRUNE_MARGIN = 1e-10
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
     """w[k, l] for l <= k; row 0 is empty (the integral term vanishes there)."""
-    w = np.zeros((n_nodes, n_nodes))
-    for k in range(1, n_nodes):
-        w[k, : k + 1] = 1.0
-        w[k, 0] = 0.5
-        w[k, k] = 0.5
+    k, l = np.arange(n_nodes)[:, None], np.arange(n_nodes)
+    w = np.where(l <= k, np.where((l == 0) | (l == k), 0.5, 1.0), 0.0)
+    w[0] = 0.0
     return w
 
 
@@ -83,22 +94,55 @@ def packed_size(n_nodes: int, rows: int, cols: int | None = None) -> int:
     return rows * (rows if cols is None else cols) * sum((k1 - k0) * k1 for k0, k1 in _tiles(n_nodes))
 
 
+def _slab(buf: np.ndarray, n_nodes: int, r: int, c: int, i: int) -> tuple:
+    """``(k0, k1, slab, blocks)`` of tile row ``i`` over ``r x c`` orbitals: 2-D and ``(k1 - k0, k1, r, c)`` views."""
+    k0 = i * TILE_NODES
+    k1 = min(k0 + TILE_NODES, n_nodes)
+    start = r * c * TILE_NODES * TILE_NODES * i * (i + 1) // 2  # the whole tile rows above
+    slab = buf[start : start + (k1 - k0) * r * k1 * c].reshape((k1 - k0) * r, k1 * c)
+    return k0, k1, slab, _blocks(slab, k0, k1, r, c)
+
+
 def _slabs(buf: np.ndarray, n_nodes: int, r: int, c: int) -> list:
-    """``(k0, k1, slab, blocks)`` of every tile row over ``r x c`` orbitals: 2-D and ``(k1 - k0, k1, r, c)`` views."""
-    out, start = [], 0
-    for k0, k1 in _tiles(n_nodes):
-        size = (k1 - k0) * r * k1 * c
-        slab = buf[start : start + size].reshape((k1 - k0) * r, k1 * c)
-        out.append((k0, k1, slab, slab.reshape(k1 - k0, r, k1, c).transpose(0, 2, 1, 3)))
-        start += size
-    return out
+    """``_slab`` of every tile row."""
+    return [_slab(buf, n_nodes, r, c, i) for i in range(len(_tiles(n_nodes)))]
 
 
 def _support(indices, p: int) -> np.ndarray:
     indices = np.arange(p) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
-    if not np.array_equal(indices, np.unique(indices[(indices >= 0) & (indices < p)])):
+    if indices.size and not (indices[0] >= 0 and indices[-1] < p and np.all(indices[1:] > indices[:-1])):
         raise ValueError(f"a support must be increasing orbital indices below {p}, got {indices.tolist()}")
     return indices
+
+
+def _mask(indices, p: int) -> np.ndarray:
+    """``p`` flags, set at ``indices``: support set operations without sorting."""
+    mask = np.zeros(p, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+def _blocks(slab: np.ndarray, k0: int, k1: int, r: int, c: int) -> np.ndarray:
+    """The ``(k1 - k0, k1, r, c)`` block view of a tile row's slab."""
+    return slab.reshape(k1 - k0, r, k1, c).transpose(0, 2, 1, 3)
+
+
+def _placement(held_rows, held_cols, rows, cols, p: int):
+    """``place(held, out, w=None)``: copy the blocks ``held`` over ``held_rows x held_cols`` into the zeroed ``out`` over ``rows x cols``, weighed by ``w`` if given."""
+    keep = held_rows[_mask(rows, p)[held_rows]], held_cols[_mask(cols, p)[held_cols]]
+    sr, sc = (np.searchsorted(h, k) for h, k in zip((held_rows, held_cols), keep))
+    dr, dc = (np.searchsorted(d, k) for d, k in zip((rows, cols), keep))
+
+    def place(held, out, w=None):
+        part = held[:, :, sr[:, None], sc]
+        out[:, :, dr[:, None], dc] = part if w is None else part * w[:, :, None, None]
+
+    return place
+
+
+def _compatible(a, b) -> None:
+    if a.grid != b.grid or a.p != b.p:
+        raise ValueError("operators live on different grids or orbital spaces")
 
 
 def _nonzero(a: np.ndarray) -> bool:
@@ -175,26 +219,52 @@ class VolterraOperator:
         return self._on(self.rows, self.cols)
 
     def _on(self, rows, cols) -> np.ndarray:
-        """The packed matrix over ``(rows, cols)``, entries it does not hold +0.0; a kernel is weighed on that block alone."""
-        same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
-        if same and self._panels is not None:
+        """The packed matrix over ``(rows, cols)``, entries it does not hold +0.0, built tile row by tile row (``_reader``)."""
+        if self._panels is not None and np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols):
             return self._panels
-        n, r, c = self.grid.n_nodes, rows.size, cols.size
-        keep = np.intersect1d(self.rows, rows), np.intersect1d(self.cols, cols)
-        sr, sc = (np.searchsorted(held, k) for held, k in zip((self.rows, self.cols), keep))
-        dr, dc = (np.searchsorted(held, k) for held, k in zip((rows, cols), keep))
-        source, w = (self._panels, None) if self._kernel is None else (self._kernel, trapezoid_weights(n) * self.grid.delta)
-        out = (np.empty if same else np.zeros)(packed_size(n, r, c), dtype=complex)
-        for (k0, k1, src, a), (_, _, dst, b) in zip(_slabs(source, n, self.rows.size, self.cols.size), _slabs(out, n, r, c)):
-            if same:  # a kernel-built operator read whole, weighed slab by slab
-                shape = (k1 - k0, r, k1, c)
-                np.multiply(src.reshape(shape), w[k0:k1, None, :k1, None], out=dst.reshape(shape))
-            else:
-                part = a[:, :, sr[:, None], sc]
-                b[:, :, dr[:, None], dc] = part if w is None else part * w[k0:k1, :k1, None, None]
-        if w is not None and self._inst is not None:
-            _add_diagonal(out, self._inst, n, rows, cols)
+        out = np.empty(packed_size(self.grid.n_nodes, rows.size, cols.size), dtype=complex)
+        read = self._reader(rows, cols)
+        for i, (_, _, dst, _) in enumerate(_slabs(out, self.grid.n_nodes, rows.size, cols.size)):
+            read(i, dst)
         return out
+
+    def _reader(self, rows, cols):
+        """``read(i, out=None)``: tile row ``i`` of the packed matrix over ``(rows, cols)``, entries it does not hold +0.0.
+
+        The slab is written into ``out`` if given.  A kernel is weighed on
+        that block of the tile row alone, and the instantaneous part added on
+        its diagonal.  Without ``out``, a matrix held on the same support
+        gives its own slab, a view to read only.
+        """
+        n, r, c = self.grid.n_nodes, rows.size, cols.size
+        same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
+        source = self._panels if self._kernel is None else self._kernel
+        weights = None if self._kernel is None else trapezoid_weights(n) * self.grid.delta
+        place = None if same else _placement(self.rows, self.cols, rows, cols, self.p)
+        inst = None if weights is None or self._inst is None else self._inst[:, rows[:, None], cols]
+
+        def read(i, out=None):
+            k0, k1, src, held = _slab(source, n, self.rows.size, self.cols.size, i)
+            if same and weights is None:
+                if out is None:
+                    return src
+                out[...] = src
+                return out
+            out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
+            blocks = _blocks(out, k0, k1, r, c)
+            w = None if weights is None else weights[k0:k1, :k1]
+            if same:  # a kernel read whole
+                shape = (k1 - k0, r, k1, c)
+                np.multiply(src.reshape(shape), w[:, None, :, None], out=out.reshape(shape))
+            else:
+                out[...] = 0.0
+                place(held, blocks, w)
+            if inst is not None:
+                nodes = np.arange(k1 - k0)
+                blocks[nodes, nodes + k0] += inst[k0:k1]
+            return out
+
+        return read
 
     @property
     def flat(self) -> np.ndarray:
@@ -244,50 +314,21 @@ class VolterraOperator:
 
     # -- algebra -------------------------------------------------------
 
-    def _require_compatible(self, other: "VolterraOperator"):
-        if self.grid != other.grid or self.p != other.p:
-            raise ValueError("operators live on different grids or orbital spaces")
+    def _instantaneous(self):
+        return self._inst
 
     def compose(self, other: "VolterraOperator") -> "VolterraOperator":
-        """Operator product self after other; exact in the block algebra.
-
-        The product holds ``(self.rows, other.cols)`` and contracts over the
-        inner set alone: the columns of ``self`` that are rows of ``other``.
-        Tile row ``I`` is ``sum_{M<=I} A_I[:, M] @ B_M``, with ``B_M`` the slab
-        of tile row ``M``: the causal triangle only.
-        """
-        self._require_compatible(other)
-        rows, inner, cols = self.rows, np.intersect1d(self.cols, other.rows), other.cols
-        n, r, s, c = self.grid.n_nodes, rows.size, inner.size, cols.size
-        inst = None
-        if self._inst is not None and other._inst is not None:
-            inst = np.einsum("kab,kbc->kac", self._inst, other._inst)
-        out = np.empty(packed_size(n, r, c), dtype=complex)
-        a, b = _slabs(self._on(rows, inner), n, r, s), _slabs(other._on(inner, cols), n, s, c)
-        for i, ((k0, _, slab, _), (_, _, left, _)) in enumerate(zip(_slabs(out, n, r, c), a)):
-            np.matmul(left[:, k0 * s :], b[i][2], out=slab)
-            for m0, m1, right, _ in b[:i]:
-                slab[:, : m1 * c] += left[:, m0 * s : m1 * s] @ right
-        return VolterraOperator._packed(self.grid, self.p, rows, cols, inst, None, out)
+        """Operator product self after other; exact in the block algebra (see ``Product``)."""
+        return Sum(Product(self, other)).evaluate()
 
     def __matmul__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self.compose(other)
 
-    def _combine(self, other: "VolterraOperator", sign: float) -> "VolterraOperator":
-        self._require_compatible(other)
-        inst = None
-        if self._inst is not None or other._inst is not None:
-            inst = self.instantaneous() + sign * other.instantaneous()
-        rows, cols = np.union1d(self.rows, other.rows), np.union1d(self.cols, other.cols)
-        combine = np.add if sign > 0 else np.subtract
-        panels = combine(self._on(rows, cols), other._on(rows, cols))
-        return VolterraOperator._packed(self.grid, self.p, rows, cols, inst, None, panels)
-
     def __add__(self, other: "VolterraOperator") -> "VolterraOperator":
-        return self._combine(other, +1.0)
+        return (Sum(self) + other).evaluate()
 
     def __sub__(self, other: "VolterraOperator") -> "VolterraOperator":
-        return self._combine(other, -1.0)
+        return (Sum(self) - other).evaluate()
 
     def __neg__(self) -> "VolterraOperator":
         return self.scale(-1.0)
@@ -295,8 +336,12 @@ class VolterraOperator:
     def scale(self, scalar) -> "VolterraOperator":
         scalar = complex(scalar)
         inst = None if self._inst is None else scalar * self._inst
-        panels = scalar * self.panels()
-        return VolterraOperator._packed(self.grid, self.p, self.rows, self.cols, inst, None, panels)
+        n, rows, cols = self.grid.n_nodes, self.rows, self.cols
+        panels = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
+        read = self._reader(rows, cols)
+        for i, (_, _, dst, _) in enumerate(_slabs(panels, n, rows.size, cols.size)):
+            np.multiply(scalar, read(i), out=dst)
+        return VolterraOperator._packed(self.grid, self.p, rows, cols, inst, None, panels)
 
     def restrict(self, indices) -> "VolterraOperator":
         """Keep the given orbital indices (e.g. the sample block), read from the stored sub-blocks.
@@ -304,11 +349,11 @@ class VolterraOperator:
         The indices are distinct orbitals in ``[0, p)``, in any order; others raise ``ValueError``.
         """
         indices = np.asarray(indices, dtype=int)
-        if np.any((indices < 0) | (indices >= self.p)) or np.unique(indices).size != indices.size:
+        if np.any((indices < 0) | (indices >= self.p)) or len(set(indices.tolist())) != indices.size:
             raise ValueError(f"restrict needs distinct orbitals in [0, {self.p}), got {indices.tolist()}")
         n, q = self.grid.n_nodes, len(indices)
         inst = None if self._inst is None else self._inst[:, indices[:, None], indices[None, :]]
-        rows, cols = (np.flatnonzero(np.isin(indices, s)) for s in (self.rows, self.cols))
+        rows, cols = (np.flatnonzero(_mask(s, self.p)[indices]) for s in (self.rows, self.cols))
         src_rows, src_cols = np.searchsorted(self.rows, indices[rows]), np.searchsorted(self.cols, indices[cols])
         source = self._kernel if self._kernel is not None else self._panels
         out = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
@@ -320,7 +365,7 @@ class VolterraOperator:
 
     def max_abs(self) -> float:
         """Largest entry magnitude of the matrix (exact-algebra residuals)."""
-        return float(np.max(np.abs(self.panels()), initial=0.0))
+        return Sum(self).max_abs()
 
     def norm_bound(self) -> float:
         """Induced sup-norm bound of the operator (see ``operator_norm_bound``)."""
@@ -348,6 +393,145 @@ class VolterraOperator:
             # a non-finite tile row gives its largest magnitude, inf or nan
             tops.append(np.linalg.svd(b, compute_uv=False)[:, 0].max() if np.isfinite(b).all() else np.abs(b).max())
         return float(np.max(tops))
+
+
+class Product(NamedTuple):
+    """The product ``left right``, a term of a ``Sum``; exact in the block algebra.
+
+    It holds ``(left.rows, right.cols)`` and contracts over the inner set
+    alone: the columns of ``left`` that are rows of ``right``.  Its tile row
+    ``I`` is ``sum_{M<=I} A_I[:, M] @ B_M``, the diagonal tile first, with
+    ``A_I`` tile row ``I`` of ``left`` and ``B_M`` the slab of tile row ``M``
+    of ``right``: the causal triangle only.  Neither factor is formed whole:
+    ``left``, which may be a ``Sum`` or a ``Product``, is read one tile row at
+    a time, and ``right``, an operator, one slab at a time, afresh for each
+    tile row that needs it unless it holds that slab itself.
+    """
+
+    left: "VolterraOperator | Sum | Product"
+    right: VolterraOperator
+
+    grid = property(lambda self: self.left.grid)
+    p = property(lambda self: self.left.p)
+    rows = property(lambda self: self.left.rows)
+    cols = property(lambda self: self.right.cols)
+
+    def _reader(self, rows, cols):
+        a, b = self
+        _compatible(a, b)
+        inner = a.cols[_mask(b.rows, a.p)[a.cols]]
+        n, r, s, c = a.grid.n_nodes, a.rows.size, inner.size, b.cols.size
+        left_row, right_row = a._reader(a.rows, inner), b._reader(inner, b.cols)
+
+        def read(i, out=None):
+            k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
+            left = left_row(i)
+            out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
+            np.matmul(left[:, k0 * s :], right_row(i), out=out)
+            for m in range(i):
+                m0, m1 = m * TILE_NODES, (m + 1) * TILE_NODES
+                out[:, : m1 * c] += left[:, m0 * s : m1 * s] @ right_row(m)
+            return out
+
+        if np.array_equal(a.rows, rows) and np.array_equal(b.cols, cols):
+            return read
+        place = _placement(a.rows, b.cols, rows, cols, a.p)
+
+        def placed(i, out=None):  # the product's row, copied into the requested support
+            k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
+            held = _blocks(read(i), k0, k1, r, c)
+            out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
+            out[...] = 0.0
+            place(held, _blocks(out, k0, k1, rows.size, cols.size))
+            return out
+
+        return placed
+
+    def _instantaneous(self):
+        a, b = self.left._instantaneous(), self.right._inst
+        return None if a is None or b is None else np.einsum("kab,kbc->kac", a, b)
+
+
+class Sum:
+    """``t0 +- t1 +- ...`` of operators, products and sums, evaluated one tile row at a time.
+
+    The sum holds the union of its terms' supports.  Its tile row ``I`` is
+    tile row ``I`` of each term over that support, +0.0 where a term holds
+    nothing, combined left to right: the bits of ``(t0 - t1) - t2`` formed
+    whole, with no term and no partial sum formed whole.  ``evaluate``
+    writes the rows into the one packed buffer of the result; ``max_abs``
+    and ``norm_bound`` reduce them as they come.  ``Sum(a) - b`` builds the
+    sum; ``a - b`` evaluates it.
+    """
+
+    def __init__(self, term, _more=()):
+        self.terms = ((1.0, term), *_more)
+        self.grid, self.p = term.grid, term.p
+        rows, cols = np.zeros(self.p, dtype=bool), np.zeros(self.p, dtype=bool)
+        for _, t in self.terms:
+            _compatible(term, t)
+            rows[t.rows] = True
+            cols[t.cols] = True
+        self.rows, self.cols = np.flatnonzero(rows), np.flatnonzero(cols)
+
+    def __add__(self, term) -> "Sum":
+        return Sum(self.terms[0][1], (*self.terms[1:], (1.0, term)))
+
+    def __sub__(self, term) -> "Sum":
+        return Sum(self.terms[0][1], (*self.terms[1:], (-1.0, term)))
+
+    def _reader(self, rows=None, cols=None):
+        """``read(i, out=None)``: tile row ``i`` over ``(rows, cols)`` (default the sum's support), in ``out`` if given.
+
+        Each term is read over ``(rows, cols)`` itself; an entry that no term
+        holds combines +0.0s into +0.0.  Without ``out`` the slab may be a
+        term's own: read only.
+        """
+        rows, cols = (self.rows, self.cols) if rows is None else (rows, cols)
+        (_, first), *rest = [(sign, t._reader(rows, cols)) for sign, t in self.terms]
+
+        def read(i, out=None):
+            acc = first(i, out)
+            for sign, term in rest:
+                t = term(i)
+                # combined in place, into out or a slab formed here; a term's own slab is left alone
+                into = out if out is not None else acc if acc.flags.owndata else t if t.flags.owndata else None
+                acc = (np.add if sign > 0 else np.subtract)(acc, t, out=into)
+            return acc
+
+        return read
+
+    def _instantaneous(self):
+        # the left-to-right rule of ``a + b``: a part that is absent reads as zeros
+        (_, first), *rest = self.terms
+        inst = first._instantaneous()
+        for sign, t in rest:
+            part = t._instantaneous()
+            if inst is not None or part is not None:
+                zero = np.zeros((self.grid.n_nodes, self.p, self.p), dtype=complex)
+                inst = (zero if inst is None else inst) + sign * (zero if part is None else part)
+        return inst
+
+    def evaluate(self) -> VolterraOperator:
+        """The sum as an operator; a sum of one operator is that operator."""
+        (_, first), *rest = self.terms
+        if not rest and isinstance(first, VolterraOperator):
+            return first
+        n, rows, cols = self.grid.n_nodes, self.rows, self.cols
+        out = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
+        read = self._reader()
+        for i, (_, _, dst, _) in enumerate(_slabs(out, n, rows.size, cols.size)):
+            read(i, dst)
+        return VolterraOperator._packed(self.grid, self.p, rows, cols, self._instantaneous(), None, out)
+
+    def max_abs(self) -> float:
+        """Largest entry magnitude (exact-algebra residuals), one tile row at a time."""
+        read = self._reader()
+        return float(np.max([np.max(np.abs(read(i)), initial=0.0) for i in range(len(_tiles(self.grid.n_nodes)))]))
+
+    def norm_bound(self) -> float:
+        """Induced sup-norm bound (see ``operator_norm_bound``)."""
+        return operator_norm_bound(self)
 
 
 def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, rows, cols) -> None:
@@ -393,18 +577,24 @@ def block_lower_solve(m: np.ndarray, x: np.ndarray, n: int, r: int, c: int) -> n
 
 
 def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
-    """X with ``(Id + A) X = B`` exactly in the discrete algebra.
+    """X with ``(Id + A) X = B`` exactly in the discrete algebra (``solve_id_plus_sum``, evaluated)."""
+    return solve_id_plus_sum(a, b).evaluate()
+
+
+def solve_id_plus_sum(a: VolterraOperator, b: VolterraOperator) -> Sum:
+    """X with ``(Id + A) X = B`` exactly in the discrete algebra, as a ``Sum``.
 
     The solve runs on a supported set ``S``, with ``A`` read on ``S x S``.
     ``S`` is the rows ``R`` that ``A`` and ``B`` hold, and then ``X`` holds
     ``R`` alone: the proper self-energy's solve.  When ``A`` holds fewer
-    columns, ``S`` is those, and ``X = B - A X_S``: the Dyson solution's.
-    With every orbital in both, this is one block forward substitution at
-    ``p``.  The instantaneous part is ``(I + m_A)^{-1} m_B`` node by node;
-    without an ``m_A`` it is ``m_B``, which ``B - A X_S`` keeps.
+    columns, ``S`` is those, and ``X = B - A X_S``, a sum that a residual
+    can reduce without forming it: the Dyson solution's.  With every orbital
+    in both, this is one block forward substitution at ``p``.  The
+    instantaneous part is ``(I + m_A)^{-1} m_B`` node by node; without an
+    ``m_A`` it is ``m_B``, which ``B - A X_S`` keeps.
     """
-    a._require_compatible(b)
-    rows = np.union1d(a.rows, b.rows)
+    _compatible(a, b)
+    rows = np.flatnonzero(_mask(a.rows, a.p) | _mask(b.rows, a.p))
     s = a.cols if a.cols.size < rows.size else rows
     x = b._on(s, b.cols)
     if x is b._panels:
@@ -415,10 +605,10 @@ def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
         inst = np.zeros_like(inst)
         inst[:, s] = np.linalg.solve(np.eye(s.size) + a._inst[:, s[:, None], s], b._inst[:, s])
     x = VolterraOperator._packed(a.grid, a.p, s, b.cols, inst, None, x)
-    return x if s is rows else b - a @ x
+    return Sum(x) if s is rows else Sum(b) - Product(a, x)
 
 
-def operator_norm_bound(op: VolterraOperator) -> float:
+def operator_norm_bound(op: VolterraOperator | Sum) -> float:
     """Upper bound on the induced sup-norm: max over rows of summed block norms.
 
     A block's Frobenius norm bounds its spectral norm from above, so a row's
@@ -433,25 +623,40 @@ def operator_norm_bound(op: VolterraOperator) -> float:
     last of them, and each row is summed left to right, as a per-block loop
     would.  Blocks are read over the support; the rest are zero.  nan or inf
     for a non-finite operator.
+
+    ``op`` is read one tile row at a time, and a ``Sum`` is never formed
+    whole: a first pass takes the largest magnitude, a second the Frobenius
+    sums, and the tile rows of the remaining rows are formed once more.
     """
-    panels, n, r, c = op.panels(), op.grid.n_nodes, op.rows.size, op.cols.size
-    if not np.isfinite(panels).all():
-        return float(np.max(np.abs(panels)))
-    scale = np.max(np.abs(panels), initial=0.0)
+    terms = op if isinstance(op, Sum) else Sum(op)
+    n, r, c = terms.grid.n_nodes, terms.rows.size, terms.cols.size
+    row = terms._reader()
+
+    def blocks(i) -> np.ndarray:
+        return _blocks(row(i), i * TILE_NODES, min((i + 1) * TILE_NODES, n), r, c)
+
+    tiles = range(len(_tiles(n)))
+    finite, tops = True, []
+    for i in tiles:
+        slab = row(i)
+        finite = finite and bool(np.isfinite(slab).all())
+        tops.append(np.max(np.abs(slab), initial=0.0))
+    if not finite:
+        return float(np.max(tops))
+    scale = np.max(tops, initial=0.0)
     if scale == 0.0:
         return 0.0
-    blocks = [b for *_, b in _slabs(panels, n, r, c)]
     frobenius = np.concatenate([
-        np.linalg.norm((b.view(float) / scale).view(complex), axis=(2, 3)).sum(axis=1) for b in blocks
+        np.linalg.norm((blocks(i).view(float) / scale).view(complex), axis=(2, 3)).sum(axis=1) for i in tiles
     ])
 
     def spectral_sums(rows) -> np.ndarray:
         # the blocks right of a row's diagonal, up to the width, are zero
         sums = []
-        for tile in np.unique(rows // TILE_NODES):
+        for tile in dict.fromkeys((rows // TILE_NODES).tolist()):  # rows increase
             local = rows[rows // TILE_NODES == tile] % TILE_NODES
             width = tile * TILE_NODES + local[-1] + 1
-            norms = np.linalg.svd(blocks[tile][local, :width], compute_uv=False)[..., 0]
+            norms = np.linalg.svd(blocks(tile)[local, :width], compute_uv=False)[..., 0]
             sums.append(np.cumsum(norms, axis=1)[:, -1])
         return np.concatenate(sums)
 
@@ -539,17 +744,14 @@ def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None
         dump_kernel(op, ordering, fh, name)
 
 
-def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Parse a kernel dump; returns (header, memory kernel, instantaneous part)."""
-    return load_kernels(fh)[0]
-
-
-def load_kernels(*fhs) -> list:
+def load_kernels(*fhs, agree=()) -> list:
     """Parse kernel dumps; returns (header, memory kernel, instantaneous part) of each.
 
     Every header is read and checked first, and ``MemoryBudgetError`` is
     raised before any array is allocated when the arrays the headers imply
-    exceed ``DEFAULT_BUDGET_BYTES`` together.  Every causal memory entry
+    exceed ``DEFAULT_BUDGET_BYTES`` together.  Then headers that disagree on
+    a key in ``agree`` raise ``HeaderMismatchError``, before any body is
+    read.  Every causal memory entry
     ``(k, l, i, j)``, ``l <= k``, must appear exactly once, and the
     instantaneous entries all once or not at all (the writer leaves out an
     instantaneous part that is zero); a truncated dump, or one with a
@@ -570,6 +772,10 @@ def load_kernels(*fhs) -> list:
     if need > DEFAULT_BUDGET_BYTES:
         shapes = " and ".join(f"p = {p}, N_t = {n - 1}" for _, p, n in headers)
         raise MemoryBudgetError(f"the kernel dump headers ({shapes}) need {need} bytes (budget {DEFAULT_BUDGET_BYTES})")
+    for key in agree:
+        values = [header[key] for header, _, _ in headers]
+        if any(value != values[0] for value in values[1:]):
+            raise HeaderMismatchError(f"dumps disagree on {key!r}: " + " vs ".join(map(repr, values)))
     return [_kernel_rows(fh, *shape) for fh, shape in zip(fhs, headers)]
 
 

@@ -6,10 +6,15 @@ evolution, the Neumann series of the causal solve, dense Fock matrices, the
 decoupled factorized expectation, the dressed annihilator straight from its
 formula, the gathered phases and held side of the whole creation flat, ``F``
 from a one-pair sweep, kernels packed from zero-filled dense
-grids and the full p x p forward substitution of the causal solve.
+grids and the full p x p forward substitution of the causal solve.  It also
+holds the few readers only the tests use: the sample and lead blocks of the
+decoupled one-particle Hamiltonian, a one-dump ``load_kernel`` and the
+indented JSON text of a Dyson report.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -17,7 +22,7 @@ from pfnegf.fock import FockSpace, ManyBodyOperator, commutator, ladder_op
 from pfnegf.grid import TimeGrid
 from pfnegf.propagation import _check_hermitian
 from pfnegf.thermal import DensityOperator, ThermalParams
-from pfnegf.volterra import VolterraOperator, trapezoid_weights
+from pfnegf.volterra import VolterraOperator, load_kernels, trapezoid_weights
 
 # -- Fock space ----------------------------------------------------------
 
@@ -282,3 +287,28 @@ def f_map(engine) -> VolterraOperator:
     """``F`` of a kernel engine, from a one-pair sweep of its own."""
     corr = engine.factory.anticommutator_grid("a", "b")
     return VolterraOperator(engine.grid, engine.p, mem=corr.causal_kernel(), rows=corr.rows, cols=corr.cols, scale=1.0)
+
+
+# -- readers only the tests use -------------------------------------------
+
+
+def h_sample(one_particle) -> np.ndarray:
+    """The sample block of the decoupled one-particle Hamiltonian."""
+    s = one_particle.geometry.sample_slice
+    return one_particle.h_decoupled[s, s]
+
+
+def h_lead(one_particle, nu: int) -> np.ndarray:
+    """Lead ``nu``'s block of the decoupled one-particle Hamiltonian."""
+    s = one_particle.geometry.lead_slice(nu)
+    return one_particle.h_decoupled[s, s]
+
+
+def load_kernel(fh) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Parse one kernel dump; returns (header, memory kernel, instantaneous part)."""
+    return load_kernels(fh)[0]
+
+
+def report_json(report) -> str:
+    """Indented JSON text of a ``DysonReport``."""
+    return json.dumps(report.to_dict(), indent=2)

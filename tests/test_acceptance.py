@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from conftest import run_cli, trimer_config
-from oracles import memory_kernel
+from oracles import memory_kernel, report_json
 from pfnegf.config import parse_config, reference_config
 from pfnegf.fock import anticommutator, identity_operator, ladder_op
 from pfnegf.grid import TimeGrid
@@ -191,6 +191,6 @@ class TestAcceptance:
         for extra in ({}, {"strategy": "history"}, {"strategy": "recompute"}):
             run = parse_config(reference_config() | extra)
             engine = KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 25))
-            reports.append(verify_dyson(engine, run.tolerances, run.model_hash).to_json())
+            reports.append(report_json(verify_dyson(engine, run.tolerances, run.model_hash)))
         differing = sum(report != reports[0] for report in reports[1:])
         record("criterion-12b storage strategies agree", float(differing), 0.0, differing == 0)

@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
-from conftest import DUMP_DAMAGES, damage_dump, dimer_config, run_cli, trimer_config
+from conftest import DUMP_DAMAGES, PACKAGE_ROOT, damage_dump, dimer_config, run_cli, trimer_config
 from pfnegf.cli import main
 from pfnegf.config import parse_config, reference_config
 from pfnegf.errors import ConfigError
@@ -89,6 +91,24 @@ class TestRun:
         for order in summary["fitted_orders"].values():
             assert order >= 1.8
         assert (tmp_path / "out" / "convergence.csv").exists()
+
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy's sorting set routines (unique, intersect1d, union1d) import
+        # numpy.ma; a run with every task needs none of them
+        cfg_data = trimer_config()
+        cfg_data["tasks"] = ["g0", "gxi", "sigma", "verify", "converge", "gamma-check"]
+        cfg_data["grid"]["steps"] = [6, 12]
+        cfg = write_config(tmp_path, cfg_data)
+        child = "import sys; from pfnegf.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+        env = dict(os.environ, NEGF_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", child, "run", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        # at 6 and 12 steps the quadrature checks fail by design: exit 1
+        assert result.stdout.split() == ["1", "False"], result.stderr
+        assert len(os.listdir(tmp_path / "out")) == 8
 
     def test_sigma_task_writes_both_kernels(self, trimer_12):
         root, _, result = trimer_12
@@ -458,6 +478,19 @@ class TestDiff:
         assert result.returncode == 2
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "header-mismatch"
+
+    @pytest.mark.parametrize("key, value", [("T", 5.0), ("N_t", 24), ("p", 3), ("ordering", ["l0", "s0"])])
+    def test_header_mismatch_is_found_before_the_bodies(self, tmp_path, capsys, dumps, key, value):
+        # the second body is cut short: were it parsed, the dump would be malformed
+        a = dumps[0]
+        header, body = a.read_text().split("\n", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(json.dumps(json.loads(header) | {key: value}) + "\n" + body[: len(body) // 2])
+        for pair in ([a, bad], [bad, a]):
+            assert main(["diff", *map(str, pair)]) == 2
+            error = last_error(capsys)
+            assert error["type"] == "header-mismatch"
+            assert error["message"].startswith(f"dumps disagree on {key!r}")
 
     @pytest.mark.parametrize(
         "row",

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pfnegf.config import parse_config, reference_config
 from pfnegf.errors import MemoryBudgetError
 from pfnegf.grid import TimeGrid
+from pfnegf import negf
 from pfnegf.model import Model
 from pfnegf.negf import (
     DEFAULT_TOLERANCES,
@@ -20,7 +22,7 @@ from pfnegf.negf import (
     verify_dyson,
 )
 from pfnegf.propagation import CorrelatorFactory, CorrelatorGrid
-from pfnegf.volterra import VolterraOperator, dump_kernel
+from pfnegf.volterra import VolterraOperator, dump_kernel, packed_size
 
 from oracles import (
     dense_kernel,
@@ -423,6 +425,40 @@ class TestSharedProducts:
             fresh[name] = approx_split(sigma, sigma_app, g0, g_alg)[1]
         for name, residual in fresh.items():
             assert report.residual(name) == residual, name
+
+
+class TestTileRowEvaluation:
+    """Residuals and ``g_alg`` are formed one tile row at a time, so few full-p buffers are live at once."""
+
+    def test_live_peak_in_full_p_buffers(self, reference_run, monkeypatch):
+        # 101 nodes are 7 tile rows; at 26 nodes each of the 2 rows holds about
+        # half an operator, and one residual formed whole adds too little to
+        # tell.  Measured: 2.21 after the sweep and 1.88 in verify.  Any one
+        # of fmap_dyson, reducible_dyson, g_alg, irreducible_dyson,
+        # resolvent_dyson or an approximate split's G_app formed whole reads
+        # 2.33 to 3.93, and all of them formed whole 3.49 and 4.47.
+        run, grid = reference_run, TimeGrid(reference_run.horizon, 100)
+        buffer = 16 * packed_size(grid.n_nodes, run.model.num_sites)  # complex128
+        contact = negf._contact_expectations
+
+        def traced_from_here(*args):
+            # the sweep is done, Gxi packed and the ladder grid dropped; what
+            # follows is the algebra, its kept outputs included
+            tracemalloc.start()
+            return contact(*args)
+
+        monkeypatch.setattr(negf, "_contact_expectations", traced_from_here)
+        try:
+            engine = KernelEngine(run.model, run.thermal, grid)
+            algebra = tracemalloc.get_traced_memory()[1] / buffer
+            tracemalloc.stop()
+            tracemalloc.start()
+            verify_dyson(engine)
+            checks = tracemalloc.get_traced_memory()[1] / buffer
+        finally:
+            tracemalloc.stop()
+        assert algebra <= 2.3
+        assert checks <= 2.0
 
 
 class TestApproxSplit:

@@ -23,6 +23,8 @@ from oracles import (
     density_operator,
     factorized_expectation,
     fermi_matrix_element,
+    h_lead,
+    h_sample,
     to_full,
     zero_operator,
 )
@@ -128,8 +130,7 @@ class TestDecoupledState:
             model.space, lead_orbital, "annihilate"
         )
         direct = rho_d.expectation(obs)
-        h_lead = model.one_particle.h_lead(0)
-        expected = fermi_matrix_element(h_lead, run.thermal, [1.0], [1.0])
+        expected = fermi_matrix_element(h_lead(model.one_particle, 0), run.thermal, [1.0], [1.0])
         assert direct == pytest.approx(expected, abs=1e-12)
 
     def test_factorized_normalization(self, trimer_run):
@@ -137,7 +138,7 @@ class TestDecoupledState:
 
         model = trimer_run.model
         sample_fs = FockSpace(model.num_sample)
-        k_s = second_quantize(sample_fs, model.one_particle.h_sample) + (
+        k_s = second_quantize(sample_fs, h_sample(model.one_particle)) + (
             model.interaction.strength
             * build_interaction(sample_fs, model.interaction.matrix)
         )
@@ -150,7 +151,7 @@ class TestDecoupledState:
         # a lead factor with f_tilde = f an eigenvector of the lead Hamiltonian
         # contributes the scalar Fermi factor 1/(1 + exp(beta(eps - mu)))
         params = ThermalParams(beta=1.3, mu=0.1)
-        h_lead = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h_chain = np.array([[0.0, 1.0], [1.0, 0.0]])
         eigvec = np.array([1.0, 1.0]) / np.sqrt(2.0)  # eigenvalue +1
         sample_fs = FockSpace(1)
         rho_s = gibbs(
@@ -159,7 +160,7 @@ class TestDecoupledState:
             second_quantize(sample_fs, np.eye(1)),
         )
         o_s = second_quantize(sample_fs, np.eye(1))
-        value = factorized_expectation(rho_s, o_s, [(h_lead, eigvec, eigvec)], params)
+        value = factorized_expectation(rho_s, o_s, [(h_chain, eigvec, eigvec)], params)
         fermi = 1.0 / (1.0 + np.exp(params.beta * (1.0 - params.mu)))
         assert value == pytest.approx(rho_s.expectation(o_s) * fermi, abs=1e-14)
 
@@ -173,7 +174,7 @@ class TestDecoupledState:
         sample_fs = FockSpace(model.num_sample)
         from pfnegf.fock import build_interaction
 
-        k_s = second_quantize(sample_fs, model.one_particle.h_sample) + (
+        k_s = second_quantize(sample_fs, h_sample(model.one_particle)) + (
             model.interaction.strength
             * build_interaction(sample_fs, model.interaction.matrix)
         )
@@ -191,7 +192,7 @@ class TestDecoupledState:
         factorized = factorized_expectation(
             rho_s,
             sample_obs_small,
-            [(model.one_particle.h_lead(0), [1.0], [1.0])],
+            [(h_lead(model.one_particle, 0), [1.0], [1.0])],
             run.thermal,
         )
         assert abs(direct - factorized) <= 1e-10

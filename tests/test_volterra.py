@@ -15,11 +15,13 @@ from pfnegf.negf import compute_g0
 from pfnegf.propagation import CorrelatorGrid
 from pfnegf.volterra import (
     TILE_NODES,
+    Product,
+    Sum,
     VolterraOperator,
     dump_kernel,
-    load_kernel,
     operator_norm_bound,
     solve_id_plus,
+    solve_id_plus_sum,
     trapezoid_weights,
 )
 
@@ -29,6 +31,7 @@ from oracles import (
     dense_kernel,
     embedded_operator,
     identity_volterra,
+    load_kernel,
     memory_kernel,
     neumann_inverse,
     packed_kernel_bytes,
@@ -1243,6 +1246,47 @@ class TestSupportAgainstFullAlgebra:
         assert_close(x.flat, np.linalg.solve(np.eye(len(da)) + da, db))
         assert_close(x.flat, solve_id_plus(twin_a, twin_b).flat)
         assert_close(x.instantaneous(), solve_id_plus(twin_a, twin_b).instantaneous())
+
+
+class TestTileRowSums:
+    """A ``Sum`` read one tile row at a time gives the bits of the same expression formed whole."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(supported_pairs())
+    def test_reductions_and_evaluation_equal_whole_operators(self, pair):
+        _, _, (a, *_), (b, *_) = pair
+        ab = a @ b
+        cases = [
+            (Sum(a) - b - Product(a, b), a - b - ab),
+            (Sum(b) + Product(a, b) - a, b + ab - a),
+            (Sum(Product(a, b)) - Product(b, a), ab - b @ a),
+            # a sum as a term and as the left factor of a product, a product as a left factor
+            (Sum(b) - (Sum(a) + b) - Product(Product(Sum(a) - b, b), a), b - (a + b) - ((a - b) @ b) @ a),
+        ]
+        for lazy, whole in cases:
+            assert (lazy.rows.tolist(), lazy.cols.tolist()) == (whole.rows.tolist(), whole.cols.tolist())
+            formed = lazy.evaluate()
+            assert formed.panels().tobytes() == whole.panels().tobytes()
+            assert formed.instantaneous().tobytes() == whole.instantaneous().tobytes()
+            assert repr(lazy.max_abs()) == repr(whole.max_abs())
+            assert repr(lazy.norm_bound()) == repr(operator_norm_bound(whole))
+
+    @settings(max_examples=30, deadline=None)
+    @given(supported_pairs())
+    def test_solve_sum_equals_the_formed_solution(self, pair):
+        _, _, (a, *_), (b, *_) = pair
+        x = solve_id_plus(a, b)
+        lazy = solve_id_plus_sum(a, b)
+        assert lazy.evaluate().panels().tobytes() == x.panels().tobytes()
+        assert repr((lazy - b).max_abs()) == repr((x - b).max_abs())
+
+    def test_terms_on_other_grids_are_refused(self):
+        a = random_memory_operator(GRID, 2)
+        other = random_memory_operator(TimeGrid(2.0, 21), 2)
+        with pytest.raises(ValueError, match="different grids"):
+            Sum(a) - other
+        with pytest.raises(ValueError, match="different grids"):
+            (Sum(a) - Product(a, other)).max_abs()
 
 
 def weighed_then_selected(op, rows, cols) -> np.ndarray:
