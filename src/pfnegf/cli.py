@@ -150,8 +150,7 @@ def diff_command(args) -> int:
 
     try:
         with open(args.dump_a, encoding="utf-8") as fh_a, open(args.dump_b, encoding="utf-8") as fh_b:
-            agree = ("p", "N_t", "T", "ordering")
-            (header_a, mem_a, inst_a), (_, mem_b, inst_b) = load_kernels(fh_a, fh_b, agree=agree)
+            (header_a, mem_a, inst_a), (_, mem_b, inst_b) = load_kernels(fh_a, fh_b)
     except MemoryBudgetError as exc:
         _error_record("memory", str(exc))
         return EXIT_MEMORY

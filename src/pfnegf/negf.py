@@ -213,9 +213,9 @@ def irreducible_sigma(
     return solve_id_plus(sigma_tilde_g0, sigma_tilde)
 
 
-def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> VolterraOperator:
-    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra."""
-    return solve_id_plus(-(g0 @ sigma), g0)
+def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> Sum:
+    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra, as a ``Sum``."""
+    return solve_id_plus_sum(-(g0 @ sigma), g0)
 
 
 def approx_split(
@@ -233,7 +233,7 @@ def approx_split(
     The residual is reduced tile row by tile row, and each tile row of
     ``G_app`` is formed where it is read.
     """
-    g_app = solve_id_plus_sum(-(g0 @ sigma_app), g0)  # dyson_solution(g0, sigma_app)
+    g_app = dyson_solution(g0, sigma_app)
     correction = sigma - sigma_app
     del sigma_app  # not read again
     chain = Product(Product(g_app, correction), g_reference)

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +77,11 @@ NORM_PRUNE_MARGIN = 1e-10
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
     """w[k, l] for l <= k; row 0 is empty (the integral term vanishes there)."""
-    k, l = np.arange(n_nodes)[:, None], np.arange(n_nodes)
-    w = np.where(l <= k, np.where((l == 0) | (l == k), 0.5, 1.0), 0.0)
-    w[0] = 0.0
+    w = np.zeros((n_nodes, n_nodes))
+    for k in range(1, n_nodes):
+        w[k, : k + 1] = 1.0
+        w[k, 0] = 0.5
+        w[k, k] = 0.5
     return w
 
 
@@ -395,7 +396,7 @@ class VolterraOperator:
         return float(np.max(tops))
 
 
-class Product(NamedTuple):
+class Product:
     """The product ``left right``, a term of a ``Sum``; exact in the block algebra.
 
     It holds ``(left.rows, right.cols)`` and contracts over the inner set
@@ -408,8 +409,10 @@ class Product(NamedTuple):
     tile row that needs it unless it holds that slab itself.
     """
 
-    left: "VolterraOperator | Sum | Product"
-    right: VolterraOperator
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "VolterraOperator | Sum | Product", right: VolterraOperator):
+        self.left, self.right = left, right
 
     grid = property(lambda self: self.left.grid)
     p = property(lambda self: self.left.p)
@@ -417,7 +420,7 @@ class Product(NamedTuple):
     cols = property(lambda self: self.right.cols)
 
     def _reader(self, rows, cols):
-        a, b = self
+        a, b = self.left, self.right
         _compatible(a, b)
         inner = a.cols[_mask(b.rows, a.p)[a.cols]]
         n, r, s, c = a.grid.n_nodes, a.rows.size, inner.size, b.cols.size
@@ -744,13 +747,17 @@ def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None
         dump_kernel(op, ordering, fh, name)
 
 
-def load_kernels(*fhs, agree=()) -> list:
+# The header keys every kernel dump carries; dumps read together must agree on all of them.
+HEADER_KEYS = ("p", "N_t", "T", "ordering")
+
+
+def load_kernels(*fhs) -> list:
     """Parse kernel dumps; returns (header, memory kernel, instantaneous part) of each.
 
     Every header is read and checked first, and ``MemoryBudgetError`` is
     raised before any array is allocated when the arrays the headers imply
     exceed ``DEFAULT_BUDGET_BYTES`` together.  Then headers that disagree on
-    a key in ``agree`` raise ``HeaderMismatchError``, before any body is
+    a key in ``HEADER_KEYS`` raise ``HeaderMismatchError``, before any body is
     read.  Every causal memory entry
     ``(k, l, i, j)``, ``l <= k``, must appear exactly once, and the
     instantaneous entries all once or not at all (the writer leaves out an
@@ -760,7 +767,7 @@ def load_kernels(*fhs, agree=()) -> list:
     headers = []
     for fh in fhs:
         header = json.loads(fh.readline())
-        if not isinstance(header, dict) or not {"p", "N_t", "T", "ordering"} <= header.keys():
+        if not isinstance(header, dict) or not set(HEADER_KEYS) <= header.keys():
             raise ValueError(f"malformed kernel header: {header!r}")
         for key, least in (("p", 1), ("N_t", 2)):
             value = header[key]
@@ -772,7 +779,7 @@ def load_kernels(*fhs, agree=()) -> list:
     if need > DEFAULT_BUDGET_BYTES:
         shapes = " and ".join(f"p = {p}, N_t = {n - 1}" for _, p, n in headers)
         raise MemoryBudgetError(f"the kernel dump headers ({shapes}) need {need} bytes (budget {DEFAULT_BUDGET_BYTES})")
-    for key in agree:
+    for key in HEADER_KEYS:
         values = [header[key] for header, _, _ in headers]
         if any(value != values[0] for value in values[1:]):
             raise HeaderMismatchError(f"dumps disagree on {key!r}: " + " vs ".join(map(repr, values)))

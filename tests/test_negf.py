@@ -433,17 +433,19 @@ class TestTileRowEvaluation:
     def test_live_peak_in_full_p_buffers(self, reference_run, monkeypatch):
         # 101 nodes are 7 tile rows; at 26 nodes each of the 2 rows holds about
         # half an operator, and one residual formed whole adds too little to
-        # tell.  Measured: 2.21 after the sweep and 1.88 in verify.  Any one
-        # of fmap_dyson, reducible_dyson, g_alg, irreducible_dyson,
-        # resolvent_dyson or an approximate split's G_app formed whole reads
-        # 2.33 to 3.93, and all of them formed whole 3.49 and 4.47.
+        # tell.  Measured with numpy 2.4: 2.21 after the sweep and 1.84 in
+        # verify.  Formed whole, g_alg reads 2.33 after the sweep, and
+        # reducible_dyson 2.79 and fmap_dyson 3.49; in verify an approximate
+        # split's G_app reads 2.38, resolvent_dyson 2.58 and
+        # irreducible_dyson 3.34.  Each bound sits between the two.
         run, grid = reference_run, TimeGrid(reference_run.horizon, 100)
         buffer = 16 * packed_size(grid.n_nodes, run.model.num_sites)  # complex128
         contact = negf._contact_expectations
 
         def traced_from_here(*args):
-            # the sweep is done, Gxi packed and the ladder grid dropped; what
-            # follows is the algebra, its kept outputs included
+            # the engine calls _contact_expectations first once the sweep is
+            # done, Gxi packed and the ladder grid dropped; what follows is the
+            # algebra, its kept outputs included
             tracemalloc.start()
             return contact(*args)
 
@@ -457,8 +459,8 @@ class TestTileRowEvaluation:
             checks = tracemalloc.get_traced_memory()[1] / buffer
         finally:
             tracemalloc.stop()
-        assert algebra <= 2.3
-        assert checks <= 2.0
+        assert algebra <= 2.27
+        assert checks <= 2.1
 
 
 class TestApproxSplit:

@@ -1288,6 +1288,14 @@ class TestTileRowSums:
         with pytest.raises(ValueError, match="different grids"):
             (Sum(a) - Product(a, other)).max_abs()
 
+    def test_product_is_no_tuple(self):
+        # a sum of products is built with Sum; a bare product has no arithmetic
+        a = random_memory_operator(GRID, 2)
+        for combine in (lambda x: x + Product(a, a), lambda x: x - Product(a, a), lambda x: x * 2):
+            with pytest.raises(TypeError):
+                combine(Product(a, a))
+        assert Product(a, a) != Product(a, a)
+
 
 def weighed_then_selected(op, rows, cols) -> np.ndarray:
     """A sub-block read the long way: the whole packed matrix, then the requested entries copied into zeros."""
