@@ -24,8 +24,10 @@ Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
 entries (at least two, none repeated) and every other task uses the largest.  Tolerance
-names are checks of ``verify`` or ``convergence_min_order``.  Keys outside
-the schema are ignored.
+names are checks of ``verify`` or ``convergence_min_order``.  A key outside
+the schema, at any level, is an error that names its key path, e.g.
+``sample.xii``; the retired root key ``strategy`` is still read, and selects
+nothing.
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ def _pair_matrix(sites, raw, context: str) -> np.ndarray:
     return w
 
 
+def _known_keys(section: dict, keys: tuple, context: str) -> None:
+    """Refuse the first key of ``section`` outside ``keys``, named by its key path under ``context``."""
+    for key in section:
+        if key not in keys:
+            path = f"{context}.{key}" if context else str(key)
+            raise ConfigError(f"{path}: unknown key; {context or 'the root'} takes {', '.join(keys)}")
+
+
 def _section(data: dict, key: str, kind):
     if key not in data:
         raise ConfigError(f"missing configuration section {key!r}")
@@ -180,14 +190,20 @@ class RunConfig:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
+    # the retired key strategy selects nothing
+    _known_keys(data, ("sample", "leads", "bias", "thermal", "grid", "tasks", "tolerances", "budget", "strategy"), "")
     sample = _section(data, "sample", dict)
     leads = _section(data, "leads", (list, tuple))
     thermal_raw = _section(data, "thermal", dict)
     grid_raw = _section(data, "grid", dict)
+    _known_keys(sample, ("sites", "hoppings", "w", "xi"), "sample")
+    _known_keys(thermal_raw, ("beta", "mu"), "thermal")
+    _known_keys(grid_raw, ("T", "steps"), "grid")
 
     for nu, lead in enumerate(leads):
         if not isinstance(lead, dict):
             raise ConfigError(f"leads[{nu}]: expected a JSON object, got {lead!r}")
+        _known_keys(lead, ("sites", "hoppings", "coupling"), f"leads[{nu}]")
     try:
         geometry = build_geometry(
             _sites(sample, "sample"), [_sites(lead, f"leads[{nu}]") for nu, lead in enumerate(leads)]
@@ -204,6 +220,7 @@ def parse_config(data: dict) -> RunConfig:
         raw = lead.get("coupling")
         if not isinstance(raw, dict):
             raise ConfigError(f"{context}: expected an object with d, f and g, got {raw!r}")
+        _known_keys(raw, ("d", "f", "g"), context)
         strength = _number(raw.get("d"), f"{context}.d")
         f, g = (_as_complex_vector(raw.get(key), f"{context}.{key}") for key in "fg")
         try:

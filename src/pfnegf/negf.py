@@ -34,7 +34,7 @@ from .grid import TimeGrid
 from .model import Model
 from .propagation import DEFAULT_BUDGET_BYTES, CorrelatorFactory
 from .thermal import ThermalParams, gibbs
-from .volterra import Product, Sum, VolterraOperator, packed_size, solve_id_plus, solve_id_plus_sum
+from .volterra import Sum, VolterraOperator, packed_size, solve_id_plus
 
 # Exact-algebra identities are roundoff-limited; quadrature-limited residuals
 # get absolute defaults calibrated to the desk-scale reference grid and are
@@ -107,14 +107,15 @@ class KernelEngine:
     The constructor runs the whole chain in one order, which sets both the
     bits and the memory peak, and drops each temporary after its last read:
     the full ladder grid (both triangles) gives ``pairing_defect`` and then
-    ``gxi``; ``F`` gives its two quadrature residuals; ``Sigma~ G0``, formed
-    for one of them, gives ``sigma``.  No grid is kept.  Each quadrature
-    residual is reduced one tile row at a time (``volterra.Sum``), so no
-    difference and no product ``G0 F`` is formed whole, and ``g_alg`` is
-    written slab by slab into its own buffer.  ``budget`` covers
-    ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and the held
-    and D tiles of both families, checked before the sweep starts; either
-    raises ``MemoryBudgetError`` from the constructor.
+    ``gxi``; ``F``, packed unscaled (it is never dumped, and its two norm
+    bounds read magnitudes alone), gives its two quadrature residuals;
+    ``Sigma~ G0``, formed for one of them, gives ``sigma``.  No grid is kept.
+    Each quadrature residual is a ``volterra.Sum`` reduced one tile row at a
+    time, so no difference and no product ``Sum(G0) @ F`` is formed whole,
+    and ``g_alg`` is written slab by slab into its own buffer.  ``budget``
+    covers ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and
+    the held and D tiles of both families, checked before the sweep starts;
+    either raises ``MemoryBudgetError`` from the constructor.
     """
 
     def __init__(
@@ -137,7 +138,7 @@ class KernelEngine:
         self.factory.add_family("a", list(model.creation_family))
         self.factory.add_family("b", list(model.dressed_creation_family))
 
-        def packed(corr, scale, inst=None) -> VolterraOperator:
+        def packed(corr, scale=None, inst=None) -> VolterraOperator:
             mem = corr.causal_kernel()
             return VolterraOperator(grid, p, inst=inst, mem=mem, rows=corr.rows, cols=corr.cols, scale=scale)
 
@@ -151,16 +152,16 @@ class KernelEngine:
         contact = self.contact_expectations[0]
         self.sigma_tilde = sigma_tilde = packed(dressed, -1j, inst=(1j * contact).transpose(2, 0, 1).copy())
         del dressed
-        f_map = packed(mixed, 1.0)  # not bitwise a no-op: it turns some signed zeros
+        f_map = packed(mixed)
         del mixed
-        fmap_dyson = (Sum(gxi) - g0 - Product(g0, f_map)).norm_bound()
+        fmap_dyson = (Sum(gxi) - g0 - Sum(g0) @ f_map).norm_bound()
         sigma_tilde_g0 = sigma_tilde @ g0
         fmap_factorization = (Sum(f_map) - sigma_tilde_g0).norm_bound()
         del f_map
         self.sigma = irreducible_sigma(g0, sigma_tilde, sigma_tilde_g0)
         del sigma_tilde_g0
         # the discrete-algebra Dyson solution, g0 + (g0 Sigma~) g0
-        self.g_alg = (Sum(g0) + Product(g0 @ sigma_tilde, g0)).evaluate()
+        self.g_alg = (Sum(g0) + Sum(g0 @ sigma_tilde) @ g0).evaluate()
         # induced-norm residuals of the three quadrature-limited identities
         self.quadrature = {
             "reducible_dyson": (Sum(gxi) - self.g_alg).norm_bound(),
@@ -210,12 +211,12 @@ def irreducible_sigma(
     """
     if sigma_tilde_g0 is None:
         sigma_tilde_g0 = sigma_tilde @ g0
-    return solve_id_plus(sigma_tilde_g0, sigma_tilde)
+    return solve_id_plus(sigma_tilde_g0, sigma_tilde).evaluate()
 
 
-def dyson_solution(g0: VolterraOperator, sigma: VolterraOperator) -> Sum:
-    """Solve ``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra, as a ``Sum``."""
-    return solve_id_plus_sum(-(g0 @ sigma), g0)
+def dyson_solution(g0: VolterraOperator, g0_sigma: VolterraOperator) -> Sum:
+    """``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra, as a ``Sum``, from ``g0_sigma = G0 Sigma``."""
+    return solve_id_plus(-g0_sigma, g0)
 
 
 def approx_split(
@@ -233,11 +234,10 @@ def approx_split(
     The residual is reduced tile row by tile row, and each tile row of
     ``G_app`` is formed where it is read.
     """
-    g_app = dyson_solution(g0, sigma_app)
+    g_app = dyson_solution(g0, g0 @ sigma_app)
     correction = sigma - sigma_app
     del sigma_app  # not read again
-    chain = Product(Product(g_app, correction), g_reference)
-    return g_app, (Sum(g_reference) - g_app - chain).max_abs()
+    return g_app, (Sum(g_reference) - g_app - g_app @ correction @ g_reference).max_abs()
 
 
 @dataclass(frozen=True)
@@ -366,9 +366,9 @@ def verify_dyson(
     are the ones the engine built, which a convergence study on the same
     engine reads as well.  Each exact-algebra residual is a ``volterra.Sum``
     reduced one tile row at a time, in the association and order of the
-    expression formed whole: the Dyson solution, the differences, the
-    product with ``g_alg`` and each approximate split's ``G_app`` are never
-    formed whole.  Only ``G0 Sigma``, shared by two checks, and the
+    expression formed whole: the Dyson solution (``dyson_solution``, as in
+    each approximate split), the differences and the products with ``g_alg``
+    are never formed whole.  Only ``G0 Sigma``, shared by two checks, and the
     sample-size operators are.
     """
     tol = dict(DEFAULT_TOLERANCES)
@@ -381,11 +381,10 @@ def verify_dyson(
     p = g0.p
 
     # G0 Sigma is formed once for resolvent_dyson and irreducible_dyson, and
-    # freed before the approximate splits; dyson_solution's sum is reduced
-    # without being formed
+    # freed before the approximate splits
     g0_sigma = g0 @ sigma
-    resolvent = (solve_id_plus_sum(-g0_sigma, g0) - g_alg).max_abs()
-    irreducible = (Sum(g_alg) - g0 - Product(g0_sigma, g_alg)).max_abs()
+    resolvent = (dyson_solution(g0, g0_sigma) - g_alg).max_abs()
+    irreducible = (Sum(g_alg) - g0 - Sum(g0_sigma) @ g_alg).max_abs()
     del g0_sigma
 
     report.add("reducible_dyson", quadrature["reducible_dyson"], tol["reducible_dyson"], "quadrature")
@@ -407,7 +406,7 @@ def verify_dyson(
     g_alg_s, g0_s, sigma_s = (x.restrict(sub) for x in (g_alg, g0, sigma))
     report.add(
         "sample_restricted_dyson",
-        (Sum(g_alg_s) - g0_s - Product(g0_s @ sigma_s, g_alg_s)).max_abs(),
+        (Sum(g_alg_s) - g0_s - Sum(g0_s @ sigma_s) @ g_alg_s).max_abs(),
         tol["sample_restricted_dyson"],
         "exact-algebra",
     )

@@ -25,25 +25,28 @@ operator lie in tile order in one buffer.  Compose and solve run on these
 slabs, one GEMM per pair of tile rows, at the supported sizes, so a
 self-energy on the sample is multiplied at the sample's size.
 
-Sums and products are evaluated one tile row at a time.  A ``Sum`` of
-operators, ``Product`` terms and other sums forms its tile row ``I`` from
-tile row ``I`` of each term, and a product's tile row ``I`` needs tile row
-``I`` of its left factor and the slabs ``0..I`` of its right one, each read
-when it is needed.  So ``+``, ``-`` and ``@`` write their result slab by slab
-into its one buffer, and a residual such as
-``(Sum(a) - b - Product(c, d)).max_abs()`` or ``norm_bound()`` is reduced row
-by row, with no term, product or partial sum formed whole.  Every entry is
-computed as when the expression is formed whole, in the same order, so both
-give the same bits.
+Sums and products are evaluated one tile row at a time.  ``Sum`` is the one
+lazy node: ``Sum(a)`` wraps an operator, ``+`` and ``-`` add operators and
+sums to it, and ``Sum(a) @ b`` is a sum of one product term, whose right
+factor is an operator.  Arithmetic on a ``Sum`` is lazy, and arithmetic on
+operators is eager: ``a - b`` and ``a @ b`` evaluate the sum they build.  A
+sum forms its tile row ``I`` from tile row ``I`` of each term, and a product
+term's tile row ``I`` needs tile row ``I`` of its left factor and the slabs
+``0..I`` of its right one, each read when it is needed.  So ``+``, ``-`` and
+``@`` write their result slab by slab into its one buffer, and a residual
+such as ``(Sum(a) - b - Sum(c) @ d).max_abs()`` or ``norm_bound()`` is
+reduced row by row, with no term, product or partial sum formed whole.  Every
+entry is computed as when the expression is formed whole, in the same order,
+so both give the same bits.
 
-An operator holds one of two forms.  A kernel-built operator keeps its kernel, times an
-optional scale, in the same packed layout and weighs it when the algebra
-reads it, so its kernel view and dump are the exact input.  Every other
-operator, one built from an instantaneous part alone included, holds the
-packed matrix, and its kernel is derived from it.  The constructor checks
-causality tile row by tile row as it packs.  The instantaneous part, the
-one kernel reader ``kernel_tiles`` and ``flat``, the dense matrix that no
-program path reads, keep every orbital.
+Every constructed operator holds its kernel, times an optional scale, in the
+same packed layout (a zero kernel when only an instantaneous part is given),
+and weighs it when the algebra reads it, so its kernel view and dump are the
+exact input.  An operator produced by the algebra holds the packed matrix,
+and its kernel is derived from it.  The constructor checks causality tile
+row by tile row as it packs.  The instantaneous part, the one kernel reader
+``kernel_tiles`` and ``flat``, the dense matrix that no program path reads,
+keep every orbital.
 
 The text dump writes each float part as its ``repr``.  A part whose bits
 equal those of the same part one node up and one node left, at the same lag,
@@ -109,6 +112,14 @@ def _slabs(buf: np.ndarray, n_nodes: int, r: int, c: int) -> list:
     return [_slab(buf, n_nodes, r, c, i) for i in range(len(_tiles(n_nodes)))]
 
 
+def _fill(read, n_nodes: int, r: int, c: int) -> np.ndarray:
+    """A packed buffer over ``r x c`` orbitals whose tile row ``i`` is written by ``read(i, out)``."""
+    out = np.empty(packed_size(n_nodes, r, c), dtype=complex)
+    for i, (_, _, dst, _) in enumerate(_slabs(out, n_nodes, r, c)):
+        read(i, dst)
+    return out
+
+
 def _support(indices, p: int) -> np.ndarray:
     indices = np.arange(p) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
     if indices.size and not (indices[0] >= 0 and indices[-1] < p and np.all(indices[1:] > indices[:-1])):
@@ -154,8 +165,8 @@ def _nonzero(a: np.ndarray) -> bool:
 class VolterraOperator:
     """Causal operator with an optional instantaneous part and memory kernel.
 
-    Built from the kernel pair, it holds the packed kernel; built from an
-    instantaneous part alone, or produced by the algebra, it holds the packed
+    Built by the constructor, it holds the packed kernel, zero when only an
+    instantaneous part is given; produced by the algebra, it holds the packed
     matrix, and its kernel pair is a derived view.  Either way the algebra
     reads the packed matrix (``panels``).  ``rows`` and ``cols``, increasing
     (default: every orbital), are the support: ``mem[k, l, i, j]`` is kernel
@@ -180,22 +191,18 @@ class VolterraOperator:
             outside[rows[:, None], cols] = False
             if _nonzero(inst[:, outside]):
                 raise ValueError("instantaneous part is not zero outside the support")
-        if mem is None:
-            panels = np.zeros(packed_size(n, r, c), dtype=complex)
-            _add_diagonal(panels, inst, n, rows, cols)
-            self._set(grid, p, rows, cols, inst, None, panels)
-            return
-        mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
-        if mem.shape != (n, n, r, c):
-            raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, r, c)}")
-        kernel = np.empty(packed_size(n, r, c), dtype=complex)
-        for k0, k1, _, blocks in _slabs(kernel, n, r, c):
-            given = mem[k0:k1]
-            # the acausal blocks l > k of the tile row must be exactly zero, not nan
-            upper = np.max(np.abs(given[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
-            if upper != 0.0:
-                raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
-            blocks[...] = given[:, :k1]
+        kernel = np.zeros(packed_size(n, r, c), dtype=complex)
+        if mem is not None:
+            mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
+            if mem.shape != (n, n, r, c):
+                raise ValueError(f"memory kernel has shape {mem.shape}, expected {(n, n, r, c)}")
+            for k0, k1, _, blocks in _slabs(kernel, n, r, c):
+                given = mem[k0:k1]
+                # the acausal blocks l > k of the tile row must be exactly zero, not nan
+                upper = np.max(np.abs(given[np.arange(n) > np.arange(k0, k1)[:, None]]), initial=0.0)
+                if upper != 0.0:
+                    raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
+                blocks[...] = given[:, :k1]
         if scale is not None:
             kernel *= scale
         zero = (np.zeros(1, dtype=complex) * (1.0 if scale is None else scale))[0]
@@ -223,11 +230,7 @@ class VolterraOperator:
         """The packed matrix over ``(rows, cols)``, entries it does not hold +0.0, built tile row by tile row (``_reader``)."""
         if self._panels is not None and np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols):
             return self._panels
-        out = np.empty(packed_size(self.grid.n_nodes, rows.size, cols.size), dtype=complex)
-        read = self._reader(rows, cols)
-        for i, (_, _, dst, _) in enumerate(_slabs(out, self.grid.n_nodes, rows.size, cols.size)):
-            read(i, dst)
-        return out
+        return _fill(self._reader(rows, cols), self.grid.n_nodes, rows.size, cols.size)
 
     def _reader(self, rows, cols):
         """``read(i, out=None)``: tile row ``i`` of the packed matrix over ``(rows, cols)``, entries it does not hold +0.0.
@@ -315,12 +318,9 @@ class VolterraOperator:
 
     # -- algebra -------------------------------------------------------
 
-    def _instantaneous(self):
-        return self._inst
-
     def compose(self, other: "VolterraOperator") -> "VolterraOperator":
-        """Operator product self after other; exact in the block algebra (see ``Product``)."""
-        return Sum(Product(self, other)).evaluate()
+        """Operator product self after other; exact in the block algebra (``Sum(self) @ other``, evaluated)."""
+        return (Sum(self) @ other).evaluate()
 
     def __matmul__(self, other: "VolterraOperator") -> "VolterraOperator":
         return self.compose(other)
@@ -337,12 +337,9 @@ class VolterraOperator:
     def scale(self, scalar) -> "VolterraOperator":
         scalar = complex(scalar)
         inst = None if self._inst is None else scalar * self._inst
-        n, rows, cols = self.grid.n_nodes, self.rows, self.cols
-        panels = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
-        read = self._reader(rows, cols)
-        for i, (_, _, dst, _) in enumerate(_slabs(panels, n, rows.size, cols.size)):
-            np.multiply(scalar, read(i), out=dst)
-        return VolterraOperator._packed(self.grid, self.p, rows, cols, inst, None, panels)
+        read, n = self._reader(self.rows, self.cols), self.grid.n_nodes
+        panels = _fill(lambda i, out: np.multiply(scalar, read(i), out=out), n, self.rows.size, self.cols.size)
+        return VolterraOperator._packed(self.grid, self.p, self.rows, self.cols, inst, None, panels)
 
     def restrict(self, indices) -> "VolterraOperator":
         """Keep the given orbital indices (e.g. the sample block), read from the stored sub-blocks.
@@ -370,7 +367,7 @@ class VolterraOperator:
 
     def norm_bound(self) -> float:
         """Induced sup-norm bound of the operator (see ``operator_norm_bound``)."""
-        return operator_norm_bound(self)
+        return operator_norm_bound(Sum(self))
 
     def volterra_constant(self) -> float:
         """Discrete Volterra constant: max spectral norm over memory blocks.
@@ -396,92 +393,84 @@ class VolterraOperator:
         return float(np.max(tops))
 
 
-class Product:
-    """The product ``left right``, a term of a ``Sum``; exact in the block algebra.
+def _product_reader(a: "Sum", b: VolterraOperator, rows, cols):
+    """``read(i, out=None)``: tile row ``i`` of the product ``a b`` over ``(rows, cols)``, entries it does not hold +0.0.
 
-    It holds ``(left.rows, right.cols)`` and contracts over the inner set
-    alone: the columns of ``left`` that are rows of ``right``.  Its tile row
-    ``I`` is ``sum_{M<=I} A_I[:, M] @ B_M``, the diagonal tile first, with
-    ``A_I`` tile row ``I`` of ``left`` and ``B_M`` the slab of tile row ``M``
-    of ``right``: the causal triangle only.  Neither factor is formed whole:
-    ``left``, which may be a ``Sum`` or a ``Product``, is read one tile row at
-    a time, and ``right``, an operator, one slab at a time, afresh for each
-    tile row that needs it unless it holds that slab itself.
+    The product holds ``(a.rows, b.cols)`` and contracts over the inner set
+    alone: the columns of ``a`` that are rows of ``b``.  Its tile row ``I`` is
+    ``sum_{M<=I} A_I[:, M] @ B_M``, the diagonal tile first, with ``A_I`` tile
+    row ``I`` of ``a`` and ``B_M`` the slab of tile row ``M`` of ``b``: the
+    causal triangle only.  Neither factor is formed whole: ``a`` is read one
+    tile row at a time, and ``b`` one slab at a time, afresh for each tile row
+    that needs it unless it holds that slab itself.
     """
+    inner = a.cols[_mask(b.rows, a.p)[a.cols]]
+    n, r, s, c = a.grid.n_nodes, a.rows.size, inner.size, b.cols.size
+    left_row, right_row = a._reader(a.rows, inner), b._reader(inner, b.cols)
 
-    __slots__ = ("left", "right")
+    def read(i, out=None):
+        k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
+        left = left_row(i)
+        out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
+        np.matmul(left[:, k0 * s :], right_row(i), out=out)
+        for m in range(i):
+            m0, m1 = m * TILE_NODES, (m + 1) * TILE_NODES
+            out[:, : m1 * c] += left[:, m0 * s : m1 * s] @ right_row(m)
+        return out
 
-    def __init__(self, left: "VolterraOperator | Sum | Product", right: VolterraOperator):
-        self.left, self.right = left, right
+    if np.array_equal(a.rows, rows) and np.array_equal(b.cols, cols):
+        return read
+    place = _placement(a.rows, b.cols, rows, cols, a.p)
 
-    grid = property(lambda self: self.left.grid)
-    p = property(lambda self: self.left.p)
-    rows = property(lambda self: self.left.rows)
-    cols = property(lambda self: self.right.cols)
+    def placed(i, out=None):  # the product's row, copied into the requested support
+        k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
+        held = _blocks(read(i), k0, k1, r, c)
+        out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
+        out[...] = 0.0
+        place(held, _blocks(out, k0, k1, rows.size, cols.size))
+        return out
 
-    def _reader(self, rows, cols):
-        a, b = self.left, self.right
-        _compatible(a, b)
-        inner = a.cols[_mask(b.rows, a.p)[a.cols]]
-        n, r, s, c = a.grid.n_nodes, a.rows.size, inner.size, b.cols.size
-        left_row, right_row = a._reader(a.rows, inner), b._reader(inner, b.cols)
-
-        def read(i, out=None):
-            k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
-            left = left_row(i)
-            out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
-            np.matmul(left[:, k0 * s :], right_row(i), out=out)
-            for m in range(i):
-                m0, m1 = m * TILE_NODES, (m + 1) * TILE_NODES
-                out[:, : m1 * c] += left[:, m0 * s : m1 * s] @ right_row(m)
-            return out
-
-        if np.array_equal(a.rows, rows) and np.array_equal(b.cols, cols):
-            return read
-        place = _placement(a.rows, b.cols, rows, cols, a.p)
-
-        def placed(i, out=None):  # the product's row, copied into the requested support
-            k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
-            held = _blocks(read(i), k0, k1, r, c)
-            out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
-            out[...] = 0.0
-            place(held, _blocks(out, k0, k1, rows.size, cols.size))
-            return out
-
-        return placed
-
-    def _instantaneous(self):
-        a, b = self.left._instantaneous(), self.right._inst
-        return None if a is None or b is None else np.einsum("kab,kbc->kac", a, b)
+    return placed
 
 
 class Sum:
-    """``t0 +- t1 +- ...`` of operators, products and sums, evaluated one tile row at a time.
+    """``t0 +- t1 +- ...`` of operators, sums and products, evaluated one tile row at a time.
 
-    The sum holds the union of its terms' supports.  Its tile row ``I`` is
-    tile row ``I`` of each term over that support, +0.0 where a term holds
-    nothing, combined left to right: the bits of ``(t0 - t1) - t2`` formed
-    whole, with no term and no partial sum formed whole.  ``evaluate``
-    writes the rows into the one packed buffer of the result; ``max_abs``
-    and ``norm_bound`` reduce them as they come.  ``Sum(a) - b`` builds the
-    sum; ``a - b`` evaluates it.
+    ``Sum(a)`` wraps an operator or a sum; ``Sum(a) - b`` and ``Sum(a) + b``
+    add a term, an operator or a sum; ``Sum(a) @ b`` is a sum of one product
+    term, whose right factor ``b`` must be an operator (a lazy right factor
+    would be formed again for every tile row below it) on the same grid.  The
+    sum holds the union of its terms' supports.  Its tile row ``I`` is tile
+    row ``I`` of each term over that support, +0.0 where a term holds nothing,
+    combined left to right: the bits of ``(t0 - t1) - t2`` formed whole, with
+    no term and no partial sum formed whole.  ``evaluate`` writes the rows
+    into the one packed buffer of the result; ``max_abs`` and ``norm_bound``
+    reduce them as they come.
     """
 
-    def __init__(self, term, _more=()):
-        self.terms = ((1.0, term), *_more)
-        self.grid, self.p = term.grid, term.p
+    def __init__(self, term, _terms=None):
+        # (sign, term, right factor or None) of every term, left to right
+        self.terms = ((1.0, term, None),) if _terms is None else _terms
+        first = self.terms[0][1]
+        self.grid, self.p = first.grid, first.p
         rows, cols = np.zeros(self.p, dtype=bool), np.zeros(self.p, dtype=bool)
-        for _, t in self.terms:
-            _compatible(term, t)
+        for _, t, right in self.terms:
+            _compatible(first, t)
             rows[t.rows] = True
-            cols[t.cols] = True
+            cols[(t if right is None else right).cols] = True
         self.rows, self.cols = np.flatnonzero(rows), np.flatnonzero(cols)
 
     def __add__(self, term) -> "Sum":
-        return Sum(self.terms[0][1], (*self.terms[1:], (1.0, term)))
+        return Sum(None, (*self.terms, (1.0, term, None)))
 
     def __sub__(self, term) -> "Sum":
-        return Sum(self.terms[0][1], (*self.terms[1:], (-1.0, term)))
+        return Sum(None, (*self.terms, (-1.0, term, None)))
+
+    def __matmul__(self, right: VolterraOperator) -> "Sum":
+        if not isinstance(right, VolterraOperator):
+            raise TypeError(f"the right factor of a product must be a VolterraOperator, got {type(right).__name__}")
+        _compatible(self, right)
+        return Sum(None, ((1.0, self, right),))
 
     def _reader(self, rows=None, cols=None):
         """``read(i, out=None)``: tile row ``i`` over ``(rows, cols)`` (default the sum's support), in ``out`` if given.
@@ -491,7 +480,10 @@ class Sum:
         term's own: read only.
         """
         rows, cols = (self.rows, self.cols) if rows is None else (rows, cols)
-        (_, first), *rest = [(sign, t._reader(rows, cols)) for sign, t in self.terms]
+        (_, first), *rest = [
+            (sign, t._reader(rows, cols) if right is None else _product_reader(t, right, rows, cols))
+            for sign, t, right in self.terms
+        ]
 
         def read(i, out=None):
             acc = first(i, out)
@@ -504,28 +496,29 @@ class Sum:
 
         return read
 
-    def _instantaneous(self):
-        # the left-to-right rule of ``a + b``: a part that is absent reads as zeros
-        (_, first), *rest = self.terms
-        inst = first._instantaneous()
-        for sign, t in rest:
-            part = t._instantaneous()
-            if inst is not None or part is not None:
+    @property
+    def _inst(self):
+        """The instantaneous part, or None: the left-to-right rule of ``a + b``, a part that is absent read as zeros."""
+        inst = None
+        for k, (sign, t, right) in enumerate(self.terms):
+            part = t._inst
+            if right is not None:
+                part = None if part is None or right._inst is None else np.einsum("kab,kbc->kac", part, right._inst)
+            if k == 0:
+                inst = part
+            elif inst is not None or part is not None:
                 zero = np.zeros((self.grid.n_nodes, self.p, self.p), dtype=complex)
                 inst = (zero if inst is None else inst) + sign * (zero if part is None else part)
         return inst
 
     def evaluate(self) -> VolterraOperator:
-        """The sum as an operator; a sum of one operator is that operator."""
-        (_, first), *rest = self.terms
-        if not rest and isinstance(first, VolterraOperator):
+        """The sum as an operator; a sum of one operator is that operator, not a copy."""
+        (_, first, right), *rest = self.terms
+        if not rest and right is None and isinstance(first, VolterraOperator):
             return first
         n, rows, cols = self.grid.n_nodes, self.rows, self.cols
-        out = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
-        read = self._reader()
-        for i, (_, _, dst, _) in enumerate(_slabs(out, n, rows.size, cols.size)):
-            read(i, dst)
-        return VolterraOperator._packed(self.grid, self.p, rows, cols, self._instantaneous(), None, out)
+        out = _fill(self._reader(), n, rows.size, cols.size)
+        return VolterraOperator._packed(self.grid, self.p, rows, cols, self._inst, None, out)
 
     def max_abs(self) -> float:
         """Largest entry magnitude (exact-algebra residuals), one tile row at a time."""
@@ -535,14 +528,6 @@ class Sum:
     def norm_bound(self) -> float:
         """Induced sup-norm bound (see ``operator_norm_bound``)."""
         return operator_norm_bound(self)
-
-
-def _add_diagonal(panels: np.ndarray, inst: np.ndarray, n: int, rows, cols) -> None:
-    """Add the ``(rows, cols)`` block of ``inst[k]`` to the diagonal block of every node of a packed matrix."""
-    inst = inst[:, rows[:, None], cols]
-    for k0, k1, _, blocks in _slabs(panels, n, rows.size, cols.size):
-        nodes = np.arange(k1 - k0)
-        blocks[nodes, nodes + k0] += inst[k0:k1]
 
 
 def block_lower_solve(m: np.ndarray, x: np.ndarray, n: int, r: int, c: int) -> np.ndarray:
@@ -579,17 +564,13 @@ def block_lower_solve(m: np.ndarray, x: np.ndarray, n: int, r: int, c: int) -> n
     return x
 
 
-def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> VolterraOperator:
-    """X with ``(Id + A) X = B`` exactly in the discrete algebra (``solve_id_plus_sum``, evaluated)."""
-    return solve_id_plus_sum(a, b).evaluate()
-
-
-def solve_id_plus_sum(a: VolterraOperator, b: VolterraOperator) -> Sum:
-    """X with ``(Id + A) X = B`` exactly in the discrete algebra, as a ``Sum``.
+def solve_id_plus(a: VolterraOperator, b: VolterraOperator) -> Sum:
+    """X with ``(Id + A) X = B`` exactly in the discrete algebra, as a ``Sum``; ``.evaluate()`` gives the operator.
 
     The solve runs on a supported set ``S``, with ``A`` read on ``S x S``.
     ``S`` is the rows ``R`` that ``A`` and ``B`` hold, and then ``X`` holds
-    ``R`` alone: the proper self-energy's solve.  When ``A`` holds fewer
+    ``R`` alone and the sum is that one operator, which ``evaluate`` returns
+    as it is: the proper self-energy's solve.  When ``A`` holds fewer
     columns, ``S`` is those, and ``X = B - A X_S``, a sum that a residual
     can reduce without forming it: the Dyson solution's.  With every orbital
     in both, this is one block forward substitution at ``p``.  The
@@ -608,10 +589,10 @@ def solve_id_plus_sum(a: VolterraOperator, b: VolterraOperator) -> Sum:
         inst = np.zeros_like(inst)
         inst[:, s] = np.linalg.solve(np.eye(s.size) + a._inst[:, s[:, None], s], b._inst[:, s])
     x = VolterraOperator._packed(a.grid, a.p, s, b.cols, inst, None, x)
-    return Sum(x) if s is rows else Sum(b) - Product(a, x)
+    return Sum(x) if s is rows else Sum(b) - Sum(a) @ x
 
 
-def operator_norm_bound(op: VolterraOperator | Sum) -> float:
+def operator_norm_bound(terms: Sum) -> float:
     """Upper bound on the induced sup-norm: max over rows of summed block norms.
 
     A block's Frobenius norm bounds its spectral norm from above, so a row's
@@ -627,11 +608,11 @@ def operator_norm_bound(op: VolterraOperator | Sum) -> float:
     would.  Blocks are read over the support; the rest are zero.  nan or inf
     for a non-finite operator.
 
-    ``op`` is read one tile row at a time, and a ``Sum`` is never formed
-    whole: a first pass takes the largest magnitude, a second the Frobenius
-    sums, and the tile rows of the remaining rows are formed once more.
+    ``terms`` is read one tile row at a time and never formed whole: a
+    first pass takes the largest magnitude, a second the Frobenius sums, and
+    the tile rows of the remaining rows are formed once more.  An operator's
+    bound is that of ``Sum(op)``.
     """
-    terms = op if isinstance(op, Sum) else Sum(op)
     n, r, c = terms.grid.n_nodes, terms.rows.size, terms.cols.size
     row = terms._reader()
 

@@ -286,7 +286,7 @@ def packed_kernel_bytes(op: VolterraOperator) -> bytes:
 def f_map(engine) -> VolterraOperator:
     """``F`` of a kernel engine, from a one-pair sweep of its own."""
     corr = engine.factory.anticommutator_grid("a", "b")
-    return VolterraOperator(engine.grid, engine.p, mem=corr.causal_kernel(), rows=corr.rows, cols=corr.cols, scale=1.0)
+    return VolterraOperator(engine.grid, engine.p, mem=corr.causal_kernel(), rows=corr.rows, cols=corr.cols)
 
 
 # -- readers only the tests use -------------------------------------------

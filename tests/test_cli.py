@@ -412,6 +412,23 @@ class TestMalformedConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(reference_at_12_steps(**{path: value}))
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("taks", "taks: unknown key; the root takes"),
+            ("sample.xii", "sample.xii: unknown key; sample takes sites, hoppings, w, xi"),
+            ("leads.0.site", "leads[0].site: unknown key; leads[0] takes sites, hoppings, coupling"),
+            ("leads.1.coupling.h", "leads[1].coupling.h: unknown key; leads[1].coupling takes d, f, g"),
+            ("thermal.bta", "thermal.bta: unknown key; thermal takes beta, mu"),
+            ("grid.stpes", "grid.stpes: unknown key; grid takes T, steps"),
+        ],
+        ids=["root", "sample", "lead", "coupling", "thermal", "grid"],
+    )
+    def test_unknown_key_is_refused(self, path, message):
+        # a misspelt key would otherwise fall back to its default: xii leaves xi at 0.0
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(reference_at_12_steps(**{path: 0.5}))
+
     def test_overrides_are_checked(self):
         config = parse_config(reference_at_12_steps())
         for change in (
@@ -430,8 +447,9 @@ class TestMalformedConfig:
             (reference_at_12_steps(), ["--tolerance", "lead_support=nan"]),
             (reference_at_12_steps(tasks=["g0", "converge"]), ["--steps", "12"]),
             (reference_at_12_steps(**{"grid.steps": [20, 20], "tasks": ["g0", "converge"]}), []),
+            (reference_at_12_steps(**{"sample.xii": 0.5}), []),
         ],
-        ids=["nan-config", "nan-flag", "converge-one-step-count", "converge-repeated-step-count"],
+        ids=["nan-config", "nan-flag", "converge-one-step-count", "converge-repeated-step-count", "unknown-key"],
     )
     def test_run_rejects_before_any_task(self, tmp_path, capsys, cfg_data, extra):
         cfg = write_config(tmp_path, cfg_data)

@@ -63,11 +63,12 @@ def lead3_engine_25():
     return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 25))
 
 
-def copied_kernel(corr, p, prefactor):
-    """A causal kernel as a transposed copy of its grid over all ``p`` rows, acausal part zeroed, then scaled."""
+def copied_kernel(corr, p, prefactor=None):
+    """A causal kernel as a transposed copy of its grid over all ``p`` rows, acausal part zeroed, then scaled if a prefactor is given."""
     kernel = full_grid(corr, p).transpose(2, 3, 0, 1).copy()
     kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
-    kernel *= prefactor
+    if prefactor is not None:
+        kernel *= prefactor
     return kernel
 
 
@@ -90,7 +91,7 @@ class TestKernelsFromGrids:
                 inst=(1j * contact).transpose(2, 0, 1).copy(),
             ),
             "f_map": VolterraOperator(
-                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "b"), p, 1.0)
+                grid, p, mem=copied_kernel(factory.anticommutator_grid("a", "b"), p)
             ),
         }
         built = {"gxi": engine.gxi, "sigma_tilde": engine.sigma_tilde, "f_map": f_map(engine)}
@@ -260,7 +261,7 @@ class TestDysonIdentities:
         g_alg = ref_engine_25.g_alg
         residual = (g_alg - g0 - g0 @ sigma @ g_alg).max_abs()
         assert residual <= 1e-11
-        residual_resolvent = (dyson_solution(g0, sigma) - g_alg).max_abs()
+        residual_resolvent = (dyson_solution(g0, g0 @ sigma) - g_alg).max_abs()
         assert residual_resolvent <= 1e-11
 
     def test_report_carries_every_check(self, ref_engine_25, ref_engine_xi0):
@@ -412,7 +413,7 @@ class TestSharedProducts:
         assert sigma.panels().tobytes() == irreducible_sigma(g0, engine.sigma_tilde).panels().tobytes()
         fresh = {
             "irreducible_dyson": (g_alg - g0 - g0 @ sigma @ g_alg).max_abs(),
-            "resolvent_dyson": (dyson_solution(g0, sigma) - g_alg).max_abs(),
+            "resolvent_dyson": (dyson_solution(g0, g0 @ sigma) - g_alg).max_abs(),
         }
         for name, sigma_app in (
             ("approx_split_zero", VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))),

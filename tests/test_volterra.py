@@ -15,13 +15,11 @@ from pfnegf.negf import compute_g0
 from pfnegf.propagation import CorrelatorGrid
 from pfnegf.volterra import (
     TILE_NODES,
-    Product,
     Sum,
     VolterraOperator,
     dump_kernel,
     operator_norm_bound,
     solve_id_plus,
-    solve_id_plus_sum,
     trapezoid_weights,
 )
 
@@ -84,7 +82,7 @@ def loop_volterra_constant(op):
 def resolvent(a):
     """R with ``(Id + A)(Id + R) = Id``, from the one causal solve."""
     ident = identity_volterra(a.grid, a.p)
-    return solve_id_plus(a, ident) - ident
+    return solve_id_plus(a, ident).evaluate() - ident
 
 
 def apply(op, psi):
@@ -254,7 +252,7 @@ class TestInversion:
         inst[3, 0, 0] = -1.0  # makes Id + m singular at node 3
         a = VolterraOperator(GRID, 1, inst=inst, mem=np.zeros((n, n, 1, 1)))
         with pytest.raises(np.linalg.LinAlgError, match="node 3"):
-            solve_id_plus(a, identity_volterra(GRID, 1))
+            solve_id_plus(a, identity_volterra(GRID, 1)).evaluate()
 
     def test_instantaneous_parts_on_both_sides(self):
         # (Id + A) X = B with m_X = (I + m_A)^{-1} m_B node by node
@@ -266,14 +264,14 @@ class TestInversion:
         mem_b = random_memory_operator(GRID, p, seed=18)
         a = mem_a + VolterraOperator(GRID, p, inst=inst_a)
         b = mem_b + VolterraOperator(GRID, p, inst=inst_b)
-        x = solve_id_plus(a, b)
+        x = solve_id_plus(a, b).evaluate()
         ident = identity_volterra(GRID, p)
         assert ((ident + a) @ x - b).max_abs() <= 1e-12
         expected = np.linalg.solve(np.eye(p) + inst_a, inst_b)
         np.testing.assert_allclose(x.instantaneous(), expected, rtol=0, atol=1e-12)
         # m_B itself when A has no instantaneous part, none when B has none
-        np.testing.assert_array_equal(solve_id_plus(mem_a, b).instantaneous(), inst_b)
-        assert not solve_id_plus(a, mem_b).has_instantaneous()
+        np.testing.assert_array_equal(solve_id_plus(mem_a, b).evaluate().instantaneous(), inst_b)
+        assert not solve_id_plus(a, mem_b).evaluate().has_instantaneous()
 
 
 class TestCacheState:
@@ -355,7 +353,7 @@ class TestNormAndConstants:
         inst = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
         c = a @ b + VolterraOperator(grid, p, inst=inst)
         for op in (a, a @ b, c):
-            assert operator_norm_bound(op) == loop_norm_bound(op.flat, grid, p)
+            assert operator_norm_bound(Sum(op)) == loop_norm_bound(op.flat, grid, p)
             assert op.volterra_constant() == loop_volterra_constant(op)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -366,7 +364,7 @@ class TestNormAndConstants:
         mem = np.zeros((n, n, 2, 2), dtype=complex)
         mem[4, 1, 0, 1] = bad
         op = VolterraOperator(grid, 2, mem=mem)
-        assert not np.isfinite(operator_norm_bound(op))
+        assert not np.isfinite(operator_norm_bound(Sum(op)))
         assert not np.isfinite(op.volterra_constant())
 
     @settings(max_examples=40, deadline=None)
@@ -384,7 +382,7 @@ class TestNormAndConstants:
         mem[np.triu_indices(n, k=1)] = 0.0
         op = VolterraOperator(grid, p, inst=inst[0] + 1j * inst[1], mem=mem)
         for x in (op, op + op @ op):
-            assert operator_norm_bound(x) == loop_norm_bound(x.flat, grid, p)
+            assert operator_norm_bound(Sum(x)) == loop_norm_bound(x.flat, grid, p)
 
 
 class TestRestriction:
@@ -809,7 +807,7 @@ class TestPackedAgainstDenseOracle:
     def test_solve_id_plus(self, pair):
         grid, p, (a, _, _, da), (b, _, _, db) = pair
         expected = np.linalg.solve(np.eye(len(da)) + da, db)
-        assert relative_error(solve_id_plus(a, b).flat, expected) <= 1e-13
+        assert relative_error(solve_id_plus(a, b).evaluate().flat, expected) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(operator_pairs(), st.data())
@@ -924,7 +922,7 @@ class TestPrunedNormBound:
         for op in (VolterraOperator(grid, p, mem=mem), VolterraOperator(grid, p, mem=mem, inst=inst)):
             expected = loop_norm_bound(op.flat, grid, p)
             counted = count_svd_blocks(monkeypatch)
-            assert operator_norm_bound(op) == expected
+            assert operator_norm_bound(Sum(op)) == expected
             assert sum(counted) < n * (n + 1) // 2  # some rows took no SVD
             monkeypatch.undo()
 
@@ -935,7 +933,7 @@ class TestPrunedNormBound:
         op = VolterraOperator(grid, p, mem=tied_rows_kernel(grid, p, seed=61))
         blocks = dense_blocks(op.flat, grid, p)
         sums = [sum(np.linalg.norm(blocks[k, l], 2) for l in range(n)) for k in (n - 2, n - 1)]
-        assert sums[0] == sums[1] == operator_norm_bound(op)
+        assert sums[0] == sums[1] == operator_norm_bound(Sum(op))
 
     def test_tiny_and_huge_entries(self):
         # squares of the entries would under- or overflow without the scaling,
@@ -944,7 +942,7 @@ class TestPrunedNormBound:
         mem = memory_kernel(random_memory_operator(grid, 2, seed=67))
         for scale in (1e-200, 1e200, 1e-300, 1e-310, 1e-320):
             op = VolterraOperator(grid, 2, mem=mem * scale)
-            assert operator_norm_bound(op) == loop_norm_bound(op.flat, grid, 2)
+            assert operator_norm_bound(Sum(op)) == loop_norm_bound(op.flat, grid, 2)
 
     def test_row_of_underflowing_squares_is_kept(self):
         # row n - 1 holds the largest sum in entries whose squares underflow
@@ -957,7 +955,7 @@ class TestPrunedNormBound:
         op = VolterraOperator(grid, 2, mem=mem)
         expected = loop_norm_bound(op.flat, grid, 2)
         assert expected > 1e-161
-        assert operator_norm_bound(op) == expected
+        assert operator_norm_bound(Sum(op)) == expected
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
@@ -975,7 +973,7 @@ class TestPrunedNormBound:
         mem = memory_kernel(random_memory_operator(grid, 2, seed=68))
         for (k, l), bad in spots.items():
             mem[k, l, 1, 0] = bad
-        assert repr(operator_norm_bound(VolterraOperator(grid, 2, mem=mem))) == repr(expected)
+        assert repr(operator_norm_bound(Sum(VolterraOperator(grid, 2, mem=mem)))) == repr(expected)
 
 
 @st.composite
@@ -1029,12 +1027,12 @@ class TestOperandRules:
             VolterraOperator(grid, p, mem=np.zeros((n, n, p, p))),
             -(b @ VolterraOperator(grid, p, inst=np.zeros((n, p, p)))),
         ):
-            x = solve_id_plus(zero, b)
+            x = solve_id_plus(zero, b).evaluate()
             np.testing.assert_array_equal(x.panels(), b.panels())
             np.testing.assert_array_equal(x.instantaneous(), b.instantaneous())
         # an operator that holds its matrix lends it to no result
         held = b.scale(1.0)
-        assert not np.shares_memory(solve_id_plus(zero, held).panels(), held.panels())
+        assert not np.shares_memory(solve_id_plus(zero, held).evaluate().panels(), held.panels())
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -1053,11 +1051,11 @@ class TestOperandRules:
         # against an A that is zero but for one non-finite entry is not finite
         zero = VolterraOperator(grid, p, inst=np.zeros((n, p, p)))
         b = VolterraOperator(grid, p, mem=mem, inst=inst)
-        assert not np.isfinite(solve_id_plus(zero, b).panels()).all()
+        assert not np.isfinite(solve_id_plus(zero, b).evaluate().panels()).all()
         almost_zero = np.zeros((n, n, p, p), dtype=complex)
         almost_zero[TILE_NODES + 3, 4, 0, 1] = bad
         finite = random_memory_operator(grid, p, seed=71)
-        assert not np.isfinite(solve_id_plus(VolterraOperator(grid, p, mem=almost_zero), finite).panels()).all()
+        assert not np.isfinite(solve_id_plus(VolterraOperator(grid, p, mem=almost_zero), finite).evaluate().panels()).all()
 
     @settings(max_examples=30, deadline=None)
     @given(operand_draws(), st.data())
@@ -1237,15 +1235,15 @@ class TestSupportAgainstFullAlgebra:
         grid, p, (a, twin_a, da), (b, twin_b, db) = pair
         with pytest.MonkeyPatch.context() as monkeypatch:
             sizes = solve_sizes(monkeypatch)
-            x = solve_id_plus(a, b)
+            x = solve_id_plus(a, b).evaluate()
         held = np.union1d(a.rows, b.rows)
         # the solve runs on the rows A and B hold, or on A's columns when they are fewer
         assert sizes == [min(held.size, a.cols.size)]
         if a.cols.size >= held.size:
             assert x.rows.tolist() == held.tolist()
         assert_close(x.flat, np.linalg.solve(np.eye(len(da)) + da, db))
-        assert_close(x.flat, solve_id_plus(twin_a, twin_b).flat)
-        assert_close(x.instantaneous(), solve_id_plus(twin_a, twin_b).instantaneous())
+        assert_close(x.flat, solve_id_plus(twin_a, twin_b).evaluate().flat)
+        assert_close(x.instantaneous(), solve_id_plus(twin_a, twin_b).evaluate().instantaneous())
 
 
 class TestTileRowSums:
@@ -1257,11 +1255,11 @@ class TestTileRowSums:
         _, _, (a, *_), (b, *_) = pair
         ab = a @ b
         cases = [
-            (Sum(a) - b - Product(a, b), a - b - ab),
-            (Sum(b) + Product(a, b) - a, b + ab - a),
-            (Sum(Product(a, b)) - Product(b, a), ab - b @ a),
+            (Sum(a) - b - Sum(a) @ b, a - b - ab),
+            (Sum(b) + Sum(a) @ b - a, b + ab - a),
+            (Sum(Sum(a) @ b) - Sum(b) @ a, ab - b @ a),
             # a sum as a term and as the left factor of a product, a product as a left factor
-            (Sum(b) - (Sum(a) + b) - Product(Product(Sum(a) - b, b), a), b - (a + b) - ((a - b) @ b) @ a),
+            (Sum(b) - (Sum(a) + b) - (Sum(a) - b) @ b @ a, b - (a + b) - ((a - b) @ b) @ a),
         ]
         for lazy, whole in cases:
             assert (lazy.rows.tolist(), lazy.cols.tolist()) == (whole.rows.tolist(), whole.cols.tolist())
@@ -1269,32 +1267,44 @@ class TestTileRowSums:
             assert formed.panels().tobytes() == whole.panels().tobytes()
             assert formed.instantaneous().tobytes() == whole.instantaneous().tobytes()
             assert repr(lazy.max_abs()) == repr(whole.max_abs())
-            assert repr(lazy.norm_bound()) == repr(operator_norm_bound(whole))
+            assert repr(lazy.norm_bound()) == repr(operator_norm_bound(Sum(whole)))
 
     @settings(max_examples=30, deadline=None)
     @given(supported_pairs())
     def test_solve_sum_equals_the_formed_solution(self, pair):
         _, _, (a, *_), (b, *_) = pair
-        x = solve_id_plus(a, b)
-        lazy = solve_id_plus_sum(a, b)
-        assert lazy.evaluate().panels().tobytes() == x.panels().tobytes()
+        lazy = solve_id_plus(a, b)
+        x = lazy.evaluate()
+        # the solve formed whole: forward substitution on the solved set S, then B - A X_S when S is A's columns
+        held = np.union1d(a.rows, b.rows)
+        s = a.cols if a.cols.size < held.size else held
+        x_s = b._on(s, b.cols).copy()
+        volterra.block_lower_solve(a._on(s, s), x_s, a.grid.n_nodes, s.size, b.cols.size)
+        x_s = VolterraOperator._packed(a.grid, a.p, s, b.cols, None, None, x_s)
+        assert x.panels().tobytes() == (x_s if s is held else b - a @ x_s).panels().tobytes()
         assert repr((lazy - b).max_abs()) == repr((x - b).max_abs())
+
+    def test_a_sum_of_one_operator_evaluates_to_it(self):
+        a = random_memory_operator(GRID, 2)
+        assert Sum(a).evaluate() is a  # not a copy
 
     def test_terms_on_other_grids_are_refused(self):
         a = random_memory_operator(GRID, 2)
         other = random_memory_operator(TimeGrid(2.0, 21), 2)
         with pytest.raises(ValueError, match="different grids"):
             Sum(a) - other
+        # a product is refused when it is built, not when a residual first reads it
         with pytest.raises(ValueError, match="different grids"):
-            (Sum(a) - Product(a, other)).max_abs()
+            Sum(a) @ other
 
-    def test_product_is_no_tuple(self):
-        # a sum of products is built with Sum; a bare product has no arithmetic
+    def test_right_factor_must_be_an_operator(self):
+        # a lazy right factor would be formed again for every tile row below it
         a = random_memory_operator(GRID, 2)
-        for combine in (lambda x: x + Product(a, a), lambda x: x - Product(a, a), lambda x: x * 2):
-            with pytest.raises(TypeError):
-                combine(Product(a, a))
-        assert Product(a, a) != Product(a, a)
+        for right in (Sum(a), Sum(a) @ a, a.flat):
+            with pytest.raises(TypeError, match="right factor"):
+                Sum(a) @ right
+        with pytest.raises(TypeError, match="right factor"):
+            a @ Sum(a)
 
 
 def weighed_then_selected(op, rows, cols) -> np.ndarray:
@@ -1366,7 +1376,7 @@ class TestSupportReductions:
         a = self.operator(*a_support, seed=80, size=0.3, inst=inst)
         b = self.operator(*b_support, seed=81, inst=inst)
         sizes = solve_sizes(monkeypatch)
-        x = solve_id_plus(a, b)
+        x = solve_id_plus(a, b).evaluate()
         assert sizes == [size]
         assert (x.rows.tolist(), x.cols.tolist()) == support
         expected = np.linalg.solve(np.eye(len(a.flat)) + a.flat, b.flat)
@@ -1404,6 +1414,21 @@ class TestSupportReductions:
             twin = VolterraOperator(self.GRID, 3, mem=full, scale=scale)
             assert kernel_text(op, "abc") == kernel_text(twin, "abc")
             assert f"\n0,0,0,1,{text}\n" in kernel_text(op, "abc")
+
+    def test_instantaneous_part_alone_holds_a_zero_kernel(self):
+        # the kernel view and dump read the zero kernel held, not (P - m) / w,
+        # which is nan where m holds an inf or a nan
+        n = self.GRID.n_nodes
+        inst = np.zeros((n, 4, 4), dtype=complex)
+        inst[:, 1, 2] = 2.0 - 1.0j
+        inst[TILE_NODES + 1, 1, 2] = np.inf
+        inst[3, 2, 1] = complex(0.0, np.nan)
+        for rows, cols in ((None, None), ([1, 2], [1, 2])):
+            op = VolterraOperator(self.GRID, 4, inst=inst, rows=rows, cols=cols)
+            assert not memory_kernel(op).view(np.int64).any()  # +0.0, both parts
+            _, mem, loaded = load_kernel(io.StringIO(kernel_text(op, "abcd")))
+            assert not mem.view(np.int64).any()
+            np.testing.assert_array_equal(loaded, inst)
 
     def test_support_rules(self):
         n = self.GRID.n_nodes
