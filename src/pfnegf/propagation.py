@@ -26,13 +26,15 @@ is formed once on the sector's block, and the D tile of ``conj(D(t_k))`` of
 every D family once per tile that a pair reads; each pair of tiles is one
 GEMM, added into the grid, and family rows that are exact zero operators
 enter none.  Tiles are formed from the stored family by phase multiplies,
-with no evolution sweeps, and every sector's tiles share one buffer, so a
-sweep holds O(TILE_NODES) nodes of memory in N_t beyond its grids; the held
-and D tiles of every family must fit the budget together.  Every grid is kept
-over the nonzero rows of its D family and of its held family, and every
-other entry is zero.  A retarded kernel is a view of its grid
-(``causal_kernel``), and the packed operator takes both row sets as its
-orbital support.
+with no evolution sweeps: the phases of a whole tile are formed in one
+broadcast, in chunks that fit the sweep's GEMM buffer, which is idle while
+tiles are formed, and a D tile is one multiply per family and chunk.  Every
+sector's tiles share one buffer, so a sweep holds O(TILE_NODES) nodes of
+memory in N_t beyond its grids; the held and D tiles of every family must
+fit the budget together.  Every grid is kept over the nonzero rows of its D
+family and of its held family, and every other entry is zero.  A retarded
+kernel is a view of its grid (``causal_kernel``), and the packed operator
+takes both row sets as its orbital support.
 """
 
 from __future__ import annotations
@@ -181,11 +183,15 @@ class CorrelatorFactory:
         ``rho[N+1] x + x rho[N]`` of every held family is formed once on the
         sector's block; the D tile of every D family is formed once per D tile
         that a pair reads: every one for a full grid, from the held tile's own
-        on for a causal one.  Each pair meets its two tiles in one GEMM over
-        the sector's entries, added into the grid; the acausal entries of a
-        causal grid stay +0.0.  One held and one D tile of ``TILE_NODES``
-        nodes of the whole flat, for every family paired, must fit the budget
-        together; every sector's tiles share that one buffer.
+        on for a causal one.  A tile's phases ``exp(i t (E_a - E_b))`` are
+        formed for all its nodes in one broadcast, into the GEMM buffer in
+        chunks of as many nodes as it holds; a D tile is then one multiply per
+        family and chunk, and the held side is formed node by node from them.
+        Each pair meets its two tiles in one GEMM over the sector's entries,
+        added into the grid; the acausal entries of a causal grid stay +0.0.
+        One held and one D tile of ``TILE_NODES`` nodes of the whole flat, for
+        every family paired, must fit the budget together; every sector's
+        tiles share that one buffer, and the phases need no memory of their own.
         """
         n, families = self.grid.n_nodes, self._families
         pairs = [(name_a, name_d, full)] + [(a, d, False) for a, d in companions]
@@ -205,9 +211,21 @@ class CorrelatorFactory:
                 live.append((a, d, is_full, nodes.reshape(n * rows_d.size, n * rows_a.size)))
         held_live = list(dict.fromkeys(a for a, *_ in live))
         d_live = list(dict.fromkeys(d for _, d, *_ in live))
-        # one buffer for the sweep's GEMM blocks, the size of the largest (out.size is n^2 rd ra)
-        widest = max([sector_tile(n, flat, sl.stop - sl.start) for sl, _ in self._sectors], default=0)
-        scratch = np.empty(widest**2 * max([out.size // n**2 for *_, out in live], default=0), dtype=complex)
+        # one buffer for the sweep's GEMM blocks, the size of the largest (out.size is n^2 rd ra), and
+        # for the phases of the tiles being formed while it is idle, at least one node of every sector
+        sizes = [sl.stop - sl.start for sl, _ in self._sectors]
+        widest = max(sector_tile(n, flat, size) for size in sizes)
+        scratch = np.empty(max([widest**2 * max([out.size // n**2 for *_, out in live], default=0)] + sizes), dtype=complex)
+
+        def phases(t0, t1, left, right, shape):
+            # (offset in the tile, one row per node) of the phases left[t] x right[t] of the nodes
+            # t0..t1-1, in chunks of as many nodes as scratch holds
+            step = scratch.size // (shape[0] * shape[1])
+            for c0 in range(t0, t1, step):
+                c1 = min(c0 + step, t1)
+                chunk = scratch[: (c1 - c0) * shape[0] * shape[1]].reshape(c1 - c0, *shape)
+                yield c0 - t0, np.multiply(left[c0:c1, :, None], right[c0:c1, None, :], out=chunk).reshape(c1 - c0, -1)
+
         for s, (sl, shape) in enumerate(self._sectors):
             size = shape[0] * shape[1]
             nodes_s, rho_lo, rho_hi = sector_tile(n, flat, size), self.rho_k[s], self.rho_k[s + 1]
@@ -218,25 +236,25 @@ class CorrelatorFactory:
                 offset += nodes_s * count * size
             conj_d = {name: np.conj(families[name][1][:, sl]) for name in d_live}
             energies = self.energies[self._offsets[s] : self._offsets[s + 2]]  # one exponential per state
-            exps = np.stack([np.exp(1j * (k * self.grid.delta) * energies) for k in range(n)])
+            exps = np.exp(1j * (np.arange(n)[:, None] * self.grid.delta) * energies)
             lower, upper = exps[:, : shape[1]], exps[:, shape[1] :]
+            conj_lower, conj_upper = np.conj(lower), np.conj(upper)
             tiles = [(t, min(t + nodes_s, n)) for t in range(0, n, nodes_s)]
             for i, (l0, l1) in enumerate(tiles):
-                for l in range(l0, l1):
-                    phases = np.multiply.outer(upper[l], np.conj(lower[l])).ravel()
-                    for name in held_live:
-                        x = (families[name][1][:, sl] * phases).reshape(-1, *shape)
-                        np.add(rho_hi @ x, x @ rho_lo, out=held[name][l - l0].reshape(x.shape))
+                for start, chunk in phases(l0, l1, upper, conj_lower, shape):
+                    for l, node in enumerate(chunk, start):
+                        for name in held_live:
+                            x = (families[name][1][:, sl] * node).reshape(-1, *shape)
+                            np.add(rho_hi @ x, x @ rho_lo, out=held[name][l].reshape(x.shape))
                 for j, (k0, k1) in enumerate(tiles):
                     # a full pair reads every D tile, a causal one those from its held tile on
                     reading = [pair for pair in live if pair[2] or j >= i]
                     if not reading:
                         continue
-                    for k in range(k0, k1):
-                        # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
-                        conj_phases = np.multiply.outer(np.conj(upper[k]), lower[k]).ravel()
+                    # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
+                    for start, chunk in phases(k0, k1, conj_upper, lower, shape):
                         for name in dict.fromkeys(d for _, d, *_ in reading):
-                            np.multiply(conj_d[name], conj_phases, out=d_tiles[name][k - k0])
+                            np.multiply(conj_d[name], chunk[:, None], out=d_tiles[name][start : start + len(chunk)])
                     for a, d, _, out in reading:
                         dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
                         block = out[k0 * dt.shape[1] : k1 * dt.shape[1], l0 * b.shape[1] : l1 * b.shape[1]]

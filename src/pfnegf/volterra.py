@@ -35,7 +35,9 @@ term's tile row ``I`` needs tile row ``I`` of its left factor and the slabs
 ``0..I`` of its right one, each read when it is needed.  So ``+``, ``-`` and
 ``@`` write their result slab by slab into its one buffer, and a residual
 such as ``(Sum(a) - b - Sum(c) @ d).max_abs()`` or ``norm_bound()`` is
-reduced row by row, with no term, product or partial sum formed whole.  Every
+reduced row by row, with no term, product or partial sum formed whole.  A
+lazy sum that one expression reads more than once, such as ``g`` in
+``Sum(a) - g - g @ c @ a``, forms each tile row once for all its reads.  Every
 entry is computed as when the expression is formed whole, in the same order,
 so both give the same bits.
 
@@ -79,12 +81,11 @@ NORM_PRUNE_MARGIN = 1e-10
 
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
-    """w[k, l] for l <= k; row 0 is empty (the integral term vanishes there)."""
-    w = np.zeros((n_nodes, n_nodes))
-    for k in range(1, n_nodes):
-        w[k, : k + 1] = 1.0
-        w[k, 0] = 0.5
-        w[k, k] = 0.5
+    """w[k, l] for l <= k; row 0 is empty (the integral term vanishes there).  Built by whole-array writes, no node loop."""
+    w = np.tri(n_nodes)
+    w[:, 0] = 0.5
+    np.fill_diagonal(w, 0.5)
+    w[0] = 0.0
     return w
 
 
@@ -150,6 +151,20 @@ def _placement(held_rows, held_cols, rows, cols, p: int):
         out[:, :, dr[:, None], dc] = part if w is None else part * w[:, :, None, None]
 
     return place
+
+
+def _placer(held_rows, held_cols, rows, cols, p: int, n_nodes: int):
+    """``put(held, i, out=None)``: tile row ``i``, held over ``held_rows x held_cols``, over ``(rows, cols)`` (``_placement``)."""
+    place = _placement(held_rows, held_cols, rows, cols, p)
+
+    def put(held, i, out=None):
+        k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n_nodes)
+        out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
+        out[...] = 0.0
+        place(_blocks(held, k0, k1, held_rows.size, held_cols.size), _blocks(out, k0, k1, rows.size, cols.size))
+        return out
+
+    return put
 
 
 def _compatible(a, b) -> None:
@@ -226,19 +241,23 @@ class VolterraOperator:
         """The packed matrix over the support; a kernel-built operator weighs its kernel afresh on each read."""
         return self._on(self.rows, self.cols)
 
+    def holding_matrix(self) -> "VolterraOperator":
+        """The same operator holding its packed matrix: no read weighs a kernel, and its kernel view is derived."""
+        return VolterraOperator._packed(self.grid, self.p, self.rows, self.cols, self._inst, None, self.panels())
+
     def _on(self, rows, cols) -> np.ndarray:
         """The packed matrix over ``(rows, cols)``, entries it does not hold +0.0, built tile row by tile row (``_reader``)."""
         if self._panels is not None and np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols):
             return self._panels
         return _fill(self._reader(rows, cols), self.grid.n_nodes, rows.size, cols.size)
 
-    def _reader(self, rows, cols):
+    def _reader(self, rows, cols, shared=None):
         """``read(i, out=None)``: tile row ``i`` of the packed matrix over ``(rows, cols)``, entries it does not hold +0.0.
 
         The slab is written into ``out`` if given.  A kernel is weighed on
         that block of the tile row alone, and the instantaneous part added on
         its diagonal.  Without ``out``, a matrix held on the same support
-        gives its own slab, a view to read only.
+        gives its own slab, a view to read only.  ``shared`` is for sums.
         """
         n, r, c = self.grid.n_nodes, rows.size, cols.size
         same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
@@ -393,7 +412,7 @@ class VolterraOperator:
         return float(np.max(tops))
 
 
-def _product_reader(a: "Sum", b: VolterraOperator, rows, cols):
+def _product_reader(a: "Sum", b: VolterraOperator, rows, cols, shared=None):
     """``read(i, out=None)``: tile row ``i`` of the product ``a b`` over ``(rows, cols)``, entries it does not hold +0.0.
 
     The product holds ``(a.rows, b.cols)`` and contracts over the inner set
@@ -406,7 +425,7 @@ def _product_reader(a: "Sum", b: VolterraOperator, rows, cols):
     """
     inner = a.cols[_mask(b.rows, a.p)[a.cols]]
     n, r, s, c = a.grid.n_nodes, a.rows.size, inner.size, b.cols.size
-    left_row, right_row = a._reader(a.rows, inner), b._reader(inner, b.cols)
+    left_row, right_row = a._reader(a.rows, inner, shared), b._reader(inner, b.cols)
 
     def read(i, out=None):
         k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
@@ -420,17 +439,55 @@ def _product_reader(a: "Sum", b: VolterraOperator, rows, cols):
 
     if np.array_equal(a.rows, rows) and np.array_equal(b.cols, cols):
         return read
-    place = _placement(a.rows, b.cols, rows, cols, a.p)
+    put = _placer(a.rows, b.cols, rows, cols, a.p, n)
+    return lambda i, out=None: put(read(i), i, out)  # the product's row, copied into the requested support
 
-    def placed(i, out=None):  # the product's row, copied into the requested support
-        k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
-        held = _blocks(read(i), k0, k1, r, c)
-        out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
-        out[...] = 0.0
-        place(held, _blocks(out, k0, k1, rows.size, cols.size))
-        return out
 
-    return placed
+def _shared_rows(root: "Sum") -> dict:
+    """``{id(sum): _FormedOnce(sum)}`` of every lazy sum that ``root`` reads more than once, as a term or a left factor."""
+    seen, again, stack = set(), {}, [root]
+    while stack:
+        for t in [t for _, t, _ in stack.pop().terms if isinstance(t, Sum)]:
+            if id(t) in seen:
+                again[id(t)] = t
+            else:
+                seen.add(id(t))
+                stack.append(t)
+    shared = {key: _FormedOnce(node) for key, node in again.items()}
+    for key, node in again.items():  # once every entry exists; no reader holds ``shared``, so nothing forms a cycle
+        shared[key].native = node._combine(node.rows, node.cols, shared)
+    return shared
+
+
+class _FormedOnce:
+    """A lazy sum that one expression reads more than once; a call ``(rows, cols)`` gives one read's reader.
+
+    The first read to ask for tile row ``i`` forms it over the sum's own
+    support and takes it.  Every other read takes a copy placed on its own
+    support, cut before the first can write into the row, so no slab lives
+    longer than a read of its own would.
+    """
+
+    def __init__(self, node: "Sum"):
+        # native: the reader over the sum's own support; pending: copies of the current tile row not yet read
+        self.node, self.native, self.puts, self.pending = node, None, [], {}
+
+    def __call__(self, rows, cols):
+        node, k = self.node, len(self.puts)
+        same = np.array_equal(rows, node.rows) and np.array_equal(cols, node.cols)
+        self.puts.append(_placer(node.rows, node.cols, rows, cols, node.p, node.grid.n_nodes))
+
+        def read(i, out=None):
+            if k not in self.pending:
+                row = self.native(i)
+                self.pending.update((u, put(row, i)) for u, put in enumerate(self.puts) if u != k)
+                self.pending[k] = row if same else self.puts[k](row, i)
+            slab = self.pending.pop(k)
+            if out is not None:
+                out[...] = slab
+            return slab if out is None else out
+
+        return read
 
 
 class Sum:
@@ -443,7 +500,8 @@ class Sum:
     sum holds the union of its terms' supports.  Its tile row ``I`` is tile
     row ``I`` of each term over that support, +0.0 where a term holds nothing,
     combined left to right: the bits of ``(t0 - t1) - t2`` formed whole, with
-    no term and no partial sum formed whole.  ``evaluate`` writes the rows
+    no term and no partial sum formed whole; a lazy sum read more than once
+    forms each row once (``_shared_rows``).  ``evaluate`` writes the rows
     into the one packed buffer of the result; ``max_abs`` and ``norm_bound``
     reduce them as they come.
     """
@@ -472,16 +530,24 @@ class Sum:
         _compatible(self, right)
         return Sum(None, ((1.0, self, right),))
 
-    def _reader(self, rows=None, cols=None):
+    def _reader(self, rows=None, cols=None, shared=None):
         """``read(i, out=None)``: tile row ``i`` over ``(rows, cols)`` (default the sum's support), in ``out`` if given.
 
         Each term is read over ``(rows, cols)`` itself; an entry that no term
         holds combines +0.0s into +0.0.  Without ``out`` the slab may be a
-        term's own: read only.
+        term's own: read only.  ``shared`` is set on the reads below the
+        expression's root.
         """
         rows, cols = (self.rows, self.cols) if rows is None else (rows, cols)
+        if shared is None:
+            shared = _shared_rows(self)
+        elif id(self) in shared:
+            return shared[id(self)](rows, cols)
+        return self._combine(rows, cols, shared)
+
+    def _combine(self, rows, cols, shared):
         (_, first), *rest = [
-            (sign, t._reader(rows, cols) if right is None else _product_reader(t, right, rows, cols))
+            (sign, t._reader(rows, cols, shared) if right is None else _product_reader(t, right, rows, cols, shared))
             for sign, t, right in self.terms
         ]
 
@@ -599,40 +665,41 @@ def operator_norm_bound(terms: Sum) -> float:
     Frobenius sum bounds its spectral sum.  The spectral sum of the row with
     the largest Frobenius sum is a first best, and only rows whose Frobenius
     sum reaches it, less a relative ``NORM_PRUNE_MARGIN`` for roundoff, can
-    hold the maximum.  The real and imaginary parts are divided by the
-    largest entry magnitude first, as reals: a complex division takes the
-    reciprocal, which overflows for a subnormal one.  No square overflows,
-    and one that underflows is far below the margin.  The other remaining
-    rows take one batched SVD per tile row, over the causal width of the
-    last of them, and each row is summed left to right, as a per-block loop
-    would.  Blocks are read over the support; the rest are zero.  nan or inf
-    for a non-finite operator.
+    hold the maximum.  Each tile row's real and imaginary parts are divided
+    by its own largest entry magnitude first, as reals (a complex division
+    takes the reciprocal, which overflows for a subnormal one), and its sums
+    are then rescaled by that magnitude over the largest of all.  No square
+    overflows, and one that underflows is far below the margin.  The other
+    remaining rows take one batched SVD per tile row, over the causal width
+    of the last of them, and each row is summed left to right, as a
+    per-block loop would.  Blocks are read over the support; the rest are
+    zero.  nan or inf for a non-finite operator.
 
-    ``terms`` is read one tile row at a time and never formed whole: a
-    first pass takes the largest magnitude, a second the Frobenius sums, and
-    the tile rows of the remaining rows are formed once more.  An operator's
+    ``terms`` is read one tile row at a time and never formed whole: one
+    pass takes each tile row's largest magnitude and Frobenius sums, and the
+    tile rows of the remaining rows are formed once more.  An operator's
     bound is that of ``Sum(op)``.
     """
     n, r, c = terms.grid.n_nodes, terms.rows.size, terms.cols.size
     row = terms._reader()
 
-    def blocks(i) -> np.ndarray:
-        return _blocks(row(i), i * TILE_NODES, min((i + 1) * TILE_NODES, n), r, c)
+    def blocks(i, slab=None) -> np.ndarray:
+        return _blocks(row(i) if slab is None else slab, i * TILE_NODES, min((i + 1) * TILE_NODES, n), r, c)
 
-    tiles = range(len(_tiles(n)))
-    finite, tops = True, []
-    for i in tiles:
+    finite, tops, sums = True, [], []
+    for i in range(len(_tiles(n))):
         slab = row(i)
-        finite = finite and bool(np.isfinite(slab).all())
         tops.append(np.max(np.abs(slab), initial=0.0))
+        finite = finite and bool(np.isfinite(slab).all())
+        if finite:
+            units = (blocks(i, slab).view(float) / (tops[-1] or 1.0)).view(complex)
+            sums.append(np.linalg.norm(units, axis=(2, 3)).sum(axis=1))
     if not finite:
         return float(np.max(tops))
     scale = np.max(tops, initial=0.0)
     if scale == 0.0:
         return 0.0
-    frobenius = np.concatenate([
-        np.linalg.norm((blocks(i).view(float) / scale).view(complex), axis=(2, 3)).sum(axis=1) for i in tiles
-    ])
+    frobenius = np.concatenate([f * (top / scale) for f, top in zip(sums, tops)])
 
     def spectral_sums(rows) -> np.ndarray:
         # the blocks right of a row's diagonal, up to the width, are zero

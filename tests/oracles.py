@@ -4,11 +4,12 @@ None of these runs in a ``negf`` task.  Each is an independent, slower or
 denser way to reach what the package computes: step products of the
 evolution, the Neumann series of the causal solve, dense Fock matrices, the
 decoupled factorized expectation, the dressed annihilator straight from its
-formula, the gathered phases and held side of the whole creation flat, ``F``
-from a one-pair sweep, kernels packed from zero-filled dense
-grids and the full p x p forward substitution of the causal solve.  It also
-holds the few readers only the tests use: the sample and lead blocks of the
-decoupled one-particle Hamiltonian, a one-dump ``load_kernel`` and the
+formula, the gathered phases and held side of the whole creation flat, the
+correlator sweep with its phases formed node by node, ``F`` from a one-pair
+sweep, kernels packed from zero-filled dense grids, the full p x p forward
+substitution of the causal solve and the two-pass induced-norm bound.  It
+also holds the few readers only the tests use: the sample and lead blocks of
+the decoupled one-particle Hamiltonian, a one-dump ``load_kernel`` and the
 indented JSON text of a Dyson report.
 """
 
@@ -20,9 +21,17 @@ import numpy as np
 
 from pfnegf.fock import FockSpace, ManyBodyOperator, commutator, ladder_op
 from pfnegf.grid import TimeGrid
-from pfnegf.propagation import _check_hermitian
+from pfnegf.propagation import _check_hermitian, sector_tile
 from pfnegf.thermal import DensityOperator, ThermalParams
-from pfnegf.volterra import VolterraOperator, load_kernels, trapezoid_weights
+from pfnegf.volterra import (
+    NORM_PRUNE_MARGIN,
+    TILE_NODES,
+    VolterraOperator,
+    _blocks,
+    _tiles,
+    load_kernels,
+    trapezoid_weights,
+)
 
 # -- Fock space ----------------------------------------------------------
 
@@ -222,6 +231,53 @@ def neumann_inverse(a: VolterraOperator, order: int) -> VolterraOperator:
     return VolterraOperator._packed(a.grid, a.p, acc.rows, acc.cols, None, None, acc.panels())
 
 
+def two_pass_norm_bound(terms) -> float:
+    """``operator_norm_bound`` as it read a ``Sum`` before its one read pass.
+
+    A first pass over the tile rows takes the largest magnitude, a second
+    the rows' Frobenius sums, all divided by that one magnitude, and the
+    tile rows of the rows that can hold the maximum are read once more for
+    their spectral sums.
+    """
+    n, r, c = terms.grid.n_nodes, terms.rows.size, terms.cols.size
+    row = terms._reader()
+
+    def blocks(i) -> np.ndarray:
+        return _blocks(row(i), i * TILE_NODES, min((i + 1) * TILE_NODES, n), r, c)
+
+    tiles = range(len(_tiles(n)))
+    finite, tops = True, []
+    for i in tiles:
+        slab = row(i)
+        finite = finite and bool(np.isfinite(slab).all())
+        tops.append(np.max(np.abs(slab), initial=0.0))
+    if not finite:
+        return float(np.max(tops))
+    scale = np.max(tops, initial=0.0)
+    if scale == 0.0:
+        return 0.0
+    frobenius = np.concatenate([
+        np.linalg.norm((blocks(i).view(float) / scale).view(complex), axis=(2, 3)).sum(axis=1) for i in tiles
+    ])
+
+    def spectral_sums(rows) -> np.ndarray:
+        sums = []
+        for tile in dict.fromkeys((rows // TILE_NODES).tolist()):
+            local = rows[rows // TILE_NODES == tile] % TILE_NODES
+            width = tile * TILE_NODES + local[-1] + 1
+            norms = np.linalg.svd(blocks(tile)[local, :width], compute_uv=False)[..., 0]
+            sums.append(np.cumsum(norms, axis=1)[:, -1])
+        return np.concatenate(sums)
+
+    top = np.argmax(frobenius)
+    best = spectral_sums(np.array([top]))[0]
+    rows = np.flatnonzero(frobenius >= best / scale * (1.0 - NORM_PRUNE_MARGIN))
+    rows = rows[rows != top]
+    if rows.size:
+        best = max(best, np.max(spectral_sums(rows)))
+    return float(best)
+
+
 # -- correlator sweep ----------------------------------------------------
 
 
@@ -250,6 +306,58 @@ def anticommutator_side(factory, flat: np.ndarray) -> np.ndarray:
         out[:, sl] = (rho[n + 1] @ x + x @ rho[n]).reshape(len(flat), -1)
         offset = sl.stop
     return out
+
+
+def per_node_sweep(factory, name_a: str, name_d: str, full: bool = False, companions=()) -> list:
+    """``values`` of the grid and its companions' of ``anticommutator_grid``, phases formed one node at a time.
+
+    The sweep as it ran before a tile's phases were formed in one broadcast:
+    per node, the phases are an outer product of the sector's exponentials,
+    built afresh, and each family's held and D node is formed from them
+    alone.  The tiles, the GEMMs and their order are the sweep's own, so the
+    grids must agree bit for bit.
+    """
+    n, families = factory.grid.n_nodes, factory._families
+    pairs = [(name_a, name_d, full)] + [(a, d, False) for a, d in companions]
+    flat, grids, live = families[name_a][1].shape[1], [], []
+    for a, d, is_full in pairs:
+        rows_a, rows_d = families[a][0], families[d][0]
+        nodes = np.zeros((n, rows_d.size, n, rows_a.size), dtype=complex)
+        grids.append(nodes.transpose(1, 3, 0, 2))
+        if rows_a.size and rows_d.size:
+            live.append((a, d, is_full, nodes.reshape(n * rows_d.size, n * rows_a.size)))
+    held_live = list(dict.fromkeys(a for a, *_ in live))
+    d_live = list(dict.fromkeys(d for _, d, *_ in live))
+    for s, (sl, shape) in enumerate(factory._sectors):
+        size = shape[0] * shape[1]
+        nodes_s, rho_lo, rho_hi = sector_tile(n, flat, size), factory.rho_k[s], factory.rho_k[s + 1]
+        held = {name: np.empty((nodes_s, families[name][1].shape[0], size), dtype=complex) for name in held_live}
+        d_tiles = {name: np.empty((nodes_s, families[name][1].shape[0], size), dtype=complex) for name in d_live}
+        conj_d = {name: np.conj(families[name][1][:, sl]) for name in d_live}
+        energies = factory.energies[factory._offsets[s] : factory._offsets[s + 2]]
+        exps = np.stack([np.exp(1j * (k * factory.grid.delta) * energies) for k in range(n)])
+        lower, upper = exps[:, : shape[1]], exps[:, shape[1] :]
+        tiles = [(t, min(t + nodes_s, n)) for t in range(0, n, nodes_s)]
+        for i, (l0, l1) in enumerate(tiles):
+            for l in range(l0, l1):
+                phases = np.multiply.outer(upper[l], np.conj(lower[l])).ravel()
+                for name in held_live:
+                    x = (families[name][1][:, sl] * phases).reshape(-1, *shape)
+                    np.add(rho_hi @ x, x @ rho_lo, out=held[name][l - l0].reshape(x.shape))
+            for j, (k0, k1) in enumerate(tiles):
+                reading = [pair for pair in live if pair[2] or j >= i]
+                for k in range(k0, k1) if reading else ():
+                    conj_phases = np.multiply.outer(np.conj(upper[k]), lower[k]).ravel()
+                    for name in dict.fromkeys(d for _, d, *_ in reading):
+                        np.multiply(conj_d[name], conj_phases, out=d_tiles[name][k - k0])
+                for a, d, _, out in reading:
+                    dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
+                    block = out[k0 * dt.shape[1] : k1 * dt.shape[1], l0 * b.shape[1] : l1 * b.shape[1]]
+                    block += dt.reshape(-1, size) @ b.reshape(-1, size).T
+    above = np.triu_indices(n, 1)
+    for values in grids[int(full) :]:
+        values[:, :, above[0], above[1]] = 0.0
+    return grids
 
 
 # -- kernels -------------------------------------------------------------

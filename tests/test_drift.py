@@ -14,6 +14,13 @@ here, even when every gate still passes.  The bounds:
 * an exact-algebra or roundoff residual only against its tolerance: its
   value is roundoff, which any change of order may move.
 
+The test prints the largest relative move of every residual, convergence
+row and kernel part against the record (a kernel entry's move relative to
+that part's largest magnitude).  The record was written with BLAS on one
+thread, so with one thread a change that keeps every bit shows zeros:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest tests/test_drift.py -q -rP
+
 Refresh the record only in a change that says why it moves:
 
     PYTHONPATH=src python tests/test_drift.py
@@ -92,12 +99,36 @@ def relative(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
+def move(value: float, reference: float) -> float:
+    """``relative``, reading 0.0 for equal values (zeros included) and inf for a move away from zero: printed only."""
+    return 0.0 if value == reference else abs(value - reference) / abs(reference) if reference else float("inf")
+
+
 def test_reference_record(ref_engine_25, ref_engine_50, ref_engine_100):
     record = json.loads(RECORD.read_text())
     engines = (ref_engine_25, ref_engine_50, ref_engine_100)
     assert record["steps"] == ref_engine_100.grid.steps
 
     report = verify_dyson(ref_engine_100)
+    rows = convergence_rows(engines)
+    # (largest magnitude kept, its move, largest move of a drawn entry) of each kernel part
+    kernels = {}
+    for name in KERNELS:
+        for part_name, part in zip(("memory", "instantaneous"), kernel_parts(getattr(ref_engine_100, name))):
+            kept = record["kernels"][name][part_name]
+            index = np.array([entry[:-2] for entry in kept["entries"]])
+            expected = np.array([complex(*entry[-2:]) for entry in kept["entries"]])
+            top = kept["max_abs"]
+            kernels[name, part_name] = top, abs(np.max(np.abs(part)) - top), np.max(np.abs(part[tuple(index.T)] - expected))
+
+    print("largest relative move against the record (a kernel part's, relative to its largest magnitude)")
+    for check in report.checks:
+        print(f"  residual {check.name}: {move(check.residual, record['residuals'][check.name]['residual']):.3e}")
+    for row, kept in zip(rows, record["convergence"]):
+        print(f"  convergence row {row['steps']}: {max(move(row[name], kept[name]) for name in QUADRATURE_CHECKS):.3e}")
+    for (name, part_name), (top, *moves) in kernels.items():
+        print(f"  kernel {name} {part_name}: {max(moves) / top if top else max(moves):.3e}")
+
     assert sorted(c.name for c in report.checks) == sorted(record["residuals"])
     for check in report.checks:
         kept = record["residuals"][check.name]
@@ -108,21 +139,15 @@ def test_reference_record(ref_engine_25, ref_engine_50, ref_engine_100):
         else:
             assert check.passed, (check.name, check.residual, check.tolerance)
 
-    rows = convergence_rows(engines)
     assert [row["steps"] for row in rows] == [row["steps"] for row in record["convergence"]]
     for row, kept in zip(rows, record["convergence"]):
         for name in QUADRATURE_CHECKS:
             assert relative(row[name], kept[name]) <= QUADRATURE_BOUND, (row["steps"], name)
 
-    for name in KERNELS:
-        for part_name, part in zip(("memory", "instantaneous"), kernel_parts(getattr(ref_engine_100, name))):
-            kept = record["kernels"][name][part_name]
-            bound = KERNEL_BOUND * kept["max_abs"]
-            assert abs(np.max(np.abs(part)) - kept["max_abs"]) <= bound, (name, part_name)
-            index = [entry[:-2] for entry in kept["entries"]]
-            expected = np.array([complex(*entry[-2:]) for entry in kept["entries"]])
-            worst = np.max(np.abs(part[tuple(np.array(index).T)] - expected))
-            assert worst <= bound, (name, part_name, worst, bound)
+    for (name, part_name), (top, top_move, worst) in kernels.items():
+        bound = KERNEL_BOUND * top
+        assert top_move <= bound, (name, part_name)
+        assert worst <= bound, (name, part_name, worst, bound)
 
 
 def write_record() -> None:

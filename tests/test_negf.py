@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from pfnegf.config import parse_config, reference_config
 from pfnegf.errors import MemoryBudgetError
 from pfnegf.grid import TimeGrid
-from pfnegf import negf
+from pfnegf import negf, volterra
 from pfnegf.model import Model
 from pfnegf.negf import (
     DEFAULT_TOLERANCES,
@@ -479,6 +480,51 @@ class TestApproxSplit:
         )
         assert residual <= 1e-11
         assert (g_app - ref_engine_25.g0).max_abs() <= 1e-12
+
+
+class TestSplitCounts:
+    """Counted costs of one approximate split (ROADMAP direction 8): each product tile row is formed once."""
+
+    def test_each_product_row_is_formed_once(self, ref_engine_100, monkeypatch):
+        # G_app = G0 - (-G0 Sigma_app) X_S is read as a term of the residual and as the left
+        # factor of (G_app (Sigma - Sigma_app)) G_ref; its product rows are formed once for both
+        e = ref_engine_100
+        reads, product_reader = collections.Counter(), volterra._product_reader
+
+        def counted(a, b, *args):
+            read = product_reader(a, b, *args)
+
+            def counting(i, out=None):
+                reads[id(a), id(b), i] += 1
+                return read(i, out)
+
+            return counting
+
+        monkeypatch.setattr(volterra, "_product_reader", counted)
+        instantaneous = VolterraOperator(e.grid, e.p, inst=e.sigma.instantaneous(), rows=e.sigma.rows, cols=e.sigma.cols)
+        for sigma_app in (e.sigma.scale(0.5), instantaneous):
+            reads.clear()
+            g_app, residual = approx_split(e.sigma, sigma_app, e.g0, e.g_alg)
+            (_, solved_product, _), = [term for term in g_app.terms if term[2] is None and term[1] is not e.g0]
+            (_, left, right), = solved_product.terms
+            rows = len(range(0, e.grid.n_nodes, volterra.TILE_NODES))
+            # G0 Sigma_app, G_app's product, G_app (Sigma - Sigma_app) and its product with G_ref
+            assert len(reads) == 4 * rows and set(reads.values()) == {1}
+            assert [reads[id(left), id(right), i] for i in range(rows)] == [1] * rows
+            assert residual <= DEFAULT_TOLERANCES["approx_split_half"]
+
+    def test_instantaneous_split_weighs_no_kernel(self, ref_engine_100):
+        # Sigma_app from the instantaneous part alone, held as its matrix: the same residual bits,
+        # and a read of it is a view of the one buffer it holds
+        e = ref_engine_100
+        built = VolterraOperator(e.grid, e.p, inst=e.sigma.instantaneous().copy(), rows=e.sigma.rows, cols=e.sigma.cols)
+        held = built.holding_matrix()
+        assert held.panels().tobytes() == built.panels().tobytes()
+        assert held.instantaneous().tobytes() == built.instantaneous().tobytes()
+        read, rows = held._reader(held.rows, held.cols), len(range(0, e.grid.n_nodes, volterra.TILE_NODES))
+        assert all(np.shares_memory(read(i), held.panels()) for i in range(rows))
+        residuals = [approx_split(e.sigma, sigma_app, e.g0, e.g_alg)[1] for sigma_app in (built, held)]
+        assert repr(residuals[0]) == repr(residuals[1])
 
 
 class TestOrderingInvariance:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfnegf.config import parse_config
+from pfnegf import propagation
+from pfnegf.config import parse_config, reference_config
 from pfnegf.errors import MemoryBudgetError
 from pfnegf.fock import (
     FockSpace,
@@ -34,6 +35,7 @@ from oracles import (
     memory_kernel,
     node_phases,
     packed_kernel_bytes,
+    per_node_sweep,
     stepper,
     to_full,
 )
@@ -619,3 +621,57 @@ class TestRandomModels:
         np.testing.assert_allclose(
             memory_kernel(engine.gxi), memory_kernel(g0), rtol=0, atol=1e-10
         )
+
+
+def lead3_config(steps: int) -> dict:
+    """The reference model with a third site on each lead (d = 8), horizon 1.0."""
+    cfg = reference_config()
+    for lead in cfg["leads"]:
+        sites, new = lead["sites"], f"{lead['sites'][-1][:-1]}{len(lead['sites'])}"
+        lead["hoppings"].append([sites[-1], new, lead["hoppings"][-1][2]])
+        sites.append(new)
+        lead["coupling"]["f"].append(0.0)
+    return cfg | {"grid": {"T": 1.0, "steps": steps}}
+
+
+class TestTilePhases:
+    """A tile's phases are formed in one broadcast, in chunks of the GEMM buffer: the per-node loop's bits."""
+
+    @staticmethod
+    def assert_equals_per_node_sweep(run):
+        model = run.model
+        factory = CorrelatorFactory(gibbs(model.K_0, run.thermal, model.N_total), model.K_v, run.grid())
+        factory.add_family("a", list(model.creation_family))
+        factory.add_family("b", list(model.dressed_creation_family))
+        joint = factory.anticommutator_grid("a", "a", True, COMPANIONS)
+        expected = per_node_sweep(factory, "a", "a", True, COMPANIONS)
+        assert len(expected) == 1 + len(joint.companions)
+        for grid, values in zip([joint] + joint.companions, expected):
+            assert grid.values.tobytes() == values.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_models())
+    def test_grids_equal_the_per_node_sweep_on_random_models(self, cfg):
+        self.assert_equals_per_node_sweep(parse_config(cfg))
+
+    def test_lead3_geometry_takes_chunks_of_a_tile(self, monkeypatch):
+        # 25 nodes: the 3,920-entry sector (56 -> 70 states) takes 23-node tiles, and the
+        # GEMM buffer holds 25^2 x 8 x 8 = 40,000 entries, 10 nodes of that sector's phases
+        run = parse_config(lead3_config(24))
+        chunks = []
+
+        class Spy:  # numpy, with the node counts of the phase chunks of that sector recorded
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def multiply(self, *args, out=None):
+                if out is not None and out.shape[1:] == (70, 56):
+                    chunks.append(out.shape[0])
+                return np.multiply(*args, out=out)
+
+        monkeypatch.setattr(propagation, "np", Spy())
+        self.assert_equals_per_node_sweep(run)
+        monkeypatch.undo()
+        assert sector_tile(25, 11440, 3920) == 23
+        # held and D tiles of the nodes 0..22 in chunks of 10, 10 and 3, then the ragged tile of 2
+        assert set(chunks) == {10, 3, 2} and chunks[:3] == [10, 10, 3]

@@ -33,6 +33,7 @@ from oracles import (
     memory_kernel,
     neumann_inverse,
     packed_kernel_bytes,
+    two_pass_norm_bound,
 )
 
 RNG = np.random.default_rng(5)
@@ -976,6 +977,78 @@ class TestPrunedNormBound:
         assert repr(operator_norm_bound(Sum(VolterraOperator(grid, 2, mem=mem)))) == repr(expected)
 
 
+# largest magnitude of a tile row's kernel entries: zero, subnormal, tiny, unit and huge
+TILE_TOPS = (0.0, 1e-320, 1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)
+
+
+@st.composite
+def norm_bound_operators(draw):
+    """An operator on a drawn support whose tile rows span 600 decades, perhaps with a nan or an inf.
+
+    Each tile row of the kernel (and of the instantaneous part, if drawn)
+    has its own largest magnitude from ``TILE_TOPS``, so a row whose squares
+    underflow at one scale sits beside one that would overflow at another.
+    """
+    p = draw(st.integers(1, 3), label="p")
+    rows, cols = drawn_support(draw, p, "rows"), drawn_support(draw, p, "cols")
+    grid = TimeGrid(1.0, draw(st.sampled_from([2, TILE_NODES, 2 * TILE_NODES + 2]), label="steps"))
+    n = grid.n_nodes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    tops = np.repeat([draw(st.sampled_from(TILE_TOPS), label="tile top") for _ in range(0, n, TILE_NODES)], TILE_NODES)[:n]
+    shape = (n, n, rows.size, cols.size)
+    mem = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * tops[:, None, None, None] / 4
+    mem[np.triu_indices(n, k=1)] = 0.0
+    inst = None
+    if draw(st.booleans(), label="instantaneous"):
+        inst = np.zeros((n, p, p), dtype=complex)
+        inst[:, rows[:, None], cols] = rng.standard_normal((n, rows.size, cols.size)) * tops[:, None, None]
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]), label="non-finite entry")
+    if bad is not None and mem.size:
+        k = rng.integers(n)
+        mem[k, rng.integers(k + 1), rng.integers(rows.size), rng.integers(cols.size)] = bad
+    return VolterraOperator(grid, p, inst=inst, mem=mem, rows=rows, cols=cols)
+
+
+class TestOneReadNormBound:
+    """``operator_norm_bound`` reads each tile row once for its magnitude and its Frobenius sums."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(norm_bound_operators(), norm_bound_operators())
+    def test_equals_the_two_pass_bound(self, op, other):
+        # an operator and a lazy sum with a product term, against the two passes that read them
+        # twice: the same bits, from SVDs of the same rows (rows on either side of the pruning
+        # margin sit further from it than the roundoff of either scaling)
+        cases = [Sum(op)]
+        if (other.grid, other.p) == (op.grid, op.p):
+            cases.append(Sum(op) - other - Sum(other) @ op)
+        for terms in cases:
+            svds = []
+            for bound in (operator_norm_bound, two_pass_norm_bound):
+                with pytest.MonkeyPatch.context() as patch:
+                    svds.append(count_svd_blocks(patch))
+                    svds.append(repr(bound(terms)))
+            assert svds[1] == svds[3]
+            assert sum(svds[0]) == sum(svds[2])
+
+    def test_each_tile_row_is_read_once_before_the_spectral_pass(self, monkeypatch):
+        grid = THREE_TILES
+        op = random_memory_operator(grid, 2, seed=69)
+        expected = two_pass_norm_bound(Sum(op))
+        assert expected == loop_norm_bound(op.flat, grid, 2)
+        reads, reader = [], Sum._reader
+
+        def counted(self, *args):
+            read = reader(self, *args)
+            return lambda i, out=None: reads.append(i) or read(i, out)
+
+        monkeypatch.setattr(Sum, "_reader", counted)
+        assert operator_norm_bound(Sum(op)) == expected
+        tiles = len(range(0, grid.n_nodes, TILE_NODES))
+        # one pass reads every tile row; the largest sums are in the last, which alone is read again for SVDs
+        assert reads[:tiles] == list(range(tiles)) and set(reads[tiles:]) == {tiles - 1}
+
+
 @st.composite
 def operand_draws(draw):
     """A drawn kernel pair, an instantaneous part and a right operand, on a grid that may cross tiles."""
@@ -1253,13 +1326,16 @@ class TestTileRowSums:
     @given(supported_pairs())
     def test_reductions_and_evaluation_equal_whole_operators(self, pair):
         _, _, (a, *_), (b, *_) = pair
-        ab = a @ b
+        ab, shared = a @ b, Sum(b) - a
         cases = [
             (Sum(a) - b - Sum(a) @ b, a - b - ab),
             (Sum(b) + Sum(a) @ b - a, b + ab - a),
             (Sum(Sum(a) @ b) - Sum(b) @ a, ab - b @ a),
             # a sum as a term and as the left factor of a product, a product as a left factor
             (Sum(b) - (Sum(a) + b) - (Sum(a) - b) @ b @ a, b - (a + b) - ((a - b) @ b) @ a),
+            # one lazy sum read twice, as a term and under a product, and first of all: formed once per row
+            (Sum(a) - shared - shared @ b @ a, a - (b - a) - ((b - a) @ b) @ a),
+            (Sum(shared) - a - shared @ a, (b - a) - a - (b - a) @ a),
         ]
         for lazy, whole in cases:
             assert (lazy.rows.tolist(), lazy.cols.tolist()) == (whole.rows.tolist(), whole.cols.tolist())
