@@ -94,8 +94,8 @@ class KernelEngine:
     family are registered once, in the eigenbasis of ``K_v``.  The three grids
     (interacting kernel, reducible self-energy, consistency map) come from one
     sweep: it reaches every node of the two families by elementwise phase
-    factors and, particle-number sector by sector, forms each held and D tile
-    once for all three grids and pairs tiles of nodes in one GEMM per grid.
+    factors and, particle-number sector by sector, forms each held tile once
+    and each D tile once per held family, and pairs them in one GEMM per grid.
     That costs O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES)
     memory in N_t.  Each grid holds only the nonzero rows of its two families
     (the dressed family vanishes on the leads), and each kernel is packed with
@@ -114,8 +114,8 @@ class KernelEngine:
     time, so no difference and no product ``Sum(G0) @ F`` is formed whole,
     and ``g_alg`` is written slab by slab into its own buffer.  ``budget``
     covers ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and
-    the held and D tiles of both families, checked before the sweep starts;
-    either raises ``MemoryBudgetError`` from the constructor.
+    one held and one D tile of the wider family, checked before the sweep
+    starts; either raises ``MemoryBudgetError`` from the constructor.
     """
 
     def __init__(

@@ -21,20 +21,21 @@ number, so the pairing is a sum of independent ``N -> N+1`` sector terms.
 One sweep builds a grid and any causal companions that share its families,
 sector by sector, in tiles of ``sector_tile`` nodes: as many as fit the
 memory of ``TILE_NODES`` nodes of the whole flat, so a small sector takes
-larger tiles.  Per tile row the held tile of ``B(t_l)`` of every held family
-is formed once on the sector's block, and the D tile of ``conj(D(t_k))`` of
-every D family once per tile that a pair reads; each pair of tiles is one
-GEMM, added into the grid, and family rows that are exact zero operators
+larger tiles.  Within a sector the held families are taken one at a time:
+per tile row the held tile of ``B(t_l)`` is formed once on the sector's
+block, then the D tile of ``conj(D(t_k))`` of each D family it pairs with,
+one after another, once per tile that the pair reads; each pair of tiles is
+one GEMM, added into the grid, and family rows that are exact zero operators
 enter none.  Tiles are formed from the stored family by phase multiplies,
 with no evolution sweeps: the phases of a whole tile are formed in one
 broadcast, in chunks that fit the sweep's GEMM buffer, which is idle while
-tiles are formed, and a D tile is one multiply per family and chunk.  Every
-sector's tiles share one buffer, so a sweep holds O(TILE_NODES) nodes of
-memory in N_t beyond its grids; the held and D tiles of every family must
-fit the budget together.  Every grid is kept over the nonzero rows of its D
-family and of its held family, and every other entry is zero.  A retarded
-kernel is a view of its grid (``causal_kernel``), and the packed operator
-takes both row sets as its orbital support.
+tiles are formed, and a D tile is one multiply per chunk.  Every sector's
+tiles share one buffer of one held and one D tile of the widest family, so
+a sweep holds O(TILE_NODES) nodes of memory in N_t beyond its grids, and
+that buffer must fit the budget.  Every grid is kept over the nonzero rows
+of its D family and of its held family, and every other entry is zero.  A
+retarded kernel is a view of its grid (``causal_kernel``), and the packed
+operator takes both row sets as its orbital support.
 """
 
 from __future__ import annotations
@@ -179,27 +180,34 @@ class CorrelatorFactory:
         from the same sweep, in ``.companions``.  Every grid holds the nonzero
         rows of its D family against those of its held family.  The sweep runs
         over the creation sectors ``N -> N+1`` in turn, each in tiles of
-        ``sector_tile`` nodes.  Per held tile row the held tile
-        ``rho[N+1] x + x rho[N]`` of every held family is formed once on the
-        sector's block; the D tile of every D family is formed once per D tile
-        that a pair reads: every one for a full grid, from the held tile's own
-        on for a causal one.  A tile's phases ``exp(i t (E_a - E_b))`` are
-        formed for all its nodes in one broadcast, into the GEMM buffer in
-        chunks of as many nodes as it holds; a D tile is then one multiply per
-        family and chunk, and the held side is formed node by node from them.
-        Each pair meets its two tiles in one GEMM over the sector's entries,
-        added into the grid; the acausal entries of a causal grid stay +0.0.
-        One held and one D tile of ``TILE_NODES`` nodes of the whole flat, for
-        every family paired, must fit the budget together; every sector's
-        tiles share that one buffer, and the phases need no memory of their own.
+        ``sector_tile`` nodes, and within a sector over the held families one
+        at a time.  Per held tile row the held tile ``rho[N+1] x + x rho[N]``
+        is formed once on the sector's block; then, for each pair of that held
+        family in turn, the D tile of its D family is formed in the one D
+        buffer, once per D tile the pair reads: every one for a full grid,
+        from the held tile's own on for a causal one.  A D family paired with
+        two held families is formed once for each.  A tile's phases
+        ``exp(i t (E_a - E_b))`` are formed for all its nodes in one
+        broadcast, into the GEMM buffer in chunks of as many nodes as it
+        holds; a D tile is then one multiply per chunk, and the held side is
+        formed node by node from them.  Each pair meets its two tiles in one
+        GEMM over the sector's entries, added into the grid, so a grid block
+        receives its sector terms in sector order; the acausal entries of a
+        causal grid stay +0.0.  One held tile of the widest held family and one
+        D tile of the widest D family, of ``TILE_NODES`` nodes of the whole
+        flat, must fit the budget; every sector's tiles share that one buffer,
+        and the phases need no memory of their own.
         """
         n, families = self.grid.n_nodes, self._families
         pairs = [(name_a, name_d, full)] + [(a, d, False) for a, d in companions]
         tile, flat = min(TILE_NODES, n), families[name_a][1].shape[1]
-        need = 16 * tile * sum(families[name][1].size for side in list(zip(*pairs))[:2] for name in dict.fromkeys(side))
+        # one held tile of the widest held family, then one D tile of the widest D family
+        largest = [max(families[name][1].size for name in side) for side in list(zip(*pairs))[:2]]
+        need = 16 * tile * sum(largest)
         if need > self.budget:
             raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
         work = np.empty(need // 16, dtype=complex)  # every sector's tiles share one buffer
+        held_buf, d_buf = work[: tile * largest[0]], work[tile * largest[0] :]
         grids, live = [], []  # live: (a, d, full, node-major 2-D grid) of pairs that run GEMMs
         for a, d, is_full in pairs:
             rows_a, rows_d = families[a][0], families[d][0]
@@ -209,8 +217,6 @@ class CorrelatorFactory:
             # a family without a nonzero row gives an all-zero grid and no GEMM
             if rows_a.size and rows_d.size:
                 live.append((a, d, is_full, nodes.reshape(n * rows_d.size, n * rows_a.size)))
-        held_live = list(dict.fromkeys(a for a, *_ in live))
-        d_live = list(dict.fromkeys(d for _, d, *_ in live))
         # one buffer for the sweep's GEMM blocks, the size of the largest (out.size is n^2 rd ra), and
         # for the phases of the tiles being formed while it is idle, at least one node of every sector
         sizes = [sl.stop - sl.start for sl, _ in self._sectors]
@@ -229,38 +235,33 @@ class CorrelatorFactory:
         for s, (sl, shape) in enumerate(self._sectors):
             size = shape[0] * shape[1]
             nodes_s, rho_lo, rho_hi = sector_tile(n, flat, size), self.rho_k[s], self.rho_k[s + 1]
-            held, d_tiles, offset = {}, {}, 0
-            for side, name in [(held, a) for a in held_live] + [(d_tiles, d) for d in d_live]:
-                count = families[name][1].shape[0]
-                side[name] = work[offset : offset + nodes_s * count * size].reshape(nodes_s, count, size)
-                offset += nodes_s * count * size
-            conj_d = {name: np.conj(families[name][1][:, sl]) for name in d_live}
+            conj_d = {name: np.conj(families[name][1][:, sl]) for name in dict.fromkeys(d for _, d, *_ in live)}
             energies = self.energies[self._offsets[s] : self._offsets[s + 2]]  # one exponential per state
             exps = np.exp(1j * (np.arange(n)[:, None] * self.grid.delta) * energies)
             lower, upper = exps[:, : shape[1]], exps[:, shape[1] :]
             conj_lower, conj_upper = np.conj(lower), np.conj(upper)
             tiles = [(t, min(t + nodes_s, n)) for t in range(0, n, nodes_s)]
-            for i, (l0, l1) in enumerate(tiles):
-                for start, chunk in phases(l0, l1, upper, conj_lower, shape):
-                    for l, node in enumerate(chunk, start):
-                        for name in held_live:
-                            x = (families[name][1][:, sl] * node).reshape(-1, *shape)
-                            np.add(rho_hi @ x, x @ rho_lo, out=held[name][l].reshape(x.shape))
-                for j, (k0, k1) in enumerate(tiles):
-                    # a full pair reads every D tile, a causal one those from its held tile on
-                    reading = [pair for pair in live if pair[2] or j >= i]
-                    if not reading:
-                        continue
-                    # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
-                    for start, chunk in phases(k0, k1, conj_upper, lower, shape):
-                        for name in dict.fromkeys(d for _, d, *_ in reading):
-                            np.multiply(conj_d[name], chunk[:, None], out=d_tiles[name][start : start + len(chunk)])
-                    for a, d, _, out in reading:
-                        dt, b = d_tiles[d][: k1 - k0], held[a][: l1 - l0]
-                        block = out[k0 * dt.shape[1] : k1 * dt.shape[1], l0 * b.shape[1] : l1 * b.shape[1]]
-                        gemm = scratch[: block.size].reshape(block.shape)
-                        np.matmul(dt.reshape(-1, size), b.reshape(-1, size).T, out=gemm)
-                        block += gemm
+            for h in dict.fromkeys(a for a, *_ in live):  # the held families one at a time
+                x_h = families[h][1][:, sl]
+                held = held_buf[: nodes_s * x_h.size].reshape(nodes_s, *x_h.shape)
+                for i, (l0, l1) in enumerate(tiles):
+                    for start, chunk in phases(l0, l1, upper, conj_lower, shape):
+                        for l, node in enumerate(chunk, start):
+                            x = (x_h * node).reshape(-1, *shape)
+                            np.add(rho_hi @ x, x @ rho_lo, out=held[l].reshape(x.shape))
+                    for j, (k0, k1) in enumerate(tiles):
+                        for a, d, is_full, out in live:  # one D tile at a time
+                            # a full pair reads every D tile, a causal one those from its held tile on
+                            if a != h or not (is_full or j >= i):
+                                continue
+                            dt = d_buf[: nodes_s * conj_d[d].size].reshape(nodes_s, *conj_d[d].shape)
+                            # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
+                            for start, chunk in phases(k0, k1, conj_upper, lower, shape):
+                                np.multiply(conj_d[d], chunk[:, None], out=dt[start : start + len(chunk)])
+                            block = out[k0 * dt.shape[1] : k1 * dt.shape[1], l0 * x_h.shape[0] : l1 * x_h.shape[0]]
+                            gemm = scratch[: block.size].reshape(block.shape)
+                            np.matmul(dt[: k1 - k0].reshape(-1, size), held[: l1 - l0].reshape(-1, size).T, out=gemm)
+                            block += gemm
         above = np.triu_indices(n, 1)
         for grid in grids[int(full) :]:  # a causal grid's diagonal tiles reached past its triangle
             grid.values[:, :, above[0], above[1]] = 0.0
@@ -269,10 +270,13 @@ class CorrelatorFactory:
 
     def expectation_series(self, ops: list[ManyBodyOperator]) -> np.ndarray:
         """``E[i, k] = Tr(rho X_i(t_k))`` for number-conserving operators."""
-        weighted = np.stack([self.rho_t_flat * self.to_frame(op, 0) for op in ops])
-        out = np.empty((len(ops), self.grid.n_nodes), dtype=complex)
-        for k in range(self.grid.n_nodes):
+        n, weighted = self.grid.n_nodes, np.stack([self.rho_t_flat * self.to_frame(op, 0) for op in ops])
+        out = np.empty((len(ops), n), dtype=complex)
+        for k0 in range(0, n, TILE_NODES):  # the phases of a sweep tile's nodes at once, one product per node
+            nodes = np.arange(k0, min(k0 + TILE_NODES, n))
+            exps = np.split(np.exp(1j * (nodes[:, None] * self.grid.delta) * self.energies), self._offsets[1:-1], axis=1)
             # contiguous products, so every entry rounds alike (numpy's outer product of a 1-state sector does not)
-            exps = np.split(np.exp(1j * (k * self.grid.delta) * self.energies), self._offsets[1:-1])
-            out[:, k] = weighted @ np.concatenate([np.repeat(e, e.size) * np.tile(np.conj(e), e.size) for e in exps])
+            phases = np.concatenate([np.repeat(e, e.shape[1], axis=1) * np.tile(np.conj(e), e.shape[1]) for e in exps], axis=1)
+            for k, row in zip(nodes, phases):
+                out[:, k] = weighted @ row
         return out

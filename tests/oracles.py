@@ -5,12 +5,12 @@ denser way to reach what the package computes: step products of the
 evolution, the Neumann series of the causal solve, dense Fock matrices, the
 decoupled factorized expectation, the dressed annihilator straight from its
 formula, the gathered phases and held side of the whole creation flat, the
-correlator sweep with its phases formed node by node, ``F`` from a one-pair
-sweep, kernels packed from zero-filled dense grids, the full p x p forward
-substitution of the causal solve and the two-pass induced-norm bound.  It
-also holds the few readers only the tests use: the sample and lead blocks of
-the decoupled one-particle Hamiltonian, a one-dump ``load_kernel`` and the
-indented JSON text of a Dyson report.
+correlator sweep and the expectation series with their phases formed node by
+node, ``F`` from a one-pair sweep, kernels packed from zero-filled dense
+grids, the full p x p forward substitution of the causal solve and the
+two-pass induced-norm bound.  It also holds the few readers only the tests
+use: the sample and lead blocks of the decoupled one-particle Hamiltonian, a
+one-dump ``load_kernel`` and the indented JSON text of a Dyson report.
 """
 
 from __future__ import annotations
@@ -358,6 +358,21 @@ def per_node_sweep(factory, name_a: str, name_d: str, full: bool = False, compan
     for values in grids[int(full) :]:
         values[:, :, above[0], above[1]] = 0.0
     return grids
+
+
+def per_node_expectation_series(factory, ops) -> np.ndarray:
+    """``expectation_series`` as it ran before its phases were formed a tile of nodes at a time.
+
+    Per node, the sector exponentials are formed afresh and their phases are
+    contiguous products of ``np.repeat`` and ``np.tile``; each node is one
+    ``weighted @ phases`` product, so the series must agree bit for bit.
+    """
+    weighted = np.stack([factory.rho_t_flat * factory.to_frame(op, 0) for op in ops])
+    out = np.empty((len(ops), factory.grid.n_nodes), dtype=complex)
+    for k in range(factory.grid.n_nodes):
+        exps = np.split(np.exp(1j * (k * factory.grid.delta) * factory.energies), factory._offsets[1:-1])
+        out[:, k] = weighted @ np.concatenate([np.repeat(e, e.size) * np.tile(np.conj(e), e.size) for e in exps])
+    return out
 
 
 # -- kernels -------------------------------------------------------------

@@ -14,10 +14,14 @@ here, even when every gate still passes.  The bounds:
 * an exact-algebra or roundoff residual only against its tolerance: its
   value is roundoff, which any change of order may move.
 
-The test prints the largest relative move of every residual, convergence
-row and kernel part against the record (a kernel entry's move relative to
-that part's largest magnitude).  The record was written with BLAS on one
-thread, so with one thread a change that keeps every bit shows zeros:
+The test prints the thread settings in effect (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``NEGF_NUM_THREADS``), then the largest relative move of
+every residual, convergence row and kernel part against the record (a kernel
+entry's move relative to that part's largest magnitude).  The record was
+written with BLAS on one thread, and zero moves are expected only with
+``OPENBLAS_NUM_THREADS=1``: then a change that keeps every bit shows zeros.
+With more threads BLAS sums in another order, and the same code reads moves
+inside the bounds (up to about 5e-14 on a quadrature row):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest tests/test_drift.py -q -rP
 
@@ -27,6 +31,7 @@ Refresh the record only in a change that says why it moves:
 """
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -44,6 +49,7 @@ ENTRIES = 200
 KERNEL_BOUND = 1e-12
 QUADRATURE_BOUND = 1e-8
 CONSTANT_BOUND = 1e-12
+THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "NEGF_NUM_THREADS")
 
 
 def kernel_parts(op) -> tuple:
@@ -121,6 +127,8 @@ def test_reference_record(ref_engine_25, ref_engine_50, ref_engine_100):
             top = kept["max_abs"]
             kernels[name, part_name] = top, abs(np.max(np.abs(part)) - top), np.max(np.abs(part[tuple(index.T)] - expected))
 
+    settings = ", ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_SETTINGS)
+    print(f"thread settings: {settings}; zero moves are expected only with OPENBLAS_NUM_THREADS=1")
     print("largest relative move against the record (a kernel part's, relative to its largest magnitude)")
     for check in report.checks:
         print(f"  residual {check.name}: {move(check.residual, record['residuals'][check.name]['residual']):.3e}")

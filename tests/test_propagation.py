@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +37,7 @@ from oracles import (
     memory_kernel,
     node_phases,
     packed_kernel_bytes,
+    per_node_expectation_series,
     per_node_sweep,
     stepper,
     to_full,
@@ -311,11 +314,12 @@ class TestTwoTimeKernel:
                     factory.anticommutator_grid("a", "a")
             else:
                 factory.anticommutator_grid("a", "a")
-        # a shared sweep holds one held and one D tile of every family it pairs
+        # a shared sweep takes its held families one at a time, and their D families one at a
+        # time: it holds one held and one D tile of its widest family
         dressed = list(model.dressed_creation_family)
         rows_b = sum(op.max_abs() > 0.0 for op in dressed)
         assert rows_b == model.num_sample
-        joint_need = 2 * min(TILE_NODES, grid.n_nodes) * (1 + rows_b) * flat * 16
+        joint_need = 2 * min(TILE_NODES, grid.n_nodes) * max(1, rows_b) * flat * 16
         for budget in (joint_need - 1, joint_need):
             factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
             factory.add_family("a", creation)
@@ -675,3 +679,56 @@ class TestTilePhases:
         assert sector_tile(25, 11440, 3920) == 23
         # held and D tiles of the nodes 0..22 in chunks of 10, 10 and 3, then the ragged tile of 2
         assert set(chunks) == {10, 3, 2} and chunks[:3] == [10, 10, 3]
+
+
+class TestSeriesPhases:
+    """The expectation series forms its phases a tile of nodes at a time: the per-node loop's bits."""
+
+    @staticmethod
+    def assert_equals_per_node_series(run):
+        model = run.model
+        factory = CorrelatorFactory(gibbs(model.K_0, run.thermal, model.N_total), model.K_v, run.grid())
+        ns = model.num_sample
+        ops = [model.contact_operator(j, m) for j in range(ns) for m in range(ns)] + [model.N_total]
+        series = factory.expectation_series(ops)
+        assert series.tobytes() == per_node_expectation_series(factory, ops).tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_models())
+    def test_series_equals_the_per_node_loop_on_random_models(self, cfg):
+        # 3 to 18 nodes: one tile of nodes, two, or three with a ragged last one
+        self.assert_equals_per_node_series(parse_config(cfg))
+
+    def test_lead3_geometry(self):
+        # 25 nodes: three tiles of 8 nodes and one of 1
+        self.assert_equals_per_node_series(parse_config(lead3_config(24)))
+
+
+class TestSweepMemory:
+    """The sweep's live memory, counted: one held and one D tile of the widest family."""
+
+    def test_lead3_peak_holds_one_held_and_one_d_tile(self):
+        run = parse_config(lead3_config(24))
+        model, n = run.model, run.grid().n_nodes
+        factory = CorrelatorFactory(gibbs(model.K_0, run.thermal, model.N_total), model.K_v, run.grid())
+        factory.add_family("a", list(model.creation_family))
+        factory.add_family("b", list(model.dressed_creation_family))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            joint = factory.anticommutator_grid("a", "a", True, COMPANIONS)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        flat, sizes = 11440, [8, 224, 1568, 3920, 3920, 1568, 224, 8]
+        assert [sl.stop - sl.start for sl, _ in factory._sectors] == sizes
+        # 8 rows of family a, 2 of family b: a tile of 8 nodes of a's 8 rows on each side
+        tiles = 2 * TILE_NODES * 8 * flat * 16
+        grids = sum(grid.values.nbytes for grid in [joint] + joint.companions)
+        assert grids == n**2 * (8 * 8 + 2 * 2 + 8 * 2) * 16
+        # the GEMM buffer holds the largest block: 25-node tiles of the 8-entry sectors, a/a
+        gemm = max(sector_tile(n, flat, size) for size in sizes) ** 2 * 8 * 8 * 16
+        # the held side's node temporaries and the conjugate D copies of one sector: 2.1 MB
+        slack = 3 * 2**20
+        # a tile of every family on each side, as per-family buffers held, would be 5.9 MB more
+        assert peak <= tiles + grids + gemm + slack, (peak, tiles, grids, gemm)

@@ -27,6 +27,7 @@ from conftest import DUMP_DAMAGES, damage_dump
 from oracles import (
     dense_blocks,
     dense_kernel,
+    dense_matrix,
     embedded_operator,
     identity_volterra,
     load_kernel,
@@ -1075,19 +1076,37 @@ def operand_draws(draw):
 
 
 class TestOperandRules:
-    """An instantaneous-only operator against one with a zero kernel, and zero solves."""
+    """An instantaneous-only operator against the dense route, non-finite operands and zero solves."""
 
     @settings(max_examples=30, deadline=None)
-    @given(operand_draws())
-    def test_instantaneous_only_product_equals_tiled_gemm(self, draw):
+    @given(operand_draws(), st.data())
+    def test_instantaneous_only_operator_against_the_dense_route(self, draw, data):
+        # an instantaneous part alone: its matrix, a product with it, its restriction and its
+        # dump, against numpy on the dense matrices
         grid, p, a, _, m = draw
         n = grid.n_nodes
-        fast = a @ VolterraOperator(grid, p, inst=m)
-        # a zero kernel with the same part: the packed matrix is read, every tile pair multiplied
-        tiled = a @ VolterraOperator(grid, p, inst=m, mem=np.zeros((n, n, p, p)))
-        np.testing.assert_array_equal(fast.panels(), tiled.panels())
-        np.testing.assert_array_equal(fast.instantaneous(), tiled.instantaneous())
-        np.testing.assert_array_equal(memory_kernel(fast), memory_kernel(tiled))
+        alone = VolterraOperator(grid, p, inst=m)
+        dense = dense_flat(grid, p, m, np.zeros((n, n, p, p), dtype=complex))
+        assert not np.any(memory_kernel(alone))
+        np.testing.assert_array_equal(alone.instantaneous(), m)
+        np.testing.assert_array_equal(dense_matrix(alone), dense)
+        product = a @ alone
+        assert_close(dense_matrix(product), dense_matrix(a) @ dense)
+        kernel = memory_kernel(a) @ m
+        kernel[0, 0] = 0.0  # the first node's block has no weight
+        assert_close(memory_kernel(product), kernel)
+        assert_close(product.instantaneous(), a.instantaneous() @ m)
+        indices = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+        sub = alone.restrict(indices)
+        np.testing.assert_array_equal(dense_matrix(sub), dense_restrict(dense, grid, p, indices))
+        assert not np.any(memory_kernel(sub))
+        np.testing.assert_array_equal(sub.instantaneous(), m[:, indices][:, :, indices])
+        # the dump of the dense values: every causal memory entry 0.0,0.0, then the part's entries
+        _, *rows = kernel_text(alone, [f"o{i}" for i in range(p)]).splitlines()
+        entries = [f",{i},{j},0.0,0.0" for i in range(p) for j in range(p)]
+        zeros = [f"{k},{l}{entry}" for k in range(n) for l in range(k + 1) for entry in entries]
+        part = [f"{k},{i},{j},{float(v.real)!r},{float(v.imag)!r}" for (k, i, j), v in np.ndenumerate(m)]
+        assert rows == zeros + (part if np.any(m) else [])
 
     @settings(max_examples=30, deadline=None)
     @given(operand_draws())
@@ -1129,21 +1148,6 @@ class TestOperandRules:
         almost_zero[TILE_NODES + 3, 4, 0, 1] = bad
         finite = random_memory_operator(grid, p, seed=71)
         assert not np.isfinite(solve_id_plus(VolterraOperator(grid, p, mem=almost_zero), finite).evaluate().panels()).all()
-
-    @settings(max_examples=30, deadline=None)
-    @given(operand_draws(), st.data())
-    def test_instantaneous_only_restrict_and_dump_equal_zero_kernel_form(self, draw, data):
-        grid, p, _, _, m = draw
-        n = grid.n_nodes
-        alone = VolterraOperator(grid, p, inst=m)
-        zero_kernel = VolterraOperator(grid, p, inst=m, mem=np.zeros((n, n, p, p)))
-        indices = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
-        sub, expected = alone.restrict(indices), zero_kernel.restrict(indices)
-        assert sub.panels().tobytes() == expected.panels().tobytes()
-        assert memory_kernel(sub).tobytes() == memory_kernel(expected).tobytes()
-        np.testing.assert_array_equal(sub.instantaneous(), expected.instantaneous())
-        ordering = [f"o{i}" for i in range(p)]
-        assert kernel_text(alone, ordering) == kernel_text(zero_kernel, ordering)
 
 
 def toeplitz_kernel(grid, p, seed):
