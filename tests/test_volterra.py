@@ -1079,10 +1079,10 @@ class TestOperandRules:
     """An instantaneous-only operator against the dense route, non-finite operands and zero solves."""
 
     @settings(max_examples=30, deadline=None)
-    @given(operand_draws(), st.data())
-    def test_instantaneous_only_operator_against_the_dense_route(self, draw, data):
-        # an instantaneous part alone: its matrix, a product with it, its restriction and its
-        # dump, against numpy on the dense matrices
+    @given(operand_draws())
+    def test_instantaneous_only_product_equals_tiled_gemm(self, draw):
+        # an instantaneous part alone: its matrix and a product with it, against numpy's
+        # product of the dense matrices
         grid, p, a, _, m = draw
         n = grid.n_nodes
         alone = VolterraOperator(grid, p, inst=m)
@@ -1096,12 +1096,21 @@ class TestOperandRules:
         kernel[0, 0] = 0.0  # the first node's block has no weight
         assert_close(memory_kernel(product), kernel)
         assert_close(product.instantaneous(), a.instantaneous() @ m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_draws(), st.data())
+    def test_instantaneous_only_restrict_and_dump_equal_zero_kernel_form(self, draw, data):
+        # the restriction of an instantaneous part alone against the dense restriction, and its
+        # dump against the dense values: every causal memory entry 0.0,0.0, then the part's entries
+        grid, p, _, _, m = draw
+        n = grid.n_nodes
+        alone = VolterraOperator(grid, p, inst=m)
+        dense = dense_flat(grid, p, m, np.zeros((n, n, p, p), dtype=complex))
         indices = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
         sub = alone.restrict(indices)
         np.testing.assert_array_equal(dense_matrix(sub), dense_restrict(dense, grid, p, indices))
         assert not np.any(memory_kernel(sub))
         np.testing.assert_array_equal(sub.instantaneous(), m[:, indices][:, :, indices])
-        # the dump of the dense values: every causal memory entry 0.0,0.0, then the part's entries
         _, *rows = kernel_text(alone, [f"o{i}" for i in range(p)]).splitlines()
         entries = [f",{i},{j},0.0,0.0" for i in range(p) for j in range(p)]
         zeros = [f"{k},{l}{entry}" for k in range(n) for l in range(k + 1) for entry in entries]
