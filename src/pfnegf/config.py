@@ -32,12 +32,19 @@ nothing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # CPython's builtin SHA-256: hashlib would map OpenSSL's libcrypto, 3.4 MB resident, for one digest
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build without builtin hashes
+        from hashlib import sha256
 
 from .errors import ConfigError
 from .grid import TimeGrid
@@ -258,7 +265,7 @@ def parse_config(data: dict) -> RunConfig:
         tasks=data.get("tasks", ["verify"]),
         tolerances=data.get("tolerances", {}),
         budget=DEFAULT_BUDGET_BYTES if budget is None else budget,
-        model_hash=hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
+        model_hash=sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
     )
 
 

@@ -95,14 +95,15 @@ class KernelEngine:
     (interacting kernel, reducible self-energy, consistency map) come from one
     sweep: it reaches every node of the two families by elementwise phase
     factors and, particle-number sector by sector, forms each held tile once
-    and each D tile once per held family, and pairs them in one GEMM per grid.
-    That costs O(N_t^2) phase products, no evolution sweeps and O(TILE_NODES)
-    memory in N_t.  Each grid holds only the nonzero rows of its two families
-    (the dressed family vanishes on the leads), and each kernel is packed with
-    those rows as its orbital support: ``Sigma~`` holds sample x sample, ``F``
-    sample x all, and ``Gxi`` and ``G0`` every orbital.  Derived objects
-    (irreducible self-energy, algebraic Dyson solution) are exact products of
-    the packed causal algebra, which carries the support along.
+    and each D tile once per held family, in two halves, and pairs them in one
+    GEMM per half and grid.  That costs O(N_t^2) phase products, no evolution
+    sweeps and O(TILE_NODES) memory in N_t.  Each grid holds only the nonzero
+    rows of its two families (the dressed family vanishes on the leads), and
+    each kernel is packed with those rows as its orbital support: ``Sigma~``
+    holds sample x sample, ``F`` sample x all, and ``Gxi`` and ``G0`` every
+    orbital.  Derived objects (irreducible self-energy, algebraic Dyson
+    solution) are exact products of the packed causal algebra, which carries
+    the support along.
 
     The constructor runs the whole chain in one order, which sets both the
     bits and the memory peak, and drops each temporary after its last read:
@@ -114,8 +115,8 @@ class KernelEngine:
     time, so no difference and no product ``Sum(G0) @ F`` is formed whole,
     and ``g_alg`` is written slab by slab into its own buffer.  ``budget``
     covers ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and
-    one held and one D tile of the wider family, checked before the sweep
-    starts; either raises ``MemoryBudgetError`` from the constructor.
+    one held tile and half a D tile of the wider family, checked before the
+    sweep starts; either raises ``MemoryBudgetError`` from the constructor.
     """
 
     def __init__(

@@ -24,18 +24,19 @@ memory of ``TILE_NODES`` nodes of the whole flat, so a small sector takes
 larger tiles.  Within a sector the held families are taken one at a time:
 per tile row the held tile of ``B(t_l)`` is formed once on the sector's
 block, then the D tile of ``conj(D(t_k))`` of each D family it pairs with,
-one after another, once per tile that the pair reads; each pair of tiles is
-one GEMM, added into the grid, and family rows that are exact zero operators
-enter none.  Tiles are formed from the stored family by phase multiplies,
-with no evolution sweeps: the phases of a whole tile are formed in one
-broadcast, in chunks that fit the sweep's GEMM buffer, which is idle while
-tiles are formed, and a D tile is one multiply per chunk.  Every sector's
-tiles share one buffer of one held and one D tile of the widest family, so
-a sweep holds O(TILE_NODES) nodes of memory in N_t beyond its grids, and
-that buffer must fit the budget.  Every grid is kept over the nonzero rows
-of its D family and of its held family, and every other entry is zero.  A
-retarded kernel is a view of its grid (``causal_kernel``), and the packed
-operator takes both row sets as its orbital support.
+one after another, once per tile that the pair reads, in two halves of its
+nodes: each half against the held tile is one GEMM, added into its own rows
+of the grid, and family rows that are exact zero operators enter none.
+Tiles are formed from the stored family by phase multiplies, with no
+evolution sweeps: the phases of a whole tile are formed in one broadcast, in
+chunks that fit the sweep's GEMM buffer, which is idle while tiles are
+formed, and a D tile is one multiply per chunk.  Every sector's tiles share
+one buffer of one held tile and the largest half D tile of the widest
+family, so a sweep holds O(TILE_NODES) nodes of memory in N_t beyond its
+grids, and that buffer must fit the budget.  Every grid is kept over the
+nonzero rows of its D family and of its held family, and every other entry
+is zero.  A retarded kernel is a view of its grid (``causal_kernel``), and
+the packed operator takes both row sets as its orbital support.
 """
 
 from __future__ import annotations
@@ -185,29 +186,32 @@ class CorrelatorFactory:
         is formed once on the sector's block; then, for each pair of that held
         family in turn, the D tile of its D family is formed in the one D
         buffer, once per D tile the pair reads: every one for a full grid,
-        from the held tile's own on for a causal one.  A D family paired with
-        two held families is formed once for each.  A tile's phases
-        ``exp(i t (E_a - E_b))`` are formed for all its nodes in one
-        broadcast, into the GEMM buffer in chunks of as many nodes as it
-        holds; a D tile is then one multiply per chunk, and the held side is
-        formed node by node from them.  Each pair meets its two tiles in one
-        GEMM over the sector's entries, added into the grid, so a grid block
-        receives its sector terms in sector order; the acausal entries of a
-        causal grid stay +0.0.  One held tile of the widest held family and one
-        D tile of the widest D family, of ``TILE_NODES`` nodes of the whole
-        flat, must fit the budget; every sector's tiles share that one buffer,
-        and the phases need no memory of their own.
+        from the held tile's own on for a causal one, in two halves of
+        ``ceil(nodes / 2)`` nodes.  A D family paired with two held families
+        is formed once for each.  A tile's phases ``exp(i t (E_a - E_b))`` are
+        formed for all its nodes in one broadcast, into the GEMM buffer in
+        chunks of as many nodes as it holds; a D tile is then one multiply per
+        chunk, and the held side is formed node by node from them.  Each half
+        D tile meets the held tile in one GEMM over the sector's entries,
+        added into its rows of the grid block, so a grid block receives its
+        sector terms in sector order; the acausal entries of a causal grid
+        stay +0.0.  One held tile of the widest held family, of ``TILE_NODES``
+        nodes of the whole flat, and the largest half D tile of the widest D
+        family must fit the budget; every sector's tiles share that one
+        buffer, and the phases need no memory of their own.
         """
         n, families = self.grid.n_nodes, self._families
         pairs = [(name_a, name_d, full)] + [(a, d, False) for a, d in companions]
         tile, flat = min(TILE_NODES, n), families[name_a][1].shape[1]
-        # one held tile of the widest held family, then one D tile of the widest D family
-        largest = [max(families[name][1].size for name in side) for side in list(zip(*pairs))[:2]]
-        need = 16 * tile * sum(largest)
+        sizes = [sl.stop - sl.start for sl, _ in self._sectors]
+        # one held tile of the widest held family, then the largest half D tile of the widest D family
+        held_size = tile * max(families[a][1].size for a, *_ in pairs)
+        half_size = max(families[d][1].shape[0] for _, d, _ in pairs) * max(-(-sector_tile(n, flat, size) // 2) * size for size in sizes)
+        need = 16 * (held_size + half_size)
         if need > self.budget:
             raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
         work = np.empty(need // 16, dtype=complex)  # every sector's tiles share one buffer
-        held_buf, d_buf = work[: tile * largest[0]], work[tile * largest[0] :]
+        held_buf, d_buf = work[:held_size], work[held_size:]
         grids, live = [], []  # live: (a, d, full, node-major 2-D grid) of pairs that run GEMMs
         for a, d, is_full in pairs:
             rows_a, rows_d = families[a][0], families[d][0]
@@ -219,7 +223,6 @@ class CorrelatorFactory:
                 live.append((a, d, is_full, nodes.reshape(n * rows_d.size, n * rows_a.size)))
         # one buffer for the sweep's GEMM blocks, the size of the largest (out.size is n^2 rd ra), and
         # for the phases of the tiles being formed while it is idle, at least one node of every sector
-        sizes = [sl.stop - sl.start for sl, _ in self._sectors]
         widest = max(sector_tile(n, flat, size) for size in sizes)
         scratch = np.empty(max([widest**2 * max([out.size // n**2 for *_, out in live], default=0)] + sizes), dtype=complex)
 
@@ -235,6 +238,7 @@ class CorrelatorFactory:
         for s, (sl, shape) in enumerate(self._sectors):
             size = shape[0] * shape[1]
             nodes_s, rho_lo, rho_hi = sector_tile(n, flat, size), self.rho_k[s], self.rho_k[s + 1]
+            half = -(-nodes_s // 2)  # nodes per D chunk: a D tile is formed and multiplied in two halves
             conj_d = {name: np.conj(families[name][1][:, sl]) for name in dict.fromkeys(d for _, d, *_ in live)}
             energies = self.energies[self._offsets[s] : self._offsets[s + 2]]  # one exponential per state
             exps = np.exp(1j * (np.arange(n)[:, None] * self.grid.delta) * energies)
@@ -254,14 +258,16 @@ class CorrelatorFactory:
                             # a full pair reads every D tile, a causal one those from its held tile on
                             if a != h or not (is_full or j >= i):
                                 continue
-                            dt = d_buf[: nodes_s * conj_d[d].size].reshape(nodes_s, *conj_d[d].shape)
-                            # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
-                            for start, chunk in phases(k0, k1, conj_upper, lower, shape):
-                                np.multiply(conj_d[d], chunk[:, None], out=dt[start : start + len(chunk)])
-                            block = out[k0 * dt.shape[1] : k1 * dt.shape[1], l0 * x_h.shape[0] : l1 * x_h.shape[0]]
-                            gemm = scratch[: block.size].reshape(block.shape)
-                            np.matmul(dt[: k1 - k0].reshape(-1, size), held[: l1 - l0].reshape(-1, size).T, out=gemm)
-                            block += gemm
+                            dt = d_buf[: half * conj_d[d].size].reshape(half, *conj_d[d].shape)
+                            for h0 in range(k0, k1, half):
+                                h1 = min(h0 + half, k1)
+                                # conj(D(t_k)) as conj(D) times conj(phases): bitwise the same in IEEE
+                                for start, chunk in phases(h0, h1, conj_upper, lower, shape):
+                                    np.multiply(conj_d[d], chunk[:, None], out=dt[start : start + len(chunk)])
+                                block = out[h0 * dt.shape[1] : h1 * dt.shape[1], l0 * x_h.shape[0] : l1 * x_h.shape[0]]
+                                gemm = scratch[: block.size].reshape(block.shape)
+                                np.matmul(dt[: h1 - h0].reshape(-1, size), held[: l1 - l0].reshape(-1, size).T, out=gemm)
+                                block += gemm
         above = np.triu_indices(n, 1)
         for grid in grids[int(full) :]:  # a causal grid's diagonal tiles reached past its triangle
             grid.values[:, :, above[0], above[1]] = 0.0

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import DUMP_DAMAGES, PACKAGE_ROOT, damage_dump, dimer_config, run_cli, trimer_config
 from pfnegf.cli import main
 from pfnegf.config import parse_config, reference_config
@@ -631,3 +635,58 @@ class TestReferenceConfigRoundTrip:
             tmp_path,
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestModelHashWithoutOpenSSL:
+    """``model_hash`` is the SHA-256 of the canonical model JSON, taken from CPython's builtin
+    module: a verify run maps neither ``_hashlib`` nor OpenSSL's ``libcrypto``."""
+
+    CHILD = (
+        "import json, os, sys\n"
+        "from pfnegf.cli import main\n"
+        "code = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+        "print(json.dumps({'code': code, 'hashlib': '_hashlib' in sys.modules, 'libcrypto': 'libcrypto' in maps}))\n"
+    )
+
+    @staticmethod
+    def canonical_sha256(cfg):
+        hashed = {key: cfg[key] for key in ("sample", "leads", "bias", "thermal", "grid")}
+        return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
+
+    def test_verify_run_loads_no_openssl(self, tmp_path):
+        cfg_data = trimer_config()
+        assert cfg_data["tasks"] == ["verify"]
+        # the checks' pass or fail is not the point here, the modules the run maps are
+        cfg_data["tolerances"] = {name: 0.1 for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson")}
+        cfg = write_config(tmp_path, cfg_data)
+        env = dict(os.environ, NEGF_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == {"code": 0, "hashlib": False, "libcrypto": False}
+        report = json.loads((tmp_path / "out" / "dyson_report.json").read_text())
+        assert report["model_hash"] == self.canonical_sha256(cfg_data)
+
+    def test_reference_config_hash(self):
+        cfg = reference_config()
+        assert parse_config(cfg).model_hash == self.canonical_sha256(copy.deepcopy(cfg))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(-2.0, 2.0),
+        st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        st.floats(0.1, 5.0),
+        st.text(min_size=1, max_size=3).filter(lambda s: s not in ("s0", "s1")),
+        st.integers(2, 40),
+    )
+    def test_drawn_config_hash(self, xi, amplitude, beta, label, steps):
+        cfg = trimer_config()
+        cfg["sample"]["xi"], cfg["sample"]["hoppings"][0][2] = xi, list(amplitude)
+        cfg["leads"][0]["sites"] = [label]
+        cfg["thermal"]["beta"], cfg["grid"]["steps"] = beta, steps
+        expected = self.canonical_sha256(copy.deepcopy(cfg))
+        assert parse_config(cfg).model_hash == expected

@@ -303,9 +303,13 @@ class TestTwoTimeKernel:
         grid = TimeGrid(1.0, 6)
         rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
         creation = [ladder_op(model.space, model.basis_vector(0), "create")]
-        flat = flat_index(CorrelatorFactory(rho, model.K_v, grid), 1)[0].size
-        # one held tile plus one D tile of the single-row family
-        need = 2 * min(TILE_NODES, grid.n_nodes) * flat * 16
+        factory = CorrelatorFactory(rho, model.K_v, grid)
+        flat, sizes = flat_index(factory, 1)[0].size, [sl.stop - sl.start for sl, _ in factory._sectors]
+        # one held tile plus the largest half D tile of the single-row family: 7 nodes of the
+        # flat, and 4 of the largest sector's 7-node tiles
+        assert all(sector_tile(grid.n_nodes, flat, size) == 7 for size in sizes)
+        tile, half = min(TILE_NODES, grid.n_nodes) * flat, 4 * max(sizes)
+        need = (tile + half) * 16
         for budget in (need - 1, need):
             factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
             factory.add_family("a", creation)
@@ -315,11 +319,11 @@ class TestTwoTimeKernel:
             else:
                 factory.anticommutator_grid("a", "a")
         # a shared sweep takes its held families one at a time, and their D families one at a
-        # time: it holds one held and one D tile of its widest family
+        # time: it holds one held tile and the largest half D tile of its widest family
         dressed = list(model.dressed_creation_family)
         rows_b = sum(op.max_abs() > 0.0 for op in dressed)
         assert rows_b == model.num_sample
-        joint_need = 2 * min(TILE_NODES, grid.n_nodes) * max(1, rows_b) * flat * 16
+        joint_need = (tile + half) * max(1, rows_b) * 16
         for budget in (joint_need - 1, joint_need):
             factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
             factory.add_family("a", creation)
@@ -677,8 +681,9 @@ class TestTilePhases:
         self.assert_equals_per_node_sweep(run)
         monkeypatch.undo()
         assert sector_tile(25, 11440, 3920) == 23
-        # held and D tiles of the nodes 0..22 in chunks of 10, 10 and 3, then the ragged tile of 2
-        assert set(chunks) == {10, 3, 2} and chunks[:3] == [10, 10, 3]
+        # the held tile of the nodes 0..22 in chunks of 10, 10 and 3; its D tile in halves of 12
+        # and 11 nodes, in chunks of 10 and 2, then 10 and 1; then the ragged tile of 2
+        assert set(chunks) == {10, 3, 2, 1} and chunks[:7] == [10, 10, 3, 10, 2, 10, 1]
 
 
 class TestSeriesPhases:
@@ -705,7 +710,7 @@ class TestSeriesPhases:
 
 
 class TestSweepMemory:
-    """The sweep's live memory, counted: one held and one D tile of the widest family."""
+    """The sweep's live memory, counted: one held tile and the largest half D tile of the widest family."""
 
     def test_lead3_peak_holds_one_held_and_one_d_tile(self):
         run = parse_config(lead3_config(24))
@@ -722,13 +727,16 @@ class TestSweepMemory:
             tracemalloc.stop()
         flat, sizes = 11440, [8, 224, 1568, 3920, 3920, 1568, 224, 8]
         assert [sl.stop - sl.start for sl, _ in factory._sectors] == sizes
-        # 8 rows of family a, 2 of family b: a tile of 8 nodes of a's 8 rows on each side
-        tiles = 2 * TILE_NODES * 8 * flat * 16
+        # 8 rows of family a, 2 of family b: a held tile of 8 nodes of a's 8 rows, and a D tile
+        # formed in halves, the largest 12 nodes of the 23-node tiles of a 3,920-entry sector
+        assert sector_tile(n, flat, 3920) == 23
+        tiles = (TILE_NODES * flat + 12 * 3920) * 8 * 16
+        assert tiles == 17_735_680
         grids = sum(grid.values.nbytes for grid in [joint] + joint.companions)
         assert grids == n**2 * (8 * 8 + 2 * 2 + 8 * 2) * 16
         # the GEMM buffer holds the largest block: 25-node tiles of the 8-entry sectors, a/a
         gemm = max(sector_tile(n, flat, size) for size in sizes) ** 2 * 8 * 8 * 16
         # the held side's node temporaries and the conjugate D copies of one sector: 2.1 MB
         slack = 3 * 2**20
-        # a tile of every family on each side, as per-family buffers held, would be 5.9 MB more
+        # a whole D tile would be 5.7 MB more; a tile of every family on each side 11.6 MB more
         assert peak <= tiles + grids + gemm + slack, (peak, tiles, grids, gemm)
