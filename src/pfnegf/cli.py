@@ -11,8 +11,8 @@ read), or an artifact that cannot be written, 3 memory-guard abort (also for
 two kernel dumps whose headers imply arrays beyond the default budget
 together).
 ``--steps``, ``--budget`` and ``--tolerance`` replace ``grid.steps``,
-``budget`` and tolerance values of the configuration and are checked by the
-same rules (``pfnegf.config``).
+``budget`` and tolerance values in the configuration's JSON object, which is
+then checked and hashed as a file holding them would be (``pfnegf.config``).
 Configuration errors exit before any task runs.  Failures emit a
 machine-readable JSON error record on stderr.  Artifacts are deterministic:
 rerunning the same configuration reproduces them byte for byte (fix the BLAS
@@ -22,7 +22,6 @@ thread count with NEGF_NUM_THREADS when in doubt).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -59,17 +58,21 @@ def _write_json(path, data) -> None:
 
 
 def run_command(args) -> int:
-    from .config import load_config
+    from .config import load_config, parse_config, read_config
     from .errors import ConfigError, MemoryBudgetError
 
     try:
-        config = load_config(args.config)
-        overrides = {"tolerances": config.tolerances | _parse_tolerance_overrides(args.tolerance)}
-        if args.steps is not None:
-            overrides["steps_list"] = [args.steps]
-        if args.budget is not None:
-            overrides["budget"] = args.budget
-        config = dataclasses.replace(config, **overrides)  # RunConfig checks the overrides
+        config = load_config(args.config)  # the file as written is checked first
+        tolerances = _parse_tolerance_overrides(args.tolerance)
+        if args.steps is not None or args.budget is not None or tolerances:
+            # so its root, grid and tolerances are JSON objects; parse_config checks and hashes the flags' values
+            data = read_config(args.config)
+            if args.steps is not None:
+                data["grid"]["steps"] = args.steps
+            if args.budget is not None:
+                data["budget"] = args.budget
+            data["tolerances"] = data.get("tolerances", {}) | tolerances
+            config = parse_config(data)
     except (ConfigError, ValueError) as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG

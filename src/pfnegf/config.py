@@ -114,12 +114,16 @@ def _edges(raw, context: str):
 
 def _pair_matrix(sites, raw, context: str) -> np.ndarray:
     index = {label: i for i, label in enumerate(sites)}
-    w = np.zeros((len(sites), len(sites)))
+    w, seen = np.zeros((len(sites), len(sites))), set()
     for a, b, val, path in _entries(raw, context):
         if a not in index or b not in index:
             raise ConfigError(f"{path}: pair ({a!r}, {b!r}) references an unknown sample site")
         if a == b:
             raise ConfigError(f"{path}: diagonal pair weight at {a!r} is not allowed")
+        pair = frozenset((index[a], index[b]))
+        if pair in seen:  # it would silently replace the first weight
+            raise ConfigError(f"{path}: pair ({a!r}, {b!r}) is given twice")
+        seen.add(pair)
         w[index[a], index[b]] = w[index[b], index[a]] = _number(val, path)
     return w
 
@@ -269,15 +273,19 @@ def parse_config(data: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def read_config(path):
+    """The JSON value of the configuration file at ``path``; an unreadable file or invalid JSON is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from None
-    return parse_config(data)
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_config(path))
 
 
 def reference_config() -> dict:

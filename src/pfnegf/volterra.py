@@ -140,28 +140,18 @@ def _blocks(slab: np.ndarray, k0: int, k1: int, r: int, c: int) -> np.ndarray:
     return slab.reshape(k1 - k0, r, k1, c).transpose(0, 2, 1, 3)
 
 
-def _placement(held_rows, held_cols, rows, cols, p: int):
-    """``place(held, out, w=None)``: copy the blocks ``held`` over ``held_rows x held_cols`` into the zeroed ``out`` over ``rows x cols``, weighed by ``w`` if given."""
+def _placer(held_rows, held_cols, rows, cols, p: int, n_nodes: int):
+    """``put(held, i, out=None, w=None)``: tile row ``i``, a slab held over ``held_rows x held_cols``, over ``(rows, cols)``, +0.0 where it holds nothing, its blocks weighed by ``w`` if given."""
     keep = held_rows[_mask(rows, p)[held_rows]], held_cols[_mask(cols, p)[held_cols]]
     sr, sc = (np.searchsorted(h, k) for h, k in zip((held_rows, held_cols), keep))
     dr, dc = (np.searchsorted(d, k) for d, k in zip((rows, cols), keep))
 
-    def place(held, out, w=None):
-        part = held[:, :, sr[:, None], sc]
-        out[:, :, dr[:, None], dc] = part if w is None else part * w[:, :, None, None]
-
-    return place
-
-
-def _placer(held_rows, held_cols, rows, cols, p: int, n_nodes: int):
-    """``put(held, i, out=None)``: tile row ``i``, held over ``held_rows x held_cols``, over ``(rows, cols)`` (``_placement``)."""
-    place = _placement(held_rows, held_cols, rows, cols, p)
-
-    def put(held, i, out=None):
+    def put(held, i, out=None, w=None):
         k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n_nodes)
         out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
         out[...] = 0.0
-        place(_blocks(held, k0, k1, held_rows.size, held_cols.size), _blocks(out, k0, k1, rows.size, cols.size))
+        part = _blocks(held, k0, k1, held_rows.size, held_cols.size)[:, :, sr[:, None], sc]
+        _blocks(out, k0, k1, rows.size, cols.size)[:, :, dr[:, None], dc] = part if w is None else part * w[:, :, None, None]
         return out
 
     return put
@@ -263,28 +253,26 @@ class VolterraOperator:
         same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
         source = self._panels if self._kernel is None else self._kernel
         weights = None if self._kernel is None else trapezoid_weights(n) * self.grid.delta
-        place = None if same else _placement(self.rows, self.cols, rows, cols, self.p)
+        put = None if same else _placer(self.rows, self.cols, rows, cols, self.p, n)
         inst = None if weights is None or self._inst is None else self._inst[:, rows[:, None], cols]
 
         def read(i, out=None):
-            k0, k1, src, held = _slab(source, n, self.rows.size, self.cols.size, i)
+            k0, k1, src, _ = _slab(source, n, self.rows.size, self.cols.size, i)
             if same and weights is None:
                 if out is None:
                     return src
                 out[...] = src
                 return out
-            out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
-            blocks = _blocks(out, k0, k1, r, c)
             w = None if weights is None else weights[k0:k1, :k1]
             if same:  # a kernel read whole
                 shape = (k1 - k0, r, k1, c)
+                out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
                 np.multiply(src.reshape(shape), w[:, None, :, None], out=out.reshape(shape))
             else:
-                out[...] = 0.0
-                place(held, blocks, w)
+                out = put(src, i, out, w)
             if inst is not None:
                 nodes = np.arange(k1 - k0)
-                blocks[nodes, nodes + k0] += inst[k0:k1]
+                _blocks(out, k0, k1, r, c)[nodes, nodes + k0] += inst[k0:k1]
             return out
 
         return read

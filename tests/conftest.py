@@ -1,11 +1,16 @@
+import contextlib
 import copy
+import io
+import json
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
 import pfnegf
+from pfnegf.cli import main
 from pfnegf.config import parse_config, reference_config
 from pfnegf.grid import TimeGrid
 from pfnegf.negf import KernelEngine
@@ -15,23 +20,58 @@ from pfnegf.thermal import gibbs
 # the directory holding the pfnegf package this process imported
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pfnegf.__file__)))
 
+# Python child processes that run_child started in this session
+CHILD_PROCESSES = 0
 
-def run_cli(args, cwd, env=None):
-    """Run ``python -m pfnegf.cli ARGS`` in ``cwd`` on the pfnegf under test.
+
+class CliResult(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+    def error(self) -> dict:
+        """The ``error`` object of the JSON record on the last stderr line."""
+        return json.loads(self.stderr.strip().splitlines()[-1])["error"]
+
+
+def run_cli(args, cwd) -> CliResult:
+    """``pfnegf.cli.main(ARGS)`` in this process, in the working directory ``cwd``.
+
+    Only ``SystemExit`` (usage errors and ``-h``) is caught: any other
+    exception fails the test, and so does a RuntimeWarning of the package,
+    under pyproject's warning filter.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(here)
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
+def run_child(argv, cwd, env=None) -> subprocess.CompletedProcess:
+    """``python ARGV`` in a child process in ``cwd``, for a test of the process itself.
 
     ``env`` defaults to this process's environment with NEGF_NUM_THREADS=1.
     PACKAGE_ROOT goes in front of the child's PYTHONPATH, so the child imports
     the same package whatever ``cwd`` is and however the parent found it.
     """
+    global CHILD_PROCESSES
     env = dict(os.environ, NEGF_NUM_THREADS="1") if env is None else dict(env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "pfnegf.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+    CHILD_PROCESSES += 1
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def pytest_terminal_summary(terminalreporter):
+    # CI fails a Tier-1 run that starts more children than the tests of the process itself need
+    terminalreporter.write_line(f"pfnegf child processes: {CHILD_PROCESSES}")
 
 
 def dimer_config():

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from conftest import run_cli, trimer_config
+from conftest import run_child, trimer_config
 from oracles import memory_kernel, report_json
 from pfnegf.config import parse_config, reference_config
 from pfnegf.fock import anticommutator, identity_operator, ladder_op
@@ -175,7 +175,9 @@ class TestAcceptance:
         cfg.write_text(json.dumps(cfg_data))
         trees = []
         for out in ("out1", "out2"):
-            result = run_cli(["run", str(cfg), "--out", str(tmp_path / out)], tmp_path)
+            # a child process each: the rerun shares no state with its predecessor,
+            # and the pair is the suite's run of ``python -m pfnegf.cli``
+            result = run_child(["-m", "pfnegf.cli", "run", str(cfg), "--out", str(tmp_path / out)], tmp_path)
             assert result.returncode == 0, result.stderr
             tree = {}
             for name in sorted(os.listdir(tmp_path / out)):

@@ -5,16 +5,16 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import DUMP_DAMAGES, PACKAGE_ROOT, damage_dump, dimer_config, run_cli, trimer_config
-from pfnegf.cli import main
+from conftest import DUMP_DAMAGES, damage_dump, dimer_config, run_child, run_cli, trimer_config
 from pfnegf.config import parse_config, reference_config
 from pfnegf.errors import ConfigError
+from pfnegf.negf import DEFAULT_TOLERANCES
 from pfnegf.propagation import CorrelatorFactory
 from pfnegf.thermal import gibbs
 
@@ -25,11 +25,6 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
-
-
-def last_error(capsys) -> dict:
-    """The JSON error record of an in-process ``main`` call."""
-    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
 
 def read_tree(root):
@@ -104,12 +99,7 @@ class TestRun:
         cfg_data["grid"]["steps"] = [6, 12]
         cfg = write_config(tmp_path, cfg_data)
         child = "import sys; from pfnegf.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
-        env = dict(os.environ, NEGF_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", child, "run", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
-        )
+        result = run_child(["-c", child, "run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         # at 6 and 12 steps the quadrature checks fail by design: exit 1
         assert result.stdout.split() == ["1", "False"], result.stderr
         assert len(os.listdir(tmp_path / "out")) == 8
@@ -120,17 +110,18 @@ class TestRun:
         assert (root / "out1" / "sigma_tilde.kernel.csv").exists()
         assert (root / "out1" / "sigma.kernel.csv").exists()
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert last_error(capsys)["type"] == "config"
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 2
+        assert result.error()["type"] == "config"
 
     def test_unknown_task_exit_code(self, tmp_path):
         cfg_data = dimer_config()
         cfg_data["tasks"] = ["frobnicate"]
         cfg = write_config(tmp_path, cfg_data)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path).returncode == 2
 
     @pytest.mark.parametrize(
         "tolerances, extra, name",
@@ -140,23 +131,25 @@ class TestRun:
         ],
         ids=["config", "flag"],
     )
-    def test_unknown_tolerance_name_exit_code(self, tmp_path, capsys, tolerances, extra, name):
+    def test_unknown_tolerance_name_exit_code(self, tmp_path, tolerances, extra, name):
         # a misspelled check name would otherwise leave its default in force
         cfg_data = trimer_config() | {"tolerances": tolerances}
         cfg_data["grid"]["steps"] = 12
         cfg = write_config(tmp_path, cfg_data)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
-        record = last_error(capsys)
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), *extra], tmp_path)
+        assert result.returncode == 2
+        record = result.error()
         assert record["type"] == "config"
         assert name in record["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--budget", "0")])
-    def test_bad_override_exit_code(self, tmp_path, capsys, flag, value):
+    def test_bad_override_exit_code(self, tmp_path, flag, value):
         # the same bounds the config file enforces: steps >= 2, budget > 0
         cfg = write_config(tmp_path, dimer_config())
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), flag, value]) == 2
-        assert last_error(capsys)["type"] == "config"
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), flag, value], tmp_path)
+        assert result.returncode == 2
+        assert result.error()["type"] == "config"
 
     def test_memory_guard_exit_code(self, tmp_path):
         # a budget nothing fits aborts at the first guard, before any artifact
@@ -166,8 +159,7 @@ class TestRun:
         cfg = write_config(tmp_path, cfg_data)
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 3, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "memory"
+        assert result.error()["type"] == "memory"
         assert not (tmp_path / "out" / "gxi.kernel.csv").exists()
 
     def test_recompute_memory_guard_exit_code(self, tmp_path):
@@ -179,9 +171,9 @@ class TestRun:
         cfg = write_config(tmp_path, cfg_data)
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 3, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "memory"
-        assert "one held and one D tile need" in record["error"]["message"]
+        record = result.error()
+        assert record["type"] == "memory"
+        assert "one held and one D tile need" in record["message"]
         assert not (tmp_path / "out" / "gxi.kernel.csv").exists()
 
     def test_algebra_memory_guard_exit_code(self, tmp_path):
@@ -200,9 +192,9 @@ class TestRun:
             ["run", str(cfg), "--out", str(tmp_path / "out"), "--budget", str(budget)], tmp_path
         )
         assert result.returncode == 3, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "memory"
-        assert "Volterra algebra" in record["error"]["message"]
+        record = result.error()
+        assert record["type"] == "memory"
+        assert "Volterra algebra" in record["message"]
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
     def test_unusable_out_path_exit_code(self, tmp_path, out):
@@ -212,8 +204,7 @@ class TestRun:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / out)], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "output"
+        assert result.error()["type"] == "output"
 
     def test_unwritable_artifact_exit_code(self, tmp_path):
         # a directory where the g0 dump should go
@@ -222,21 +213,17 @@ class TestRun:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "output"
+        assert result.error()["type"] == "output"
 
     @pytest.mark.parametrize(
         "extra", [["--strategy", "auto"], ["--steps", "abc"]], ids=["unknown-flag", "bad-int"]
     )
-    def test_usage_error_exit_code(self, tmp_path, capsys, extra):
+    def test_usage_error_exit_code(self, tmp_path, extra):
         cfg = write_config(tmp_path, dimer_config())
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", str(cfg), *extra])
-        assert exit_info.value.code == 2
-        assert last_error(capsys)["type"] == "usage"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "-h"])
-        assert exit_info.value.code == 0
+        result = run_cli(["run", str(cfg), *extra], tmp_path)
+        assert result.returncode == 2
+        assert result.error()["type"] == "usage"
+        assert run_cli(["run", "-h"], tmp_path).returncode == 0
 
     def test_failed_check_exit_code(self, tmp_path):
         cfg_data = trimer_config()
@@ -282,7 +269,8 @@ class TestRun:
             "explicit": {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
         }
         for out, threads in settings.items():
-            result = run_cli(["run", str(cfg), "--out", str(tmp_path / out)], tmp_path, env={**base, **threads})
+            result = run_child(["-m", "pfnegf.cli", "run", str(cfg), "--out", str(tmp_path / out)], tmp_path,
+                               env={**base, **threads})
             assert result.returncode == 0, result.stderr
         tree1 = read_tree(tmp_path / "negf")
         tree2 = read_tree(tmp_path / "explicit")
@@ -306,12 +294,13 @@ def reference_at_12_steps(**changes):
 class TestNonFiniteResults:
     """A zero residual or an overflow fails its check, exit 1, with strict JSON."""
 
-    def test_zero_residual_converge(self, tmp_path, capsys):
+    def test_zero_residual_converge(self, tmp_path):
         # at xi = 0 the F map and Sigma~ G0 are both exactly zero on every grid
         cfg_data = reference_at_12_steps(**{"sample.xi": 0, "grid.steps": [12, 24], "tasks": ["converge"]})
         cfg = write_config(tmp_path, cfg_data)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        record = last_error(capsys)
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        record = result.error()
         assert record["type"] == "check"
         assert "convergence_order_fmap_factorization" in record["message"]
         text = (tmp_path / "out" / "convergence.json").read_text()
@@ -322,11 +311,12 @@ class TestNonFiniteResults:
         assert summary["richardson_ratios"]["fmap_factorization"] == [None]
 
     @pytest.mark.parametrize("beta", [60.0, 400.0])
-    def test_gamma_check_overflow(self, tmp_path, capsys, beta):
+    def test_gamma_check_overflow(self, tmp_path, beta):
         cfg_data = reference_at_12_steps(**{"thermal.beta": beta, "tasks": ["gamma-check"]})
         cfg = write_config(tmp_path, cfg_data)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        record = last_error(capsys)
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 1
+        record = result.error()
         assert record == {"type": "check", "message": "failed checks: gamma_check"}
         text = (tmp_path / "out" / "gamma_report.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
@@ -410,6 +400,8 @@ class TestMalformedConfig:
                          id="leads.0-leads[0]"),
             pytest.param("grid.steps", [20, 40, 20], "grid.steps: each step count may appear once",
                          id="grid.steps-repeated"),
+            pytest.param("sample.w", [["s0", "s1", 1.0], ["s1", "s0", 2.0]],
+                         "sample.w[1]: pair ('s1', 's0') is given twice", id="sample.w-repeated"),
         ],
     )
     def test_message_names_the_key(self, path, value, message):
@@ -452,14 +444,17 @@ class TestMalformedConfig:
             (reference_at_12_steps(tasks=["g0", "converge"]), ["--steps", "12"]),
             (reference_at_12_steps(**{"grid.steps": [20, 20], "tasks": ["g0", "converge"]}), []),
             (reference_at_12_steps(**{"sample.xii": 0.5}), []),
+            # a repeated pair would silently replace the first weight: w would read 2.0
+            (reference_at_12_steps(**{"sample.w": [["s0", "s1", 1.0], ["s1", "s0", 2.0]]}), []),
         ],
-        ids=["nan-config", "nan-flag", "converge-one-step-count", "converge-repeated-step-count", "unknown-key"],
+        ids=["nan-config", "nan-flag", "converge-one-step-count", "converge-repeated-step-count", "unknown-key",
+             "repeated-pair"],
     )
-    def test_run_rejects_before_any_task(self, tmp_path, capsys, cfg_data, extra):
+    def test_run_rejects_before_any_task(self, tmp_path, cfg_data, extra):
         cfg = write_config(tmp_path, cfg_data)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"]["type"] == "config"
+        result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"), *extra], tmp_path)
+        assert result.returncode == 2
+        assert result.error()["type"] == "config"
         assert not (tmp_path / "out").exists()
 
     def test_zero_horizon_exit_code(self, tmp_path):
@@ -467,8 +462,7 @@ class TestMalformedConfig:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "config"
+        assert result.error()["type"] == "config"
 
 
 def make_dump(root, out_name, steps=12):
@@ -498,19 +492,19 @@ class TestDiff:
         b = make_dump(tmp_path, "b", steps=24)
         result = run_cli(["diff", str(a), str(b)], tmp_path)
         assert result.returncode == 2
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "header-mismatch"
+        assert result.error()["type"] == "header-mismatch"
 
     @pytest.mark.parametrize("key, value", [("T", 5.0), ("N_t", 24), ("p", 3), ("ordering", ["l0", "s0"])])
-    def test_header_mismatch_is_found_before_the_bodies(self, tmp_path, capsys, dumps, key, value):
+    def test_header_mismatch_is_found_before_the_bodies(self, tmp_path, dumps, key, value):
         # the second body is cut short: were it parsed, the dump would be malformed
         a = dumps[0]
         header, body = a.read_text().split("\n", 1)
         bad = tmp_path / "bad.csv"
         bad.write_text(json.dumps(json.loads(header) | {key: value}) + "\n" + body[: len(body) // 2])
         for pair in ([a, bad], [bad, a]):
-            assert main(["diff", *map(str, pair)]) == 2
-            error = last_error(capsys)
+            result = run_cli(["diff", *map(str, pair)], tmp_path)
+            assert result.returncode == 2
+            error = result.error()
             assert error["type"] == "header-mismatch"
             assert error["message"].startswith(f"dumps disagree on {key!r}")
 
@@ -531,36 +525,38 @@ class TestDiff:
         bad.write_text(a.read_text() + row + "\n")
         result = run_cli(["diff", str(a), str(bad)], tmp_path)
         assert result.returncode == 2, result.stderr
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "malformed-dump"
+        assert result.error()["type"] == "malformed-dump"
 
     @pytest.mark.parametrize("damage", DUMP_DAMAGES)
-    def test_incomplete_or_repeated_dump_exit_code(self, tmp_path, capsys, dumps, damage):
+    def test_incomplete_or_repeated_dump_exit_code(self, tmp_path, dumps, damage):
         # every row is in range; a dump read as zero-padded or overwritten would exit 0
         a = dumps[0]
         bad = tmp_path / "bad.csv"
         bad.write_text(damage_dump(a.read_text(), damage))
         for pair in ([a, bad], [bad, a]):
-            assert main(["diff", *map(str, pair)]) == 2
-            error = last_error(capsys)
+            result = run_cli(["diff", *map(str, pair)], tmp_path)
+            assert result.returncode == 2
+            error = result.error()
             assert error["type"] == "malformed-dump"
             assert "malformed kernel dump" in error["message"]
 
-    def test_malformed_header_exit_code(self, tmp_path, capsys, dumps):
+    def test_malformed_header_exit_code(self, tmp_path, dumps):
         a = dumps[0]
         header, rest = a.read_text().split("\n", 1)
         bad = tmp_path / "bad.csv"
         bad.write_text(json.dumps(json.loads(header) | {"p": None}) + "\n" + rest)
-        assert main(["diff", str(a), str(bad)]) == 2
-        assert last_error(capsys)["type"] == "malformed-dump"
+        result = run_cli(["diff", str(a), str(bad)], tmp_path)
+        assert result.returncode == 2
+        assert result.error()["type"] == "malformed-dump"
 
-    def test_oversized_header_exit_code(self, tmp_path, capsys, dumps):
+    def test_oversized_header_exit_code(self, tmp_path, dumps):
         # p = 300, N_t = 2000 implies 5.24 TiB of arrays: refused before any allocation
         header = json.loads(dumps[0].read_text().split("\n", 1)[0])
         big = tmp_path / "big.csv"
         big.write_text(json.dumps(header | {"p": 300, "N_t": 2000}) + "\n")
-        assert main(["diff", str(dumps[0]), str(big)]) == 3
-        error = last_error(capsys)
+        result = run_cli(["diff", str(dumps[0]), str(big)], tmp_path)
+        assert result.returncode == 3
+        error = result.error()
         assert error["type"] == "memory"
         assert "p = 300, N_t = 2000" in error["message"]
 
@@ -574,7 +570,7 @@ class TestDiff:
         result = run_cli(["diff", *map(str, pair)], tmp_path)
         assert result.returncode == 3, result.stderr
         assert "Traceback" not in result.stderr
-        error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+        error = result.error()
         assert error["type"] == "memory"
         assert error["message"].count("p = 100, N_t = 112") == 2
 
@@ -586,18 +582,18 @@ class TestDiff:
             result = run_cli(["diff", *pair], tmp_path)
             assert result.returncode == 2, result.stderr
             assert "Traceback" not in result.stderr
-            record = json.loads(result.stderr.strip().splitlines()[-1])
-            assert record["error"]["type"] == "unreadable-dump"
+            assert result.error()["type"] == "unreadable-dump"
 
-    def test_nan_entry_shows_in_the_overall_difference(self, tmp_path, capsys, dumps):
+    def test_nan_entry_shows_in_the_overall_difference(self, tmp_path, dumps):
         a = dumps[0]
         header, first, *rest = a.read_text().splitlines()
         fields = first.split(",")
         fields[4] = "nan"
         mutated = tmp_path / "nan.csv"
         mutated.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
-        assert main(["diff", str(a), str(mutated)]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        result = run_cli(["diff", str(a), str(mutated)], tmp_path)
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
         assert any(line.endswith(",nan,0.0") for line in lines[1:-1])
         assert lines[-1] == "# overall max abs difference: nan"
 
@@ -612,6 +608,40 @@ class TestDiff:
         result = run_cli(["diff", str(a), str(mutated)], tmp_path)
         assert result.returncode == 0
         assert "0.5" in result.stdout
+
+
+class TestOverridesEqualConfigValues:
+    """``--steps``, ``--budget`` and ``--tolerance`` write the artifacts of a file holding their values."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(6, 12),
+        st.integers(10**8, 2**40),
+        st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+        st.floats(1e-12, 1.0),
+    )
+    def test_flag_equals_file_value(self, steps, budget, name, tolerance):
+        cfg_data = trimer_config() | {"tasks": ["g0", "gxi", "sigma", "verify"], "budget": budget}
+        cfg_data["grid"]["steps"] = steps
+        cfg_data["tolerances"] = {name: tolerance}
+        # each run replaces one value of the file above with its flag
+        flagged = {
+            "steps": (cfg_data | {"grid": cfg_data["grid"] | {"steps": 24}}, ["--steps", str(steps)]),
+            "budget": ({k: v for k, v in cfg_data.items() if k != "budget"}, ["--budget", str(budget)]),
+            "tolerance": (cfg_data | {"tolerances": {}}, ["--tolerance", f"{name}={tolerance!r}"]),
+        }
+        # hypothesis runs many examples per test call: a fresh directory each, not tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            expected = run_cli(["run", str(write_config(root, cfg_data)), "--out", str(root / "file")], root)
+            assert expected.returncode in (0, 1), expected.stderr
+            report = json.loads((root / "file" / "dyson_report.json").read_text())
+            assert report["grid"]["steps"] == steps and isinstance(report["grid"]["steps"], int)
+            for flag, (data, extra) in flagged.items():
+                cfg = write_config(root, data, name=f"{flag}.json")
+                result = run_cli(["run", str(cfg), "--out", str(root / flag), *extra], root)
+                assert result.returncode == expected.returncode, (flag, result.stderr)
+                assert read_tree(root / flag) == read_tree(root / "file"), f"{flag}: artifacts differ"
 
 
 class TestReferenceConfigRoundTrip:
@@ -660,12 +690,7 @@ class TestModelHashWithoutOpenSSL:
         # the checks' pass or fail is not the point here, the modules the run maps are
         cfg_data["tolerances"] = {name: 0.1 for name in ("reducible_dyson", "fmap_factorization", "fmap_dyson")}
         cfg = write_config(tmp_path, cfg_data)
-        env = dict(os.environ, NEGF_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", self.CHILD, str(cfg), str(tmp_path / "out")],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
-        )
+        result = run_child(["-c", self.CHILD, str(cfg), str(tmp_path / "out")], tmp_path)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == {"code": 0, "hashlib": False, "libcrypto": False}
         report = json.loads((tmp_path / "out" / "dyson_report.json").read_text())
