@@ -19,6 +19,7 @@ the closed form is kept as an independent cross-check.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ STATE_TOL = 1e-12
 
 QUAD_NODES = 16  # Gauss-Legendre nodes per nested integral of the Picard series
 
-# gamma_check: random observables (plus N_total), their seed, pass thresholds
+# gamma_check: random observables (plus N_total), the seed of the standard library's
+# MT19937 (random.Random) that draws their uniform entries, pass thresholds
 GAMMA_CHECK_OBSERVABLES = 10
 GAMMA_CHECK_SEED = 7
 GAMMA_TOL = 1e-8
@@ -227,10 +229,19 @@ def pf_expectation_via_gamma(rho_decoupled: DensityOperator, gamma: ManyBodyOper
     return complex(numerator / denominator)
 
 
-def random_number_conserving_hermitian(space: FockSpace, rng) -> ManyBodyOperator:
+def random_number_conserving_hermitian(space: FockSpace, rng: random.Random) -> ManyBodyOperator:
+    """Hermitian number-conserving operator whose entries ``rng`` draws.
+
+    Each sector block reads ``16 dim^2`` bytes of ``rng`` as little-endian
+    64-bit words; the top 53 bits of each word give one real or imaginary
+    part, uniform on [-1, 1) (real and imaginary parts interleaved, row by
+    row), and the block is then made Hermitian.  The standard library's
+    generator, unlike ``numpy.random``, loads no ``hashlib`` or OpenSSL.
+    """
     blocks = []
     for dim in space.sector_dims:
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        words = np.frombuffer(rng.randbytes(16 * dim * dim), dtype="<u8")
+        a = ((words >> np.uint64(11)) * 2.0**-52 - 1.0).view(complex).reshape(dim, dim)
         blocks.append(0.5 * (a + np.conj(a.T)))
     return ManyBodyOperator(space, 0, tuple(blocks))
 
@@ -242,7 +253,8 @@ def gamma_check(model, params: ThermalParams) -> dict:
     Compares the iterated-integral ``Gamma(beta)`` against the closed form in
     spectral norm, then checks that dressed decoupled expectations reproduce
     direct coupled-state traces on a battery of random Hermitian observables
-    (plus the total number operator).  Returns a JSON-ready summary; a
+    (plus the total number operator), drawn with uniform entries from
+    ``random.Random(GAMMA_CHECK_SEED)``.  Returns a JSON-ready summary; a
     non-finite error, or a Picard series that did not converge, fails it.
     """
     gamma_p, info = picard_gamma(model.K_D, model.H_T, params.beta)
@@ -251,7 +263,7 @@ def gamma_check(model, params: ThermalParams) -> dict:
 
     rho_pf = gibbs(model.K_0, params, model.N_total, label="pf")
     rho_d = gibbs(model.K_D, params, model.N_total, label="decoupled")
-    rng = np.random.default_rng(GAMMA_CHECK_SEED)
+    rng = random.Random(GAMMA_CHECK_SEED)
     observables = [
         random_number_conserving_hermitian(model.space, rng) for _ in range(GAMMA_CHECK_OBSERVABLES)
     ]

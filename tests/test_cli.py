@@ -93,15 +93,31 @@ class TestRun:
 
     def test_run_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy's sorting set routines (unique, intersect1d, union1d) import
-        # numpy.ma; a run with every task needs none of them
+        # numpy.ma, and numpy.random imports secrets, hashlib and OpenSSL's
+        # libcrypto; a run with every task needs none of them
         cfg_data = trimer_config()
         cfg_data["tasks"] = ["g0", "gxi", "sigma", "verify", "converge", "gamma-check"]
         cfg_data["grid"]["steps"] = [6, 12]
         cfg = write_config(tmp_path, cfg_data)
-        child = "import sys; from pfnegf.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+        child = (
+            "import json, os, sys\n"
+            "from pfnegf.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+            "loaded = {name: name in sys.modules for name in ('numpy.ma', 'numpy.random', 'secrets', '_hashlib')}\n"
+            "print(json.dumps({'code': code, **loaded, 'libcrypto': 'libcrypto' in maps}))\n"
+        )
         result = run_child(["-c", child, "run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 0, result.stderr
         # at 6 and 12 steps the quadrature checks fail by design: exit 1
-        assert result.stdout.split() == ["1", "False"], result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == {
+            "code": 1,
+            "numpy.ma": False,
+            "numpy.random": False,
+            "secrets": False,
+            "_hashlib": False,
+            "libcrypto": False,
+        }
         assert len(os.listdir(tmp_path / "out")) == 8
 
     def test_sigma_task_writes_both_kernels(self, trimer_12):

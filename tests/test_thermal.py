@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
+from conftest import trimer_config
 from pfnegf.config import parse_config
 from pfnegf.fock import (
     FockSpace,
@@ -10,6 +14,7 @@ from pfnegf.fock import (
     second_quantize,
 )
 from pfnegf.thermal import (
+    GAMMA_CHECK_SEED,
     DensityOperator,
     ThermalParams,
     gamma_closed_form,
@@ -29,7 +34,7 @@ from oracles import (
     zero_operator,
 )
 
-RNG = np.random.default_rng(11)
+RNG = random.Random(11)
 
 
 class TestGibbs:
@@ -288,3 +293,25 @@ class TestDressedExpectations:
             dressed = pf_expectation_via_gamma(rho_d, gamma, obs)
             assert abs(direct) > 1e-3  # battery exercises healthy magnitudes
             assert abs(dressed - direct) / abs(direct) <= 1e-9
+
+
+class TestObservableDraw:
+    def test_blocks_are_reproducible_hermitian_and_uniform(self, reference_run):
+        space = reference_run.model.space
+        first = random_number_conserving_hermitian(space, random.Random(GAMMA_CHECK_SEED))
+        again = random_number_conserving_hermitian(space, random.Random(GAMMA_CHECK_SEED))
+        assert first.displacement == 0
+        assert [b.shape for b in first.blocks] == [(d, d) for d in space.sector_dims]
+        for block, twin in zip(first.blocks, again.blocks):
+            assert block.tobytes() == twin.tobytes()
+            assert np.array_equal(block, np.conj(block.T))
+            for part in (block.real, block.imag):
+                assert part.min() >= -1.0 and part.max() < 1.0
+
+    def test_trimer_draw_keeps_its_bytes(self):
+        # a change of platform or generator changes gamma_report.json; it shows here first
+        space = parse_config(trimer_config()).model.space
+        first = random_number_conserving_hermitian(space, random.Random(GAMMA_CHECK_SEED))
+        data = b"".join(block.astype("<c16").tobytes() for block in first.blocks)
+        assert len(data) == 16 * 20  # sectors of 1, 3, 3 and 1 states
+        assert hashlib.sha256(data).hexdigest() == "ba568696fdcd22249582dd3c211457de0111e8b9ed67c9f36937c1f26be9ccf1"
