@@ -110,10 +110,8 @@ def _execute_tasks(config, out_dir) -> list:
 
     for task in config.tasks:
         if task == "g0":
-            # not kept: a G0 held through the other tasks raises the run's peak
             g0 = compute_g0(config.model.h_biased, config.grid())
             dump_kernel_to_path(g0, ordering, os.path.join(out_dir, "g0.kernel.csv"), "G0")
-            del g0
         elif task == "gxi":
             path = os.path.join(out_dir, "gxi.kernel.csv")
             dump_kernel_to_path(get_engine().gxi, ordering, path, "Gxi")

@@ -61,29 +61,33 @@ QUADRATURE_CHECKS = ("reducible_dyson", "fmap_factorization", "fmap_dyson")
 # Full-p packed Volterra operators' worth of memory that ``verify`` holds at
 # once.  tracemalloc on the lead3-verify (d = 8) and ref-recompute (d = 6)
 # benchmark configs, 101 nodes, seed 0, traced from before the engine is
-# built, measured a peak of 10.1 and 5.0 full-p packed buffers in the engine
-# (the sweep's, set while Gxi is packed) and 6.0 and 5.3 in ``verify``,
-# everything the engine keeps included.  The residuals are reduced tile row
-# by tile row, so a tile row's few slabs are all they add.
+# built, measured a peak of 7.2 and 4.1 full-p packed buffers in the engine
+# (the sweep's, set while Gxi is packed) and 5.1 and 4.3 in ``verify``,
+# everything the engine keeps included; G0, held as its lags, is 0.02 of one.
+# The residuals are reduced tile row by tile row, so a tile row's few slabs
+# are all they add.
 ALGEBRA_OPERATORS = 16
 
 
 def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
-    """Free retarded kernel ``K[k, l] = -i exp(-i (t_k - t_l) h_v)``."""
+    """Free retarded kernel ``K[k, l] = -i exp(-i (t_k - t_l) h_v)``, held as its lags.
+
+    The kernel depends on ``k - l`` alone, so the operator holds its
+    ``n + 1`` lag blocks, block ``n`` the zero block of every acausal
+    ``l > k``: O(N_t p^2) memory.  No dense or packed kernel is formed; each
+    read forms and weighs the tile rows it needs from the lags.
+    """
     h = np.asarray(h_biased, dtype=complex)
     if not np.max(np.abs(h - np.conj(h.T))) <= 1e-12:  # a nan matrix fails too
         raise ValueError("one-particle Hamiltonian must be Hermitian")
     p = h.shape[0]
     lam, v = np.linalg.eigh(h)
     n = grid.n_nodes
-    # kernel depends on k - l only: one block per lag, and a zero block at
-    # index n for every acausal l > k
     lags = np.zeros((n + 1, p, p), dtype=complex)
     lags[0] = -1j * np.eye(p, dtype=complex)
     for m in range(1, n):
         lags[m] = -1j * ((v * np.exp(-1j * m * grid.delta * lam)[None, :]) @ np.conj(v.T))
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    return VolterraOperator(grid, p, mem=lags[np.where(lag >= 0, lag, n)])
+    return VolterraOperator(grid, p, lags=lags)
 
 
 class KernelEngine:
@@ -100,10 +104,12 @@ class KernelEngine:
     sweeps and O(TILE_NODES) memory in N_t.  Each grid holds only the nonzero
     rows of its two families (the dressed family vanishes on the leads), and
     each kernel is packed with those rows as its orbital support: ``Sigma~``
-    holds sample x sample, ``F`` sample x all, and ``Gxi`` and ``G0`` every
-    orbital.  Derived objects (irreducible self-energy, algebraic Dyson
-    solution) are exact products of the packed causal algebra, which carries
-    the support along.
+    holds sample x sample, ``F`` sample x all, and ``Gxi`` every orbital.
+    ``G0`` holds one block per lag over every orbital (``compute_g0``), and
+    each product or residual weighs only the tile rows and orbitals it reads.
+    Derived objects (irreducible self-energy, algebraic Dyson solution) are
+    exact products of the packed causal algebra, which carries the support
+    along.
 
     The constructor runs the whole chain in one order, which sets both the
     bits and the memory peak, and drops each temporary after its last read:

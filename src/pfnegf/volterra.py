@@ -41,14 +41,20 @@ lazy sum that one expression reads more than once, such as ``g`` in
 entry is computed as when the expression is formed whole, in the same order,
 so both give the same bits.
 
-Every constructed operator holds its kernel, times an optional scale, in the
-same packed layout (a zero kernel when only an instantaneous part is given),
-and weighs it when the algebra reads it, so its kernel view and dump are the
-exact input.  An operator produced by the algebra holds the packed matrix,
-and its kernel is derived from it.  The constructor checks causality tile
-row by tile row as it packs.  The instantaneous part, the one kernel reader
-``kernel_tiles`` and ``flat``, the dense matrix that no program path reads,
-keep every orbital.
+Every constructed operator holds its kernel, times an optional scale, and
+weighs it when the algebra reads it, so its kernel view and dump are the
+exact input.  A kernel given whole is held in the packed layout (a zero
+kernel when only an instantaneous part is given); the constructor checks
+causality tile row by tile row as it packs.  A Toeplitz kernel
+``K[k, l] = lags[k - l]``, such as ``G0``'s, is held as its ``n + 1`` lag
+blocks, block ``n`` the zero block that stands for every acausal one: O(N_t)
+blocks where the packed kernel holds O(N_t^2).  A read forms each tile row
+from the lags, cut first to the orbitals it reads, in the slab it writes, and
+weighs it there in one pass as a packed kernel is weighed: the same bits,
+with no temporary.  An operator produced by the algebra holds the packed
+matrix, and its kernel is derived from it.  The instantaneous part, the one
+kernel reader ``kernel_tiles`` and ``flat``, the dense matrix that no
+program path reads, keep every orbital.
 
 The text dump writes each float part as its ``repr``.  A part whose bits
 equal those of the same part one node up and one node left, at the same lag,
@@ -157,6 +163,19 @@ def _placer(held_rows, held_cols, rows, cols, p: int, n_nodes: int):
     return put
 
 
+def _toeplitz_row(lags: np.ndarray, k0: int, k1: int, slab: np.ndarray) -> None:
+    """Tile row ``k0..k1`` of the Toeplitz kernel ``K[k, l] = lags[k - l]``, unweighed, into ``slab``.
+
+    Node row ``k`` takes the lags ``k, k - 1, ..., 0`` as one reversed view,
+    and the zero block ``lags[-1]`` in its acausal blocks: the packed
+    kernel's tile row, formed with no temporary.
+    """
+    blocks = _blocks(slab, k0, k1, *lags.shape[1:])
+    for a, k in enumerate(range(k0, k1)):
+        blocks[a, : k + 1] = lags[k::-1]
+        blocks[a, k + 1 :] = lags[-1]
+
+
 def _compatible(a, b) -> None:
     if a.grid != b.grid or a.p != b.p:
         raise ValueError("operators live on different grids or orbital spaces")
@@ -171,21 +190,27 @@ class VolterraOperator:
     """Causal operator with an optional instantaneous part and memory kernel.
 
     Built by the constructor, it holds the packed kernel, zero when only an
-    instantaneous part is given; produced by the algebra, it holds the packed
-    matrix, and its kernel pair is a derived view.  Either way the algebra
-    reads the packed matrix (``panels``).  ``rows`` and ``cols``, increasing
+    instantaneous part is given, or, given ``lags`` instead of ``mem``, the
+    ``(n + 1, p, p)`` lag blocks of a Toeplitz kernel over every orbital,
+    ``mem[k, l] = lags[k - l]`` with ``lags[n]`` the zero block of every
+    acausal ``l > k``.  Produced by the algebra, it holds the packed matrix,
+    and its kernel pair is a derived view.  Either way the algebra reads the
+    packed matrix (``panels``); a held kernel, packed or as lags, is weighed
+    into it one tile row at a time.  ``rows`` and ``cols``, increasing
     (default: every orbital), are the support: ``mem[k, l, i, j]`` is kernel
     entry ``(rows[i], cols[j])``, every other entry is zero, and an
     instantaneous part that is not zero outside the support is refused.
-    ``scale``, if given, multiplies the packed kernel once, so an entry
+    ``scale``, if given, multiplies the held kernel once, so an entry
     outside the support reads the bits of ``+0.0 * scale``; ``scale=1.0``
     turns some -0.0.
     """
 
-    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, rows=None, cols=None, scale=None):
+    def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, lags=None, rows=None, cols=None, scale=None):
         n = grid.n_nodes
-        if inst is None and mem is None:
+        if inst is None and mem is None and lags is None:
             raise ValueError("operator needs an instantaneous part or a kernel")
+        if mem is not None and lags is not None:
+            raise ValueError("give a memory kernel or its lags, not both")
         rows, cols = _support(rows, p), _support(cols, p)
         r, c = rows.size, cols.size
         if inst is not None:
@@ -196,7 +221,19 @@ class VolterraOperator:
             outside[rows[:, None], cols] = False
             if _nonzero(inst[:, outside]):
                 raise ValueError("instantaneous part is not zero outside the support")
-        kernel = np.zeros(packed_size(n, r, c), dtype=complex)
+        if lags is not None:
+            kernel = np.array(lags, dtype=complex)
+            if kernel.shape != (n + 1, p, p) or r != p or c != p:
+                raise ValueError(
+                    f"kernel lags are held over every orbital, shape {(n + 1, p, p)}; "
+                    f"got shape {kernel.shape} on {r} x {c} orbitals"
+                )
+            # block n stands for every acausal block
+            upper = np.max(np.abs(kernel[n]), initial=0.0)
+            if upper != 0.0:
+                raise ValueError(f"memory kernel has acausal weight {upper:.3e}")
+        else:
+            kernel = np.zeros(packed_size(n, r, c), dtype=complex)
         if mem is not None:
             mem = np.asarray(mem, dtype=complex)  # a strided view is packed as it is
             if mem.shape != (n, n, r, c):
@@ -214,8 +251,8 @@ class VolterraOperator:
         self._set(grid, p, rows, cols, inst, kernel, None, zero)
 
     def _set(self, grid, p, rows, cols, inst, kernel, panels, zero=0j) -> None:
-        # exactly one of kernel (packed memory kernel) and panels (packed matrix);
-        # zero is the kernel's entry outside the support
+        # exactly one of kernel (the packed memory kernel, or its (n + 1, p, p)
+        # lags) and panels (packed matrix); zero is the kernel's entry outside the support
         self.grid, self.p, self.rows, self.cols = grid, int(p), rows, cols
         self._inst, self._kernel, self._panels, self._zero = inst, kernel, panels, zero
 
@@ -246,25 +283,34 @@ class VolterraOperator:
 
         The slab is written into ``out`` if given.  A kernel is weighed on
         that block of the tile row alone, and the instantaneous part added on
-        its diagonal.  Without ``out``, a matrix held on the same support
-        gives its own slab, a view to read only.  ``shared`` is for sums.
+        its diagonal; held as lags, it is cut to the orbitals read first.
+        Without ``out``, a matrix held on the same support gives its own
+        slab, a view to read only.  ``shared`` is for sums.
         """
         n, r, c = self.grid.n_nodes, rows.size, cols.size
         same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
         source = self._panels if self._kernel is None else self._kernel
         weights = None if self._kernel is None else trapezoid_weights(n) * self.grid.delta
-        put = None if same else _placer(self.rows, self.cols, rows, cols, self.p, n)
+        lags = None
+        if source.ndim == 3:  # lags, held over every orbital: cut to the orbitals read
+            lags = source if same else source[:, rows[:, None], cols]
+        put = None if same or lags is not None else _placer(self.rows, self.cols, rows, cols, self.p, n)
         inst = None if weights is None or self._inst is None else self._inst[:, rows[:, None], cols]
 
         def read(i, out=None):
-            k0, k1, src, _ = _slab(source, n, self.rows.size, self.cols.size, i)
+            if lags is not None:  # the kernel's tile row is formed in the slab, and weighed there below
+                k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
+                out = src = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
+                _toeplitz_row(lags, k0, k1, src)
+            else:
+                k0, k1, src, _ = _slab(source, n, self.rows.size, self.cols.size, i)
             if same and weights is None:
                 if out is None:
                     return src
                 out[...] = src
                 return out
             w = None if weights is None else weights[k0:k1, :k1]
-            if same:  # a kernel read whole
+            if same or lags is not None:  # a kernel read whole
                 shape = (k1 - k0, r, k1, c)
                 out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
                 np.multiply(src.reshape(shape), w[:, None, :, None], out=out.reshape(shape))
@@ -306,6 +352,11 @@ class VolterraOperator:
             out[:, :, rows[:, None], cols] = blocks
             return out
 
+        if self._kernel is not None and self._kernel.ndim == 3:  # lags over every orbital, block n the acausal one
+            for k0, k1 in _tiles(n):
+                lag = np.subtract.outer(np.arange(k0, k1), np.arange(k1))
+                yield k0, k1, self._kernel[np.where(lag >= 0, lag, n)]
+            return
         if self._kernel is not None:
             for k0, k1, _, blocks in _slabs(self._kernel, n, r, c):
                 yield k0, k1, full(blocks, self._zero)
@@ -361,10 +412,13 @@ class VolterraOperator:
         rows, cols = (np.flatnonzero(_mask(s, self.p)[indices]) for s in (self.rows, self.cols))
         src_rows, src_cols = np.searchsorted(self.rows, indices[rows]), np.searchsorted(self.cols, indices[cols])
         source = self._kernel if self._kernel is not None else self._panels
-        out = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
-        src, dst = _slabs(source, n, self.rows.size, self.cols.size), _slabs(out, n, rows.size, cols.size)
-        for (*_, a), (*_, b) in zip(src, dst):
-            b[...] = a[:, :, src_rows[:, None], src_cols]
+        if source.ndim == 3:  # lags
+            out = source[:, src_rows[:, None], src_cols]
+        else:
+            out = np.empty(packed_size(n, rows.size, cols.size), dtype=complex)
+            src, dst = _slabs(source, n, self.rows.size, self.cols.size), _slabs(out, n, rows.size, cols.size)
+            for (*_, a), (*_, b) in zip(src, dst):
+                b[...] = a[:, :, src_rows[:, None], src_cols]
         kernel, panels = (out, None) if self._kernel is not None else (None, out)
         return VolterraOperator._packed(self.grid, q, rows, cols, inst, kernel, panels, self._zero)
 

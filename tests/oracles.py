@@ -7,10 +7,11 @@ decoupled factorized expectation, the dressed annihilator straight from its
 formula, the gathered phases and held side of the whole creation flat, the
 correlator sweep and the expectation series with their phases formed node by
 node, ``F`` from a one-pair sweep, kernels packed from zero-filled dense
-grids, the full p x p forward substitution of the causal solve and the
-two-pass induced-norm bound.  It also holds the few readers only the tests
-use: the sample and lead blocks of the decoupled one-particle Hamiltonian, a
-one-dump ``load_kernel`` and the indented JSON text of a Dyson report.
+grids, a Toeplitz kernel packed from its dense form, the full p x p forward
+substitution of the causal solve and the two-pass induced-norm bound.  It
+also holds the few readers only the tests use: the sample and lead blocks of
+the decoupled one-particle Hamiltonian, a one-dump ``load_kernel`` and the
+indented JSON text of a Dyson report.
 """
 
 from __future__ import annotations
@@ -399,6 +400,18 @@ def embedded_operator(corr, grid: TimeGrid, p: int, prefactor, inst=None) -> Vol
     kernel[np.triu_indices(kernel.shape[0], k=1)] = 0.0
     values *= prefactor
     return VolterraOperator(grid, p, mem=kernel, inst=inst)
+
+
+def packed_toeplitz(grid: TimeGrid, p: int, lags: np.ndarray, **kwargs) -> VolterraOperator:
+    """The Toeplitz kernel ``K[k, l] = lags[k - l]`` packed whole, the route ``compute_g0`` took before it held the lags.
+
+    The dense ``(n, n, p, p)`` kernel is gathered from the ``n + 1`` lag
+    blocks, block ``n`` at every acausal ``l > k``, and given to the
+    constructor as ``mem``, with ``kwargs`` (instantaneous part, scale).
+    """
+    n = grid.n_nodes
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    return VolterraOperator(grid, p, mem=lags[np.where(lag >= 0, lag, n)], **kwargs)
 
 
 def packed_kernel_bytes(op: VolterraOperator) -> bytes:

@@ -50,8 +50,7 @@ def ref_engine_xi0():
     return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 40))
 
 
-@pytest.fixture(scope="module")
-def lead3_engine_25():
+def lead3_run():
     """The reference model with one more site at the far end of each lead (p = 8)."""
     cfg = reference_config()
     for lead in cfg["leads"]:
@@ -61,6 +60,12 @@ def lead3_engine_25():
         sites.append(new)
     run = parse_config(cfg)
     assert run.model.num_sites == 8
+    return run
+
+
+@pytest.fixture(scope="module")
+def lead3_engine_25():
+    run = lead3_run()
     return KernelEngine(run.model, run.thermal, TimeGrid(run.horizon, 25))
 
 
@@ -148,6 +153,27 @@ class TestFreeKernel:
     def test_nan_hamiltonian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             compute_g0(np.array([[0.0, np.nan], [np.nan, 0.0]]), TimeGrid(1.0, 2))
+
+
+class TestG0Storage:
+    """``G0`` is held as its lag blocks, O(N_t p^2): no dense or packed kernel is formed."""
+
+    def test_lead3_holds_one_block_per_lag(self):
+        run = lead3_run()
+        grid, p = TimeGrid(run.horizon, 100), run.model.num_sites
+        n, buffer = grid.n_nodes, 16 * packed_size(grid.n_nodes, p)  # complex128
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            g0 = compute_g0(run.model.h_biased, grid)
+            held, peak = (size - start for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert g0._kernel.shape == (n + 1, p, p)  # (n + 1) p^2 entries
+        # the lags and the operator's few small arrays; the packed kernel was 6.0 MB
+        assert held <= g0._kernel.nbytes + 4096
+        # the dense (n, n, p, p) kernel and the packed one held more than 2.5 buffers at once
+        assert peak < 0.1 * buffer, peak / buffer
 
 
 class TestInteractingKernel:

@@ -34,6 +34,7 @@ from oracles import (
     memory_kernel,
     neumann_inverse,
     packed_kernel_bytes,
+    packed_toeplitz,
     two_pass_norm_bound,
 )
 
@@ -1531,3 +1532,104 @@ class TestSupportReductions:
             VolterraOperator(self.GRID, 4, inst=inst, rows=[1], cols=[1, 2])
         inst[3, 2, 1] = -0.0  # a signed zero is zero
         VolterraOperator(self.GRID, 4, inst=inst, rows=[1], cols=[1, 2])
+
+
+@st.composite
+def lag_held_operators(draw):
+    """A lag-held operator and its packed twin, on a grid of 1, 2 or 3 tile rows whose last one is partial.
+
+    Either ``G0`` of a drawn Hermitian matrix or drawn lags with a drawn
+    instantaneous part and scale.  The twin packs the dense kernel gathered
+    from the same lags (``packed_toeplitz``), the route ``compute_g0`` took
+    before.
+    """
+    tiles = draw(st.integers(1, 3), label="tile rows")
+    last = draw(st.integers(3 if tiles == 1 else 1, TILE_NODES - 1), label="nodes of the last tile row")
+    grid = TimeGrid(1.0, (tiles - 1) * TILE_NODES + last - 1)
+    n, p = grid.n_nodes, draw(st.integers(1, 4), label="p")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="G0"):
+        h = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        g0 = compute_g0(h + np.conj(h.T), grid)
+        return grid, p, g0, packed_toeplitz(grid, p, g0._kernel)
+    lags = rng.standard_normal((n + 1, p, p)) + 1j * rng.standard_normal((n + 1, p, p))
+    lags[n] = 0.0
+    inst = None
+    if draw(st.booleans(), label="instantaneous"):
+        inst = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
+    kwargs = {"inst": inst, "scale": draw(st.sampled_from([None, -1j, 1.0]), label="scale")}
+    return grid, p, VolterraOperator(grid, p, lags=lags, **kwargs), packed_toeplitz(grid, p, lags, **kwargs)
+
+
+def drawn_subset(data, p, label) -> np.ndarray:
+    return np.array(sorted(data.draw(st.sets(st.integers(0, p - 1)), label=label)), dtype=int)
+
+
+class TestLagHeldKernel:
+    """A Toeplitz kernel held as its lags gives the bits of the same kernel packed whole."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lag_held_operators(), st.data())
+    def test_reads_over_drawn_supports(self, drawn, data):
+        grid, p, op, twin = drawn
+        every = np.arange(p)
+        rows, cols = drawn_subset(data, p, "rows"), drawn_subset(data, p, "cols")
+        for support in ((every, every), (rows, every), (every, cols), (rows, cols)):
+            # into a buffer, as an evaluation writes, and as slabs of their own, as a product reads
+            assert op._on(*support).tobytes() == twin._on(*support).tobytes()
+            read, twin_read = op._reader(*support), twin._reader(*support)
+            for i in range(len(volterra._tiles(grid.n_nodes))):
+                assert read(i).tobytes() == twin_read(i).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(lag_held_operators(), st.data())
+    def test_views_dump_and_reductions(self, drawn, data):
+        grid, p, op, twin = drawn
+        ordering = [f"o{i}" for i in range(p)]
+        assert packed_kernel_bytes(op) == packed_kernel_bytes(twin)
+        assert kernel_text(op, ordering) == kernel_text(twin, ordering)
+        assert repr(op.max_abs()) == repr(twin.max_abs())
+        assert repr(op.norm_bound()) == repr(twin.norm_bound())
+        assert repr(op.volterra_constant()) == repr(twin.volterra_constant())
+        s = complex(data.draw(st.floats(-2, 2), label="re"), data.draw(st.floats(-2, 2), label="im"))
+        assert op.scale(s).panels().tobytes() == twin.scale(s).panels().tobytes()
+        indices = data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True), label="indices")
+        sub, twin_sub = op.restrict(indices), twin.restrict(indices)
+        assert (sub.rows.tolist(), sub.cols.tolist()) == (twin_sub.rows.tolist(), twin_sub.cols.tolist())
+        assert sub.panels().tobytes() == twin_sub.panels().tobytes()
+        assert packed_kernel_bytes(sub) == packed_kernel_bytes(twin_sub)
+        assert kernel_text(sub, ordering[: len(indices)]) == kernel_text(twin_sub, ordering[: len(indices)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(lag_held_operators(), st.data())
+    def test_products_and_solve(self, drawn, data):
+        grid, p, op, twin = drawn
+        n, rng = grid.n_nodes, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        other = []
+        for name, size in (("a", 0.3), ("b", 1.0)):  # A small enough for a well-conditioned Id + A
+            rows, cols = drawn_support(data.draw, p, f"{name} rows"), drawn_support(data.draw, p, f"{name} cols")
+            mem = size * (rng.standard_normal((n, n, rows.size, cols.size)) + 1j * rng.standard_normal((n, n, rows.size, cols.size)))
+            mem[np.triu_indices(n, k=1)] = 0.0
+            other.append(VolterraOperator(grid, p, mem=mem, rows=rows, cols=cols))
+        a, b = other
+        # the left and the right factor of a product, a term of a lazy sum, and B of a solve
+        assert (op @ b).panels().tobytes() == (twin @ b).panels().tobytes()
+        assert (b @ op).panels().tobytes() == (b @ twin).panels().tobytes()
+        assert repr((Sum(b) - op - Sum(op) @ b).max_abs()) == repr((Sum(b) - twin - Sum(twin) @ b).max_abs())
+        x, twin_x = solve_id_plus(a, op), solve_id_plus(a, twin)
+        assert x.evaluate().panels().tobytes() == twin_x.evaluate().panels().tobytes()
+        assert repr((x - b).max_abs()) == repr((twin_x - b).max_abs())
+
+    def test_lags_are_checked(self):
+        n = GRID.n_nodes
+        lags = np.zeros((n + 1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="lags are held over every orbital"):
+            VolterraOperator(GRID, 2, lags=lags[:n])
+        with pytest.raises(ValueError, match="lags are held over every orbital"):
+            VolterraOperator(GRID, 2, lags=lags[:, 1:], rows=[1])
+        with pytest.raises(ValueError, match="not both"):
+            VolterraOperator(GRID, 2, lags=lags, mem=np.zeros((n, n, 2, 2)))
+        for bad in (1e-300, np.nan):
+            lags[n, 1, 0] = bad  # block n stands for every acausal block
+            with pytest.raises(ValueError, match="acausal weight"):
+                VolterraOperator(GRID, 2, lags=lags)
