@@ -26,9 +26,9 @@ from math import comb
 
 import numpy as np
 
-DEFAULT_ORBITAL_CAP = 14
+from .lattice import HERMITICITY_TOL
 
-HERMITICITY_TOL = 1e-12
+DEFAULT_ORBITAL_CAP = 14
 
 
 class FockSpace:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  # every Hermiticity check of the package
 
 
 @dataclass(frozen=True)

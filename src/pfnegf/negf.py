@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import MemoryBudgetError
 from .grid import TimeGrid
+from .lattice import HERMITICITY_TOL
 from .model import Model
 from .propagation import DEFAULT_BUDGET_BYTES, CorrelatorFactory
 from .thermal import ThermalParams, gibbs
@@ -78,7 +79,7 @@ def compute_g0(h_biased: np.ndarray, grid: TimeGrid) -> VolterraOperator:
     read forms and weighs the tile rows it needs from the lags.
     """
     h = np.asarray(h_biased, dtype=complex)
-    if not np.max(np.abs(h - np.conj(h.T))) <= 1e-12:  # a nan matrix fails too
+    if not np.max(np.abs(h - np.conj(h.T))) <= HERMITICITY_TOL:  # a nan matrix fails too
         raise ValueError("one-particle Hamiltonian must be Hermitian")
     p = h.shape[0]
     lam, v = np.linalg.eigh(h)
@@ -221,11 +222,6 @@ def irreducible_sigma(
     return solve_id_plus(sigma_tilde_g0, sigma_tilde).evaluate()
 
 
-def dyson_solution(g0: VolterraOperator, g0_sigma: VolterraOperator) -> Sum:
-    """``G = (Id - G0 Sigma)^{-1} G0`` exactly in the discrete algebra, as a ``Sum``, from ``g0_sigma = G0 Sigma``."""
-    return solve_id_plus(-g0_sigma, g0)
-
-
 def approx_split(
     sigma: VolterraOperator,
     sigma_app: VolterraOperator,
@@ -234,8 +230,8 @@ def approx_split(
 ) -> tuple[Sum, float]:
     """Approximate-propagator splitting around an approximating self-energy.
 
-    Returns ``G_app = (Id - G0 Sigma_app)^{-1} G0``, as a ``Sum`` that is
-    never formed whole, and the max-abs residual of
+    Returns ``G_app = (Id - G0 Sigma_app)^{-1} G0``, from ``solve_id_plus``
+    as a ``Sum`` that is never formed whole, and the max-abs residual of
     ``G_ref = G_app + G_app (Sigma - Sigma_app) G_ref``, which is an exact
     discrete-algebra identity whenever ``G_ref`` solves the full equation.
     The residual is reduced tile row by tile row.  ``G_app`` is read twice
@@ -243,7 +239,7 @@ def approx_split(
     formed once for both: the left factor's columns are copied from the row
     before the row becomes the residual's accumulator.
     """
-    g_app = dyson_solution(g0, g0 @ sigma_app)
+    g_app = solve_id_plus(-(g0 @ sigma_app), g0)
     correction = sigma - sigma_app
     del sigma_app  # not read again
     return g_app, (Sum(g_reference) - g_app - g_app @ correction @ g_reference).max_abs()
@@ -375,7 +371,7 @@ def verify_dyson(
     are the ones the engine built, which a convergence study on the same
     engine reads as well.  Each exact-algebra residual is a ``volterra.Sum``
     reduced one tile row at a time, in the association and order of the
-    expression formed whole: the Dyson solution (``dyson_solution``, as in
+    expression formed whole: the Dyson solution (``solve_id_plus``, as in
     each approximate split), the differences and the products with ``g_alg``
     are never formed whole.  Only ``G0 Sigma``, shared by two checks, and the
     sample-size operators are.
@@ -392,7 +388,7 @@ def verify_dyson(
     # G0 Sigma is formed once for resolvent_dyson and irreducible_dyson, and
     # freed before the approximate splits
     g0_sigma = g0 @ sigma
-    resolvent = (dyson_solution(g0, g0_sigma) - g_alg).max_abs()
+    resolvent = (solve_id_plus(-g0_sigma, g0) - g_alg).max_abs()
     irreducible = (Sum(g_alg) - g0 - Sum(g0_sigma) @ g_alg).max_abs()
     del g0_sigma
 
@@ -433,13 +429,12 @@ def verify_dyson(
 
     # with Sigma_app = 0, G_app is G0 and the split residual is irreducible_dyson's
     report.add("approx_split_zero", irreducible, tol["approx_split_zero"], "exact-algebra")
-    # each approximating self-energy is built for its own check and freed after it; the
-    # instantaneous one holds its matrix, so its zero kernel is not weighed on every read
+    # each approximating self-energy is built for its own check and freed after it
     for name, sigma_app in (
         ("approx_split_half", lambda: sigma.scale(0.5)),
         ("approx_split_instantaneous", lambda: VolterraOperator(
             grid, p, inst=sigma.instantaneous().copy(), rows=sigma.rows, cols=sigma.cols
-        ).holding_matrix()),
+        )),
     ):
         residual = approx_split(sigma, sigma_app(), g0, g_alg)[1]
         report.add(name, residual, tol[name], "exact-algebra")

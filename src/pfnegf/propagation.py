@@ -48,6 +48,7 @@ import numpy as np
 from .errors import MemoryBudgetError
 from .fock import ManyBodyOperator
 from .grid import TimeGrid
+from .lattice import HERMITICITY_TOL
 from .thermal import DensityOperator
 
 DEFAULT_BUDGET_BYTES = 4 * 1024**3
@@ -61,7 +62,7 @@ UNITARITY_TOL = 1e-12
 
 def _check_hermitian(generator: ManyBodyOperator) -> None:
     defect = generator.hermiticity_defect()
-    if not defect <= 1e-12:  # a nan defect fails too
+    if not defect <= HERMITICITY_TOL:  # a nan defect fails too
         raise ValueError(f"evolution generator is not Hermitian (defect {defect:.3e})")
 
 

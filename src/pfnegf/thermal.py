@@ -25,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, ManyBodyOperator, commutator, identity_operator
+from .lattice import HERMITICITY_TOL
 
 COMMUTATION_TOL = 1e-12
 STATE_TOL = 1e-12
 
 QUAD_NODES = 16  # Gauss-Legendre nodes per nested integral of the Picard series
+PICARD_MAX_ORDER = 30  # the series' default order cap
+PICARD_RTOL = 1e-10  # and its default stopping increment, relative to the partial sum
 
 # gamma_check: random observables (plus N_total), the seed of the standard library's
 # MT19937 (random.Random) that draws their uniform entries, pass thresholds
@@ -99,7 +102,7 @@ def gibbs(kernel: ManyBodyOperator, params: ThermalParams, number_op: ManyBodyOp
     if kernel.displacement != 0 or number_op.displacement != 0:
         raise ValueError("Gibbs weight requires number-conserving operators")
     defect = kernel.hermiticity_defect()
-    if not defect <= COMMUTATION_TOL:  # a nan defect fails too
+    if not defect <= HERMITICITY_TOL:  # a nan defect fails too
         raise ValueError(f"Gibbs kernel is not Hermitian (defect {defect:.3e})")
     comm = commutator(kernel, number_op).max_abs()
     scale = max(kernel.max_abs(), 1.0)
@@ -150,8 +153,8 @@ def picard_gamma(
     k_decoupled: ManyBodyOperator,
     h_tunneling: ManyBodyOperator,
     beta: float,
-    max_order: int = 30,
-    rtol: float = 1e-10,
+    max_order: int = PICARD_MAX_ORDER,
+    rtol: float = PICARD_RTOL,
 ) -> tuple[ManyBodyOperator, PicardInfo]:
     """Dressing operator ``Gamma(beta)`` from the iterated-integral series.
 
@@ -159,7 +162,8 @@ def picard_gamma(
     Hamiltonian, where the generator is an elementwise-exponential dressing
     of the tunneling block.  The series is norm convergent at finite
     dimension; ``converged`` is False if it has not settled below ``rtol``
-    within ``max_order`` terms, or if a term is not finite (the exponential
+    (default ``PICARD_RTOL``) within ``max_order`` terms (default
+    ``PICARD_MAX_ORDER``), or if a term is not finite (the exponential
     dressing overflows at large ``beta``): the sum then stops before it.
     """
     if beta < 0:

@@ -48,13 +48,14 @@ kernel when only an instantaneous part is given); the constructor checks
 causality tile row by tile row as it packs.  A Toeplitz kernel
 ``K[k, l] = lags[k - l]``, such as ``G0``'s, is held as its ``n + 1`` lag
 blocks, block ``n`` the zero block that stands for every acausal one: O(N_t)
-blocks where the packed kernel holds O(N_t^2).  A read forms each tile row
-from the lags, cut first to the orbitals it reads, in the slab it writes, and
-weighs it there in one pass as a packed kernel is weighed: the same bits,
-with no temporary.  An operator produced by the algebra holds the packed
-matrix, and its kernel is derived from it.  The instantaneous part, the one
-kernel reader ``kernel_tiles`` and ``flat``, the dense matrix that no
-program path reads, keep every orbital.
+blocks where the packed kernel holds O(N_t^2).  An operator produced by the
+algebra holds the packed matrix, and its kernel is derived from it.  A read
+gives a held matrix's own slab, or weighs a held kernel's tile row in one
+pass in the slab it writes: the packed row, or the row formed there from the
+lags cut to the orbitals read, with the same bits and no temporary.  A
+packed read off the support is read on it and placed.  The instantaneous
+part, the one kernel reader ``kernel_tiles`` and ``flat``, the dense matrix
+that no program path reads, keep every orbital.
 
 The text dump writes each float part as its ``repr``.  A part whose bits
 equal those of the same part one node up and one node left, at the same lag,
@@ -147,17 +148,17 @@ def _blocks(slab: np.ndarray, k0: int, k1: int, r: int, c: int) -> np.ndarray:
 
 
 def _placer(held_rows, held_cols, rows, cols, p: int, n_nodes: int):
-    """``put(held, i, out=None, w=None)``: tile row ``i``, a slab held over ``held_rows x held_cols``, over ``(rows, cols)``, +0.0 where it holds nothing, its blocks weighed by ``w`` if given."""
+    """``put(held, i, out=None)``: tile row ``i``, a slab held over ``held_rows x held_cols``, over ``(rows, cols)``, +0.0 where it holds nothing."""
     keep = held_rows[_mask(rows, p)[held_rows]], held_cols[_mask(cols, p)[held_cols]]
     sr, sc = (np.searchsorted(h, k) for h, k in zip((held_rows, held_cols), keep))
     dr, dc = (np.searchsorted(d, k) for d, k in zip((rows, cols), keep))
 
-    def put(held, i, out=None, w=None):
+    def put(held, i, out=None):
         k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n_nodes)
         out = np.empty(((k1 - k0) * rows.size, k1 * cols.size), dtype=complex) if out is None else out
         out[...] = 0.0
         part = _blocks(held, k0, k1, held_rows.size, held_cols.size)[:, :, sr[:, None], sc]
-        _blocks(out, k0, k1, rows.size, cols.size)[:, :, dr[:, None], dc] = part if w is None else part * w[:, :, None, None]
+        _blocks(out, k0, k1, rows.size, cols.size)[:, :, dr[:, None], dc] = part
         return out
 
     return put
@@ -195,14 +196,14 @@ class VolterraOperator:
     ``mem[k, l] = lags[k - l]`` with ``lags[n]`` the zero block of every
     acausal ``l > k``.  Produced by the algebra, it holds the packed matrix,
     and its kernel pair is a derived view.  Either way the algebra reads the
-    packed matrix (``panels``); a held kernel, packed or as lags, is weighed
-    into it one tile row at a time.  ``rows`` and ``cols``, increasing
-    (default: every orbital), are the support: ``mem[k, l, i, j]`` is kernel
-    entry ``(rows[i], cols[j])``, every other entry is zero, and an
-    instantaneous part that is not zero outside the support is refused.
-    ``scale``, if given, multiplies the held kernel once, so an entry
-    outside the support reads the bits of ``+0.0 * scale``; ``scale=1.0``
-    turns some -0.0.
+    packed matrix (``panels``) one tile row at a time, and a held kernel,
+    packed or as lags, is weighed into it (``_reader``).  ``rows`` and
+    ``cols``, increasing (default: every orbital), are the support:
+    ``mem[k, l, i, j]`` is kernel entry ``(rows[i], cols[j])``, every other
+    entry is zero, and an instantaneous part that is not zero outside the
+    support is refused.  ``scale``, if given, multiplies the held kernel
+    once, so an entry outside the support reads the bits of
+    ``+0.0 * scale``; ``scale=1.0`` turns some -0.0.
     """
 
     def __init__(self, grid: TimeGrid, p: int, *, inst=None, mem=None, lags=None, rows=None, cols=None, scale=None):
@@ -268,10 +269,6 @@ class VolterraOperator:
         """The packed matrix over the support; a kernel-built operator weighs its kernel afresh on each read."""
         return self._on(self.rows, self.cols)
 
-    def holding_matrix(self) -> "VolterraOperator":
-        """The same operator holding its packed matrix: no read weighs a kernel, and its kernel view is derived."""
-        return VolterraOperator._packed(self.grid, self.p, self.rows, self.cols, self._inst, None, self.panels())
-
     def _on(self, rows, cols) -> np.ndarray:
         """The packed matrix over ``(rows, cols)``, entries it does not hold +0.0, built tile row by tile row (``_reader``)."""
         if self._panels is not None and np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols):
@@ -281,41 +278,40 @@ class VolterraOperator:
     def _reader(self, rows, cols, shared=None):
         """``read(i, out=None)``: tile row ``i`` of the packed matrix over ``(rows, cols)``, entries it does not hold +0.0.
 
-        The slab is written into ``out`` if given.  A kernel is weighed on
-        that block of the tile row alone, and the instantaneous part added on
-        its diagonal; held as lags, it is cut to the orbitals read first.
-        Without ``out``, a matrix held on the same support gives its own
-        slab, a view to read only.  ``shared`` is for sums.
+        The slab is written into ``out`` if given.  A packed matrix or kernel
+        read off its support is read on it and placed (``_placer``).  A held
+        matrix gives its own slab, without ``out`` a view to read only.  A
+        held kernel's tile row, a view of the packed kernel or formed by
+        ``_toeplitz_row`` from the lags, cut first to the orbitals read, is
+        weighed in one pass, and the instantaneous part added on its
+        diagonal.  ``shared`` is for sums.
         """
         n, r, c = self.grid.n_nodes, rows.size, cols.size
         same = np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)
-        source = self._panels if self._kernel is None else self._kernel
-        weights = None if self._kernel is None else trapezoid_weights(n) * self.grid.delta
-        lags = None
-        if source.ndim == 3:  # lags, held over every orbital: cut to the orbitals read
-            lags = source if same else source[:, rows[:, None], cols]
-        put = None if same or lags is not None else _placer(self.rows, self.cols, rows, cols, self.p, n)
-        inst = None if weights is None or self._inst is None else self._inst[:, rows[:, None], cols]
+        lags = self._kernel is not None and self._kernel.ndim == 3  # held over every orbital
+        if not (same or lags):
+            own, put = self._reader(self.rows, self.cols), _placer(self.rows, self.cols, rows, cols, self.p, n)
+            return lambda i, out=None: put(own(i), i, out)
+        if self._kernel is None:
+            def read(i, out=None):
+                _, _, slab, _ = _slab(self._panels, n, r, c, i)
+                if out is None:
+                    return slab
+                out[...] = slab
+                return out
+            return read
+        kernel = self._kernel if same else self._kernel[:, rows[:, None], cols]
+        weights = trapezoid_weights(n) * self.grid.delta
+        inst = None if self._inst is None else self._inst[:, rows[:, None], cols]
 
         def read(i, out=None):
-            if lags is not None:  # the kernel's tile row is formed in the slab, and weighed there below
-                k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
-                out = src = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
-                _toeplitz_row(lags, k0, k1, src)
-            else:
-                k0, k1, src, _ = _slab(source, n, self.rows.size, self.cols.size, i)
-            if same and weights is None:
-                if out is None:
-                    return src
-                out[...] = src
-                return out
-            w = None if weights is None else weights[k0:k1, :k1]
-            if same or lags is not None:  # a kernel read whole
-                shape = (k1 - k0, r, k1, c)
-                out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
-                np.multiply(src.reshape(shape), w[:, None, :, None], out=out.reshape(shape))
-            else:
-                out = put(src, i, out, w)
+            k0, k1 = i * TILE_NODES, min((i + 1) * TILE_NODES, n)
+            shape = (k1 - k0, r, k1, c)
+            out = np.empty(((k1 - k0) * r, k1 * c), dtype=complex) if out is None else out
+            src = out if lags else _slab(kernel, n, r, c, i)[2]
+            if lags:  # the kernel's tile row is formed in the slab, and weighed there
+                _toeplitz_row(kernel, k0, k1, out)
+            np.multiply(src.reshape(shape), weights[k0:k1, None, :k1, None], out=out.reshape(shape))
             if inst is not None:
                 nodes = np.arange(k1 - k0)
                 _blocks(out, k0, k1, r, c)[nodes, nodes + k0] += inst[k0:k1]

@@ -660,6 +660,70 @@ class TestOverridesEqualConfigValues:
                 assert read_tree(root / flag) == read_tree(root / "file"), f"{flag}: artifacts differ"
 
 
+class TestTaskSubsetsEqualAllTaskRun:
+    """Any nonempty list of distinct tasks, in any order, writes the all-task run's artifacts and fails its checks."""
+
+    ARTIFACTS = {
+        "g0": ("g0.kernel.csv",),
+        "gxi": ("gxi.kernel.csv",),
+        "sigma": ("sigma_tilde.kernel.csv", "sigma.kernel.csv"),
+        "verify": ("dyson_report.json",),
+        "converge": ("convergence.csv", "convergence.json"),
+        "gamma-check": ("gamma_report.json",),
+    }
+
+    @staticmethod
+    def config(steps, tasks):
+        # at 6-12 steps verify fails its quadrature checks by design, and the order bound of
+        # 1.96 fails converge's reducible_dyson order (1.92-1.95) but not its fmap orders
+        cfg = trimer_config() | {"tasks": list(tasks), "tolerances": {"convergence_min_order": 1.96}}
+        cfg["grid"]["steps"] = list(steps)
+        return cfg
+
+    @staticmethod
+    def owner(check):
+        """The task whose run fails ``check``."""
+        if check == "gamma_check":
+            return "gamma-check"
+        return "converge" if check.startswith("convergence_order_") else "verify"
+
+    @staticmethod
+    def run(root, cfg):
+        """The artifacts and failed checks of one run; exit 0 or 1, with the check record on a failure."""
+        result = run_cli(["run", str(write_config(root, cfg)), "--out", str(root / "out")], root)
+        assert result.returncode in (0, 1), result.stderr
+        failed = set()
+        if result.returncode == 1:
+            error = result.error()
+            assert error["type"] == "check", error
+            failed = set(error["message"].removeprefix("failed checks: ").split(", "))
+            assert error["message"] == "failed checks: " + ", ".join(sorted(failed))
+        return read_tree(root / "out"), failed
+
+    @pytest.fixture(scope="class")
+    def all_task_runs(self):
+        """(artifacts, failed checks) of the all-task run, per step pair, each formed on first use."""
+        return {}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(6, 12), min_size=2, max_size=2, unique=True),
+        st.lists(st.sampled_from(sorted(ARTIFACTS)), min_size=1, unique=True),
+    )
+    def test_subset_equals_all_task_run(self, all_task_runs, steps, tasks):
+        steps = tuple(sorted(steps))  # the model hash reads the list as written
+        if steps not in all_task_runs:
+            with tempfile.TemporaryDirectory() as tmp:
+                all_task_runs[steps] = self.run(Path(tmp), self.config(steps, self.ARTIFACTS))
+        artifacts, failed = all_task_runs[steps]
+        assert {self.owner(check) for check in failed} == {"verify", "converge"}
+        # hypothesis runs many examples per test call: a fresh directory each, not tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            got, got_failed = self.run(Path(tmp), self.config(steps, tasks))
+        assert got == {name: artifacts[name] for task in tasks for name in self.ARTIFACTS[task]}
+        assert got_failed == {check for check in failed if self.owner(check) in tasks}
+
+
 class TestReferenceConfigRoundTrip:
     def test_reference_config_parses(self, tmp_path):
         cfg = write_config(tmp_path, reference_config())

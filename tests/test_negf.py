@@ -17,13 +17,12 @@ from pfnegf.negf import (
     approx_split,
     compute_g0,
     convergence_study,
-    dyson_solution,
     fit_convergence_order,
     irreducible_sigma,
     verify_dyson,
 )
 from pfnegf.propagation import CorrelatorFactory, CorrelatorGrid
-from pfnegf.volterra import VolterraOperator, dump_kernel, packed_size
+from pfnegf.volterra import VolterraOperator, dump_kernel, packed_size, solve_id_plus
 
 from oracles import (
     dense_kernel,
@@ -288,7 +287,7 @@ class TestDysonIdentities:
         g_alg = ref_engine_25.g_alg
         residual = (g_alg - g0 - g0 @ sigma @ g_alg).max_abs()
         assert residual <= 1e-11
-        residual_resolvent = (dyson_solution(g0, g0 @ sigma) - g_alg).max_abs()
+        residual_resolvent = (solve_id_plus(-(g0 @ sigma), g0) - g_alg).max_abs()
         assert residual_resolvent <= 1e-11
 
     def test_report_carries_every_check(self, ref_engine_25, ref_engine_xi0):
@@ -440,7 +439,7 @@ class TestSharedProducts:
         assert sigma.panels().tobytes() == irreducible_sigma(g0, engine.sigma_tilde).panels().tobytes()
         fresh = {
             "irreducible_dyson": (g_alg - g0 - g0 @ sigma @ g_alg).max_abs(),
-            "resolvent_dyson": (dyson_solution(g0, g0 @ sigma) - g_alg).max_abs(),
+            "resolvent_dyson": (solve_id_plus(-(g0 @ sigma), g0) - g_alg).max_abs(),
         }
         for name, sigma_app in (
             ("approx_split_zero", VolterraOperator(grid, p, inst=np.zeros((grid.n_nodes, p, p)))),
@@ -538,19 +537,6 @@ class TestSplitCounts:
             assert len(reads) == 4 * rows and set(reads.values()) == {1}
             assert [reads[id(left), id(right), i] for i in range(rows)] == [1] * rows
             assert residual <= DEFAULT_TOLERANCES["approx_split_half"]
-
-    def test_instantaneous_split_weighs_no_kernel(self, ref_engine_100):
-        # Sigma_app from the instantaneous part alone, held as its matrix: the same residual bits,
-        # and a read of it is a view of the one buffer it holds
-        e = ref_engine_100
-        built = VolterraOperator(e.grid, e.p, inst=e.sigma.instantaneous().copy(), rows=e.sigma.rows, cols=e.sigma.cols)
-        held = built.holding_matrix()
-        assert held.panels().tobytes() == built.panels().tobytes()
-        assert held.instantaneous().tobytes() == built.instantaneous().tobytes()
-        read, rows = held._reader(held.rows, held.cols), len(range(0, e.grid.n_nodes, volterra.TILE_NODES))
-        assert all(np.shares_memory(read(i), held.panels()) for i in range(rows))
-        residuals = [approx_split(e.sigma, sigma_app, e.g0, e.g_alg)[1] for sigma_app in (built, held)]
-        assert repr(residuals[0]) == repr(residuals[1])
 
 
 class TestOrderingInvariance:

@@ -1434,6 +1434,19 @@ class TestSubBlockReads:
         for rows, cols in ((sample, every), (every, sample), (sample, sample), (every, every)):
             assert g0._on(rows, cols).tobytes() == weighed_then_selected(g0, rows, cols).tobytes()
 
+    def test_held_matrix_gives_its_own_slabs(self):
+        # an operator produced by the algebra, read on its support: views of the one buffer it
+        # holds, weighed by no read, and copies of them when read into a buffer
+        grid, p = TimeGrid(2.0, 2 * TILE_NODES + 3), 4
+        h = RNG.standard_normal((p, p)) + 1j * RNG.standard_normal((p, p))
+        held = compute_g0(h + np.conj(h.T), grid).scale(0.5)
+        read = held._reader(held.rows, held.cols)
+        for i in range(3):
+            slab = read(i)
+            assert np.shares_memory(slab, held.panels())
+            out = np.empty_like(slab)
+            assert read(i, out) is out and out.tobytes() == slab.tobytes()
+
 
 class TestSupportReductions:
     """The two solve reductions and the inner set of a product, on fixed supports."""
