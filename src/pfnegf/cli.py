@@ -17,11 +17,18 @@ Configuration errors exit before any task runs.  Failures emit a
 machine-readable JSON error record on stderr.  Artifacts are deterministic:
 rerunning the same configuration reproduces them byte for byte (fix the BLAS
 thread count with NEGF_NUM_THREADS when in doubt).
+
+Loading this module (``negf``, ``python -m pfnegf`` and ``python -m
+pfnegf.cli`` all do) registers ``gc.freeze`` to run at exit, so interpreter
+shutdown skips the collector's final passes over the run's objects; the
+status, the atexit handlers and the stream flushes are unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -30,6 +37,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_MEMORY = 3
+
+atexit.register(gc.freeze)
 
 
 def _error_record(kind: str, message: str) -> None:

@@ -23,7 +23,8 @@ label of another type is reported with its key as well, e.g.
 Hopping edges with ``a == b`` are on-site energies (real).  Coupling vectors
 ``f`` and ``g`` are given over the lead's own sites and the sample sites
 respectively.  When ``steps`` is a list, the convergence task uses all
-entries (at least two, none repeated) and every other task uses the largest.  Tolerance
+entries (at least two, none repeated) and every other task uses the largest.  Each
+task may be listed once.  Tolerance
 names are checks of ``verify`` or ``convergence_min_order``.  A key outside
 the schema, at any level, is an error that names its key path, e.g.
 ``sample.xii``; the retired root key ``strategy`` is still read, and selects
@@ -172,9 +173,11 @@ class RunConfig:
 
         if not isinstance(self.tasks, list) or not self.tasks:
             raise ConfigError("tasks must be a nonempty list")
-        for task in self.tasks:
+        for i, task in enumerate(self.tasks):
             if task not in KNOWN_TASKS:
                 raise ConfigError(f"unknown task {task!r}; known tasks: {', '.join(KNOWN_TASKS)}")
+            if task in self.tasks[:i]:
+                raise ConfigError(f"tasks: each task may appear once, got {task!r} more than once")
         self.tasks = list(self.tasks)
         if "converge" in self.tasks and len(self.steps_list) < 2:
             raise ConfigError("converge task needs at least two step counts in grid.steps")

@@ -43,6 +43,10 @@ class FockSpace:
     sign_order : sequence of int, optional
         Permutation of ``range(d)`` giving the position of each orbital in
         the Jordan-Wigner string.  Defaults to the orbital index itself.
+
+    The space keeps its basis tables and occupations, but no operator
+    blocks: ``creation_blocks`` builds an orbital's blocks on every call,
+    and a caller that reads them more than once keeps them for the call.
     """
 
     def __init__(self, num_orbitals: int, sign_order=None):
@@ -87,7 +91,6 @@ class FockSpace:
             sum(1 << i for i in range(d) if sign_order[i] < sign_order[j])
             for j in range(d)
         )
-        self._creation_cache: dict[int, tuple] = {}
         self._occupation_cache: dict[int, np.ndarray] = {}
 
     def sector_dim(self, n: int) -> int:
@@ -104,22 +107,20 @@ class FockSpace:
         return self._occupation_cache[n]
 
     def creation_blocks(self, orbital: int) -> tuple:
-        """Sector blocks of ``a*_orbital``; entry ``N`` maps sector N to N+1."""
-        if orbital not in self._creation_cache:
-            d = self.num_orbitals
-            bit = 1 << orbital
-            blocks = []
-            for n in range(d + 1):
-                src = self.sector_states[n]
-                free = (src & bit) == 0
-                s = src[free]
-                t = s | bit
-                block = np.zeros((self.sector_dim(n + 1), self.sector_dims[n]), dtype=complex)
-                signs = 1.0 - 2.0 * (self._popcount[s & self._sign_masks[orbital]] & 1)
-                block[self.pos_in_sector[t], self.pos_in_sector[s]] = signs
-                blocks.append(block)
-            self._creation_cache[orbital] = tuple(blocks)
-        return self._creation_cache[orbital]
+        """Sector blocks of ``a*_orbital``, built anew; entry ``N`` maps sector N to N+1."""
+        d = self.num_orbitals
+        bit = 1 << orbital
+        blocks = []
+        for n in range(d + 1):
+            src = self.sector_states[n]
+            free = (src & bit) == 0
+            s = src[free]
+            t = s | bit
+            block = np.zeros((self.sector_dim(n + 1), self.sector_dims[n]), dtype=complex)
+            signs = 1.0 - 2.0 * (self._popcount[s & self._sign_masks[orbital]] & 1)
+            block[self.pos_in_sector[t], self.pos_in_sector[s]] = signs
+            blocks.append(block)
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,9 @@ def ladder_op(fs: FockSpace, f, kind: str) -> ManyBodyOperator:
     """Smeared ladder operator ``a*(f)`` or ``a(f)``.
 
     ``a*(f) = sum_j f_j a*_j`` is linear in ``f``; ``a(f) = sum_j conj(f_j) a_j``
-    is antilinear.  The operator norm of either is ``||f||``.
+    is antilinear.  The operator norm of either is ``||f||``.  The blocks of
+    one orbital of ``f``'s support at a time are built and added into every
+    sector, so no orbital's blocks outlive the call.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (fs.num_orbitals,):
@@ -233,21 +236,22 @@ def ladder_op(fs: FockSpace, f, kind: str) -> ManyBodyOperator:
     if kind not in ("create", "annihilate"):
         raise ValueError("kind must be 'create' or 'annihilate'")
     d = fs.num_orbitals
-    blocks = []
-    for n in range(d + 1):
-        acc = np.zeros((fs.sector_dim(n + 1), fs.sector_dim(n)), dtype=complex)
-        for j in range(d):
-            if f[j] != 0:
-                acc += f[j] * fs.creation_blocks(j)[n]
-        blocks.append(acc)
-    creator = ManyBodyOperator(fs, +1, tuple(blocks))
+    blocks = tuple(np.zeros((fs.sector_dim(n + 1), fs.sector_dim(n)), dtype=complex) for n in range(d + 1))
+    for j in np.flatnonzero(f):  # every sector sums the orbitals in ascending order
+        for acc, creation in zip(blocks, fs.creation_blocks(j)):
+            acc += f[j] * creation
+    creator = ManyBodyOperator(fs, +1, blocks)
     if kind == "create":
         return creator
     return creator.dagger()
 
 
 def second_quantize(fs: FockSpace, h) -> ManyBodyOperator:
-    """Second quantization ``sum_jk h_jk a*_j a_k`` of a Hermitian matrix."""
+    """Second quantization ``sum_jk h_jk a*_j a_k`` of a Hermitian matrix.
+
+    The creation blocks of the orbitals that hop are built once per call and
+    dropped with it.
+    """
     h = np.asarray(h, dtype=complex)
     d = fs.num_orbitals
     if h.shape != (d, d):
@@ -256,12 +260,13 @@ def second_quantize(fs: FockSpace, h) -> ManyBodyOperator:
         raise ValueError("one-particle matrix must be Hermitian")
     diag = np.real(np.diag(h))
     hops = [(j, k) for j, k in zip(*np.nonzero(h)) if j != k]
+    creation = {j: fs.creation_blocks(j) for j in {j for hop in hops for j in hop}}
     blocks = []
     for n in range(d + 1):
         block = np.diag(fs.occupations(n) @ diag).astype(complex)
         # a*_j a_k passes through sector n - 1, which sector 0 lacks
         for j, k in hops if n else ():
-            block += h[j, k] * (fs.creation_blocks(j)[n - 1] @ fs.creation_blocks(k)[n - 1].T)
+            block += h[j, k] * (creation[j][n - 1] @ creation[k][n - 1].T)
         blocks.append(block)
     return ManyBodyOperator(fs, 0, tuple(blocks))
 

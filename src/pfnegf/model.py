@@ -1,7 +1,9 @@
 """Bundle of a concrete model: geometry, one-particle matrices, Fock operators.
 
 Everything downstream (thermal states, kernels, verification) consumes a
-``Model``; the many-body operators are built lazily and cached.  The
+``Model``; the many-body operators are built lazily and cached.  The two
+ladder families are the largest of them, and a kernel engine releases them
+once it has taken what it reads (``release_ladder_families``).  The
 interacting Hamiltonian pieces follow
 
     K_v = H + sum_nu v_nu N_nu + xi W,     K_0 = K_v at v = 0,
@@ -105,14 +107,20 @@ class Model:
         so it has one entry per orbital, but the correlator sweep leaves them
         out: a zero operator times any finite phases is exactly zero at every
         node, so a grid holds only the nonzero rows and its other entries are
-        zero.  The lead-support check therefore still computes its evidence
-        from these operators themselves (their largest entry, which must
-        vanish) and from the lead blocks of the assembled self-energies.
+        zero.  The lead-support evidence therefore still comes from these
+        operators themselves (their largest entry, which must vanish, taken by
+        the kernel engine) and from the lead blocks of the assembled
+        self-energies.
         """
         return tuple(
             dressed_creation(self.space, self.W, self.interaction.strength, self.basis_vector(j))
             for j in range(self.geometry.num_sites)
         )
+
+    def release_ladder_families(self) -> None:
+        """Drop both cached ladder families; the next read builds them again."""
+        for name in ("creation_family", "dressed_creation_family"):
+            vars(self).pop(name, None)  # how a cached_property is reset
 
     def dressed_annihilation(self, j: int) -> ManyBodyOperator:
         return self.dressed_creation_family[j].dagger()

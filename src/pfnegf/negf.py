@@ -113,17 +113,27 @@ class KernelEngine:
     along.
 
     The constructor runs the whole chain in one order, which sets both the
-    bits and the memory peak, and drops each temporary after its last read:
-    the full ladder grid (both triangles) gives ``pairing_defect`` and then
-    ``gxi``; ``F``, packed unscaled (it is never dumped, and its two norm
-    bounds read magnitudes alone), gives its two quadrature residuals;
-    ``Sigma~ G0``, formed for one of them, gives ``sigma``.  No grid is kept.
-    Each quadrature residual is a ``volterra.Sum`` reduced one tile row at a
-    time, so no difference and no product ``Sum(G0) @ F`` is formed whole,
-    and ``g_alg`` is written slab by slab into its own buffer.  ``budget``
-    covers ``ALGEBRA_OPERATORS`` full-p packed operators, checked first, and
-    one held tile and half a D tile of the wider family, checked before the
-    sweep starts; either raises ``MemoryBudgetError`` from the constructor.
+    bits and the memory peak, and drops each temporary after its last read.
+    After the algebra's budget check the two families go into the factory as
+    flats, and the sweep's tile check follows at once, before anything more
+    is built.  The families then give the sample pairs' contact operators and
+    the lead-support evidence (the largest entry of each lead pair's contact
+    operator and of each lead member of the dressed family, all exactly
+    zero), and the model releases them; the Fock space keeps no creation
+    blocks, so the sweep holds no ladder operator, only the flats it reads.
+    A later engine on the same model builds the families again.  After
+    ``G0``, the sweep: the full ladder grid (both triangles)
+    gives ``pairing_defect`` and then ``gxi``; the contact operators are
+    evolved into ``Sigma~``'s instantaneous part; ``F``, packed unscaled (it
+    is never dumped, and its two norm bounds read magnitudes alone), gives
+    its two quadrature residuals; ``Sigma~ G0``, formed for one of them,
+    gives ``sigma``.  No grid is kept.  Each quadrature residual is a
+    ``volterra.Sum`` reduced one tile row at a time, so no difference and no
+    product ``Sum(G0) @ F`` is formed whole, and ``g_alg`` is written slab by
+    slab into its own buffer.  ``budget`` covers ``ALGEBRA_OPERATORS``
+    full-p packed operators and one held tile and the D part of the sweep's
+    buffer (``CorrelatorFactory.tile_entries``); either check raises
+    ``MemoryBudgetError`` from the constructor.
     """
 
     def __init__(
@@ -142,22 +152,27 @@ class KernelEngine:
         self.model, self.grid, self.thermal, self.budget = model, grid, thermal, budget
         self.p = p = model.num_sites
         rho = gibbs(model.K_0, thermal, model.N_total, label="pf")
-        self.factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
-        self.factory.add_family("a", list(model.creation_family))
-        self.factory.add_family("b", list(model.dressed_creation_family))
+        self.factory = factory = CorrelatorFactory(rho, model.K_v, grid, budget=budget)
+        factory.add_family("a", model.creation_family)
+        factory.add_family("b", model.dressed_creation_family)
+        companions = [("b", "b"), ("a", "b")]
+        factory.tile_entries("a", "a", companions)  # the sweep's tile check, before more is built
+        contact_ops, lead_defect = _contact_operators(model)
+        model.release_ladder_families()  # the sweep reads their flats alone
 
         def packed(corr, scale=None, inst=None) -> VolterraOperator:
             mem = corr.causal_kernel()
             return VolterraOperator(grid, p, inst=inst, mem=mem, rows=corr.rows, cols=corr.cols, scale=scale)
 
         self.g0 = g0 = compute_g0(model.h_biased, grid)
-        ladder = self.factory.anticommutator_grid("a", "a", True, [("b", "b"), ("a", "b")])
+        ladder = factory.anticommutator_grid("a", "a", True, companions)
         dressed, mixed = ladder.companions
         self.pairing_defect = ladder.pairing_defect()  # before causal_kernel zeroes the acausal half
         self.gxi = gxi = packed(ladder, -1j)
         del ladder
-        self.contact_expectations = _contact_expectations(model, self.factory)
-        contact = self.contact_expectations[0]
+        contact = _contact_expectations(model, factory, contact_ops)
+        del contact_ops
+        self.contact_expectations = (contact, lead_defect)
         self.sigma_tilde = sigma_tilde = packed(dressed, -1j, inst=(1j * contact).transpose(2, 0, 1).copy())
         del dressed
         f_map = packed(mixed)
@@ -178,30 +193,36 @@ class KernelEngine:
         }
 
 
-def _contact_expectations(model: Model, factory: CorrelatorFactory) -> tuple[np.ndarray, float]:
-    """Instantaneous entries ``<{a*(e_m), b(e_j)}(t_k)>`` plus support defect.
+def _contact_operators(model: Model) -> tuple[list, float]:
+    """Equal-time anticommutators ``{a*(e_m), b(e_j)}`` of the sample pairs, plus the lead evidence.
 
-    Only sample-sample pairs are evolved; for pairs touching a lead the
-    equal-time anticommutator is built once and its (exactly vanishing)
-    magnitude is recorded as part of the lead-support evidence.
+    The sample pairs come ``j``-major.  For pairs touching a lead the
+    anticommutator is built once and its (exactly vanishing) magnitude is
+    recorded, as is that of each lead member of the dressed family: their
+    largest is the ladder families' part of the lead-support evidence.
     """
     d, ns = model.num_sites, model.num_sample
-    values = np.zeros((d, d, factory.grid.n_nodes), dtype=complex)
     sample_ops = []
-    sample_pairs = []
-    lead_defects = []
+    # every geometry has a lead site, so the dressed family has a lead member
+    lead_defects = [op.max_abs() for op in model.dressed_creation_family[ns:]]
     for j in range(d):
         for m in range(d):
             if j < ns and m < ns:
-                sample_pairs.append((j, m))
                 sample_ops.append(model.contact_operator(j, m))
             else:
                 lead_defects.append(model.contact_operator(j, m).max_abs())
-    series = factory.expectation_series(sample_ops)
-    for (j, m), row in zip(sample_pairs, series):
-        values[j, m] = row
-    # every geometry has a lead site, so some pair touches a lead
-    return values, float(np.max(lead_defects))
+    return sample_ops, float(np.max(lead_defects))
+
+
+def _contact_expectations(model: Model, factory: CorrelatorFactory, sample_ops: list) -> np.ndarray:
+    """Instantaneous entries ``<{a*(e_m), b(e_j)}(t_k)>``, evolved for the sample pairs alone.
+
+    Every entry of a pair touching a lead is zero.
+    """
+    d, ns = model.num_sites, model.num_sample
+    values = np.zeros((d, d, factory.grid.n_nodes), dtype=complex)
+    values[:ns, :ns] = factory.expectation_series(sample_ops).reshape(ns, ns, -1)
+    return values
 
 
 def irreducible_sigma(
@@ -402,8 +423,7 @@ def verify_dyson(
     support = np.max([
         _lead_support_defect(sigma_tilde, num_sample),
         _lead_support_defect(sigma, num_sample),
-        *(op.max_abs() for op in model.dressed_creation_family[num_sample:]),
-        engine.contact_expectations[1],
+        engine.contact_expectations[1],  # the ladder families' evidence, taken by the engine
     ])
     report.add("lead_support", support, tol["lead_support"], "roundoff")
 

@@ -31,9 +31,11 @@ Tiles are formed from the stored family by phase multiplies, with no
 evolution sweeps: the phases of a whole tile are formed in one broadcast, in
 chunks that fit the sweep's GEMM buffer, which is idle while tiles are
 formed, and a D tile is one multiply per chunk.  Every sector's tiles share
-one buffer of one held tile and the largest half D tile of the widest
-family, so a sweep holds O(TILE_NODES) nodes of memory in N_t beyond its
-grids, and that buffer must fit the budget.  Every grid is kept over the
+one buffer of one held tile and a D part, the largest half D tile of the
+widest family; the D part is idle while a held tile is formed, and holds
+each of its nodes and their right products then.  So a sweep holds
+O(TILE_NODES) nodes of memory in N_t beyond its grids, and that buffer must
+fit the budget (``CorrelatorFactory.tile_entries``).  Every grid is kept over the
 nonzero rows of its D family and of its held family, and every other entry
 is zero.  A retarded kernel is a view of its grid (``causal_kernel``), and
 the packed operator takes both row sets as its orbital support.
@@ -156,22 +158,58 @@ class CorrelatorFactory:
         self._sectors = [(slice(cuts[n], cuts[n + 1]), (dims[n + 1], dims[n])) for n in range(len(dims) - 1)]
         self._families: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def to_frame(self, op: ManyBodyOperator, s: int) -> np.ndarray:
-        """Flat K-frame blocks ``Q_{N+s}^dagger X_N Q_N`` of a displacement-``s`` operator."""
+    def to_frame(self, op: ManyBodyOperator, s: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat K-frame blocks ``Q_{N+s}^dagger X_N Q_N`` of a displacement-``s`` operator.
+
+        Each block is written straight into its part of ``out``, a new array unless one is given.
+        """
         if op.displacement != s:
             raise ValueError(f"expected a displacement {s:+d} operator, got {op.displacement:+d}")
         q = self.vecs
-        return np.concatenate(
-            [(np.conj(q[n + s].T) @ op.blocks[n] @ q[n]).ravel() for n in range(len(q) - s)]
-        )
+        shapes = [(q[n + s].shape[1], q[n].shape[1]) for n in range(len(q) - s)]
+        cuts = np.cumsum([0] + [hi * lo for hi, lo in shapes])
+        if out is None:
+            out = np.empty(cuts[-1], dtype=complex)
+        for n, shape in enumerate(shapes):
+            np.matmul(np.conj(q[n + s].T) @ op.blocks[n], q[n], out=out[cuts[n] : cuts[n + 1]].reshape(shape))
+        return out
 
-    def add_family(self, name: str, ops: list[ManyBodyOperator]) -> None:
+    def add_family(self, name: str, ops) -> None:
+        """Register the creation-type operators ``ops`` as family ``name``: the flats of its nonzero members.
+
+        Each member's flat is written once, into the next free row of the family's array.  A zero
+        operator's every node is exactly zero, so its row is written over by the next member, and
+        the array is cut to the nonzero rows in place; the family keeps their member indices.
+        """
         if name in self._families:
             raise ValueError(f"family {name!r} already registered")
-        flats = np.stack([self.to_frame(op, +1) for op in ops])
-        # a zero operator's every node is exactly zero: only nonzero rows are kept
-        rows = np.flatnonzero(np.any(flats != 0, axis=1))
-        self._families[name] = (rows, flats[rows])
+        flats, rows = np.empty((len(ops), self._sectors[-1][0].stop), dtype=complex), []
+        for m, op in enumerate(ops):
+            if self.to_frame(op, +1, out=flats[len(rows)]).any():
+                rows.append(m)
+        flats.resize((len(rows), flats.shape[1]), refcheck=False)  # no view of it is left
+        self._families[name] = (np.array(rows, dtype=np.intp), flats)
+
+    def tile_entries(self, name_a: str, name_d: str, companions=()) -> tuple[int, int]:
+        """Entries of the sweep's held tile and of its D part, for the pairs of ``anticommutator_grid``.
+
+        The held tile is ``TILE_NODES`` nodes of the whole flat of the widest held family.  The D
+        part holds the largest half D tile of the widest D family, and at least twice the rows of
+        the widest held family in the largest sector: a held tile's node and its right product are
+        formed there.  Raises ``MemoryBudgetError`` if the two, at 16 bytes an entry, exceed the
+        budget.
+        """
+        n, families = self.grid.n_nodes, self._families
+        held = [families[a][1] for a in [name_a] + [a for a, _ in companions]]
+        rows_d = max(families[d][1].shape[0] for d in [name_d] + [d for _, d in companions])
+        flat, sizes = self._sectors[-1][0].stop, [sl.stop - sl.start for sl, _ in self._sectors]
+        held_size = min(TILE_NODES, n) * max(x.size for x in held)
+        half_size = rows_d * max(-(-sector_tile(n, flat, size) // 2) * size for size in sizes)
+        d_size = max(half_size, 2 * max(x.shape[0] for x in held) * max(sizes))
+        need = 16 * (held_size + d_size)
+        if need > self.budget:
+            raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
+        return held_size, d_size
 
     def anticommutator_grid(
         self, name_a: str, name_d: str, full: bool = False, companions=()
@@ -192,26 +230,24 @@ class CorrelatorFactory:
         is formed once for each.  A tile's phases ``exp(i t (E_a - E_b))`` are
         formed for all its nodes in one broadcast, into the GEMM buffer in
         chunks of as many nodes as it holds; a D tile is then one multiply per
-        chunk, and the held side is formed node by node from them.  Each half
+        chunk, and the held side is formed node by node from them: each node
+        ``x`` and its right product ``x rho[N]`` in the D buffer, idle until
+        the held tile is done, and the left product straight into the held
+        tile, where the right one is added.  Each half
         D tile meets the held tile in one GEMM over the sector's entries,
         added into its rows of the grid block, so a grid block receives its
         sector terms in sector order; the acausal entries of a causal grid
         stay +0.0.  One held tile of the widest held family, of ``TILE_NODES``
-        nodes of the whole flat, and the largest half D tile of the widest D
-        family must fit the budget; every sector's tiles share that one
-        buffer, and the phases need no memory of their own.
+        nodes of the whole flat, and the D part must fit the budget
+        (``tile_entries``); every sector's tiles share that one buffer, and
+        the phases need no memory of their own.  A sector's conjugate D
+        copies are dropped before the next sector's are formed.
         """
         n, families = self.grid.n_nodes, self._families
         pairs = [(name_a, name_d, full)] + [(a, d, False) for a, d in companions]
-        tile, flat = min(TILE_NODES, n), families[name_a][1].shape[1]
-        sizes = [sl.stop - sl.start for sl, _ in self._sectors]
-        # one held tile of the widest held family, then the largest half D tile of the widest D family
-        held_size = tile * max(families[a][1].size for a, *_ in pairs)
-        half_size = max(families[d][1].shape[0] for _, d, _ in pairs) * max(-(-sector_tile(n, flat, size) // 2) * size for size in sizes)
-        need = 16 * (held_size + half_size)
-        if need > self.budget:
-            raise MemoryBudgetError(f"one held and one D tile need {need} bytes (budget {self.budget})")
-        work = np.empty(need // 16, dtype=complex)  # every sector's tiles share one buffer
+        flat, sizes = self._sectors[-1][0].stop, [sl.stop - sl.start for sl, _ in self._sectors]
+        held_size, d_size = self.tile_entries(name_a, name_d, companions)
+        work = np.empty(held_size + d_size, dtype=complex)  # every sector's tiles share one buffer
         held_buf, d_buf = work[:held_size], work[held_size:]
         grids, live = [], []  # live: (a, d, full, node-major 2-D grid) of pairs that run GEMMs
         for a, d, is_full in pairs:
@@ -249,11 +285,15 @@ class CorrelatorFactory:
             for h in dict.fromkeys(a for a, *_ in live):  # the held families one at a time
                 x_h = families[h][1][:, sl]
                 held = held_buf[: nodes_s * x_h.size].reshape(nodes_s, *x_h.shape)
+                # the idle D buffer holds a node and its right product while a held tile is formed
+                x = d_buf[: x_h.size].reshape(x_h.shape)
+                x_blocks, right = x.reshape(-1, *shape), d_buf[x_h.size : 2 * x_h.size].reshape(-1, *shape)
                 for i, (l0, l1) in enumerate(tiles):
                     for start, chunk in phases(l0, l1, upper, conj_lower, shape):
                         for l, node in enumerate(chunk, start):
-                            x = (x_h * node).reshape(-1, *shape)
-                            np.add(rho_hi @ x, x @ rho_lo, out=held[l].reshape(x.shape))
+                            np.multiply(x_h, node, out=x)
+                            left = np.matmul(rho_hi, x_blocks, out=held[l].reshape(right.shape))
+                            left += np.matmul(x_blocks, rho_lo, out=right)
                     for j, (k0, k1) in enumerate(tiles):
                         for a, d, is_full, out in live:  # one D tile at a time
                             # a full pair reads every D tile, a causal one those from its held tile on
@@ -269,6 +309,7 @@ class CorrelatorFactory:
                                 gemm = scratch[: block.size].reshape(block.shape)
                                 np.matmul(dt[: h1 - h0].reshape(-1, size), held[: l1 - l0].reshape(-1, size).T, out=gemm)
                                 block += gemm
+            del conj_d  # before the next sector's copies are formed
         above = np.triu_indices(n, 1)
         for grid in grids[int(full) :]:  # a causal grid's diagonal tiles reached past its triangle
             grid.values[:, :, above[0], above[1]] = 0.0

@@ -386,6 +386,9 @@ class TestMalformedConfig:
             # a repeated step count would give converge fewer distinct grids
             ("grid.steps", [20, 20]),
             ("grid.steps", [20, 20, 40]),
+            # a repeated task would run again
+            ("tasks", ["verify", "verify", "g0", "g0"]),
+            ("tasks", ["g0", "gxi", "g0"]),
         ],
     )
     def test_parse_rejects(self, path, value):
@@ -418,6 +421,8 @@ class TestMalformedConfig:
                          id="grid.steps-repeated"),
             pytest.param("sample.w", [["s0", "s1", 1.0], ["s1", "s0", 2.0]],
                          "sample.w[1]: pair ('s1', 's0') is given twice", id="sample.w-repeated"),
+            pytest.param("tasks", ["verify", "verify", "g0", "g0"],
+                         "tasks: each task may appear once, got 'verify' more than once", id="tasks-repeated"),
         ],
     )
     def test_message_names_the_key(self, path, value, message):
@@ -446,6 +451,7 @@ class TestMalformedConfig:
         for change in (
             {"steps_list": [1]},
             {"steps_list": [12, 12]},
+            {"tasks": ["g0", "g0"]},
             {"budget": 0},
             {"tolerances": {"lead_support": math.nan}},
         ):
@@ -462,9 +468,11 @@ class TestMalformedConfig:
             (reference_at_12_steps(**{"sample.xii": 0.5}), []),
             # a repeated pair would silently replace the first weight: w would read 2.0
             (reference_at_12_steps(**{"sample.w": [["s0", "s1", 1.0], ["s1", "s0", 2.0]]}), []),
+            # run as listed, verify would run twice and its record list each failed check twice
+            (reference_at_12_steps(tasks=["verify", "verify", "g0", "g0"]), []),
         ],
         ids=["nan-config", "nan-flag", "converge-one-step-count", "converge-repeated-step-count", "unknown-key",
-             "repeated-pair"],
+             "repeated-pair", "repeated-task"],
     )
     def test_run_rejects_before_any_task(self, tmp_path, cfg_data, extra):
         cfg = write_config(tmp_path, cfg_data)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -736,7 +737,51 @@ class TestSweepMemory:
         assert grids == n**2 * (8 * 8 + 2 * 2 + 8 * 2) * 16
         # the GEMM buffer holds the largest block: 25-node tiles of the 8-entry sectors, a/a
         gemm = max(sector_tile(n, flat, size) for size in sizes) ** 2 * 8 * 8 * 16
-        # the held side's node temporaries and the conjugate D copies of one sector: 2.1 MB
-        slack = 3 * 2**20
+        # the conjugate D copies of one sector and its phase exponentials: 1.0 MB.  The held side's
+        # node products formed outside the D buffer would be 1.2 MB more, and the conjugate D
+        # copies of two sectors at once 0.5 MB more
+        slack = 1.25 * 2**20
         # a whole D tile would be 5.7 MB more; a tile of every family on each side 11.6 MB more
         assert peak <= tiles + grids + gemm + slack, (peak, tiles, grids, gemm)
+
+    def test_d_part_holds_the_held_side_of_a_wider_held_family(self, trimer_run):
+        # at 3 nodes every sector takes one 3-node tile, its D halves 2 nodes: the held family a
+        # (3 rows) against the D family b (2 rows) needs a D part of twice a's rows of the
+        # 9-entry sector, for a node and its right product, not b's half D tile of 2 x 2 x 9
+        model = trimer_run.model
+        rho = gibbs(model.K_0, trimer_run.thermal, model.N_total)
+        factory = CorrelatorFactory(rho, model.K_v, TimeGrid(1.0, 2))
+        factory.add_family("a", list(model.creation_family))
+        factory.add_family("b", list(model.dressed_creation_family))
+        assert [sl.stop - sl.start for sl, _ in factory._sectors] == [3, 9, 3]
+        assert factory.tile_entries("a", "b") == (3 * 3 * 15, 2 * 3 * 9)
+        grid = factory.anticommutator_grid("a", "b")
+        assert grid.values.tobytes() == per_node_sweep(factory, "a", "b")[0].tobytes()
+
+    def test_engine_sweeps_without_the_ladder_families(self, monkeypatch):
+        # the sweep reads the families' flats alone: when it starts inside the engine, the model
+        # holds neither cached family, and every creation block built so far has been freed
+        run = parse_config(lead3_config(24))
+        blocks, seen = [], []
+        creation_blocks = FockSpace.creation_blocks
+
+        def tracked_blocks(space, orbital):
+            made = creation_blocks(space, orbital)
+            blocks.extend(weakref.ref(block) for block in made)
+            return made
+
+        class SweepStarted(Exception):
+            pass
+
+        def sweep(factory, *args, **kwargs):
+            cached = sorted(vars(run.model).keys() & {"creation_family", "dressed_creation_family"})
+            seen.append((cached, sum(ref() is not None for ref in blocks)))
+            raise SweepStarted
+
+        monkeypatch.setattr(FockSpace, "creation_blocks", tracked_blocks)
+        monkeypatch.setattr(CorrelatorFactory, "anticommutator_grid", sweep)
+        with pytest.raises(SweepStarted):
+            KernelEngine(run.model, run.thermal, run.grid())
+        # H and both families were built from the blocks of all 8 orbitals, 9 sectors each
+        assert len(blocks) >= 3 * 8 * 9
+        assert seen == [([], 0)]
