@@ -120,15 +120,15 @@ def _execute_tasks(config, out_dir) -> list:
     for task in config.tasks:
         if task == "g0":
             g0 = compute_g0(config.model.h_biased, config.grid())
-            dump_kernel_to_path(g0, ordering, os.path.join(out_dir, "g0.kernel.csv"), "G0")
+            dump_kernel_to_path(g0, ordering, os.path.join(out_dir, "g0.kernel"), "G0")
         elif task == "gxi":
-            path = os.path.join(out_dir, "gxi.kernel.csv")
+            path = os.path.join(out_dir, "gxi.kernel")
             dump_kernel_to_path(get_engine().gxi, ordering, path, "Gxi")
         elif task == "sigma":
             eng = get_engine()
-            path = os.path.join(out_dir, "sigma_tilde.kernel.csv")
+            path = os.path.join(out_dir, "sigma_tilde.kernel")
             dump_kernel_to_path(eng.sigma_tilde, ordering, path, "SigmaTilde")
-            dump_kernel_to_path(eng.sigma, ordering, os.path.join(out_dir, "sigma.kernel.csv"), "Sigma")
+            dump_kernel_to_path(eng.sigma, ordering, os.path.join(out_dir, "sigma.kernel"), "Sigma")
         elif task == "verify":
             report = verify_dyson(
                 get_engine(), tolerances=config.tolerances, model_hash=config.model_hash
@@ -159,7 +159,7 @@ def diff_command(args) -> int:
     from .volterra import load_kernels
 
     try:
-        with open(args.dump_a, encoding="utf-8") as fh_a, open(args.dump_b, encoding="utf-8") as fh_b:
+        with open(args.dump_a, "rb") as fh_a, open(args.dump_b, "rb") as fh_b:
             (header_a, mem_a, inst_a), (_, mem_b, inst_b) = load_kernels(fh_a, fh_b)
     except MemoryBudgetError as exc:
         _error_record("memory", str(exc))

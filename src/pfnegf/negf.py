@@ -196,18 +196,18 @@ class KernelEngine:
 def _contact_operators(model: Model) -> tuple[list, float]:
     """Equal-time anticommutators ``{a*(e_m), b(e_j)}`` of the sample pairs, plus the lead evidence.
 
-    The sample pairs come ``j``-major.  For pairs touching a lead the
-    anticommutator is built once and its (exactly vanishing) magnitude is
-    recorded, as is that of each lead member of the dressed family: their
-    largest is the ladder families' part of the lead-support evidence.
+    The sample pairs come ``j``-major.  The lead evidence is the largest
+    magnitude of the dressed family's lead members and of the anticommutators
+    with a sample ``j`` and a lead ``m``, all exactly zero.  A lead ``j`` adds
+    none: its factor ``b(e_j)`` is a lead member itself.
     """
     d, ns = model.num_sites, model.num_sample
     sample_ops = []
     # every geometry has a lead site, so the dressed family has a lead member
     lead_defects = [op.max_abs() for op in model.dressed_creation_family[ns:]]
-    for j in range(d):
+    for j in range(ns):
         for m in range(d):
-            if j < ns and m < ns:
+            if m < ns:
                 sample_ops.append(model.contact_operator(j, m))
             else:
                 lead_defects.append(model.contact_operator(j, m).max_abs())

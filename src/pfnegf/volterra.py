@@ -56,17 +56,10 @@ lags cut to the orbitals read, with the same bits and no temporary.  A
 packed read off the support is read on it and placed.  The instantaneous
 part, the one kernel reader ``kernel_tiles`` and ``flat``, the dense matrix
 that no program path reads, keep every orbital.
-
-The text dump writes each float part as its ``repr``.  A part whose bits
-equal those of the same part one node up and one node left, at the same lag,
-reuses that entry's text; ``volterra_constant`` skips repeated blocks by the
-same rule.  So ``G0``, Toeplitz in time, formats only its ``l = 0`` column,
-and so does a block that is zero at every node.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -760,76 +753,38 @@ def operator_norm_bound(terms: Sum) -> float:
 
 # -- kernel dump format ------------------------------------------------
 #
-# One text file per operator: a single JSON header line
-#   {"name":..., "p":..., "N_t":..., "T":..., "ordering": [...]}
-# followed by CSV rows; memory-kernel entries carry six fields
-# (k, l, i, j, re, im), instantaneous entries five (k, i, j, re, im).
-# Every causal memory entry appears once; the instantaneous entries appear
-# all once, or not at all when the part is zero.  Operators carry no name:
-# the header's ``name`` is the caller's label.
+# One binary file per operator: a UTF-8 JSON header line
+#   {"name":..., "p":..., "N_t":..., "T":..., "ordering": [...], "instantaneous": bool}
+# then the causal memory blocks, node row k = 0..N_t and l = 0..k, each a
+# row-major p x p block of little-endian complex128 over every orbital, and,
+# when "instantaneous" is true, the N_t + 1 instantaneous blocks in node
+# order.  Any other body length is malformed.  Operators carry no name: the
+# header's ``name`` is the caller's label.
+
+DUMP_DTYPE = np.dtype("<c16")
 
 
 def dump_kernel(op: VolterraOperator, ordering, fh, name: str) -> None:
-    """Write ``op`` to ``fh`` under the header label ``name``."""
+    """Write ``op`` to the binary stream ``fh`` under the header label ``name``, one tile row at a time."""
+    instantaneous = op.has_instantaneous()
     header = {
         "name": name,
         "p": op.p,
         "N_t": op.grid.steps,
         "T": op.grid.horizon,
         "ordering": list(ordering),
+        "instantaneous": instantaneous,
     }
-    fh.write(json.dumps(header) + "\n")
-    # one time row at a time, read from the packed kernel; repr of a Python
-    # float is the round-trip text.  A part with the bits of the same part one
-    # node up and one node left, at the same lag, takes that entry's text:
-    # bits, so that -0.0 and 0.0 stay apart.  Only the row above is held.
-    n, p = op.grid.n_nodes, op.p
-    tails = [f"{l},{i},{j}," for l in range(n) for i in range(p) for j in range(p)]
-    above = [None, None]  # the node row above: (bits, texts) of the real and imaginary parts
+    fh.write(json.dumps(header).encode() + b"\n")
     for k0, k1, blocks in op.kernel_tiles():
-        for k in range(k0, k1):
-            _write_entries(fh, f"{k},", tails, blocks[k - k0, : k + 1], above, p * p)
-    if op.has_instantaneous():
-        tails, above = [f"{i},{j}," for i in range(p) for j in range(p)], [None, None]
-        for k, block in enumerate(op.instantaneous()):
-            _write_entries(fh, f"{k},", tails, block, above, 0)
-
-
-def _write_entries(fh, head, tails, values, above, shift) -> None:
-    """One line ``head tail re,im`` per entry of ``values``, in C order.
-
-    ``above`` holds the bits and texts of the node row above; entry
-    ``e + shift`` of this row lines up with entry ``e`` there, and ``above``
-    is replaced by this row.  The row is joined from its pieces, with no
-    string per line.
-    """
-    values = values.reshape(-1)
-    re = _part_texts(values.real, above, 0, shift)
-    im = _part_texts(values.imag, above, 1, shift)
-    m = len(re)
-    pieces = [head, None, None, ",", None, "\n"] * m
-    pieces[1::6], pieces[2::6], pieces[4::6] = tails[:m], re, im
-    fh.write("".join(pieces))
-
-
-def _part_texts(part, above, which, shift) -> list:
-    """repr of every float of ``part``, reusing the row above's text where the bits match."""
-    bits = part.view(np.int64)
-    texts = np.empty(part.size, dtype=object)
-    fresh = np.ones(part.size, dtype=bool)
-    if above[which] is not None:
-        np.not_equal(bits[shift:], above[which][0], out=fresh[shift:])
-        same = np.flatnonzero(~fresh[shift:])
-        texts[same + shift] = above[which][1][same]
-        above[which] = None  # the texts not reused die before this row's are made
-    index = np.flatnonzero(fresh)
-    texts[index] = np.fromiter(map(repr, part[index].tolist()), dtype=object, count=index.size)
-    above[which] = (bits, texts)
-    return texts.tolist()
+        causal = np.arange(k1) <= np.arange(k0, k1)[:, None]
+        fh.write(blocks[causal].astype(DUMP_DTYPE, copy=False))  # node-row major: the bits kernel_tiles gives
+    if instantaneous:
+        fh.write(np.ascontiguousarray(op.instantaneous(), dtype=DUMP_DTYPE))
 
 
 def dump_kernel_to_path(op: VolterraOperator, ordering, path, name: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         dump_kernel(op, ordering, fh, name)
 
 
@@ -838,17 +793,16 @@ HEADER_KEYS = ("p", "N_t", "T", "ordering")
 
 
 def load_kernels(*fhs) -> list:
-    """Parse kernel dumps; returns (header, memory kernel, instantaneous part) of each.
+    """Read binary kernel dumps; returns (header, memory kernel, instantaneous part) of each.
 
     Every header is read and checked first, and ``MemoryBudgetError`` is
     raised before any array is allocated when the arrays the headers imply
     exceed ``DEFAULT_BUDGET_BYTES`` together.  Then headers that disagree on
     a key in ``HEADER_KEYS`` raise ``HeaderMismatchError``, before any body is
-    read.  Every causal memory entry
-    ``(k, l, i, j)``, ``l <= k``, must appear exactly once, and the
-    instantaneous entries all once or not at all (the writer leaves out an
-    instantaneous part that is zero); a truncated dump, or one with a
-    repeated or missing row, raises ``ValueError``.
+    read.  A body shorter or longer than its header implies raises
+    ``ValueError``, and so does a header without the ``instantaneous`` flag:
+    the text dumps of earlier versions are refused, not converted.  Acausal
+    blocks, and an instantaneous part the dump leaves out, read as zero.
     """
     headers = []
     for fh in fhs:
@@ -860,8 +814,13 @@ def load_kernels(*fhs) -> list:
             whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
             if isinstance(value, bool) or not whole or value < least:
                 raise ValueError(f"malformed kernel header: {key} must be a whole number >= {least}, got {value!r}")
+        if not isinstance(header.get("instantaneous"), bool):
+            raise ValueError(
+                "malformed kernel dump: the header has no boolean 'instantaneous' flag "
+                "(the text dumps of earlier versions are not read)"
+            )
         headers.append((header, int(header["p"]), int(header["N_t"]) + 1))
-    need = sum(17 * (n * n + n) * p * p for _, p, n in headers)  # complex128 arrays and their seen masks
+    need = sum(DUMP_DTYPE.itemsize * (n * n + n) * p * p for _, p, n in headers)
     if need > DEFAULT_BUDGET_BYTES:
         shapes = " and ".join(f"p = {p}, N_t = {n - 1}" for _, p, n in headers)
         raise MemoryBudgetError(f"the kernel dump headers ({shapes}) need {need} bytes (budget {DEFAULT_BUDGET_BYTES})")
@@ -869,40 +828,22 @@ def load_kernels(*fhs) -> list:
         values = [header[key] for header, _, _ in headers]
         if any(value != values[0] for value in values[1:]):
             raise HeaderMismatchError(f"dumps disagree on {key!r}: " + " vs ".join(map(repr, values)))
-    return [_kernel_rows(fh, *shape) for fh, shape in zip(fhs, headers)]
+    return [_kernel_body(fh, *shape) for fh, shape in zip(fhs, headers)]
 
 
-def _kernel_rows(fh, header: dict, p: int, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    mem = np.zeros((n, n, p, p), dtype=complex)
-    inst = np.zeros((n, p, p), dtype=complex)
-    seen_mem, seen_inst = np.zeros(mem.shape, dtype=bool), np.zeros(inst.shape, dtype=bool)
-    for row in csv.reader(fh):
-        if not row:
-            continue
-        if len(row) == 6:
-            k, l, i, j = (int(x) for x in row[:4])
-            target, seen, index, fits = mem, seen_mem, (k, l, i, j), 0 <= l <= k < n
-        elif len(row) == 5:
-            k, i, j = (int(x) for x in row[:3])
-            target, seen, index, fits = inst, seen_inst, (k, i, j), 0 <= k < n
-        else:
-            fits = False
-        # a negative index would wrap; acausal or out-of-range rows do not fit the header
-        if not (fits and 0 <= i < p and 0 <= j < p):
-            raise ValueError(f"malformed kernel row: {row!r}")
-        if seen[index]:
-            raise ValueError(f"malformed kernel dump: entry {index} appears twice, again in row {row!r}")
-        seen[index] = True
-        target[index] = complex(float(row[-2]), float(row[-1]))
-    missing = np.logical_not(seen_mem, out=seen_mem)  # in place: no second mask
-    missing &= (np.arange(n)[:, None] >= np.arange(n))[:, :, None, None]
-    if missing.any():
-        first = tuple(int(x) for x in np.unravel_index(np.argmax(missing), missing.shape))
-        raise ValueError(
-            f"malformed kernel dump: {np.count_nonzero(missing)} causal memory entries missing, "
-            f"the first (k, l, i, j) = {first}"
-        )
-    count = int(np.count_nonzero(seen_inst))
-    if count not in (0, seen_inst.size):
-        raise ValueError(f"malformed kernel dump: {count} of {seen_inst.size} instantaneous entries present")
+def _kernel_body(fh, header: dict, p: int, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Read each node row, then the instantaneous part, straight into its array."""
+    mem = np.zeros((n, n, p, p), dtype=DUMP_DTYPE)
+    inst = np.zeros((n, p, p), dtype=DUMP_DTYPE)
+    parts = [mem[k, : k + 1] for k in range(n)] + ([inst] if header["instantaneous"] else [])
+    expected = sum(part.nbytes for part in parts)
+    shape = f"p = {p}, N_t = {n - 1} and instantaneous = {header['instantaneous']}"
+    read = 0
+    for part in parts:
+        got = fh.readinto(part)
+        read += got
+        if got < part.nbytes:
+            raise ValueError(f"malformed kernel dump: the body holds {read} of the {expected} bytes that {shape} imply")
+    if fh.read(1):
+        raise ValueError(f"malformed kernel dump: the body runs past the {expected} bytes that {shape} imply")
     return header, mem, inst

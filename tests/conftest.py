@@ -16,6 +16,8 @@ from pfnegf.grid import TimeGrid
 from pfnegf.negf import KernelEngine
 from pfnegf.thermal import gibbs
 
+import numpy as np  # after pfnegf, which sets the BLAS thread count numpy reads
+
 
 # the directory holding the pfnegf package this process imported
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pfnegf.__file__)))
@@ -157,30 +159,49 @@ def trimer_dict():
     return copy.deepcopy(trimer_config())
 
 
-DUMP_DAMAGES = ("truncated", "repeated-row", "missing-row", "partial-instantaneous")
+DUMP_DAMAGES = (
+    "truncated", "extended", "repeated-row", "missing-row", "partial-instantaneous", "flag-mismatch", "old-csv",
+)
 
 
-def damage_dump(text, damage):
-    """A kernel dump broken in one way ``load_kernel`` must refuse.
+def damage_dump(data, damage):
+    """A binary kernel dump broken in one way ``load_kernel`` must refuse.
 
-    ``truncated`` keeps the first third of the lines, ``repeated-row`` repeats
-    a memory row with a new value, ``missing-row`` drops one, and
-    ``partial-instantaneous`` drops one instantaneous row or, in a dump
-    without them, adds one.
+    ``truncated`` keeps the first third of the body and ``extended`` appends
+    one entry.  ``repeated-row`` writes a memory node row twice and
+    ``missing-row`` leaves one out.  ``partial-instantaneous`` drops one
+    instantaneous block or, in a dump without them, adds one, and
+    ``flag-mismatch`` flips the header's ``instantaneous`` flag.  ``old-csv``
+    is the same kernel as the CSV text dump of earlier versions.
     """
-    header, *rows = text.splitlines()
-    memory = [r for r in rows if r.count(",") == 5]
-    instantaneous = [r for r in rows if r.count(",") == 4]
+    head, body = data.split(b"\n", 1)
+    header = json.loads(head)
+    p, n, has_inst = header["p"], header["N_t"] + 1, header["instantaneous"]
+    block = 16 * p * p
+    rows = [body[block * k * (k + 1) // 2 : block * (k + 1) * (k + 2) // 2] for k in range(n)]
+    inst = body[block * n * (n + 1) // 2 :]
     if damage == "truncated":
-        rows = rows[: len(rows) // 3]
+        body = body[: len(body) // 3]
+    elif damage == "extended":
+        body += bytes(16)
     elif damage == "repeated-row":
-        fields = memory[1].split(",")
-        fields[4] = repr(float(fields[4]) + 0.5)
-        rows = memory + [",".join(fields)] + instantaneous
+        body = b"".join(rows[:2] + rows[1:]) + inst
     elif damage == "missing-row":
-        rows = memory[: len(memory) // 2] + memory[len(memory) // 2 + 1 :] + instantaneous
+        body = b"".join(rows[: n // 2] + rows[n // 2 + 1 :]) + inst
     elif damage == "partial-instantaneous":
-        rows = memory + (instantaneous[1:] if instantaneous else ["0,0,0,1.0,0.0"])
+        body = b"".join(rows) + (inst[block:] if has_inst else bytes(block))
+    elif damage == "flag-mismatch":
+        head = json.dumps(header | {"instantaneous": not has_inst}).encode()
+    elif damage == "old-csv":
+        # six fields (k, l, i, j, re, im) per causal memory entry, five (k, i, j, re, im) per instantaneous one
+        old = {key: value for key, value in header.items() if key != "instantaneous"}
+        lines = [json.dumps(old)]
+        for k, row in enumerate(rows):
+            for (l, i, j), v in np.ndenumerate(np.frombuffer(row, dtype="<c16").reshape(k + 1, p, p)):
+                lines.append(f"{k},{l},{i},{j},{float(v.real)!r},{float(v.imag)!r}")
+        for (k, i, j), v in np.ndenumerate(np.frombuffer(inst, dtype="<c16").reshape(-1, p, p)):
+            lines.append(f"{k},{i},{j},{float(v.real)!r},{float(v.imag)!r}")
+        return "\n".join(lines).encode() + b"\n"
     else:
         raise ValueError(damage)
-    return "\n".join([header, *rows]) + "\n"
+    return head + b"\n" + body

@@ -8,8 +8,9 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import DUMP_DAMAGES, damage_dump, dimer_config, run_child, run_cli, trimer_config
 from pfnegf.config import parse_config, reference_config
@@ -54,7 +55,7 @@ class TestRun:
         cfg = write_config(tmp_path, dimer_config())
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "out" / "g0.kernel.csv").exists()
+        assert (tmp_path / "out" / "g0.kernel").exists()
 
     def test_verify_noninteracting_passes(self, tmp_path):
         cfg_data = trimer_config()
@@ -123,8 +124,8 @@ class TestRun:
     def test_sigma_task_writes_both_kernels(self, trimer_12):
         root, _, result = trimer_12
         assert result.returncode == 0, result.stderr
-        assert (root / "out1" / "sigma_tilde.kernel.csv").exists()
-        assert (root / "out1" / "sigma.kernel.csv").exists()
+        assert (root / "out1" / "sigma_tilde.kernel").exists()
+        assert (root / "out1" / "sigma.kernel").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.json"
@@ -176,7 +177,7 @@ class TestRun:
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 3, result.stderr
         assert result.error()["type"] == "memory"
-        assert not (tmp_path / "out" / "gxi.kernel.csv").exists()
+        assert not (tmp_path / "out" / "gxi.kernel").exists()
 
     def test_recompute_memory_guard_exit_code(self, tmp_path):
         # the recompute sweep holds one held tile and one D tile, and they must
@@ -190,7 +191,7 @@ class TestRun:
         record = result.error()
         assert record["type"] == "memory"
         assert "one held and one D tile need" in record["message"]
-        assert not (tmp_path / "out" / "gxi.kernel.csv").exists()
+        assert not (tmp_path / "out" / "gxi.kernel").exists()
 
     def test_algebra_memory_guard_exit_code(self, tmp_path):
         # the correlator tiles fit this budget; the Volterra algebra of verify does not
@@ -224,7 +225,7 @@ class TestRun:
 
     def test_unwritable_artifact_exit_code(self, tmp_path):
         # a directory where the g0 dump should go
-        (tmp_path / "out" / "g0.kernel.csv").mkdir(parents=True)
+        (tmp_path / "out" / "g0.kernel").mkdir(parents=True)
         cfg = write_config(tmp_path, dimer_config())
         result = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
         assert result.returncode == 2, result.stderr
@@ -305,6 +306,43 @@ def reference_at_12_steps(**changes):
             target = target[int(part) if part.isdigit() else part]
         target[int(key) if key.isdigit() else key] = value
     return cfg
+
+
+# the keys each object level of a config takes, in the order its refusal lists them
+ROOT_KEYS = ("sample", "leads", "bias", "thermal", "grid", "tasks", "tolerances", "budget", "strategy")
+LEAD_KEYS, COUPLING_KEYS = ("sites", "hoppings", "coupling"), ("d", "f", "g")
+SECTION_KEYS = {"sample": ("sites", "hoppings", "w", "xi"), "thermal": ("beta", "mu"), "grid": ("T", "steps")}
+
+
+@st.composite
+def misspelt_configs(draw):
+    """``(config, key path, message)``: a drawn config with one key misspelt at one object level.
+
+    The base is the dimer, trimer or reference config, with or without the
+    optional root keys.  The misspelling drops, inserts, replaces or swaps a
+    letter, or changes its case, and is no key of its level.
+    """
+    cfg = copy.deepcopy(draw(st.sampled_from([dimer_config, trimer_config, reference_config]), label="base")())
+    if draw(st.booleans(), label="optional root keys"):
+        cfg |= {"budget": 10**9, "tolerances": {"lead_support": 1e-12}, "strategy": "history"}
+    levels = [(cfg, "", ROOT_KEYS)] + [(cfg[name], name, keys) for name, keys in SECTION_KEYS.items()]
+    for nu, lead in enumerate(cfg["leads"]):
+        levels += [(lead, f"leads[{nu}]", LEAD_KEYS), (lead["coupling"], f"leads[{nu}].coupling", COUPLING_KEYS)]
+    section, context, known = levels[draw(st.integers(0, len(levels) - 1), label="level")]
+    key = draw(st.sampled_from(sorted(section)), label="key")
+    i = draw(st.integers(0, len(key) - 1), label="position")
+    letter = draw(st.characters(min_codepoint=ord("a"), max_codepoint=ord("z")), label="letter")
+    misspelt = draw(st.sampled_from([
+        key[:i] + key[i + 1 :],
+        key[:i] + letter + key[i:],
+        key[:i] + letter + key[i + 1 :],
+        key[:i] + key[i + 1 : i + 2] + key[i] + key[i + 2 :],
+        key[:i] + key[i].swapcase() + key[i + 1 :],
+    ]), label="misspelt")
+    assume(misspelt not in known)
+    section[misspelt] = section.pop(key)
+    path = f"{context}.{misspelt}" if context else misspelt
+    return cfg, path, f"unknown key; {context or 'the root'} takes {', '.join(known)}"
 
 
 class TestNonFiniteResults:
@@ -446,6 +484,19 @@ class TestMalformedConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(reference_at_12_steps(**{path: 0.5}))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_misspelt_key_is_refused(self, data):
+        # one key misspelt at a drawn level of a drawn config: refused in process with its
+        # key path, exit 2, before any task runs
+        cfg, path, message = data.draw(misspelt_configs())
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            result = run_cli(["run", str(write_config(root, cfg)), "--out", str(root / "out")], root)
+            assert result.returncode == 2, result.stderr
+            assert result.error() == {"type": "config", "message": f"{path}: {message}"}
+            assert not (root / "out").exists()
+
     def test_overrides_are_checked(self):
         config = parse_config(reference_at_12_steps())
         for change in (
@@ -495,7 +546,7 @@ def make_dump(root, out_name, steps=12):
     cfg = write_config(root, cfg_data, name=f"{out_name}.json")
     result = run_cli(["run", str(cfg), "--out", str(root / out_name)], root)
     assert result.returncode == 0, result.stderr
-    return root / out_name / "g0.kernel.csv"
+    return root / out_name / "g0.kernel"
 
 
 class TestDiff:
@@ -522,9 +573,9 @@ class TestDiff:
     def test_header_mismatch_is_found_before_the_bodies(self, tmp_path, dumps, key, value):
         # the second body is cut short: were it parsed, the dump would be malformed
         a = dumps[0]
-        header, body = a.read_text().split("\n", 1)
-        bad = tmp_path / "bad.csv"
-        bad.write_text(json.dumps(json.loads(header) | {key: value}) + "\n" + body[: len(body) // 2])
+        header, body = a.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.kernel"
+        bad.write_bytes(json.dumps(json.loads(header) | {key: value}).encode() + b"\n" + body[: len(body) // 2])
         for pair in ([a, bad], [bad, a]):
             result = run_cli(["diff", *map(str, pair)], tmp_path)
             assert result.returncode == 2
@@ -544,19 +595,22 @@ class TestDiff:
         ids=["negative", "acausal", "node-range", "orbital-range", "instantaneous-range"],
     )
     def test_malformed_row_exit_code(self, tmp_path, dumps, row):
+        # the layout has no place for an entry outside the header (13 nodes, p = 2): the
+        # entry, written as the layout writes one, makes the body over-long
         a = dumps[0]
-        bad = tmp_path / "bad.csv"
-        bad.write_text(a.read_text() + row + "\n")
+        bad = tmp_path / "bad.kernel"
+        entry = np.array([complex(*map(float, row.split(",")[-2:]))], dtype="<c16")
+        bad.write_bytes(a.read_bytes() + entry.tobytes())
         result = run_cli(["diff", str(a), str(bad)], tmp_path)
         assert result.returncode == 2, result.stderr
         assert result.error()["type"] == "malformed-dump"
 
     @pytest.mark.parametrize("damage", DUMP_DAMAGES)
     def test_incomplete_or_repeated_dump_exit_code(self, tmp_path, dumps, damage):
-        # every row is in range; a dump read as zero-padded or overwritten would exit 0
+        # a dump read as zero-padded or cut short would exit 0
         a = dumps[0]
-        bad = tmp_path / "bad.csv"
-        bad.write_text(damage_dump(a.read_text(), damage))
+        bad = tmp_path / "bad.kernel"
+        bad.write_bytes(damage_dump(a.read_bytes(), damage))
         for pair in ([a, bad], [bad, a]):
             result = run_cli(["diff", *map(str, pair)], tmp_path)
             assert result.returncode == 2
@@ -566,17 +620,17 @@ class TestDiff:
 
     def test_malformed_header_exit_code(self, tmp_path, dumps):
         a = dumps[0]
-        header, rest = a.read_text().split("\n", 1)
-        bad = tmp_path / "bad.csv"
-        bad.write_text(json.dumps(json.loads(header) | {"p": None}) + "\n" + rest)
+        header, rest = a.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.kernel"
+        bad.write_bytes(json.dumps(json.loads(header) | {"p": None}).encode() + b"\n" + rest)
         result = run_cli(["diff", str(a), str(bad)], tmp_path)
         assert result.returncode == 2
         assert result.error()["type"] == "malformed-dump"
 
     def test_oversized_header_exit_code(self, tmp_path, dumps):
         # p = 300, N_t = 2000 implies 5.24 TiB of arrays: refused before any allocation
-        header = json.loads(dumps[0].read_text().split("\n", 1)[0])
-        big = tmp_path / "big.csv"
+        header = json.loads(dumps[0].read_bytes().split(b"\n", 1)[0])
+        big = tmp_path / "big.kernel"
         big.write_text(json.dumps(header | {"p": 300, "N_t": 2000}) + "\n")
         result = run_cli(["diff", str(dumps[0]), str(big)], tmp_path)
         assert result.returncode == 3
@@ -585,10 +639,10 @@ class TestDiff:
         assert "p = 300, N_t = 2000" in error["message"]
 
     def test_pair_over_budget_together_exit_code(self, tmp_path, dumps):
-        # each header implies 2.19 GB of arrays, within the 4 GiB budget on its
+        # each header implies 2.36 GB of arrays, within the 4 GiB budget on its
         # own; the pair is refused before either dump is allocated
-        header = json.loads(dumps[0].read_text().split("\n", 1)[0]) | {"p": 100, "N_t": 112}
-        pair = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        header = json.loads(dumps[0].read_bytes().split(b"\n", 1)[0]) | {"p": 100, "N_t": 120}
+        pair = [tmp_path / "one.kernel", tmp_path / "two.kernel"]
         for path in pair:
             path.write_text(json.dumps(header) + "\n")
         result = run_cli(["diff", *map(str, pair)], tmp_path)
@@ -596,12 +650,12 @@ class TestDiff:
         assert "Traceback" not in result.stderr
         error = result.error()
         assert error["type"] == "memory"
-        assert error["message"].count("p = 100, N_t = 112") == 2
+        assert error["message"].count("p = 100, N_t = 120") == 2
 
     @pytest.mark.parametrize("which", ["missing", "directory"])
     def test_unreadable_dump_exit_code(self, tmp_path, dumps, which):
         a = dumps[0]
-        other = tmp_path / "nope.csv" if which == "missing" else a.parent
+        other = tmp_path / "nope.kernel" if which == "missing" else a.parent
         for pair in ([str(other), str(a)], [str(a), str(other)]):
             result = run_cli(["diff", *pair], tmp_path)
             assert result.returncode == 2, result.stderr
@@ -610,11 +664,10 @@ class TestDiff:
 
     def test_nan_entry_shows_in_the_overall_difference(self, tmp_path, dumps):
         a = dumps[0]
-        header, first, *rest = a.read_text().splitlines()
-        fields = first.split(",")
-        fields[4] = "nan"
-        mutated = tmp_path / "nan.csv"
-        mutated.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        # the real part of the first entry, orbitals (0, 0) at node (0, 0)
+        header, body = a.read_bytes().split(b"\n", 1)
+        mutated = tmp_path / "nan.kernel"
+        mutated.write_bytes(header + b"\n" + np.array(np.nan).tobytes() + body[8:])
         result = run_cli(["diff", str(a), str(mutated)], tmp_path)
         assert result.returncode == 0
         lines = result.stdout.splitlines()
@@ -623,12 +676,10 @@ class TestDiff:
 
     def test_reports_block_differences(self, tmp_path, dumps):
         a = dumps[0]
-        text = a.read_text().splitlines()
-        header, first, rest = text[0], text[1], text[2:]
-        fields = first.split(",")
-        fields[4] = repr(float(fields[4]) + 0.5)
-        mutated = tmp_path / "mutated.csv"
-        mutated.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        header, body = a.read_bytes().split(b"\n", 1)
+        first = np.frombuffer(body[:8], dtype="<f8") + 0.5
+        mutated = tmp_path / "mutated.kernel"
+        mutated.write_bytes(header + b"\n" + first.tobytes() + body[8:])
         result = run_cli(["diff", str(a), str(mutated)], tmp_path)
         assert result.returncode == 0
         assert "0.5" in result.stdout
@@ -672,9 +723,9 @@ class TestTaskSubsetsEqualAllTaskRun:
     """Any nonempty list of distinct tasks, in any order, writes the all-task run's artifacts and fails its checks."""
 
     ARTIFACTS = {
-        "g0": ("g0.kernel.csv",),
-        "gxi": ("gxi.kernel.csv",),
-        "sigma": ("sigma_tilde.kernel.csv", "sigma.kernel.csv"),
+        "g0": ("g0.kernel",),
+        "gxi": ("gxi.kernel",),
+        "sigma": ("sigma_tilde.kernel", "sigma.kernel"),
         "verify": ("dyson_report.json",),
         "converge": ("convergence.csv", "convergence.json"),
         "gamma-check": ("gamma_report.json",),

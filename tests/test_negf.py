@@ -32,6 +32,7 @@ from oracles import (
     full_forward_substitution,
     full_grid,
     identity_volterra,
+    load_kernel,
     memory_kernel,
     packed_kernel_bytes,
 )
@@ -214,12 +215,14 @@ class TestSelfEnergy:
         assert not np.signbit(packed.real).any() and np.signbit(packed.imag).all()
         assert packed_kernel_bytes(sigma_tilde) == packed_kernel_bytes(oracle)
         assert sigma_tilde.flat.tobytes() == oracle.flat.tobytes()
-        texts = []
+        dumps = []
         for op in (sigma_tilde, oracle):
-            texts.append(io.StringIO())
-            dump_kernel(op, [f"o{i}" for i in range(engine.p)], texts[-1], "sigma_tilde")
-        assert texts[0].getvalue() == texts[1].getvalue()
-        assert "\n0,0,0,0,0.0,-0.0\n" in texts[0].getvalue()
+            dumps.append(io.BytesIO())
+            dump_kernel(op, [f"o{i}" for i in range(engine.p)], dumps[-1], "sigma_tilde")
+        assert dumps[0].getvalue() == dumps[1].getvalue()
+        dumps[0].seek(0)
+        mem = load_kernel(dumps[0])[1]
+        assert mem[0, 0, 0, 0].tobytes() == np.array(complex(0.0, -0.0)).tobytes()
 
     def test_lead_support_exact(self, ref_engine_25):
         ns = ref_engine_25.model.num_sample

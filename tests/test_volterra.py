@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import math
@@ -93,10 +92,14 @@ def apply(op, psi):
     return (op.flat @ psi.ravel()).reshape(psi.shape)
 
 
-def kernel_text(op, ordering):
-    buf = io.StringIO()
+def kernel_bytes(op, ordering):
+    buf = io.BytesIO()
     dump_kernel(op, ordering, buf, "K")
     return buf.getvalue()
+
+
+def load_bytes(data):
+    return load_kernel(io.BytesIO(data))
 
 
 def assert_causal(op):
@@ -105,28 +108,15 @@ def assert_causal(op):
     assert np.all(blocks[np.triu_indices(op.grid.n_nodes, k=1)] == 0.0)
 
 
-def csv_writer_text(op, ordering):
-    """Reference kernel dump written through ``csv.writer``, entry by entry."""
-    buf = io.StringIO()
+def reference_dump(op, ordering):
+    """Reference kernel dump assembled block by block from the dense kernel view."""
     header = {"name": "K", "p": op.p, "N_t": op.grid.steps, "T": op.grid.horizon,
-              "ordering": list(ordering)}
-    buf.write(json.dumps(header) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    mem, p = memory_kernel(op), op.p
-    for k in range(op.grid.n_nodes):
-        for l in range(k + 1):
-            for i in range(p):
-                for j in range(p):
-                    v = mem[k, l, i, j]
-                    writer.writerow([k, l, i, j, repr(float(v.real)), repr(float(v.imag))])
+              "ordering": list(ordering), "instantaneous": op.has_instantaneous()}
+    mem = memory_kernel(op)
+    blocks = [mem[k, l] for k in range(op.grid.n_nodes) for l in range(k + 1)]
     if op.has_instantaneous():
-        inst = op.instantaneous()
-        for k in range(op.grid.n_nodes):
-            for i in range(p):
-                for j in range(p):
-                    v = inst[k, i, j]
-                    writer.writerow([k, i, j, repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+        blocks += list(op.instantaneous())
+    return json.dumps(header).encode() + b"\n" + b"".join(b.astype("<c16").tobytes() for b in blocks)
 
 
 # a float step count once gave a float n_nodes, and compute_g0 then died with a TypeError
@@ -414,11 +404,11 @@ class TestRestriction:
 class TestDumpFormat:
     def test_round_trip(self):
         a = random_memory_operator(GRID, 2, seed=12)
-        text = kernel_text(a, ["x", "y"])
-        header, mem, inst = load_kernel(io.StringIO(text))
+        header, mem, inst = load_bytes(kernel_bytes(a, ["x", "y"]))
         assert header["p"] == 2
         assert header["N_t"] == GRID.steps
         assert header["ordering"] == ["x", "y"]
+        assert header["instantaneous"] is False
         np.testing.assert_array_equal(mem, memory_kernel(a))
         assert np.max(np.abs(inst)) == 0.0
 
@@ -426,11 +416,12 @@ class TestDumpFormat:
         n = GRID.n_nodes
         inst = RNG.standard_normal((n, 2, 2)) + 1j * RNG.standard_normal((n, 2, 2))
         a = VolterraOperator(GRID, 2, inst=inst, mem=np.zeros((n, n, 2, 2)))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         dump_kernel(a, ["x", "y"], buf, "withinst")
         buf.seek(0)
         header, mem, inst_back = load_kernel(buf)
         assert header["name"] == "withinst"
+        assert header["instantaneous"] is True
         np.testing.assert_array_equal(inst_back, inst)
         assert np.max(np.abs(mem)) == 0.0
 
@@ -448,11 +439,13 @@ class TestDumpFormat:
         ],
     )
     def test_rejects_rows_outside_the_header(self, row):
-        # a 2-step, p = 2 dump: nodes 0..2, memory rows need l <= k
-        header = json.dumps({"name": "x", "p": 2, "N_t": 2, "T": 1.0, "ordering": ["x", "y"]})
-        text = header + "\n2,1,1,0,1.0,0.0\n" + row + "\n"
-        with pytest.raises(ValueError, match="malformed kernel row"):
-            load_kernel(io.StringIO(text))
+        # a 2-step, p = 2 dump, nodes 0..2: the layout has no place for an entry outside
+        # the header, so the entry, written as the layout writes one, makes the body over-long
+        data = kernel_bytes(random_memory_operator(TimeGrid(1.0, 2), 2, seed=15), ["x", "y"])
+        load_bytes(data)
+        entry = np.array([complex(*map(float, row.split(",")[-2:]))], dtype="<c16")
+        with pytest.raises(ValueError, match="malformed kernel dump: the body runs past"):
+            load_bytes(data + entry.tobytes())
 
     @pytest.mark.parametrize(
         "header",
@@ -464,14 +457,15 @@ class TestDumpFormat:
         ],
     )
     def test_rejects_header_without_its_keys(self, header):
+        # the body has the length of a 2-step, p = 2 dump without an instantaneous part
         with pytest.raises(ValueError, match="malformed kernel header"):
-            load_kernel(io.StringIO(header + "\n0,0,0,0,1.0,0.0\n"))
+            load_bytes(header.encode() + b"\n" + bytes(6 * 4 * 16))
 
     def test_dump_deterministic(self):
         a = random_memory_operator(GRID, 2, seed=13)
-        assert kernel_text(a, ["x", "y"]) == kernel_text(a, ["x", "y"])
+        assert kernel_bytes(a, ["x", "y"]) == kernel_bytes(a, ["x", "y"])
 
-    def test_text_equals_csv_writer_reference(self):
+    def test_bytes_equal_reference_layout(self):
         grid = TimeGrid(1.0, 6)
         n = grid.n_nodes
         mem = np.zeros((n, n, 2, 2), dtype=complex)
@@ -484,31 +478,31 @@ class TestDumpFormat:
         inst[1] = [[complex(-0.0, 1e16), 1e-05], [0.0, complex(5e-324, -1e-05)]]
         inst[4, 0, 1] = 0.25 - 3.0j
         a = VolterraOperator(grid, 2, inst=inst, mem=mem)
-        assert kernel_text(a, ["x", "y"]) == csv_writer_text(a, ["x", "y"])
+        assert kernel_bytes(a, ["x", "y"]) == reference_dump(a, ["x", "y"])
 
     @pytest.mark.parametrize("damage", DUMP_DAMAGES)
     def test_rejects_incomplete_or_repeated_dumps(self, damage):
-        # a multi-tile kernel with an instantaneous part; each damage leaves
-        # every row in range, so only the completeness rules can catch it
+        # a multi-tile kernel with an instantaneous part; a damaged body read as
+        # zero-padded or cut short would pass for a kernel
         grid, p = THREE_TILES, 2
         n = grid.n_nodes
         inst = RNG.standard_normal((n, p, p)) + 1j * RNG.standard_normal((n, p, p))
         a = VolterraOperator(grid, p, inst=inst, mem=memory_kernel(random_memory_operator(grid, p, seed=14)))
-        text = kernel_text(a, ["x", "y"])
-        load_kernel(io.StringIO(text))
+        data = kernel_bytes(a, ["x", "y"])
+        load_bytes(data)
         with pytest.raises(ValueError, match="malformed kernel dump"):
-            load_kernel(io.StringIO(damage_dump(text, damage)))
+            load_bytes(damage_dump(data, damage))
 
     def test_multi_tile_g0_round_trip(self):
         h = np.array([[0.4, 1.0, 0.0], [1.0, -0.2, 0.6], [0.0, 0.6, 0.1]])
         g0 = compute_g0(h, THREE_TILES)
-        header, mem, inst = load_kernel(io.StringIO(kernel_text(g0, ["a", "b", "c"])))
+        header, mem, inst = load_bytes(kernel_bytes(g0, ["a", "b", "c"]))
         assert header["N_t"] == THREE_TILES.steps
         assert mem.tobytes() == memory_kernel(g0).tobytes()
         assert inst.tobytes() == g0.instantaneous().tobytes()
 
 
-# float64 parts whose text or bits a dump must keep apart: both zeros, quiet
+# float64 parts whose bits a dump must keep apart: both zeros, quiet
 # and signalling nan payloads and signs, both infinities, subnormals, and a
 # few ordinary values
 DUMP_PARTS = np.concatenate([
@@ -561,50 +555,23 @@ def repeating_operators(draw):
     return VolterraOperator(grid, p, inst=inst, mem=mem)
 
 
-class TestDumpRepeats:
-    """The dump reuses the text of the part one node up and left only when the bits match."""
+class TestDumpRoundTrip:
+    """A dump reads back with the bits of the kernel reader and of the instantaneous part."""
 
     @settings(max_examples=40, deadline=None)
     @given(repeating_operators())
-    def test_text_equals_csv_writer_reference(self, op):
+    def test_load_equals_the_kernel_reader(self, op):
         ordering = [f"o{i}" for i in range(op.p)]
-        assert kernel_text(op, ordering) == csv_writer_text(op, ordering)
-
-    @pytest.mark.parametrize("above, below", [(-0.0, 0.0), (0.0, -0.0)], ids=["minus-above", "plus-above"])
-    def test_signed_zeros_keep_their_text(self, above, below):
-        # the pairs straddle the first tile edge and sit on the instantaneous rows
-        grid = TimeGrid(1.0, TILE_NODES + 2)
-        n, k = grid.n_nodes, TILE_NODES
-        mem = np.zeros((n, n, 1, 1), dtype=complex)
-        mem[k - 1, 2], mem[k, 3] = complex(above, below), complex(below, above)
-        mem[k - 1, 3], mem[k, 4] = complex(1.5, above), complex(1.5, below)
-        inst = np.zeros((n, 1, 1), dtype=complex)
-        inst[0] = 1.0
-        inst[k - 1], inst[k] = complex(above, 2.0), complex(below, 2.0)
-        op = VolterraOperator(grid, 1, inst=inst, mem=mem)
-        text = kernel_text(op, ["x"])
-        assert text == csv_writer_text(op, ["x"])
-        lines = set(text.splitlines())
-        assert {f"{k},3,0,0,{below!r},{above!r}", f"{k},4,0,0,1.5,{below!r}", f"{k},0,0,{below!r},2.0"} <= lines
-
-    def test_nan_inf_and_subnormal_entries(self):
-        grid = TimeGrid(1.0, TILE_NODES + 2)
-        n, k = grid.n_nodes, TILE_NODES
-        nan_a, nan_b, minus_nan = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000],
-                                           dtype=np.uint64).view(float)
-        mem = np.zeros((n, n, 1, 1), dtype=complex)
-        # one node up and left of each other: different nan payloads and signs,
-        # equal nan bits, opposite infinities, opposite and equal subnormals
-        for l, (up, down) in enumerate([(nan_a, nan_b), (nan_b, minus_nan), (nan_a, nan_a),
-                                        (np.inf, -np.inf), (5e-324, -5e-324), (1e-310, 1e-310)]):
-            mem[k - 1, 2 * l], mem[k, 2 * l + 1] = complex(up, down), complex(down, up)
-        op = VolterraOperator(grid, 1, mem=mem)
-        text = kernel_text(op, ["x"])
-        assert text == csv_writer_text(op, ["x"])
-        _, back, _ = load_kernel(io.StringIO(text))
-        finite_or_inf = ~np.isnan(mem)
-        assert back[finite_or_inf].tobytes() == mem[finite_or_inf].tobytes()
-        assert np.isnan(back).sum() == np.isnan(mem).sum()
+        data = kernel_bytes(op, ordering)
+        assert data == reference_dump(op, ordering)
+        header, mem, inst = load_bytes(data)
+        causal = np.tri(op.grid.n_nodes, dtype=bool)
+        assert mem[causal].tobytes() == memory_kernel(op)[causal].tobytes()
+        assert not mem[~causal].view(np.int64).any()
+        # the writer leaves out an instantaneous part that is zero, signed zeros included
+        assert header["instantaneous"] == op.has_instantaneous()
+        expected = op.instantaneous() if op.has_instantaneous() else np.zeros_like(inst)
+        assert inst.tobytes() == expected.tobytes()
 
 
 class TestInstantaneousBits:
@@ -617,9 +584,10 @@ class TestInstantaneousBits:
         op = VolterraOperator(grid, 1, inst=inst, mem=np.zeros((n, n, 1, 1), dtype=complex))
         assert op.instantaneous().real.view(np.uint64)[2, 0, 0] == SIGNALLING_NAN
         assert op.has_instantaneous()
-        text = kernel_text(op, ["x"])
-        assert text == csv_writer_text(op, ["x"])
-        assert "\n2,0,0,nan,0.0\n" in text
+        data = kernel_bytes(op, ["x"])
+        assert data == reference_dump(op, ["x"])
+        # the payload survives the round trip
+        assert load_bytes(data)[2].real.view(np.uint64)[2, 0, 0] == SIGNALLING_NAN
 
     def test_negative_zeros_are_zero(self):
         # the sign bit alone is no entry; the least subnormal is
@@ -673,7 +641,7 @@ class TestHeldRowPacking:
         assert packed_kernel_bytes(op) == packed_kernel_bytes(oracle)
         assert op.flat.tobytes() == oracle.flat.tobytes()
         ordering = [f"o{i}" for i in range(p)]
-        assert kernel_text(op, ordering) == kernel_text(oracle, ordering)
+        assert kernel_bytes(op, ordering) == kernel_bytes(oracle, ordering)
 
     def test_rows_not_given_carry_the_scaled_zero(self):
         # +0.0 * -1j is 0.0 - 0.0j, and +0.0 * 1.0 stays +0.0
@@ -1103,6 +1071,7 @@ class TestOperandRules:
     def test_instantaneous_only_restrict_and_dump_equal_zero_kernel_form(self, draw, data):
         # the restriction of an instantaneous part alone against the dense restriction, and its
         # dump against the dense values: every causal memory entry 0.0,0.0, then the part's entries
+        # when it has one that is not zero
         grid, p, _, _, m = draw
         n = grid.n_nodes
         alone = VolterraOperator(grid, p, inst=m)
@@ -1112,11 +1081,9 @@ class TestOperandRules:
         np.testing.assert_array_equal(dense_matrix(sub), dense_restrict(dense, grid, p, indices))
         assert not np.any(memory_kernel(sub))
         np.testing.assert_array_equal(sub.instantaneous(), m[:, indices][:, :, indices])
-        _, *rows = kernel_text(alone, [f"o{i}" for i in range(p)]).splitlines()
-        entries = [f",{i},{j},0.0,0.0" for i in range(p) for j in range(p)]
-        zeros = [f"{k},{l}{entry}" for k in range(n) for l in range(k + 1) for entry in entries]
-        part = [f"{k},{i},{j},{float(v.real)!r},{float(v.imag)!r}" for (k, i, j), v in np.ndenumerate(m)]
-        assert rows == zeros + (part if np.any(m) else [])
+        _, body = kernel_bytes(alone, [f"o{i}" for i in range(p)]).split(b"\n", 1)
+        zeros = bytes(16 * p * p * n * (n + 1) // 2)
+        assert body == zeros + (m.astype("<c16").tobytes() if np.any(m) else b"")
 
     @settings(max_examples=30, deadline=None)
     @given(operand_draws())
@@ -1276,7 +1243,7 @@ class TestSupportAgainstFullAlgebra:
         assert a.has_instantaneous() == twin.has_instantaneous()
         np.testing.assert_array_equal(a.instantaneous(), twin.instantaneous())
         ordering = [f"o{i}" for i in range(p)]
-        assert kernel_text(a, ordering) == kernel_text(twin, ordering)
+        assert kernel_bytes(a, ordering) == kernel_bytes(twin, ordering)
         assert a.max_abs() == twin.max_abs()
         assert repr(a.volterra_constant()) == repr(twin.volterra_constant())
         assert_close(np.array(a.norm_bound()), np.array(loop_norm_bound(da, grid, p)))
@@ -1293,7 +1260,7 @@ class TestSupportAgainstFullAlgebra:
             assert op.flat.tobytes() == dense.tobytes()
         total = a + b
         assert packed_kernel_bytes(total) == packed_kernel_bytes(twin_a + twin_b)
-        assert kernel_text(a - b, ["x"] * p) == kernel_text(twin_a - twin_b, ["x"] * p)
+        assert kernel_bytes(a - b, ["x"] * p) == kernel_bytes(twin_a - twin_b, ["x"] * p)
         s = complex(data.draw(st.floats(-2, 2), label="re"), data.draw(st.floats(-2, 2), label="im"))
         # an entry outside the support is +0.0 after scaling; the full route has s * 0.0
         np.testing.assert_array_equal(a.scale(s).flat, s * da)
@@ -1510,13 +1477,14 @@ class TestSupportReductions:
         n = self.GRID.n_nodes
         mem = np.ones((n, n, 1, 2), dtype=complex)
         mem[np.triu_indices(n, k=1)] = 0.0
-        for scale, text in ((-1j, "0.0,-0.0"), (1.0, "0.0,0.0"), (None, "0.0,0.0")):
+        for scale, entry in ((-1j, complex(0.0, -0.0)), (1.0, 0j), (None, 0j)):
             op = VolterraOperator(self.GRID, 3, mem=mem, rows=[1], cols=[0, 2], scale=scale)
             full = np.zeros((n, n, 3, 3), dtype=complex)
             full[:, :, 1, [0, 2]] = mem[:, :, 0]
             twin = VolterraOperator(self.GRID, 3, mem=full, scale=scale)
-            assert kernel_text(op, "abc") == kernel_text(twin, "abc")
-            assert f"\n0,0,0,1,{text}\n" in kernel_text(op, "abc")
+            assert kernel_bytes(op, "abc") == kernel_bytes(twin, "abc")
+            loaded = load_bytes(kernel_bytes(op, "abc"))[1]
+            assert loaded[0, 0, 0, 1].tobytes() == np.array(entry).tobytes()
 
     def test_instantaneous_part_alone_holds_a_zero_kernel(self):
         # the kernel view and dump read the zero kernel held, not (P - m) / w,
@@ -1529,7 +1497,7 @@ class TestSupportReductions:
         for rows, cols in ((None, None), ([1, 2], [1, 2])):
             op = VolterraOperator(self.GRID, 4, inst=inst, rows=rows, cols=cols)
             assert not memory_kernel(op).view(np.int64).any()  # +0.0, both parts
-            _, mem, loaded = load_kernel(io.StringIO(kernel_text(op, "abcd")))
+            _, mem, loaded = load_bytes(kernel_bytes(op, "abcd"))
             assert not mem.view(np.int64).any()
             np.testing.assert_array_equal(loaded, inst)
 
@@ -1600,7 +1568,7 @@ class TestLagHeldKernel:
         grid, p, op, twin = drawn
         ordering = [f"o{i}" for i in range(p)]
         assert packed_kernel_bytes(op) == packed_kernel_bytes(twin)
-        assert kernel_text(op, ordering) == kernel_text(twin, ordering)
+        assert kernel_bytes(op, ordering) == kernel_bytes(twin, ordering)
         assert repr(op.max_abs()) == repr(twin.max_abs())
         assert repr(op.norm_bound()) == repr(twin.norm_bound())
         assert repr(op.volterra_constant()) == repr(twin.volterra_constant())
@@ -1611,7 +1579,7 @@ class TestLagHeldKernel:
         assert (sub.rows.tolist(), sub.cols.tolist()) == (twin_sub.rows.tolist(), twin_sub.cols.tolist())
         assert sub.panels().tobytes() == twin_sub.panels().tobytes()
         assert packed_kernel_bytes(sub) == packed_kernel_bytes(twin_sub)
-        assert kernel_text(sub, ordering[: len(indices)]) == kernel_text(twin_sub, ordering[: len(indices)])
+        assert kernel_bytes(sub, ordering[: len(indices)]) == kernel_bytes(twin_sub, ordering[: len(indices)])
 
     @settings(max_examples=30, deadline=None)
     @given(lag_held_operators(), st.data())
